@@ -130,7 +130,8 @@ class CongestNetwork:
                 "topology was compiled for a different graph object"
             )
         self.topology = topology
-        self.graph = topology.graph
+        # The topology holds its graph weakly; the network keeps it alive.
+        self.graph = graph if graph is not None else topology.graph
         self.n = topology.n
         self.bandwidth_bits = (
             bandwidth_bits if bandwidth_bits is not None else topology.bandwidth_bits

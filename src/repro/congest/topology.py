@@ -16,8 +16,12 @@ A :class:`CompiledTopology` does that derivation exactly once per graph:
   neighbor *index* sets over the dense indices;
 * a dense degree table and the default per-edge bandwidth budget.
 
-:func:`compile_topology` memoizes compilations per graph *object* (a
-``WeakKeyDictionary``, so retired graphs do not leak), which is the hook
+:func:`compile_topology` memoizes compilations per graph *object* in a
+``WeakKeyDictionary``.  A topology holds its graph only through a weak
+reference (a strong one would keep every memo key alive forever), so an
+entry drops as soon as the last outside reference to its graph goes;
+:class:`~repro.congest.network.CongestNetwork` keeps its own strong
+reference for as long as it runs.  The memo is the hook
 the runtime layer relies on: :func:`repro.runtime.run_jobs` hands the
 same graph object to every trial of a sweep via its ``graphs`` hint, so
 the topology is compiled exactly once per process no matter how many
@@ -31,11 +35,12 @@ import threading
 import weakref
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import networkx as nx
 
 from ..errors import GraphInputError
+from ..graphs.utils import has_self_loops
 from .message import default_bandwidth_bits
 
 
@@ -43,7 +48,8 @@ class CompiledTopology:
     """Immutable, pre-derived adjacency structure of one simple graph.
 
     Attributes:
-        graph: the source :class:`networkx.Graph`.
+        graph: the source :class:`networkx.Graph` (held weakly; ``None``
+            once the graph has been garbage-collected).
         n: number of nodes.
         m: number of edges.
         nodes: node ids in sorted order; position = dense index.
@@ -65,7 +71,7 @@ class CompiledTopology:
     """
 
     __slots__ = (
-        "graph",
+        "_graph_ref",
         "n",
         "m",
         "nodes",
@@ -86,11 +92,11 @@ class CompiledTopology:
     def __init__(self, graph: nx.Graph):
         if graph.is_directed() or graph.is_multigraph():
             raise GraphInputError("CongestNetwork requires a simple undirected graph")
-        if any(u == v for u, v in graph.edges()):
+        if has_self_loops(graph):
             raise GraphInputError("CongestNetwork does not support self-loops")
         if graph.number_of_nodes() == 0:
             raise GraphInputError("CongestNetwork requires at least one node")
-        self.graph = graph
+        self._graph_ref = weakref.ref(graph)
         self.n = graph.number_of_nodes()
         self.m = graph.number_of_edges()
         nodes: Tuple[Any, ...] = tuple(sorted(graph.nodes()))
@@ -123,6 +129,11 @@ class CompiledTopology:
         self._plane_arrays = None
         self._edge_arrays = None
         self._batch_arrays = None
+
+    @property
+    def graph(self) -> Optional[nx.Graph]:
+        """The source graph, or ``None`` once it has been collected."""
+        return self._graph_ref()
 
     # -- dense-index accessors ------------------------------------------------
 

@@ -4,9 +4,8 @@ Currently:
 
 * :class:`DisjointSets` -- union-find with path compression and union by
   size, used by the contraction steps of Stage I and by graph utilities.
-* :class:`FenwickTree` -- a binary indexed tree over integer positions,
-  used for the O((n + m) log m) interlacement sweep in
-  :mod:`repro.testers.violations`.
+* :class:`FenwickTree` -- a binary indexed tree over integer positions
+  (point updates, prefix and range sums in O(log n)).
 """
 
 from __future__ import annotations

@@ -31,11 +31,16 @@ def id_key(node: Any):
     return (0, node)
 
 
+def has_self_loops(graph: nx.Graph) -> bool:
+    """True if some node of *graph* is its own neighbor (one O(n) scan)."""
+    return any(v in nbrs for v, nbrs in graph.adj.items())
+
+
 def require_simple(graph: nx.Graph, name: str = "graph") -> None:
     """Raise :class:`GraphInputError` unless *graph* is simple undirected."""
     if graph.is_directed() or graph.is_multigraph():
         raise GraphInputError(f"{name} must be a simple undirected graph")
-    if any(u == v for u, v in graph.edges()):
+    if has_self_loops(graph):
         raise GraphInputError(f"{name} must not contain self-loops")
 
 

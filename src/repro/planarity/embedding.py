@@ -20,7 +20,8 @@ from typing import Any, Dict, List, Set, Tuple
 import networkx as nx
 
 from ..errors import EmbeddingError
-from .rotation import HalfEdge, RotationSystem
+from .lr_planarity import LocalGraph
+from .rotation import HalfEdge, HalfEdgeRing, RotationSystem
 
 
 def match_graph(rotations: RotationSystem, graph: nx.Graph) -> None:
@@ -133,7 +134,7 @@ def verify_planar_embedding(rotations: RotationSystem, graph: nx.Graph) -> None:
         raise EmbeddingError(f"non-planar embedding: component genus {bad!r}")
 
 
-def identity_rotation(graph: nx.Graph) -> RotationSystem:
+def identity_rotation(graph):
     """An arbitrary (id-sorted) rotation system for *graph*.
 
     This is the fallback ordering used for parts on which the embedding
@@ -141,8 +142,13 @@ def identity_rotation(graph: nx.Graph) -> RotationSystem:
     Ghaffari-Haeupler step "is possible that an ordering is determined
     though Gj is not planar" -- detection then falls to the violating-edge
     machinery of Stage II, which is sound for arbitrary orderings.
+
+    Neighbors are sorted by ``repr`` of their ids.  On a
+    :class:`~repro.planarity.lr_planarity.LocalGraph` the result is the
+    same order as a :class:`HalfEdgeRing` over its indices.
     """
-    rs = RotationSystem()
-    for v in graph.nodes():
-        rs.set_rotation(v, sorted(graph.neighbors(v), key=repr))
-    return rs
+    if not isinstance(graph, LocalGraph):
+        local = LocalGraph.from_graph(graph)
+        return identity_rotation(local).to_rotation_system(local.nodes)
+    key = [repr(v) for v in graph.nodes].__getitem__
+    return HalfEdgeRing.from_rotations([sorted(row, key=key) for row in graph.rows])

@@ -1,11 +1,11 @@
-"""Left-right planarity test with embedding extraction (from scratch).
+"""Left-right planarity test with embedding extraction, on int arrays.
 
 This implements the de Fraysseix-Rosenstiehl left-right criterion in the
 formulation of Brandes ("The left-right planarity test"), the same
 algorithmic skeleton behind Boyer-Myrvold-class linear-time testers:
 
 1. *Orientation phase*: a DFS orients the graph, computing ``height``,
-   ``lowpt``, ``lowpt2`` and a ``nesting_depth`` ordering key per edge.
+   ``lowpt``, ``lowpt2`` and a ``nesting`` ordering key per edge.
 2. *Testing phase*: a second DFS over adjacency lists sorted by nesting
    depth maintains a stack of conflict pairs of back-edge intervals;
    an unresolvable conflict certifies non-planarity.
@@ -20,72 +20,78 @@ combinatorial embedding for each (planar) part, while the *distributed*
 round cost of the GH algorithm is charged analytically by the Stage II
 driver.
 
-All DFS phases are iterative, so graphs with deep DFS trees (paths,
-grids) do not hit Python's recursion limit.
+Everything runs on a :class:`LocalGraph` -- the input relabeled to
+indices ``0..n-1`` once -- and flat int lists:
 
-Implementation correspondence note: the phase structure and the conflict
-pair bookkeeping follow Brandes' published pseudocode, which is also the
-basis of networkx's checker -- networkx is used in the test-suite as an
-*oracle* only; this module shares no code with it.
+* each oriented edge has one id, in orientation order; ``lowpt``,
+  ``lowpt2``, ``nesting``, ``ref`` and ``side`` are plain lists over it
+  (``-1`` stands for "no edge");
+* the conflict-pair stack is four parallel lists (left low/high, right
+  low/high), and a stack height stands in for the identity of the pair
+  that was on top when an edge was entered;
+* the embedding is a :class:`~repro.planarity.rotation.HalfEdgeRing`
+  (half-edges ``2e`` / ``2e + 1`` in ``nxt``/``prv`` circular lists).
+
+All DFS phases are iterative, so graphs with deep DFS trees (paths,
+grids) do not hit Python's recursion limit.  The rotation system equals
+the one the dict-keyed port of the same pseudocode produces; the test
+suite keeps that port as its oracle, next to networkx's checker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
 import networkx as nx
 
 from ..errors import GraphInputError
-from .rotation import RotationSystem
-
-Edge = Tuple[Any, Any]
-
-
-class _Interval:
-    """An interval of back edges, identified by its low and high edges."""
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, low: Optional[Edge] = None, high: Optional[Edge] = None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interval({self.low}, {self.high})"
+from ..graphs.utils import has_self_loops, id_key
+from .rotation import HalfEdgeRing, RotationSystem
 
 
-class _ConflictPair:
-    """A pair of (left, right) intervals of back edges."""
+class LocalGraph:
+    """A simple graph relabeled to local indices ``0..n-1``.
 
-    __slots__ = ("L", "R")
+    Attributes:
+        nodes: ``nodes[i]`` is the original id of index ``i``.
+        index: original id -> local index.
+        rows: ``rows[i]`` lists the neighbors of ``i`` as local indices,
+            in the source's adjacency order.
+        m: number of edges.
+    """
 
-    def __init__(
-        self,
-        left: Optional[_Interval] = None,
-        right: Optional[_Interval] = None,
-    ):
-        self.L = left if left is not None else _Interval()
-        self.R = right if right is not None else _Interval()
+    __slots__ = ("nodes", "index", "rows", "m")
 
-    def swap(self) -> None:
-        self.L, self.R = self.R, self.L
+    def __init__(self, nodes: List[Any], index: Dict[Any, int], rows: List[List[int]]):
+        self.nodes = nodes
+        self.index = index
+        self.rows = rows
+        self.m = sum(map(len, rows)) // 2
 
-    def lowest(self, lowpt: Dict[Edge, int]) -> int:
-        if self.L.empty():
-            return lowpt[self.R.low]
-        if self.R.empty():
-            return lowpt[self.L.low]
-        return min(lowpt[self.L.low], lowpt[self.R.low])
+    @classmethod
+    def from_graph(cls, graph: nx.Graph) -> "LocalGraph":
+        """Relabel *graph* (or a view of one) in its own iteration order.
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ConflictPair(L={self.L}, R={self.R})"
+        Node ``i`` is the ``i``-th node *graph* yields, and each row
+        follows *graph*'s adjacency order, so every order-sensitive step
+        sees exactly the sequence it would see on *graph* itself.
+        """
+        nodes = list(graph)
+        index = {v: i for i, v in enumerate(nodes)}
+        adj = graph._adj
+        return cls(nodes, index, [[index[w] for w in adj[v]] for v in nodes])
+
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
+
+    def id_keys(self) -> Sequence[Any]:
+        """Per index, a key ordering nodes like :func:`~repro.graphs.utils.id_key`."""
+        nodes = self.nodes
+        if all(type(v) is int for v in nodes):
+            return nodes
+        return [id_key(v) for v in nodes]
 
 
 @dataclass
@@ -94,324 +100,377 @@ class PlanarityResult:
 
     Attributes:
         is_planar: verdict.
-        embedding: a clockwise :class:`RotationSystem` when planar,
+        ring: the clockwise embedding over local indices when planar,
             otherwise ``None``.
+        nodes: local index -> original node id.
+        embedding: the same embedding as a :class:`RotationSystem` over
+            the original ids (built on first access), or ``None``.
     """
 
     is_planar: bool
-    embedding: Optional[RotationSystem] = None
+    ring: Optional[HalfEdgeRing] = None
+    nodes: Sequence[Any] = ()
+    _embedding: Optional[RotationSystem] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def embedding(self) -> Optional[RotationSystem]:
+        if self._embedding is None and self.ring is not None:
+            self._embedding = self.ring.to_rotation_system(self.nodes)
+        return self._embedding
 
     def __bool__(self) -> bool:
         return self.is_planar
 
 
-class _LRPlanarity:
-    """Single-use state machine for one planarity check."""
+def lr_embedding(graph: LocalGraph) -> Optional[HalfEdgeRing]:
+    """The LR planar embedding of *graph*, or ``None`` if it is not planar."""
+    rows = graph.rows
+    n = len(rows)
+    if n > 2 and graph.m > 3 * n - 6:
+        return None
 
-    def __init__(self, graph: nx.Graph):
-        if graph.is_directed() or graph.is_multigraph():
-            raise GraphInputError("planarity check requires a simple undirected graph")
-        if any(u == v for u, v in graph.edges()):
-            raise GraphInputError("planarity check does not support self-loops")
-        self.graph = graph
-        self.adjs: Dict[Any, List[Any]] = {
-            v: list(graph.neighbors(v)) for v in graph.nodes()
-        }
-        self.height: Dict[Any, Optional[int]] = {v: None for v in graph.nodes()}
-        self.parent_edge: Dict[Any, Optional[Edge]] = {v: None for v in graph.nodes()}
-        self.oriented_adj: Dict[Any, List[Any]] = {v: [] for v in graph.nodes()}
-        self.lowpt: Dict[Edge, int] = {}
-        self.lowpt2: Dict[Edge, int] = {}
-        self.nesting_depth: Dict[Edge, int] = {}
-        self.ref: Dict[Edge, Optional[Edge]] = {}
-        self.side: Dict[Edge, int] = {}
-        self.S: List[_ConflictPair] = []
-        self.stack_bottom: Dict[Edge, Optional[_ConflictPair]] = {}
-        self.lowpt_edge: Dict[Edge, Edge] = {}
-        self.ordered_adjs: Dict[Any, List[Any]] = {}
-        self.roots: List[Any] = []
-        self.embedding = RotationSystem()
-        self.left_ref: Dict[Any, Any] = {}
-        self.right_ref: Dict[Any, Any] = {}
-
-    # -- phase 1: orientation --------------------------------------------------
-
-    def dfs_orientation(self, root: Any) -> None:
-        oriented = set()
-        dfs_stack = [root]
-        ind: Dict[Any, int] = {}
-        skip_init: Dict[Edge, bool] = {}
-
-        while dfs_stack:
-            v = dfs_stack.pop()
-            e = self.parent_edge[v]
-            adj = self.adjs[v]
-            i = ind.get(v, 0)
-            descended = False
-            while i < len(adj):
-                w = adj[i]
-                vw = (v, w)
-                if not skip_init.get(vw, False):
-                    if (v, w) in oriented or (w, v) in oriented:
+    # -- phase 1: orientation ----------------------------------------------
+    height = [-1] * n
+    parent_edge = [-1] * n
+    out: List[List[int]] = [[] for _ in range(n)]
+    tail: List[int] = []
+    head: List[int] = []
+    lowpt: List[int] = []
+    lowpt2: List[int] = []
+    nesting: List[int] = []
+    roots: List[int] = []
+    ind = [0] * n
+    # pending[v]: the tree edge v descended through, post-processed when
+    # v is popped again.
+    pending = [-1] * n
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            hv = height[v]
+            e = parent_edge[v]
+            row = rows[v]
+            deg = len(row)
+            i = ind[v]
+            x = pending[v]
+            pending[v] = -1
+            while True:
+                if x < 0:  # scan the next edge
+                    if i >= deg:
+                        break
+                    w = row[i]
+                    hw = height[w]
+                    if hw < 0:  # tree edge: descend
+                        x = len(tail)
+                        tail.append(v)
+                        head.append(w)
+                        lowpt.append(hv)
+                        lowpt2.append(hv)
+                        nesting.append(0)
+                        out[v].append(x)
+                        parent_edge[w] = x
+                        height[w] = hv + 1
+                        ind[v] = i
+                        pending[v] = x
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    if hw >= hv - 1:
+                        # Already oriented: the tree edge from the parent,
+                        # or a back edge from a finished descendant.
                         i += 1
                         continue
-                    oriented.add(vw)
-                    self.oriented_adj[v].append(w)
-                    self.lowpt[vw] = self.height[v]
-                    self.lowpt2[vw] = self.height[v]
-                    self.ref[vw] = None
-                    self.side[vw] = 1
-                    if self.height[w] is None:  # tree edge: descend
-                        self.parent_edge[w] = vw
-                        self.height[w] = self.height[v] + 1
-                        ind[v] = i
-                        skip_init[vw] = True
-                        dfs_stack.append(v)
-                        dfs_stack.append(w)
-                        descended = True
-                        break
-                    # back edge
-                    self.lowpt[vw] = self.height[w]
-                # postprocessing of edge vw (back edge now, or tree edge
-                # after its subtree has completed)
-                self.nesting_depth[vw] = 2 * self.lowpt[vw]
-                if self.lowpt2[vw] < self.height[v]:  # chordal
-                    self.nesting_depth[vw] += 1
-                if e is not None:
-                    if self.lowpt[vw] < self.lowpt[e]:
-                        self.lowpt2[e] = min(self.lowpt[e], self.lowpt2[vw])
-                        self.lowpt[e] = self.lowpt[vw]
-                    elif self.lowpt[vw] > self.lowpt[e]:
-                        self.lowpt2[e] = min(self.lowpt2[e], self.lowpt[vw])
-                    else:
-                        self.lowpt2[e] = min(self.lowpt2[e], self.lowpt2[vw])
+                    x = len(tail)  # back edge to an ancestor
+                    tail.append(v)
+                    head.append(w)
+                    lowpt.append(hw)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    out[v].append(x)
+                # post-processing of edge x: a back edge now, or a tree
+                # edge after its subtree has completed
+                lx = lowpt[x]
+                l2x = lowpt2[x]
+                nesting[x] = 2 * lx + 1 if l2x < hv else 2 * lx
+                if e >= 0:
+                    le = lowpt[e]
+                    if lx < le:
+                        lowpt2[e] = le if le < l2x else l2x
+                        lowpt[e] = lx
+                    elif lx > le:
+                        if lx < lowpt2[e]:
+                            lowpt2[e] = lx
+                    elif l2x < lowpt2[e]:
+                        lowpt2[e] = l2x
+                x = -1
                 i += 1
-            if not descended:
-                ind[v] = i
 
-    # -- phase 2: testing --------------------------------------------------------
+    # -- phase 2: testing ----------------------------------------------------
+    n_edges = len(tail)
+    by_nesting = nesting.__getitem__
+    ordered = [sorted(o, key=by_nesting) if len(o) > 1 else o for o in out]
+    # One spare slot at the end: the pseudocode writes through "no edge"
+    # (index -1) in a few places, and those writes must land harmlessly.
+    ref = [-1] * (n_edges + 1)
+    side = [1] * n_edges
+    lowpt_edge = [-1] * n_edges
+    stack_bottom = [0] * n_edges
+    s_ll: List[int] = []  # left interval low edge, per conflict pair
+    s_lh: List[int] = []  # left interval high edge
+    s_rl: List[int] = []  # right interval low edge
+    s_rh: List[int] = []  # right interval high edge
 
-    def _top(self) -> Optional[_ConflictPair]:
-        return self.S[-1] if self.S else None
-
-    def _conflicting(self, interval: _Interval, b: Edge) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
-    def dfs_testing(self, root: Any) -> bool:
-        dfs_stack = [root]
-        ind: Dict[Any, int] = {}
-        skip_init: Dict[Edge, bool] = {}
-
-        while dfs_stack:
-            v = dfs_stack.pop()
-            e = self.parent_edge[v]
-            adj = self.ordered_adjs[v]
-            i = ind.get(v, 0)
-            descended = False
-            while i < len(adj):
-                w = adj[i]
-                ei = (v, w)
-                if not skip_init.get(ei, False):
-                    self.stack_bottom[ei] = self._top()
-                    if ei == self.parent_edge[w]:  # tree edge: descend
-                        ind[v] = i
-                        skip_init[ei] = True
-                        dfs_stack.append(v)
-                        dfs_stack.append(w)
-                        descended = True
-                        break
-                    # back edge
-                    self.lowpt_edge[ei] = ei
-                    self.S.append(_ConflictPair(right=_Interval(ei, ei)))
-                # integrate new return edges
-                if self.lowpt[ei] < self.height[v]:
-                    if w == adj[0]:  # first child/edge inherits directly
-                        self.lowpt_edge[e] = self.lowpt_edge[ei]
-                    elif not self.add_constraints(ei, e):
-                        return False  # non-planar
-                i += 1
-            if descended:
-                continue
-            ind[v] = i
-            if e is not None:
-                self.remove_back_edges(e)
-        return True
-
-    def add_constraints(self, ei: Edge, e: Edge) -> bool:
-        P = _ConflictPair()
+    def add_constraints(ei: int, e: int) -> bool:
+        pll = plh = prl = prh = -1
+        bottom = stack_bottom[ei]
+        low_e = lowpt[e]
         # merge return edges of e_i into P.R
         while True:
-            Q = self.S.pop()
-            if not Q.L.empty():
-                Q.swap()
-            if not Q.L.empty():
-                return False  # non-planar
-            if self.lowpt[Q.R.low] > self.lowpt[e]:
-                # merge intervals
-                if P.R.empty():
-                    P.R.high = Q.R.high
+            qll = s_ll.pop()
+            qlh = s_lh.pop()
+            qrl = s_rl.pop()
+            qrh = s_rh.pop()
+            if qll != -1 or qlh != -1:
+                qll, qlh, qrl, qrh = qrl, qrh, qll, qlh
+                if qll != -1 or qlh != -1:
+                    return False  # non-planar
+            if lowpt[qrl] > low_e:  # merge intervals
+                if prl == -1 and prh == -1:
+                    prh = qrh
                 else:
-                    self.ref[P.R.low] = Q.R.high
-                P.R.low = Q.R.low
-            else:
-                # align
-                self.ref[Q.R.low] = self.lowpt_edge[e]
-            if self._top() is self.stack_bottom[ei]:
+                    ref[prl] = qrh
+                prl = qrl
+            else:  # align
+                ref[qrl] = lowpt_edge[e]
+            if len(s_ll) == bottom:
                 break
         # merge conflicting return edges of e_1..e_{i-1} into P.L
-        while self._conflicting(self._top().L, ei) or self._conflicting(
-            self._top().R, ei
-        ):
-            Q = self.S.pop()
-            if self._conflicting(Q.R, ei):
-                Q.swap()
-            if self._conflicting(Q.R, ei):
-                return False  # non-planar
+        low_b = lowpt[ei]
+        while s_ll:
+            qlh = s_lh[-1]
+            qrh = s_rh[-1]
+            if not (
+                (qlh != -1 and lowpt[qlh] > low_b) or (qrh != -1 and lowpt[qrh] > low_b)
+            ):
+                break
+            qll = s_ll.pop()
+            s_lh.pop()
+            qrl = s_rl.pop()
+            s_rh.pop()
+            if qrh != -1 and lowpt[qrh] > low_b:
+                qll, qlh, qrl, qrh = qrl, qrh, qll, qlh
+                if qrh != -1 and lowpt[qrh] > low_b:
+                    return False  # non-planar
             # merge interval below lowpt(e_i) into P.R
-            self.ref[P.R.low] = Q.R.high
-            if Q.R.low is not None:
-                P.R.low = Q.R.low
-            if P.L.empty():
-                P.L.high = Q.L.high
+            ref[prl] = qrh
+            if qrl != -1:
+                prl = qrl
+            if pll == -1 and plh == -1:
+                plh = qlh
             else:
-                self.ref[P.L.low] = Q.L.high
-            P.L.low = Q.L.low
-        if not (P.L.empty() and P.R.empty()):
-            self.S.append(P)
+                ref[pll] = qlh
+            pll = qll
+        if pll != -1 or plh != -1 or prl != -1 or prh != -1:
+            s_ll.append(pll)
+            s_lh.append(plh)
+            s_rl.append(prl)
+            s_rh.append(prh)
         return True
 
-    def remove_back_edges(self, e: Edge) -> None:
-        u = e[0]
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
+        hu = height[u]
         # trim back edges ending at parent u: drop entire conflict pairs
-        while self.S and self.S[-1].lowest(self.lowpt) == self.height[u]:
-            P = self.S.pop()
-            if P.L.low is not None:
-                self.side[P.L.low] = -1
-        if self.S:  # one more conflict pair to consider
-            P = self.S.pop()
-            # trim left interval
-            while P.L.high is not None and P.L.high[1] == u:
-                P.L.high = self.ref[P.L.high]
-            if P.L.high is None and P.L.low is not None:
-                self.ref[P.L.low] = P.R.low
-                self.side[P.L.low] = -1
-                P.L.low = None
-            # trim right interval
-            while P.R.high is not None and P.R.high[1] == u:
-                P.R.high = self.ref[P.R.high]
-            if P.R.high is None and P.R.low is not None:
-                self.ref[P.R.low] = P.L.low
-                self.side[P.R.low] = -1
-                P.R.low = None
-            self.S.append(P)
-        # side of e is the side of a highest return edge
-        if self.lowpt[e] < self.height[u]:  # e has return edge
-            top = self.S[-1]
-            hl = top.L.high
-            hr = top.R.high
-            if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                self.ref[e] = hl
+        while s_ll:
+            ll = s_ll[-1]
+            rl = s_rl[-1]
+            if ll == -1 and s_lh[-1] == -1:
+                lowest = lowpt[rl]
+            elif rl == -1 and s_rh[-1] == -1:
+                lowest = lowpt[ll]
             else:
-                self.ref[e] = hr
+                lowest = min(lowpt[ll], lowpt[rl])
+            if lowest != hu:
+                break
+            s_ll.pop()
+            s_lh.pop()
+            s_rl.pop()
+            s_rh.pop()
+            if ll != -1:
+                side[ll] = -1
+        if s_ll:  # one more conflict pair to consider
+            pll = s_ll.pop()
+            plh = s_lh.pop()
+            prl = s_rl.pop()
+            prh = s_rh.pop()
+            # trim left interval
+            while plh != -1 and head[plh] == u:
+                plh = ref[plh]
+            if plh == -1 and pll != -1:
+                ref[pll] = prl
+                side[pll] = -1
+                pll = -1
+            # trim right interval
+            while prh != -1 and head[prh] == u:
+                prh = ref[prh]
+            if prh == -1 and prl != -1:
+                ref[prl] = pll
+                side[prl] = -1
+                prl = -1
+            s_ll.append(pll)
+            s_lh.append(plh)
+            s_rl.append(prl)
+            s_rh.append(prh)
+        # side of e is the side of a highest return edge
+        if lowpt[e] < hu:
+            hl = s_lh[-1]
+            hr = s_rh[-1]
+            if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
 
-    # -- phase 3: embedding -------------------------------------------------------
-
-    def _resolve_side(self, e: Edge) -> int:
-        """Resolve the absolute side of *e* through its ref chain."""
-        chain: List[Edge] = []
-        cur: Optional[Edge] = e
-        while cur is not None and self.ref[cur] is not None:
-            chain.append(cur)
-            cur = self.ref[cur]
-        for edge in reversed(chain):
-            parent = self.ref[edge]
-            self.side[edge] = self.side[edge] * self.side[parent]
-            self.ref[edge] = None
-        return self.side[e]
-
-    def dfs_embedding(self, root: Any) -> None:
-        dfs_stack = [root]
-        ind: Dict[Any, int] = {}
-
-        while dfs_stack:
-            v = dfs_stack.pop()
-            adj = self.ordered_adjs[v]
-            i = ind.get(v, 0)
-            descended = False
-            while i < len(adj):
-                w = adj[i]
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            hv = height[v]
+            e = parent_edge[v]
+            adj = ordered[v]
+            i = ind[v]
+            # After a descent, adj[i] is the tree edge whose subtree just
+            # completed: skip its initialization.
+            resumed = pending[v] >= 0
+            pending[v] = -1
+            deg = len(adj)
+            while i < deg:
+                ei = adj[i]
+                if not resumed:
+                    stack_bottom[ei] = len(s_ll)
+                    w = head[ei]
+                    if parent_edge[w] == ei:  # tree edge: descend
+                        ind[v] = i
+                        pending[v] = ei
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt_edge[ei] = ei  # back edge
+                    s_ll.append(-1)
+                    s_lh.append(-1)
+                    s_rl.append(ei)
+                    s_rh.append(ei)
+                resumed = False
+                # integrate new return edges
+                if lowpt[ei] < hv:
+                    if i == 0:  # first child/edge inherits directly
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
                 i += 1
-                ei = (v, w)
-                if ei == self.parent_edge[w]:  # tree edge
-                    self.embedding.add_half_edge_first(w, v)
-                    self.left_ref[v] = w
-                    self.right_ref[v] = w
+            else:
+                if e >= 0:
+                    remove_back_edges(e)
+
+    # -- phase 3: embedding --------------------------------------------------
+    for x in range(n_edges):
+        if ref[x] != -1:  # resolve the absolute side through the ref chain
+            chain = []
+            c = x
+            while ref[c] != -1:
+                chain.append(c)
+                c = ref[c]
+            for y in reversed(chain):
+                side[y] *= side[ref[y]]
+                ref[y] = -1
+        if side[x] < 0:
+            nesting[x] = -nesting[x]
+    first = [-1] * n
+    nxt = [0] * (2 * n_edges)
+    prv = [0] * (2 * n_edges)
+    for v, o in enumerate(out):
+        if len(o) > 1:
+            o = sorted(o, key=by_nesting)
+        ordered[v] = o
+        if o:
+            hs = [2 * x for x in o]
+            first[v] = hs[0]
+            for a, b in zip(hs, hs[1:] + hs[:1]):
+                nxt[a] = b
+                prv[b] = a
+
+    # Insert every edge's head half-edge 2x + 1 around its head.
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            adj = ordered[v]
+            i = ind[v]
+            deg = len(adj)
+            while i < deg:
+                x = adj[i]
+                i += 1
+                w = head[x]
+                h = 2 * x + 1
+                if parent_edge[w] == x:  # tree edge: h becomes w's first
+                    f = first[w]
+                    if f < 0:
+                        first[w] = nxt[h] = prv[h] = h
+                    else:
+                        p = prv[f]
+                        nxt[p] = h
+                        prv[h] = p
+                        nxt[h] = f
+                        prv[f] = h
+                        first[w] = h
+                    left_ref[v] = right_ref[v] = 2 * x
                     ind[v] = i
-                    dfs_stack.append(v)
-                    dfs_stack.append(w)
-                    descended = True
+                    stack.append(v)
+                    stack.append(w)
                     break
                 # back edge: insert the reversed half-edge at the ancestor
-                if self.side[ei] == 1:
-                    self.embedding.add_half_edge_cw(w, v, self.right_ref[w])
-                else:
-                    self.embedding.add_half_edge_ccw(w, v, self.left_ref[w])
-                    self.left_ref[w] = v
-            if not descended:
-                ind[v] = i
-
-    # -- driver ---------------------------------------------------------------
-
-    def run(self) -> PlanarityResult:
-        n = self.graph.number_of_nodes()
-        m = self.graph.number_of_edges()
-        if n > 2 and m > 3 * n - 6:
-            return PlanarityResult(False, None)
-
-        # Phase 1 on every component.
-        for v in self.graph.nodes():
-            if self.height[v] is None:
-                self.height[v] = 0
-                self.roots.append(v)
-                self.dfs_orientation(v)
-
-        # Phase 2.
-        for v in self.graph.nodes():
-            self.ordered_adjs[v] = sorted(
-                self.oriented_adj[v], key=lambda w, v=v: self.nesting_depth[(v, w)]
-            )
-        for root in self.roots:
-            if not self.dfs_testing(root):
-                return PlanarityResult(False, None)
-
-        # Phase 3: apply signs, re-sort, and build the rotation system.
-        for v in self.graph.nodes():
-            for w in self.oriented_adj[v]:
-                e = (v, w)
-                self.nesting_depth[e] *= self._resolve_side(e)
-        for v in self.graph.nodes():
-            self.ordered_adjs[v] = sorted(
-                self.oriented_adj[v], key=lambda w, v=v: self.nesting_depth[(v, w)]
-            )
-            self.embedding.add_node(v)
-            previous = None
-            for w in self.ordered_adjs[v]:
-                self.embedding.add_half_edge_cw(v, w, previous)
-                previous = w
-        for root in self.roots:
-            self.dfs_embedding(root)
-        return PlanarityResult(True, self.embedding)
+                if side[x] == 1:  # clockwise after right_ref[w]
+                    p = right_ref[w]
+                    q = nxt[p]
+                else:  # counterclockwise before left_ref[w]
+                    q = left_ref[w]
+                    p = prv[q]
+                    left_ref[w] = h
+                nxt[p] = h
+                prv[h] = p
+                nxt[h] = q
+                prv[q] = h
+    return HalfEdgeRing(tail, head, first, nxt, prv)
 
 
-def check_planarity(graph: nx.Graph) -> PlanarityResult:
+def check_planarity(graph) -> PlanarityResult:
     """Test planarity of *graph*; return verdict plus embedding if planar.
 
-    The embedding is a clockwise :class:`RotationSystem` covering every
-    node and edge of the graph.  Use
+    *graph* is a simple undirected networkx graph (or view), or a
+    :class:`LocalGraph` that is already relabeled (and trusted to be
+    simple).  The result's ``ring`` is the clockwise embedding over local
+    indices and its ``embedding`` the same :class:`RotationSystem` over
+    the original ids, covering every node and edge.  Use
     :func:`repro.planarity.embedding.verify_planar_embedding` for an
     independent Euler-formula certificate.
     """
-    return _LRPlanarity(graph).run()
+    if not isinstance(graph, LocalGraph):
+        if graph.is_directed() or graph.is_multigraph():
+            raise GraphInputError("planarity check requires a simple undirected graph")
+        if has_self_loops(graph):
+            raise GraphInputError("planarity check does not support self-loops")
+        graph = LocalGraph.from_graph(graph)
+    ring = lr_embedding(graph)
+    return PlanarityResult(ring is not None, ring, graph.nodes)
 
 
 def is_planar(graph: nx.Graph) -> bool:

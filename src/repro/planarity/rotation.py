@@ -6,13 +6,15 @@ cellular embedding on an orientable surface; the embedding is planar iff
 the Euler characteristic computed from the face count is 2 per connected
 component (see :mod:`repro.planarity.embedding`).
 
-The structure is stored as doubly linked circular lists per node so the
-LR embedding phase can insert half-edges in O(1).
+:class:`RotationSystem` stores doubly linked circular lists per node,
+keyed by node id.  :class:`HalfEdgeRing` is the same structure over int
+nodes and int half-edges, in flat lists: the LR embedding builds it with
+O(1) insertions and Stage II's labels walk it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import EmbeddingError
 
@@ -174,3 +176,88 @@ class RotationSystem:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RotationSystem({self.to_dict()!r})"
+
+
+class HalfEdgeRing:
+    """A clockwise rotation system over int nodes and int half-edges.
+
+    Edge ``e`` runs from ``tail[e]`` to ``head[e]``; its half-edge
+    ``2e`` leaves the tail and ``2e + 1`` leaves the head, so ``h ^ 1``
+    is the twin of ``h``.  Each node's half-edges form one circular
+    list: ``nxt[h]`` is the half-edge clockwise after ``h`` around its
+    origin, ``prv[h]`` the one before, and ``first[v]`` is where
+    ``v``'s rotation starts (``-1`` for an isolated node).  This is the
+    flat form the LR embedding builds and Stage II's labels walk.
+    """
+
+    __slots__ = ("tail", "head", "first", "nxt", "prv")
+
+    def __init__(self, tail, head, first, nxt, prv):  # noqa: D107
+        self.tail = tail
+        self.head = head
+        self.first = first
+        self.nxt = nxt
+        self.prv = prv
+
+    @classmethod
+    def from_rotations(cls, rotations: List[List[int]]) -> "HalfEdgeRing":
+        """Ring whose node ``v`` rotates clockwise through ``rotations[v]``.
+
+        Edges are numbered in order of first appearance from their lower
+        endpoint; *rotations* must list every edge at both endpoints.
+        """
+        n = len(rotations)
+        tail: List[int] = []
+        head: List[int] = []
+        edge_of: Dict[int, int] = {}
+        rows = []
+        for u, rot in enumerate(rotations):
+            hs = []
+            for v in rot:
+                if u < v:
+                    e = len(tail)
+                    tail.append(u)
+                    head.append(v)
+                    edge_of[u * n + v] = e
+                    hs.append(2 * e)
+                else:
+                    hs.append(2 * edge_of[v * n + u] + 1)
+            rows.append(hs)
+        nxt = [0] * (2 * len(tail))
+        prv = [0] * (2 * len(tail))
+        first = [-1] * n
+        for v, hs in enumerate(rows):
+            if hs:
+                first[v] = hs[0]
+                for a, b in zip(hs, hs[1:] + hs[:1]):
+                    nxt[a] = b
+                    prv[b] = a
+        return cls(tail, head, first, nxt, prv)
+
+    def targets(self) -> List[int]:
+        """Per half-edge, the node it points to."""
+        to = [0] * (2 * len(self.tail))
+        to[0::2] = self.head
+        to[1::2] = self.tail
+        return to
+
+    def rotation(self, v: int) -> List[int]:
+        """Clockwise neighbor list of *v*, starting at its first entry."""
+        start = self.first[v]
+        if start < 0:
+            return []
+        nxt, tail, head = self.nxt, self.tail, self.head
+        out = []
+        h = start
+        while True:
+            out.append(tail[h >> 1] if h & 1 else head[h >> 1])
+            h = nxt[h]
+            if h == start:
+                return out
+
+    def to_rotation_system(self, nodes: Sequence[Any]) -> RotationSystem:
+        """The same rotations over the original ids ``nodes[i]``."""
+        rs = RotationSystem()
+        for v, node in enumerate(nodes):
+            rs.set_rotation(node, [nodes[w] for w in self.rotation(v)])
+        return rs

@@ -12,7 +12,6 @@ from .hereditary import (
     test_hereditary_property,
 )
 from .labels import (
-    children_in_rotation_order,
     deterministic_bfs_tree,
     embedding_ranks,
     max_label_length,
@@ -40,7 +39,6 @@ __all__ = [
     "PlanarityTestResult",
     "SamplingOutcome",
     "Stage2Config",
-    "children_in_rotation_order",
     "count_violating",
     "deterministic_bfs_tree",
     "edges_interlace",

@@ -9,85 +9,144 @@ of the edge labels on its root path; lexicographic order over labels is
 exactly DFS preorder of ``T_B`` with children visited in rotation order,
 so we assign each node its preorder *rank* -- an equivalent, compact
 representation of the order.
+
+Every function works on a relabeled
+:class:`~repro.planarity.lr_planarity.LocalGraph`, walking a
+:class:`~repro.planarity.rotation.HalfEdgeRing` and int lists: that is
+what Stage II runs.  Given a networkx graph instead (with a
+:class:`~repro.planarity.rotation.RotationSystem` and dicts keyed by node
+id), each one relabels, runs the same code and maps the answer back.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import networkx as nx
 
 from ..errors import GraphInputError
-from ..graphs.utils import id_key
-from ..planarity.rotation import RotationSystem
+from ..planarity.lr_planarity import LocalGraph
+from ..planarity.rotation import HalfEdgeRing, RotationSystem
 
 
-def deterministic_bfs_tree(
-    graph: nx.Graph, root: Any
-) -> Tuple[Dict[Any, Optional[Any]], Dict[Any, int]]:
+def _local_parents(graph: nx.Graph, parents) -> Tuple[LocalGraph, List[int]]:
+    """*graph* relabeled, and its ``{node: parent}`` dict as an index list."""
+    local = LocalGraph.from_graph(graph)
+    index = local.index
+    parent = [-1] * local.n
+    for v, p in parents.items():
+        if p is not None:
+            parent[index[v]] = index[p]
+    return local, parent
+
+
+def _local_ring(local: LocalGraph, rotation: RotationSystem) -> HalfEdgeRing:
+    """*rotation* (keyed by node id) as a ring over *local*'s indices."""
+    index = local.index
+    return HalfEdgeRing.from_rotations(
+        [[index[w] for w in rotation.rotation(v)] for v in local.nodes]
+    )
+
+
+def deterministic_bfs_tree(graph, root):
     """BFS tree matching the distributed construction of Section 2.2.1.
 
     All nodes of depth ``d`` announce in the same round, so a node at
     depth ``d + 1`` picks the minimum-id announcing neighbor as its
-    parent -- the same rule as :class:`repro.congest.programs.bfs`.
+    parent -- the same rule as :class:`repro.congest.programs.bfs`
+    (ties by :func:`~repro.graphs.utils.id_key`).
 
-    Returns (parents, depths); ``parents[root] is None``.
+    Returns (parents, depths).  On a :class:`LocalGraph` with a root
+    index these are lists over indices (``parents[root] == -1``);
+    otherwise dicts keyed by node id (``parents[root] is None``), in BFS
+    order.
     """
-    depths = {root: 0}
-    order = deque([root])
-    while order:
-        v = order.popleft()
-        for w in graph.adj[v]:
-            if w not in depths:
-                depths[w] = depths[v] + 1
+    if isinstance(graph, LocalGraph):
+        parent, depth, _order = _bfs_tree(graph, root)
+        return parent, depth
+    local = LocalGraph.from_graph(graph)
+    parent, depth, order = _bfs_tree(local, local.index[root])
+    nodes = local.nodes
+    return (
+        {nodes[v]: (nodes[parent[v]] if parent[v] >= 0 else None) for v in order},
+        {nodes[v]: depth[v] for v in order},
+    )
+
+
+def _bfs_tree(graph: LocalGraph, root: int):
+    """(parent, depth, BFS order) lists over *graph*'s indices."""
+    rows = graph.rows
+    n = len(rows)
+    depth = [-1] * n
+    depth[root] = 0
+    order = [root]
+    for v in order:  # grows while it is walked: the BFS queue
+        d = depth[v] + 1
+        for w in rows[v]:
+            if depth[w] < 0:
+                depth[w] = d
                 order.append(w)
-    if len(depths) != graph.number_of_nodes():
+    if len(order) != n:
         raise GraphInputError("BFS labeling requires a connected part")
-    parents: Dict[Any, Optional[Any]] = {root: None}
-    for v, d in depths.items():
-        if v == root:
-            continue
-        candidates = [w for w in graph.adj[v] if depths[w] == d - 1]
-        parents[v] = min(candidates, key=id_key)
-    return parents, depths
+    keys = graph.id_keys()
+    parent = [-1] * n
+    for v in order[1:]:
+        up = depth[v] - 1
+        best = -1
+        for w in rows[v]:
+            if depth[w] == up and (best < 0 or keys[w] < keys[best]):
+                best = w
+        parent[v] = best
+    return parent, depth, order
 
 
-def children_in_rotation_order(
-    rotation: RotationSystem,
-    parents: Dict[Any, Optional[Any]],
-    v: Any,
-) -> List[Any]:
+def _children_in_rotation_order(ring: HalfEdgeRing, to, parent, v: int) -> List[int]:
     """Children of *v* in ``T_B``, ordered clockwise from the parent edge.
 
     For the root the order starts at the rotation's first entry, which is
     the emulation of "r_j arbitrarily labels one of its incident edges by
     1" -- any fixed starting edge satisfies the paper's requirement.
     """
-    rot = rotation.rotation(v)
-    parent = parents[v]
-    if parent is None:
-        ordered = rot
-    else:
-        idx = rot.index(parent)
-        ordered = rot[idx + 1 :] + rot[:idx]
-    return [w for w in ordered if parents.get(w) == v]
+    start = ring.first[v]
+    if start < 0:
+        return []
+    nxt = ring.nxt
+    p = parent[v]
+    if p >= 0:
+        while to[start] != p:
+            start = nxt[start]
+        start = nxt[start]
+    children = []
+    h = start
+    while True:
+        w = to[h]
+        if parent[w] == v and w != p:
+            children.append(w)
+        h = nxt[h]
+        if h == start:
+            return children
 
 
-def embedding_ranks(
-    graph: nx.Graph,
-    root: Any,
-    rotation: RotationSystem,
-    parents: Dict[Any, Optional[Any]],
-) -> Dict[Any, int]:
+def embedding_ranks(graph, root, rotation, parents):
     """Preorder rank of every node under the embedding-ordered DFS of T_B.
 
     Ranks realize the lexicographic order on the paper's labels: the
     label of u is a strict prefix of v's iff u is an ancestor of v (and
     then rank(u) < rank(v)); otherwise the first differing edge label
     orders the subtrees exactly as rotation-ordered DFS does.
+
+    A list over indices on a :class:`LocalGraph`, else a dict by node id.
     """
-    ranks: Dict[Any, int] = {}
+    if not isinstance(graph, LocalGraph):
+        local, parent = _local_parents(graph, parents)
+        ring = _local_ring(local, rotation)
+        ranks = embedding_ranks(local, local.index[root], ring, parent)
+        nodes = local.nodes
+        order = sorted(range(local.n), key=ranks.__getitem__)
+        return {nodes[v]: ranks[v] for v in order}
+    n = graph.n
+    to = rotation.targets()
+    ranks = [-1] * n
     counter = 0
     stack = [root]
     while stack:
@@ -95,9 +154,8 @@ def embedding_ranks(
         ranks[v] = counter
         counter += 1
         # Push children in reverse so the first child is visited first.
-        for child in reversed(children_in_rotation_order(rotation, parents, v)):
-            stack.append(child)
-    if len(ranks) != graph.number_of_nodes():
+        stack.extend(reversed(_children_in_rotation_order(rotation, to, parents, v)))
+    if counter != n:
         raise GraphInputError(
             "rotation order did not reach every node; embedding does not "
             "match the part"
@@ -105,39 +163,37 @@ def embedding_ranks(
     return ranks
 
 
-def non_tree_intervals(
-    graph: nx.Graph,
-    parents: Dict[Any, Optional[Any]],
-    ranks: Dict[Any, int],
-) -> List[Tuple[int, int, Any, Any]]:
+def non_tree_intervals(graph, parents, ranks) -> List[Tuple[Any, Any, Any, Any]]:
     """Non-tree edges of T_B as rank intervals ``(a, b, u, v)`` with a < b.
 
     Definition 7 orients each edge so the smaller label comes first; the
     returned tuples keep the original endpoints for reporting.
     """
-    intervals: List[Tuple[int, int, Any, Any]] = []
-    for u, v in graph.edges():
-        if parents.get(u) == v or parents.get(v) == u:
-            continue
-        a, b = ranks[u], ranks[v]
-        if a > b:
-            a, b = b, a
-            u, v = v, u
-        intervals.append((a, b, u, v))
+    if not isinstance(graph, LocalGraph):
+        local, parent = _local_parents(graph, parents)
+        nodes = local.nodes
+        ranked = [ranks[v] for v in nodes]
+        return [
+            (a, b, nodes[u], nodes[v])
+            for a, b, u, v in non_tree_intervals(local, parent, ranked)
+        ]
+    intervals = []
+    for u, row in enumerate(graph.rows):
+        pu = parents[u]
+        a = ranks[u]
+        for v in row:
+            if v > u and v != pu and parents[v] != u:
+                b = ranks[v]
+                intervals.append((b, a, v, u) if a > b else (a, b, u, v))
     return intervals
 
 
-def max_label_length(depths: Dict[Any, int]) -> int:
+def max_label_length(depths) -> int:
     """Length (in edge labels = id-sized words) of the longest node label."""
-    return max(depths.values(), default=0)
+    return max(depths.values() if isinstance(depths, dict) else depths, default=0)
 
 
-def euler_tour_positions(
-    graph: nx.Graph,
-    root: Any,
-    rotation: RotationSystem,
-    parents: Dict[Any, Optional[Any]],
-) -> Tuple[Dict[Tuple[Any, Any], int], int]:
+def euler_tour_positions(graph, root, rotation, parents):
     """Corner positions of non-tree half-edges along the tree's Euler tour.
 
     The complement of a spanning tree in the sphere is a single disk whose
@@ -158,81 +214,95 @@ def euler_tour_positions(
     prefix sums of subtree corner counts down ``T_B``).
 
     Returns:
-        (positions, total): ``positions[(v, x)]`` is the walk position of
-        non-tree half-edge ``(v, x)``; ``total`` is the number of
-        positions assigned (= 2 * number of non-tree edges).
+        (positions, total): ``positions`` maps each non-tree half-edge to
+        its walk position, in walk order -- keyed ``(v, x)`` by node id,
+        or ``v * n + x`` by index on a :class:`LocalGraph` (whose
+        *rotation* is a :class:`HalfEdgeRing` and *parents* a list);
+        ``total`` is the number of positions assigned (= 2 * number of
+        non-tree edges).
     """
-    n = graph.number_of_nodes()
-    positions: Dict[Tuple[Any, Any], int] = {}
+    if not isinstance(graph, LocalGraph):
+        local, parent = _local_parents(graph, parents)
+        ring = _local_ring(local, rotation)
+        positions, total = euler_tour_positions(local, local.index[root], ring, parent)
+        nodes = local.nodes
+        n = local.n
+        named = {(nodes[k // n], nodes[k % n]): p for k, p in positions.items()}
+        return named, total
+    n = graph.n
+    positions: Dict[int, int] = {}
     if n <= 1:
         return positions, 0
-
-    def is_tree(v: Any, w: Any) -> bool:
-        return parents.get(v) == w or parents.get(w) == v
-
-    rotations = {v: rotation.rotation(v) for v in graph.nodes()}
-    index_of = {
-        v: {w: i for i, w in enumerate(rot)} for v, rot in rotations.items()
-    }
-    counter = 0
+    nxt = rotation.nxt
+    to = rotation.targets()
 
     # Start by traversing the first tree edge of the root's rotation; the
     # gap preceding it is scanned on the final return.
-    root_rot = rotations[root]
-    first_tree_index = next(
-        i for i, w in enumerate(root_rot) if is_tree(root, w)
-    )
-    current, incoming = root_rot[first_tree_index], root
-    traversed = 1
-    total_tree_half_edges = 2 * (n - 1)
-
-    while traversed < total_tree_half_edges:
-        rot = rotations[current]
-        i = index_of[current][incoming]
+    start = first = rotation.first[root]
+    if first < 0:
+        raise GraphInputError("the root has no tree edge")
+    while parents[to[start]] != root:
+        start = nxt[start]
+        if start == first:
+            raise GraphInputError("the root has no tree edge")
+    current = to[start]
+    incoming = start ^ 1  # the tour's current half-edge, seen from `current`
+    base = current * n
+    counter = 0
+    for _ in range(2 * (n - 1) - 1):  # the remaining tree half-edges
+        h = nxt[incoming]
         while True:
-            i = (i + 1) % len(rot)
-            w = rot[i]
-            if is_tree(current, w):
-                current, incoming = w, current
-                traversed += 1
+            w = to[h]
+            if parents[w] == current or parents[current] == w:
+                current = w
+                incoming = h ^ 1
+                base = w * n
                 break
-            positions[(current, w)] = counter
+            positions[base + w] = counter
             counter += 1
+            h = nxt[h]
 
     # Final gap at the root: from after the last incoming edge up to (and
     # excluding) the starting tree edge.
     if current != root:
         raise GraphInputError("Euler tour did not return to the root")
-    i = index_of[root][incoming]
-    while True:
-        i = (i + 1) % len(root_rot)
-        if i == first_tree_index:
-            break
-        w = root_rot[i]
-        if is_tree(root, w):
+    h = nxt[incoming]
+    while h != start:
+        w = to[h]
+        if parents[w] == root or parents[root] == w:
             raise GraphInputError("Euler tour missed a tree edge")
-        positions[(root, w)] = counter
+        positions[base + w] = counter
         counter += 1
+        h = nxt[h]
     return positions, counter
 
 
-def corner_intervals(
-    graph: nx.Graph,
-    parents: Dict[Any, Optional[Any]],
-    positions: Dict[Tuple[Any, Any], int],
-) -> List[Tuple[int, int, Any, Any]]:
+def corner_intervals(graph, parents, positions) -> List[Tuple[int, int, Any, Any]]:
     """Non-tree edges as corner-position intervals ``(a, b, u, v)``, a < b.
 
     All 2k endpoints are distinct, so interlacement is exactly strict
-    alternation around the disk boundary.
+    alternation around the disk boundary.  Intervals come in networkx's
+    ``graph.edges()`` order, which fixes the sampling order downstream.
     """
-    intervals: List[Tuple[int, int, Any, Any]] = []
-    for u, v in graph.edges():
-        if parents.get(u) == v or parents.get(v) == u:
-            continue
-        a, b = positions[(u, v)], positions[(v, u)]
-        if a > b:
-            a, b = b, a
-            u, v = v, u
-        intervals.append((a, b, u, v))
+    if not isinstance(graph, LocalGraph):
+        local, parent = _local_parents(graph, parents)
+        nodes = local.nodes
+        index = local.index
+        n = local.n
+        keyed = {index[v] * n + index[x]: p for (v, x), p in positions.items()}
+        return [
+            (a, b, nodes[u], nodes[v])
+            for a, b, u, v in corner_intervals(local, parent, keyed)
+        ]
+    # networkx yields edge (u, v) from u's row when v comes later.
+    n = graph.n
+    intervals = []
+    for u, row in enumerate(graph.rows):
+        pu = parents[u]
+        base = u * n
+        for v in row:
+            if v > u and v != pu and parents[v] != u:
+                a = positions[base + v]
+                b = positions[v * n + u]
+                intervals.append((b, a, v, u) if a > b else (a, b, u, v))
     return intervals

@@ -14,6 +14,11 @@ parallel; the stage's round cost is the maximum over parts):
 5. sample ``s = Theta(log n / epsilon)`` non-tree edges and reject when
    any sampled edge interlaces another non-tree edge (Definition 7).
 
+Each part is relabeled once, to a
+:class:`~repro.planarity.lr_planarity.LocalGraph` over indices
+``0..n_j-1``; the BFS, the LR embedding (a half-edge ring), the labels
+and the sampling all run on int lists from there.
+
 Round accounting per part (charged to the ledger, category "stage2.*"):
 BFS costs ``depth + 1``; the counts convergecast/broadcast ``2 depth + 2``;
 the embedding ``D + min(ceil(log2 n_j), D)`` with ``D <= 2 depth`` (the GH
@@ -34,7 +39,7 @@ import networkx as nx
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..partition.parts import Part
 from ..planarity.embedding import identity_rotation
-from ..planarity.lr_planarity import check_planarity
+from ..planarity.lr_planarity import LocalGraph, check_planarity
 from .labels import (
     corner_intervals,
     deterministic_bfs_tree,
@@ -73,14 +78,14 @@ class Stage2Config:
             LR oracle's verdict (DESIGN.md substitution 1).
         collect_exact_violations: also compute the exact violating-edge
             count per part (analysis only; used by benchmark E13).
-        native: run the CSR-native Stage II pipeline -- parts are
-            extracted into concrete subgraphs in one pass over the
-            parent adjacency (preserving its iteration order, so the
-            embedding and every downstream label is unchanged) and
-            sampled interlacements resolve against the Fenwick sweep
-            instead of the ``O(s*k)`` pairwise scan.  ``False`` keeps
-            the seed path (networkx subgraph views) as the
-            differential-testing reference; verdicts are identical.
+        native: relabel all parts in one pass over the parent adjacency
+            (:func:`extract_part_subgraphs`) and resolve sampled
+            interlacements against the numpy :func:`violating_mask`.
+            ``False`` relabels each part from its networkx subgraph view
+            and checks samples with the ``O(s*k)`` pairwise scan -- the
+            differential-testing reference for both shortcuts.  Either
+            way the same int pipeline (LR, labels, sampling) runs, and
+            verdicts are identical.
     """
 
     epsilon: float = 0.1
@@ -92,41 +97,33 @@ class Stage2Config:
 
 
 def extract_part_subgraphs(graph: nx.Graph, partition) -> dict:
-    """Concrete induced subgraphs of every part, in one pass over *graph*.
+    """Every part relabeled to a :class:`LocalGraph`, in one pass.
 
-    The seed examined each part through ``graph.subgraph(nodes)`` views,
-    paying a parent-dict filter on every adjacency access, node scan,
-    and edge count -- multiplied across BFS, the LR embedding's DFS
-    sweeps, the Euler tour, and interval enumeration.  This builds all
-    parts' subgraphs in a single O(n + m) sweep instead.
+    Each part's node order is taken by iterating its
+    ``graph.subgraph(part.nodes)`` view once: networkx filter atlases
+    pick parent order or filter-set order depending on relative sizes,
+    so only the view itself is an authoritative order source.  Each row
+    is the parent's ``graph._adj[v]`` order filtered by the part's index
+    dict -- exactly what the view's per-row filter atlas yields.  Every
+    order-sensitive step (the LR embedding, whose rotation system drives
+    the corner labels and so the sampled intervals) then sees the
+    sequence it would see through the view, without a view filter on
+    every access.
 
-    The copies share the parent's node/edge data dicts (exactly the
-    view's semantics) and preserve the *view's* node and per-row
-    adjacency iteration order -- each part is materialized by walking
-    its view exactly once (networkx filter atlases choose between
-    parent-order and filter-set-order iteration depending on relative
-    sizes, so only the view itself is an authoritative order source).
-    Every order-sensitive consumer -- most importantly the LR embedding,
-    whose rotation system drives the corner labels and therefore the
-    sampled intervals -- then sees the same sequence it would through
-    the view and produces identical output, while all subsequent passes
-    (BFS, DFS sweeps, Euler tour, edge counts) run on concrete dicts.
-
-    Returns a mapping ``pid -> networkx.Graph``.
+    Returns a mapping ``pid -> LocalGraph``.
     """
-    node_data = graph._node
-    subs: dict = {}
+    parent_adj = graph._adj
+    parts: dict = {}
     for pid, part in partition.parts.items():
-        view = graph.subgraph(part.nodes)
-        sub = nx.Graph()
-        node_store = sub._node
-        adj_store = sub._adj
-        view_adj = view._adj
-        for u in view:
-            node_store[u] = node_data[u]
-            adj_store[u] = dict(view_adj[u])
-        subs[pid] = sub
-    return subs
+        nodes = list(graph.subgraph(part.nodes))
+        index = {v: i for i, v in enumerate(nodes)}
+        find = index.get
+        parts[pid] = LocalGraph(
+            nodes,
+            index,
+            [[j for j in map(find, parent_adj[v]) if j is not None] for v in nodes],
+        )
+    return parts
 
 
 def sample_size(n_total: int, config: Stage2Config) -> int:
@@ -149,24 +146,28 @@ def test_part(
     config: Stage2Config,
     ledger: Optional[RoundLedger] = None,
     cost_model: Optional[TreeCostModel] = None,
-    subgraph: Optional[nx.Graph] = None,
+    subgraph: Optional[LocalGraph] = None,
 ) -> PartVerdict:
     """Run Stage II on one part; return its verdict.
 
     *graph* is the full graph; the part's induced subgraph is examined.
-    *subgraph* may supply a pre-extracted concrete copy of that induced
-    subgraph (same node/adjacency iteration order as the view -- see
-    :func:`extract_part_subgraphs`); the default view keeps every
-    adjacency access filtering through the parent graph.
+    *subgraph* may supply it already relabeled (see
+    :func:`extract_part_subgraphs`); by default it is relabeled from
+    the ``graph.subgraph(part.nodes)`` view, in the view's order.
     """
     model = cost_model or TreeCostModel()
     local = RoundLedger()
-    sub = graph.subgraph(part.nodes) if subgraph is None else subgraph
-    n, m = sub.number_of_nodes(), sub.number_of_edges()
+    sub = (
+        LocalGraph.from_graph(graph.subgraph(part.nodes))
+        if subgraph is None
+        else subgraph
+    )
+    n, m = sub.n, sub.m
+    root = sub.index[part.root]
 
     # 1. BFS tree + counts (Section 2.2.1).
-    parents, depths = deterministic_bfs_tree(sub, part.root)
-    depth = max(depths.values(), default=0)
+    parents, depths = deterministic_bfs_tree(sub, root)
+    depth = max(depths, default=0)
     local.charge(depth + 1, "stage2.bfs", f"BFS tree of depth {depth}")
     local.charge(
         model.convergecast(depth, 2) + model.broadcast(depth, 2),
@@ -204,21 +205,21 @@ def test_part(
     )
     lr = check_planarity(sub)
     if lr.is_planar:
-        rotation = lr.embedding
+        ring = lr.ring
         embedding_planar = True
     else:
         if config.reject_on_embedding_failure:
             return verdict(False, "embedding", False, 0, None)
-        rotation = identity_rotation(sub)
+        ring = identity_rotation(sub)
         embedding_planar = False
 
     # 4. Labels: corner positions on the tree's Euler tour (default) or
     # the paper-literal preorder ranks.
     if config.criterion == "corner":
-        positions, universe = euler_tour_positions(sub, part.root, rotation, parents)
+        positions, universe = euler_tour_positions(sub, root, ring, parents)
         intervals_full = corner_intervals(sub, parents, positions)
     elif config.criterion == "preorder":
-        ranks = embedding_ranks(sub, part.root, rotation, parents)
+        ranks = embedding_ranks(sub, root, ring, parents)
         intervals_full = non_tree_intervals(sub, parents, ranks)
         universe = n
     else:
@@ -239,7 +240,7 @@ def test_part(
     violating = sum(mask) if mask is not None else None
 
     # 5. Sampling-based detection (the native pipeline resolves sampled
-    # interlacements via the Fenwick sweep -- reusing the analysis
+    # interlacements via the violating mask -- reusing the analysis
     # mask when it was already computed; identical outcomes).
     s = sample_size(n_total, config)
     outcome = sample_and_detect(

@@ -10,7 +10,7 @@ Two intervals ``(a, b)`` and ``(c, d)`` (with ``a < b``, ``c < d``,
   there is no violating edge (one-sided error).
 
 This module provides the exact violating-edge analysis (both a brute
-force reference and an ``O(k log k)`` Fenwick sweep) and the paper's
+force reference and numpy range-max / range-min tables) and the paper's
 sampling-based distributed detection procedure.
 """
 
@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..graphs.structures import FenwickTree
+import numpy as np
 
 Interval = Tuple[int, int]
 
@@ -45,52 +45,66 @@ def violating_mask_bruteforce(intervals: Sequence[Interval]) -> List[bool]:
     return mask
 
 
+def _range_reduce(values, op, lo, hi):
+    """*op* (``np.maximum`` / ``np.minimum``) over ``values[lo..hi]``,
+    inclusive and non-empty, for every query pair at once.
+
+    Row ``j`` of the sparse table reduces each window of ``2**j``
+    values; a query combines the two (overlapping) windows of the
+    largest power of two that fits in it.
+    """
+    size = len(values)
+    table = np.empty((max(1, size.bit_length()), size), dtype=values.dtype)
+    table[0] = values
+    for j in range(1, len(table)):
+        half = 1 << (j - 1)
+        op(table[j - 1, :-half], table[j - 1, half:], out=table[j, :-half])
+        table[j, -half:] = table[j - 1, -half:]
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(length)), exact
+    return op(table[level, lo], table[level, hi - (1 << level) + 1])
+
+
+def _violating_array(intervals: Sequence[Interval], universe: int):
+    """:func:`violating_mask` as a numpy bool array."""
+    k = len(intervals)
+    if k == 0:
+        return np.zeros(0, dtype=bool)
+    ab = np.array(intervals, dtype=np.int64).reshape(k, 2)
+    a, b = ab[:, 0], ab[:, 1]
+    # For each position x: the furthest right end of an interval starting
+    # at x, and the furthest left end of an interval ending at x.
+    right = np.full(universe, -1, dtype=np.int64)
+    np.maximum.at(right, a, b)
+    left = np.full(universe, universe, dtype=np.int64)
+    np.minimum.at(left, b, a)
+    lo, hi = a + 1, b - 1
+    inside = lo <= hi
+    lo, hi = np.where(inside, lo, 0), np.where(inside, hi, 0)
+    crosses_right = _range_reduce(right, np.maximum, lo, hi) > b
+    crosses_left = _range_reduce(left, np.minimum, lo, hi) < a
+    return inside & (crosses_right | crosses_left)
+
+
 def violating_mask(intervals: Sequence[Interval], universe: int) -> List[bool]:
-    """O(k log k + universe) violating-edge mask via two Fenwick sweeps.
+    """O(k + universe log universe) violating-edge mask via range tables.
 
     An interval ``e = (a, b)`` is violating iff
 
     * (A) some interval starts strictly inside ``e`` and ends strictly
-      after ``b``, or
+      after ``b``: the largest right end among intervals starting in
+      ``(a, b)`` exceeds ``b``; or
     * (B) some interval ends strictly inside ``e`` and starts strictly
-      before ``a``.
+      before ``a``: the smallest left end among intervals ending in
+      ``(a, b)`` is below ``a``.
+
+    Both are range-max / range-min queries over the positions, answered
+    for all intervals at once from numpy sparse tables.
 
     Args:
         intervals: rank intervals with endpoints in ``[0, universe)``.
         universe: exclusive upper bound on endpoint values.
     """
-    k = len(intervals)
-    mask = [False] * k
-
-    # Sweep A: process queries by decreasing b; insert interval lefts for
-    # intervals with d > current b.
-    by_right_desc = sorted(range(k), key=lambda i: -intervals[i][1])
-    tree = FenwickTree(universe)
-    insert_order = sorted(range(k), key=lambda i: -intervals[i][1])
-    ptr = 0
-    for qi in by_right_desc:
-        a, b = intervals[qi]
-        while ptr < k and intervals[insert_order[ptr]][1] > b:
-            tree.add(intervals[insert_order[ptr]][0])
-            ptr += 1
-        if tree.range_sum(a + 1, b - 1) > 0:
-            mask[qi] = True
-
-    # Sweep B: process queries by increasing a; insert interval rights for
-    # intervals with c < current a.
-    by_left_asc = sorted(range(k), key=lambda i: intervals[i][0])
-    tree = FenwickTree(universe)
-    insert_order = sorted(range(k), key=lambda i: intervals[i][0])
-    ptr = 0
-    for qi in by_left_asc:
-        a, b = intervals[qi]
-        while ptr < k and intervals[insert_order[ptr]][0] < a:
-            tree.add(intervals[insert_order[ptr]][1])
-            ptr += 1
-        if tree.range_sum(a + 1, b - 1) > 0:
-            mask[qi] = True
-
-    return mask
+    return _violating_array(intervals, universe).tolist()
 
 
 def count_violating(intervals: Sequence[Interval], universe: int) -> int:
@@ -158,11 +172,11 @@ def sample_and_detect(
     edge interlaces *any* non-tree edge, sampled or not.
 
     When *universe* is given (an exclusive upper bound on endpoint
-    values), the per-sample interlacement test resolves against the
-    Fenwick-sweep :func:`violating_mask` in ``O(k log k)`` total instead
-    of the seed's ``O(s * k)`` pairwise scan -- the mask answers exactly
-    the predicate "does edge i interlace some other edge", so the
-    outcome (including the reported witness) is identical.  Callers
+    values), the per-sample interlacement test resolves against
+    :func:`violating_mask` instead of the ``O(s * k)`` pairwise scan --
+    the mask answers exactly the predicate "does edge i interlace some
+    other edge", so the outcome (including the reported witness) is
+    identical.  Callers
     that already computed the mask (analysis mode) pass it via *mask*
     to skip the rebuild.
     """
@@ -177,7 +191,7 @@ def sample_and_detect(
         chosen = chosen[:cap]
     if universe is not None or mask is not None:
         if mask is None:
-            mask = violating_mask(intervals, universe)
+            mask = _violating_array(intervals, universe)
         for i in chosen:
             if mask[i]:
                 # Reconstruct the seed's witness: the first partner in

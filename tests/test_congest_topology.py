@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
@@ -112,6 +115,22 @@ class TestCompileMemo:
         topo = compile_topology(nx.path_graph(4))
         with pytest.raises(GraphInputError):
             CongestNetwork(nx.path_graph(4), topology=topo)
+
+    def test_memo_releases_retired_graphs(self):
+        graph = nx.cycle_graph(9)
+        topology = compile_topology(graph)
+        assert topology.graph is graph
+        probe = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert probe() is None
+        assert topology.graph is None
+
+    def test_network_keeps_its_graph(self):
+        network = CongestNetwork(nx.path_graph(5))
+        gc.collect()
+        assert network.graph is not None
+        assert network.topology.graph is network.graph
 
     def test_network_requires_graph_or_topology(self):
         with pytest.raises(GraphInputError):

@@ -21,6 +21,7 @@ from repro.graphs import (
     require_simple,
     tree_height,
 )
+from repro.graphs.utils import has_self_loops
 
 
 class TestBFSLevels:
@@ -174,6 +175,23 @@ class TestMisc:
         loop.add_edge(0, 0)
         with pytest.raises(GraphInputError):
             require_simple(loop)
+
+    def test_require_simple_messages(self):
+        with pytest.raises(GraphInputError, match="must be a simple undirected"):
+            require_simple(nx.MultiGraph([(0, 1)]), "input")
+        loop = nx.path_graph(4)
+        loop.add_edge(3, 3)
+        with pytest.raises(GraphInputError, match="input must not contain self-loops"):
+            require_simple(loop, "input")
+
+    def test_has_self_loops(self):
+        graph = nx.path_graph(5)
+        assert not has_self_loops(graph)
+        assert not has_self_loops(nx.Graph())
+        graph.add_edge(2, 2)
+        assert has_self_loops(graph)
+        assert not has_self_loops(graph.subgraph([0, 1, 3]))
+        assert has_self_loops(graph.subgraph([1, 2]))
 
     def test_ensure_int_labels(self):
         graph = nx.Graph([("a", "b"), ("b", "c")])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.congest.programs import bfs_tree
 from repro.planarity import check_planarity, identity_rotation
+from repro.planarity.lr_planarity import LocalGraph
 from repro.testers import (
     count_violating,
     deterministic_bfs_tree,
@@ -32,6 +33,23 @@ class TestDeterministicBFS:
         emu_parents, emu_depths = deterministic_bfs_tree(small_tri_grid, 0)
         assert emu_depths == sim_depths
         assert {v: p for v, p in emu_parents.items() if p is not None} == sim_parents
+
+    def test_parent_ties_break_by_id_key(self):
+        # Depth-1 candidates for 99: ints before strings, strings by repr
+        # ("'n10'" < "'n9'"), whatever the adjacency order.
+        graph = nx.Graph()
+        for mid in ("n9", 10, "n10", 2):
+            graph.add_edge("root", mid)
+            graph.add_edge(mid, 99)
+        for mid in ("n9", "n10"):
+            graph.add_edge(mid, "leaf")
+        parents, depths = deterministic_bfs_tree(graph, "root")
+        assert parents[99] == 2 and parents["leaf"] == "n10"
+        assert depths == {"root": 0, "n9": 1, 10: 1, "n10": 1, 2: 1, 99: 2, "leaf": 2}
+        local = LocalGraph.from_graph(graph)
+        parent, depth = deterministic_bfs_tree(local, local.index["root"])
+        assert local.nodes[parent[local.index[99]]] == 2
+        assert depth == [depths[v] for v in local.nodes]
 
     def test_disconnected_rejected(self):
         graph = nx.Graph([(0, 1), (2, 3)])

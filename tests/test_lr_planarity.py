@@ -1,7 +1,8 @@
 """Tests for the from-scratch LR planarity test.
 
 networkx is used strictly as an *oracle* for the verdict; embeddings are
-verified independently through Euler's formula.
+verified independently through Euler's formula, and diffed against the
+dict-keyed port of the same pseudocode kept in ``_lr_reference``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _lr_reference import reference_check_planarity
 from repro.errors import GraphInputError
+from repro.graphs import make_planar
 from repro.planarity import check_planarity, is_planar, verify_planar_embedding
 
 
@@ -176,3 +179,87 @@ class TestRandomizedOracle:
                 graph.add_edge(u, v)
                 break
         assert not is_planar(graph)
+
+
+def assert_matches_reference(graph):
+    """Same verdict as networkx, same rotation system as the dict port."""
+    mine = check_planarity(graph)
+    planar, rotation = reference_check_planarity(graph)
+    assert mine.is_planar == planar == nx.check_planarity(graph)[0]
+    if planar:
+        assert mine.embedding.to_dict() == rotation.to_dict()
+    else:
+        assert mine.ring is None and mine.embedding is None
+
+
+def subdivided(graph, times=1):
+    """*graph* with every edge subdivided *times* times."""
+    out = nx.Graph()
+    out.add_nodes_from(graph)
+    fresh = max(graph) + 1
+    for u, v in graph.edges():
+        path = [u, *range(fresh, fresh + times), v]
+        fresh += times
+        nx.add_path(out, path)
+    return out
+
+
+class TestReferenceOracle:
+    """The int LR against the dict-keyed reference port."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(0, 30),
+        seed=st.integers(0, 100_000),
+        p=st.floats(0.0, 0.5),
+    )
+    def test_gnp_rotation_matches_reference(self, n, seed, p):
+        assert_matches_reference(nx.gnp_random_graph(n, p, seed=seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 60), seed=st.integers(0, 1000))
+    def test_random_planar_rotation_matches_reference(self, n, seed):
+        from repro.graphs import random_planar
+
+        assert_matches_reference(random_planar(n, seed=seed))
+
+    @pytest.mark.parametrize(
+        "family", ["delaunay", "grid", "tri-grid", "apollonian", "outerplanar"]
+    )
+    def test_planar_families_match_reference(self, family):
+        assert_matches_reference(make_planar(family, 400, seed=3))
+
+    def test_empty_graph(self):
+        assert_matches_reference(nx.Graph())
+        result = check_planarity(nx.Graph())
+        assert result.is_planar and result.embedding.to_dict() == {}
+
+    def test_disconnected(self, k5):
+        graph = nx.disjoint_union_all(
+            [nx.cycle_graph(5), nx.empty_graph(3), nx.wheel_graph(7), nx.path_graph(4)]
+        )
+        assert_matches_reference(graph)
+        assert_matches_reference(nx.disjoint_union(graph, k5))
+
+    def test_deep_path(self):
+        assert_matches_reference(nx.path_graph(5000))
+
+    @pytest.mark.parametrize("times", [1, 2])
+    def test_kuratowski_subdivisions(self, k5, k33, times):
+        for graph in (k5, k33):
+            assert_matches_reference(subdivided(graph, times))
+            # one subdivided Kuratowski graph inside a planar one
+            host = nx.convert_node_labels_to_integers(nx.grid_2d_graph(5, 5))
+            planted = nx.disjoint_union(host, subdivided(graph, times))
+            planted.add_edge(0, len(host))
+            assert_matches_reference(planted)
+
+    def test_non_integer_labels(self):
+        graph = nx.relabel_nodes(
+            make_planar("delaunay", 120, seed=1), lambda v: f"n{v}"
+        )
+        assert_matches_reference(graph)

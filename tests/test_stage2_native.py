@@ -1,27 +1,36 @@
-"""Differential tests: the CSR-native Stage II pipeline vs the seed path.
+"""Differential tests: the native Stage II pipeline vs the seed path.
 
-Covers the three native substitutions -- one-pass part-subgraph
-extraction, Fenwick-backed sampled-interlacement resolution, and the
-dense Stage I feeding the tester -- asserting identical per-part
-verdicts, reasons, sampled counts, and round charges against the seed
-configuration (subgraph views + pairwise scans + legacy partition) on
-planar and far generators alike.
+Covers the three native substitutions -- one-pass part relabeling, the
+numpy violating mask resolving sampled interlacements, and the dense
+Stage I feeding the tester -- asserting identical per-part verdicts,
+reasons, sampled counts, and round charges against the seed
+configuration (per-part relabeling from subgraph views + pairwise scans
++ legacy partition) on planar and far generators alike.  Instances that
+reject inside Stage II are also pinned to the figures the dict-keyed
+seed implementation produced.
 """
 
 from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.graphs import make_far, make_planar
-from repro.graphs.far_from_planar import FAR_FAMILIES
+from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
 from repro.graphs.generators import PLANAR_FAMILIES
 from repro.partition import partition_stage1
-from repro.testers.planarity import PlanarityTestConfig
+from repro.partition.parts import Part, Partition
+from repro.planarity.lr_planarity import LocalGraph
+from repro.testers.planarity import PlanarityTestConfig, stage2_over_partition
 from repro.testers.planarity import test_planarity as run_planarity
-from repro.testers.stage2 import extract_part_subgraphs
-from repro.testers.violations import sample_and_detect
+from repro.testers.stage2 import Stage2Config, extract_part_subgraphs
+from repro.testers.violations import (
+    sample_and_detect,
+    violating_mask,
+    violating_mask_bruteforce,
+)
 
 SEED_CONFIG = dict(engine="legacy", native=False)
 
@@ -113,26 +122,29 @@ class TestExtraction:
             view = graph.subgraph(part.nodes)
             sub = subs[pid]
             # Same node set and iteration order as the view.
-            assert list(sub.nodes()) == list(view.nodes())
-            assert sub.number_of_edges() == view.number_of_edges()
-            for node in view.nodes():
+            assert sub.nodes == list(view.nodes())
+            assert sub.index == {v: i for i, v in enumerate(sub.nodes)}
+            assert sub.m == view.number_of_edges()
+            for i, node in enumerate(sub.nodes):
                 # Same per-row adjacency iteration order.
-                assert list(sub.adj[node]) == list(view.adj[node])
+                assert [sub.nodes[j] for j in sub.rows[i]] == list(view.adj[node])
 
-    def test_extraction_shares_parent_data(self):
-        import networkx as nx
-
-        graph = nx.path_graph(4)
-        graph.nodes[1]["tag"] = "kept"
-        graph.edges[1, 2]["weight"] = 7
-        stage1 = partition_stage1(graph, epsilon=1.0, max_phases=0)
-        subs = extract_part_subgraphs(graph, stage1.partition)
-        merged = {
-            node: data
-            for sub in subs.values()
-            for node, data in sub.nodes(data=True)
-        }
-        assert merged[1] == {"tag": "kept"}
+    def test_extraction_matches_view_relabeling(self):
+        # A part larger than half the graph iterates in parent order, a
+        # small one in its node set's order; relabeling the grid makes the
+        # two orders differ, so both of networkx's filter-atlas branches
+        # are pinned.
+        grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(6, 6))
+        graph = nx.relabel_nodes(grid, {v: 7 * v % 36 for v in grid})
+        big = frozenset(7 * v % 36 for v in range(30))
+        small = frozenset(7 * v % 36 for v in range(30, 36))
+        partition = Partition(graph, [Part(0, big), Part(30, small)])
+        subs = extract_part_subgraphs(graph, partition)
+        assert subs[30].nodes != [v for v in graph if v in small]
+        for pid, part in partition.parts.items():
+            reference = LocalGraph.from_graph(graph.subgraph(part.nodes))
+            assert subs[pid].nodes == reference.nodes
+            assert subs[pid].rows == reference.rows
 
 
 class TestSamplingFastPath:
@@ -153,3 +165,145 @@ class TestSamplingFastPath:
                     intervals, 5, random.Random(seed), universe=universe
                 )
                 assert scan == fast
+
+    def test_numpy_mask_matches_bruteforce(self):
+        # Small universes force duplicate endpoints and shared corners.
+        rng = random.Random(11)
+        for _trial in range(300):
+            universe = rng.randrange(2, 30)
+            intervals = []
+            for _ in range(rng.randrange(0, 25)):
+                a, b = rng.sample(range(universe), 2)
+                intervals.append((min(a, b), max(a, b)))
+            intervals += rng.sample(intervals, min(3, len(intervals)))
+            assert violating_mask(intervals, universe) == violating_mask_bruteforce(
+                intervals
+            )
+
+
+def chorded(family, n, extra, seed):
+    """A planar family member plus *extra* random chords: sparse enough
+    to pass the density check, non-planar enough to reject in Stage II."""
+    graph = make_planar(family, n, seed=seed)
+    rng = random.Random(seed)
+    nodes = list(graph)
+    while extra:
+        u, v = rng.sample(nodes, 2)
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+            extra -= 1
+    return graph
+
+
+def stage2_rejecting(name):
+    family, seed = name.split("/")
+    seed = int(seed)
+    if family == "planted-k5":
+        return planted_kuratowski(400, count=20, minor="k5", seed=seed)[0]
+    if family == "str-outerplanar+10":
+        return nx.relabel_nodes(chorded("outerplanar", 400, 10, seed), "v{}".format)
+    base, extra = family.split("+")
+    return chorded(base, 400, int(extra), seed)
+
+
+# Figures of the dict-keyed seed implementation, epsilon 0.1, seed 0,
+# exact violations on: (stage, rejecting parts, Stage II rounds,
+# [(pid, reason, embedding planar, sampled, violating, rounds) per
+# rejecting part], total sampled, total violating).  The chorded parts
+# fail the LR test and fall back to the repr-sorted identity rotation;
+# the planted K5s fail the density check.
+SEED_REJECTIONS = {
+    "outerplanar+10/0": (
+        "stage2", [198], 2487, [(198, "violation", False, 161, 59, 2487)], 227, 59
+    ),
+    "tree+30/0": (
+        "stage2", [286], 1177, [(286, "violation", False, 29, 29, 1177)], 29, 29
+    ),
+    "planted-k5/0": ("stage2", [6], 15, [(6, "density", False, 0, None, 15)], 0, 0),
+    "outerplanar+10/1": (
+        "stage2", [331], 2847, [(331, "violation", False, 185, 73, 2847)], 198, 73
+    ),
+    "tree+30/1": (
+        "stage2", [174], 947, [(174, "violation", False, 28, 27, 947)], 28, 27
+    ),
+    "planted-k5/1": ("stage2", [27], 21, [(27, "density", False, 0, None, 21)], 0, 0),
+    "outerplanar+10/2": (
+        "stage2", [219], 3339, [(219, "violation", False, 171, 37, 3339)], 213, 37
+    ),
+    "tree+30/2": (
+        "stage2", [263], 1557, [(263, "violation", False, 30, 28, 1557)], 30, 28
+    ),
+    "planted-k5/2": ("stage2", [19], 18, [(19, "density", False, 0, None, 18)], 0, 0),
+    "str-outerplanar+10/0": (
+        "stage2",
+        ["v338"],
+        3377,
+        [("v338", "violation", False, 173, 76, 3377)],
+        192,
+        76,
+    ),
+    "str-outerplanar+10/1": (
+        "stage2",
+        ["v69"],
+        2455,
+        [("v69", "violation", False, 184, 48, 2455)],
+        289,
+        48,
+    ),
+}
+
+
+class TestStage2Rejections:
+    @pytest.mark.parametrize("name", sorted(SEED_REJECTIONS))
+    def test_matches_seed_figures(self, name):
+        graph = stage2_rejecting(name)
+        results = [
+            run_planarity(
+                graph,
+                seed=0,
+                config=PlanarityTestConfig(
+                    epsilon=0.1, collect_exact_violations=True, **config
+                ),
+            )
+            for config in ({}, SEED_CONFIG)
+        ]
+        assert _canonical(results[0]) == _canonical(results[1])
+        result = results[0]
+        verdicts = result.part_verdicts
+        assert (
+            result.rejected_stage,
+            list(result.rejecting_parts),
+            result.stage2_rounds,
+            [
+                (
+                    v.pid,
+                    v.reason,
+                    v.embedding_planar,
+                    v.sampled,
+                    v.violating_exact,
+                    v.rounds,
+                )
+                for v in verdicts
+                if not v.accepted
+            ],
+            sum(v.sampled for v in verdicts),
+            sum(v.violating_exact or 0 for v in verdicts),
+        ) == SEED_REJECTIONS[name]
+
+    @pytest.mark.parametrize("criterion", ["corner", "preorder"])
+    def test_criteria_identical_across_paths(self, criterion):
+        graph = stage2_rejecting("outerplanar+10/0")
+        partition = partition_stage1(graph, epsilon=0.1).partition
+        outcomes = []
+        for native in (True, False):
+            config = Stage2Config(
+                epsilon=0.1,
+                criterion=criterion,
+                collect_exact_violations=True,
+                native=native,
+            )
+            verdicts, rejecting, rounds = stage2_over_partition(
+                graph, partition, config, seed=0
+            )
+            outcomes.append((rejecting, rounds, [vars(v) for v in verdicts]))
+        assert outcomes[0] == outcomes[1]
