@@ -48,7 +48,13 @@ from repro.congest.programs.cole_vishkin import (
 from repro.congest.programs.forest_decomposition import (
     barenboim_elkin_round_budget,
 )
-from repro.runtime import JobSpec, ResultCache, SerialBackend, run_jobs
+from repro.runtime import (
+    JobSpec,
+    ResultCache,
+    RunConfig,
+    SerialBackend,
+    run_jobs,
+)
 
 N = 1500
 EPSILON = 0.1
@@ -211,7 +217,10 @@ def applications_table():
         for trial in range(8)
     ]
     batch = run_jobs(
-        specs, backend=SerialBackend(), cache=ResultCache(), batch=8
+        specs,
+        backend=SerialBackend(),
+        cache=ResultCache(),
+        config=RunConfig(sim_batch=8),
     )
     compiled = topology_stats().compiled
     table.add_row(

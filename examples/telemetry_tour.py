@@ -32,8 +32,9 @@ def main() -> None:
     trace_dir = work / "trace"
 
     # Everything is off by default; one call turns it on for this
-    # process *and* its children (pool/async/remote workers inherit
-    # the environment knobs this writes).
+    # process *and* its children (pool workers inherit the environment
+    # knobs this writes; fleet workers adopt the trace sink from the
+    # service's welcome frame).
     configure(trace_dir=str(trace_dir))
 
     grid = SweepSpec.make(

@@ -10,16 +10,16 @@ Subcommands:
 * ``families``    -- list available graph families
 * ``sweep``       -- expand an n x epsilon x seed grid into jobs and run
   them on the :mod:`repro.runtime` orchestrator (serial, process-pool,
-  async worker, or remote socket backend, with a sharded on-disk
-  result store)
+  or remote backend -- an ephemeral sweep service whose workers join
+  over TCP -- with a sharded on-disk result store)
 * ``serve``       -- run the persistent sweep service: many clients
   submit sweeps concurrently, one shared worker fleet executes them
   (round-robin fairness, admission control, straggler re-dispatch)
 * ``submit``      -- send one sweep to a running ``serve`` endpoint
   (``--connect``) or run it through the same :class:`Client` facade
   locally (``--backend``); records are identical either way
-* ``worker``      -- join a ``sweep --backend remote`` server or a
-  ``serve`` fleet over TCP (``--reconnect`` survives restarts)
+* ``worker``      -- join a ``serve`` fleet or a ``sweep --backend
+  remote`` run over TCP (``--reconnect`` survives restarts)
 * ``cache``       -- inspect (``stats``) or garbage-collect (``gc``)
   a sharded result store
 * ``trace``       -- inspect a telemetry trace directory written by
@@ -33,9 +33,10 @@ simulator.  ``--shard i/k`` runs one deterministic slice of the grid
 (point every slice at the same ``--cache-dir``, possibly from different
 machines; ``--balance cost`` splits by measured job cost instead of
 key-hash counts) and ``--resume`` finishes whatever keys the store is
-still missing.  ``--backend remote --listen host:port`` serves the
-grid to ``repro-planarity worker --connect host:port`` processes; a
-worker killed mid-run has its job requeued.
+still missing.  ``--backend remote --listen host:port`` runs the grid
+on a sweep service that lives for this one command;
+``repro-planarity worker --connect host:port`` processes join it, and
+a worker killed mid-run has its job requeued.
 ``--kind simulate`` sweeps raw CONGEST protocols (``--programs``) on
 the simulator, and ``--profile faithful|fast`` selects the simulator's
 instrumentation profile (exported as ``REPRO_SIM_PROFILE`` so
@@ -336,7 +337,7 @@ def _run_config_from_args(args) -> RunConfig:
 def _cmd_sweep(args) -> int:
     if args.trace:
         # Enable tracing for this process and everything it spawns
-        # (pool forks, async worker env, remote welcome frames).
+        # (pool forks, remote welcome frames).
         from .telemetry import configure
 
         configure(trace_dir=args.trace)
@@ -348,12 +349,6 @@ def _cmd_sweep(args) -> int:
     sweep = _sweep_spec_from_args(args)
     if args.backend == "process":
         backend = make_backend("process", max_workers=args.workers)
-    elif args.backend == "async":
-        # Workers consult the shared sharded store directly, so
-        # concurrent orchestrators exchange results mid-flight.
-        backend = make_backend(
-            "async", max_workers=args.workers, store_dir=args.cache_dir
-        )
     elif args.backend == "remote":
         if not args.listen:
             raise SystemExit("--backend remote needs --listen HOST:PORT")
@@ -387,9 +382,12 @@ def _cmd_sweep(args) -> int:
         config=_run_config_from_args(args),
     )
     shard_label = f" [shard {shard[0]}/{shard[1]}]" if shard else ""
+    # Sorted columns, as in ``submit``: records decoded from the store
+    # or the wire list their fields in codec order, and the remote
+    # smoke byte-compares this table against a serial leg.
     table = result.to_table(
         f"sweep: {args.kind} over {len(result.records)} jobs{shard_label}",
-        columns=None,
+        columns=sorted({key for record in result.records for key in record}),
     )
     table.print()
     summary = result.summary()
@@ -799,20 +797,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--backend",
         default="serial",
-        choices=("serial", "process", "async", "remote"),
-        help="execution backend (async streams results from asyncio-"
-        "managed worker subprocesses that share the cache store; remote "
-        "serves jobs over TCP to repro-planarity worker processes)",
+        choices=("serial", "process", "remote"),
+        help="execution backend (remote runs the sweep on a sweep "
+        "service for this command; repro-planarity worker processes "
+        "join it over TCP)",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=None, help="worker count (process/async)"
+        "--workers", type=int, default=None, help="pool size (process)"
     )
     p_sweep.add_argument(
         "--listen",
         default=None,
         metavar="HOST:PORT",
-        help="endpoint the remote backend listens on (required for "
-        "--backend remote; port 0 picks an ephemeral port)",
+        help="endpoint the remote backend's service listens on (required "
+        "for --backend remote; port 0 picks an ephemeral port)",
     )
     p_sweep.add_argument(
         "--balance",
@@ -923,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "--backend",
         default="serial",
-        choices=("serial", "process", "async"),
+        choices=("serial", "process"),
         help="local execution backend when no --connect is given "
         "(records are identical to the service's)",
     )
@@ -951,13 +949,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worker = sub.add_parser(
         "worker",
-        help="join a `sweep --backend remote` server and serve jobs",
+        help="join a sweep service (`serve`, or `sweep --backend remote`) "
+        "and serve jobs",
     )
     p_worker.add_argument(
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="the sweep server's --listen endpoint",
+        help="the service's --listen endpoint",
     )
     p_worker.add_argument(
         "--store",

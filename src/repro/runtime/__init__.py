@@ -3,14 +3,14 @@
 The runtime turns every computation in the repo -- planarity tests,
 partitions, spanners, application testers, claim audits -- into a
 declarative, hashable :class:`JobSpec`, executes batches of them on
-pluggable backends (in-process, a chunked process pool,
-asyncio-managed worker subprocesses, or remote TCP workers that join a
-``sweep --backend remote`` server and may die mid-job without losing
-work), and memoizes records in a cache keyed by graph coordinates
-(default) or content fingerprint + config digest, persisted in a
-sharded multi-writer on-disk store that concurrent processes share
-(with timestamps, TTL/byte-budget GC, and a metadata shard holding the
-scheduler's measured cost table).  Sweeps split into deterministic
+three paths (in-process, a chunked process pool, or a worker fleet
+behind a :class:`SweepService` -- persistent via ``repro-planarity
+serve``, or ephemeral via ``sweep --backend remote`` -- whose TCP
+workers may die mid-job without losing work), and memoizes records in
+a cache keyed by graph coordinates (default) or content fingerprint +
+config digest, persisted in a sharded multi-writer on-disk store that
+concurrent processes share (with timestamps, TTL/byte-budget GC, and a
+metadata shard holding the scheduler's measured cost table).  Sweeps split into deterministic
 shards (``ShardedSweep`` / ``repro-planarity sweep --shard i/k``) --
 by key-hash or cost-balanced LPT (``--balance cost``) -- and resume
 from whatever the store already holds.
@@ -49,7 +49,6 @@ is internal machinery re-exported for the CLI, benchmarks, and tests,
 and may change between PRs without notice.
 """
 
-from .async_backend import AsyncBackend, AsyncWorkerError
 from .batching import (
     AUTO_BATCH_DEFAULT,
     AUTO_BATCH_MAX,
@@ -76,12 +75,7 @@ from .codec import (
 )
 from .client import Client, ServiceError
 from .config import RunConfig
-from .remote import (
-    PROTOCOL_VERSION,
-    RemoteBackend,
-    RemoteProtocolError,
-    RemoteWorkerError,
-)
+from .remote import PROTOCOL_VERSION, RemoteBackend
 from .scheduler import CostBook, CostModel, SpeculationPolicy, assign_shards
 from .service import SweepService
 from .cache import (
@@ -152,8 +146,6 @@ STABLE_API = [
 _INTERNAL_API = [
     # Machinery re-exported for the CLI, benchmarks, and tests; may
     # change between PRs without notice.
-    "AsyncBackend",
-    "AsyncWorkerError",
     "BACKENDS",
     "AUTO_BATCH_DEFAULT",
     "AUTO_BATCH_MAX",
@@ -171,8 +163,6 @@ _INTERNAL_API = [
     "PROTOCOL_VERSION",
     "ProcessPoolBackend",
     "RemoteBackend",
-    "RemoteProtocolError",
-    "RemoteWorkerError",
     "SerialBackend",
     "ShapeRegistry",
     "ShardedStore",

@@ -8,7 +8,7 @@ suite parallelizes under ``REPRO_BENCH_BACKEND=process`` and shares the
 orchestrator's cache, sharding, and resume machinery.
 
 Kinds registered here live in the :mod:`repro.runtime` package (not in
-``benchmarks/``) so process-pool and async workers have them available
+``benchmarks/``) so process-pool and fleet workers have them available
 the moment they import the package.  Heavy algorithm imports stay
 inside the runners, keeping ``import repro.runtime`` cheap.
 

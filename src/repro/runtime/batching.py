@@ -9,7 +9,7 @@ each group of same-``(graph, n, config)`` trials into one
 all trials in one array program on the batched tensor plane
 (:mod:`repro.congest.batch`) and returns the per-trial records; the
 executor re-expands them, so callers, caches, and every backend
-(serial / process / async / remote) observe exactly the records a
+(serial / process / remote) observe exactly the records a
 scalar run would have produced -- batching is transparent end to end.
 
 Only the vectorized protocols under the ``fast`` profile on the dense

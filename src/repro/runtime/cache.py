@@ -13,7 +13,7 @@ Entries live in a bounded in-memory LRU; an optional on-disk layer (the
 sharded single-index :class:`~repro.runtime.store.ShardedStore` --
 append-only shard files, fcntl-locked multi-writer appends, newest-wins
 compaction) persists them across processes and CLI invocations, so
-concurrent sweeps, shard runs, and async workers all share one cache.
+concurrent sweeps, shard runs, and fleet workers all share one cache.
 Only flat primitive records (see :mod:`repro.runtime.jobs`) are stored,
 so JSON round-trips are lossless.
 
@@ -165,7 +165,7 @@ class ResultCache:
             (:class:`~repro.runtime.store.ShardedStore`); created on
             first write.  ``None`` keeps the cache memory-only.
             Multiple processes may point at one directory concurrently
-            -- appends are fcntl-locked, so pool/async workers and
+            -- appends are fcntl-locked, so pool/fleet workers and
             parallel shard runs share a single cache.
         disk_shards: number of shard files for a newly-created store.
         disk_max_entries: live-entry cap the store enforces at
@@ -230,9 +230,9 @@ class ResultCache:
     def remember(self, key: str, record: Record) -> None:
         """Insert into the in-memory LRU only (disk untouched).
 
-        The executor uses this when a backend's workers already
-        appended the record to this cache's own disk store (the async
-        backend with a shared ``store_dir``): a second ``put`` would
+        The executor uses this when a backend already appended the
+        record to this cache's own disk store (the remote backend's
+        service with a shared ``store_dir``): a second ``put`` would
         double every line and halve the compaction headroom.
         """
         self.stats.stores += 1

@@ -7,8 +7,8 @@ sweep's canonical expansion order -- works against three targets:
 * **a remote service** (``Client(endpoint="host:port")``): dials a
   :class:`~repro.runtime.service.SweepService`, streams ``record``
   frames as the fleet completes jobs, and reorders them client-side;
-* **a local backend** (``Client(backend="process")`` etc.): runs the
-  expansion through :func:`~repro.runtime.executor.iter_jobs` on any
+* **a local backend** (``Client(backend="process")``): runs the
+  expansion through :func:`~repro.runtime.executor.iter_jobs` on a
   registered backend, with the same optional disk cache;
 * **the in-process serial path** (the default): no fleet, no pools --
   jobs run inline as the iterator is consumed.
@@ -20,9 +20,12 @@ at a service endpoint in production.
 
 The remote path is a sync wrapper over an async core: ``submit``
 eagerly sends the ``submit`` frame from a background thread running
-:meth:`Client.submit_async`'s machinery, and the returned iterator
+:meth:`Client._drive_submission`, and the returned iterator
 drains a queue bridge -- so the server starts scheduling the sweep
-the moment ``submit`` returns, not on the first ``next()``.
+the moment ``submit`` returns, not on the first ``next()``.  The
+``--backend remote`` adapter (:class:`~repro.runtime.remote.RemoteBackend`)
+drives the same machinery with an explicit spec list (a ``specs_json``
+submit body) and consumes records in completion order.
 
 Typical use::
 
@@ -41,7 +44,8 @@ import asyncio
 import json
 import queue
 import threading
-from typing import Callable, Dict, Iterator, List, Optional
+from contextlib import closing
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
 from .codec import (
@@ -52,7 +56,7 @@ from .codec import (
 )
 from .config import RunConfig
 from .executor import iter_jobs
-from .jobs import Record
+from .jobs import JobSpec, Record
 from .remote import PROTOCOL_VERSION, parse_endpoint, read_bframe
 from .sweeps import SweepSpec
 
@@ -72,8 +76,8 @@ class Client:
         endpoint: ``host:port`` of a running ``repro-planarity serve``
             instance; when set, submissions go over the wire and the
             other execution arguments are ignored.
-        backend: local execution backend name or instance (``"serial"``,
-            ``"process"``, ``"async"``; see
+        backend: local execution backend name or instance (``"serial"``
+            or ``"process"``; see
             :data:`~repro.runtime.executor.BACKENDS`) used when no
             *endpoint* is configured.
         cache_dir: optional sharded-store directory for the local path
@@ -183,12 +187,37 @@ class Client:
         sweep: SweepSpec,
         on_progress: Optional[Callable[[Dict], None]],
     ) -> Iterator[Record]:
+        body = {
+            "sweep_json": json.dumps(
+                sweep.to_payload(), sort_keys=True, separators=(",", ":")
+            )
+        }
+        return _in_order(self._open_submission(body, sweep.size, on_progress))
+
+    def _submit_specs(
+        self, specs: Sequence[JobSpec]
+    ) -> Iterator[Tuple[int, Record, Optional[float]]]:
+        """Submit an explicit spec list; yield ``(index, record,
+        seconds)`` in completion order (the remote backend's stream)."""
+        body = {
+            "specs_json": json.dumps(
+                [spec.to_payload() for spec in specs], separators=(",", ":")
+            )
+        }
+        return self._open_submission(body, len(specs), None)
+
+    def _open_submission(
+        self,
+        body: Dict,
+        total: int,
+        on_progress: Optional[Callable[[Dict], None]],
+    ) -> Iterator[Tuple[int, Record, Optional[float]]]:
         out: "queue.Queue" = queue.Queue()
         ctrl: Dict = {"loop": None, "cancel": None, "started": threading.Event()}
 
         def pump():
             try:
-                asyncio.run(self._drive_submission(sweep, out, ctrl))
+                asyncio.run(self._drive_submission(body, out, ctrl))
             except BaseException as exc:  # surfaced by the iterator
                 out.put(("error", exc))
             finally:
@@ -202,7 +231,7 @@ class Client:
         # contend for the fleet immediately, not on first next().
         thread.start()
         ctrl["started"].wait()
-        return self._drain(out, thread, ctrl, sweep.size, on_progress)
+        return self._drain(out, thread, ctrl, total, on_progress)
 
     def _drain(
         self,
@@ -211,9 +240,8 @@ class Client:
         ctrl: Dict,
         total: int,
         on_progress: Optional[Callable[[Dict], None]],
-    ) -> Iterator[Record]:
-        buffer: Dict[int, Record] = {}
-        next_index = 0
+    ) -> Iterator[Tuple[int, Record, Optional[float]]]:
+        delivered = 0
         verdict: Optional[dict] = None
         completed = False
         try:
@@ -231,11 +259,8 @@ class Client:
                 if kind == "verdict":
                     verdict = item[1]
                     continue
-                _kind, index, record = item
-                buffer[index] = record
-                while next_index in buffer:
-                    yield buffer.pop(next_index)
-                    next_index += 1
+                delivered += 1
+                yield item[1:]
             completed = True
             if verdict is not None and not verdict.get("ok"):
                 raise ServiceError(
@@ -246,9 +271,9 @@ class Client:
                 raise ServiceError(
                     "service closed the connection before the verdict"
                 )
-            if next_index != total:
+            if delivered != total:
                 raise ServiceError(
-                    f"service delivered {next_index} of {total} records"
+                    f"service delivered {delivered} of {total} records"
                 )
         finally:
             if not completed:
@@ -269,9 +294,13 @@ class Client:
             pass  # loop already gone: the connection is closed anyway
 
     async def _drive_submission(
-        self, sweep: SweepSpec, out: "queue.Queue", ctrl: Dict
+        self, body: Dict, out: "queue.Queue", ctrl: Dict
     ) -> None:
-        """The async core: one connection, one submission, one verdict."""
+        """The async core: one connection, one submission, one verdict.
+
+        *body* is the submit frame's payload field: ``sweep_json`` or
+        ``specs_json``.
+        """
         ctrl["loop"] = asyncio.get_running_loop()
         cancel = asyncio.Event()
         ctrl["cancel"] = cancel
@@ -285,9 +314,7 @@ class Client:
                 "op": "submit",
                 "protocol": PROTOCOL_VERSION,
                 "client": self.name,
-                "sweep_json": json.dumps(
-                    sweep.to_payload(), sort_keys=True, separators=(",", ":")
-                ),
+                **body,
             }))
             await writer.drain()
             while True:
@@ -325,7 +352,12 @@ class Client:
                     for block in frame.get("shapes") or ():
                         GLOBAL_SHAPES.register_block(block)
                     record = decode_record(bytes(frame["record_pkd"]))
-                    out.put(("record", int(frame["index"]), record))
+                    out.put((
+                        "record",
+                        int(frame["index"]),
+                        record,
+                        frame.get("seconds"),
+                    ))
                     continue
                 if op == "progress":
                     out.put((
@@ -353,3 +385,17 @@ class Client:
                     return
         except (asyncio.TimeoutError, WireProtocolError, OSError):
             pass
+
+
+def _in_order(
+    stream: Iterator[Tuple[int, Record, Optional[float]]],
+) -> Iterator[Record]:
+    """Reorder a completion-order record stream into index order."""
+    buffer: Dict[int, Record] = {}
+    next_index = 0
+    with closing(stream):
+        for index, record, _seconds in stream:
+            buffer[index] = record
+            while next_index in buffer:
+                yield buffer.pop(next_index)
+                next_index += 1

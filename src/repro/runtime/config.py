@@ -12,8 +12,8 @@ A field left as ``None`` defers to its environment variable (and then
 the default); a field set explicitly wins outright.  ``resolve(name)``
 returns the effective value, and :meth:`RunConfig.export` temporarily
 writes every *explicitly set* knob into ``os.environ`` so child
-processes -- pool forks, async worker subprocesses, remote workers on
-the same host -- resolve the run identically.
+processes -- pool forks, remote workers on the same host -- resolve
+the run identically.
 
 =====================  ==========================  =================
 field                  environment variable        default
@@ -27,9 +27,7 @@ field                  environment variable        default
 =====================  ==========================  =================
 
 ``run_jobs(..., config=...)`` / ``run_sweep(..., config=...)`` accept
-a config directly; the older per-knob keyword arguments (``batch``,
-``batch_waste``) still work but emit :class:`DeprecationWarning` --
-new code should write::
+a config directly::
 
     from repro.runtime import RunConfig, run_sweep
 
@@ -140,10 +138,10 @@ class RunConfig:
         """Export every explicitly-set knob to ``os.environ``, scoped.
 
         Child processes started inside the ``with`` block (pool forks,
-        async worker subprocesses, same-host remote workers) inherit
-        the exported variables and therefore resolve the same effective
-        values; previous values are restored on exit, so nested runs
-        with different configs stay coherent.
+        same-host remote workers) inherit the exported variables and
+        therefore resolve the same effective values; previous values
+        are restored on exit, so nested runs with different configs
+        stay coherent.
         """
         saved: Dict[str, Optional[str]] = {}
         try:
@@ -161,13 +159,3 @@ class RunConfig:
                     os.environ.pop(env_var, None)
                 else:
                     os.environ[env_var] = old
-
-
-def warn_deprecated_kwarg(api: str, kwarg: str, replacement: str) -> None:
-    """One consistent deprecation message for the pre-RunConfig kwargs."""
-    warnings.warn(
-        f"{api}({kwarg}=...) is deprecated; pass "
-        f"config=RunConfig({replacement}=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -10,8 +10,9 @@ front-end, and the benchmarks use to execute work:
    :class:`SerialBackend` runs them in-process,
    :class:`ProcessPoolBackend` fans them over a
    :class:`concurrent.futures.ProcessPoolExecutor` with chunked
-   dispatch, and :class:`~repro.runtime.async_backend.AsyncBackend`
-   streams them through asyncio-managed worker subprocesses;
+   dispatch, and :class:`~repro.runtime.remote.RemoteBackend` submits
+   them to an ephemeral :class:`~repro.runtime.service.SweepService`
+   whose worker fleet joins over TCP;
 4. fresh records are stored back and the full result list is returned
    in the order of the input specs.
 
@@ -38,11 +39,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..telemetry.metrics import get_metrics
 from ..telemetry.spans import telemetry_enabled
-from .async_backend import AsyncBackend
 from .batching import coalesce, expand_batch_record
 from .cache import CacheStats, KeyDeriver, ResultCache
-from .config import RunConfig, warn_deprecated_kwarg
-from .jobs import JobSpec, Record, run_job, run_job_timed, spec_needs_graph
+from .config import RunConfig
+from .jobs import JobSpec, Record, run_job_timed, spec_needs_graph
 from .remote import RemoteBackend
 
 
@@ -54,16 +54,6 @@ class SerialBackend:
     # job on the same graph then shares one instance -- and therefore
     # one compiled simulator topology (see repro.congest.topology).
     wants_graph_hints = True
-
-    def run(
-        self,
-        specs: Sequence[JobSpec],
-        graphs: Optional[Sequence] = None,
-    ) -> List[Record]:
-        if graphs is None:
-            return [run_job(spec) for spec in specs]
-        # Reuse graphs the caller already built (e.g. for fingerprinting).
-        return [run_job(spec, graph) for spec, graph in zip(specs, graphs)]
 
     def run_stream(
         self,
@@ -115,28 +105,6 @@ class ProcessPoolBackend:
             chunksize = max(1, -(-len(specs) // (4 * workers)))
         return workers, chunksize
 
-    def run(
-        self,
-        specs: Sequence[JobSpec],
-        graphs: Optional[Sequence] = None,
-    ) -> List[Record]:
-        # *graphs* is accepted for interface parity but ignored: workers
-        # regenerate inputs from the spec, which is cheaper than pickling
-        # whole graphs across the process boundary.
-        if not specs:
-            return []
-        # Lazy import: keep module import cheap and fork-safe contexts
-        # selectable by the caller's environment.
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers, chunksize = self._plan(specs)
-        if workers == 1:
-            return SerialBackend().run(specs)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map() preserves input order, so cached and fresh records
-            # interleave deterministically regardless of worker timing.
-            return list(pool.map(run_job, specs, chunksize=chunksize))
-
     def run_stream(
         self,
         specs: Sequence[JobSpec],
@@ -170,7 +138,6 @@ class ProcessPoolBackend:
 BACKENDS = {
     "serial": SerialBackend,
     "process": ProcessPoolBackend,
-    "async": AsyncBackend,
     "remote": RemoteBackend,
 }
 """Backend registry used by the CLI's ``--backend`` flag."""
@@ -235,40 +202,6 @@ class BatchResult:
         return len(self.records)
 
 
-def _backend_stream(
-    backend,
-    specs: List[JobSpec],
-    graphs: Optional[List],
-    keys: Optional[List[str]],
-) -> Iterator[Tuple[int, Record, Optional[float]]]:
-    """Stream ``(position, record, seconds)`` from *backend*.
-
-    Prefers the backend's native ``run_stream`` (completion order);
-    falls back to the barriering ``run`` for custom backends that only
-    implement the original interface.  *keys* are forwarded to
-    backends that declare ``wants_keys`` (the async/remote backends
-    hand them to workers for shared-store lookups).  ``seconds`` is
-    the job's wall-time where the backend measured one (``None`` for
-    legacy two-tuple streams and the ``run`` fallback) -- the cost
-    book feeds it to the scheduler's per-kind/per-n cost table.
-    """
-    kwargs = {}
-    if getattr(backend, "wants_keys", False) and keys is not None:
-        kwargs["keys"] = keys
-    stream = getattr(backend, "run_stream", None)
-    if stream is not None:
-        for item in stream(specs, graphs=graphs, **kwargs):
-            if len(item) == 3:
-                yield item
-            else:
-                position, record = item
-                yield position, record, None
-        return
-    records = backend.run(specs, graphs=graphs, **kwargs)
-    for position, record in enumerate(records):
-        yield position, record, None
-
-
 def iter_jobs(
     specs: Sequence[JobSpec],
     backend=None,
@@ -313,12 +246,6 @@ def iter_jobs(
         backend = SerialBackend()
     elif isinstance(backend, str):
         backend = make_backend(backend)
-    if getattr(backend, "accepts_cost_book", False):
-        # Backends that observe job costs out-of-band (the remote
-        # backend logs partial elapsed time for requeued jobs) get the
-        # live book for the duration of the batch -- including ``None``,
-        # so a reused backend never writes into a stale book.
-        backend.cost_book = cost_book
     specs = list(specs)
     batch_stats = stats if stats is not None else CacheStats()
     traced = telemetry_enabled()
@@ -335,8 +262,8 @@ def iter_jobs(
             if getattr(backend, "wants_graph_hints", False)
             else None
         )
-        for position, record, seconds in _backend_stream(
-            backend, dispatch, graphs, None
+        for position, record, seconds in backend.run_stream(
+            dispatch, graphs=graphs
         ):
             members = sources[position]
             if dispatch[position].kind == "simulate_batch":
@@ -381,14 +308,7 @@ def iter_jobs(
     if not miss_indices:
         return
     miss_specs = [specs[i] for i in miss_indices]
-    miss_keys = [keys[i] for i in miss_indices]
     dispatch, sources = coalesce(miss_specs, batch)
-    dispatch_keys = [
-        miss_keys[srcs[0]]
-        if dspec.kind != "simulate_batch"
-        else deriver.key_for(dspec)
-        for dspec, srcs in zip(dispatch, sources)
-    ]
     dispatch_graphs = None
     if getattr(backend, "wants_graph_hints", False):
         dispatch_graphs = [deriver.graph_for(spec) for spec in dispatch]
@@ -405,21 +325,22 @@ def iter_jobs(
                 if graph is None:
                     graph = built[key] = spec.build_graph()
                 dispatch_graphs[position] = graph
-    # When the backend's workers persist to this cache's own disk store
-    # (async backend sharing store_dir), the record is already on disk
-    # by the time it streams back: remember it in memory only, or every
-    # line would land twice.  Coalesced trials are the exception: the
-    # workers persisted only the *batch* record under the batch key, so
-    # the expanded per-trial records must be stored here regardless.
+    # When the backend persists to this cache's own disk store (a
+    # remote backend whose service shares store_dir), the record is
+    # already on disk by the time it streams back: remember it in
+    # memory only, or every line would land twice.  Coalesced trials
+    # are the exception: the service persisted only the *batch* record
+    # under the batch key, so the expanded per-trial records must be
+    # stored here regardless.
     backend_store = getattr(backend, "store_dir", None)
-    workers_persist = (
+    backend_persists = (
         backend_store is not None
         and cache.disk_dir is not None
         and Path(backend_store).resolve() == Path(cache.disk_dir).resolve()
     )
-    absorb = cache.remember if workers_persist else cache.store
-    for position, record, seconds in _backend_stream(
-        backend, dispatch, dispatch_graphs, dispatch_keys
+    absorb = cache.remember if backend_persists else cache.store
+    for position, record, seconds in backend.run_stream(
+        dispatch, graphs=dispatch_graphs
     ):
         members = sources[position]
         if dispatch[position].kind == "simulate_batch":
@@ -446,7 +367,6 @@ def run_jobs(
     backend=None,
     cache: Optional[ResultCache] = None,
     cost_book=None,
-    batch: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> BatchResult:
     """Execute *specs*, serving repeats from *cache*.
@@ -459,9 +379,6 @@ def run_jobs(
             spec executes).
         cost_book: optional :class:`~repro.runtime.scheduler.CostBook`
             collecting per-job wall-times (see :func:`iter_jobs`).
-        batch: deprecated -- pass ``config=RunConfig(sim_batch=...)``
-            instead.  Still honored (it wins over *config*) but emits a
-            :class:`DeprecationWarning`.
         config: optional :class:`~repro.runtime.config.RunConfig`
             supplying the ``sim_batch`` coalescing limit (arg > env >
             default; see :func:`iter_jobs`).
@@ -469,10 +386,7 @@ def run_jobs(
     Returns:
         A :class:`BatchResult` with one record per spec, in input order.
     """
-    if batch is not None:
-        warn_deprecated_kwarg("run_jobs", "batch", "sim_batch")
-    elif config is not None:
-        batch = config.resolve("sim_batch")
+    batch = config.resolve("sim_batch") if config is not None else None
     return _run_jobs(
         specs, backend=backend, cache=cache, cost_book=cost_book,
         batch=batch,
@@ -486,7 +400,8 @@ def _run_jobs(
     cost_book=None,
     batch: Optional[int] = None,
 ) -> BatchResult:
-    """Warning-free core of :func:`run_jobs` (internal callers)."""
+    """:func:`run_jobs` with a resolved coalescing limit (``run_sweep``
+    sizes ``"auto"`` batches before calling it)."""
     if backend is None:
         backend = SerialBackend()
     elif isinstance(backend, str):

@@ -193,7 +193,7 @@ class JobSpec:
         return make_planar(self.family, self.n, seed=self.effective_graph_seed)
 
     def to_payload(self) -> Dict[str, Any]:
-        """A JSON-safe encoding for wire protocols (async workers).
+        """A JSON-safe encoding for wire protocols (fleet workers).
 
         Round-trips through :meth:`from_payload`; only specs whose
         config values are JSON primitives survive the trip, which every
@@ -274,7 +274,7 @@ def run_job_timed(
     (:mod:`repro.runtime.scheduler`) can learn per-kind/per-n costs.
 
     This is also the telemetry chokepoint: every backend (serial run,
-    chunked pool dispatch, async/remote workers) funnels executed jobs
+    chunked pool dispatch, fleet workers) funnels executed jobs
     through here, so one ``job`` span covers them all.  When the
     tracer is on, the record is tagged with its span id and wall-time
     (``trace_span`` / ``trace_s``); when it is off, the record is

@@ -1,16 +1,16 @@
-"""Planarity testing as a service: the persistent sweep server.
+"""Planarity testing as a service: the sweep server and the fleet engine.
 
-The per-batch :class:`~repro.runtime.remote.RemoteBackend` owns its
-fleet for the lifetime of one ``run_stream`` call; this module lifts
-the same binary frame protocol (:mod:`repro.runtime.codec`) into a
-**long-lived server** (``repro-planarity serve --listen host:port``)
-that many clients submit sweeps to concurrently while sharing one
-worker fleet and one sharded store.  Workers connect exactly as they
-do to a batch server (same ``hello``/``welcome`` handshake, same
-``job``/``result``/``ping``/``pong`` frames -- see
-:func:`~repro.runtime.remote.welcome_worker`); clients open with a
-``submit`` frame, which is how the server tells the two peer types
-apart from the first frame.
+This module lifts the binary frame protocol (:mod:`repro.runtime.codec`)
+into a **server** (``repro-planarity serve --listen host:port``) that
+many clients submit sweeps to concurrently while sharing one worker
+fleet and one sharded store.  Its worker loop is the only fleet
+dispatcher in the runtime: ``sweep --backend remote`` runs one batch on
+an ephemeral instance (:class:`~repro.runtime.remote.RemoteBackend`).
+Workers open with a ``hello`` frame (handshake in
+:func:`~repro.runtime.remote.welcome_worker`; ``job``/``result``/
+``ping``/``pong`` frames after that); clients open with a ``submit``
+frame, which is how the server tells the two peer types apart from the
+first frame.
 
 Client-side ops (layered next to the worker ops):
 
@@ -18,8 +18,10 @@ Client-side ops (layered next to the worker ops):
 frame          fields
 =============  =========================================================
 ``submit``     client -> server: ``protocol``, ``client`` (display
-               name), ``sweep_json`` (JSON of
-               :meth:`SweepSpec.to_payload`)
+               name), and one body: ``sweep_json`` (JSON of
+               :meth:`SweepSpec.to_payload`) or ``specs_json`` (JSON
+               list of :meth:`JobSpec.to_payload`, the remote
+               backend's explicit batch)
 ``progress``   server -> client: ``done``, ``total``, ``queued``,
                ``inflight``, ``workers`` -- sent on acceptance and
                whenever the fleet changes shape
@@ -79,14 +81,7 @@ from .codec import (
     frame_shapes,
 )
 from .jobs import JobSpec
-from .remote import (
-    PROTOCOL_VERSION,
-    _Connection,
-    read_bframe,
-    read_first_frame,
-    reject_peer,
-    welcome_worker,
-)
+from .remote import PROTOCOL_VERSION, read_bframe, reject_peer, welcome_worker
 from .scheduler import CostBook, CostModel, SpeculationPolicy
 from .store import ShardedStore
 from .sweeps import SweepSpec
@@ -96,6 +91,33 @@ _QUEUED = "queued"
 _RUNNING = "running"
 _DONE = "done"
 _CANCELLED = "cancelled"
+
+
+class _Connection:
+    """Server-side state for one connected worker."""
+
+    __slots__ = ("reader", "writer", "name", "kinds", "read_task",
+                 "sent_shapes", "jobs_done")
+
+    def __init__(self, reader, writer, hello: dict):
+        self.reader = reader
+        self.writer = writer
+        self.name = f"worker-pid{hello.get('pid', '?')}"
+        # Job kinds the worker registered at handshake: dispatch only
+        # hands it jobs of these kinds.
+        self.kinds = frozenset(hello.get("kinds") or ())
+        # The persistent frame-read task: lets the worker loop wait on
+        # "next frame OR next job" without two readers racing.
+        self.read_task: Optional[asyncio.Task] = None
+        # Shape-definition ids already sent down this connection (job
+        # spec payloads reference them; each def travels at most once).
+        self.sent_shapes: set = set()
+        self.jobs_done = 0
+
+    def next_frame_task(self) -> asyncio.Task:
+        if self.read_task is None or self.read_task.done():
+            self.read_task = asyncio.ensure_future(read_bframe(self.reader))
+        return self.read_task
 
 
 class _Job:
@@ -380,27 +402,17 @@ class SweepService:
         try:
             try:
                 first = await asyncio.wait_for(
-                    read_first_frame(reader),
-                    timeout=max(self.heartbeat, 10.0),
+                    read_bframe(reader), timeout=max(self.heartbeat, 10.0)
                 )
-            except (
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-                ValueError,  # covers WireProtocolError
-            ):
+            except (asyncio.TimeoutError, ValueError, OSError):
+                first = None  # ValueError covers a bad frame magic
+            if first is None:
                 writer.close()
                 return
             op = first.get("op")
-            if first.get("legacy") or op == "hello":
-                conn = await welcome_worker(
-                    reader,
-                    writer,
-                    kinds_needed=None,  # admit all; filter at dispatch
-                    store_dir=self.store_dir,
-                    hello=first,
-                )
-                if conn is not None:
-                    await self._worker_loop(conn)
+            if op == "hello":
+                if await welcome_worker(first, writer, self.store_dir):
+                    await self._worker_loop(_Connection(reader, writer, first))
             elif op == "submit":
                 await self._client_loop(first, reader, writer)
             else:
@@ -425,8 +437,14 @@ class SweepService:
             )
             return
         try:
-            sweep = SweepSpec.from_payload(json.loads(submit["sweep_json"]))
-            specs = sweep.expand()
+            if "specs_json" in submit:
+                specs = [
+                    JobSpec.from_payload(payload)
+                    for payload in json.loads(submit["specs_json"])
+                ]
+            else:
+                sweep = SweepSpec.from_payload(json.loads(submit["sweep_json"]))
+                specs = sweep.expand()
         except (KeyError, TypeError, ValueError) as exc:
             await reject_peer(writer, f"bad submit frame: {exc}")
             return
@@ -644,7 +662,6 @@ class SweepService:
                                 )
                                 await conn.writer.drain()
                                 last_ping = loop.time()
-                                conn.ping_sent = time.monotonic()
                             except (OSError, ConnectionError):
                                 return
                     continue
@@ -808,10 +825,8 @@ class SweepService:
         seconds = frame.get("seconds")
         hit = bool(frame.get("hit"))
         conn.jobs_done += 1
-        if isinstance(seconds, (int, float)):
-            conn.busy_s += max(seconds, 0.0)
-            if self._cost_book is not None:
-                self._cost_book.observe(job.spec.kind, job.spec.n, seconds)
+        if isinstance(seconds, (int, float)) and self._cost_book is not None:
+            self._cost_book.observe(job.spec.kind, job.spec.n, seconds)
         for session, index in job.waiters:
             if session.cancelled or session.dead:
                 continue
@@ -831,8 +846,8 @@ class SweepService:
         """Deterministic job failure: fail every waiting session's sweep.
 
         Retrying elsewhere would fail again (specs carry all their
-        randomness), so the sweep aborts -- mirroring the batch
-        backend's :class:`~repro.runtime.remote.RemoteWorkerError`.
+        randomness), so the sweep aborts: its client raises
+        :class:`~repro.runtime.client.ServiceError`.
         """
         detail = frame.get("traceback") or frame.get("error")
         job.state = _DONE

@@ -14,7 +14,7 @@ of the JSONL store:
   scanning the shard once and refreshed *incrementally*: when another
   process appends, only the new tail is read, never the whole file;
 * appends hold an ``fcntl`` exclusive lock on a per-shard lock file,
-  so any number of pool workers / CLI invocations / async workers can
+  so any number of pool workers / CLI invocations / fleet workers can
   write to one store concurrently without tearing entries;
 * **compaction** rewrites a shard newest-wins, evicting the
   least-recently-touched entries beyond ``max_entries`` and reporting

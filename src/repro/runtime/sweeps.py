@@ -36,14 +36,14 @@ import itertools
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import Table
 from ..telemetry.metrics import get_metrics
 from ..telemetry.spans import TRACE_PARENT_ENV_VAR, get_tracer
 from .batching import auto_batch_size
 from .cache import CacheStats, ResultCache
-from .config import RunConfig, warn_deprecated_kwarg
+from .config import RunConfig
 from .executor import BatchResult, _run_jobs, iter_jobs, make_backend, run_jobs
 from .jobs import JobSpec, Record
 from .scheduler import CostBook, CostModel, assign_shards
@@ -364,8 +364,6 @@ def run_sweep(
     balance: str = "hash",
     cost_model: Optional[CostModel] = None,
     progress=None,
-    batch: Union[int, str, None] = None,
-    batch_waste: Optional[float] = None,
     config: Optional[RunConfig] = None,
 ) -> SweepResult:
     """Expand *spec* and execute it via :func:`repro.runtime.run_jobs`.
@@ -393,13 +391,6 @@ def run_sweep(
             update per landing record (the CLI's ``--progress`` live
             line); switches execution to the streaming
             :func:`~repro.runtime.iter_jobs` path.
-        batch: deprecated -- pass ``config=RunConfig(sim_batch=...)``
-            instead.  Still honored (it wins over *config*) but emits
-            a :class:`DeprecationWarning`.
-        batch_waste: deprecated -- pass
-            ``config=RunConfig(sim_batch_waste=...)`` instead.  Still
-            honored (it wins over *config*) with a
-            :class:`DeprecationWarning`.
         config: optional :class:`~repro.runtime.config.RunConfig`.
             Its ``sim_batch`` knob (arg > env > default) sets the
             coalescing limit: an int caps graph-batched
@@ -424,15 +415,9 @@ def run_sweep(
     backend's job spans -- including remote workers' -- link under it
     in the merged trace.
     """
-    if batch is not None:
-        warn_deprecated_kwarg("run_sweep", "batch", "sim_batch")
-    if batch_waste is not None:
-        warn_deprecated_kwarg("run_sweep", "batch_waste", "sim_batch_waste")
     if config is None:
         config = RunConfig()
-    # Deprecated kwargs win over *config*; a plain config defers to the
-    # environment, matching the pre-RunConfig behavior exactly.
-    batch_limit = batch if batch is not None else config.resolve("sim_batch")
+    batch_limit = config.resolve("sim_batch")
     if resume and cache is None:
         raise ValueError(
             "resume=True needs a cache (e.g. ResultCache(disk_dir=...)); "
@@ -467,20 +452,9 @@ def run_sweep(
         # predicted-vs-actual error histogram (scheduler.cost_rel_error).
         cost_book.model = CostModel.from_store(store)
     with ExitStack() as stack:
-        # Exported knobs (and the deprecated batch_waste below, which
-        # wins by being applied after) are restored on exit, so nested
-        # sweeps with different configs stay coherent.
+        # Exported knobs are restored on exit, so nested sweeps with
+        # different configs stay coherent.
         stack.enter_context(config.export())
-        if batch_waste is not None:
-            from ..congest.batch import WASTE_ENV_VAR, resolve_pad_waste
-
-            bound = resolve_pad_waste(batch_waste)
-            # Exported (and restored on exit) so process-pool workers
-            # resolve the same bound when splitting their batch jobs.
-            stack.callback(
-                _set_env, WASTE_ENV_VAR, os.environ.get(WASTE_ENV_VAR)
-            )
-            os.environ[WASTE_ENV_VAR] = repr(bound)
         sweep_span = stack.enter_context(
             tracer.span(
                 "sweep", kind=spec.kind, jobs=len(specs), backend=backend_name
@@ -496,7 +470,7 @@ def run_sweep(
             parent_id = tracer.current_span_id()
             if parent_id:
                 # Export the batch's parent span for child processes
-                # (pool forks, async worker env, remote welcome frame);
+                # (pool forks, the remote service's welcome frame);
                 # restored on exit so nested sweeps stay coherent.
                 stack.callback(
                     _set_env,

@@ -1,18 +1,13 @@
-"""Worker process: the binary-frame job protocol over stdio or TCP.
+"""Worker process: the binary-frame job protocol over TCP.
 
-``python -m repro.runtime.worker`` turns a process into a job server.
-Two transports share one request handler:
-
-* **stdio** (the async backend): length-prefixed binary frames (see
-  :mod:`repro.runtime.codec`) over stdin/stdout, one worker per
-  subprocess, spawned and owned by the orchestrator
-  (:mod:`repro.runtime.async_backend`);
-* **TCP** (``--connect host:port``, also ``repro-planarity worker``):
-  the worker dials a :class:`~repro.runtime.remote.RemoteBackend`
-  sweep server, handshakes (protocol version, job-kind registry,
-  store dir), then serves jobs until the server says ``exit`` or the
-  connection drops.  Connection attempts retry for ``--retry-seconds``
-  so workers can be started before the sweep server is listening.
+``python -m repro.runtime.worker --connect host:port`` (also
+``repro-planarity worker``) turns a process into a fleet worker: it
+dials a :class:`~repro.runtime.service.SweepService` -- a persistent
+``serve`` endpoint, or the ephemeral one behind ``sweep --backend
+remote`` -- handshakes (protocol version, job-kind registry, store
+dir), then serves jobs until the server says ``exit`` or the
+connection drops.  Connection attempts retry for ``--retry-seconds``
+so workers can be started before the server is listening.
 
 Specs arrive and records leave as **shape-packed codec payloads**
 (``spec_pkd`` / ``record_pkd``), the same byte format the sharded
@@ -26,15 +21,14 @@ per-connection sent-set on both ends.
 When a worker has a sharded store (``--store DIR``, or the directory
 adopted from the server's ``welcome`` frame), it consults the shared
 :class:`~repro.runtime.store.ShardedStore` *before* executing a job
-whose request carries a ``key``, and appends fresh records back --
-that is the cross-process cache sharing: concurrent sweeps and fleet
-workers with overlapping grids serve each other's results through one
-fcntl-locked on-disk index instead of each missing cold.
+whose request carries a ``key``, and appends fresh records back
+unless the request says ``nostore`` (the service persists results
+itself, exactly once).
 
 Everything a record needs to be reproducible travels in the spec
 (``seed`` drives all randomness), so a worker is stateless: killing
 and respawning one mid-batch loses nothing but the in-flight job
-(which the remote server requeues).
+(which the service requeues).
 """
 
 from __future__ import annotations
@@ -148,22 +142,6 @@ def _result_frame(message: dict, store: Optional[ShardedStore],
             iter((bytes(payload),)), sent_shapes
         )
     return encode_wire_frame(response)
-
-
-def serve(stdin=None, stdout=None, store_dir: Optional[str] = None) -> int:
-    """Serve job frames over binary stdio until EOF or ``exit``."""
-    stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout.buffer
-    store = ShardedStore(store_dir) if store_dir else None
-    sent_shapes: set = set()
-    while True:
-        message = read_wire_frame(stdin)
-        if message is None or message.get("op") == "exit":
-            break
-        stdout.write(_result_frame(message, store, sent_shapes))
-        stdout.flush()
-    _flush_telemetry()
-    return 0
 
 
 RETRY_DELAY_START = 0.1
@@ -302,9 +280,10 @@ def serve_remote(
     retry_seconds: float = 30.0,
     reconnect: bool = False,
 ) -> int:
-    """Join a remote sweep server and serve jobs until it says exit.
+    """Join a sweep service and serve jobs until it says exit.
 
-    With ``reconnect=False`` (the per-batch default) the worker serves
+    With ``reconnect=False`` (the default, e.g. for one
+    ``sweep --backend remote`` batch) the worker serves
     one connection: 0 on a clean end (``exit`` frame or server EOF),
     1 when the server rejected the handshake.  With ``reconnect=True``
     (the fleet mode behind ``worker --reconnect``) the worker outlives
@@ -327,10 +306,7 @@ def serve_remote(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.runtime.worker",
-        description=(
-            "job worker: binary frames over stdio (async backend) or "
-            "TCP (remote backend)"
-        ),
+        description="fleet worker: serve jobs to a sweep service over TCP",
     )
     parser.add_argument(
         "--store",
@@ -339,9 +315,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--connect",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
-        help="join a remote sweep server instead of serving stdio",
+        help="the sweep service to join",
     )
     parser.add_argument(
         "--retry-seconds",
@@ -359,16 +335,14 @@ def main(argv=None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.connect:
-        from .remote import parse_endpoint
+    from .remote import parse_endpoint
 
-        host, port = parse_endpoint(args.connect)
-        return serve_remote(
-            host, port, store_dir=args.store,
-            retry_seconds=args.retry_seconds,
-            reconnect=args.reconnect,
-        )
-    return serve(store_dir=args.store)
+    host, port = parse_endpoint(args.connect)
+    return serve_remote(
+        host, port, store_dir=args.store,
+        retry_seconds=args.retry_seconds,
+        reconnect=args.reconnect,
+    )
 
 
 if __name__ == "__main__":

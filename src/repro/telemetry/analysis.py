@@ -1,8 +1,8 @@
 """Trace-file analysis: merge, Chrome export, hotspot ranking, trees.
 
 A trace directory holds one ``trace-<token>.jsonl`` per participating
-process (orchestrator, pool workers, async workers, remote workers on
-a shared filesystem).  Merging is trivial by construction -- read every
+process (orchestrator, pool workers, fleet workers on a shared
+filesystem).  Merging is trivial by construction -- read every
 file, sort by start time -- because span ids are globally unique and
 parent links cross process boundaries via ``REPRO_TRACE_PARENT`` /
 the remote ``welcome`` frame's trace context.

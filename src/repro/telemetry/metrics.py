@@ -2,8 +2,8 @@
 
 Spans answer *where one run's time went*; metrics answer *how the
 fleet is doing* -- queue depth, cache hit ratio, store bytes
-reclaimed, heartbeat RTT, requeue counts, per-worker utilization,
-CostModel prediction error.  The registry is a process-local
+reclaimed, live workers and clients, speculation counts, CostModel
+prediction error.  The registry is a process-local
 :class:`Metrics` singleton (:func:`get_metrics`); instrumented seams
 guard every update with :func:`~repro.telemetry.spans.telemetry_enabled`
 so the disabled path costs one global read.
@@ -14,7 +14,7 @@ plain JSON-safe dict; :meth:`Metrics.flush_to` writes it as
 trace directory carries one metrics registry per participating process
 (orchestrator and each worker).
 
-Metric names are dotted strings (``remote.requeues``,
+Metric names are dotted strings (``service.workers``,
 ``store.bytes_reclaimed``, ``scheduler.cost_rel_error``); the full
 taxonomy is tabulated in ARCHITECTURE.md's Telemetry section.
 

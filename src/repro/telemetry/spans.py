@@ -10,8 +10,8 @@ each carrying structured attributes.
 
 Everything is **off by default**.  Enablement is environment-driven so
 it crosses process boundaries for free (pool workers fork/spawn with
-the parent's environment, async workers inherit it explicitly, remote
-workers adopt it from the server's ``welcome`` frame):
+the parent's environment, fleet workers adopt it from the server's
+``welcome`` frame):
 
 * ``REPRO_TELEMETRY=1`` turns the tracer on (in-memory buffering when
   no sink directory is set -- useful for tests and overhead probes);
@@ -335,7 +335,7 @@ def configure(
 ) -> Tracer:
     """Enable telemetry for this process *and its children*.
 
-    Writes the environment knobs (so pool/async workers inherit them)
+    Writes the environment knobs (so pool workers inherit them)
     and rebuilds the tracer.  ``enabled=False`` clears everything.
     """
     if enabled:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import networkx as nx
 import pytest
 
@@ -61,3 +63,29 @@ def k5() -> nx.Graph:
 def k33() -> nx.Graph:
     """The smallest non-planar bipartite graph."""
     return nx.complete_bipartite_graph(3, 3)
+
+
+@pytest.fixture
+def start_workers():
+    """Start in-process fleet workers: ``start_workers(port, count=1,
+    store_dir=None)``.  At teardown every worker must have exited --
+    the service sends ``exit`` when it stops."""
+    from repro.runtime.worker import serve_remote
+
+    threads = []
+
+    def start(port, count=1, store_dir=None):
+        for _ in range(count):
+            thread = threading.Thread(
+                target=serve_remote,
+                args=("127.0.0.1", port),
+                kwargs={"store_dir": store_dir, "retry_seconds": 10.0},
+                daemon=True,
+            )
+            thread.start()
+            threads.append(thread)
+
+    yield start
+    for thread in threads:
+        thread.join(15.0)
+        assert not thread.is_alive(), "worker did not exit after the batch"

@@ -219,12 +219,10 @@ class TestSweepCLI:
             main(["sweep", "--kind", "test", "--families", "grid",
                   "--ns", "36", "--epsilons", "0.5", "--resume"])
 
-    def test_sweep_async_backend(self, capsys, tmp_path):
-        store = str(tmp_path / "cache")
-        code = main(
-            ["sweep", "--kind", "test", "--families", "grid", "--ns", "36",
-             "--epsilons", "0.5", "--backend", "async", "--workers", "1",
-             "--cache-dir", store]
-        )
-        assert code == 0
-        assert "backend=async" in capsys.readouterr().out
+    def test_sweep_async_backend(self, capsys):
+        """The async backend is gone: argparse rejects the choice."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--kind", "test", "--families", "grid",
+                  "--ns", "36", "--epsilons", "0.5", "--backend", "async"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'async'" in capsys.readouterr().err

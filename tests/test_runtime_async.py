@@ -1,20 +1,19 @@
-"""Async backend, worker protocol, and streaming delivery."""
+"""Streaming delivery, spec payloads, and the worker's job protocol."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.runtime import (
-    AsyncBackend,
-    AsyncWorkerError,
     JobSpec,
+    RemoteBackend,
     ResultCache,
     SerialBackend,
     iter_jobs,
-    make_backend,
+    run_job,
     run_jobs,
 )
 from repro.runtime.cache import KeyDeriver
+from repro.runtime.codec import encode_record
+from repro.runtime.worker import handle_request
 
 SPECS = [
     JobSpec.make("test_planarity", family="grid", n=36, seed=seed,
@@ -36,52 +35,29 @@ def test_payload_round_trip():
     assert JobSpec.from_payload(pinned.to_payload()) == pinned
 
 
-def test_make_backend_registry_includes_async():
-    backend = make_backend("async", max_workers=2)
-    assert isinstance(backend, AsyncBackend)
-
-
-def test_async_matches_serial():
-    serial = run_jobs(SPECS, backend=SerialBackend())
-    asynced = run_jobs(SPECS, backend=AsyncBackend(max_workers=2))
-    assert serial.records == asynced.records
-
-
-def test_async_with_cache_differential(tmp_path):
-    cache = ResultCache(disk_dir=tmp_path / "c")
-    first = run_jobs(SPECS, backend=AsyncBackend(max_workers=2), cache=cache)
-    assert first.executed == len(SPECS)
-    second = run_jobs(SPECS, backend=AsyncBackend(max_workers=2), cache=cache)
-    assert second.executed == 0
-    assert second.records == first.records
-
-
-def test_worker_consults_shared_store(tmp_path):
+def test_worker_consults_shared_store(tmp_path, start_workers):
     """Workers hit the on-disk index for keys other processes stored."""
     store_dir = tmp_path / "shared"
     key = KeyDeriver().key_for(SPECS[0])
     sentinel = {"kind": "test_planarity", "sentinel": True, "rounds": -1}
     ResultCache(disk_dir=store_dir).store(key, sentinel)
-    # Parent cache is memory-only: the parent cannot answer the lookup,
-    # so the record must have come from the worker's store probe.
-    batch = run_jobs(
-        [SPECS[0]],
-        backend=AsyncBackend(max_workers=1, store_dir=str(store_dir)),
-        cache=ResultCache(),
-    )
+    # Neither the parent cache (memory-only) nor the storeless service
+    # can answer the lookup, so the record must have come from the
+    # worker's store probe.
+    backend = RemoteBackend(port=0)
+    start_workers(backend.bind(), store_dir=str(store_dir))
+    batch = run_jobs([SPECS[0]], backend=backend, cache=ResultCache())
     assert batch.records[0] == sentinel
 
 
-def test_shared_store_records_land_once(tmp_path):
-    """Async workers persist fresh records themselves; the orchestrator
-    must not append them to the same store a second time."""
+def test_shared_store_records_land_once(tmp_path, start_workers):
+    """The service appends storeless workers' records to the shared
+    store; the orchestrator must not append them a second time."""
     store_dir = tmp_path / "shared"
     cache = ResultCache(disk_dir=store_dir)
-    run_jobs(
-        SPECS,
-        backend=AsyncBackend(max_workers=2, store_dir=str(store_dir)),
-        cache=cache,
-    )
+    backend = RemoteBackend(port=0, store_dir=str(store_dir))
+    start_workers(backend.bind(), count=2)
+    run_jobs(SPECS, backend=backend, cache=cache)
     from repro.runtime.store import count_record_entries
 
     # One physical entry per record, not two.
@@ -92,16 +68,19 @@ def test_shared_store_records_land_once(tmp_path):
 
 
 def test_worker_error_propagates():
-    bad = JobSpec.make("test_planarity", family="grid", n=36, epsilon=0.5)
-    # Corrupt the payload en route by registering a failing kind name is
-    # invasive; instead point the spec at an epsilon the tester rejects
-    # as invalid, which raises inside the worker.
+    """A job that raises inside a worker comes back as an ``error`` +
+    ``traceback`` response instead of killing the worker."""
+    # Point the spec at an epsilon the tester rejects as invalid,
+    # which raises inside the worker.
     invalid = JobSpec(
         kind="test_planarity", family="grid", n=36, seed=0,
         config=(("epsilon", -1.0),),
     )
-    with pytest.raises(AsyncWorkerError, match="failed in worker"):
-        run_jobs([bad, invalid], backend=AsyncBackend(max_workers=1))
+    spec_pkd, _shape = encode_record(invalid.to_payload())
+    response = handle_request({"spec_pkd": spec_pkd, "key": None}, None)
+    assert "record_pkd" not in response
+    assert "epsilon" in response["error"]
+    assert "Traceback" in response["traceback"]
 
 
 def test_iter_jobs_streams_hits_then_misses():
@@ -134,5 +113,5 @@ def test_process_stream_matches_serial_records():
     for index, record, seconds in backend.run_stream(SPECS):
         streamed[index] = record
         assert seconds >= 0  # workers report per-job wall-time
-    serial = SerialBackend().run(SPECS)
+    serial = [run_job(spec) for spec in SPECS]
     assert [streamed[i] for i in range(len(SPECS))] == serial

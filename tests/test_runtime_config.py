@@ -1,4 +1,4 @@
-"""RunConfig: precedence, env export, and the deprecation shims."""
+"""RunConfig: precedence, env export, and the entry points that take it."""
 
 from __future__ import annotations
 
@@ -117,32 +117,17 @@ class TestEntryPoints:
             if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_run_jobs_batch_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_jobs\(batch=.*"):
-            result = run_jobs(_specs(), cache=ResultCache(), batch=1)
-        assert len(result.records) == 2
-
-    def test_run_sweep_deprecated_kwargs_warn(self):
+    def test_deprecated_batch_kwargs_removed(self):
         sweep = SweepSpec.make(
             "test_planarity", families=["grid"], ns=[36],
             epsilon=[0.5], seeds=[0],
         )
-        with pytest.warns(DeprecationWarning, match=r"run_sweep\(batch=.*"):
+        with pytest.raises(TypeError, match="batch"):
+            run_jobs(_specs(), batch=1)
+        with pytest.raises(TypeError, match="batch"):
             run_sweep(sweep, batch=1)
-        with pytest.warns(
-            DeprecationWarning, match=r"run_sweep\(batch_waste=.*"
-        ):
+        with pytest.raises(TypeError, match="batch_waste"):
             run_sweep(sweep, batch_waste=4.0)
-
-    def test_run_sweep_config_matches_deprecated_kwarg(self):
-        sweep = SweepSpec.make(
-            "test_planarity", families=["grid"], ns=[36, 64],
-            epsilon=[0.5], seeds=[0, 1],
-        )
-        via_config = run_sweep(sweep, config=RunConfig(sim_batch=2))
-        with pytest.warns(DeprecationWarning):
-            via_kwarg = run_sweep(sweep, batch=2)
-        assert via_config.records == via_kwarg.records
 
     def test_run_sweep_reads_env_through_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "2")

@@ -5,13 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import (
+    BACKENDS,
     JobSpec,
     ProcessPoolBackend,
     ResultCache,
     SerialBackend,
+    SweepSpec,
     make_backend,
     run_jobs,
+    run_sweep,
 )
+from repro.runtime.store import count_record_entries
 
 SMALL_SPECS = [
     JobSpec.make("test_planarity", family="grid", n=36, seed=seed,
@@ -22,6 +26,7 @@ SMALL_SPECS = [
 
 
 def test_make_backend_registry():
+    assert set(BACKENDS) == {"serial", "process", "remote"}
     assert isinstance(make_backend("serial"), SerialBackend)
     assert isinstance(make_backend("process", max_workers=2), ProcessPoolBackend)
     with pytest.raises(ValueError, match="unknown backend"):
@@ -108,3 +113,33 @@ def test_empty_batch():
     batch = run_jobs([], backend=ProcessPoolBackend())
     assert batch.records == []
     assert batch.executed == 0
+
+
+@pytest.mark.parametrize("name", ["serial", "process", "remote"])
+def test_backend_parity(name, tmp_path, start_workers):
+    """Every backend: records identical to serial, one store line per
+    job with the store shared between the run and the backend, and a
+    serial ``--resume`` rerun that executes nothing."""
+    sweep = SweepSpec.make(
+        "test_planarity", families=["grid"], ns=[36], seeds=[0, 1],
+        epsilon=[0.5, 0.25],
+    )
+    reference = run_sweep(sweep)
+    store_dir = tmp_path / "store"
+    if name == "remote":
+        backend = make_backend("remote", store_dir=str(store_dir))
+        start_workers(backend.bind(), count=2)
+    elif name == "process":
+        backend = make_backend("process", max_workers=2)
+    else:
+        backend = make_backend(name)
+    result = run_sweep(
+        sweep, backend=backend, cache=ResultCache(disk_dir=store_dir)
+    )
+    assert result.records == reference.records
+    assert count_record_entries(store_dir) == len(reference.records)
+    resumed = run_sweep(
+        sweep, cache=ResultCache(disk_dir=store_dir), resume=True
+    )
+    assert resumed.batch.executed == 0
+    assert resumed.records == reference.records

@@ -1,4 +1,5 @@
-"""Remote socket backend: handshake, dispatch, requeue (repro.runtime.remote)."""
+"""``--backend remote``: one batch on an ephemeral SweepService
+(repro.runtime.remote): handshake, dispatch, requeue, store appends."""
 
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ import pytest
 from repro.runtime import (
     JobSpec,
     RemoteBackend,
-    RemoteWorkerError,
     ResultCache,
     SerialBackend,
+    ServiceError,
     make_backend,
     run_jobs,
 )
@@ -22,13 +23,7 @@ from repro.runtime.codec import (
     encode_wire_frame,
     read_wire_frame,
 )
-from repro.runtime.remote import (
-    PROTOCOL_VERSION,
-    decode_frame,
-    encode_frame,
-    parse_endpoint,
-)
-from repro.runtime.worker import serve_remote
+from repro.runtime.remote import PROTOCOL_VERSION, parse_endpoint
 
 SPECS = [
     JobSpec.make("test_planarity", family="grid", n=36, seed=seed,
@@ -38,25 +33,34 @@ SPECS = [
 ]
 
 
-def _start_workers(port, count=1, store_dir=None):
-    threads = [
-        threading.Thread(
-            target=serve_remote,
-            args=("127.0.0.1", port),
-            kwargs={"store_dir": store_dir, "retry_seconds": 10.0},
-            daemon=True,
+def _consume_in_thread(backend, specs):
+    """Run *specs* on *backend* from a thread; the holder gets the
+    batch (or the error that ended it)."""
+    holder = {}
+
+    def consume():
+        try:
+            holder["batch"] = run_jobs(specs, backend=backend)
+        except Exception as exc:  # surfaced by the test
+            holder["error"] = exc
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    return consumer, holder
+
+
+def _hello(sock, kinds=("test_planarity",), store=None, protocol=None):
+    sock.sendall(
+        encode_wire_frame(
+            {
+                "op": "hello",
+                "protocol": PROTOCOL_VERSION if protocol is None else protocol,
+                "kinds": list(kinds),
+                "store": store,
+                "pid": 0,
+            }
         )
-        for _ in range(count)
-    ]
-    for thread in threads:
-        thread.start()
-    return threads
-
-
-def _join(threads, timeout=15.0):
-    for thread in threads:
-        thread.join(timeout)
-        assert not thread.is_alive(), "worker did not exit after the batch"
+    )
 
 
 def test_parse_endpoint():
@@ -73,26 +77,25 @@ def test_make_backend_registry_includes_remote():
     assert isinstance(backend, RemoteBackend)
 
 
-def test_remote_matches_serial():
+def test_remote_matches_serial(start_workers):
     backend = RemoteBackend(port=0)
-    port = backend.bind()
-    workers = _start_workers(port, count=2)
+    start_workers(backend.bind(), count=2)
     remote = run_jobs(SPECS, backend=backend)
-    _join(workers)
     serial = run_jobs(SPECS, backend=SerialBackend())
     assert remote.records == serial.records
+    # The service lives for one batch: its socket is released.
+    assert backend.bound_port is None
 
 
-def test_workers_share_store_and_records_land_once(tmp_path):
-    """Same acceptance as the async backend: one line per record, and
-    a fresh resume run is a pure merge."""
+def test_workers_share_store_and_records_land_once(tmp_path, start_workers):
+    """Workers that see the store still leave the append to the service
+    (``nostore`` job frames): one line per record, and a fresh resume
+    run is a pure merge."""
     store_dir = tmp_path / "shared"
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
-    port = backend.bind()
     cache = ResultCache(disk_dir=store_dir)
-    workers = _start_workers(port, count=2, store_dir=str(store_dir))
+    start_workers(backend.bind(), count=2, store_dir=str(store_dir))
     batch = run_jobs(SPECS, backend=backend, cache=cache)
-    _join(workers)
     assert batch.executed == len(SPECS)
     from repro.runtime.store import count_record_entries
 
@@ -103,132 +106,83 @@ def test_workers_share_store_and_records_land_once(tmp_path):
     assert rerun.records == batch.records
 
 
-def test_handshake_rejects_legacy_json_worker():
-    """A protocol-1 worker opens with a JSON line; the server must
-    answer in JSON (the only dialect it can read) and name the
-    protocol mismatch before closing."""
+def test_handshake_rejects_legacy_json_worker(start_workers):
+    """A protocol-1 worker opens with a JSON line; its ``{`` fails the
+    frame-magic check, so the server closes without a welcome."""
     backend = RemoteBackend(port=0)
     port = backend.bind()
-    holder = {}
-
-    def consume():
-        holder["batch"] = run_jobs(SPECS[:1], backend=backend)
-
-    consumer = threading.Thread(target=consume, daemon=True)
-    consumer.start()
+    consumer, holder = _consume_in_thread(backend, SPECS[:1])
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
-    reader = sock.makefile("rb")
-    sock.sendall(
-        encode_frame(
-            {"op": "hello", "protocol": 1, "kinds": [], "store": None}
-        )
-    )
-    reject = decode_frame(reader.readline())
+    sock.sendall(b'{"op":"hello","protocol":1,"kinds":[],"store":null}\n')
+    assert sock.recv(4096) == b""  # closed, nothing sent back
     sock.close()
-    assert reject["op"] == "reject"
-    assert "protocol mismatch" in reject["reason"]
     # A conforming worker still completes the batch afterwards.
-    workers = _start_workers(port)
+    start_workers(port)
     consumer.join(15)
     assert not consumer.is_alive()
-    _join(workers)
     assert len(holder["batch"].records) == 1
 
 
-def test_handshake_rejects_protocol_mismatch():
+def test_handshake_rejects_protocol_mismatch(start_workers):
     backend = RemoteBackend(port=0)
     port = backend.bind()
-    holder = {}
-
-    def consume():
-        holder["batch"] = run_jobs(SPECS[:1], backend=backend)
-
-    consumer = threading.Thread(target=consume, daemon=True)
-    consumer.start()
+    consumer, holder = _consume_in_thread(backend, SPECS[:1])
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     reader = sock.makefile("rb")
-    sock.sendall(
-        encode_wire_frame(
-            {"op": "hello", "protocol": 999, "kinds": [], "store": None}
-        )
-    )
+    _hello(sock, kinds=(), protocol=999)
     reject = read_wire_frame(reader)
     sock.close()
     assert reject["op"] == "reject"
     assert "protocol mismatch" in reject["reason"]
     # A conforming worker still completes the batch afterwards.
-    workers = _start_workers(port)
+    start_workers(port)
     consumer.join(15)
     assert not consumer.is_alive()
-    _join(workers)
     assert len(holder["batch"].records) == 1
 
 
-def test_handshake_rejects_missing_kinds():
+def test_worker_missing_kinds_is_admitted_and_filtered(start_workers):
+    """A worker without the batch's job kind is welcomed but never
+    handed a job; a capable worker drains the batch."""
     backend = RemoteBackend(port=0)
     port = backend.bind()
-    holder = {}
-
-    def consume():
-        holder["batch"] = run_jobs(SPECS[:1], backend=backend)
-
-    consumer = threading.Thread(target=consume, daemon=True)
-    consumer.start()
+    consumer, holder = _consume_in_thread(backend, SPECS[:1])
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     reader = sock.makefile("rb")
-    sock.sendall(
-        encode_wire_frame(
-            {
-                "op": "hello",
-                "protocol": PROTOCOL_VERSION,
-                "kinds": ["some_other_kind"],
-                "store": None,
-            }
-        )
-    )
-    reject = read_wire_frame(reader)
-    sock.close()
-    assert reject["op"] == "reject"
-    assert "missing job kinds" in reject["reason"]
-    workers = _start_workers(port)
+    _hello(sock, kinds=("some_other_kind",))
+    assert read_wire_frame(reader)["op"] == "welcome"
+    start_workers(port)
     consumer.join(15)
     assert not consumer.is_alive()
-    _join(workers)
+    assert len(holder["batch"].records) == 1
+    ops = []
+    while True:
+        frame = read_wire_frame(reader)
+        if frame is None or frame["op"] == "exit":
+            break
+        ops.append(frame["op"])
+    sock.close()
+    assert "job" not in ops
 
 
-def test_handshake_rejects_store_mismatch(tmp_path):
+def test_handshake_rejects_store_mismatch(tmp_path, start_workers):
     backend = RemoteBackend(port=0, store_dir=str(tmp_path / "server-store"))
     port = backend.bind()
-    holder = {}
-
-    def consume():
-        holder["batch"] = run_jobs(SPECS[:1], backend=backend)
-
-    consumer = threading.Thread(target=consume, daemon=True)
-    consumer.start()
+    consumer, holder = _consume_in_thread(backend, SPECS[:1])
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     reader = sock.makefile("rb")
-    sock.sendall(
-        encode_wire_frame(
-            {
-                "op": "hello",
-                "protocol": PROTOCOL_VERSION,
-                "kinds": ["test_planarity"],
-                "store": str(tmp_path / "other-store"),
-            }
-        )
-    )
+    _hello(sock, store=str(tmp_path / "other-store"))
     reject = read_wire_frame(reader)
     sock.close()
     assert reject["op"] == "reject"
     assert "store mismatch" in reject["reason"]
-    workers = _start_workers(port, store_dir=str(tmp_path / "server-store"))
+    start_workers(port, store_dir=str(tmp_path / "server-store"))
     consumer.join(15)
     assert not consumer.is_alive()
-    _join(workers)
+    assert len(holder["batch"].records) == 1
 
 
-def test_killed_worker_requeues_its_job():
+def test_killed_worker_requeues_its_job(start_workers):
     """A worker that dies mid-job never loses it: the job is requeued
     and a surviving worker completes the batch."""
     backend = RemoteBackend(port=0)
@@ -238,17 +192,7 @@ def test_killed_worker_requeues_its_job():
     def doomed_worker():
         sock = socket.create_connection(("127.0.0.1", port), timeout=10)
         reader = sock.makefile("rb")
-        sock.sendall(
-            encode_wire_frame(
-                {
-                    "op": "hello",
-                    "protocol": PROTOCOL_VERSION,
-                    "kinds": ["test_planarity"],
-                    "store": None,
-                    "pid": 0,
-                }
-            )
-        )
+        _hello(sock)
         assert read_wire_frame(reader)["op"] == "welcome"
         job = read_wire_frame(reader)
         assert job["op"] == "job"
@@ -257,80 +201,57 @@ def test_killed_worker_requeues_its_job():
 
     doomed = threading.Thread(target=doomed_worker, daemon=True)
     doomed.start()
-    holder = {}
-
-    def consume():
-        holder["batch"] = run_jobs(SPECS, backend=backend)
-
-    consumer = threading.Thread(target=consume, daemon=True)
-    consumer.start()
+    consumer, holder = _consume_in_thread(backend, SPECS)
     assert got_job.wait(10), "doomed worker never received a job"
-    survivors = _start_workers(port)
+    start_workers(port)
     consumer.join(30)
     assert not consumer.is_alive()
-    _join(survivors)
     serial = run_jobs(SPECS, backend=SerialBackend())
     assert holder["batch"].records == serial.records
 
 
-def test_worker_job_error_propagates():
+def test_worker_job_error_propagates(start_workers):
     backend = RemoteBackend(port=0)
-    port = backend.bind()
     invalid = JobSpec(
         kind="test_planarity", family="grid", n=36, seed=0,
         config=(("epsilon", -1.0),),
     )
-    workers = _start_workers(port)
-    with pytest.raises(RemoteWorkerError, match="failed on"):
+    start_workers(backend.bind())
+    with pytest.raises(ServiceError, match="failed on"):
         run_jobs([SPECS[0], invalid], backend=backend)
-    _join(workers)
 
 
-def test_late_worker_completes_waiting_jobs():
+def test_late_worker_completes_waiting_jobs(start_workers):
     """Jobs queue while no worker is connected; a late joiner drains
     them (fleet elasticity)."""
     backend = RemoteBackend(port=0)
     port = backend.bind()
-    holder = {}
-
-    def consume():
-        holder["batch"] = run_jobs(SPECS[:2], backend=backend)
-
-    consumer = threading.Thread(target=consume, daemon=True)
-    consumer.start()
+    consumer, holder = _consume_in_thread(backend, SPECS[:2])
     time.sleep(0.5)  # batch is underway with zero workers
     assert consumer.is_alive()
-    workers = _start_workers(port)
+    start_workers(port)
     consumer.join(30)
     assert not consumer.is_alive()
-    _join(workers)
     assert len(holder["batch"].records) == 2
 
 
 def test_abort_wakes_a_blocked_stream():
-    """Abandoning a batch mid-flight (ctrl-C, downstream error: the
-    generator's finally calls _request_abort) must not hang on the
-    server thread even with jobs queued and zero workers connected."""
+    """Stopping the service mid-batch (a ctrl-C'd CLI's cleanup) must
+    wake a consumer blocked with jobs queued and zero workers."""
     backend = RemoteBackend(port=0)
     backend.bind()
-    holder = {}
-
-    def consume():
-        holder["batch"] = run_jobs(SPECS, backend=backend)
-
-    consumer = threading.Thread(target=consume, daemon=True)
-    consumer.start()
+    consumer, holder = _consume_in_thread(backend, SPECS)
     time.sleep(0.5)  # blocked: jobs pending, no worker will ever join
     assert consumer.is_alive()
-    backend._request_abort()
+    backend.service.stop()
     consumer.join(10)
-    assert not consumer.is_alive(), "abort did not wake the serve loop"
-    assert len(holder["batch"].records) == 0
+    assert not consumer.is_alive(), "stopping did not wake the stream"
+    assert isinstance(holder.get("error"), ServiceError)
     # The listen socket is released for the next run.
     assert backend.bound_port is None
 
 
-def test_storeless_adoption_requires_initialized_store(tmp_path):
+def test_storeless_adoption_requires_initialized_store(tmp_path, start_workers):
     from repro.runtime.worker import _adopt_store
 
     # A path the server never initialized (no store.json): adoption
@@ -339,35 +260,33 @@ def test_storeless_adoption_requires_initialized_store(tmp_path):
     assert _adopt_store(str(tmp_path / "never-created")) is None
     # The server's bound store is adoptable once its root exists.
     backend = RemoteBackend(port=0, store_dir=str(tmp_path / "real"))
-    port = backend.bind()
-    workers = _start_workers(port, count=1)
+    start_workers(backend.bind(), count=1)
     batch = run_jobs(SPECS[:1], backend=backend)
-    _join(workers)
     assert len(batch.records) == 1
     assert _adopt_store(str(tmp_path / "real")) is not None
 
 
-def test_server_appends_result_bytes_without_reencode(tmp_path):
-    """Zero-copy pin: with storeless workers, the orchestrator appends
-    each worker's result *bytes* to the store verbatim.  Workers run
-    in-process here, so ``codec.STATS`` sees both sides: per job there
-    is exactly one spec encode (server), one spec decode (worker), one
-    record encode (worker), and one record decode (server, for the
-    consumer stream).  A server that re-encoded for the store append,
-    or decoded twice, breaks the exact count."""
+def test_server_appends_result_bytes_without_reencode(tmp_path, start_workers):
+    """Zero-copy pin: the service appends each worker's result *bytes*
+    to the store verbatim.  Workers run in-process here, so
+    ``codec.STATS`` sees every side: per job there is exactly one spec
+    encode (service), one spec decode (worker), one record encode
+    (worker), and one record decode (client, for the consumer stream).
+    A service that re-encoded for the store append, or a decode too
+    many anywhere, breaks the exact count.  The only other encode is
+    the service's cost-table flush: one meta cell per ``(kind, n)``."""
     store_dir = tmp_path / "server-store"
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
-    port = backend.bind()
-    cache = ResultCache(disk_dir=store_dir)  # keys ride to the server
+    cache = ResultCache(disk_dir=store_dir)
     # Workers do NOT share the store: every result rides the wire and
-    # the server persists it (stored=False) via put_raw.
-    workers = _start_workers(port, count=2, store_dir=None)
+    # the service persists it via put_raw.
+    start_workers(backend.bind(), count=2, store_dir=None)
     encoded_before = STATS.encoded_records
     decoded_before = STATS.decoded_records
     batch = run_jobs(SPECS, backend=backend, cache=cache)
-    _join(workers)
     assert batch.executed == len(SPECS)
-    assert STATS.encoded_records - encoded_before == 2 * len(SPECS)
+    cost_cells = len({(spec.kind, spec.n) for spec in SPECS})
+    assert STATS.encoded_records - encoded_before == 2 * len(SPECS) + cost_cells
     assert STATS.decoded_records - decoded_before == 2 * len(SPECS)
     # The spliced bytes decode back to exactly what the workers sent.
     from repro.runtime.cache import KeyDeriver
@@ -377,17 +296,13 @@ def test_server_appends_result_bytes_without_reencode(tmp_path):
     deriver = KeyDeriver()
     for spec, record in zip(SPECS, batch.records):
         assert store.get(deriver.key_for(spec)) == record
+    # The extra encodes are exactly the flushed cost cells.
+    assert len(list(store.meta_keys())) == cost_cells
 
 
-def test_worker_reports_seconds_for_executed_jobs():
+def test_worker_reports_seconds_for_executed_jobs(start_workers):
     backend = RemoteBackend(port=0)
-    port = backend.bind()
-    workers = _start_workers(port)
-    seen = []
-    for _index, _record, seconds in backend.run_stream(
-        SPECS[:2], keys=None
-    ):
-        seen.append(seconds)
-    _join(workers)
+    start_workers(backend.bind())
+    seen = [seconds for _i, _record, seconds in backend.run_stream(SPECS[:2])]
     assert len(seen) == 2
     assert all(value is not None and value >= 0 for value in seen)

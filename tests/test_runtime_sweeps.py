@@ -168,11 +168,9 @@ class TestResume:
             executed_kinds.append(spec)
             return real_run(spec, graph)
 
+        # Every backend executes through jobs.run_job_timed, which
+        # looks run_job up in its own module.
         monkeypatch.setattr(jobs_mod, "run_job", counting_run)
-        # run_jobs imported the symbol at module load; patch there too.
-        import repro.runtime.executor as executor_mod
-
-        monkeypatch.setattr(executor_mod, "run_job", counting_run)
         resumed = run_sweep(
             sweep, cache=ResultCache(disk_dir=store), resume=True
         )

@@ -1,6 +1,6 @@
 """Merged traces and cost telemetry across the runtime backends.
 
-The tracer's multi-process story is the whole point: pool and async
+The tracer's multi-process story is the whole point: pool and fleet
 workers execute jobs in other processes, each sinking its own
 ``trace-<token>.jsonl``, and the merged directory must read back as one
 coherent sweep -- globally unique span ids, every job span parented
@@ -12,8 +12,12 @@ from __future__ import annotations
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
+import repro
 from repro.cli import main
 from repro.runtime import (
     CostBook,
@@ -28,7 +32,7 @@ from repro.runtime import (
 )
 from repro.runtime.codec import encode_wire_frame, read_wire_frame
 from repro.runtime.remote import PROTOCOL_VERSION
-from repro.runtime.worker import serve_remote
+from repro.runtime.scheduler import cost_meta_key
 from repro.telemetry import configure, read_events, read_metrics, top_spans
 import pytest
 
@@ -88,18 +92,43 @@ def test_process_backend_merged_trace(trace_dir):
     assert len(list(trace_dir.glob("trace-*.jsonl"))) >= 2
 
 
-def test_async_backend_merged_trace(trace_dir):
-    result = run_sweep(SWEEP, backend=make_backend("async", max_workers=2))
+def _worker_process(port):
+    """A fleet worker as a subprocess, so its job spans land in a trace
+    file of its own."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.runtime.worker",
+         "--connect", f"127.0.0.1:{port}"],
+        env=env,
+    )
+
+
+def test_remote_backend_merged_trace(trace_dir):
+    # One worker: the batch cannot finish without it, so it always
+    # connects (a second one could dial after the service stopped).
+    backend = RemoteBackend(port=0)
+    worker = _worker_process(backend.bind())
+    try:
+        result = run_sweep(SWEEP, backend=backend)
+    finally:
+        worker.wait(timeout=30)
     _sweep, jobs = _assert_coherent_trace(trace_dir, result)
     assert all(job["pid"] != os.getpid() for job in jobs)
-    # Async workers flush their metrics registry on exit: the executed
-    # count lands in the directory even though it happened off-process.
+    # The worker adopted the service's trace sink and flushes its
+    # metrics registry on disconnect: the executed count lands in the
+    # directory even though it happened off-process.
     registries = read_metrics(trace_dir)
     executed = sum(
         registry.get("counters", {}).get("job.executed", 0)
         for registry in registries.values()
     )
     assert executed == len(SPECS)
+    events = read_events(trace_dir)
+    assert any(ev.get("name") == "service.worker_connect" for ev in events)
 
 
 def test_cost_error_histogram_from_seeded_book(trace_dir, tmp_path):
@@ -167,13 +196,17 @@ def test_trace_cli_rejects_empty_directory(tmp_path):
     assert main(["trace", "view", str(tmp_path)]) == 1
 
 
-def test_remote_requeue_logs_partial_cost():
+def test_remote_requeue_logs_partial_cost(tmp_path, start_workers):
     """A worker that dies mid-job leaves a cost sample behind: the
-    partial elapsed seconds land in the CostBook alongside the
-    successful completions (len(SPECS) + 1 observations total)."""
-    backend = RemoteBackend(port=0)
+    partial elapsed seconds land in the store's cost table alongside
+    the successful completions (len(SPECS) + 1 observations total) --
+    counted once although the run's CostBook shares the service's
+    store."""
+    store_dir = tmp_path / "store"
+    cache = ResultCache(disk_dir=store_dir)
+    book = CostBook(cache.store_backend)
+    backend = RemoteBackend(port=0, store_dir=str(store_dir))
     port = backend.bind()
-    book = CostBook()
     got_job = threading.Event()
 
     def doomed_worker():
@@ -193,28 +226,24 @@ def test_remote_requeue_logs_partial_cost():
         assert read_wire_frame(reader)["op"] == "welcome"
         assert read_wire_frame(reader)["op"] == "job"
         got_job.set()
-        sock.close()  # die mid-job: the server requeues
+        sock.close()  # die mid-job: the service requeues
 
     doomed = threading.Thread(target=doomed_worker, daemon=True)
     doomed.start()
     holder = {}
 
     def consume():
-        holder["batch"] = run_jobs(SPECS, backend=backend, cost_book=book)
+        holder["batch"] = run_jobs(
+            SPECS, backend=backend, cache=cache, cost_book=book
+        )
 
     consumer = threading.Thread(target=consume, daemon=True)
     consumer.start()
     assert got_job.wait(10), "doomed worker never received a job"
-    survivor = threading.Thread(
-        target=serve_remote,
-        args=("127.0.0.1", port),
-        kwargs={"retry_seconds": 10.0},
-        daemon=True,
-    )
-    survivor.start()
+    start_workers(port)
     consumer.join(30)
     assert not consumer.is_alive()
-    survivor.join(15)
-    assert not survivor.is_alive()
     assert len(holder["batch"].records) == len(SPECS)
-    assert book.observations == len(SPECS) + 1
+    book.flush()
+    cell = cache.store_backend.get_meta(cost_meta_key("test_planarity", 36))
+    assert cell["count"] == len(SPECS) + 1
