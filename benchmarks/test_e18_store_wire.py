@@ -44,7 +44,7 @@ from repro.runtime.codec import (
 )
 
 ENTRIES = 1500 if quick_mode() else 6000
-REPEATS = 3 if quick_mode() else 5
+REPEATS = 3 if quick_mode() else 7
 SHARDS = 4
 RESUME_GATE = 3.0
 GC_GATE = 3.0
@@ -92,28 +92,39 @@ def _data_bytes(root) -> int:
 
 
 def _time_resume(root) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        reopened = ShardedStore(root, shards=SHARDS)
-        count = len(reopened)  # forces the full shard scan
-        best = min(best, time.perf_counter() - start)
-        assert count == ENTRIES
-    return best
+    start = time.perf_counter()
+    reopened = ShardedStore(root, shards=SHARDS)
+    count = len(reopened)  # forces the full shard scan
+    elapsed = time.perf_counter() - start
+    assert count == ENTRIES
+    return elapsed
 
 
-def _time_gc(root, tmp_path) -> float:
-    best = float("inf")
+def _time_gc(root, tmp_path, rep: int) -> float:
+    copy = tmp_path / f"gc-{root.name}-{rep}"
+    shutil.copytree(root, copy)
+    for idx in copy.glob("*.idx"):
+        idx.unlink()  # time the rewrite, not a sidecar shortcut
+    victim = ShardedStore(copy, shards=SHARDS)
+    start = time.perf_counter()
+    report = victim.gc(ttl=None, max_bytes=None)
+    elapsed = time.perf_counter() - start
+    assert report.bytes_reclaimed > 0  # the dups really burned off
+    return elapsed
+
+
+def _paired_best(timers) -> dict:
+    """Best of ``REPEATS`` per format, the formats taking turns.
+
+    Each repeat times every format back to back (in alternating
+    order), so a slow stretch on a shared host lands on both sides of
+    the ratio instead of on whichever format happened to run then.
+    """
+    best = {fmt: float("inf") for fmt in timers}
+    order = list(timers)
     for rep in range(REPEATS):
-        copy = tmp_path / f"gc-{root.name}-{rep}"
-        shutil.copytree(root, copy)
-        for idx in copy.glob("*.idx"):
-            idx.unlink()  # time the rewrite, not a sidecar shortcut
-        victim = ShardedStore(copy, shards=SHARDS)
-        start = time.perf_counter()
-        report = victim.gc(ttl=None, max_bytes=None)
-        best = min(best, time.perf_counter() - start)
-        assert report.bytes_reclaimed > 0  # the dups really burned off
+        for fmt in order if rep % 2 == 0 else order[::-1]:
+            best[fmt] = min(best[fmt], timers[fmt](rep))
     return best
 
 
@@ -157,9 +168,6 @@ def _wire_bytes_json(records) -> int:
 def store_wire_table(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("e18")
     roots = {}
-    resume_s = {}
-    gc_s = {}
-    shard_bytes = {}
     for fmt in ("jsonl", "rbin"):
         root = tmp_path / fmt
         store = ShardedStore(root, shards=SHARDS, record_format=fmt)
@@ -172,8 +180,20 @@ def store_wire_table(tmp_path_factory):
         for i in range(ENTRIES):
             store.put(_key(i), _record(i))
         roots[fmt] = root
-        resume_s[fmt] = _time_resume(root)
-        gc_s[fmt] = _time_gc(root, tmp_path)
+    resume_s = _paired_best(
+        {
+            fmt: lambda _rep, r=root: _time_resume(r)
+            for fmt, root in roots.items()
+        }
+    )
+    gc_s = _paired_best(
+        {
+            fmt: lambda rep, r=root: _time_gc(r, tmp_path, rep)
+            for fmt, root in roots.items()
+        }
+    )
+    shard_bytes = {}
+    for fmt, root in roots.items():
         # Footprint after compaction: live entries only, and the
         # binary side pays for its .idx sidecars.
         ShardedStore(root, shards=SHARDS).gc(ttl=None, max_bytes=None)

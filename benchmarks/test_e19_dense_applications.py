@@ -78,14 +78,23 @@ RESULT_FIELDS = (
 )
 
 
-def _best(fn):
-    best = float("inf")
-    result = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _paired_best(reference, fast):
+    """Best of ``REPEATS`` for both sides of one ratio, taking turns.
+
+    Each repeat times both callables back to back (in alternating
+    order), so a slow stretch on a shared host lands on both sides of
+    the ratio instead of on whichever side happened to run then.
+    Returns ``(reference_s, reference_result, fast_s, fast_result)``.
+    """
+    best = [float("inf"), float("inf")]
+    results = [None, None]
+    fns = (reference, fast)
+    for rep in range(REPEATS):
+        for side in (0, 1) if rep % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            results[side] = fns[side]()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], results[0], best[1], results[1]
 
 
 def _scalar_kernel(program, network):
@@ -117,11 +126,9 @@ def applications_table():
     compile_topology(graph).edge_arrays()  # timings cover the sweeps only
 
     # -- spanner build: legacy walk vs CSR assembly ----------------------
-    legacy_build_s, legacy = _best(
-        lambda: build_spanner(graph, epsilon=EPSILON, engine="legacy")
-    )
-    dense_build_s, dense = _best(
-        lambda: build_spanner(graph, epsilon=EPSILON, engine="dense")
+    legacy_build_s, legacy, dense_build_s, dense = _paired_best(
+        lambda: build_spanner(graph, epsilon=EPSILON, engine="legacy"),
+        lambda: build_spanner(graph, epsilon=EPSILON, engine="dense"),
     )
     build_speedup = legacy_build_s / dense_build_s
     assert dense.tree_edges == legacy.tree_edges
@@ -134,15 +141,16 @@ def applications_table():
     }
 
     # -- stretch: per-pair fold vs batched CSR BFS -----------------------
-    legacy_stretch_s, legacy_stretch = _best(
-        lambda: measure_stretch(
-            graph, legacy.spanner, sample_nodes=SAMPLE, seed=0,
-            engine="legacy",
-        )
-    )
-    dense_stretch_s, dense_stretch = _best(
-        lambda: measure_stretch(
-            graph, dense.dense, sample_nodes=SAMPLE, seed=0, engine="dense"
+    legacy_stretch_s, legacy_stretch, dense_stretch_s, dense_stretch = (
+        _paired_best(
+            lambda: measure_stretch(
+                graph, legacy.spanner, sample_nodes=SAMPLE, seed=0,
+                engine="legacy",
+            ),
+            lambda: measure_stretch(
+                graph, dense.dense, sample_nodes=SAMPLE, seed=0,
+                engine="dense",
+            ),
         )
     )
     stretch_speedup = legacy_stretch_s / dense_stretch_s
@@ -155,9 +163,9 @@ def applications_table():
     kernel_rows = []
     kernel_speedups = {}
     for program in ("forest", "cv"):
-        scalar_s, scalar = _best(lambda p=program: _scalar_kernel(p, network))
-        batched_s, results = _best(
-            lambda p=program: run_batched(p, [topology] * BATCH)
+        scalar_s, scalar, batched_s, results = _paired_best(
+            lambda p=program: _scalar_kernel(p, network),
+            lambda p=program: run_batched(p, [topology] * BATCH),
         )
         per_trial_s = batched_s / BATCH
         speedup = scalar_s / per_trial_s

@@ -529,6 +529,8 @@ _KEY_HEX32 = 0x01  # 64-char lowercase hex key packed to 32 bytes
 _KEY_COORD = 0x02  # "coord:" + 64-char hex key packed to 32 bytes
 
 _COORD_PREFIX = "coord:"
+# kind + key flag + 32 key bytes + f64 stamp + shape id.
+_PACKED_RECORD_MIN_BODY = 2 + 32 + 8 + SHAPE_ID_SIZE
 
 
 def _pack_key(out: bytearray, key: str) -> None:
@@ -674,10 +676,46 @@ def scan_entries(
     return value is how far the scan validated: a truncated tail
     entry (writer mid-append) stays unscanned so a later pass can
     finish it once complete.
+
+    Record entries with a packed 32-byte key (every cache key) are
+    parsed inline; anything else -- shape definitions, UTF-8 keys,
+    torn or corrupt bytes -- goes through :func:`read_entry`, which
+    yields the same :class:`RecordEntry` for a well-formed entry.
     """
     entries: List[RecordEntry] = []
+    append = entries.append
+    unpack_header = _ENTRY_HEADER.unpack_from
+    unpack_f64 = _F64.unpack_from
     offset = start
     while offset < end:
+        body_start = offset + ENTRY_HEADER_SIZE
+        if body_start <= end:
+            magic, body_len, check = unpack_header(buf, offset)
+            body_end = body_start + body_len
+            if (
+                magic == ENTRY_MAGIC
+                and body_len >= _PACKED_RECORD_MIN_BODY
+                and body_end <= end
+                and buf[body_start] == BODY_RECORD
+                and check == _header_check(body_len)
+            ):
+                flag = buf[body_start + 1]
+                if flag == _KEY_HEX32 or flag == _KEY_COORD:
+                    pos = body_start + 34
+                    key = buf[body_start + 2 : pos].hex()
+                    if flag == _KEY_COORD:
+                        key = _COORD_PREFIX + key
+                    append(
+                        RecordEntry(
+                            key,
+                            unpack_f64(buf, pos)[0],
+                            offset,
+                            body_end - offset,
+                            (pos + 8, body_end),
+                        )
+                    )
+                    offset = body_end
+                    continue
         try:
             entry, next_offset = read_entry(buf, offset, end, registry)
         except TruncatedEntry:

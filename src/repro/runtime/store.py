@@ -1089,12 +1089,15 @@ class ShardedStore:
         keep_floor = snapshot_now - max(0.0, grace)
         ttl_cut = (snapshot_now - ttl) if ttl is not None else None
         # Phase 1: snapshot live entries across all shards and decide
-        # which keys survive.  (sid, key) -> timestamp/length.
+        # which keys survive.  (sid, key) -> timestamp/length.  With no
+        # limit every live entry survives, so the snapshot is skipped
+        # and phase 2 keeps whatever its locked rescan finds.
+        limited = ttl is not None or max_bytes is not None
         survivors: Dict[Tuple[int, str], float] = {}
         candidates: List[Tuple[float, int, int, str]] = []
         seen: List[set] = [set() for _ in range(self.shards)]
         expired = 0
-        for sid in range(self.shards):
+        for sid in range(self.shards if limited else 0):
             for key, (_src, _offset, length, stamp, _pay) in self._scan_live(
                 self._shards[sid]
             ).items():
@@ -1142,7 +1145,8 @@ class ShardedStore:
                 for key, ref in live.items():
                     stamp = ref[3]
                     if (
-                        (sid, key) in survivors
+                        not limited
+                        or (sid, key) in survivors
                         or stamp > keep_floor
                         or key not in seen[sid]
                     ):

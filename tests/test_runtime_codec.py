@@ -266,6 +266,50 @@ def test_scan_resyncs_over_garbage():
     assert [e.key for e in scanned] == ["k0", "k0"]
 
 
+def _read_all(buf):
+    """Entries via read_entry alone, the reference the scan must match."""
+    out, offset = [], 0
+    while offset < len(buf):
+        entry, offset = read_entry(buf, offset, len(buf), ShapeRegistry())
+        if entry is not None:
+            out.append(entry)
+    return out
+
+
+def _fields(entries):
+    return [
+        (e.key, e.stamp, e.offset, e.length, e.payload_slice)
+        for e in entries
+    ]
+
+
+def test_scan_parses_packed_keys_like_read_entry():
+    registry = ShapeRegistry()
+    digest = "0123456789abcdef" * 4
+    blob = bytearray()
+    for i, key in enumerate((digest, "coord:" + digest, "plain", digest)):
+        payload, shape = encode_record({"i": i, "f": "grid"}, registry)
+        if i == 0:
+            blob += pack_shape_entry(shape.block)
+        blob += pack_record_entry(key, 0.5 + i, payload)
+    blob = bytes(blob)
+    scanned, offset = scan_entries(blob, 0, len(blob), ShapeRegistry())
+    assert offset == len(blob)
+    assert _fields(scanned) == _fields(_read_all(blob))
+    assert [e.key for e in scanned] == [
+        digest, "coord:" + digest, "plain", digest
+    ]
+    # A torn packed-key tail stays unscanned; a flipped length
+    # checksum resyncs to the next entry.
+    torn, torn_end = scan_entries(blob[:-3], 0, len(blob) - 3, registry)
+    assert _fields(torn) == _fields(scanned[:-1])
+    assert torn_end == scanned[-1].offset
+    dirty = bytearray(blob)
+    dirty[scanned[0].offset + 6] ^= 0xFF
+    resynced, _ = scan_entries(bytes(dirty), 0, len(dirty), registry)
+    assert _fields(resynced) == _fields(scanned[1:])
+
+
 def test_read_entry_rejects_corrupt_header():
     registry = ShapeRegistry()
     blob, _expected = _entry_stream([{"a": 1}], registry)
