@@ -21,7 +21,9 @@ record population:
   JSON-line protocol.  Gate: >= 2x smaller.
 
 Decode identity across formats is part of the claim: both stores must
-dump byte-for-byte equal ``(key, stamp, record)`` triples.
+dump equal ``(key, record)`` pairs.  The runtime store is binary-only;
+the JSONL side is the test-only control in ``_jsonl_control.py``,
+which does the work the retired JSONL store did on each leg.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import time
 import pytest
 
 from _harness import quick_mode, save_table
+from _jsonl_control import JsonlControl
 from repro.analysis.tables import Table
 from repro.runtime import ShardedStore
 from repro.runtime.codec import (
@@ -91,25 +94,35 @@ def _data_bytes(root) -> int:
     )
 
 
-def _time_resume(root) -> float:
+OPENERS = {"jsonl": JsonlControl, "rbin": ShardedStore}
+
+
+def _time_resume(fmt, root) -> float:
     start = time.perf_counter()
-    reopened = ShardedStore(root, shards=SHARDS)
+    reopened = OPENERS[fmt](root, shards=SHARDS)
     count = len(reopened)  # forces the full shard scan
     elapsed = time.perf_counter() - start
     assert count == ENTRIES
     return elapsed
 
 
-def _time_gc(root, tmp_path, rep: int) -> float:
+def _gc(store) -> int:
+    """Bound-less GC (newest-wins rewrite); returns bytes reclaimed."""
+    if isinstance(store, JsonlControl):
+        return store.gc()
+    return store.gc(ttl=None, max_bytes=None).bytes_reclaimed
+
+
+def _time_gc(fmt, root, tmp_path, rep: int) -> float:
     copy = tmp_path / f"gc-{root.name}-{rep}"
     shutil.copytree(root, copy)
     for idx in copy.glob("*.idx"):
         idx.unlink()  # time the rewrite, not a sidecar shortcut
-    victim = ShardedStore(copy, shards=SHARDS)
+    victim = OPENERS[fmt](copy, shards=SHARDS)
     start = time.perf_counter()
-    report = victim.gc(ttl=None, max_bytes=None)
+    reclaimed = _gc(victim)
     elapsed = time.perf_counter() - start
-    assert report.bytes_reclaimed > 0  # the dups really burned off
+    assert reclaimed > 0  # the dups really burned off
     return elapsed
 
 
@@ -170,7 +183,7 @@ def store_wire_table(tmp_path_factory):
     roots = {}
     for fmt in ("jsonl", "rbin"):
         root = tmp_path / fmt
-        store = ShardedStore(root, shards=SHARDS, record_format=fmt)
+        store = OPENERS[fmt](root, shards=SHARDS)
         for i in range(ENTRIES):
             store.put(_key(i), _record(i))
         # Every key again, newer: the GC leg then runs against a
@@ -182,13 +195,13 @@ def store_wire_table(tmp_path_factory):
         roots[fmt] = root
     resume_s = _paired_best(
         {
-            fmt: lambda _rep, r=root: _time_resume(r)
+            fmt: lambda _rep, f=fmt, r=root: _time_resume(f, r)
             for fmt, root in roots.items()
         }
     )
     gc_s = _paired_best(
         {
-            fmt: lambda rep, r=root: _time_gc(r, tmp_path, rep)
+            fmt: lambda rep, f=fmt, r=root: _time_gc(f, r, tmp_path, rep)
             for fmt, root in roots.items()
         }
     )
@@ -196,7 +209,7 @@ def store_wire_table(tmp_path_factory):
     for fmt, root in roots.items():
         # Footprint after compaction: live entries only, and the
         # binary side pays for its .idx sidecars.
-        ShardedStore(root, shards=SHARDS).gc(ttl=None, max_bytes=None)
+        _gc(OPENERS[fmt](root, shards=SHARDS))
         shard_bytes[fmt] = _data_bytes(root)
 
     records = [_record(i) for i in range(ENTRIES)]
@@ -213,7 +226,7 @@ def store_wire_table(tmp_path_factory):
     }
 
     dumps = {
-        fmt: sorted(ShardedStore(root, shards=SHARDS).dump())
+        fmt: sorted(OPENERS[fmt](root, shards=SHARDS).dump())
         for fmt, root in roots.items()
     }
 

@@ -564,9 +564,7 @@ def _format_bytes(count) -> str:
 
 
 def _cmd_cache(args) -> int:
-    store = ShardedStore(
-        args.cache_dir, record_format=getattr(args, "format", None)
-    )
+    store = ShardedStore(args.cache_dir)
     if args.cache_command == "dump":
         count = 0
         for key, stamp, record in sorted(store.dump()):
@@ -581,24 +579,14 @@ def _cmd_cache(args) -> int:
         if not args.json:
             print(f"({count} live entries)", file=sys.stderr)
         return 0
-    if args.cache_command == "migrate":
-        report = store.migrate()
-        print(
-            f"migrate: {report.entries} entries "
-            f"(+{report.meta_entries} meta) now {report.format}; "
-            f"{_format_bytes(report.bytes_before)} -> "
-            f"{_format_bytes(report.bytes_after)} on disk"
-        )
-        return 0
     if args.cache_command == "stats":
         usage = store.usage()
         table = Table(
             f"store {usage['root']}",
-            ["format", "shards", "entries", "live", "on disk",
-             "reclaimable", "index", "meta"],
+            ["shards", "entries", "live", "on disk", "reclaimable",
+             "index", "meta"],
         )
         table.add_row(
-            usage["format"],
             usage["shards"],
             usage["entries"],
             _format_bytes(usage["live_bytes"]),
@@ -1072,25 +1060,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="one canonical JSON object per line (machine-diffable; the "
-        "CI migration round-trip compares these)",
+        "CI compaction round-trip compares these)",
     )
     p_dump.set_defaults(func=_cmd_cache)
-    p_migrate = cache_sub.add_parser(
-        "migrate",
-        help="rewrite every shard into the target record format "
-        "(.jsonl <-> .rbin), dropping dead duplicates",
-    )
-    p_migrate.add_argument(
-        "--cache-dir", required=True, help="store directory to migrate"
-    )
-    p_migrate.add_argument(
-        "--format",
-        default="rbin",
-        choices=["rbin", "jsonl"],
-        help="target record format (default rbin; jsonl downgrades for "
-        "tools that still want line-oriented shards)",
-    )
-    p_migrate.set_defaults(func=_cmd_cache)
     return parser
 
 

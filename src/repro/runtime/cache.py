@@ -170,17 +170,12 @@ class ResultCache:
         disk_shards: number of shard files for a newly-created store.
         disk_max_entries: live-entry cap the store enforces at
             compaction time (``None`` = unbounded).
-        disk_format: record format for the store (``"rbin"`` /
-            ``"jsonl"``); ``None`` follows the store's own resolution
-            (persisted format, then ``REPRO_STORE_FORMAT``, then
-            binary).
     """
 
     max_entries: int = 4096
     disk_dir: Optional[Path] = None
     disk_shards: int = 8
     disk_max_entries: Optional[int] = None
-    disk_format: Optional[str] = None
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: "OrderedDict[str, Record]" = field(default_factory=OrderedDict)
     _store: Optional[ShardedStore] = field(default=None, repr=False)
@@ -192,7 +187,6 @@ class ResultCache:
                 self.disk_dir,
                 shards=self.disk_shards,
                 max_entries=self.disk_max_entries,
-                record_format=self.disk_format,
             )
 
     @property

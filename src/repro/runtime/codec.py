@@ -1,11 +1,8 @@
 """Packed binary record codec for the store and wire planes.
 
-The JSONL store and JSON-lines worker protocol paid ``json.dumps`` /
-``json.loads`` on fully-parsed objects for every append, lookup,
-compaction splice, resume merge, and remote result ship.  This module
-replaces that serialization layer with a stdlib-``struct`` binary
-codec -- msgpack-style framing with no new dependency -- in three
-layers:
+Every store append, lookup, compaction splice, resume merge, and
+remote result ship goes through this stdlib-``struct`` binary codec
+-- msgpack-style framing with no new dependency -- in three layers:
 
 * a **generic value codec** (tag byte + payload) covering ``None``,
   bools, arbitrary-precision ints (zigzag varint, so >64-bit values
@@ -154,10 +151,8 @@ _HEX64 = re.compile(r"[0-9a-f]{64}\Z")
 def encode_value(value: object, out: bytearray) -> None:
     """Append the tagged encoding of *value* to *out*.
 
-    Mirrors the JSON value model (so records that round-tripped
-    through JSONL shards decode equal): tuples become lists, dict
-    keys must be strings, and anything else raises
-    :class:`CodecError`.
+    Mirrors the JSON value model: tuples become lists, dict keys
+    must be strings, and anything else raises :class:`CodecError`.
     """
     if value is None:
         out.append(T_NONE)
@@ -740,7 +735,7 @@ def resync(buf: bytes, offset: int, end: int) -> Optional[int]:
     (or a truncated tail, which a later scan will finish) starts
     there.  Returns ``None`` when no candidate exists before *end*.
     Recovers the bytes appended after a torn write from a crashed
-    writer, the binary analogue of JSONL's newline resync.
+    writer.
     """
     while True:
         found = buf.find(ENTRY_MAGIC, offset, end)

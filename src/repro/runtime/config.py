@@ -1,9 +1,9 @@
 """One place for the runtime's configuration knobs: :class:`RunConfig`.
 
 The runtime grew one environment variable per feature -- batch size,
-array backend, store format, partition engine, padding waste, cache
-key mode -- and every entry point (``run_jobs``, ``run_sweep``, the
-CLI, worker processes) consulted them ad hoc.  :class:`RunConfig`
+array backend, partition engine, padding waste, cache key mode -- and
+every entry point (``run_jobs``, ``run_sweep``, the CLI, worker
+processes) consulted them ad hoc.  :class:`RunConfig`
 consolidates them behind one dataclass with a documented precedence:
 
     **constructor argument  >  environment variable  >  built-in default**
@@ -21,7 +21,6 @@ field                  environment variable        default
 ``sim_batch``          ``REPRO_SIM_BATCH``         ``1`` (no batching)
 ``sim_batch_waste``    ``REPRO_SIM_BATCH_WASTE``   ``4.0``
 ``sim_xp``             ``REPRO_SIM_XP``            ``"numpy"``
-``store_format``       ``REPRO_STORE_FORMAT``      ``"rbin"``
 ``partition_engine``   ``REPRO_PARTITION_ENGINE``  ``"auto"``
 ``cache_coord_keys``   ``REPRO_CACHE_COORD_KEYS``  ``True``
 =====================  ==========================  =================
@@ -57,7 +56,6 @@ _KNOBS: Dict[str, Tuple[str, Any, Any]] = {
     "sim_batch": ("REPRO_SIM_BATCH", _parse_batch, 1),
     "sim_batch_waste": ("REPRO_SIM_BATCH_WASTE", float, 4.0),
     "sim_xp": ("REPRO_SIM_XP", str, "numpy"),
-    "store_format": ("REPRO_STORE_FORMAT", str, "rbin"),
     "partition_engine": ("REPRO_PARTITION_ENGINE", str, "auto"),
     "cache_coord_keys": ("REPRO_CACHE_COORD_KEYS", _parse_bool, True),
 }
@@ -77,7 +75,6 @@ class RunConfig:
     sim_batch: Union[int, str, None] = None
     sim_batch_waste: Optional[float] = None
     sim_xp: Optional[str] = None
-    store_format: Optional[str] = None
     partition_engine: Optional[str] = None
     cache_coord_keys: Optional[bool] = None
 

@@ -1,58 +1,42 @@
-"""Sharded on-disk record store: append-only shards + a compact index.
+"""Sharded on-disk record store: append-only binary shards + an index.
 
-The seed cache persisted one JSON file per entry; PR 3 replaced it
-with sharded JSONL files; this revision moves the payload plane to a
-**packed binary format** (``shard-SS.rbin``, see
-:mod:`repro.runtime.codec`) while keeping every operational property
-of the JSONL store:
-
-* records append to one of ``shards`` data files; the shard is chosen
+* records append to one of ``shards`` data files (``shard-SS.rbin``,
+  packed entries from :mod:`repro.runtime.codec`); the shard is chosen
   by a stable hash of the key, so every process agrees on placement
   without coordination;
 * each process keeps a **compact in-memory index** per shard (key ->
-  ``(source file, byte offset)`` of the newest entry), built by
-  scanning the shard once and refreshed *incrementally*: when another
-  process appends, only the new tail is read, never the whole file;
+  byte offset of the newest entry), built by scanning the shard once
+  and refreshed *incrementally*: when another process appends, only
+  the new tail is read, never the whole file;
 * appends hold an ``fcntl`` exclusive lock on a per-shard lock file,
   so any number of pool workers / CLI invocations / fleet workers can
   write to one store concurrently without tearing entries;
+* **zero-parse reads**: lookups memory-map the shard file and slice
+  the record payload at its indexed offset; compaction, GC, and
+  resume merges splice entry *bytes* between files (shape-packed
+  payloads are position-independent, so splicing is safe);
+* **zero-copy hand-off**: :meth:`ShardedStore.put_raw` appends an
+  already-encoded payload (e.g. bytes received from a remote worker)
+  without decode/re-encode, and :meth:`ShardedStore.get_raw` returns
+  the stored bytes for the symmetric send path;
 * **compaction** rewrites a shard newest-wins, evicting the
   least-recently-touched entries beyond ``max_entries`` and reporting
   entries evicted + bytes reclaimed;
 * every entry carries an **append timestamp** for TTL/size
   :meth:`ShardedStore.gc`; one **metadata shard** (``meta-00``, same
-  locking, exempt from caps/GC) holds small operational records.
-
-What the binary format adds on top:
-
-* **zero-parse reads**: lookups memory-map the shard file and slice
-  the record payload at its indexed offset; compaction, GC, and
-  resume merges splice entry *bytes* between files instead of
-  JSON-round-tripping every record (shape-packed payloads are
-  position-independent, so splicing is safe);
-* **zero-copy hand-off**: :meth:`ShardedStore.put_raw` appends an
-  already-encoded payload (e.g. bytes received from a remote worker)
-  without decode/re-encode, and :meth:`ShardedStore.get_raw` returns
-  the stored bytes for the symmetric send path;
+  append path and locking, exempt from caps/GC) holds small
+  operational records;
 * a **memory-mapped shard index sidecar** (``shard-SS.idx``, written
-  after every compaction/GC/migration): the live entries' offset
-  table plus the shard's shape dictionary, so a fresh process seeds
-  its index without scanning entry-by-entry (telemetry counts
-  ``store.index_hits`` / ``store.index_misses``);
-* **formats coexist**: a directory may hold ``.jsonl`` and ``.rbin``
-  shards side by side (e.g. mid-migration, or a legacy writer against
-  an upgraded store); readers merge both, newest-scan-wins.  The
-  store format is resolved per store -- constructor argument, then
-  the format persisted in ``store.json``, then ``REPRO_STORE_FORMAT``,
-  then the ``rbin`` default -- and :meth:`ShardedStore.migrate`
-  rewrites everything (including the meta shard) into the resolved
-  format, so ``cache migrate`` upgrades legacy stores in place.
+  after every compaction/GC): the live entries' offset table plus the
+  shard's shape dictionary, so a fresh process seeds its index without
+  scanning entry-by-entry (telemetry counts ``store.index_hits`` /
+  ``store.index_misses``).
 
 Durability model: an entry is the unit of persistence.  Torn or
-corrupt entries (crash mid-append without the lock discipline, disk
-trouble) degrade to misses at scan time, never to crashes; binary
-scans resynchronize on the entry magic + header checksum, the
-analogue of JSONL's newline resync.
+corrupt entries (crash mid-append, disk trouble) degrade to misses at
+scan time, never to crashes or wrong records: scans resynchronize on
+the entry magic + header checksum, and the next locked append
+neutralizes a torn tail before writing after it.
 """
 
 from __future__ import annotations
@@ -103,12 +87,7 @@ META_SHARD = "meta-00"
 """Basename of the metadata shard (cost tables, operational records)."""
 
 FORMAT_RBIN = "rbin"
-FORMAT_JSONL = "jsonl"
-FORMAT_ENV_VAR = "REPRO_STORE_FORMAT"
-"""Environment override for the store format of newly-opened stores."""
-
-SRC_BIN = 0
-SRC_JSONL = 1
+"""The record format ``store.json`` declares; the only one there is."""
 
 IDX_MAGIC = b"RIDX\x01"
 _IDX_HEAD = struct.Struct("<QB16s")
@@ -117,17 +96,6 @@ _IDX_HEAD = struct.Struct("<QB16s")
 def _now() -> float:
     """Wall-clock used for entry timestamps (monkeypatchable in tests)."""
     return time.time()
-
-
-def resolve_format(explicit: Optional[str], persisted: Optional[str]) -> str:
-    """Store format resolution: argument > ``store.json`` > env > rbin."""
-    fmt = explicit or persisted or os.environ.get(FORMAT_ENV_VAR) or FORMAT_RBIN
-    if fmt not in (FORMAT_RBIN, FORMAT_JSONL):
-        raise ValueError(
-            f"unknown store format {fmt!r} "
-            f"(expected {FORMAT_RBIN!r} or {FORMAT_JSONL!r})"
-        )
-    return fmt
 
 
 def shard_of_key(key: str, shards: int) -> int:
@@ -189,42 +157,27 @@ class GCReport:
         return self
 
 
-@dataclass
-class MigrateReport:
-    """Outcome of one :meth:`ShardedStore.migrate` pass."""
-
-    format: str = FORMAT_RBIN
-    entries: int = 0
-    meta_entries: int = 0
-    bytes_before: int = 0
-    bytes_after: int = 0
-
-
 class _Shard:
-    """One logical shard: up to two data files plus this process's index.
+    """One logical shard: its data file plus this process's index.
 
-    ``index`` maps key -> ``(src, offset)`` of the newest entry
-    holding it (``src`` selects the ``.rbin`` or legacy ``.jsonl``
-    file), ordered by recency (move-to-end on append and lookup).
-    ``scanned_bin`` / ``scanned_jsonl`` are how far into each file the
-    index is valid; anything past them was appended by another
-    process and is folded in lazily.  Binary reads go through a
-    persistent read-only ``mmap`` so steady-state lookups cost a
-    slice, not an ``open``/``seek``/``read`` cycle.
+    ``index`` maps key -> byte offset of the newest entry holding it,
+    ordered by recency (move-to-end on append and lookup).
+    ``scanned_bin`` is how far into the file the index is valid;
+    anything past it was appended by another process and is folded in
+    lazily.  Reads go through a persistent read-only ``mmap`` so
+    steady-state lookups cost a slice, not an ``open``/``seek``/
+    ``read`` cycle.
     """
 
     __slots__ = (
         "name",
         "bin_path",
-        "jsonl_path",
         "idx_path",
         "index",
         "scanned_bin",
-        "scanned_jsonl",
         "bin_end",
         "shapes_written",
         "bin_absent",
-        "jsonl_absent",
         "idx_tried",
         "stats",
         "_mmap",
@@ -234,22 +187,19 @@ class _Shard:
         self.name = name
         self.stats = stats  # owning store's StoreStats, if any
         self.bin_path = root / f"{name}.rbin"
-        self.jsonl_path = root / f"{name}.jsonl"
         self.idx_path = root / f"{name}.idx"
-        self.index: "OrderedDict[str, Tuple[int, int]]" = OrderedDict()
+        self.index: "OrderedDict[str, int]" = OrderedDict()
         self.scanned_bin = 0
-        self.scanned_jsonl = 0
         # Writer-side state: the binary file's size after our last
         # locked append.  A later append that finds the file *smaller*
         # knows another process rewrote it and re-emits shape
         # definitions (duplicates are harmless, missing ones are not).
         self.bin_end = 0
         self.shapes_written: set = set()
-        # Missing-file stat caches: once a rescan-from-zero observes a
-        # data file absent, skip re-statting it on every refresh until
-        # the next reset (or until this process creates it).
+        # Missing-file stat cache: once a rescan-from-zero observes
+        # the data file absent, skip re-statting it on every refresh
+        # until the next reset (or until this process creates it).
         self.bin_absent = False
-        self.jsonl_absent = False
         self.idx_tried = False
         self._mmap: Optional[mmap.mmap] = None
 
@@ -257,9 +207,7 @@ class _Shard:
         """Forget everything scanned; the next refresh starts over."""
         self.index.clear()
         self.scanned_bin = 0
-        self.scanned_jsonl = 0
         self.bin_absent = False
-        self.jsonl_absent = False
         self.idx_tried = False
         self.close_mmap()
 
@@ -272,15 +220,6 @@ class _Shard:
             return os.stat(self.bin_path).st_size
         except OSError:
             self.bin_absent = True
-            return 0
-
-    def stat_jsonl(self) -> int:
-        if self.jsonl_absent:
-            return 0
-        try:
-            return os.stat(self.jsonl_path).st_size
-        except OSError:
-            self.jsonl_absent = True
             return 0
 
     def close_mmap(self) -> None:
@@ -339,28 +278,14 @@ class _Shard:
 
     # -- scanning ---------------------------------------------------
 
-    def refresh(self, prefer_bin: bool) -> None:
+    def refresh(self) -> None:
         """Fold in entries appended since the last scan (cheap when none)."""
-        bin_size = self.stat_bin()
-        jsonl_size = self.stat_jsonl()
-        if bin_size < self.scanned_bin or jsonl_size < self.scanned_jsonl:
-            # A file vanished or shrank behind our back (clear or
+        size = self.stat_bin()
+        if size < self.scanned_bin:
+            # The file vanished or shrank behind our back (clear or
             # compaction in another process): rescan from scratch.
             self.reset()
-            bin_size = self.stat_bin()
-            jsonl_size = self.stat_jsonl()
-        # Scan the losing format first: on key collisions across
-        # files, the store's own format wins within one refresh
-        # (across refreshes, whichever file grew last wins -- the
-        # chronologically newest append).
-        if prefer_bin:
-            self._scan_jsonl_tail(jsonl_size)
-            self._scan_bin_tail(bin_size)
-        else:
-            self._scan_bin_tail(bin_size)
-            self._scan_jsonl_tail(jsonl_size)
-
-    def _scan_bin_tail(self, size: int) -> None:
+            size = self.stat_bin()
         if self.scanned_bin == 0 and size > 0 and not self.idx_tried:
             self.idx_tried = True
             hit = self._load_idx(size)
@@ -386,34 +311,11 @@ class _Shard:
         entries, scanned = scan_entries(data, 0, len(data), GLOBAL_SHAPES)
         index = self.index
         for entry in entries:
-            index[entry.key] = (SRC_BIN, base + entry.offset)
+            index[entry.key] = base + entry.offset
             index.move_to_end(entry.key)
         # A trailing truncated entry (writer mid-append) stays
         # unscanned so the next refresh picks it up once complete.
         self.scanned_bin = base + scanned
-
-    def _scan_jsonl_tail(self, size: int) -> None:
-        if size <= self.scanned_jsonl:
-            return
-        line = b"\n"
-        try:
-            with open(self.jsonl_path, "rb") as handle:
-                handle.seek(self.scanned_jsonl)
-                offset = self.scanned_jsonl
-                for line in handle:
-                    if line.endswith(b"\n"):
-                        key = _key_of_line(line)
-                        if key is not None:
-                            self.index[key] = (SRC_JSONL, offset)
-                            self.index.move_to_end(key)
-                    offset += len(line)
-        except OSError:
-            self.reset()
-            return
-        # A trailing partial line (writer mid-append) stays unscanned.
-        self.scanned_jsonl = (
-            offset if line_complete(line) else offset - len(line)
-        )
 
     def _load_idx(self, bin_size: int) -> bool:
         """Seed the index from the ``.idx`` sidecar; True on success.
@@ -446,7 +348,7 @@ class _Shard:
                 GLOBAL_SHAPES.register_block(blob[pos : pos + length])
                 pos += length
             n_entries, pos = read_uvarint(blob, pos)
-            seeded: "OrderedDict[str, Tuple[int, int]]" = OrderedDict()
+            seeded: "OrderedDict[str, int]" = OrderedDict()
             offset = 0
             for _ in range(n_entries):
                 delta, pos = read_uvarint(blob, pos)
@@ -454,7 +356,7 @@ class _Shard:
                 entry, _ = read_entry(buf, offset, data_size, GLOBAL_SHAPES)
                 if entry is None:
                     return False
-                seeded[entry.key] = (SRC_BIN, offset)
+                seeded[entry.key] = offset
         except (CorruptEntry, TruncatedEntry, ValueError, struct.error):
             return False
         self.index.update(seeded)
@@ -462,46 +364,15 @@ class _Shard:
         return True
 
 
-def line_complete(line: bytes) -> bool:
-    return line.endswith(b"\n")
-
-
-def _key_of_line(line: bytes) -> Optional[str]:
-    try:
-        payload = json.loads(line)
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if isinstance(payload, dict) and isinstance(payload.get("k"), str):
-        return payload["k"]
-    return None
-
-
-def _jsonl_line(key: str, record: Record, stamp: float) -> bytes:
-    return (
-        json.dumps(
-            {"k": key, "r": record, "t": stamp},
-            separators=(",", ":"),
-        )
-        + "\n"
-    ).encode("utf-8")
-
-
 def count_record_entries(root) -> int:
     """Physical record entries across every data shard file in *root*.
 
     Counts one per append (newest-wins duplicates included, shape
-    definitions and the meta shard excluded) over both formats --
-    tests use it to assert how many records actually landed on disk.
+    definitions and the meta shard excluded) -- tests use it to assert
+    how many records actually landed on disk.
     """
-    root = Path(root)
     total = 0
-    for path in root.glob("shard-*.jsonl"):
-        try:
-            with open(path, "rb") as handle:
-                total += sum(1 for line in handle if line.endswith(b"\n"))
-        except OSError:
-            continue
-    for path in root.glob("shard-*.rbin"):
+    for path in Path(root).glob("shard-*.rbin"):
         try:
             data = path.read_bytes()
         except OSError:
@@ -526,18 +397,16 @@ class ShardedStore:
             holds more than ``compact_factor`` times its live entries
             (dead newest-wins duplicates) and at least ``shards``
             entries.
-        record_format: ``"rbin"`` (packed binary, the default) or
-            ``"jsonl"`` (legacy line format); ``None`` resolves from
-            ``store.json``, then ``REPRO_STORE_FORMAT``, then rbin.
-            Either format *reads* both; the format selects what new
-            appends and rewrites produce.
+
+    Raises:
+        ValueError: ``store.json`` declares a record format other
+            than ``rbin``.
     """
 
     root: Path
     shards: int = DEFAULT_SHARDS
     max_entries: Optional[int] = None
     compact_factor: float = 4.0
-    record_format: Optional[str] = None
     stats: StoreStats = field(default_factory=StoreStats)
     _shards: List[_Shard] = field(default_factory=list, repr=False)
     _lines: List[int] = field(default_factory=list, repr=False)
@@ -545,40 +414,24 @@ class ShardedStore:
     def __post_init__(self):
         self.root = Path(self.root)
         meta = self.root / "store.json"
-        persisted_format: Optional[str] = None
+        persisted_format: object = FORMAT_RBIN
         if meta.is_file():
             try:
                 persisted = json.loads(meta.read_text())
                 self.shards = int(persisted.get("shards", self.shards))
-                fmt = persisted.get("format")
-                if isinstance(fmt, str):
-                    persisted_format = fmt
+                persisted_format = persisted.get("format", FORMAT_RBIN)
             except (ValueError, OSError):
                 pass
-        self.record_format = resolve_format(
-            self.record_format, persisted_format
-        )
-        # An explicit ctor format that contradicts store.json re-points
-        # the store durably on first write: later openers must resolve
-        # the same format, or cross-format newest-wins inverts.
-        self._format_stale = (
-            persisted_format is not None
-            and self.record_format != persisted_format
-        )
+        if persisted_format != FORMAT_RBIN:
+            raise ValueError(
+                f"unknown store format {persisted_format!r} in {meta} "
+                f"(expected {FORMAT_RBIN!r})"
+            )
         self._shards = [
             _Shard(self.root, f"shard-{i:02d}", stats=self.stats)
             for i in range(self.shards)
         ]
         self._lines = [0] * self.shards
-
-    @property
-    def format(self) -> str:
-        """The resolved record format new appends use."""
-        return self.record_format or FORMAT_RBIN
-
-    @property
-    def _prefer_bin(self) -> bool:
-        return self.record_format != FORMAT_JSONL
 
     # -- layout helpers ---------------------------------------------
 
@@ -586,28 +439,15 @@ class ShardedStore:
         if not self.root.is_dir():
             self.root.mkdir(parents=True, exist_ok=True)
         meta = self.root / "store.json"
-        if not meta.is_file() or self._format_stale:
-            self._write_store_json()
-            self._format_stale = False
-
-    def _write_store_json(self) -> None:
-        meta = self.root / "store.json"
-        tmp = meta.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(
-                {
-                    "version": 2,
-                    "shards": self.shards,
-                    "format": self.format,
-                }
+        if not meta.is_file():
+            tmp = meta.with_suffix(".tmp")
+            tmp.write_text(
+                json.dumps(
+                    {"version": 2, "shards": self.shards, "format": FORMAT_RBIN}
+                )
+                + "\n"
             )
-            + "\n"
-        )
-        os.replace(tmp, meta)
-
-    def _lock(self, shard_id: int):
-        """Exclusive lock for one data shard (see :meth:`_lock_named`)."""
-        return self._lock_named(f"shard-{shard_id:02d}")
+            os.replace(tmp, meta)
 
     @contextmanager
     def _lock_named(self, name: str):
@@ -616,8 +456,7 @@ class ShardedStore:
         The fallback spins on atomically creating ``.mutex``; a mutex
         older than 30s is presumed leaked by a dead process and
         broken.  Multi-writer appends are therefore serialized on
-        every platform, matching the rename-atomicity the per-entry
-        JSON layout used to provide.
+        every platform.
         """
         self._ensure_root()
         lock_path = self.root / f"{name}.lock"
@@ -663,14 +502,14 @@ class ShardedStore:
         """Return the newest record stored under *key*, or ``None``."""
         self.stats.lookups += 1
         shard = self._shards[shard_of_key(key, self.shards)]
-        shard.refresh(self._prefer_bin)
+        shard.refresh()
         record = self._read_indexed(shard, key)
         if record is None and key in shard.index:
             # The offset was stale (another process rewrote the shard
             # without shrinking it below our scan pointer): rebuild
             # the index from scratch and retry once.
             shard.reset()
-            shard.refresh(self._prefer_bin)
+            shard.refresh()
             record = self._read_indexed(shard, key)
         if record is None:
             return None
@@ -681,18 +520,16 @@ class ShardedStore:
     def get_raw(self, key: str) -> Optional[bytes]:
         """The stored binary payload for *key*, or ``None``.
 
-        Only binary-sourced entries have payload bytes; a key living
-        in a legacy ``.jsonl`` shard returns ``None`` and the caller
-        falls back to :meth:`get` + re-encode.  Workers use this to
-        ship cache hits over the wire without a decode/encode cycle.
+        Workers use this to ship cache hits over the wire without a
+        decode/encode cycle.
         """
         self.stats.lookups += 1
         shard = self._shards[shard_of_key(key, self.shards)]
-        shard.refresh(self._prefer_bin)
+        shard.refresh()
         payload = self._read_indexed(shard, key, raw=True)
         if payload is None and key in shard.index:
             shard.reset()
-            shard.refresh(self._prefer_bin)
+            shard.refresh()
             payload = self._read_indexed(shard, key, raw=True)
         if payload is None:
             return None
@@ -703,41 +540,16 @@ class ShardedStore:
     def _read_indexed(
         self, shard: _Shard, key: str, raw: bool = False
     ) -> Optional[object]:
-        entry = shard.index.get(key)
-        if entry is None:
+        offset = shard.index.get(key)
+        if offset is None:
             return None
-        src, offset = entry
-        if src == SRC_JSONL:
-            record = self._jsonl_record_at(shard, offset, key)
-            if record is None or not raw:
-                return record
-            return None  # raw bytes only exist for binary entries
-        return self._bin_record_at(shard, offset, key, raw=raw)
+        return self._record_at(shard, offset, key, raw=raw)
 
     @staticmethod
-    def _jsonl_record_at(
-        shard: _Shard, offset: int, key: str
-    ) -> Optional[Record]:
-        """Read *key*'s JSON line at its indexed offset; None if stale."""
-        try:
-            with open(shard.jsonl_path, "rb") as handle:
-                handle.seek(offset)
-                line = handle.readline()
-            payload = json.loads(line)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or payload.get("k") != key:
-            # The line at this offset belongs to a different key: the
-            # file was rewritten behind our back.  Never serve it.
-            return None
-        record = payload.get("r")
-        return record if isinstance(record, dict) else None
-
-    @staticmethod
-    def _bin_record_at(
+    def _record_at(
         shard: _Shard, offset: int, key: str, raw: bool = False
     ) -> Optional[object]:
-        """Read *key*'s payload at its indexed binary offset."""
+        """Read *key*'s payload at *offset*; None if stale or torn."""
         hit = shard.bin_entry_at(offset, GLOBAL_SHAPES)
         if hit is None:
             return None
@@ -763,18 +575,8 @@ class ShardedStore:
         Each entry is stamped with the append wall-clock time, which
         is what :meth:`gc` ages entries by.
         """
-        shard_id = shard_of_key(key, self.shards)
-        shard = self._shards[shard_id]
-        stamp = round(_now(), 3)
-        if self._prefer_bin:
-            payload, shape = encode_record(record)
-            self._append_bin(shard, shard_id, key, stamp, payload, shape)
-        else:
-            self._append_jsonl(shard, shard_id, key, record, stamp)
-        self.stats.appends += 1
-        if telemetry_enabled():
-            get_metrics().inc("store.appends")
-        self._maybe_compact(shard_id)
+        payload, shape = encode_record(record)
+        self._put_payload(key, payload, shape)
 
     def put_raw(self, key: str, payload: bytes) -> None:
         """Append an already-encoded payload without re-encoding.
@@ -783,38 +585,29 @@ class ShardedStore:
         read from another store) land verbatim.  The payload's shape
         must already be registered (wire frames and shard scans both
         register definitions before any payload referencing them).
-        On a legacy-format store this degrades to decode + JSON
-        append, keeping the store uniform for legacy readers.
         """
         shape = shape_of_payload(payload)
         if shape is None:
             raise UnknownShapeError(bytes(payload[:8]).hex())
+        self._put_payload(key, payload, shape)
+        if telemetry_enabled():
+            get_metrics().inc("store.raw_appends")
+
+    def _put_payload(self, key: str, payload: bytes, shape) -> None:
         shard_id = shard_of_key(key, self.shards)
-        shard = self._shards[shard_id]
-        stamp = round(_now(), 3)
-        if self._prefer_bin:
-            self._append_bin(shard, shard_id, key, stamp, payload, shape)
-        else:
-            self._append_jsonl(
-                shard, shard_id, key, decode_record(payload), stamp
-            )
+        self._append(self._shards[shard_id], key, payload, shape)
         self.stats.appends += 1
         if telemetry_enabled():
             get_metrics().inc("store.appends")
-            get_metrics().inc("store.raw_appends")
         self._maybe_compact(shard_id)
 
-    def _append_bin(
-        self,
-        shard: _Shard,
-        shard_id: int,
-        key: str,
-        stamp: float,
-        payload: bytes,
-        shape,
-    ) -> None:
-        entry = pack_record_entry(key, stamp, payload)
-        with self._lock(shard_id):
+    def _append(self, shard: _Shard, key: str, payload: bytes, shape) -> None:
+        """Append one stamped record entry to *shard* under its lock.
+
+        The one append path for data and metadata shards alike.
+        """
+        entry = pack_record_entry(key, round(_now(), 3), payload)
+        with self._lock_named(shard.name):
             with open(shard.bin_path, "ab") as handle:
                 offset = handle.tell()
                 if offset < shard.bin_end:
@@ -838,8 +631,7 @@ class ShardedStore:
                 shard.bin_end = offset + len(prefix) + len(entry)
         shard.shapes_written.add(shape.shape_id)
         shard.bin_absent = False
-        record_offset = shard.bin_end - len(entry)
-        shard.index[key] = (SRC_BIN, record_offset)
+        shard.index[key] = shard.bin_end - len(entry)
         shard.index.move_to_end(key)
         # Our scan pointer advances past our own entry only when no
         # other writer interleaved; otherwise the next refresh re-reads
@@ -867,7 +659,7 @@ class ShardedStore:
             gap = reader.read(size - start)
         entries, scanned = scan_entries(gap, 0, len(gap), GLOBAL_SHAPES)
         for entry in entries:
-            shard.index[entry.key] = (SRC_BIN, start + entry.offset)
+            shard.index[entry.key] = start + entry.offset
             shard.index.move_to_end(entry.key)
         if start + scanned < size:
             with open(shard.bin_path, "r+b") as patcher:
@@ -875,35 +667,16 @@ class ShardedStore:
                 patcher.write(b"\x00")  # kill the torn entry's magic
         shard.scanned_bin = start + scanned
 
-    def _append_jsonl(
-        self,
-        shard: _Shard,
-        shard_id: int,
-        key: str,
-        record: Record,
-        stamp: float,
-    ) -> None:
-        line = _jsonl_line(key, record, stamp)
-        with self._lock(shard_id):
-            with open(shard.jsonl_path, "ab") as handle:
-                offset = handle.tell()
-                handle.write(line)
-        shard.jsonl_absent = False
-        shard.index[key] = (SRC_JSONL, offset)
-        shard.index.move_to_end(key)
-        if offset == shard.scanned_jsonl:
-            shard.scanned_jsonl = offset + len(line)
-
     def __len__(self) -> int:
         total = 0
         for shard in self._shards:
-            shard.refresh(self._prefer_bin)
+            shard.refresh()
             total += len(shard.index)
         return total
 
     def keys(self) -> Iterator[str]:
         for shard in self._shards:
-            shard.refresh(self._prefer_bin)
+            shard.refresh()
             yield from list(shard.index)
 
     # -- compaction / eviction --------------------------------------
@@ -933,18 +706,16 @@ class ShardedStore:
         Returns a :class:`ClearReport` of entries evicted (cap
         overflow only -- deduplicated stale entries are not
         "entries") and total bytes reclaimed.  Rewrites splice entry
-        bytes for binary sources and convert legacy JSONL lines into
-        the store format, so compaction doubles as incremental
-        migration; the ``.idx`` sidecar is refreshed afterwards.
+        bytes; the ``.idx`` sidecar is refreshed afterwards.
         """
         report = ClearReport()
         ids = range(self.shards) if shard_id is None else (shard_id,)
         cap = self._live_cap_per_shard()
         for sid in ids:
             shard = self._shards[sid]
-            with self._lock(sid):
-                shard.refresh(self._prefer_bin)
-                old_size = shard.stat_bin() + shard.stat_jsonl()
+            with self._lock_named(shard.name):
+                shard.refresh()
+                old_size = shard.stat_bin()
                 if not shard.index and old_size == 0:
                     self._lines[sid] = 0
                     continue
@@ -952,7 +723,7 @@ class ShardedStore:
                 evicted = 0
                 if cap is not None and len(keep) > cap:
                     evicted = len(keep) - cap
-                    for key, _entry in keep[:evicted]:
+                    for key, _offset in keep[:evicted]:
                         del shard.index[key]
                     keep = keep[evicted:]
                 new_size = self._rewrite_shard(shard, keep)
@@ -971,83 +742,34 @@ class ShardedStore:
 
     # -- garbage collection -----------------------------------------
 
-    def _scan_live(
-        self, shard: _Shard
-    ) -> "OrderedDict[str, Tuple[int, int, int, float, int]]":
-        """Newest-wins scan of one shard's data files.
-
-        Returns ``key -> (src, offset, length, timestamp,
-        payload_start)`` for every complete entry, later entries
-        overriding earlier ones (the store's own format winning ties
-        across files).  Binary entries are parsed header-only -- no
-        payload decode; ``payload_start`` is the absolute file offset
-        of the entry's packed payload (``-1`` for JSONL sources), so
-        a rewrite can splice entry bytes without re-parsing them.
-        Entries without a timestamp (pre-GC stores) age as epoch 0,
-        so a TTL pass retires them first.
-        """
-        live: "OrderedDict[str, Tuple[int, int, int, float, int]]" = (
-            OrderedDict()
-        )
-        if self._prefer_bin:
-            self._scan_live_jsonl(shard, live)
-            self._scan_live_bin(shard, live)
-        else:
-            self._scan_live_bin(shard, live)
-            self._scan_live_jsonl(shard, live)
-        return live
-
     @staticmethod
-    def _scan_live_bin(
+    def _scan_live(
         shard: _Shard,
-        live: "OrderedDict[str, Tuple[int, int, int, float, int]]",
-    ) -> None:
+    ) -> "OrderedDict[str, Tuple[int, int, float, int]]":
+        """Newest-wins scan of one shard's data file.
+
+        Returns ``key -> (offset, length, timestamp, payload_start)``
+        for every complete entry, later entries overriding earlier
+        ones.  Entries are parsed header-only -- no payload decode;
+        ``payload_start`` is the absolute file offset of the entry's
+        packed payload, so a rewrite can splice entry bytes without
+        re-parsing them.
+        """
+        live: "OrderedDict[str, Tuple[int, int, float, int]]" = OrderedDict()
         try:
             data = shard.bin_path.read_bytes()
         except OSError:
-            return
+            return live
         entries, _ = scan_entries(data, 0, len(data), GLOBAL_SHAPES)
         for entry in entries:
             live[entry.key] = (
-                SRC_BIN,
                 entry.offset,
                 entry.length,
                 entry.stamp,
                 entry.payload_slice[0],
             )
             live.move_to_end(entry.key)
-
-    @staticmethod
-    def _scan_live_jsonl(
-        shard: _Shard,
-        live: "OrderedDict[str, Tuple[int, int, int, float, int]]",
-    ) -> None:
-        try:
-            with open(shard.jsonl_path, "rb") as handle:
-                offset = 0
-                for line in handle:
-                    if line_complete(line):
-                        try:
-                            payload = json.loads(line)
-                        except (ValueError, UnicodeDecodeError):
-                            payload = None
-                        if isinstance(payload, dict) and isinstance(
-                            payload.get("k"), str
-                        ):
-                            stamp = payload.get("t")
-                            live[payload["k"]] = (
-                                SRC_JSONL,
-                                offset,
-                                len(line),
-                                float(stamp)
-                                if isinstance(stamp, (int, float))
-                                else 0.0,
-                                -1,
-                            )
-                            live.move_to_end(payload["k"])
-                    offset += len(line)
-        except OSError:
-            return
+        return live
 
     def gc(
         self,
@@ -1098,7 +820,7 @@ class ShardedStore:
         seen: List[set] = [set() for _ in range(self.shards)]
         expired = 0
         for sid in range(self.shards if limited else 0):
-            for key, (_src, _offset, length, stamp, _pay) in self._scan_live(
+            for key, (_offset, length, stamp, _pay) in self._scan_live(
                 self._shards[sid]
             ).items():
                 seen[sid].add(key)
@@ -1130,12 +852,12 @@ class ShardedStore:
         )
         for sid in range(self.shards):
             shard = self._shards[sid]
-            with self._lock(sid):
+            with self._lock_named(shard.name):
                 live = self._scan_live(shard)
                 if not live:
                     self._drop_shard_files(shard, sid, report)
                     continue
-                old_size = shard.stat_bin() + shard.stat_jsonl()
+                old_size = shard.stat_bin()
                 # Keep: phase-1 survivors, anything stamped after the
                 # grace floor (covers appends during the GC, timestamp
                 # rounding, and cross-host clock skew up to *grace*),
@@ -1143,15 +865,14 @@ class ShardedStore:
                 keep = []
                 kept_bytes = 0
                 for key, ref in live.items():
-                    stamp = ref[3]
                     if (
                         not limited
                         or (sid, key) in survivors
-                        or stamp > keep_floor
+                        or ref[2] > keep_floor
                         or key not in seen[sid]
                     ):
                         keep.append((key, ref))
-                        kept_bytes += ref[2]
+                        kept_bytes += ref[1]
                 removed = len(live) - len(keep)
                 new_size = self._rewrite_shard(shard, keep)
                 self._lines[sid] = len(shard.index)
@@ -1184,27 +905,32 @@ class ShardedStore:
         meta shard cannot grow without bound either.
         """
         meta = self._meta
-        with self._lock_named(META_SHARD):
+        with self._lock_named(meta.name):
             live = self._scan_live(meta)
             if not live:
                 return GCReport()
-            old_size = meta.stat_bin() + meta.stat_jsonl()
-            keep = list(live.items())
-            new_size = self._rewrite_shard(meta, keep)
+            old_size = meta.stat_bin()
+            new_size = self._rewrite_shard(meta, list(live.items()))
             return GCReport(bytes_reclaimed=max(0, old_size - new_size))
 
     def _drop_shard_files(
         self, shard: _Shard, sid: int, report: GCReport
     ) -> None:
         """Remove an all-dead shard's files during GC (caller locks)."""
+        size = self._unlink_shard(shard)
+        self._lines[sid] = 0
+        if size:
+            report += GCReport(bytes_reclaimed=size)
+
+    @staticmethod
+    def _unlink_shard(shard: _Shard) -> int:
+        """Delete *shard*'s data file and sidecar; returns bytes freed."""
         size = 0
-        for path in (shard.bin_path, shard.jsonl_path):
-            try:
-                file_size = path.stat().st_size
-                path.unlink()
-                size += file_size
-            except OSError:
-                continue
+        try:
+            size = shard.bin_path.stat().st_size
+            shard.bin_path.unlink()
+        except OSError:
+            size = 0
         try:
             shard.idx_path.unlink()
         except OSError:
@@ -1212,121 +938,44 @@ class ShardedStore:
         shard.reset()
         shard.bin_end = 0
         shard.shapes_written.clear()
-        self._lines[sid] = 0
-        if size:
-            report += GCReport(bytes_reclaimed=size)
+        return size
 
     # -- shard rewriting --------------------------------------------
 
     def _rewrite_shard(
-        self, shard: _Shard, keep: List[Tuple[str, Tuple]]
+        self, shard: _Shard, keep: List[Tuple[str, object]]
     ) -> int:
-        """Rewrite *shard* to exactly the ``(key, source ref)``
-        entries, in the store's own format.
+        """Rewrite *shard* to exactly the ``(key, source ref)`` entries.
 
-        A source ref is ``(src, offset)`` (from the append index) or
-        the full :meth:`_scan_live` 5-tuple, whose length and payload
-        offset let binary entries splice with no per-entry re-parse.
+        A source ref is a bare offset (from the append index) or the
+        full :meth:`_scan_live` 4-tuple, whose length and payload
+        offset let entries splice with no per-entry re-parse.
 
-        The shared tail of :meth:`compact`, :meth:`gc`, and
-        :meth:`migrate` (caller holds the shard lock): binary sources
-        are spliced byte-for-byte (shape-packed payloads are position
-        independent), JSONL lines are converted, shape definitions
-        are written ahead of their first use, and the result
-        atomically replaces the shard -- the other format's file and
-        a stale ``.idx`` are removed once their live entries are
-        absorbed.  Unreadable source entries are dropped (they were
-        unreadable in place too).  Adopts the new index/scan state on
-        *shard* and returns the new data size.
+        The shared tail of :meth:`compact` and :meth:`gc` (caller
+        holds the shard lock): entries are spliced byte-for-byte
+        (shape-packed payloads are position independent), shape
+        definitions are written ahead of their first use, and the
+        result atomically replaces the shard.  Unreadable source
+        entries are dropped (they were unreadable in place too).
+        Adopts the new index/scan state on *shard*, writes its
+        ``.idx`` sidecar, and returns the new data size.
         """
-        if self._prefer_bin:
-            return self._rewrite_shard_bin(shard, keep)
-        return self._rewrite_shard_jsonl(shard, keep)
-
-    @staticmethod
-    def _read_bin_source(
-        shard: _Shard, keep: List[Tuple[str, Tuple]]
-    ) -> Optional[bytes]:
-        """The shard's binary file, read once, when any keep needs it."""
-        if not any(ref[0] == SRC_BIN for _key, ref in keep):
-            return None
-        try:
-            return shard.bin_path.read_bytes()
-        except OSError:
-            return None
-
-    def _read_source_entry(
-        self,
-        shard: _Shard,
-        ref: Tuple,
-        bin_data: Optional[bytes],
-    ) -> Optional[Tuple[bytes, float, Optional[bytes]]]:
-        """Fetch one rewrite source: ``(entry_bytes, stamp, payload)``.
-
-        Binary sources are spliced out of *bin_data* -- the shard
-        file read into memory once per rewrite, so a compaction costs
-        one read per shard instead of two seeks per entry.  A full
-        scan ref (length + payload offset, produced by
-        :meth:`_scan_live` under the same lock) slices the entry out
-        directly; a bare ``(src, offset)`` ref re-parses it.
-        ``payload`` is ``None`` for JSONL sources (``entry_bytes`` is
-        then the raw line); unreadable sources return ``None``.
-        """
-        src, offset = ref[0], ref[1]
-        if src == SRC_JSONL:
-            try:
-                with open(shard.jsonl_path, "rb") as handle:
-                    handle.seek(offset)
-                    line = handle.readline()
-            except OSError:
-                return None
-            return line, 0.0, None
-        if bin_data is None:
-            return None
-        if len(ref) == 5:
-            end = offset + ref[2]
-            if end <= len(bin_data) and ref[4] >= 0:
-                return (
-                    bin_data[offset:end],
-                    ref[3],
-                    bin_data[ref[4] : end],
-                )
-        try:
-            entry, _ = read_entry(
-                bin_data, offset, len(bin_data), GLOBAL_SHAPES
-            )
-        except (CorruptEntry, TruncatedEntry):
-            return None
-        if entry is None:
-            return None
-        start, end = entry.payload_slice
-        return (
-            bin_data[offset : offset + entry.length],
-            entry.stamp,
-            bin_data[start:end],
-        )
-
-    def _rewrite_shard_bin(
-        self, shard: _Shard, keep: List[Tuple[str, Tuple]]
-    ) -> int:
         fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        new_index: "OrderedDict[str, Tuple[int, int]]" = OrderedDict()
+        new_index: "OrderedDict[str, int]" = OrderedDict()
         shapes_written: set = set()
         shape_blocks: List[bytes] = []
         offset_out = 0
-        bin_data = self._read_bin_source(shard, keep)
+        try:
+            data = shard.bin_path.read_bytes() if keep else b""
+        except OSError:
+            data = b""
         try:
             with os.fdopen(fd, "wb") as dst:
                 for key, ref in keep:
-                    source = self._read_source_entry(shard, ref, bin_data)
+                    source = self._source_entry(ref, data)
                     if source is None:
                         continue
-                    entry_bytes, stamp, payload = source
-                    if payload is None:
-                        converted = self._convert_jsonl_line(key, entry_bytes)
-                        if converted is None:
-                            continue
-                        entry_bytes, payload, stamp = converted
+                    entry_bytes, payload = source
                     shape_id = bytes(payload[:8])
                     if shape_id not in shapes_written:
                         shape = GLOBAL_SHAPES.get(shape_id)
@@ -1338,7 +987,7 @@ class ShardedStore:
                         shapes_written.add(shape_id)
                         shape_blocks.append(shape.block)
                     dst.write(entry_bytes)
-                    new_index[key] = (SRC_BIN, offset_out)
+                    new_index[key] = offset_out
                     offset_out += len(entry_bytes)
             os.replace(tmp_name, shard.bin_path)
         except BaseException:
@@ -1347,95 +996,48 @@ class ShardedStore:
             except OSError:
                 pass
             raise
-        try:
-            shard.jsonl_path.unlink()  # live lines absorbed above
-        except OSError:
-            pass
         self._write_idx(shard, new_index, offset_out, shape_blocks)
         shard.close_mmap()
         shard.index = new_index
         shard.scanned_bin = offset_out
-        shard.scanned_jsonl = 0
         shard.bin_absent = False
-        shard.jsonl_absent = True
         shard.idx_tried = True
         shard.bin_end = offset_out
         shard.shapes_written = shapes_written
         return offset_out
 
-    def _rewrite_shard_jsonl(
-        self, shard: _Shard, keep: List[Tuple[str, Tuple]]
-    ) -> int:
-        fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        new_index: "OrderedDict[str, Tuple[int, int]]" = OrderedDict()
-        offset_out = 0
-        bin_data = self._read_bin_source(shard, keep)
-        try:
-            with os.fdopen(fd, "wb") as dst:
-                for key, ref in keep:
-                    source = self._read_source_entry(shard, ref, bin_data)
-                    if source is None:
-                        continue
-                    entry_bytes, stamp, payload = source
-                    if payload is not None:
-                        try:
-                            record = decode_record(payload)
-                        except (
-                            UnknownShapeError,
-                            CorruptEntry,
-                            TruncatedEntry,
-                        ):
-                            continue
-                        entry_bytes = _jsonl_line(key, record, stamp)
-                    dst.write(entry_bytes)
-                    new_index[key] = (SRC_JSONL, offset_out)
-                    offset_out += len(entry_bytes)
-            os.replace(tmp_name, shard.jsonl_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        for path in (shard.bin_path, shard.idx_path):
-            try:
-                path.unlink()  # live entries absorbed above
-            except OSError:
-                pass
-        shard.close_mmap()
-        shard.index = new_index
-        shard.scanned_jsonl = offset_out
-        shard.scanned_bin = 0
-        shard.jsonl_absent = False
-        shard.bin_absent = True
-        shard.idx_tried = True
-        shard.bin_end = 0
-        shard.shapes_written = set()
-        return offset_out
-
     @staticmethod
-    def _convert_jsonl_line(
-        key: str, line: bytes
-    ) -> Optional[Tuple[bytes, bytes, float]]:
-        """Convert one legacy line into a binary entry (or ``None``)."""
+    def _source_entry(
+        ref: object, data: bytes
+    ) -> Optional[Tuple[bytes, bytes]]:
+        """Slice one rewrite source out of *data*: ``(entry, payload)``.
+
+        *data* is the shard file read into memory once per rewrite,
+        so a compaction costs one read per shard instead of two seeks
+        per entry.  A :meth:`_scan_live` ref (made under the same
+        lock) slices directly; a bare offset re-parses the entry
+        header.  Unreadable sources return ``None``.
+        """
+        if isinstance(ref, tuple):
+            offset, length, _stamp, payload_start = ref
+            end = offset + length
+            if end <= len(data):
+                return data[offset:end], data[payload_start:end]
+        else:
+            offset = ref
         try:
-            parsed = json.loads(line)
-        except (ValueError, UnicodeDecodeError):
+            entry, _ = read_entry(data, offset, len(data), GLOBAL_SHAPES)
+        except (CorruptEntry, TruncatedEntry):
             return None
-        if not isinstance(parsed, dict) or parsed.get("k") != key:
+        if entry is None:
             return None
-        record = parsed.get("r")
-        if not isinstance(record, dict):
-            return None
-        stamp = parsed.get("t")
-        stamp = float(stamp) if isinstance(stamp, (int, float)) else 0.0
-        payload, _shape = encode_record(record)
-        return pack_record_entry(key, stamp, payload), payload, stamp
+        start, end = entry.payload_slice
+        return data[offset : offset + entry.length], data[start:end]
 
     def _write_idx(
         self,
         shard: _Shard,
-        new_index: "OrderedDict[str, Tuple[int, int]]",
+        new_index: "OrderedDict[str, int]",
         data_size: int,
         shape_blocks: List[bytes],
     ) -> None:
@@ -1467,7 +1069,7 @@ class ShardedStore:
             out += block
         write_uvarint(out, len(new_index))
         previous = 0
-        for _key, (_src, offset) in new_index.items():
+        for offset in new_index.values():
             write_uvarint(out, offset - previous)
             previous = offset
         tmp = shard.idx_path.with_suffix(".idx.tmp")
@@ -1480,7 +1082,7 @@ class ShardedStore:
             except OSError:
                 pass
 
-    # -- usage / dump / migration -----------------------------------
+    # -- usage / dump -----------------------------------------------
 
     def usage(self) -> Dict[str, object]:
         """Store-wide usage summary for ``repro-planarity cache stats``.
@@ -1496,31 +1098,27 @@ class ShardedStore:
         index_bytes = 0
         oldest: Optional[float] = None
         newest: Optional[float] = None
-        for sid in range(self.shards):
-            shard = self._shards[sid]
-            for path in (shard.bin_path, shard.jsonl_path):
-                try:
-                    file_bytes += path.stat().st_size
-                except OSError:
-                    continue
+        for shard in self._shards:
+            try:
+                file_bytes += shard.bin_path.stat().st_size
+            except OSError:
+                pass
             try:
                 index_bytes += shard.idx_path.stat().st_size
             except OSError:
                 pass
-            for _key, (_src, _offset, length, stamp, _pay) in self._scan_live(
+            for _offset, length, stamp, _pay in self._scan_live(
                 shard
-            ).items():
+            ).values():
                 entries += 1
                 live_bytes += length
                 if stamp > 0:
                     oldest = stamp if oldest is None else min(oldest, stamp)
                     newest = stamp if newest is None else max(newest, stamp)
         meta_entries = sum(1 for _ in self.meta_keys())
-        meta_bytes = self._meta.stat_bin() + self._meta.stat_jsonl()
         return {
             "root": str(self.root),
             "shards": self.shards,
-            "format": self.format,
             "entries": entries,
             "live_bytes": live_bytes,
             "file_bytes": file_bytes,
@@ -1529,62 +1127,23 @@ class ShardedStore:
             "oldest_t": oldest,
             "newest_t": newest,
             "meta_entries": meta_entries,
-            "meta_bytes": meta_bytes,
+            "meta_bytes": self._meta.stat_bin(),
         }
 
     def dump(self) -> Iterator[Tuple[str, float, Record]]:
         """Yield every live ``(key, stamp, record)`` (debug view).
 
-        Powers ``repro-planarity cache dump --json``: a
-        format-agnostic, human-readable view of the store contents
-        (and the migration round-trip check in CI).
+        Powers ``repro-planarity cache dump --json``: a human-readable
+        view of the store contents (and the rewrite round-trip check
+        in CI).
         """
-        for sid in range(self.shards):
-            shard = self._shards[sid]
-            for key, (src, offset, _length, stamp, _pay) in self._scan_live(
+        for shard in self._shards:
+            for key, (offset, _length, stamp, _pay) in self._scan_live(
                 shard
             ).items():
-                if src == SRC_JSONL:
-                    record = self._jsonl_record_at(shard, offset, key)
-                else:
-                    record = self._bin_record_at(shard, offset, key)
+                record = self._record_at(shard, offset, key)
                 if isinstance(record, dict):
                     yield key, stamp, record
-
-    def migrate(self) -> MigrateReport:
-        """Rewrite every shard (data + meta) into the resolved format.
-
-        Legacy ``.jsonl`` entries are converted, binary entries are
-        spliced, dead duplicates are dropped, sidecar indexes are
-        (re)written, and ``store.json`` is upgraded to persist the
-        format -- after this, openers resolve the same format without
-        needing the environment override.  Safe under concurrent
-        readers/writers (per-shard locks, same protocol as
-        compaction).
-        """
-        report = MigrateReport(format=self.format)
-        for sid in range(self.shards):
-            shard = self._shards[sid]
-            with self._lock(sid):
-                report.bytes_before += shard.stat_bin() + shard.stat_jsonl()
-                live = self._scan_live(shard)
-                if not live:
-                    continue
-                keep = list(live.items())
-                report.bytes_after += self._rewrite_shard(shard, keep)
-                report.entries += len(shard.index)
-                self._lines[sid] = len(shard.index)
-        meta = self._meta
-        with self._lock_named(META_SHARD):
-            report.bytes_before += meta.stat_bin() + meta.stat_jsonl()
-            live = self._scan_live(meta)
-            if live:
-                keep = list(live.items())
-                report.bytes_after += self._rewrite_shard(meta, keep)
-                report.meta_entries += len(meta.index)
-        self._ensure_root()
-        self._write_store_json()
-        return report
 
     # -- metadata shard ---------------------------------------------
 
@@ -1599,83 +1158,38 @@ class ShardedStore:
     def put_meta(self, key: str, record: Record) -> None:
         """Append an operational record to the metadata shard.
 
-        Same entry format and lock discipline as data shards;
+        Same append path and lock discipline as data shards;
         excluded from ``len()`` / ``keys()`` / caps / GC.  Used by
         the scheduler for the per-kind/per-n wall-time cost table.
         """
-        meta = self._meta
-        stamp = round(_now(), 3)
-        if self._prefer_bin:
-            payload, shape = encode_record(record)
-            entry = pack_record_entry(key, stamp, payload)
-            with self._lock_named(META_SHARD):
-                with open(meta.bin_path, "ab") as handle:
-                    offset = handle.tell()
-                    if offset < meta.bin_end:
-                        meta.shapes_written.clear()
-                    prefix = b""
-                    if shape.shape_id not in meta.shapes_written:
-                        prefix = pack_shape_entry(shape.block)
-                    handle.write(prefix + entry)
-                    meta.bin_end = offset + len(prefix) + len(entry)
-            meta.shapes_written.add(shape.shape_id)
-            meta.bin_absent = False
-            meta.index[key] = (SRC_BIN, meta.bin_end - len(entry))
-            meta.index.move_to_end(key)
-            if offset == meta.scanned_bin:
-                meta.scanned_bin = meta.bin_end
-        else:
-            line = _jsonl_line(key, record, stamp)
-            with self._lock_named(META_SHARD):
-                with open(meta.jsonl_path, "ab") as handle:
-                    offset = handle.tell()
-                    handle.write(line)
-            meta.jsonl_absent = False
-            meta.index[key] = (SRC_JSONL, offset)
-            meta.index.move_to_end(key)
-            if offset == meta.scanned_jsonl:
-                meta.scanned_jsonl = offset + len(line)
+        payload, shape = encode_record(record)
+        self._append(self._meta, key, payload, shape)
 
     def get_meta(self, key: str) -> Optional[Record]:
         """Return the newest metadata record under *key*, or ``None``."""
         meta = self._meta
-        meta.refresh(self._prefer_bin)
+        meta.refresh()
         record = self._read_indexed(meta, key)
         if record is None and key in meta.index:
             meta.reset()
-            meta.refresh(self._prefer_bin)
+            meta.refresh()
             record = self._read_indexed(meta, key)
         return record if isinstance(record, dict) else None
 
     def meta_keys(self) -> Iterator[str]:
         """All keys present in the metadata shard."""
         meta = self._meta
-        meta.refresh(self._prefer_bin)
+        meta.refresh()
         yield from list(meta.index)
 
     def clear(self) -> ClearReport:
         """Delete every shard file; report entries and bytes removed."""
         report = ClearReport()
-        for sid in range(self.shards):
-            shard = self._shards[sid]
-            with self._lock(sid):
-                shard.refresh(self._prefer_bin)
+        for sid, shard in enumerate(self._shards):
+            with self._lock_named(shard.name):
+                shard.refresh()
                 entries = len(shard.index)
-                size = 0
-                for path in (shard.bin_path, shard.jsonl_path):
-                    try:
-                        file_size = path.stat().st_size
-                        path.unlink()
-                        size += file_size
-                    except OSError:
-                        continue
-                try:
-                    shard.idx_path.unlink()
-                except OSError:
-                    pass
-                shard.reset()
-                shard.bin_end = 0
-                shard.shapes_written.clear()
+                size = self._unlink_shard(shard)
                 self._lines[sid] = 0
                 report += ClearReport(entries, size)
         self.stats.evicted_entries += report.entries_removed

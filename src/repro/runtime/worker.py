@@ -55,20 +55,9 @@ from .store import ShardedStore
 
 
 def _store_payload(store: ShardedStore, key: str) -> Optional[bytes]:
-    """The stored payload bytes for *key*, or ``None`` on a miss.
-
-    Binary-sourced entries come back verbatim (zero decode); a key
-    living in a legacy ``.jsonl`` shard is decoded and re-encoded once
-    so it can still ship as packed bytes.
-    """
+    """The stored payload bytes for *key* (zero decode), or ``None``."""
     payload = store.get_raw(key)
-    if payload is not None:
-        return bytes(payload)
-    record = store.get(key)  # legacy .jsonl source, or a plain miss
-    if record is None:
-        return None
-    encoded, _shape = encode_record(record)
-    return encoded
+    return None if payload is None else bytes(payload)
 
 
 def _flush_telemetry() -> None:

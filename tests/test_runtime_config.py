@@ -23,7 +23,6 @@ class TestResolvePrecedence:
         assert RunConfig().resolve("sim_batch") == 1
         assert RunConfig().resolve("sim_batch_waste") == 4.0
         assert RunConfig().resolve("sim_xp") == "numpy"
-        assert RunConfig().resolve("store_format") == "rbin"
         assert RunConfig().resolve("partition_engine") == "auto"
         assert RunConfig().resolve("cache_coord_keys") is True
 

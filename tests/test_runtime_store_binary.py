@@ -1,18 +1,16 @@
-"""Binary shard format: mixed directories, migration, index sidecars.
+"""Binary shard format: raw bytes, index sidecars, torn tails.
 
 The companion of ``test_runtime_store.py``: that file pins the store's
-format-agnostic contract (and runs on the default ``rbin`` format);
-this one pins what is *specific* to the binary format -- raw-bytes
-append/read (the zero-copy splice the wire protocol rides), ``.idx``
-sidecar seeding, ``.jsonl``/``.rbin`` coexistence in one directory,
-the ``migrate()`` upgrade/downgrade path, and the binary mirrors of
-the concurrent-writer and GC-during-write suites pinned explicitly to
-``record_format="rbin"`` so they keep covering binary shards even if
-the default or ``REPRO_STORE_FORMAT`` changes.
+record-level contract; this one pins the on-disk format -- the
+``store.json`` format check, raw-bytes append/read (the zero-copy
+splice the wire protocol rides), ``.idx`` sidecar seeding, torn-tail
+and garbage recovery on data and meta shards, and the concurrent
+writer and GC-during-write suites on binary shards.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import threading
 
@@ -25,42 +23,27 @@ from repro.runtime.codec import (
     decode_record,
     encode_record,
 )
-from repro.runtime.store import (
-    FORMAT_ENV_VAR,
-    FORMAT_JSONL,
-    FORMAT_RBIN,
-    count_record_entries,
-    resolve_format,
-)
+from repro.runtime.store import count_record_entries
 
-# -- format resolution --------------------------------------------------------
-
-
-def test_format_resolution_order(monkeypatch):
-    monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
-    assert resolve_format(None, None) == FORMAT_RBIN
-    assert resolve_format(None, FORMAT_JSONL) == FORMAT_JSONL
-    assert resolve_format(FORMAT_RBIN, FORMAT_JSONL) == FORMAT_RBIN
-    monkeypatch.setenv(FORMAT_ENV_VAR, FORMAT_JSONL)
-    assert resolve_format(None, None) == FORMAT_JSONL
-    # persisted (store.json) beats the environment: an existing store
-    # keeps its format no matter who opens it
-    assert resolve_format(None, FORMAT_RBIN) == FORMAT_RBIN
-
-
-def test_persisted_format_survives_reopen(tmp_path, monkeypatch):
-    monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
-    store = ShardedStore(tmp_path / "s", record_format=FORMAT_JSONL)
-    store.put("k", {"v": 1})
-    monkeypatch.setenv(FORMAT_ENV_VAR, FORMAT_RBIN)
-    reopened = ShardedStore(tmp_path / "s")
-    assert reopened.format == FORMAT_JSONL
-    assert reopened.get("k") == {"v": 1}
+# -- store.json format check --------------------------------------------------
 
 
 def test_invalid_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        ShardedStore(tmp_path / "s", record_format="parquet")
+    for fmt in ("parquet", "jsonl"):  # jsonl: the retired line format
+        root = tmp_path / fmt
+        root.mkdir()
+        (root / "store.json").write_text(
+            json.dumps({"version": 2, "shards": 2, "format": fmt})
+        )
+        with pytest.raises(ValueError, match="unknown store format"):
+            ShardedStore(root)
+
+
+def test_store_json_declares_rbin(tmp_path):
+    ShardedStore(tmp_path / "s", shards=3).put("k", {"v": 1})
+    meta = json.loads((tmp_path / "s" / "store.json").read_text())
+    assert meta["format"] == "rbin" and meta["shards"] == 3
+    assert ShardedStore(tmp_path / "s").get("k") == {"v": 1}
 
 
 # -- raw byte append / read (the zero-copy splice) ----------------------------
@@ -88,59 +71,7 @@ def test_put_raw_rejects_unregistered_shape(tmp_path):
         store.put_raw("k", local_payload)
 
 
-def test_put_raw_on_jsonl_store_degrades_to_decode(tmp_path):
-    store = ShardedStore(tmp_path / "s", record_format=FORMAT_JSONL)
-    record = {"v": 7, "name": "x"}
-    payload, _shape = encode_record(record)
-    store.put_raw("k", payload)  # jsonl shards cannot splice bytes
-    assert store.get("k") == record
-    from repro.runtime.store import shard_of_key
-
-    shard_id = shard_of_key("k", store.shards)
-    assert (tmp_path / "s" / "shard-{:02d}.jsonl".format(shard_id)).exists()
-    assert not (tmp_path / "s" / "shard-{:02d}.rbin".format(shard_id)).exists()
-
-
-def test_get_raw_returns_none_for_jsonl_source(tmp_path):
-    jsonl = ShardedStore(tmp_path / "s", record_format=FORMAT_JSONL)
-    jsonl.put("k", {"v": 1})
-    assert jsonl.get_raw("k") is None  # no packed bytes exist for it
-    assert jsonl.get("k") == {"v": 1}
-
-
-# -- mixed directories --------------------------------------------------------
-
-
-def test_mixed_directory_reads_both_formats(tmp_path):
-    legacy = ShardedStore(tmp_path / "s", record_format=FORMAT_JSONL)
-    for i in range(8):
-        legacy.put(f"old-{i}", {"v": i, "src": "jsonl"})
-    # flip the store to binary: old keys stay readable, new appends
-    # land in .rbin shards beside the .jsonl ones
-    store = ShardedStore(tmp_path / "s", record_format=FORMAT_RBIN)
-    for i in range(8):
-        store.put(f"new-{i}", {"v": i, "src": "rbin"})
-    fresh = ShardedStore(tmp_path / "s", record_format=FORMAT_RBIN)
-    for i in range(8):
-        assert fresh.get(f"old-{i}") == {"v": i, "src": "jsonl"}
-        assert fresh.get(f"new-{i}") == {"v": i, "src": "rbin"}
-    assert len(fresh) == 16
-    assert count_record_entries(tmp_path / "s") == 16
-
-
-def test_mixed_directory_newest_wins_across_formats(tmp_path):
-    legacy = ShardedStore(tmp_path / "s", record_format=FORMAT_JSONL)
-    legacy.put("k", {"gen": "old"})
-    store = ShardedStore(tmp_path / "s", record_format=FORMAT_RBIN)
-    store.put("k", {"gen": "new"})
-    assert ShardedStore(tmp_path / "s").get("k") == {"gen": "new"}
-    # compaction folds the loser away entirely
-    report = store.gc()
-    assert report.entries_kept == 1
-    assert ShardedStore(tmp_path / "s").get("k") == {"gen": "new"}
-
-
-# -- migration ----------------------------------------------------------------
+# -- compaction ---------------------------------------------------------------
 
 
 def _fill(store, count=30):
@@ -154,57 +85,21 @@ def _fill(store, count=30):
     return expected
 
 
-def test_migrate_jsonl_to_rbin_round_trip(tmp_path, monkeypatch):
-    monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
-    legacy = ShardedStore(tmp_path / "s", record_format=FORMAT_JSONL)
-    expected = _fill(legacy)
-    legacy.put("key-0", expected["key-0"])  # a dead duplicate to drop
-    before = dict(_dump(legacy))
-
-    migrator = ShardedStore(tmp_path / "s", record_format=FORMAT_RBIN)
-    report = migrator.migrate()
-    assert report.format == FORMAT_RBIN
-    assert report.entries == len(expected)
-    assert report.meta_entries == 1
-    assert not list((tmp_path / "s").glob("shard-*.jsonl"))
-
-    # a fresh opener resolves rbin from store.json, no env needed
+def test_compaction_preserves_records_and_stamps(tmp_path):
+    """A bound-less GC is the one rewrite: newest-wins, stamps kept."""
+    store = ShardedStore(tmp_path / "s", shards=2, compact_factor=100.0)
+    expected = _fill(store)
+    store.put("key-0", expected["key-0"])  # a dead duplicate to drop
+    stamps = {key: stamp for key, stamp, _r in store.dump()}
+    report = store.gc()
+    assert report.entries_kept == len(expected)
+    assert count_record_entries(tmp_path / "s") == len(expected)
     fresh = ShardedStore(tmp_path / "s")
-    assert fresh.format == FORMAT_RBIN
-    assert dict(_dump(fresh)) == before == expected
+    assert {key: record for key, _s, record in fresh.dump()} == expected
+    assert {key: stamp for key, stamp, _r in fresh.dump()} == stamps
     assert fresh.get_meta("cost:test:36")["mean_s"] == 0.5
     for key in expected:
-        assert fresh.get_raw(key) is not None  # now spliceable bytes
-
-
-def test_migrate_rbin_to_jsonl_downgrade(tmp_path):
-    store = ShardedStore(tmp_path / "s", record_format=FORMAT_RBIN)
-    expected = _fill(store, count=10)
-    down = ShardedStore(tmp_path / "s", record_format=FORMAT_JSONL)
-    report = down.migrate()
-    assert report.format == FORMAT_JSONL
-    assert not list((tmp_path / "s").glob("shard-*.rbin"))
-    assert not list((tmp_path / "s").glob("shard-*.idx"))
-    fresh = ShardedStore(tmp_path / "s")
-    assert fresh.format == FORMAT_JSONL
-    assert dict(_dump(fresh)) == expected
-
-
-def _dump(store):
-    for key, _stamp, record in store.dump():
-        yield key, record
-
-
-def test_migrate_preserves_stamps(tmp_path):
-    legacy = ShardedStore(tmp_path / "s", record_format=FORMAT_JSONL)
-    legacy.put("k", {"v": 1})
-    stamps_before = {key: stamp for key, stamp, _r in legacy.dump()}
-    migrator = ShardedStore(tmp_path / "s", record_format=FORMAT_RBIN)
-    migrator.migrate()
-    stamps_after = {
-        key: stamp for key, stamp, _r in ShardedStore(tmp_path / "s").dump()
-    }
-    assert stamps_after == stamps_before
+        assert fresh.get_raw(key) is not None
 
 
 # -- index sidecars -----------------------------------------------------------
@@ -279,11 +174,27 @@ def test_garbage_between_entries_resyncs(tmp_path):
     assert fresh.get("b") == {"v": 2}
 
 
-# -- binary mirrors of the concurrency suites ---------------------------------
+def test_torn_meta_tail_degrades_to_miss(tmp_path):
+    """A meta append after a crashed writer's torn entry must not let
+    the torn header swallow the new entry's bytes as its body."""
+    root = tmp_path / "s"
+    store = ShardedStore(root, shards=1)
+    store.put_meta("a", {"v": 1})
+    store.put_meta("torn", {"v": 2})
+    path = root / "meta-00.rbin"
+    path.write_bytes(path.read_bytes()[:-3])  # crash mid-append
+    ShardedStore(root).put_meta("b", {"v": 3})  # a fresh writer
+    fresh = ShardedStore(root)
+    assert fresh.get_meta("torn") is None
+    assert fresh.get_meta("a") == {"v": 1}
+    assert fresh.get_meta("b") == {"v": 3}
+
+
+# -- concurrent writers -------------------------------------------------------
 
 
 def _bin_writer_process(root, start, barrier, count):
-    store = ShardedStore(root, shards=2, record_format=FORMAT_RBIN)
+    store = ShardedStore(root, shards=2)
     barrier.wait()  # maximize interleaving
     for index in range(start, start + count):
         store.put(f"key-{index}", {"writer": start, "v": index})
@@ -291,9 +202,7 @@ def _bin_writer_process(root, start, barrier, count):
 
 def test_concurrent_binary_writers_share_one_index(tmp_path):
     root = tmp_path / "s"
-    ShardedStore(root, shards=2, record_format=FORMAT_RBIN).put(
-        "seed", {"v": -1}
-    )
+    ShardedStore(root, shards=2).put("seed", {"v": -1})
     count = 200
     barrier = multiprocessing.Barrier(2)
     procs = [
@@ -319,7 +228,7 @@ def test_concurrent_binary_writers_share_one_index(tmp_path):
 
 
 def test_concurrent_binary_writer_during_gc_loses_nothing(tmp_path):
-    store = ShardedStore(tmp_path / "s", shards=2, record_format=FORMAT_RBIN)
+    store = ShardedStore(tmp_path / "s", shards=2)
     store.put("seed", {"v": -1})
     stop = threading.Event()
     written = []
@@ -345,38 +254,6 @@ def test_concurrent_binary_writer_during_gc_loses_nothing(tmp_path):
     for key in written:
         assert reader.get(key) is not None, f"gc lost {key}"
     assert reader.get("seed") == {"v": -1}
-
-
-def test_migrate_racing_writer_loses_nothing(tmp_path):
-    legacy = ShardedStore(tmp_path / "s", shards=2,
-                          record_format=FORMAT_JSONL)
-    for i in range(50):
-        legacy.put(f"pre-{i}", {"v": i})
-    stop = threading.Event()
-    written = []
-
-    def writer():
-        peer = ShardedStore(tmp_path / "s")
-        index = 0
-        while not stop.is_set() and index < 200:
-            peer.put(f"mid-{index}", {"v": index})
-            written.append(f"mid-{index}")
-            index += 1
-
-    thread = threading.Thread(target=writer)
-    thread.start()
-    try:
-        migrator = ShardedStore(tmp_path / "s", record_format=FORMAT_RBIN)
-        migrator.migrate()
-    finally:
-        stop.set()
-        thread.join()
-    reader = ShardedStore(tmp_path / "s")
-    for i in range(50):
-        assert reader.get(f"pre-{i}") == {"v": i}
-    for key in written:
-        assert reader.get(key) is not None, f"migrate lost {key}"
-
 
 def test_raw_appends_decode_identically_cross_process(tmp_path):
     """put_raw bytes written by one process decode in another purely
