@@ -31,7 +31,6 @@ setup(
     install_requires=["networkx>=2.6", "numpy>=1.22"],
     extras_require={
         "delaunay": ["scipy"],
-        "cuda": ["cupy"],
         "bench": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={

@@ -323,13 +323,12 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 def _run_config_from_args(args) -> RunConfig:
     """Batch/engine knobs as a :class:`RunConfig` (CLI flag beats env).
 
-    ``run_sweep`` / ``iter_jobs`` export the explicitly-set knobs for
-    the run's duration, which is how ``--engine`` reaches partition
+    ``iter_jobs`` exports the explicitly-set knobs for the run's
+    duration, which is how ``--engine`` reaches partition
     calls in process-pool workers too.
     """
     return RunConfig(
         sim_batch=args.batch,
-        sim_batch_waste=args.batch_waste,
         partition_engine=args.engine,
     )
 
@@ -702,15 +701,6 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
         "fast; records are identical to unbatched runs; 'auto' sizes "
         "batches from the cost table's measured per-trial wall-times; "
         "default REPRO_SIM_BATCH or 1)",
-    )
-    parser.add_argument(
-        "--batch-waste",
-        type=float,
-        default=None,
-        metavar="W",
-        help="padding-waste bound for ragged batch jobs: never pad a "
-        "batch's smallest trial by more than a factor of W in edge "
-        "slots (>= 1; default REPRO_SIM_BATCH_WASTE or 4.0)",
     )
 
 

@@ -1,14 +1,12 @@
 """CONGEST model substrate: simulator, cost ledger, and node programs."""
 
 from .batch import (
-    WASTE_ENV_VAR,
     BatchAccounting,
     BatchKernel,
     BatchTopology,
     batch_kernels,
     pad_groups,
     register_batch_kernel,
-    resolve_pad_waste,
     run_batched,
 )
 from .instrumentation import (
@@ -21,9 +19,9 @@ from .instrumentation import (
 )
 from .ledger import ChargeRecord, RoundLedger, TreeCostModel
 from .message import bit_size, default_bandwidth_bits
-from .network import CongestNetwork, SimulationResult, resolve_plane
+from .network import CongestNetwork, SimulationResult
 from .node import BROADCAST, NodeContext, NodeProgram
-from .plane import PLANE_ENV_VAR, PLANES, DenseMessagePlane, SlotInbox
+from .plane import DenseMessagePlane, SlotInbox
 from .plane_batched import BatchedMessagePlane
 from .topology import (
     BatchArrays,
@@ -32,7 +30,6 @@ from .topology import (
     reset_topology_stats,
     topology_stats,
 )
-from .xp import XP_ENV_VAR, asnumpy, get_xp, xp_available
 
 __all__ = [
     "BROADCAST",
@@ -50,29 +47,20 @@ __all__ = [
     "InstrumentationProfile",
     "NodeContext",
     "NodeProgram",
-    "PLANES",
-    "PLANE_ENV_VAR",
     "PROFILES",
     "RoundLedger",
     "SimulationResult",
     "SlotInbox",
     "TreeCostModel",
-    "WASTE_ENV_VAR",
-    "XP_ENV_VAR",
-    "asnumpy",
     "batch_kernels",
-    "resolve_plane",
     "bit_size",
     "compile_topology",
     "default_bandwidth_bits",
-    "get_xp",
     "pad_groups",
     "register_batch_kernel",
     "register_profile",
     "reset_topology_stats",
-    "resolve_pad_waste",
     "resolve_profile",
     "run_batched",
     "topology_stats",
-    "xp_available",
 ]

@@ -1,12 +1,12 @@
 """Differential-testing fixtures: the legacy dict-plane delivery loop.
 
 The seed's per-node dict-inbox scheduler is no longer a production
-path -- ``dense`` (scalar) and the batched tensor plane are the only
-dispatch targets -- but it remains the semantic reference the
-differential suites compare both against, and custom instrumentation
-profiles written against the dict-plane ``deliver()`` API still route
-here.  ``CongestNetwork.run(plane="dict")`` lazily imports this module,
-so ordinary simulations never load it.
+path -- ``CongestNetwork.run`` always uses the dense plane, and the
+batched tensor plane is the only other dispatch target -- but it
+remains the semantic reference the differential suites compare both
+against.  Nothing in the package imports this module; tests reach
+:func:`run_dict_plane` by patching it in for
+``CongestNetwork._run_dense_plane``.
 
 Kept verbatim from the seed implementation (modulo living in a module
 function): per-node dict inboxes rebuilt every round, an active list

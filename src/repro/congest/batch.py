@@ -23,8 +23,11 @@ Trials are padded to a common shape.  With ``n_pad = max(n_b)`` and
   safe even for the widest trial in the batch.
 
 Receive reductions run over the flattened ``(B * slots_alloc,)`` slot
-tensors with per-``(trial, node)`` segment starts; rows of padding
-nodes and degree-0 nodes are post-masked to the reduction identity.
+tensors with per-``(trial, node)`` segment starts (``ufunc.reduceat``);
+rows of padding nodes and degree-0 nodes are post-masked to the
+reduction identity.  Every tensor is a plain numpy array.  Ragged
+fleets are first split by :func:`pad_groups` so that no group pads its
+smallest member by more than :data:`DEFAULT_PAD_WASTE` in slots.
 
 Equivalence contract
 --------------------
@@ -48,44 +51,19 @@ array ops per round.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+
+import numpy as np
 
 from .network import SimulationResult
 from .topology import CompiledTopology, compile_topology
-from .xp import asnumpy, get_xp
 
 BIG = 1 << 60
 """Reduction identity for minima (larger than any distance or round)."""
 
-WASTE_ENV_VAR = "REPRO_SIM_BATCH_WASTE"
-"""Environment override for the default padding-waste bound."""
-
 DEFAULT_PAD_WASTE = 4.0
-"""Default :func:`pad_groups` slot-padding bound (factor over the
-group's smallest member)."""
-
-
-def resolve_pad_waste(waste: Optional[float] = None) -> float:
-    """Resolve the padding-waste bound (arg, then env, then 4.0).
-
-    The bound caps how much a ragged batch may pad its smallest member:
-    a group never allocates more than ``waste`` times the slot count of
-    its smallest trial.  Must be >= 1 (a group of one pads nothing).
-    """
-    if waste is None:
-        raw = os.environ.get(WASTE_ENV_VAR)
-        waste = float(raw) if raw else DEFAULT_PAD_WASTE
-    waste = float(waste)
-    if waste < 1.0:
-        raise ValueError(f"pad waste bound must be >= 1, got {waste}")
-    return waste
-
-
-def _resolve_xp(xp):
-    if xp is None or isinstance(xp, str):
-        return get_xp(xp)
-    return xp
+"""The :func:`pad_groups` slot-padding bound: a group never allocates
+more than this factor times the slot count of its smallest member."""
 
 
 class BatchTopology:
@@ -104,18 +82,10 @@ class BatchTopology:
             padding and the dummy).
         node_mask: ``(B, n_pad + 1)`` bool -- True on real nodes.
         n / bandwidth: per-trial node counts and bandwidth budgets as
-            ``(B,)`` device arrays (`n_np` / ``bandwidth_np`` are the
-            host copies result assembly uses).
+            ``(B,)`` int64 arrays.
     """
 
-    def __init__(
-        self,
-        topologies: Sequence,
-        xp=None,
-    ):
-        import numpy as np
-
-        xp = _resolve_xp(xp)
+    def __init__(self, topologies: Sequence):
         compiled = [
             t if isinstance(t, CompiledTopology) else compile_topology(t)
             for t in topologies
@@ -123,14 +93,13 @@ class BatchTopology:
         if not compiled:
             raise ValueError("BatchTopology needs at least one topology")
         B = len(compiled)
-        n_np = np.array([t.n for t in compiled], dtype=np.int64)
+        n = np.array([t.n for t in compiled], dtype=np.int64)
         slot_counts = np.array([2 * t.m for t in compiled], dtype=np.int64)
-        n_pad = int(n_np.max())
+        n_pad = int(n.max())
         N1 = n_pad + 1
         S = int(slot_counts.max()) + 1  # +1 pad column: see module doc
 
         sender = np.full((B, S), n_pad, dtype=np.int64)
-        receiver = np.full((B, S), n_pad, dtype=np.int64)
         degrees = np.zeros((B, N1), dtype=np.int64)
         node_mask = np.zeros((B, N1), dtype=bool)
         seg_starts = np.empty(B * N1, dtype=np.int64)
@@ -138,7 +107,6 @@ class BatchTopology:
             arrays = topology.batch_arrays()
             k = len(arrays.indices)
             sender[b, :k] = arrays.indices
-            receiver[b, :k] = arrays.row_owner
             degrees[b, : topology.n] = arrays.degrees
             node_mask[b, : topology.n] = True
             row = seg_starts[b * N1 : (b + 1) * N1]
@@ -147,37 +115,26 @@ class BatchTopology:
             row += b * S
 
         self.topologies = compiled
-        self.xp = xp
         self.B = B
         self.n_pad = n_pad
         self.slots_alloc = S
-        self.n_np = n_np
-        self.bandwidth_np = np.array(
+        self.n = n
+        self.bandwidth = np.array(
             [t.bandwidth_bits for t in compiled], dtype=np.int64
         )
-        self.n = xp.asarray(n_np)
-        self.bandwidth = xp.asarray(self.bandwidth_np)
-        self.sender = xp.asarray(sender)
-        self.degrees = xp.asarray(degrees)
-        self.node_mask = xp.asarray(node_mask)
-        self.seg_starts = xp.asarray(seg_starts)
-        self.empty_rows = self.degrees == 0
-        # cupy has no ufunc.reduceat; its scatter `.at` ops drive the
-        # fallback formulation over per-slot flat receiver ids.
-        self._use_reduceat = hasattr(xp.minimum, "reduceat")
-        self._flat_receiver = (
-            xp.arange(B, dtype=xp.int64)[:, None] * N1 + xp.asarray(receiver)
-        ).reshape(-1)
+        self.sender = sender
+        self.degrees = degrees
+        self.node_mask = node_mask
+        self.seg_starts = seg_starts
+        self.empty_rows = degrees == 0
 
-    def node_zeros(self, dtype=None):
+    def node_zeros(self, dtype=np.int64):
         """A fresh ``(B, n_pad + 1)`` node tensor of zeros."""
-        xp = self.xp
-        return xp.zeros((self.B, self.n_pad + 1), dtype=dtype or xp.int64)
+        return np.zeros((self.B, self.n_pad + 1), dtype=dtype)
 
-    def node_full(self, fill, dtype=None):
+    def node_full(self, fill, dtype=np.int64):
         """A fresh ``(B, n_pad + 1)`` node tensor filled with *fill*."""
-        xp = self.xp
-        return xp.full((self.B, self.n_pad + 1), fill, dtype=dtype or xp.int64)
+        return np.full((self.B, self.n_pad + 1), fill, dtype=dtype)
 
     # -- receive-side segment reductions --------------------------------------
 
@@ -189,37 +146,19 @@ class BatchTopology:
         padding regions reduce harmlessly; degree-0 rows (including the
         dummy node and ragged padding) are post-masked to *identity*.
         """
-        xp = self.xp
-        N1 = self.n_pad + 1
-        if self._use_reduceat:
-            out = xp.minimum.reduceat(
-                slot_values.reshape(-1), self.seg_starts
-            ).reshape(self.B, N1)
-        else:
-            out = xp.full(self.B * N1, identity, dtype=slot_values.dtype)
-            xp.minimum.at(out, self._flat_receiver, slot_values.reshape(-1))
-            out = out.reshape(self.B, N1)
-        return xp.where(self.empty_rows, identity, out)
+        out = np.minimum.reduceat(slot_values.reshape(-1), self.seg_starts)
+        return np.where(self.empty_rows, identity, out.reshape(self.B, -1))
 
     def reduce_sum(self, slot_values):
         """Per-node sum over each receiver's row slice (identity 0)."""
-        xp = self.xp
-        N1 = self.n_pad + 1
-        if self._use_reduceat:
-            out = xp.add.reduceat(
-                slot_values.reshape(-1), self.seg_starts
-            ).reshape(self.B, N1)
-        else:
-            out = xp.zeros(self.B * N1, dtype=slot_values.dtype)
-            xp.add.at(out, self._flat_receiver, slot_values.reshape(-1))
-            out = out.reshape(self.B, N1)
-        return xp.where(self.empty_rows, 0, out)
+        out = np.add.reduceat(slot_values.reshape(-1), self.seg_starts)
+        return np.where(self.empty_rows, 0, out.reshape(self.B, -1))
 
 
 def pad_groups(
     topologies: Sequence[CompiledTopology],
     limit: int,
-    waste: Optional[float] = None,
+    waste: float = DEFAULT_PAD_WASTE,
 ) -> List[List[int]]:
     """Group trial indices into batches with bounded padding waste.
 
@@ -228,12 +167,12 @@ def pad_groups(
     smallest member by more than a factor of *waste* in slots.  Returns
     index lists into *topologies* (every index appears exactly once),
     so callers can batch heterogeneous sweep cells without drowning a
-    sparse trial in a dense trial's padding.  ``waste=None`` resolves
-    via :func:`resolve_pad_waste` (``REPRO_SIM_BATCH_WASTE``, then 4.0).
+    sparse trial in a dense trial's padding.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    waste = resolve_pad_waste(waste)
+    if waste < 1.0:
+        raise ValueError(f"pad waste bound must be >= 1, got {waste}")
     order = sorted(
         range(len(topologies)),
         key=lambda i: (topologies[i].n, topologies[i].m),
@@ -270,46 +209,41 @@ class BatchAccounting:
     """
 
     def __init__(self, batch: BatchTopology, strict: bool):
-        xp = batch.xp
         self.batch = batch
-        self.xp = xp
         self.strict = strict
-        self.messages = xp.zeros(batch.B, dtype=xp.int64)
-        self.bits = xp.zeros(batch.B, dtype=xp.int64)
-        self.max_bits = xp.zeros(batch.B, dtype=xp.int64)
-        self.over = xp.zeros(batch.B, dtype=xp.int64)
+        self.messages = np.zeros(batch.B, dtype=np.int64)
+        self.bits = np.zeros(batch.B, dtype=np.int64)
+        self.max_bits = np.zeros(batch.B, dtype=np.int64)
+        self.over = np.zeros(batch.B, dtype=np.int64)
 
     def account(self, send_mask, payload_bits) -> None:
-        xp = self.xp
         batch = self.batch
         degrees = batch.degrees
-        send_degrees = xp.where(send_mask, degrees, 0)
+        send_degrees = np.where(send_mask, degrees, 0)
         self.messages += send_degrees.sum(axis=1)
         self.bits += (send_degrees * payload_bits).sum(axis=1)
         sized = send_mask & (degrees > 0)
         if not bool(sized.any()):
             return
-        round_max = xp.where(sized, payload_bits, 0).max(axis=1)
-        self.max_bits = xp.maximum(self.max_bits, round_max)
+        round_max = np.where(sized, payload_bits, 0).max(axis=1)
+        self.max_bits = np.maximum(self.max_bits, round_max)
         over = sized & (payload_bits > batch.bandwidth[:, None])
         if bool(over.any()):
             if self.strict:
                 self._raise_first(over, payload_bits)
-            self.over += xp.where(over, degrees, 0).sum(axis=1)
+            self.over += np.where(over, degrees, 0).sum(axis=1)
 
     def _raise_first(self, over, payload_bits) -> None:
-        import numpy as np
-
         from ..errors import BandwidthExceededError
 
-        b, v = (int(x) for x in np.argwhere(asnumpy(over))[0])
+        b, v = (int(x) for x in np.argwhere(over)[0])
         topology = self.batch.topologies[b]
         node = topology.nodes[v]
         raise BandwidthExceededError(
             node,
             topology.neighbors[node][0],
-            int(asnumpy(payload_bits)[b, v]),
-            int(self.batch.bandwidth_np[b]),
+            int(payload_bits[b, v]),
+            int(self.batch.bandwidth[b]),
         )
 
 
@@ -329,7 +263,7 @@ class BatchKernel:
       from the plane, mutate node state, and return
       ``(send_mask, lane_values, payload_bits)`` node tensors;
     * :meth:`outputs` -- assemble one trial's ``node id -> output``
-      dict on the host (runs once, after the loop).
+      dict (runs once, after the loop).
     """
 
     lanes = 0
@@ -338,13 +272,12 @@ class BatchKernel:
     def __init__(self, batch: BatchTopology, params: Dict[str, Any]):
         self.batch = batch
         self.params = params
-        self.xp = batch.xp
         # Padding columns and the dummy node start (and stay) halted;
         # kernels flip real nodes as their programs halt.
         self.halted = ~batch.node_mask
 
     def max_rounds(self):
-        """Per-trial round limits as a host numpy int64 array."""
+        """Per-trial round limits as a ``(B,)`` int64 array."""
         raise NotImplementedError
 
     def all_halted(self):
@@ -380,7 +313,6 @@ def run_batched(
     program: str,
     topologies: Sequence,
     params: Optional[Dict[str, Any]] = None,
-    xp=None,
 ) -> List[SimulationResult]:
     """Run *program* over every topology in one batched simulation.
 
@@ -405,18 +337,16 @@ def run_batched(
     if isinstance(topologies, BatchTopology):
         batch = topologies
     else:
-        batch = BatchTopology(topologies, xp=xp)
-    xp_mod = batch.xp
+        batch = BatchTopology(topologies)
     kernel = kernel_cls(batch, dict(params or {}))
 
     from .plane_batched import BatchedMessagePlane
 
     plane = BatchedMessagePlane(batch, kernel.lanes)
     accounting = BatchAccounting(batch, strict=kernel.strict)
-    max_rounds_np = kernel.max_rounds()
-    max_rounds = xp_mod.asarray(max_rounds_np)
-    rounds = xp_mod.zeros(batch.B, dtype=xp_mod.int64)
-    limit = int(max_rounds_np.max())
+    max_rounds = kernel.max_rounds()
+    rounds = np.zeros(batch.B, dtype=np.int64)
+    limit = int(max_rounds.max())
     for round_index in range(limit):
         live = ~kernel.all_halted() & (round_index < max_rounds)
         if not bool(live.any()):
@@ -430,24 +360,19 @@ def run_batched(
         plane.send(send_mask, lane_values)
         plane.swap()
 
-    rounds_np = asnumpy(rounds)
-    halted_np = asnumpy(kernel.all_halted())
-    messages_np = asnumpy(accounting.messages)
-    bits_np = asnumpy(accounting.bits)
-    max_bits_np = asnumpy(accounting.max_bits)
-    over_np = asnumpy(accounting.over)
+    halted = kernel.all_halted()
     results: List[SimulationResult] = []
     for b in range(batch.B):
         results.append(
             SimulationResult(
-                rounds=int(rounds_np[b]),
+                rounds=int(rounds[b]),
                 outputs=kernel.outputs(b),
-                halted=bool(halted_np[b]),
-                total_messages=int(messages_np[b]),
-                total_bits=int(bits_np[b]),
-                max_message_bits=int(max_bits_np[b]),
-                bandwidth_bits=int(batch.bandwidth_np[b]),
-                over_budget_messages=int(over_np[b]),
+                halted=bool(halted[b]),
+                total_messages=int(accounting.messages[b]),
+                total_bits=int(accounting.bits[b]),
+                max_message_bits=int(accounting.max_bits[b]),
+                bandwidth_bits=int(batch.bandwidth[b]),
+                over_budget_messages=int(accounting.over[b]),
                 profile="fast",
             )
         )

@@ -56,12 +56,15 @@ class InstrumentationProfile:
 
     A profile instance is single-use: :meth:`bind` attaches it to a
     topology and resets its counters, then the network calls
-    :meth:`begin_round` once per round and :meth:`deliver` once per
-    non-empty outbox.  Subclasses implement :meth:`deliver`; it must
-    expand the :data:`~repro.congest.node.BROADCAST` sentinel, account
-    for every (post-expansion) message, and write payloads into
-    ``inboxes`` keyed ``target -> sender -> payload`` (creating target
-    dicts lazily -- silent nodes never allocate an inbox).
+    :meth:`begin_round` once per round and :meth:`deliver_dense` once
+    per non-empty outbox.  Subclasses implement :meth:`deliver_dense`
+    and its dict-plane twin :meth:`deliver`, which the differential
+    reference loop (:mod:`repro.congest._differential`) calls.  Both
+    must expand the :data:`~repro.congest.node.BROADCAST` sentinel and
+    account for every (post-expansion) message; :meth:`deliver` writes
+    payloads into ``inboxes`` keyed ``target -> sender -> payload``
+    (creating target dicts lazily -- silent nodes never allocate an
+    inbox).
     """
 
     name = "abstract"

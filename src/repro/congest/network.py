@@ -32,29 +32,16 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import networkx as nx
 
-import os
-
 from ..errors import GraphInputError, ProtocolError, SimulationLimitError
 from .instrumentation import InstrumentationProfile, resolve_profile
 from .node import NodeContext, NodeProgram
-from .plane import PLANE_ENV_VAR, PLANES, DenseMessagePlane
+from .plane import DenseMessagePlane
 from .topology import CompiledTopology, compile_topology
 from ..runtime.seeding import derive_seed
 
 ProgramFactory = Callable[[NodeContext], NodeProgram]
 
 _EMPTY_INBOX: Mapping[Any, Any] = MappingProxyType({})
-
-
-def resolve_plane(plane: Optional[str]) -> str:
-    """Resolve the message-plane selection (arg, env var, dense default)."""
-    if plane is None:
-        plane = os.environ.get(PLANE_ENV_VAR) or "dense"
-    if plane not in PLANES:
-        raise ValueError(
-            f"unknown message plane {plane!r}; choose from {PLANES}"
-        )
-    return plane
 
 
 @dataclass
@@ -175,7 +162,6 @@ class CongestNetwork:
         strict_bandwidth: bool = False,
         raise_on_limit: bool = False,
         profile: Union[None, str, InstrumentationProfile] = None,
-        plane: Optional[str] = None,
         round_hook: Optional[Callable[[int, int, InstrumentationProfile], None]] = None,
     ) -> SimulationResult:
         """Run the protocol until all programs halt or *max_rounds* elapse.
@@ -194,13 +180,6 @@ class CongestNetwork:
                 and fall back to faithful.  Profiles never change
                 outputs, rounds, or halting; they trade diagnostic
                 depth for throughput.
-            plane: message-plane implementation -- ``"dense"`` (flat
-                per-round edge-slot buffers, the default), ``"dict"``
-                (the seed's per-node dict inboxes, now a
-                differential-testing fixture living in
-                :mod:`repro.congest._differential`), or ``None`` to
-                consult ``REPRO_SIM_PLANE``.  Planes never change
-                results.
             round_hook: optional per-round observer, called **once per
                 executed round** (never per message) after the round's
                 deliveries as ``hook(round_index, active_count,
@@ -214,23 +193,9 @@ class CongestNetwork:
         prof = resolve_profile(profile)
         prof.bind(self.topology, self.bandwidth_bits, strict_bandwidth)
         programs = self.make_programs(factory, config)
-        # Custom profiles written against the dict-plane API (overriding
-        # deliver() only) keep working: they are routed to the dict loop.
-        dense_capable = (
-            type(prof).deliver_dense is not InstrumentationProfile.deliver_dense
+        rounds_executed, active = self._run_dense_plane(
+            programs, prof, max_rounds, round_hook
         )
-        if resolve_plane(plane) == "dict" or not dense_capable:
-            # The dict plane is a differential-testing fixture now, not
-            # a production path; load it only when actually requested.
-            from ._differential import run_dict_plane
-
-            rounds_executed, active = run_dict_plane(
-                programs, prof, max_rounds, round_hook
-            )
-        else:
-            rounds_executed, active = self._run_dense_plane(
-                programs, prof, max_rounds, round_hook
-            )
 
         halted = not active
         if not halted and raise_on_limit:

@@ -33,12 +33,6 @@ from typing import Any, Dict, Iterator, Mapping, Optional
 
 from .topology import CompiledTopology
 
-PLANE_ENV_VAR = "REPRO_SIM_PLANE"
-
-PLANES = ("dense", "dict")
-"""Message-plane implementations selectable via ``run(plane=...)``."""
-
-
 class DenseMessagePlane:
     """Double-buffered flat payload/stamp arrays for one simulation run."""
 

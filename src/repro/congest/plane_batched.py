@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 
 class BatchedMessagePlane:
     """Double-buffered ``(B, slots)`` arrival/lane tensors for one batch run.
@@ -47,7 +49,6 @@ class BatchedMessagePlane:
     __slots__ = (
         "batch",
         "lanes",
-        "xp",
         "cur_arrived",
         "next_arrived",
         "cur_lanes",
@@ -56,15 +57,13 @@ class BatchedMessagePlane:
     )
 
     def __init__(self, batch, lanes: int):
-        xp = batch.xp
         shape = (batch.B, batch.slots_alloc)
         self.batch = batch
         self.lanes = lanes
-        self.xp = xp
-        self.cur_arrived = xp.zeros(shape, dtype=bool)
-        self.next_arrived = xp.zeros(shape, dtype=bool)
-        self.cur_lanes = [xp.zeros(shape, dtype=xp.int64) for _ in range(lanes)]
-        self.next_lanes = [xp.zeros(shape, dtype=xp.int64) for _ in range(lanes)]
+        self.cur_arrived = np.zeros(shape, dtype=bool)
+        self.next_arrived = np.zeros(shape, dtype=bool)
+        self.cur_lanes = [np.zeros(shape, dtype=np.int64) for _ in range(lanes)]
+        self.next_lanes = [np.zeros(shape, dtype=np.int64) for _ in range(lanes)]
         # Rounds this plane has been swapped through (diagnostics parity
         # with the scalar plane's counter).
         self.swaps = 0
@@ -79,17 +78,10 @@ class BatchedMessagePlane:
         tensors: padding slots point at the dummy node column, which
         never sends, so ragged batches need no masking here.
         """
-        xp = self.xp
         sender = self.batch.sender
-        self.next_arrived = xp.take_along_axis(send_mask, sender, axis=1)
+        self.next_arrived = np.take_along_axis(send_mask, sender, axis=1)
         for lane, values in enumerate(lane_values):
-            self.next_lanes[lane] = xp.take_along_axis(values, sender, axis=1)
-
-    def clear_next(self) -> None:
-        """Mark the next-round buffers silent (no node sent)."""
-        self.next_arrived = self.xp.zeros(
-            (self.batch.B, self.batch.slots_alloc), dtype=bool
-        )
+            self.next_lanes[lane] = np.take_along_axis(values, sender, axis=1)
 
     def swap(self) -> None:
         """Promote next-round buffers to current (end of one round)."""

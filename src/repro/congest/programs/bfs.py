@@ -11,13 +11,14 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..batch import BIG, BatchKernel, register_batch_kernel
 from ..message import bit_size
 from ..network import CongestNetwork
 from .tags import MSG_BFS
 from ..node import Inbox, NodeContext, NodeProgram, Outbox
-from ..xp import asnumpy, int_bit_length
+from ..xp import int_bit_length
 
 
 class BFSTreeProgram(NodeProgram):
@@ -79,35 +80,34 @@ class BFSBatchKernel(BatchKernel):
         self.base_bits = bit_size((MSG_BFS, 0))
 
     def max_rounds(self):
-        return self.batch.n_np + 2
+        return self.batch.n + 2
 
     def step(self, round_index, live, plane):
-        xp = self.xp
         batch = self.batch
         halt_now = live[:, None] & self.announced & ~self.halted
         self.halted = self.halted | halt_now
         if round_index == 0:
-            send = xp.zeros_like(self.announced)
+            send = np.zeros_like(self.announced)
             send[:, 0] = live
-            self.depth = xp.where(send, 0, self.depth)
+            self.depth = np.where(send, 0, self.depth)
         else:
-            depths = xp.where(plane.cur_arrived, plane.cur_lanes[0], BIG)
+            depths = np.where(plane.cur_arrived, plane.cur_lanes[0], BIG)
             nearest = batch.reduce_min(depths)
-            senders = xp.where(plane.cur_arrived, batch.sender, BIG)
+            senders = np.where(plane.cur_arrived, batch.sender, BIG)
             min_sender = batch.reduce_min(senders)
             send = live[:, None] & ~self.announced & (nearest < BIG)
-            self.depth = xp.where(send, nearest + 1, self.depth)
-            self.parent = xp.where(send, min_sender, self.parent)
+            self.depth = np.where(send, nearest + 1, self.depth)
+            self.parent = np.where(send, min_sender, self.parent)
         self.announced = self.announced | send
-        bits = self.base_bits + int_bit_length(xp.maximum(self.depth, 0), xp)
+        bits = self.base_bits + int_bit_length(np.maximum(self.depth, 0))
         return send, (self.depth,), bits
 
     def outputs(self, trial):
         topology = self.batch.topologies[trial]
         nodes = topology.nodes
-        halted = asnumpy(self.halted)[trial]
-        depth = asnumpy(self.depth)[trial]
-        parent = asnumpy(self.parent)[trial]
+        halted = self.halted[trial]
+        depth = self.depth[trial]
+        parent = self.parent[trial]
         out = {}
         for v, node in enumerate(nodes):
             if not halted[v]:

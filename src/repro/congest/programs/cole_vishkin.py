@@ -15,12 +15,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..batch import BatchKernel, register_batch_kernel
 from ..network import CongestNetwork
 from .tags import MSG_CV
 from ..node import Inbox, NodeContext, NodeProgram, Outbox
-from ..xp import asnumpy, int_bit_length
+from ..xp import int_bit_length
 
 
 def cv_step_value(own: int, parent: int) -> int:
@@ -154,9 +155,6 @@ class ColeVishkinBatchKernel(BatchKernel):
 
     def __init__(self, batch, params):  # noqa: D107
         super().__init__(batch, params)
-        import numpy as np
-
-        xp = self.xp
         B, N1 = batch.B, batch.n_pad + 1
         colors = np.zeros((B, N1), dtype=np.int64)
         parent_col = np.tile(np.arange(N1, dtype=np.int64), (B, 1))
@@ -183,83 +181,62 @@ class ColeVishkinBatchKernel(BatchKernel):
             )
             is_root[b, :n] = root
             self.sched.append(cv_schedule(int(ids[-1]) if n else 1))
-        self.sched_len_np = np.array(
-            [len(s) for s in self.sched], dtype=np.int64
-        )
-        self.sched_len = xp.asarray(self.sched_len_np)
-        self.colors = xp.asarray(colors)
-        self.parent_col = xp.asarray(parent_col)
-        self.parent_bits = xp.asarray(parent_bits)
-        self.is_root = xp.asarray(is_root)
+        self.sched_len = np.array([len(s) for s in self.sched], dtype=np.int64)
+        self.colors = colors
+        self.parent_col = parent_col
+        self.parent_bits = parent_bits
+        self.is_root = is_root
         self.nonroot = batch.node_mask & ~self.is_root
         # bit_size((MSG_CV, color, parent)): tuple frame 2 + tag 4+2 +
         # two framed slots (color varies per round, parent is static).
         self.const_bits = 12
 
     def max_rounds(self):
-        return self.sched_len_np + 3
+        return self.sched_len + 3
 
     def _payload_bits(self):
-        xp = self.xp
-        color_bits = int_bit_length(xp.maximum(self.colors, 0), xp) + 1
+        color_bits = int_bit_length(np.maximum(self.colors, 0)) + 1
         return self.const_bits + color_bits + self.parent_bits
 
     def _parent_colors(self):
-        xp = self.xp
-        return xp.take_along_axis(self.colors, self.parent_col, axis=1)
+        return np.take_along_axis(self.colors, self.parent_col, axis=1)
 
     def _apply_phase(self, label: str, rows) -> None:
-        import numpy as np
-
-        xp = self.xp
         part = rows[:, None] & self.batch.node_mask
         colors = self.colors
         pc = self._parent_colors()
         if label == "cv":
-            effective = xp.where(self.is_root, colors ^ 1, pc)
-            diff = xp.where(part, colors ^ effective, 1)
+            effective = np.where(self.is_root, colors ^ 1, pc)
+            diff = np.where(part, colors ^ effective, 1)
             low = diff & -diff
-            index = xp.log2(low.astype(xp.float64)).astype(xp.int64)
+            index = np.log2(low.astype(np.float64)).astype(np.int64)
             stepped = 2 * index + ((colors >> index) & 1)
-            self.colors = xp.where(part, stepped, colors)
+            self.colors = np.where(part, stepped, colors)
         elif label == "shift":
-            root_next = xp.where(colors != 0, 0, 1)
-            shifted = xp.where(self.is_root, root_next, pc)
-            self.colors = xp.where(part, shifted, colors)
+            root_next = np.where(colors != 0, 0, 1)
+            shifted = np.where(self.is_root, root_next, pc)
+            self.colors = np.where(part, shifted, colors)
         else:  # elim{target}
             target = int(label[4:])
             B, N1 = self.batch.B, self.batch.n_pad + 1
-            one = xp.int64(1)
+            one = np.int64(1)
             sel = part & self.nonroot
-            flat = xp.zeros(B * N1, dtype=xp.int64)
+            flat = np.zeros(B * N1, dtype=np.int64)
             col_index = (
-                xp.arange(B, dtype=xp.int64)[:, None] * N1 + self.parent_col
+                np.arange(B, dtype=np.int64)[:, None] * N1 + self.parent_col
             )
-            if hasattr(xp.bitwise_or, "at"):
-                xp.bitwise_or.at(
-                    flat, col_index[sel], one << xp.where(sel, colors, 0)[sel]
-                )
-                forbidden = flat.reshape(B, N1)
-            else:  # pragma: no cover - cupy fallback mirrors reduce_* ops
-                flat_np = np.zeros(B * N1, dtype=np.int64)
-                np.bitwise_or.at(
-                    flat_np,
-                    asnumpy(col_index[sel]),
-                    asnumpy(one << xp.where(sel, colors, 0)[sel]),
-                )
-                forbidden = xp.asarray(flat_np).reshape(B, N1)
-            forbidden = forbidden | xp.where(
-                sel, one << xp.where(sel, pc, 0), 0
+            np.bitwise_or.at(
+                flat, col_index[sel], one << np.where(sel, colors, 0)[sel]
             )
-            choice = xp.where(
-                forbidden & 1 == 0, 0, xp.where(forbidden & 2 == 0, 1, 2)
+            forbidden = flat.reshape(B, N1) | np.where(
+                sel, one << np.where(sel, pc, 0), 0
             )
-            self.colors = xp.where(part & (colors == target), choice, colors)
+            choice = np.where(
+                forbidden & 1 == 0, 0, np.where(forbidden & 2 == 0, 1, 2)
+            )
+            self.colors = np.where(part & (colors == target), choice, colors)
 
     def step(self, round_index, live, plane):
-        import numpy as np
-
-        xp = self.xp
         batch = self.batch
         if round_index == 0:
             send = live[:, None] & batch.node_mask
@@ -269,21 +246,20 @@ class ColeVishkinBatchKernel(BatchKernel):
             halt_now = finishing[:, None] & batch.node_mask & ~self.halted
             self.halted = self.halted | halt_now
         acting = live & (round_index <= self.sched_len)
-        acting_np = asnumpy(acting)
         groups: Dict[str, List[int]] = {}
-        for b in np.nonzero(acting_np)[0]:
+        for b in np.nonzero(acting)[0]:
             groups.setdefault(self.sched[b][round_index - 1], []).append(b)
         for label, members in sorted(groups.items()):
             rows = np.zeros(batch.B, dtype=bool)
             rows[members] = True
-            self._apply_phase(label, xp.asarray(rows))
+            self._apply_phase(label, rows)
         send = acting[:, None] & batch.node_mask
         return send, (), self._payload_bits()
 
     def outputs(self, trial):
         topology = self.batch.topologies[trial]
-        halted = asnumpy(self.halted)[trial]
-        colors = asnumpy(self.colors)[trial]
+        halted = self.halted[trial]
+        colors = self.colors[trial]
         return {
             node: int(colors[v]) if halted[v] else None
             for v, node in enumerate(topology.nodes)

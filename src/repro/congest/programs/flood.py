@@ -10,13 +10,14 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..batch import BIG, BatchKernel, register_batch_kernel
 from ..message import bit_size
 from ..network import CongestNetwork
 from .tags import MSG_FLOOD
 from ..node import Inbox, NodeContext, NodeProgram, Outbox
-from ..xp import asnumpy, int_bit_length
+from ..xp import int_bit_length
 
 
 class FloodProgram(NodeProgram):
@@ -73,29 +74,28 @@ class FloodBatchKernel(BatchKernel):
         self.base_bits = bit_size((MSG_FLOOD, 0))
 
     def max_rounds(self):
-        return self.batch.n_np + 2
+        return self.batch.n + 2
 
     def step(self, round_index, live, plane):
-        xp = self.xp
         halt_now = live[:, None] & self.announced & ~self.halted
         self.halted = self.halted | halt_now
         if round_index == 0:
-            send = xp.zeros_like(self.announced)
+            send = np.zeros_like(self.announced)
             send[:, 0] = live
-            self.dist = xp.where(send, 0, self.dist)
+            self.dist = np.where(send, 0, self.dist)
         else:
-            arrived = xp.where(plane.cur_arrived, plane.cur_lanes[0], BIG)
+            arrived = np.where(plane.cur_arrived, plane.cur_lanes[0], BIG)
             nearest = self.batch.reduce_min(arrived)
             send = live[:, None] & ~self.announced & (nearest < BIG)
-            self.dist = xp.where(send, nearest + 1, self.dist)
+            self.dist = np.where(send, nearest + 1, self.dist)
         self.announced = self.announced | send
-        bits = self.base_bits + int_bit_length(xp.maximum(self.dist, 0), xp)
+        bits = self.base_bits + int_bit_length(np.maximum(self.dist, 0))
         return send, (self.dist,), bits
 
     def outputs(self, trial):
         topology = self.batch.topologies[trial]
-        halted = asnumpy(self.halted)[trial]
-        dist = asnumpy(self.dist)[trial]
+        halted = self.halted[trial]
+        dist = self.dist[trial]
         return {
             node: int(dist[v]) if halted[v] else None
             for v, node in enumerate(topology.nodes)

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..batch import BatchKernel, register_batch_kernel
 from ..message import bit_size
 from ..network import CongestNetwork
 from .tags import MSG_ACTIVE, MSG_INACTIVE
 from ..node import Inbox, NodeContext, NodeProgram, Outbox
-from ..xp import asnumpy
 
 
 def barenboim_elkin_round_budget(n: int) -> int:
@@ -130,34 +130,29 @@ class ForestBatchKernel(BatchKernel):
 
     def __init__(self, batch, params):  # noqa: D107
         super().__init__(batch, params)
-        import numpy as np
-
-        xp = self.xp
         self.alpha = int(params.get("alpha", 3))
-        self.budget_np = np.array(
-            [barenboim_elkin_round_budget(int(n)) for n in batch.n_np],
+        self.budget = np.array(
+            [barenboim_elkin_round_budget(int(n)) for n in batch.n],
             dtype=np.int64,
         )
-        self.budget = xp.asarray(self.budget_np)
         self.active = batch.node_mask.copy()
         self.inactive_round = batch.node_full(-1)
         # Per-slot view of each node's neighbor deactivation rounds.
-        self.neighbor_inactive = xp.full(
-            (batch.B, batch.slots_alloc), -1, dtype=xp.int64
+        self.neighbor_inactive = np.full(
+            (batch.B, batch.slots_alloc), -1, dtype=np.int64
         )
         self.active_bits = bit_size((MSG_ACTIVE,))
         self.inactive_base = bit_size((MSG_INACTIVE, 0))
 
     def max_rounds(self):
-        return self.budget_np + 3
+        return self.budget + 3
 
     def step(self, round_index, live, plane):
-        xp = self.xp
         batch = self.batch
         # Record phase (scalar `_record`): fold last round's INACTIVE
         # announcements into the per-slot neighbor table first.
         announced = plane.cur_arrived & (plane.cur_lanes[0] == MSG_INACTIVE)
-        self.neighbor_inactive = xp.where(
+        self.neighbor_inactive = np.where(
             announced, plane.cur_lanes[1], self.neighbor_inactive
         )
         if round_index == 0:
@@ -174,18 +169,18 @@ class ForestBatchKernel(BatchKernel):
             self.halted = self.halted | halt_now
         deciding = live & (round_index <= self.budget)
         inactive_count = batch.reduce_sum(
-            (self.neighbor_inactive != -1).astype(xp.int64)
+            (self.neighbor_inactive != -1).astype(np.int64)
         )
         active_neighbors = batch.degrees - inactive_count
         eligible = deciding[:, None] & self.active & batch.node_mask
         deact = eligible & (active_neighbors <= 3 * self.alpha)
         stay = eligible & ~deact
         self.active = self.active & ~deact
-        self.inactive_round = xp.where(deact, round_index, self.inactive_round)
+        self.inactive_round = np.where(deact, round_index, self.inactive_round)
         send = deact | stay
-        tag = xp.where(deact, MSG_INACTIVE, MSG_ACTIVE)
-        ell = xp.where(deact, round_index, 0)
-        bits = xp.where(
+        tag = np.where(deact, MSG_INACTIVE, MSG_ACTIVE)
+        ell = np.where(deact, round_index, 0)
+        bits = np.where(
             deact,
             self.inactive_base + int(round_index).bit_length(),
             self.active_bits,
@@ -196,10 +191,10 @@ class ForestBatchKernel(BatchKernel):
         topology = self.batch.topologies[trial]
         nodes = topology.nodes
         arrays = topology.batch_arrays()
-        halted = asnumpy(self.halted)[trial]
-        active = asnumpy(self.active)[trial]
-        inactive_round = asnumpy(self.inactive_round)[trial]
-        neighbor_inactive = asnumpy(self.neighbor_inactive)[trial]
+        halted = self.halted[trial]
+        active = self.active[trial]
+        inactive_round = self.inactive_round[trial]
+        neighbor_inactive = self.neighbor_inactive[trial]
         out = {}
         for v, node in enumerate(nodes):
             if not halted[v]:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..batch import BatchKernel, register_batch_kernel
 from ..message import bit_size
 from .tags import MSG_STORM
 from ..node import Inbox, NodeContext, NodeProgram, Outbox
-from ..xp import asnumpy
 
 PAYLOAD_WINDOW = 4
 """Distinct payloads each node cycles through (memo realism knob)."""
@@ -69,9 +70,6 @@ class StormBatchKernel(BatchKernel):
 
     def __init__(self, batch, params):  # noqa: D107
         super().__init__(batch, params)
-        import numpy as np
-
-        xp = self.xp
         self.storm_rounds = int(params.get("storm_rounds", 8))
         self.received = batch.node_zeros()
         base = np.zeros((batch.B, batch.n_pad + 1), dtype=np.int64)
@@ -87,18 +85,15 @@ class StormBatchKernel(BatchKernel):
                     dtype=np.int64,
                 )
             base[b, : topology.n] = row
-        self.base_bits = xp.asarray(base)
+        self.base_bits = base
 
     def max_rounds(self):
-        import numpy as np
-
         return np.full(self.batch.B, self.storm_rounds + 2, dtype=np.int64)
 
     def step(self, round_index, live, plane):
-        xp = self.xp
         listening = live[:, None] & ~self.halted
-        counts = self.batch.reduce_sum(plane.cur_arrived.astype(xp.int64))
-        self.received = self.received + xp.where(listening, counts, 0)
+        counts = self.batch.reduce_sum(plane.cur_arrived.astype(np.int64))
+        self.received = self.received + np.where(listening, counts, 0)
         halt_now = listening & (round_index >= self.storm_rounds)
         self.halted = self.halted | halt_now
         send = listening & ~halt_now
@@ -107,8 +102,8 @@ class StormBatchKernel(BatchKernel):
 
     def outputs(self, trial):
         topology = self.batch.topologies[trial]
-        halted = asnumpy(self.halted)[trial]
-        received = asnumpy(self.received)[trial]
+        halted = self.halted[trial]
+        received = self.received[trial]
         return {
             node: int(received[v]) if halted[v] else None
             for v, node in enumerate(topology.nodes)

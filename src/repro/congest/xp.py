@@ -1,83 +1,11 @@
-"""Array-module shim for the batched tensor plane (numpy today, cupy later).
-
-The batched simulator (:mod:`repro.congest.batch`) is written against a
-tiny slice of the array API -- allocation, boolean masking,
-``take_along_axis`` gathers, segment reductions, elementwise arithmetic
--- all of which numpy and cupy spell identically.  Routing every array
-op through :func:`get_xp` keeps that seam explicit so a GPU backend is
-a drop-in: set ``REPRO_SIM_XP=cupy`` (or pass ``xp="cupy"``) and the
-same kernels run on device arrays, falling back to numpy with a clear
-error when cupy is not installed.
-
-Shim contract (what a module must provide to slot in here):
-
-* array constructors ``zeros`` / ``full`` / ``arange`` / ``asarray``
-  with numpy dtype semantics;
-* elementwise ``where`` / ``minimum`` / ``maximum`` / ``frexp`` and
-  boolean reductions ``any`` / ``all``;
-* ``take_along_axis`` for the mirror-slot gather on the send side;
-* either ``ufunc.reduceat`` (numpy) **or** ``ufunc.at`` scatter ops
-  (cupy) -- :class:`~repro.congest.batch.BatchTopology` probes for
-  ``reduceat`` and falls back to the scatter formulation.
-
-Host round-trips go through :func:`asnumpy` so result assembly never
-assumes the arrays live in host memory.
-"""
+"""Vectorized integer helpers for the batched tensor plane."""
 
 from __future__ import annotations
 
-import os
-from typing import Any, Optional
-
-XP_ENV_VAR = "REPRO_SIM_XP"
-
-_MODULES = ("numpy", "cupy")
+import numpy as np
 
 
-def get_xp(name: Optional[str] = None):
-    """Resolve the array module (arg, then ``REPRO_SIM_XP``, then numpy).
-
-    Raises :class:`ImportError` when the requested module is missing --
-    callers that want graceful degradation (the runtime coalescer) probe
-    with :func:`xp_available` first.
-    """
-    if name is None:
-        name = os.environ.get(XP_ENV_VAR) or "numpy"
-    if name not in _MODULES:
-        raise ValueError(
-            f"unknown array module {name!r}; choose from {_MODULES}"
-        )
-    if name == "cupy":
-        import cupy  # noqa: F401 -- optional GPU backend
-
-        return cupy
-    import numpy
-
-    return numpy
-
-
-def xp_available(name: Optional[str] = None) -> bool:
-    """Whether :func:`get_xp` would succeed for *name* (no raise)."""
-    try:
-        get_xp(name)
-    except ImportError:
-        return False
-    return True
-
-
-def asnumpy(array: Any, xp=None):
-    """Bring *array* back to host memory as a numpy array.
-
-    numpy arrays pass through untouched; cupy arrays are copied via
-    their ``.get()`` device-to-host transfer.
-    """
-    getter = getattr(array, "get", None)
-    if getter is not None and type(array).__module__.startswith("cupy"):
-        return getter()
-    return array
-
-
-def int_bit_length(values, xp):
+def int_bit_length(values):
     """Vectorized ``int.bit_length`` for non-negative int64 arrays.
 
     Uses the ``frexp`` exponent (``v = m * 2**e`` with ``0.5 <= m < 1``
@@ -86,6 +14,6 @@ def int_bit_length(values, xp):
     window the bundled protocols encode.  Zero maps to 0, matching
     ``(0).bit_length()``.
     """
-    v = xp.asarray(values)
-    _mantissa, exponent = xp.frexp(v.astype(xp.float64))
-    return xp.where(v > 0, exponent, 0).astype(xp.int64)
+    v = np.asarray(values)
+    _mantissa, exponent = np.frexp(v.astype(np.float64))
+    return np.where(v > 0, exponent, 0).astype(np.int64)

@@ -28,7 +28,7 @@ import networkx as nx
 
 from ..errors import GraphInputError
 from .distance import planarity_farness_lower_bound
-from .utils import bfs_levels, find_short_cycle, girth
+from .utils import _short_cycle_from, girth
 
 
 @dataclass
@@ -98,16 +98,34 @@ def lower_bound_instance(
 
 
 def _girth_surgery(graph: nx.Graph, target_girth: int, rng: random.Random) -> int:
-    """Remove one random edge from every cycle shorter than *target_girth*."""
+    """Remove one random edge from every cycle shorter than *target_girth*.
+
+    Scans sources in node order like
+    :func:`~repro.graphs.utils.find_short_cycle`, but after each deletion
+    resumes at the source that found the last cycle instead of the first
+    node.  Every short cycle is still destroyed: a source on a short
+    cycle always detects one, and deleting edges never creates a cycle.
+    The detector can also report a nearby cycle that misses its source,
+    so a rescan from the first node may cut a different edge first; the
+    removed edge sets then differ, though rarely (every E11 instance
+    matches the full rescan).
+    """
+    max_length = target_girth - 1
+    if max_length < 3:
+        return 0
+    depth_limit = (max_length + 1) // 2
+    adj = graph.adj
     removed = 0
-    while True:
-        cycle = find_short_cycle(graph, target_girth - 1)
-        if cycle is None:
-            return removed
-        index = rng.randrange(len(cycle))
-        u, v = cycle[index], cycle[(index + 1) % len(cycle)]
-        graph.remove_edge(u, v)
-        removed += 1
+    for source in graph:
+        while True:
+            cycle = _short_cycle_from(adj, source, depth_limit, max_length)
+            if cycle is None:
+                break
+            index = rng.randrange(len(cycle))
+            u, v = cycle[index], cycle[(index + 1) % len(cycle)]
+            graph.remove_edge(u, v)
+            removed += 1
+    return removed
 
 
 def view_is_tree(graph: nx.Graph, node, radius: int) -> bool:
@@ -118,13 +136,24 @@ def view_is_tree(graph: nx.Graph, node, radius: int) -> bool:
     at a node is a function of its radius-``r`` view; if that view is a
     tree it also occurs in some forest, and on forests (which are planar)
     a one-sided tester must accept.
+
+    The ball is connected (every member has a BFS path inside it), so it
+    is a tree exactly when it spans ``|ball| - 1`` edges; the edges are
+    counted on the adjacency of a BFS truncated at *radius*.
     """
-    depths = bfs_levels(graph.adj, node)
-    ball = {v for v, d in depths.items() if d <= radius}
-    sub = graph.subgraph(ball)
-    return sub.number_of_edges() == (
-        sub.number_of_nodes() - nx.number_connected_components(sub)
-    )
+    adj = graph.adj
+    ball = {node}
+    frontier = [node]
+    for _ in range(radius):
+        reached = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in ball:
+                    ball.add(w)
+                    reached.append(w)
+        frontier = reached
+    ends = sum(1 for v in ball for w in adj[v] if w in ball)
+    return ends == 2 * (len(ball) - 1)
 
 
 def all_views_are_trees(graph: nx.Graph, radius: int) -> bool:

@@ -7,10 +7,10 @@ three paths (in-process, a chunked process pool, or a worker fleet
 behind a :class:`SweepService` -- persistent via ``repro-planarity
 serve``, or ephemeral via ``sweep --backend remote`` -- whose TCP
 workers may die mid-job without losing work), and memoizes records in
-a cache keyed by graph coordinates (default) or content fingerprint +
-config digest, persisted in a sharded multi-writer on-disk store that
-concurrent processes share (with timestamps, TTL/byte-budget GC, and a
-metadata shard holding the scheduler's measured cost table).  Sweeps split into deterministic
+a cache keyed by graph coordinates + config digest, persisted in a
+sharded multi-writer on-disk store that concurrent processes share
+(with timestamps, TTL/byte-budget GC, and a metadata shard holding the
+scheduler's measured cost table).  Sweeps split into deterministic
 shards (``ShardedSweep`` / ``repro-planarity sweep --shard i/k``) --
 by key-hash or cost-balanced LPT (``--balance cost``) -- and resume
 from whatever the store already holds.
@@ -57,7 +57,6 @@ from .batching import (
     BATCHABLE_PROGRAMS,
     auto_batch_size,
     batchable,
-    batching_available,
     coalesce,
     expand_batch_record,
     make_batch_spec,
@@ -79,14 +78,11 @@ from .remote import PROTOCOL_VERSION, RemoteBackend
 from .scheduler import CostBook, CostModel, SpeculationPolicy, assign_shards
 from .service import SweepService
 from .cache import (
-    COORD_KEYS_ENV_VAR,
     CacheStats,
     ResultCache,
     cache_key,
     config_digest,
-    coord_keys_enabled,
     coordinate_fingerprint,
-    graph_fingerprint,
 )
 from .executor import (
     BACKENDS,
@@ -155,7 +151,6 @@ _INTERNAL_API = [
     "CacheStats",
     "ClearReport",
     "CodecError",
-    "COORD_KEYS_ENV_VAR",
     "CostBook",
     "CostModel",
     "GCReport",
@@ -173,16 +168,13 @@ _INTERNAL_API = [
     "assign_shards",
     "auto_batch_size",
     "batchable",
-    "batching_available",
     "cache_key",
     "coalesce",
     "config_digest",
-    "coord_keys_enabled",
     "coordinate_fingerprint",
     "derive_rng",
     "derive_seed",
     "expand_batch_record",
-    "graph_fingerprint",
     "job_kinds",
     "job_shard",
     "kind_needs_graph",

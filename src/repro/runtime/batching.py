@@ -1,7 +1,7 @@
 """Coalescing simulator trials into graph-batched ``simulate_batch`` jobs.
 
 A sweep cell expands into many ``simulate_program`` specs that differ
-only in ``seed``.  When batching is enabled (``run_sweep(batch=B)``,
+only in ``seed``.  When batching is enabled (``RunConfig(sim_batch=B)``,
 ``repro-planarity sweep --batch B``, or ``REPRO_SIM_BATCH``), the
 executor routes its miss list through :func:`coalesce`, which folds
 each group of same-``(graph, n, config)`` trials into one
@@ -12,9 +12,9 @@ executor re-expands them, so callers, caches, and every backend
 (serial / process / remote) observe exactly the records a
 scalar run would have produced -- batching is transparent end to end.
 
-Only the vectorized protocols under the ``fast`` profile on the dense
-plane are eligible; anything else (faithful profile, telemetry runs,
-custom programs, dict plane) passes through untouched.
+Only the vectorized protocols under the ``fast`` profile are eligible;
+anything else (faithful profile, telemetry runs, custom programs)
+passes through untouched.
 """
 
 from __future__ import annotations
@@ -85,19 +85,12 @@ def auto_batch_size(cost_model, specs: Sequence[JobSpec]) -> int:
     return max(1, min(AUTO_BATCH_MAX, int(AUTO_TARGET_SECONDS / mean)))
 
 
-def batching_available() -> bool:
-    """Whether the configured array backend can be imported."""
-    from ..congest.xp import xp_available
-
-    return xp_available()
-
-
 def batchable(spec: JobSpec) -> bool:
     """Whether *spec* may join a ``simulate_batch`` group.
 
     Requires bit-identical batched semantics: a vectorized program,
-    the explicit ``fast`` profile (the CLI always pins one), the dense
-    plane, and no telemetry (batch kernels have no per-round hook).
+    the explicit ``fast`` profile (the CLI always pins one), and no
+    telemetry (batch kernels have no per-round hook).
     """
     if spec.kind != "simulate_program":
         return False
@@ -105,10 +98,6 @@ def batchable(spec: JobSpec) -> bool:
     if params.get("program", "bfs") not in BATCHABLE_PROGRAMS:
         return False
     if params.get("profile") != "fast":
-        return False
-    from ..congest.plane import PLANE_ENV_VAR
-
-    if (os.environ.get(PLANE_ENV_VAR) or "dense") != "dense":
         return False
     from ..telemetry.spans import telemetry_enabled
 
@@ -158,7 +147,7 @@ def coalesce(
     """
     specs = list(specs)
     limit = resolve_batch(batch)
-    if limit <= 1 or not batching_available():
+    if limit <= 1:
         return specs, [[i] for i in range(len(specs))]
     groups: Dict[object, List[int]] = {}
     singles: List[int] = []

@@ -1,10 +1,13 @@
-"""Content-addressed result cache for the batch runtime.
+"""Coordinate-addressed result cache for the batch runtime.
 
 Cache keys are ``sha256(kind || graph fingerprint || config digest)``:
 
-* the **graph fingerprint** hashes the canonical edge list of the actual
-  input graph (sorted nodes + sorted edges), so two specs that generate
-  the same graph share entries regardless of how they were phrased;
+* the **graph fingerprint** hashes the generator coordinates
+  ``(family/far, n, effective graph seed)`` (:func:`coordinate_fingerprint`),
+  so a cache hit skips graph generation entirely.  This is sound because
+  every bundled generator is deterministic in its coordinates; the
+  test-suite certifies it by regenerating each family and comparing
+  content fingerprints (:func:`graph_fingerprint`, kept as that oracle);
 * the **config digest** hashes the spec's canonical JSON minus the graph
   coordinates, so any change to ``epsilon``, ``method``, sampling knobs,
   or the algorithm seed invalidates the entry.
@@ -16,17 +19,12 @@ compaction) persists them across processes and CLI invocations, so
 concurrent sweeps, shard runs, and fleet workers all share one cache.
 Only flat primitive records (see :mod:`repro.runtime.jobs`) are stored,
 so JSON round-trips are lossless.
-
-Coordinate-derived cache keys (fingerprint from generator coordinates,
-skipping graph generation on hits) are the **default**; set
-``REPRO_CACHE_COORD_KEYS=0`` to fall back to content-addressed keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,20 +35,6 @@ import networkx as nx
 from .jobs import JobSpec, Record, spec_needs_graph
 from .store import ClearReport, GCReport, ShardedStore
 
-COORD_KEYS_ENV_VAR = "REPRO_CACHE_COORD_KEYS"
-
-
-def coord_keys_enabled() -> bool:
-    """Whether coordinate-derived cache keys are selected (the default).
-
-    Coordinate keys skip graph generation entirely on cache hits; they
-    are sound because every bundled generator is deterministic in its
-    coordinates (certified by the determinism cross-check test over all
-    planar and far families).  ``REPRO_CACHE_COORD_KEYS=0`` opts out,
-    restoring content-addressed fingerprints of the generated graph.
-    """
-    return os.environ.get(COORD_KEYS_ENV_VAR, "1") != "0"
-
 
 def coordinate_fingerprint(spec: JobSpec) -> str:
     """Graph fingerprint derived from generator coordinates alone.
@@ -60,8 +44,7 @@ def coordinate_fingerprint(spec: JobSpec) -> str:
     Sound because the bundled generators are deterministic in those
     coordinates (the cross-check test regenerates and compares content
     fingerprints).  The ``coord:`` prefix keeps this key space disjoint
-    from content-addressed fingerprints -- flipping the mode never
-    aliases entries, it only re-keys them.
+    from the content fingerprints of :func:`graph_fingerprint`.
     """
     payload = json.dumps(
         {
@@ -78,6 +61,9 @@ def coordinate_fingerprint(spec: JobSpec) -> str:
 
 def graph_fingerprint(graph: nx.Graph) -> str:
     """SHA-256 over the canonical node and edge lists of *graph*.
+
+    The reference the tests check :func:`coordinate_fingerprint` against:
+    two independent builds from the same coordinates must agree here.
 
     Nodes and edges are sorted by :func:`repr`; each undirected edge is
     normalized so ``(u, v)`` and ``(v, u)`` fingerprint identically.
@@ -281,51 +267,28 @@ class ResultCache:
         return report
 
 
-# Keys derived per spec in one batch: the graph fingerprint is memoized
-# on (family/far, n, seed) so a sweep over epsilon builds each graph once.
 class KeyDeriver:
-    """Computes cache keys for specs, memoizing fingerprints and graphs.
+    """Computes cache keys for specs, memoizing coordinate fingerprints.
 
-    Built graphs are retained (for the lifetime of the deriver, i.e. one
-    batch) so in-process execution can reuse them instead of generating
-    each input a second time after fingerprinting.
-
-    With coordinate keys (``coord_keys=True``, or the
-    ``REPRO_CACHE_COORD_KEYS=1`` environment default) the fingerprint
-    comes from :func:`coordinate_fingerprint` and **no graph is built**
-    while deriving keys -- a fully-cached batch then never touches the
-    generators; misses build their graph lazily in the backend.
+    The fingerprint comes from :func:`coordinate_fingerprint`, memoized
+    per ``graph_coordinates`` so a sweep over epsilon hashes each graph's
+    coordinates once.  **No graph is built** while deriving keys -- a
+    fully-cached batch never touches the generators; misses build their
+    graph lazily in the backend.
     """
 
-    def __init__(self, coord_keys: Optional[bool] = None):
+    def __init__(self):
         self._fingerprints: Dict[Any, str] = {}
-        self._graphs: Dict[Any, nx.Graph] = {}
-        self.coord_keys = (
-            coord_keys_enabled() if coord_keys is None else coord_keys
-        )
-
-    def _graph_id(self, spec: JobSpec) -> Any:
-        return spec.graph_coordinates
 
     def key_for(self, spec: JobSpec) -> str:
         if not spec_needs_graph(spec):
             # Graphless kinds (audit jobs that build their own
-            # instances) always key by coordinates: there is no input
-            # graph to fingerprint, and the coordinate hash is cheap
-            # enough not to memoize.
+            # instances): the coordinate hash is cheap enough not to
+            # memoize.
             return cache_key(spec, coordinate_fingerprint(spec))
-        graph_id = self._graph_id(spec)
+        graph_id = spec.graph_coordinates
         fingerprint = self._fingerprints.get(graph_id)
         if fingerprint is None:
-            if self.coord_keys:
-                fingerprint = coordinate_fingerprint(spec)
-            else:
-                graph = spec.build_graph()
-                fingerprint = graph_fingerprint(graph)
-                self._graphs[graph_id] = graph
+            fingerprint = coordinate_fingerprint(spec)
             self._fingerprints[graph_id] = fingerprint
         return cache_key(spec, fingerprint)
-
-    def graph_for(self, spec: JobSpec) -> Optional[nx.Graph]:
-        """The graph built while fingerprinting *spec*, if still held."""
-        return self._graphs.get(self._graph_id(spec))

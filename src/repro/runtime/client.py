@@ -148,35 +148,31 @@ class Client:
             ResultCache(disk_dir=self.cache_dir) if self.cache_dir else None
         )
 
-        config = self.config if self.config is not None else RunConfig()
-
         def generate():
             buffer: Dict[int, Record] = {}
             next_index = 0
             done = 0
-            # Export the config's env knobs for the run's duration so
-            # they reach job code (and pool workers) the same way
-            # run_sweep's do; restored when the iterator finishes.
-            with config.export():
-                for index, record, _from_cache in iter_jobs(
-                    specs,
-                    backend=self.backend,
-                    cache=cache,
-                    config=config,
-                ):
-                    done += 1
-                    buffer[index] = record
-                    while next_index in buffer:
-                        yield buffer.pop(next_index)
-                        next_index += 1
-                    if on_progress is not None:
-                        on_progress({
-                            "done": done,
-                            "total": len(specs),
-                            "queued": len(specs) - done,
-                            "inflight": 0,
-                            "workers": 0,
-                        })
+            # iter_jobs exports the config's env knobs for the run's
+            # duration, so they reach job code and pool workers.
+            for index, record, _from_cache in iter_jobs(
+                specs,
+                backend=self.backend,
+                cache=cache,
+                config=self.config,
+            ):
+                done += 1
+                buffer[index] = record
+                while next_index in buffer:
+                    yield buffer.pop(next_index)
+                    next_index += 1
+                if on_progress is not None:
+                    on_progress({
+                        "done": done,
+                        "total": len(specs),
+                        "queued": len(specs) - done,
+                        "inflight": 0,
+                        "workers": 0,
+                    })
 
         return generate()
 

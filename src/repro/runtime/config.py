@@ -1,28 +1,26 @@
 """One place for the runtime's configuration knobs: :class:`RunConfig`.
 
-The runtime grew one environment variable per feature -- batch size,
-array backend, partition engine, padding waste, cache key mode -- and
-every entry point (``run_jobs``, ``run_sweep``, the CLI, worker
-processes) consulted them ad hoc.  :class:`RunConfig`
-consolidates them behind one dataclass with a documented precedence:
+The runtime has two knobs -- the simulator batch size and the Stage I
+partition engine -- and every entry point (``run_jobs``, ``run_sweep``,
+the CLI, ``Client``, worker processes) resolves them through one
+dataclass with a documented precedence:
 
     **constructor argument  >  environment variable  >  built-in default**
 
 A field left as ``None`` defers to its environment variable (and then
 the default); a field set explicitly wins outright.  ``resolve(name)``
 returns the effective value, and :meth:`RunConfig.export` temporarily
-writes every *explicitly set* knob into ``os.environ`` so child
-processes -- pool forks, remote workers on the same host -- resolve
-the run identically.
+writes every *explicitly set* knob into ``os.environ`` so job code and
+child processes -- pool forks, remote workers on the same host --
+resolve the run identically.  :func:`~repro.runtime.iter_jobs` (under
+``run_jobs``, ``run_sweep`` and ``Client``) exports the config for the
+duration of each batch.
 
 =====================  ==========================  =================
 field                  environment variable        default
 =====================  ==========================  =================
 ``sim_batch``          ``REPRO_SIM_BATCH``         ``1`` (no batching)
-``sim_batch_waste``    ``REPRO_SIM_BATCH_WASTE``   ``4.0``
-``sim_xp``             ``REPRO_SIM_XP``            ``"numpy"``
 ``partition_engine``   ``REPRO_PARTITION_ENGINE``  ``"auto"``
-``cache_coord_keys``   ``REPRO_CACHE_COORD_KEYS``  ``True``
 =====================  ==========================  =================
 
 ``run_jobs(..., config=...)`` / ``run_sweep(..., config=...)`` accept
@@ -42,10 +40,6 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
 
-def _parse_bool(raw: str) -> bool:
-    return raw != "0"
-
-
 def _parse_batch(raw: str) -> Union[int, str]:
     text = raw.strip().lower()
     return text if text == "auto" else int(raw)
@@ -54,10 +48,7 @@ def _parse_batch(raw: str) -> Union[int, str]:
 _KNOBS: Dict[str, Tuple[str, Any, Any]] = {
     # field -> (env var, parser for env text, built-in default)
     "sim_batch": ("REPRO_SIM_BATCH", _parse_batch, 1),
-    "sim_batch_waste": ("REPRO_SIM_BATCH_WASTE", float, 4.0),
-    "sim_xp": ("REPRO_SIM_XP", str, "numpy"),
     "partition_engine": ("REPRO_PARTITION_ENGINE", str, "auto"),
-    "cache_coord_keys": ("REPRO_CACHE_COORD_KEYS", _parse_bool, True),
 }
 
 
@@ -73,10 +64,7 @@ class RunConfig:
     """
 
     sim_batch: Union[int, str, None] = None
-    sim_batch_waste: Optional[float] = None
-    sim_xp: Optional[str] = None
     partition_engine: Optional[str] = None
-    cache_coord_keys: Optional[bool] = None
 
     def resolve(self, name: str) -> Any:
         """The effective value of knob *name* (arg > env > default)."""
@@ -145,10 +133,7 @@ class RunConfig:
             for name, value in self.overrides().items():
                 env_var = _KNOBS[name][0]
                 saved[env_var] = os.environ.get(env_var)
-                if isinstance(value, bool):
-                    os.environ[env_var] = "1" if value else "0"
-                else:
-                    os.environ[env_var] = str(value)
+                os.environ[env_var] = str(value)
             yield self
         finally:
             for env_var, old in saved.items():

@@ -3,8 +3,8 @@
 ``run_jobs(specs)`` is the single entry point the CLI, the sweeps
 front-end, and the benchmarks use to execute work:
 
-1. every spec's cache key is derived (coordinate keys by default --
-   content fingerprints when ``REPRO_CACHE_COORD_KEYS=0``);
+1. every spec's cache key is derived from its graph coordinates and
+   config (no graph is generated for it);
 2. cache hits are answered immediately;
 3. the misses are dispatched to the chosen backend --
    :class:`SerialBackend` runs them in-process,
@@ -157,8 +157,7 @@ def make_backend(name: str, **kwargs):
 def _graph_hints(specs: Sequence[JobSpec]) -> List:
     """Build each distinct input graph once and map it onto *specs*.
 
-    Mirrors the cache layer's per-batch graph memo for cache-less runs:
-    specs that share graph coordinates (family/far, n, effective graph
+    Specs that share graph coordinates (family/far, n, effective graph
     seed) receive the *same* graph object, so downstream consumers --
     most importantly the simulator's per-graph compiled-topology memo --
     only pay the derivation once per distinct topology.  Graphless
@@ -238,10 +237,21 @@ def iter_jobs(
             and cost observations are per-trial regardless.
         config: optional :class:`~repro.runtime.config.RunConfig`; when
             *batch* is ``None`` its ``sim_batch`` knob (arg > env >
-            default) supplies the coalescing limit.
+            default) supplies the coalescing limit.  Every explicitly
+            set knob is exported to the environment while the batch
+            runs, so job code, pool forks and same-host workers resolve
+            the run identically.
     """
-    if batch is None and config is not None:
+    if config is None:
+        config = RunConfig()
+    if batch is None:
         batch = config.resolve("sim_batch")
+    with config.export():
+        yield from _iter_jobs(specs, backend, cache, stats, cost_book, batch)
+
+
+def _iter_jobs(specs, backend, cache, stats, cost_book, batch):
+    """:func:`iter_jobs` with a resolved limit and the config exported."""
     if backend is None:
         backend = SerialBackend()
     elif isinstance(backend, str):
@@ -250,95 +260,61 @@ def iter_jobs(
     batch_stats = stats if stats is not None else CacheStats()
     traced = telemetry_enabled()
 
+    # pending: key -> indices of the specs sharing it; the first index
+    # of each entry runs, the rest piggyback on its record.
+    pending: Dict = {}
     if cache is None:
         # No cache: still deduplicate identical specs within the batch.
-        unique: Dict[JobSpec, List[int]] = {}
+        keys: Sequence = specs
         for index, spec in enumerate(specs):
-            unique.setdefault(spec, []).append(index)
-        ordered = list(unique)
-        dispatch, sources = coalesce(ordered, batch)
-        graphs = (
-            _graph_hints(dispatch)
-            if getattr(backend, "wants_graph_hints", False)
-            else None
-        )
-        for position, record, seconds in backend.run_stream(
-            dispatch, graphs=graphs
-        ):
-            members = sources[position]
-            if dispatch[position].kind == "simulate_batch":
-                per_trial = (
-                    seconds / len(members) if seconds is not None else None
-                )
-                expanded = zip(members, expand_batch_record(record))
+            pending.setdefault(spec, []).append(index)
+    else:
+        deriver = KeyDeriver()
+        keys = [deriver.key_for(spec) for spec in specs]
+        for index, key in enumerate(keys):
+            if key in pending:
+                pending[key].append(index)
+                batch_stats.hits += 1
+                continue
+            hit = cache.lookup(key)
+            if hit is not None:
+                batch_stats.hits += 1
+                if traced:
+                    get_metrics().inc("cache.hits")
+                yield index, hit, True
             else:
-                per_trial = seconds
-                expanded = ((members[0], record),)
-            for source, trial_record in expanded:
-                spec = ordered[source]
-                if cost_book is not None and per_trial is not None:
-                    cost_book.observe(spec.kind, spec.n, per_trial)
-                for index in unique[spec]:
-                    yield index, dict(trial_record), False
-        return
+                batch_stats.misses += 1
+                if traced:
+                    get_metrics().inc("cache.misses")
+                pending[key] = [index]
 
-    deriver = KeyDeriver()
-    keys = [deriver.key_for(spec) for spec in specs]
-    miss_indices: List[int] = []
-    pending: Dict[str, List[int]] = {}
-    for index, (spec, key) in enumerate(zip(specs, keys)):
-        if key in pending:
-            # Duplicate within the batch: piggyback on the first miss.
-            pending[key].append(index)
-            batch_stats.hits += 1
-            continue
-        hit = cache.lookup(key)
-        if hit is not None:
-            batch_stats.hits += 1
-            if traced:
-                get_metrics().inc("cache.hits")
-            yield index, hit, True
-        else:
-            batch_stats.misses += 1
-            if traced:
-                get_metrics().inc("cache.misses")
-            miss_indices.append(index)
-            pending[key] = [index]
-
-    if not miss_indices:
+    if not pending:
         return
+    miss_indices = [indices[0] for indices in pending.values()]
     miss_specs = [specs[i] for i in miss_indices]
     dispatch, sources = coalesce(miss_specs, batch)
-    dispatch_graphs = None
-    if getattr(backend, "wants_graph_hints", False):
-        dispatch_graphs = [deriver.graph_for(spec) for spec in dispatch]
-        # Coordinate-keyed derivers never build graphs; fill the gaps so
-        # in-process misses still share one instance (and one compiled
-        # topology) per distinct input.
-        built: Dict = {}
-        for position, (spec, graph) in enumerate(
-            zip(dispatch, dispatch_graphs)
-        ):
-            if graph is None and spec_needs_graph(spec):
-                key = spec.graph_coordinates
-                graph = built.get(key)
-                if graph is None:
-                    graph = built[key] = spec.build_graph()
-                dispatch_graphs[position] = graph
-    # When the backend persists to this cache's own disk store (a
-    # remote backend whose service shares store_dir), the record is
-    # already on disk by the time it streams back: remember it in
-    # memory only, or every line would land twice.  Coalesced trials
-    # are the exception: the service persisted only the *batch* record
-    # under the batch key, so the expanded per-trial records must be
-    # stored here regardless.
-    backend_store = getattr(backend, "store_dir", None)
-    backend_persists = (
-        backend_store is not None
-        and cache.disk_dir is not None
-        and Path(backend_store).resolve() == Path(cache.disk_dir).resolve()
+    dispatch_graphs = (
+        _graph_hints(dispatch)
+        if getattr(backend, "wants_graph_hints", False)
+        else None
     )
-    absorb = cache.remember if backend_persists else cache.store
+    store = absorb = None
+    if cache is not None:
+        # When the backend persists to this cache's own disk store (a
+        # remote backend whose service shares store_dir), the record is
+        # already on disk by the time it streams back: remember it in
+        # memory only, or every line would land twice.  Coalesced
+        # trials are the exception: the service persisted only the
+        # *batch* record under the batch key, so the expanded per-trial
+        # records must be stored here regardless.
+        backend_store = getattr(backend, "store_dir", None)
+        backend_persists = (
+            backend_store is not None
+            and cache.disk_dir is not None
+            and Path(backend_store).resolve() == Path(cache.disk_dir).resolve()
+        )
+        store = cache.store
+        absorb = cache.remember if backend_persists else cache.store
     for position, record, seconds in backend.run_stream(
         dispatch, graphs=dispatch_graphs
     ):
@@ -346,20 +322,21 @@ def iter_jobs(
         if dispatch[position].kind == "simulate_batch":
             per_trial = seconds / len(members) if seconds is not None else None
             expanded = zip(members, expand_batch_record(record))
-            store_trial = cache.store
+            store_trial = store
         else:
             per_trial = seconds
             expanded = ((members[0], record),)
             store_trial = absorb
         for source, trial_record in expanded:
-            index = miss_indices[source]
+            key = keys[miss_indices[source]]
             if cost_book is not None and per_trial is not None:
                 spec = miss_specs[source]
                 cost_book.observe(spec.kind, spec.n, per_trial)
-            store_trial(keys[index], trial_record)
-            batch_stats.stores += 1
-            for dup_index in pending[keys[index]]:
-                yield dup_index, dict(trial_record), False
+            if store_trial is not None:
+                store_trial(key, trial_record)
+                batch_stats.stores += 1
+            for index in pending[key]:
+                yield index, dict(trial_record), False
 
 
 def run_jobs(
@@ -380,16 +357,15 @@ def run_jobs(
         cost_book: optional :class:`~repro.runtime.scheduler.CostBook`
             collecting per-job wall-times (see :func:`iter_jobs`).
         config: optional :class:`~repro.runtime.config.RunConfig`
-            supplying the ``sim_batch`` coalescing limit (arg > env >
-            default; see :func:`iter_jobs`).
+            supplying the ``sim_batch`` coalescing limit and the knobs
+            exported while the batch runs (see :func:`iter_jobs`).
 
     Returns:
         A :class:`BatchResult` with one record per spec, in input order.
     """
-    batch = config.resolve("sim_batch") if config is not None else None
     return _run_jobs(
         specs, backend=backend, cache=cache, cost_book=cost_book,
-        batch=batch,
+        config=config,
     )
 
 
@@ -399,9 +375,10 @@ def _run_jobs(
     cache: Optional[ResultCache] = None,
     cost_book=None,
     batch: Optional[int] = None,
+    config: Optional[RunConfig] = None,
 ) -> BatchResult:
-    """:func:`run_jobs` with a resolved coalescing limit (``run_sweep``
-    sizes ``"auto"`` batches before calling it)."""
+    """:func:`run_jobs` with an optional resolved coalescing limit
+    (``run_sweep`` sizes ``"auto"`` batches before calling it)."""
     if backend is None:
         backend = SerialBackend()
     elif isinstance(backend, str):
@@ -412,7 +389,7 @@ def _run_jobs(
     records: List[Optional[Record]] = [None] * len(specs)
     for index, record, _from_cache in iter_jobs(
         specs, backend=backend, cache=cache, stats=batch_stats,
-        cost_book=cost_book, batch=batch,
+        cost_book=cost_book, batch=batch, config=config,
     ):
         records[index] = record
     executed = batch_stats.misses if cache is not None else len(set(specs))

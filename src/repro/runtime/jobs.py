@@ -339,7 +339,6 @@ def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
         ),
         collect_exact_violations=params.get("collect_exact_violations", False),
         engine=params.get("engine"),
-        native=params.get("native", True),
     )
     result = test_planarity(graph, seed=spec.seed, config=config)
     return {
@@ -654,9 +653,9 @@ def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
     unpinned one becomes a ragged batch of per-trial graphs), and all
     trials run in lockstep on the batched tensor plane.  Ragged
     batches are split through :func:`~repro.congest.batch.pad_groups`
-    first, so no trial pads beyond the resolved waste bound
-    (``REPRO_SIM_BATCH_WASTE``); a pinned batch is one group by
-    construction.
+    first, so no trial pads beyond
+    :data:`~repro.congest.batch.DEFAULT_PAD_WASTE`; a pinned batch is
+    one group by construction.
 
     The record packs one scalar-identical ``simulate_program`` record
     per trial into a compact ``trials`` JSON string; the executor

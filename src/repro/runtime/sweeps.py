@@ -400,11 +400,11 @@ def run_sweep(
             :data:`~repro.runtime.batching.AUTO_TARGET_SECONDS` of
             work (fixed default without history); batching is
             transparent either way -- records, cache state, and cost
-            accounting stay per-trial on every backend.  Its
-            ``sim_batch_waste`` knob bounds the padding waste of
-            ragged batches.  Every *explicitly set* knob is exported
-            to the environment for the sweep's duration, so pool
-            forks and same-host workers resolve the run identically.
+            accounting stay per-trial on every backend.  Every
+            *explicitly set* knob is exported to the environment while
+            the batch runs (see :func:`~repro.runtime.iter_jobs`), so
+            pool forks and same-host workers resolve the run
+            identically.
 
     Runs with a disk store feed their measured wall-times back into
     the store's metadata shard, so later ``balance="cost"`` splits
@@ -452,9 +452,6 @@ def run_sweep(
         # predicted-vs-actual error histogram (scheduler.cost_rel_error).
         cost_book.model = CostModel.from_store(store)
     with ExitStack() as stack:
-        # Exported knobs are restored on exit, so nested sweeps with
-        # different configs stay coherent.
-        stack.enter_context(config.export())
         sweep_span = stack.enter_context(
             tracer.span(
                 "sweep", kind=spec.kind, jobs=len(specs), backend=backend_name
@@ -485,12 +482,12 @@ def run_sweep(
                     eta_model = cost_book.model or CostModel.from_store(store)
                 batch = _run_streaming(
                     specs, backend, cache, cost_book, progress, eta_model,
-                    backend_name, batch_limit=batch_limit,
+                    backend_name, batch_limit, config,
                 )
             else:
                 batch = _run_jobs(
                     specs, backend=backend, cache=cache,
-                    cost_book=cost_book, batch=batch_limit,
+                    cost_book=cost_book, batch=batch_limit, config=config,
                 )
         finally:
             # Flush even when the batch aborts: the wall-times of every
@@ -514,7 +511,8 @@ def _run_streaming(
     progress,
     eta_model: Optional[CostModel],
     backend_name: str,
-    batch_limit: Optional[int] = None,
+    batch_limit: Optional[int],
+    config: RunConfig,
 ) -> BatchResult:
     """The ``--progress`` execution path: stream records through the
     dashboard as they land, then assemble the same :class:`BatchResult`
@@ -525,7 +523,7 @@ def _run_streaming(
     try:
         for index, record, from_cache in iter_jobs(
             specs, backend=backend, cache=cache, stats=stats,
-            cost_book=cost_book, batch=batch_limit,
+            cost_book=cost_book, batch=batch_limit, config=config,
         ):
             records[index] = record
             progress.update(index, record, from_cache)

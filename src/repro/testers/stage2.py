@@ -14,10 +14,15 @@ parallel; the stage's round cost is the maximum over parts):
 5. sample ``s = Theta(log n / epsilon)`` non-tree edges and reject when
    any sampled edge interlaces another non-tree edge (Definition 7).
 
-Each part is relabeled once, to a
+All parts are relabeled in one pass over the parent adjacency
+(:func:`extract_part_subgraphs`), each to a
 :class:`~repro.planarity.lr_planarity.LocalGraph` over indices
 ``0..n_j-1``; the BFS, the LR embedding (a half-edge ring), the labels
-and the sampling all run on int lists from there.
+and the sampling all run on int lists from there, and sampled edges are
+resolved against the numpy :func:`violating_mask`.  The seed's
+per-part relabeling (``test_part(subgraph=None)``) and the ``O(s*k)``
+pairwise sample scan (``sample_and_detect(universe=None)``) remain only
+as the references the differential tests compare against.
 
 Round accounting per part (charged to the ledger, category "stage2.*"):
 BFS costs ``depth + 1``; the counts convergecast/broadcast ``2 depth + 2``;
@@ -78,14 +83,6 @@ class Stage2Config:
             LR oracle's verdict (DESIGN.md substitution 1).
         collect_exact_violations: also compute the exact violating-edge
             count per part (analysis only; used by benchmark E13).
-        native: relabel all parts in one pass over the parent adjacency
-            (:func:`extract_part_subgraphs`) and resolve sampled
-            interlacements against the numpy :func:`violating_mask`.
-            ``False`` relabels each part from its networkx subgraph view
-            and checks samples with the ``O(s*k)`` pairwise scan -- the
-            differential-testing reference for both shortcuts.  Either
-            way the same int pipeline (LR, labels, sampling) runs, and
-            verdicts are identical.
     """
 
     epsilon: float = 0.1
@@ -93,7 +90,6 @@ class Stage2Config:
     criterion: str = "corner"
     reject_on_embedding_failure: bool = False
     collect_exact_violations: bool = False
-    native: bool = True
 
 
 def extract_part_subgraphs(graph: nx.Graph, partition) -> dict:
@@ -239,17 +235,11 @@ def test_part(
     )
     violating = sum(mask) if mask is not None else None
 
-    # 5. Sampling-based detection (the native pipeline resolves sampled
-    # interlacements via the violating mask -- reusing the analysis
-    # mask when it was already computed; identical outcomes).
+    # 5. Sampling-based detection: sampled interlacements resolve via
+    # the violating mask, reusing the analysis mask when it was already
+    # computed.
     s = sample_size(n_total, config)
-    outcome = sample_and_detect(
-        intervals,
-        s,
-        rng,
-        universe=universe if config.native else None,
-        mask=mask if config.native else None,
-    )
+    outcome = sample_and_detect(intervals, s, rng, universe=universe, mask=mask)
     label_cost = max(1, 2 * label_words)
     local.charge(
         model.convergecast(depth, max(1, outcome.sampled))

@@ -16,15 +16,14 @@ import pytest
 
 import networkx as nx
 
+from _reference_paths import dict_plane
 from repro.congest import (
-    BatchTopology,
     CongestNetwork,
     batch_kernels,
     compile_topology,
     pad_groups,
     run_batched,
 )
-from repro.congest.batch import BIG
 from repro.congest.programs import (
     BFSTreeProgram,
     BarenboimElkinProgram,
@@ -39,7 +38,7 @@ from repro.congest.programs.cole_vishkin import (
 from repro.congest.programs.forest_decomposition import (
     barenboim_elkin_round_budget,
 )
-from repro.congest.xp import get_xp, int_bit_length
+from repro.congest.xp import int_bit_length
 from repro.errors import BandwidthExceededError
 from repro.graphs.far_from_planar import FAR_FAMILIES, make_far
 from repro.graphs.generators import PLANAR_FAMILIES, make_planar
@@ -221,11 +220,10 @@ def test_unknown_program_rejected():
 
 
 def test_int_bit_length_matches_python():
-    xp = get_xp()
     values = list(range(0, 70)) + [2**k for k in range(1, 50)] + [
         2**k - 1 for k in range(2, 50)
     ]
-    got = int_bit_length(np.array(values, dtype=np.int64), xp)
+    got = int_bit_length(np.array(values, dtype=np.int64))
     want = [v.bit_length() for v in values]
     assert got.tolist() == want
 
@@ -244,38 +242,18 @@ def test_pad_groups_partitions_and_bounds():
         pad_groups(topologies, limit=0)
 
 
-def test_reduce_fallback_matches_reduceat():
-    """The scatter (`ufunc.at`) formulation = the reduceat one (cupy path)."""
-    graphs = [nx.gnp_random_graph(15, 0.3, seed=s) for s in (0, 1)] + [
-        nx.empty_graph(4)
-    ]
-    xp = get_xp()
-    batch = BatchTopology(graphs)
-    rng = np.random.default_rng(0)
-    values = xp.asarray(
-        rng.integers(0, 50, size=(batch.B, batch.slots_alloc), dtype=np.int64)
-    )
-    mins = batch.reduce_min(xp.where(values > 25, values, BIG))
-    sums = batch.reduce_sum(values)
-    batch._use_reduceat = False
-    mins_fallback = batch.reduce_min(xp.where(values > 25, values, BIG))
-    sums_fallback = batch.reduce_sum(values)
-    assert (mins == mins_fallback).all()
-    assert (sums == sums_fallback).all()
-
-
 def test_batched_plane_matches_dict_plane_fixture():
     """Three-way agreement: batched == dense == the dict-plane fixture."""
     graph = nx.gnp_random_graph(25, 0.2, seed=3)
     network = CongestNetwork(graph, seed=0)
-    dict_result = network.run(
-        BFSTreeProgram,
-        max_rounds=network.n + 2,
-        config={"root": min(graph.nodes())},
-        strict_bandwidth=True,
-        profile="fast",
-        plane="dict",
-    )
+    with dict_plane():
+        dict_result = network.run(
+            BFSTreeProgram,
+            max_rounds=network.n + 2,
+            config={"root": min(graph.nodes())},
+            strict_bandwidth=True,
+            profile="fast",
+        )
     (batched,) = run_batched("bfs", [graph])
     assert batched.outputs == dict_result.outputs
     assert batched.rounds == dict_result.rounds
@@ -283,9 +261,27 @@ def test_batched_plane_matches_dict_plane_fixture():
     assert batched.total_bits == dict_result.total_bits
 
 
-def test_dict_plane_is_a_fixture_module_now():
-    """Satellite: the dict loop lives in _differential, not the network."""
+def test_dict_plane_is_a_fixture_module_now(monkeypatch):
+    """The dict loop lives in _differential, not the network, and the
+    test-side helper really routes runs through it."""
+    import repro.congest.network as network_module
     from repro.congest import _differential
 
     assert callable(_differential.run_dict_plane)
     assert not hasattr(CongestNetwork, "_run_dict_plane")
+
+    def no_dense_plane(topology):
+        raise AssertionError("dense plane used")
+
+    monkeypatch.setattr(network_module, "DenseMessagePlane", no_dense_plane)
+    graph = nx.path_graph(5)
+
+    def run():
+        return CongestNetwork(graph).run(
+            BFSTreeProgram, max_rounds=7, config={"root": 0}
+        )
+
+    with dict_plane():
+        assert run().halted
+    with pytest.raises(AssertionError, match="dense plane used"):
+        run()

@@ -6,7 +6,8 @@ change only wall-clock.  For every bundled program, both instrumentation
 profiles, and a seeded sweep of generated graphs, the dense plane must
 produce outputs, rounds, halting behavior, message/bit totals, and
 (under the faithful profile) per-round stats identical to the seed's
-dict plane, which is retained precisely as this suite's reference.
+dict plane, which is retained precisely as this suite's reference and
+patched in through :func:`_reference_paths.dict_plane`.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from _reference_paths import dict_plane
 from repro.congest import (
     BROADCAST,
     CongestNetwork,
     DenseMessagePlane,
     NodeProgram,
-    PLANE_ENV_VAR,
     SlotInbox,
     compile_topology,
-    resolve_plane,
 )
 from repro.congest.programs import (
     BFSTreeProgram,
@@ -56,18 +56,23 @@ def _identical(dict_result, dense_result, faithful=False):
         assert dict_result.round_stats == dense_result.round_stats
 
 
+def _on_both_planes(run):
+    """``[run() on the dict plane, run() on the dense plane]``."""
+    with dict_plane():
+        reference = run()
+    return [reference, run()]
+
+
 def _run_planes(graph, program, max_rounds, config, profile, seed=0):
-    return [
-        CongestNetwork(graph, seed=seed).run(
+    return _on_both_planes(
+        lambda: CongestNetwork(graph, seed=seed).run(
             program,
             max_rounds=max_rounds,
             config=config,
             strict_bandwidth=True,
             profile=profile,
-            plane=plane,
         )
-        for plane in ("dict", "dense")
-    ]
+    )
 
 
 class TestDifferentialPrograms:
@@ -110,56 +115,47 @@ class TestDifferentialPrograms:
     def test_storm(self, profile):
         for seed in SEEDS:
             graph = nx.gnp_random_graph(48, 0.3, seed=seed)
-            results = [
-                CongestNetwork(graph, seed=seed).run(
+            results = _on_both_planes(
+                lambda: CongestNetwork(graph, seed=seed).run(
                     BroadcastStormProgram,
                     max_rounds=8,
                     config={"storm_rounds": 6},
                     profile=profile,
-                    plane=plane,
                 )
-                for plane in ("dict", "dense")
-            ]
+            )
             _identical(*results, faithful=profile == "faithful")
 
-    def test_stage2_verification(self, monkeypatch):
+    def test_stage2_verification(self):
         from repro.congest.programs import run_stage2_verification_simulated
         from repro.planarity import check_planarity
 
         graph = make_planar("delaunay", 60, seed=3)
         rotation = check_planarity(graph).embedding.to_dict()
         for seed in SEEDS:
-            per_plane = []
-            for plane in ("dict", "dense"):
-                monkeypatch.setenv(PLANE_ENV_VAR, plane)
-                per_plane.append(
-                    run_stage2_verification_simulated(
-                        graph, 0, rotation, epsilon=0.2, seed=seed
-                    )
+            a, b = _on_both_planes(
+                lambda: run_stage2_verification_simulated(
+                    graph, 0, rotation, epsilon=0.2, seed=seed
                 )
-            a, b = per_plane
+            )
             assert a.accepted == b.accepted
             assert a.rejecting_nodes == b.rejecting_nodes
             assert a.positions == b.positions
             assert a.rounds == b.rounds
 
-    def test_entry_points_under_env_plane(self, monkeypatch):
-        """Program entry points follow REPRO_SIM_PLANE like workers do."""
+    def test_entry_points_under_dict_plane(self):
+        """Program entry points agree with the dict-plane reference."""
         graph = make_planar("tri-grid", 60, seed=0)
         path = nx.path_graph(9)
         parents = {i: i + 1 if i < 8 else None for i in range(9)}
-        per_plane = []
-        for plane in ("dict", "dense"):
-            monkeypatch.setenv(PLANE_ENV_VAR, plane)
-            per_plane.append(
-                (
-                    flood_eccentricity(graph, 0),
-                    cole_vishkin_coloring(path, parents),
-                    run_cycle_check_simulated(graph, 0),
-                    run_bipartite_check_simulated(graph, 0),
-                    run_forest_decomposition_simulated(graph, alpha=3),
-                )
+        per_plane = _on_both_planes(
+            lambda: (
+                flood_eccentricity(graph, 0),
+                cole_vishkin_coloring(path, parents),
+                run_cycle_check_simulated(graph, 0),
+                run_bipartite_check_simulated(graph, 0),
+                run_forest_decomposition_simulated(graph, alpha=3),
             )
+        )
         (f_ecc, f_cv, f_cyc, f_bip, f_fd), (d_ecc, d_cv, d_cyc, d_bip, d_fd) = (
             per_plane
         )
@@ -178,15 +174,6 @@ class TestDifferentialPrograms:
 
 
 class TestDensePlaneMechanics:
-    def test_resolve_plane_defaults_and_env(self, monkeypatch):
-        monkeypatch.delenv(PLANE_ENV_VAR, raising=False)
-        assert resolve_plane(None) == "dense"
-        monkeypatch.setenv(PLANE_ENV_VAR, "dict")
-        assert resolve_plane(None) == "dict"
-        assert resolve_plane("dense") == "dense"
-        with pytest.raises(ValueError, match="unknown message plane"):
-            resolve_plane("warp")
-
     def test_slot_inbox_is_a_mapping(self):
         graph = nx.path_graph(4)
         topology = compile_topology(graph)
@@ -202,7 +189,7 @@ class TestDensePlaneMechanics:
                 return None
 
         network = CongestNetwork(graph)
-        result = network.run(Announce, max_rounds=3, plane="dense")
+        result = network.run(Announce, max_rounds=3)
         middle = result.programs[1]
         assert middle.length == 2
         assert middle.seen == {0: ("hello", 0), 2: ("hello", 2)}
@@ -240,9 +227,7 @@ class TestDensePlaneMechanics:
 
         graph = nx.path_graph(3)
         with pytest.raises(ProtocolError, match="non-neighbor"):
-            CongestNetwork(graph).run(
-                BadSender, max_rounds=2, profile="fast", plane="dense"
-            )
+            CongestNetwork(graph).run(BadSender, max_rounds=2, profile="fast")
 
     def test_plane_arrays_are_consistent(self):
         graph = make_planar("grid", 36, seed=0)

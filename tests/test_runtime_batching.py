@@ -11,7 +11,6 @@ service, and the env-var knob.
 
 from __future__ import annotations
 
-from repro.congest.plane import PLANE_ENV_VAR
 from repro.runtime import (
     BATCH_ENV_VAR,
     CostBook,
@@ -56,13 +55,6 @@ def test_batchable_requires_fast_profile_and_known_program():
     assert not batchable(
         JobSpec.make("test_planarity", family="grid", n=30, seed=0)
     )
-
-
-def test_batchable_respects_plane_env(monkeypatch):
-    monkeypatch.setenv(PLANE_ENV_VAR, "dict")
-    assert not batchable(sim_spec())
-    monkeypatch.setenv(PLANE_ENV_VAR, "dense")
-    assert batchable(sim_spec())
 
 
 def test_coalesce_groups_chunks_and_passes_singletons_through():
@@ -252,50 +244,33 @@ def test_run_sweep_auto_batch_matches_unbatched(tmp_path):
 # -- padding-waste bound ------------------------------------------------------
 
 
-def test_resolve_pad_waste_arg_env_default(monkeypatch):
+def test_pad_groups_waste_bound():
+    import networkx as nx
     import pytest
 
-    from repro.congest.batch import WASTE_ENV_VAR, resolve_pad_waste
-
-    monkeypatch.delenv(WASTE_ENV_VAR, raising=False)
-    assert resolve_pad_waste() == 4.0
-    monkeypatch.setenv(WASTE_ENV_VAR, "2.5")
-    assert resolve_pad_waste() == 2.5
-    assert resolve_pad_waste(8) == 8.0  # explicit arg beats the env
-    with pytest.raises(ValueError):
-        resolve_pad_waste(0.5)
-    monkeypatch.setenv(WASTE_ENV_VAR, "0.25")
-    with pytest.raises(ValueError):
-        resolve_pad_waste()
-
-
-def test_pad_groups_reads_waste_env(monkeypatch):
-    import networkx as nx
-
     from repro.congest import compile_topology, pad_groups
-    from repro.congest.batch import WASTE_ENV_VAR
 
     topologies = [compile_topology(nx.path_graph(n)) for n in (4, 8, 64)]
-    monkeypatch.delenv(WASTE_ENV_VAR, raising=False)
     default_groups = pad_groups(topologies, limit=8)
-    monkeypatch.setenv(WASTE_ENV_VAR, "1.0")
-    tight = pad_groups(topologies, limit=8)
+    tight = pad_groups(topologies, limit=8, waste=1.0)
     # A waste bound of 1 forbids any padding: every distinct slot count
     # lands in its own group, tighter than the 4.0 default's split.
     assert len(tight) == 3
     assert len(default_groups) < len(tight)
+    with pytest.raises(ValueError, match="waste"):
+        pad_groups(topologies, limit=8, waste=0.5)
 
 
 def test_ragged_batch_respects_waste_bound(monkeypatch):
     """A ragged (unpinned-graph) batch splits through ``pad_groups``
     inside the job; under the tightest bound the record still expands
     to exactly the scalar per-trial records."""
-    from repro.congest.batch import WASTE_ENV_VAR
+    from repro.congest import batch as batch_module
 
     members = [
         JobSpec.make(
             "simulate_program",
-            family="planar-sparse",
+            family="delaunay",
             n=24,
             seed=s,
             program="bfs",
@@ -305,28 +280,13 @@ def test_ragged_batch_respects_waste_bound(monkeypatch):
     ]
     scalar = [run_job(spec) for spec in members]
     batch = make_batch_spec(members)
-    monkeypatch.setenv(WASTE_ENV_VAR, "1.0")
+    pad_groups = batch_module.pad_groups
+    groups = []
+
+    def tight_groups(topologies, limit):
+        groups.append(pad_groups(topologies, limit, waste=1.0))
+        return groups[-1]
+
+    monkeypatch.setattr(batch_module, "pad_groups", tight_groups)
     assert expand_batch_record(run_job(batch)) == scalar
-
-
-def test_run_sweep_batch_waste_exports_and_restores_env(monkeypatch):
-    import os
-
-    from repro.congest.batch import WASTE_ENV_VAR
-
-    monkeypatch.setenv(WASTE_ENV_VAR, "3.0")
-    sweep = SweepSpec.make(
-        "simulate_program",
-        families=["grid"],
-        ns=[30],
-        seeds=[0, 1, 2, 3],
-        program=["bfs"],
-        profile=["fast"],
-    )
-    base = run_sweep(sweep)
-    bounded = run_sweep(
-        sweep, config=RunConfig(sim_batch=4, sim_batch_waste=1.5)
-    )
-    assert bounded.records == base.records
-    # The flag was exported only for the sweep's duration.
-    assert os.environ[WASTE_ENV_VAR] == "3.0"
+    assert len(groups) == 1 and len(groups[0]) > 1  # the batch did split

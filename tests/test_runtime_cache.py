@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import networkx as nx
 
-from repro.runtime import JobSpec, ResultCache, graph_fingerprint
-from repro.runtime.cache import KeyDeriver, cache_key, config_digest
+from repro.runtime import JobSpec, ResultCache
+from repro.runtime.cache import (
+    KeyDeriver,
+    cache_key,
+    config_digest,
+    graph_fingerprint,
+)
 
 
 def test_fingerprint_ignores_edge_orientation_and_order():
@@ -95,7 +100,7 @@ def test_clear(tmp_path):
 
 
 class TestCoordinateKeys:
-    """The REPRO_CACHE_COORD_KEYS=1 fast path (skip generation on hit)."""
+    """Coordinate cache keys: no graph is generated to derive a key."""
 
     def _spec(self, **kw):
         from repro.runtime import JobSpec
@@ -115,29 +120,20 @@ class TestCoordinateKeys:
         assert coordinate_fingerprint(base).startswith("coord:")
 
     def test_deriver_skips_generation(self, monkeypatch):
-        from repro.runtime.cache import KeyDeriver
+        from repro.runtime import coordinate_fingerprint
+
+        def no_build(spec):
+            raise AssertionError("key derivation built a graph")
 
         spec = self._spec(epsilon=0.5)
-        deriver = KeyDeriver(coord_keys=True)
-        key = deriver.key_for(spec)
-        assert deriver.graph_for(spec) is None  # no graph was built
-        assert key != KeyDeriver(coord_keys=False).key_for(spec)
+        monkeypatch.setattr(JobSpec, "build_graph", no_build)
+        key = KeyDeriver().key_for(spec)
+        assert key == cache_key(spec, coordinate_fingerprint(spec))
 
-    def test_env_knob_defaults_on(self, monkeypatch):
-        from repro.runtime.cache import COORD_KEYS_ENV_VAR, KeyDeriver
-
-        monkeypatch.setenv(COORD_KEYS_ENV_VAR, "1")
-        assert KeyDeriver().coord_keys
-        monkeypatch.delenv(COORD_KEYS_ENV_VAR)
-        # Coordinate keys are the default; "0" is the opt-out.
-        assert KeyDeriver().coord_keys
-        monkeypatch.setenv(COORD_KEYS_ENV_VAR, "0")
-        assert not KeyDeriver().coord_keys
-
-    def test_determinism_cross_check(self, monkeypatch):
-        """Coordinate keys are sound: regeneration is bit-stable and both
-        key modes produce identical records for the same specs."""
-        from repro.runtime import ResultCache, graph_fingerprint, run_jobs
+    def test_determinism_cross_check(self):
+        """Coordinate keys are sound: regeneration is bit-stable and
+        cached runs produce the records cache-less runs do."""
+        from repro.runtime import ResultCache, run_jobs
 
         spec = self._spec(epsilon=0.5)
         # The generator is deterministic in its coordinates: two
@@ -147,15 +143,11 @@ class TestCoordinateKeys:
         )
 
         specs = [self._spec(epsilon=eps) for eps in (0.5, 0.25)]
-        from repro.runtime.cache import COORD_KEYS_ENV_VAR
-
-        monkeypatch.setenv(COORD_KEYS_ENV_VAR, "0")
-        content = run_jobs(specs, cache=ResultCache())
-        monkeypatch.setenv(COORD_KEYS_ENV_VAR, "1")
+        uncached = run_jobs(specs)
         coord_cache = ResultCache()
         coord_first = run_jobs(specs, cache=coord_cache)
         coord_second = run_jobs(specs, cache=coord_cache)
-        assert content.records == coord_first.records
+        assert uncached.records == coord_first.records
         assert coord_second.records == coord_first.records
         assert coord_second.executed == 0  # fully served from cache
         assert coord_second.cache_stats.hits == len(specs)
@@ -167,8 +159,6 @@ class TestCoordinateKeys:
         fingerprint, across two seeds)."""
         from repro.graphs.far_from_planar import FAR_FAMILIES
         from repro.graphs.generators import PLANAR_FAMILIES
-        from repro.runtime import JobSpec, graph_fingerprint
-
         def fingerprints(**kw):
             spec = JobSpec.make("partition_stage1", n=48, **kw)
             return (

@@ -6,7 +6,14 @@ import os
 
 import pytest
 
-from repro.runtime import JobSpec, ResultCache, RunConfig, run_jobs, run_sweep
+from repro.runtime import (
+    JobSpec,
+    ResultCache,
+    RunConfig,
+    iter_jobs,
+    run_jobs,
+    run_sweep,
+)
 from repro.runtime.sweeps import SweepSpec
 
 
@@ -20,18 +27,16 @@ def _specs(n=2):
 class TestResolvePrecedence:
     def test_default_when_nothing_set(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
+        monkeypatch.delenv("REPRO_PARTITION_ENGINE", raising=False)
         assert RunConfig().resolve("sim_batch") == 1
-        assert RunConfig().resolve("sim_batch_waste") == 4.0
-        assert RunConfig().resolve("sim_xp") == "numpy"
         assert RunConfig().resolve("partition_engine") == "auto"
-        assert RunConfig().resolve("cache_coord_keys") is True
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "8")
-        monkeypatch.setenv("REPRO_CACHE_COORD_KEYS", "0")
+        monkeypatch.setenv("REPRO_PARTITION_ENGINE", "legacy")
         config = RunConfig()
         assert config.resolve("sim_batch") == 8
-        assert config.resolve("cache_coord_keys") is False
+        assert config.resolve("partition_engine") == "legacy"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "8")
@@ -52,16 +57,15 @@ class TestResolvePrecedence:
             RunConfig().resolve("warp_factor")
 
     def test_resolved_and_overrides(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        config = RunConfig(sim_batch=4, partition_engine="dense")
-        assert config.overrides() == {
-            "sim_batch": 4,
-            "partition_engine": "dense",
-        }
+        monkeypatch.delenv("REPRO_PARTITION_ENGINE", raising=False)
+        config = RunConfig(sim_batch=4)
+        assert config.overrides() == {"sim_batch": 4}
         effective = config.resolved()
         assert effective["sim_batch"] == 4
-        assert effective["partition_engine"] == "dense"
-        assert effective["sim_batch_waste"] == 4.0  # default fills gaps
+        assert effective["partition_engine"] == "auto"  # default fills gaps
+
+    def test_only_batch_and_engine_knobs(self):
+        assert sorted(RunConfig().resolved()) == ["partition_engine", "sim_batch"]
 
     def test_env_var_lookup(self):
         assert RunConfig.env_var("sim_batch") == "REPRO_SIM_BATCH"
@@ -83,14 +87,13 @@ class TestResolvePrecedence:
 class TestExport:
     def test_export_sets_and_restores(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        monkeypatch.setenv("REPRO_SIM_XP", "numpy")
-        config = RunConfig(sim_batch=5, sim_xp="torch", cache_coord_keys=False)
+        monkeypatch.setenv("REPRO_PARTITION_ENGINE", "auto")
+        config = RunConfig(sim_batch=5, partition_engine="legacy")
         with config.export():
             assert os.environ["REPRO_SIM_BATCH"] == "5"
-            assert os.environ["REPRO_SIM_XP"] == "torch"
-            assert os.environ["REPRO_CACHE_COORD_KEYS"] == "0"
+            assert os.environ["REPRO_PARTITION_ENGINE"] == "legacy"
         assert "REPRO_SIM_BATCH" not in os.environ  # was unset before
-        assert os.environ["REPRO_SIM_XP"] == "numpy"  # restored
+        assert os.environ["REPRO_PARTITION_ENGINE"] == "auto"  # restored
 
     def test_export_skips_unset_knobs(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
@@ -127,6 +130,23 @@ class TestEntryPoints:
             run_sweep(sweep, batch=1)
         with pytest.raises(TypeError, match="batch_waste"):
             run_sweep(sweep, batch_waste=4.0)
+
+    def test_run_jobs_exports_config_knobs(self, monkeypatch):
+        """``run_jobs``/``iter_jobs`` export the config to job code the
+        way ``run_sweep`` does: a bad engine fails instead of running."""
+        monkeypatch.delenv("REPRO_PARTITION_ENGINE", raising=False)
+        bogus = RunConfig(partition_engine="bogus")
+        sweep = SweepSpec.make(
+            "test_planarity", families=["grid"], ns=[36],
+            epsilon=[0.5], seeds=[0],
+        )
+        with pytest.raises(ValueError, match="unknown partition engine"):
+            run_jobs(_specs(1), config=bogus)
+        with pytest.raises(ValueError, match="unknown partition engine"):
+            list(iter_jobs(_specs(1), config=bogus))
+        with pytest.raises(ValueError, match="unknown partition engine"):
+            run_sweep(sweep, config=bogus)
+        assert "REPRO_PARTITION_ENGINE" not in os.environ  # restored
 
     def test_run_sweep_reads_env_through_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "2")

@@ -1,13 +1,13 @@
-"""Differential tests: the native Stage II pipeline vs the seed path.
+"""Differential tests: the Stage II pipeline vs the seed path.
 
-Covers the three native substitutions -- one-pass part relabeling, the
-numpy violating mask resolving sampled interlacements, and the dense
-Stage I feeding the tester -- asserting identical per-part verdicts,
-reasons, sampled counts, and round charges against the seed
-configuration (per-part relabeling from subgraph views + pairwise scans
-+ legacy partition) on planar and far generators alike.  Instances that
-reject inside Stage II are also pinned to the figures the dict-keyed
-seed implementation produced.
+Covers the three substitutions -- one-pass part relabeling, the numpy
+violating mask resolving sampled interlacements, and the dense Stage I
+feeding the tester -- asserting identical per-part verdicts, reasons,
+sampled counts, and round charges against the seed path (per-part
+relabeling from subgraph views + pairwise scans, patched in by
+:func:`_reference_paths.seed_stage2`, + the legacy partition) on planar
+and far generators alike.  Instances that reject inside Stage II are
+also pinned to the figures the dict-keyed seed implementation produced.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import random
 import networkx as nx
 import pytest
 
+from _reference_paths import seed_stage2
 from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
 from repro.graphs.generators import PLANAR_FAMILIES
@@ -32,7 +33,14 @@ from repro.testers.violations import (
     violating_mask_bruteforce,
 )
 
-SEED_CONFIG = dict(engine="legacy", native=False)
+def run_seed(graph, seed, **config):
+    """The tester on the seed path: legacy Stage I, reference Stage II."""
+    with seed_stage2():
+        return run_planarity(
+            graph,
+            seed=seed,
+            config=PlanarityTestConfig(engine="legacy", **config),
+        )
 
 
 def _canonical(result):
@@ -66,49 +74,51 @@ class TestTesterDifferential:
     def test_planar_families_identical(self, family):
         graph = make_planar(family, 150, seed=0)
         for seed in (0, 1):
-            native = run_planarity(
+            fast = run_planarity(
                 graph, seed=seed, config=PlanarityTestConfig(epsilon=0.1)
             )
-            legacy = run_planarity(
-                graph,
-                seed=seed,
-                config=PlanarityTestConfig(epsilon=0.1, **SEED_CONFIG),
-            )
-            assert _canonical(native) == _canonical(legacy), (family, seed)
+            legacy = run_seed(graph, seed, epsilon=0.1)
+            assert _canonical(fast) == _canonical(legacy), (family, seed)
 
     @pytest.mark.parametrize("far", sorted(FAR_FAMILIES))
     def test_far_families_identical(self, far):
         graph, certified = make_far(far, 150, seed=0)
         epsilon = min(0.3, max(0.05, certified * 0.9))
         for seed in (0, 1, 2):
-            native = run_planarity(
+            fast = run_planarity(
                 graph, seed=seed, config=PlanarityTestConfig(epsilon=epsilon)
             )
-            legacy = run_planarity(
-                graph,
-                seed=seed,
-                config=PlanarityTestConfig(epsilon=epsilon, **SEED_CONFIG),
-            )
-            assert _canonical(native) == _canonical(legacy), (far, seed)
+            legacy = run_seed(graph, seed, epsilon=epsilon)
+            assert _canonical(fast) == _canonical(legacy), (far, seed)
 
     def test_exact_violation_analysis_identical(self):
         graph, _ = make_far("planted-k5", 120, seed=0)
-        native = run_planarity(
+        fast = run_planarity(
             graph,
             seed=0,
             config=PlanarityTestConfig(
                 epsilon=0.1, collect_exact_violations=True
             ),
         )
-        legacy = run_planarity(
-            graph,
-            seed=0,
-            config=PlanarityTestConfig(
-                epsilon=0.1, collect_exact_violations=True, **SEED_CONFIG
-            ),
-        )
-        assert native.total_violating_exact == legacy.total_violating_exact
-        assert _canonical(native) == _canonical(legacy)
+        legacy = run_seed(graph, 0, epsilon=0.1, collect_exact_violations=True)
+        assert fast.total_violating_exact == legacy.total_violating_exact
+        assert _canonical(fast) == _canonical(legacy)
+
+
+    def test_seed_path_bypasses_fast_paths(self, monkeypatch):
+        """The reference patch really swaps both Stage II shortcuts out."""
+        import repro.testers.planarity as planarity_module
+        import repro.testers.violations as violations_module
+
+        def fast_path(*args, **kwargs):
+            raise AssertionError("fast path reached")
+
+        monkeypatch.setattr(planarity_module, "extract_part_subgraphs", fast_path)
+        monkeypatch.setattr(violations_module, "_violating_array", fast_path)
+        graph = make_planar("grid", 64, seed=0)
+        assert run_seed(graph, 0, epsilon=0.2).accepted
+        with pytest.raises(AssertionError, match="fast path reached"):
+            run_planarity(graph, seed=0, config=PlanarityTestConfig(epsilon=0.2))
 
 
 class TestExtraction:
@@ -262,10 +272,10 @@ class TestStage2Rejections:
                 graph,
                 seed=0,
                 config=PlanarityTestConfig(
-                    epsilon=0.1, collect_exact_violations=True, **config
+                    epsilon=0.1, collect_exact_violations=True
                 ),
-            )
-            for config in ({}, SEED_CONFIG)
+            ),
+            run_seed(graph, 0, epsilon=0.1, collect_exact_violations=True),
         ]
         assert _canonical(results[0]) == _canonical(results[1])
         result = results[0]
@@ -294,16 +304,16 @@ class TestStage2Rejections:
     def test_criteria_identical_across_paths(self, criterion):
         graph = stage2_rejecting("outerplanar+10/0")
         partition = partition_stage1(graph, epsilon=0.1).partition
-        outcomes = []
-        for native in (True, False):
-            config = Stage2Config(
-                epsilon=0.1,
-                criterion=criterion,
-                collect_exact_violations=True,
-                native=native,
-            )
+        config = Stage2Config(
+            epsilon=0.1, criterion=criterion, collect_exact_violations=True
+        )
+
+        def outcome():
             verdicts, rejecting, rounds = stage2_over_partition(
                 graph, partition, config, seed=0
             )
-            outcomes.append((rejecting, rounds, [vars(v) for v in verdicts]))
-        assert outcomes[0] == outcomes[1]
+            return rejecting, rounds, [vars(v) for v in verdicts]
+
+        fast = outcome()
+        with seed_stage2():
+            assert outcome() == fast
