@@ -15,13 +15,20 @@ single output.  Gated (and run in CI's bench-smoke job):
   per-part verdicts (the full differential suite lives in
   ``tests/test_partition_dense.py`` / ``tests/test_stage2_native.py``).
 
+Two ungated figures ride along in ``BENCH_e16.json``: the wall time of
+one fresh ``CompiledTopology`` build (the ``compile`` row), and the
+number of full (generation-2) collections per tester op, counted with
+``gc.callbacks`` over ops on fresh copies of a pool of graphs -- the
+collector pauses that set the tester's tail latency.
+
 The gate sizes are fixed at n=2000 regardless of ``REPRO_BENCH_QUICK``
 -- the speedup claim is specifically about that scale; quick mode only
-trims the repeat count.
+trims the repeat count and the collection probe's pool.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from unittest import mock
@@ -30,7 +37,7 @@ import pytest
 
 from _harness import quick_mode, save_table
 from repro.analysis.tables import Table
-from repro.congest.topology import compile_topology
+from repro.congest.topology import CompiledTopology, compile_topology
 from repro.graphs import make_planar
 from repro.partition import partition_stage1
 import repro.testers.planarity as planarity_module
@@ -41,6 +48,8 @@ from repro.testers.planarity import test_planarity as run_planarity
 N = 2000
 EPSILON = 0.1
 REPEATS = 2 if quick_mode() else 4
+GC_POOL = 8 if quick_mode() else 16
+GC_OPS = 16 if quick_mode() else 32
 
 PARTITION_GATE = 3.0
 TESTER_GATE = 1.5
@@ -83,6 +92,37 @@ def _best(fn):
     return best, result
 
 
+def _full_collections(config):
+    """Full collections and their pause per tester op, over a graph pool.
+
+    Each op tests a fresh copy of a pool graph, as a service worker
+    would; the pool stays alive so full passes cost what they cost in a
+    long-running process.
+    """
+    pool = [make_planar("delaunay", N, seed=seed) for seed in range(GC_POOL)]
+    collections = 0
+    paused = 0.0
+    started = 0.0
+
+    def on_collect(phase, info):
+        nonlocal collections, paused, started
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            collections += 1
+            paused += time.perf_counter() - started
+
+    gc.callbacks.append(on_collect)
+    try:
+        for op in range(GC_OPS):
+            run_planarity(pool[op % GC_POOL].copy(), seed=0, config=config)
+    finally:
+        gc.callbacks.remove(on_collect)
+    return collections / GC_OPS, 1000 * paused / GC_OPS
+
+
 @pytest.fixture(scope="module")
 def pipeline_table():
     graph = make_planar("delaunay", N, seed=0)
@@ -102,6 +142,8 @@ def pipeline_table():
     native_tester_time, native_result = _best(
         lambda: run_planarity(graph, seed=0, config=native_config)
     )
+    compile_time, _topology = _best(lambda: CompiledTopology(graph))
+    gen2_per_op, gen2_pause_ms = _full_collections(native_config)
 
     assert dense.partition.size == legacy.partition.size
     assert dense.partition.cut_size() == legacy.partition.cut_size()
@@ -137,6 +179,7 @@ def pipeline_table():
         f">={TESTER_GATE}x",
         "yes",
     )
+    table.add_row("compile", "CSR (numpy)", round(compile_time, 4), "-", "-", "-")
     save_table(
         table,
         "e16_dense_pipeline.md",
@@ -152,6 +195,12 @@ def pipeline_table():
             "tester_native_s": round(native_tester_time, 6),
             "tester_speedup": round(tester_speedup, 3),
             "tester_gate": TESTER_GATE,
+            "compile_s": round(compile_time, 6),
+            "compile_share_of_tester": round(compile_time / native_tester_time, 4),
+            "gc_pool": GC_POOL,
+            "gc_ops": GC_OPS,
+            "gc_gen2_per_op": round(gen2_per_op, 4),
+            "gc_gen2_pause_ms_per_op": round(gen2_pause_ms, 3),
         },
     )
     return partition_speedup, tester_speedup

@@ -35,7 +35,7 @@ class NodeContext:
 
     Attributes:
         node: this node's identifier.
-        neighbors: identifiers of adjacent nodes, in sorted order.
+        neighbors: identifiers of adjacent nodes, in ``id_key`` order.
         n: number of nodes in the network (CONGEST nodes know ``n``,
            or at least a polynomial upper bound; the paper assumes ids in
            ``[n]`` so knowing ``n`` up to a constant power is standard).

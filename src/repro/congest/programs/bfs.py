@@ -65,8 +65,8 @@ class BFSBatchKernel(BatchKernel):
     token reaches depth ``d``), so the scalar's ``sorted((depth,
     sender))[0]`` collapses to two independent min-reductions -- the
     arrived depth lane and the static sender table.  Dense indices
-    follow sorted-id order, so the minimum dense index *is* the
-    minimum-id parent.  Root is dense index 0 (minimum node id).
+    follow ``id_key`` order (numeric for int ids), so the minimum dense
+    index *is* the minimum-id parent.  Root is dense index 0 (minimum node id).
     """
 
     lanes = 1

@@ -6,15 +6,21 @@ neighbor tuples, frozen membership sets, and the bandwidth budget.  For
 a sweep that replays hundreds of trials on the same topology this work
 was repeated per run even though the graph never changed.
 
-A :class:`CompiledTopology` does that derivation exactly once per graph:
+A :class:`CompiledTopology` does that derivation exactly once per graph,
+CSR first:
 
-* node ids are normalized to **dense indices** ``0..n-1`` (sorted id
-  order) with a CSR-style adjacency encoding (``indptr``/``indices``
-  arrays over dense indices);
-* per-node neighbor tuples (original ids, sorted), frozen neighbor
-  sets for O(1) membership checks in the delivery loop, and frozen
-  neighbor *index* sets over the dense indices;
-* a dense degree table and the default per-edge bandwidth budget.
+* node ids are normalized to **dense indices** ``0..n-1`` in the
+  canonical :func:`~repro.graphs.utils.id_key` order (numeric for ints,
+  ``repr`` after them for everything else, so mixed labels compile);
+* the adjacency is a CSR encoding over dense indices
+  (``indptr``/``indices``, rows ascending) plus a degree table, built by
+  numpy sorts with no per-node Python containers -- the Stage I engine
+  and the batched plane read only these arrays;
+* the simulator's per-node views -- neighbor tuples (original ids),
+  frozen neighbor sets for O(1) membership checks in the delivery loop,
+  and frozen neighbor *index* sets -- are derived from the CSR on first
+  use, so a tester run that never simulates never allocates them;
+* the default per-edge bandwidth budget.
 
 :func:`compile_topology` memoizes compilations per graph *object* in a
 ``WeakKeyDictionary``.  A topology holds its graph only through a weak
@@ -38,10 +44,18 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..errors import GraphInputError
-from ..graphs.utils import has_self_loops
+from ..graphs.utils import has_self_loops, id_key
 from .message import default_bandwidth_bits
+
+
+def _int_array(values: "np.ndarray") -> array:
+    """An ``array('q')`` copy of an int64 vector."""
+    out = array("q")
+    out.frombytes(values.tobytes())
+    return out
 
 
 class CompiledTopology:
@@ -52,20 +66,21 @@ class CompiledTopology:
             once the graph has been garbage-collected).
         n: number of nodes.
         m: number of edges.
-        nodes: node ids in sorted order; position = dense index.
+        nodes: node ids in ``id_key`` order; position = dense index.
         index: mapping from node id to dense index.
         indptr: CSR row pointers (length ``n + 1``); the neighbors of
             dense index ``i`` are ``indices[indptr[i]:indptr[i + 1]]``.
-        indices: CSR column indices (dense neighbor indices, sorted by
-            the neighbor's node id within each row).
+        indices: CSR column indices (dense neighbor indices, ascending
+            within each row).
         degrees: dense degree table (``degrees[i]`` = degree of node
             ``nodes[i]``).
-        neighbors: node id -> sorted tuple of neighbor ids (the shape
-            :class:`~repro.congest.node.NodeContext` consumes).
+        neighbors: node id -> tuple of neighbor ids in dense order (the
+            shape :class:`~repro.congest.node.NodeContext` consumes).
+            Built on first access.
         neighbor_sets: node id -> frozenset of neighbor ids (delivery
-            loop membership checks).
+            loop membership checks).  Built on first access.
         neighbor_index_sets: dense index -> frozenset of dense neighbor
-            indices.
+            indices.  Built on first access.
         bandwidth_bits: the default CONGEST budget for this ``n`` (see
             :func:`repro.congest.message.default_bandwidth_bits`).
     """
@@ -79,10 +94,10 @@ class CompiledTopology:
         "indptr",
         "indices",
         "degrees",
-        "neighbors",
-        "neighbor_sets",
-        "neighbor_index_sets",
         "bandwidth_bits",
+        "_neighbors",
+        "_neighbor_sets",
+        "_neighbor_index_sets",
         "_plane_arrays",
         "_edge_arrays",
         "_batch_arrays",
@@ -97,35 +112,32 @@ class CompiledTopology:
         if graph.number_of_nodes() == 0:
             raise GraphInputError("CongestNetwork requires at least one node")
         self._graph_ref = weakref.ref(graph)
-        self.n = graph.number_of_nodes()
+        n = self.n = graph.number_of_nodes()
         self.m = graph.number_of_edges()
-        nodes: Tuple[Any, ...] = tuple(sorted(graph.nodes()))
+        nodes: Tuple[Any, ...] = tuple(sorted(graph, key=id_key))
         self.nodes = nodes
         index: Dict[Any, int] = {v: i for i, v in enumerate(nodes)}
         self.index = index
 
-        indptr = array("q", [0])
-        indices = array("q")
-        degrees = array("q")
-        neighbors: Dict[Any, Tuple[Any, ...]] = {}
-        neighbor_sets: Dict[Any, frozenset] = {}
-        neighbor_index_sets = []
-        for v in nodes:
-            nbrs = tuple(sorted(graph.neighbors(v)))
-            neighbors[v] = nbrs
-            neighbor_sets[v] = frozenset(nbrs)
-            row = [index[w] for w in nbrs]
-            indices.extend(row)
-            indptr.append(len(indices))
-            degrees.append(len(nbrs))
-            neighbor_index_sets.append(frozenset(row))
-        self.indptr = indptr
-        self.indices = indices
-        self.degrees = degrees
-        self.neighbors = neighbors
-        self.neighbor_sets = neighbor_sets
-        self.neighbor_index_sets = tuple(neighbor_index_sets)
-        self.bandwidth_bits = default_bandwidth_bits(self.n)
+        # Rows are filled in dense order, so one sort of the packed
+        # (row, column) keys orders every row by neighbor index.
+        adj = graph._adj
+        degrees = np.fromiter((len(adj[v]) for v in nodes), np.int64, n)
+        slots = int(degrees.sum())
+        columns = np.fromiter(
+            (index[w] for v in nodes for w in adj[v]), np.int64, slots
+        )
+        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        keys = np.sort(rows * n + columns)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        self.indptr = _int_array(indptr)
+        self.indices = _int_array(keys - rows * n)
+        self.degrees = _int_array(degrees)
+        self.bandwidth_bits = default_bandwidth_bits(n)
+        self._neighbors = None
+        self._neighbor_sets = None
+        self._neighbor_index_sets = None
         self._plane_arrays = None
         self._edge_arrays = None
         self._batch_arrays = None
@@ -134,6 +146,43 @@ class CompiledTopology:
     def graph(self) -> Optional[nx.Graph]:
         """The source graph, or ``None`` once it has been collected."""
         return self._graph_ref()
+
+    # -- simulator views (lazy) -----------------------------------------------
+
+    @property
+    def neighbors(self) -> Dict[Any, Tuple[Any, ...]]:
+        """Node id -> tuple of neighbor ids, in dense-index order."""
+        views = self._neighbors
+        if views is None:
+            nodes = self.nodes
+            indptr, indices = self.indptr, self.indices
+            views = self._neighbors = {
+                v: tuple(nodes[j] for j in indices[indptr[i] : indptr[i + 1]])
+                for i, v in enumerate(nodes)
+            }
+        return views
+
+    @property
+    def neighbor_sets(self) -> Dict[Any, frozenset]:
+        """Node id -> frozenset of neighbor ids."""
+        views = self._neighbor_sets
+        if views is None:
+            views = self._neighbor_sets = {
+                v: frozenset(nbrs) for v, nbrs in self.neighbors.items()
+            }
+        return views
+
+    @property
+    def neighbor_index_sets(self) -> Tuple[frozenset, ...]:
+        """Dense index -> frozenset of dense neighbor indices."""
+        views = self._neighbor_index_sets
+        if views is None:
+            indptr, indices = self.indptr, self.indices
+            views = self._neighbor_index_sets = tuple(
+                frozenset(indices[indptr[i] : indptr[i + 1]])
+                for i in range(self.n)
+            )
+        return views
 
     # -- dense-index accessors ------------------------------------------------
 
@@ -158,25 +207,16 @@ class CompiledTopology:
         One row per edge, endpoints as dense indices, ordered by
         ``(eu, row position)`` -- the contiguous representation the
         CSR-native partition pipeline sweeps instead of networkx edge
-        views.  Lazily built and cached; raises :class:`ImportError`
-        when numpy is unavailable (callers fall back to the dict layer).
+        views: the CSR slots whose owner precedes the neighbor.  Lazily
+        built and cached.
         """
         arrays = self._edge_arrays
         if arrays is None:
-            import numpy as np
-
-            eu = []
-            ev = []
-            indptr, indices = self.indptr, self.indices
-            for u in range(self.n):
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = indices[j]
-                    if u < v:
-                        eu.append(u)
-                        ev.append(v)
+            csr = self.batch_arrays()
+            forward = csr.row_owner < csr.indices
             arrays = self._edge_arrays = (
-                np.asarray(eu, dtype=np.int64),
-                np.asarray(ev, dtype=np.int64),
+                csr.row_owner[forward],
+                csr.indices[forward],
             )
         return arrays
 
@@ -188,14 +228,10 @@ class CompiledTopology:
         buffers, ``degrees`` and ``row_owner`` are derived from them at
         C speed.  Lazily built and cached per topology, so every trial
         of a batch over the same graph shares one export (mirroring
-        :meth:`plane_arrays` on the scalar side).  Raises
-        :class:`ImportError` when numpy is unavailable -- the runtime's
-        batch coalescer probes for numpy before forming batch jobs.
+        :meth:`plane_arrays` on the scalar side).
         """
         arrays = self._batch_arrays
         if arrays is None:
-            import numpy as np
-
             indptr = np.frombuffer(self.indptr, dtype=np.int64)
             if len(self.indices):
                 indices = np.frombuffer(self.indices, dtype=np.int64)

@@ -9,16 +9,17 @@ This module reruns the identical algorithm on the
 
 * the input graph is compiled once; undirected edges live in two numpy
   index arrays (``eu``, ``ev``) shared by every phase;
-* the partition state is a numpy ``part_of`` vector plus flat parent /
-  tree-adjacency tables over dense indices -- cut sizes and auxiliary
-  weights come from vectorized sweeps (``unique`` over packed endpoint
-  pairs) instead of per-edge dict churn;
+* the partition state is a numpy ``part_of`` vector plus a numpy
+  spanning-forest ``parent`` vector over dense indices -- cut sizes and
+  auxiliary weights come from vectorized sweeps (``unique`` over packed
+  endpoint pairs) instead of per-edge dict churn, and merges re-root by
+  pointer reversal plus pointer jumping instead of a BFS;
 * the *decision* layer (forest decomposition, heaviest-out-edge
   selection, Cole-Vishkin, CHW marking, weighted selection) is reused
   verbatim from the emulated modules, operating on dense indices, so
   there is exactly one implementation of the paper's logic.
 
-Equivalence: dense indices are assigned in sorted-id order, so for
+Equivalence: dense indices are assigned in ``id_key`` order, so for
 graphs with non-negative integer labels (every bundled generator) all
 tie-breaks agree with the seed's ``id_key`` order, Cole-Vishkin seeds
 from the original ids, and RNG streams are consumed in the same order --
@@ -30,7 +31,7 @@ gates the engine; unsupported inputs fall back to the legacy path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -163,19 +164,21 @@ class DenseAuxiliaryGraph:
         """Number of auxiliary nodes (compact index range)."""
         return len(self.pids)
 
-    def connector_compact(self, child: int, center: int) -> Tuple[int, int]:
-        """Designated connector for compact pair, oriented child->center."""
-        pa, pb = self.pids[child], self.pids[center]
-        if pa <= pb:
-            key = pa * self._n + pb
-            flip = False
-        else:
-            key = pb * self._n + pa
-            flip = True
-        pos = int(np.searchsorted(self._pair_keys, key))
-        u = int(self.conn_u[pos])
-        v = int(self.conn_v[pos])
-        return (v, u) if flip else (u, v)
+    def connectors(self, pa, pb) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Designated connectors of root pairs, oriented ``pa -> pb``.
+
+        Vectorized over equal-length root vectors: one ``searchsorted``
+        resolves every pair, then the endpoints swap wherever ``pa`` is
+        the higher root (connectors are stored lo-part first).
+        """
+        pa = np.asarray(pa, dtype=np.int64)
+        pb = np.asarray(pb, dtype=np.int64)
+        flip = pa > pb
+        keys = np.minimum(pa, pb) * self._n + np.maximum(pa, pb)
+        pos = np.searchsorted(self._pair_keys, keys)
+        cu = self.conn_u[pos]
+        cv = self.conn_v[pos]
+        return np.where(flip, cv, cu), np.where(flip, cu, cv)
 
     # -- AuxiliaryGraph query interface (dict view, lazy) ---------------------
 
@@ -219,16 +222,8 @@ class DenseAuxiliaryGraph:
         return len(self._pair_keys)
 
     def connector(self, pa: int, pb: int) -> Tuple[int, int]:
-        if pa <= pb:
-            key = pa * self._n + pb
-            flip = False
-        else:
-            key = pb * self._n + pa
-            flip = True
-        pos = int(np.searchsorted(self._pair_keys, key))
-        u = int(self.conn_u[pos])
-        v = int(self.conn_v[pos])
-        return (v, u) if flip else (u, v)
+        u, v = self.connectors([pa], [pb])
+        return int(u[0]), int(v[0])
 
     def edge_parts(self) -> Iterator[Tuple[int, int]]:
         pids = self.pids
@@ -643,14 +638,18 @@ def mark_and_choose_dense(
 class DensePartitionState:
     """Flat-array partition bookkeeping over dense node indices.
 
+    The spanning forest is the ``parent`` vector alone: a rooted tree's
+    parent table is unique, so merges re-root by reversing parent
+    pointers along one path per absorbed part and recover depths by
+    pointer jumping -- no per-node adjacency lists are kept.
+
     Attributes:
         topology: the compiled topology (dense ids, CSR, edge arrays).
         part_of: numpy vector mapping dense index -> root dense index.
-        parent: spanning-tree parent per dense index (-1 at roots).
-        tree_adj: adjacency lists of the spanning forest; merges only
-            ever *add* connector edges, so the forest grows in place.
-        heights: root index -> spanning-tree height.
-        sizes: root index -> part size.
+        parent: int64 vector, spanning-tree parent per dense index (-1
+            at roots).
+        heights: root index -> spanning-tree height (ascending roots).
+        sizes: root index -> part size (ascending roots).
     """
 
     def __init__(self, topology: CompiledTopology):
@@ -658,12 +657,9 @@ class DensePartitionState:
         self.topology = topology
         self.eu, self.ev = topology.edge_arrays()
         self.part_of = np.arange(n, dtype=np.int64)
-        self.parent = [-1] * n
-        self.tree_adj: List[List[int]] = [[] for _ in range(n)]
+        self.parent = np.full(n, -1, dtype=np.int64)
         self.heights: Dict[int, int] = dict.fromkeys(range(n), 0)
         self.sizes: Dict[int, int] = dict.fromkeys(range(n), 1)
-        self._seen = [0] * n
-        self._generation = 0
 
     @property
     def size(self) -> int:
@@ -694,72 +690,60 @@ class DensePartitionState:
         """Contract star edges (child root -> center root) in place.
 
         Mirrors :func:`repro.partition.stage1.merge_parts`: each child's
-        tree is glued to its center through the designated connector and
-        the merged part is re-rooted at the center by BFS over the
-        spanning forest.  Parent pointers and heights of a tree are
-        unique regardless of traversal order, so the recomputed tables
-        match the legacy ``build_part`` exactly.
+        tree is glued to its center through the designated connector
+        ``(u, v)`` and the merged part is re-rooted at the center.
+        Parent pointers and heights of a rooted tree are unique
+        regardless of traversal order, so reversing the pointers on the
+        path from ``u`` to the child's old root and setting
+        ``parent[u] = v`` gives exactly the legacy ``build_part`` tables.
+        Depths then come from pointer jumping over the whole forest,
+        which also certifies it: every node must reach its part's root.
         """
-        star_children: Dict[int, List[int]] = {}
         absorbed = set()
-        for child, center in contract_edges:
-            star_children.setdefault(center, []).append(child)
+        for child, _center in contract_edges:
             if child in absorbed:
                 raise PartitionError(f"part {child!r} contracted twice")
             absorbed.add(child)
-        overlap = absorbed & set(star_children)
+        overlap = absorbed.intersection(center for _child, center in contract_edges)
         if overlap:
             raise PartitionError(f"contraction is not star-shaped at {overlap!r}")
+        if not contract_edges:
+            return
 
         n = self.topology.n
+        pairs = np.array(contract_edges, dtype=np.int64)
+        children, centers = pairs[:, 0], pairs[:, 1]
         root_map = np.arange(n, dtype=np.int64)
-        tree_adj = self.tree_adj
-        for child, center in contract_edges:
-            root_map[child] = center
-            u, v = aux.connector(child, center)
-            tree_adj[u].append(v)
-            tree_adj[v].append(u)
-        self.part_of = root_map[self.part_of]
+        root_map[children] = centers
+        self.part_of = part_of = root_map[self.part_of]
 
-        parent = self.parent
-        seen = self._seen
-        for center, children in star_children.items():
-            expected = self.sizes[center] + sum(
-                self.sizes[c] for c in children
-            )
-            self._generation += 1
-            generation = self._generation
-            seen[center] = generation
-            parent[center] = -1
-            height = -1
-            reached = 0
-            frontier = [center]
-            while frontier:
-                height += 1
-                reached += len(frontier)
-                nxt: List[int] = []
-                for v in frontier:
-                    for w in tree_adj[v]:
-                        if seen[w] != generation:
-                            seen[w] = generation
-                            parent[w] = v
-                            nxt.append(w)
-                frontier = nxt
-            if reached != expected:
-                raise PartitionError(
-                    f"spanning tree of part rooted at {center!r} does not "
-                    f"reach {expected - reached} nodes"
-                )
-            self.sizes[center] = expected
-            self.heights[center] = height
-            for child in children:
-                del self.sizes[child]
-                del self.heights[child]
+        parent = self.parent.tolist()
+        conn_u, conn_v = aux.connectors(children, centers)
+        for u, v in zip(conn_u.tolist(), conn_v.tolist()):
+            for _ in range(n):
+                up = parent[u]
+                parent[u] = v
+                if up < 0:
+                    break
+                u, v = up, u
+            else:
+                raise PartitionError("spanning forest contains a cycle")
+        self.parent = np.array(parent, dtype=np.int64)
+
+        depth = forest_depths(self.parent, part_of)
+        roots = np.fromiter(
+            (r for r in self.heights if r not in absorbed), np.int64
+        )
+        tallest = np.zeros(n, dtype=np.int64)
+        np.maximum.at(tallest, part_of, depth)
+        counts = np.bincount(part_of, minlength=n)
+        self.heights = dict(zip(roots.tolist(), tallest[roots].tolist()))
+        self.sizes = dict(zip(roots.tolist(), counts[roots].tolist()))
 
     def to_partition(self, graph: nx.Graph) -> Partition:
         """Materialize the dense state as a legacy :class:`Partition`."""
         ids = self.topology.nodes
-        parent = self.parent
+        parent = self.parent.tolist()
         members: Dict[int, List[int]] = {root: [] for root in self.heights}
         for idx, root in enumerate(self.part_of.tolist()):
             members[root].append(idx)
@@ -777,3 +761,34 @@ class DensePartitionState:
                 )
             )
         return Partition(graph, parts)
+
+
+def forest_depths(parent: "np.ndarray", part_of: "np.ndarray") -> "np.ndarray":
+    """Depth of every node in the spanning forest *parent*, by pointer jumping.
+
+    ``ceil(log2(n)) + 1`` doublings reach every root of an acyclic
+    forest.  Raises :class:`PartitionError` when the jumps do not
+    converge (a cycle) or some node's root is not its part's root (the
+    part's spanning tree does not reach it).
+    """
+    n = len(parent)
+    is_root = parent < 0
+    ancestor = np.where(is_root, np.arange(n, dtype=np.int64), parent)
+    depth = (~is_root).astype(np.int64)
+    for _ in range(n.bit_length() + 1):
+        above = ancestor[ancestor]
+        if np.array_equal(above, ancestor):
+            break
+        depth += depth[ancestor]
+        ancestor = above
+    if not is_root[ancestor].all():
+        raise PartitionError("spanning forest contains a cycle")
+    stray = ancestor != part_of
+    if stray.any():
+        part = int(part_of[np.argmax(stray)])
+        missing = int((stray & (part_of == part)).sum())
+        raise PartitionError(
+            f"spanning tree of part rooted at {part!r} does not reach "
+            f"{missing} nodes"
+        )
+    return depth

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import gc
 import weakref
+from array import array
 
 import networkx as nx
 import pytest
 
+from _reference_paths import (
+    edge_case_graphs,
+    reference_edge_arrays,
+    reference_topology,
+)
 from repro.congest import (
     CompiledTopology,
     CongestNetwork,
@@ -16,7 +22,11 @@ from repro.congest import (
     reset_topology_stats,
     topology_stats,
 )
+from repro.congest.programs.bfs import bfs_tree
 from repro.errors import GraphInputError
+from repro.graphs import make_far, make_planar
+from repro.graphs.far_from_planar import FAR_FAMILIES
+from repro.graphs.generators import PLANAR_FAMILIES
 from repro.runtime import JobSpec, ResultCache, SerialBackend, run_jobs
 
 
@@ -68,6 +78,60 @@ class TestCompiledTopology:
             CompiledTopology(loop)
         with pytest.raises(GraphInputError):
             CompiledTopology(nx.MultiGraph([(0, 1), (0, 1)]))
+
+
+def _differential_graphs():
+    graphs = {
+        f"planar-{family}": make_planar(family, 120, seed=1)
+        for family in sorted(PLANAR_FAMILIES)
+    }
+    for far in sorted(FAR_FAMILIES):
+        graphs[f"far-{far}"] = make_far(far, 120, seed=1)[0]
+    graphs.update(edge_case_graphs())
+    return graphs
+
+
+DIFFERENTIAL_GRAPHS = _differential_graphs()
+
+
+class TestReferenceCompile:
+    """The numpy-sorted CSR and the lazy views against the per-node loop."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+    def test_tables_match_reference_loop(self, name):
+        graph = DIFFERENTIAL_GRAPHS[name]
+        topo = CompiledTopology(graph)
+        ref = reference_topology(graph)
+        assert topo.nodes == ref.nodes
+        assert topo.index == ref.index
+        for table in ("indptr", "indices", "degrees"):
+            got = getattr(topo, table)
+            assert type(got) is array and got.typecode == "q", table
+            assert got == getattr(ref, table), table
+        assert topo._neighbors is None
+        assert topo.neighbors == ref.neighbors
+        assert list(topo.neighbors) == list(ref.neighbors)
+        assert topo.neighbor_sets == ref.neighbor_sets
+        assert topo.neighbor_index_sets == ref.neighbor_index_sets
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+    def test_edge_arrays_match_reference_loop(self, name):
+        topo = CompiledTopology(DIFFERENTIAL_GRAPHS[name])
+        eu, ev = topo.edge_arrays()
+        ref_u, ref_v = reference_edge_arrays(topo)
+        assert eu.dtype == ev.dtype == ref_u.dtype
+        assert eu.tolist() == ref_u.tolist()
+        assert ev.tolist() == ref_v.tolist()
+        assert len(eu) == topo.m
+
+    def test_mixed_labels_compile_in_id_key_order(self):
+        graph = edge_case_graphs()["mixed-labels"]
+        topo = compile_topology(graph)
+        # Ints numerically first, then the rest by repr ("'a'" < "(1, 0)").
+        assert topo.nodes == (0, 2, 10, "a", "b", "z", (1, 0))
+        parents, depths, _rounds = bfs_tree(graph, 0)
+        assert depths == nx.single_source_shortest_path_length(graph, 0)
+        assert parents[(1, 0)] == 2
 
 
 class TestCompileMemo:

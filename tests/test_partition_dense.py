@@ -11,13 +11,25 @@ comparison.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from _reference_paths import edge_case_graphs, pinned_forest
+from repro.congest.topology import compile_topology
+from repro.errors import PartitionError
 from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES
 from repro.graphs.generators import PLANAR_FAMILIES
 from repro.partition import partition_randomized, partition_stage1
-from repro.partition.dense import dense_supported
+from repro.partition.dense import (
+    DensePartitionState,
+    cole_vishkin_dense,
+    dense_supported,
+    forest_decomposition_dense,
+    forest_depths,
+    mark_and_choose_dense,
+    orient_and_select_dense,
+)
 from repro.partition.stage1 import ENGINE_ENV_VAR, ENGINES, resolve_engine
 
 N = 150
@@ -170,3 +182,93 @@ class TestEngineResolution:
 
     def test_engine_registry(self):
         assert set(ENGINES) == {"auto", "dense", "legacy"}
+
+
+def _next_contraction(state, alpha=3):
+    """One deterministic phase's star contraction on any topology.
+
+    Cole-Vishkin seeds from the dense root indices, so the loop runs on
+    graphs whose labels the Stage I engine itself would refuse.  Returns
+    ``None`` when the phase contracts nothing.
+    """
+    if state.cut_size() == 0:
+        return None
+    aux = state.build_aux()
+    success, _active, inactive_round, _rounds = forest_decomposition_dense(
+        aux, alpha, n_graph=state.topology.n, height=state.max_height()
+    )
+    if not success:
+        return None
+    parent, weight = orient_and_select_dense(aux, inactive_round)
+    colors, _cv = cole_vishkin_dense(parent, np.asarray(aux.pids, dtype=np.int64))
+    marking = mark_and_choose_dense(parent, weight, colors)
+    if not marking.contract_edges:
+        return None
+    pids = aux.pids
+    return [(pids[c], pids[p]) for c, p in marking.contract_edges], aux
+
+
+def _drive(graph, phases=12):
+    state = DensePartitionState(compile_topology(graph))
+    for _ in range(phases):
+        step = _next_contraction(state)
+        if step is None:
+            break
+        state.merge(*step)
+    return state
+
+
+class TestForestDifferential:
+    """Pointer-reversal merges against the BFS re-root, phase by phase."""
+
+    @pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+    def test_planar_families_match_bfs_reroot(self, family):
+        for seed in SEEDS:
+            graph = make_planar(family, N, seed=seed)
+            with pinned_forest() as checked:
+                result = partition_stage1(graph, epsilon=0.1, engine="dense")
+            assert checked, (family, seed)
+            assert result.dense_state.size == checked[-1][1]
+
+    @pytest.mark.parametrize("far", sorted(FAR_FAMILIES))
+    def test_far_families_match_bfs_reroot(self, far):
+        graph, _farness = make_far(far, N, seed=0)
+        with pinned_forest():
+            partition_stage1(graph, epsilon=0.1, engine="dense")
+        with pinned_forest():
+            _drive(graph)
+
+    @pytest.mark.parametrize("family", ("delaunay", "apollonian", "tree"))
+    def test_randomized_merges_match_bfs_reroot(self, family):
+        graph = make_planar(family, N, seed=0)
+        with pinned_forest() as checked:
+            partition_randomized(
+                graph, epsilon=0.2, delta=0.1, seed=3, engine="dense"
+            )
+        assert checked
+
+    @pytest.mark.parametrize("name", sorted(edge_case_graphs()))
+    def test_edge_case_graphs_match_bfs_reroot(self, name):
+        graph = edge_case_graphs()[name]
+        with pinned_forest():
+            state = _drive(graph)
+        assert sum(state.sizes.values()) == graph.number_of_nodes()
+
+    def test_cycle_raises(self):
+        parent = np.array([-1, 2, 1, 0], dtype=np.int64)
+        with pytest.raises(PartitionError, match="cycle"):
+            forest_depths(parent, np.zeros(4, dtype=np.int64))
+        state = _drive(make_planar("grid", 100, seed=0), phases=1)
+        root = max(state.sizes, key=state.sizes.get)
+        member = int(np.nonzero(state.part_of == root)[0][-1])
+        state.parent[root] = member
+        with pytest.raises(PartitionError, match="cycle"):
+            state.merge(*_next_contraction(state))
+
+    def test_unreachable_node_raises(self):
+        state = _drive(make_planar("grid", 100, seed=0), phases=1)
+        root = max(state.sizes, key=state.sizes.get)
+        member = int(np.nonzero((state.part_of == root) & (state.parent >= 0))[0][0])
+        state.parent[member] = -1
+        with pytest.raises(PartitionError, match="does not reach"):
+            state.merge(*_next_contraction(state))
