@@ -5,13 +5,14 @@ partition/stage2 layer onto the compiled topology's CSR arrays removes
 the networkx-view and dict-churn constant factors without changing a
 single output.  Gated (and run in CI's bench-smoke job):
 
-* the dense partition engine is >= 3x the legacy dict engine on the
-  n=2000 Delaunay partition;
+* the dense partition engine is >= 3x the dict engine kept as the
+  reference in ``tests/_stage1_reference.py`` on the n=2000 Delaunay
+  partition;
 * the end-to-end planarity tester (dense Stage I + one-pass Stage II
-  relabeling + mask-resolved sampling) is >= 1.5x the seed path (legacy
-  Stage I, per-part view relabeling and the pairwise sample scan, which
-  :func:`seed_stage2` patches in);
-* both engines produce identical partitions, phase stats, ledgers, and
+  relabeling + mask-resolved sampling) is >= 1.5x the seed path (the
+  reference Stage I, per-part view relabeling and the pairwise sample
+  scan, which :func:`reference_stage1` and :func:`seed_stage2` patch in);
+* both sides produce identical partitions, phase stats, ledgers, and
   per-part verdicts (the full differential suite lives in
   ``tests/test_partition_dense.py`` / ``tests/test_stage2_native.py``).
 
@@ -30,18 +31,16 @@ from __future__ import annotations
 
 import gc
 import time
-from contextlib import contextmanager
-from unittest import mock
 
 import pytest
 
 from _harness import quick_mode, save_table
+from _reference_paths import seed_stage2
+from _stage1_reference import reference_partition_stage1, reference_stage1
 from repro.analysis.tables import Table
 from repro.congest.topology import CompiledTopology, compile_topology
 from repro.graphs import make_planar
 from repro.partition import partition_stage1
-import repro.testers.planarity as planarity_module
-import repro.testers.stage2 as stage2_module
 from repro.testers.planarity import PlanarityTestConfig
 from repro.testers.planarity import test_planarity as run_planarity
 
@@ -55,30 +54,8 @@ PARTITION_GATE = 3.0
 TESTER_GATE = 1.5
 
 
-_SAMPLE_AND_DETECT = stage2_module.sample_and_detect
-
-
-def _per_part_views(graph, partition):
-    return dict.fromkeys(partition.parts)
-
-
-def _pairwise_scan(intervals, s, rng, universe=None, mask=None):
-    return _SAMPLE_AND_DETECT(intervals, s, rng)
-
-
-@contextmanager
-def seed_stage2():
-    """Stage II's reference path: every part relabeled from its
-    ``graph.subgraph`` view (``test_part(subgraph=None)``) and samples
-    checked by the ``O(s*k)`` pairwise scan."""
-    with mock.patch.object(
-        planarity_module, "extract_part_subgraphs", _per_part_views
-    ), mock.patch.object(stage2_module, "sample_and_detect", _pairwise_scan):
-        yield
-
-
 def _run_seed(graph, config):
-    with seed_stage2():
+    with seed_stage2(), reference_stage1():
         return run_planarity(graph, seed=0, config=config)
 
 
@@ -129,15 +106,12 @@ def pipeline_table():
     compile_topology(graph).edge_arrays()  # timings cover the sweeps only
 
     legacy_time, legacy = _best(
-        lambda: partition_stage1(graph, epsilon=EPSILON, engine="legacy")
+        lambda: reference_partition_stage1(graph, epsilon=EPSILON)
     )
-    dense_time, dense = _best(
-        lambda: partition_stage1(graph, epsilon=EPSILON, engine="dense")
-    )
-    seed_config = PlanarityTestConfig(epsilon=EPSILON, engine="legacy")
+    dense_time, dense = _best(lambda: partition_stage1(graph, epsilon=EPSILON))
     native_config = PlanarityTestConfig(epsilon=EPSILON)
     seed_tester_time, seed_result = _best(
-        lambda: _run_seed(graph, seed_config)
+        lambda: _run_seed(graph, native_config)
     )
     native_tester_time, native_result = _best(
         lambda: run_planarity(graph, seed=0, config=native_config)
@@ -222,7 +196,5 @@ def test_tester_speedup_gate(pipeline_table):
 
 def test_benchmark_dense_partition(benchmark, pipeline_table):
     graph = make_planar("delaunay", N, seed=0)
-    result = benchmark(
-        lambda: partition_stage1(graph, epsilon=EPSILON, engine="dense")
-    )
+    result = benchmark(lambda: partition_stage1(graph, epsilon=EPSILON))
     assert result.success

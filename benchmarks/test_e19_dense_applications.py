@@ -6,9 +6,10 @@ stretch fold, and the partition-emulation protocols -- run as array
 programs with bit-identical outputs.  Gated (and run in CI's
 bench-smoke job):
 
-* ``build_spanner(engine="dense")`` (CSR edge arrays straight off the
-  dense partition state) is >= 3x the legacy networkx walk;
-* the batched-BFS ``measure_stretch`` is >= 3x the legacy per-pair
+* ``build_spanner`` (CSR edge arrays straight off the dense partition
+  state) is >= 3x the reference networkx walk over the dict partition
+  (``tests/_stage1_reference.py``);
+* the batched-BFS ``measure_stretch`` is >= 3x the reference per-pair
   fold at the same sample;
 * the ``forest`` and ``cv`` batch kernels run partition-emulation
   trials >= 2x faster per trial than the scalar dense plane;
@@ -30,6 +31,7 @@ import networkx as nx
 import pytest
 
 from _harness import quick_mode, save_table
+from _stage1_reference import reference_build_spanner, reference_measure_stretch
 from repro.analysis.tables import Table
 from repro.applications import build_spanner, measure_stretch
 from repro.congest import (
@@ -127,8 +129,8 @@ def applications_table():
 
     # -- spanner build: legacy walk vs CSR assembly ----------------------
     legacy_build_s, legacy, dense_build_s, dense = _paired_best(
-        lambda: build_spanner(graph, epsilon=EPSILON, engine="legacy"),
-        lambda: build_spanner(graph, epsilon=EPSILON, engine="dense"),
+        lambda: reference_build_spanner(graph, epsilon=EPSILON),
+        lambda: build_spanner(graph, epsilon=EPSILON),
     )
     build_speedup = legacy_build_s / dense_build_s
     assert dense.tree_edges == legacy.tree_edges
@@ -143,13 +145,11 @@ def applications_table():
     # -- stretch: per-pair fold vs batched CSR BFS -----------------------
     legacy_stretch_s, legacy_stretch, dense_stretch_s, dense_stretch = (
         _paired_best(
-            lambda: measure_stretch(
-                graph, legacy.spanner, sample_nodes=SAMPLE, seed=0,
-                engine="legacy",
+            lambda: reference_measure_stretch(
+                graph, legacy.spanner, sample_nodes=SAMPLE, seed=0
             ),
             lambda: measure_stretch(
-                graph, dense.dense, sample_nodes=SAMPLE, seed=0,
-                engine="dense",
+                graph, dense.dense, sample_nodes=SAMPLE, seed=0
             ),
         )
     )
@@ -306,6 +306,6 @@ def test_cv_sweep_coalesces_and_expands(applications_table):
 def test_benchmark_dense_spanner(benchmark, applications_table):
     graph = make_planar_graph()
     result = benchmark(
-        lambda: build_spanner(graph, epsilon=EPSILON, engine="dense")
+        lambda: build_spanner(graph, epsilon=EPSILON)
     )
     assert result.dense is not None

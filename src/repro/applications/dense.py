@@ -1,12 +1,9 @@
-"""CSR-native engine for the Corollary 17 spanner layer.
+"""Array kernels for the Corollary 17 spanner layer.
 
-The legacy :func:`~repro.applications.spanner.build_spanner` assembles
-the spanner by walking legacy :class:`~repro.partition.parts.Partition`
-objects and re-deriving the auxiliary graph through networkx views --
-the only consumer of the partition that never got the dense-index
-treatment.  This module builds the same spanner straight from the
-:class:`~repro.partition.dense.DensePartitionState` arrays the dense
-partition engine already produced:
+The spanner is built straight from the
+:class:`~repro.partition.dense.DensePartitionState` arrays the Stage I
+engine produced, never from :class:`~repro.partition.parts.Part`
+objects or networkx views:
 
 * **tree edges** are read off the per-node parent array (one edge per
   non-root dense index, ``n - k`` total);
@@ -20,8 +17,9 @@ partition engine already produced:
 Stretch measurement runs as a *batched* level-synchronous BFS over the
 CSR arrays: one ``(sources, n)`` frontier tensor per graph instead of
 one ``nx.single_source_shortest_path_length`` call per sampled pair.
-Both paths are bit-identical to the legacy implementations (same edge
-sets, same counts, same worst-ratio float) -- gated by
+Both are bit-identical to the walk over ``Part`` objects and the
+per-pair fold kept in ``tests/_stage1_reference.py`` (same edge sets,
+same counts, same worst-ratio float) -- gated by
 ``tests/test_applications_dense.py`` and benchmark E19.
 """
 
@@ -31,10 +29,7 @@ from typing import TYPE_CHECKING, Iterator, Tuple
 
 import networkx as nx
 
-try:  # pragma: no cover - exercised by the numpy-less fallback tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..errors import GraphInputError
 
@@ -95,7 +90,7 @@ class DenseSpanner:
             yield ids[u], ids[v]
 
     def to_graph(self) -> nx.Graph:
-        """Materialize the spanner as a networkx graph (legacy shape)."""
+        """Materialize the spanner as a networkx graph."""
         spanner = nx.Graph()
         spanner.add_nodes_from(self.topology.nodes)
         spanner.add_edges_from(self.edges())
@@ -124,8 +119,8 @@ def build_dense_spanner(
     Returns ``(spanner, tree_edges, connector_edges)``.  Tree edges are
     the non-root rows of the parent array; connectors are the designated
     auxiliary-edge endpoints (inter-part by construction, so the two
-    groups never overlap -- matching the legacy builder's dedup, which
-    provably never fires).
+    groups never overlap -- a dedup against the tree edges would never
+    fire).
     """
     parent = np.asarray(state.parent, dtype=np.int64)
     child = np.nonzero(parent >= 0)[0]
@@ -202,8 +197,8 @@ def stretch_from_distances(dist_g, dist_s) -> float:
     """Worst ``d_S / d_G`` ratio given the two distance matrices.
 
     Raises :class:`~repro.errors.GraphInputError` when some node is
-    graph-reachable but spanner-unreachable (legacy contract).  The
-    result is the same float the legacy per-pair fold produces: the
+    graph-reachable but spanner-unreachable.  The result is the same
+    float a per-pair fold produces: the
     ratios are exact int64-over-int64 IEEE divisions and ``max`` over
     float64 is order-independent.
     """

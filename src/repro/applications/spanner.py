@@ -13,14 +13,12 @@ two part trees plus the connector (``<= 4 * height + 1``); heights are
 ``poly(1/epsilon)`` by Claim 4.  Benchmark E10 measures size and exact
 stretch against baselines.
 
-Two engines build the same spanner (``engine=auto|dense|legacy``,
-mirroring the partition's switch): the dense engine assembles the edge
-arrays straight from the partition's
+The spanner is assembled as edge arrays straight from the partition's
 :class:`~repro.partition.dense.DensePartitionState`
-(:mod:`repro.applications.dense`) and defers the networkx
-materialization until someone actually asks for ``result.spanner``;
-the legacy engine keeps the original dict walk.  Results are
-bit-identical; only wall-clock differs (benchmark E19).
+(:mod:`repro.applications.dense`); the networkx graph is materialized
+only when someone asks for ``result.spanner``.  Stretch runs as one
+batched BFS over CSR arrays.  Both are bit-identical to the walk over
+``Part`` objects and the per-source fold (benchmark E19).
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ import networkx as nx
 
 from ..errors import GraphInputError
 from ..graphs.utils import require_simple
-from ..partition.auxiliary import AuxiliaryGraph
-from ..partition.stage1 import Stage1Result, partition_stage1, resolve_engine
+from ..partition.stage1 import Stage1Result, partition_stage1
 from ..partition.weighted_selection import partition_randomized
 from .dense import (
     DenseSpanner,
@@ -55,25 +52,22 @@ class SpannerResult:
         connector_edges: number of inter-part connector edges.
         guaranteed_stretch: the a-priori stretch bound
             ``4 * max_height + 1`` from the part trees.
-        dense: the CSR edge-array form of the spanner when the dense
-            engine built it (``None`` under the legacy engine).
+        dense: the spanner as CSR edge arrays.
     """
 
     partition_result: Stage1Result
     tree_edges: int
     connector_edges: int
     guaranteed_stretch: int
-    dense: Optional[DenseSpanner] = None
+    dense: DenseSpanner
     _graph: Optional[nx.Graph] = field(default=None, repr=False, compare=False)
 
     @property
     def spanner(self) -> nx.Graph:
         """The spanner subgraph (same node set as the input).
 
-        Under the dense engine the networkx graph is materialized on
-        first access; fast-path consumers (vectorized stretch, the
-        dense application verifiers) read ``dense`` instead and never
-        pay for it.
+        Materialized on first access; fast-path consumers (vectorized
+        stretch) read ``dense`` instead and never pay for it.
         """
         if self._graph is None:
             self._graph = self.dense.to_graph()
@@ -82,9 +76,7 @@ class SpannerResult:
     @property
     def size(self) -> int:
         """Number of spanner edges."""
-        if self.dense is not None:
-            return self.dense.edge_count
-        return self._graph.number_of_edges()
+        return self.dense.edge_count
 
     @property
     def rounds(self) -> int:
@@ -99,7 +91,6 @@ def build_spanner(
     delta: float = 0.1,
     alpha: int = 3,
     seed: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> SpannerResult:
     """Build the Corollary 17 spanner.
 
@@ -113,21 +104,15 @@ def build_spanner(
             ``O(poly(1/eps)(log 1/delta + log* n))`` rounds, size bound
             with probability ``>= 1 - delta``).
         delta / alpha / seed: as in the partition algorithms.
-        engine: ``"auto"`` (default), ``"dense"``, or ``"legacy"`` --
-            resolved by :func:`repro.partition.stage1.resolve_engine`
-            and forwarded to the partition, so one switch covers the
-            whole pipeline.  Engines produce identical spanners.
     """
     require_simple(graph, "build_spanner input")
     n = graph.number_of_nodes()
     if n == 0:
         raise GraphInputError("build_spanner requires at least one node")
-    resolved = resolve_engine(engine, graph)
     target = epsilon * n
     if method == "deterministic":
         result = partition_stage1(
-            graph, epsilon=epsilon, alpha=alpha, target_cut=target,
-            engine=resolved,
+            graph, epsilon=epsilon, alpha=alpha, target_cut=target
         )
     elif method == "randomized":
         result = partition_randomized(
@@ -137,46 +122,17 @@ def build_spanner(
             alpha=alpha,
             target_cut=target,
             seed=seed,
-            engine=resolved,
         )
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if resolved == "dense":
-        dense, tree_edges, connector_edges = build_dense_spanner(
-            result.dense_state
-        )
-        return SpannerResult(
-            partition_result=result,
-            tree_edges=tree_edges,
-            connector_edges=connector_edges,
-            guaranteed_stretch=4 * result.dense_state.max_height() + 1,
-            dense=dense,
-        )
-
-    spanner = nx.Graph()
-    spanner.add_nodes_from(graph.nodes())
-    tree_edges = 0
-    for part in result.partition.parts.values():
-        for child, parent in part.tree_edges():
-            spanner.add_edge(child, parent)
-            tree_edges += 1
-
-    aux = AuxiliaryGraph(result.partition)
-    connector_edges = 0
-    for edge in aux.edges():
-        u, v = edge.connector
-        if not spanner.has_edge(u, v):
-            spanner.add_edge(u, v)
-            connector_edges += 1
-
-    max_height = result.partition.max_height()
+    dense, tree_edges, connector_edges = build_dense_spanner(result.dense_state)
     return SpannerResult(
         partition_result=result,
         tree_edges=tree_edges,
         connector_edges=connector_edges,
-        guaranteed_stretch=4 * max_height + 1,
-        _graph=spanner,
+        guaranteed_stretch=4 * result.dense_state.max_height() + 1,
+        dense=dense,
     )
 
 
@@ -185,20 +141,17 @@ def measure_stretch(
     spanner: Union[nx.Graph, DenseSpanner],
     sample_nodes: int = 16,
     seed: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> float:
     """Exact stretch over BFS from a sample of source nodes.
 
     Returns ``max over sampled u, all v of d_S(u, v) / d_G(u, v)``; with
     ``sample_nodes >= n`` this is the exact stretch.  *spanner* may be a
-    networkx graph or the dense engine's :class:`DenseSpanner`.
+    networkx graph or a :class:`DenseSpanner`.
 
-    The dense engine runs all sampled sources as one batched BFS over
-    the CSR arrays (same sample -- the RNG preamble is shared -- and the
-    same worst-ratio float as the legacy per-pair fold).  ``engine=None``
-    resolves like the partition switch; a networkx spanner additionally
-    needs the exact input node set for the dense path (``auto`` falls
-    back to legacy otherwise, explicit ``"dense"`` raises).
+    All sampled sources run as one batched BFS over the CSR arrays.  A
+    networkx spanner whose node set differs from the graph's may carry
+    shortest paths through spanner-only nodes, so it is measured with
+    one networkx BFS per source instead (same sample, same float).
     """
     rng = random.Random(seed)
     nodes = sorted(graph.nodes(), key=repr)
@@ -206,31 +159,31 @@ def measure_stretch(
         sources = rng.sample(nodes, sample_nodes)
     else:
         sources = nodes
-    resolved = resolve_engine(engine, graph)
-    if resolved == "dense":
-        if isinstance(spanner, DenseSpanner):
-            topology = spanner.topology
-            span_csr = spanner.csr()
-        else:
-            topology, span_csr = _compile_nx_spanner(graph, spanner, engine)
-        if span_csr is not None:
-            import numpy as np
-
-            arrays = topology.batch_arrays()
-            src_idx = np.asarray(
-                [topology.index[v] for v in sources], dtype=np.int64
-            )
-            dist_g = multi_source_distances(
-                arrays.indptr, arrays.indices, arrays.degrees,
-                src_idx, topology.n,
-            )
-            dist_s = multi_source_distances(
-                span_csr[0], span_csr[1], span_csr[2], src_idx, topology.n
-            )
-            return stretch_from_distances(dist_g, dist_s)
-
+    if not sources:
+        return 1.0
     if isinstance(spanner, DenseSpanner):
-        spanner = spanner.to_graph()
+        topology = spanner.topology
+        span_csr = spanner.csr()
+    else:
+        topology, span_csr = _compile_nx_spanner(graph, spanner)
+    if span_csr is None:
+        return _stretch_per_source(graph, spanner, sources)
+
+    import numpy as np
+
+    arrays = topology.batch_arrays()
+    src_idx = np.asarray([topology.index[v] for v in sources], dtype=np.int64)
+    dist_g = multi_source_distances(
+        arrays.indptr, arrays.indices, arrays.degrees, src_idx, topology.n
+    )
+    dist_s = multi_source_distances(
+        span_csr[0], span_csr[1], span_csr[2], src_idx, topology.n
+    )
+    return stretch_from_distances(dist_g, dist_s)
+
+
+def _stretch_per_source(graph: nx.Graph, spanner: nx.Graph, sources) -> float:
+    """The worst ``d_S / d_G`` ratio by one networkx BFS pair per source."""
     worst = 1.0
     for source in sources:
         d_g = nx.single_source_shortest_path_length(graph, source)
@@ -245,13 +198,12 @@ def measure_stretch(
     return worst
 
 
-def _compile_nx_spanner(graph: nx.Graph, spanner: nx.Graph, engine):
+def _compile_nx_spanner(graph: nx.Graph, spanner: nx.Graph):
     """CSR form of a networkx spanner over *graph*'s dense index space.
 
     Returns ``(topology, (indptr, indices, degrees))``, or
     ``(topology, None)`` when the spanner's node set differs from the
-    graph's (the auto path then falls back to the legacy fold, since
-    spanner-only nodes could legitimately carry shortest paths).
+    graph's.
     """
     from ..congest.topology import compile_topology
 
@@ -259,11 +211,6 @@ def _compile_nx_spanner(graph: nx.Graph, spanner: nx.Graph, engine):
     if spanner.number_of_nodes() != topology.n or any(
         v not in topology.index for v in spanner.nodes()
     ):
-        if engine == "dense":
-            raise ValueError(
-                "dense stretch engine requires a spanner on the exact "
-                "input node set"
-            )
         return topology, None
     import numpy as np
 

@@ -78,7 +78,7 @@ from .congest.instrumentation import PROFILE_ENV_VAR, PROFILES
 from .graphs.far_from_planar import FAR_FAMILIES, make_far
 from .graphs.generators import PLANAR_FAMILIES, make_planar
 from .graphs.lower_bound import lower_bound_instance
-from .partition.stage1 import ENGINES, partition_stage1
+from .partition.stage1 import partition_stage1
 from .partition.weighted_selection import partition_randomized
 from .runtime import (
     Client,
@@ -117,7 +117,6 @@ def _cmd_test(args) -> int:
     config = PlanarityTestConfig(
         epsilon=args.epsilon,
         collect_exact_violations=args.analyze,
-        engine=args.engine,
     )
     result = test_planarity(graph, seed=args.seed, config=config)
     table = Table(
@@ -151,7 +150,6 @@ def _cmd_partition(args) -> int:
             graph,
             epsilon=args.epsilon,
             target_cut=args.epsilon * graph.number_of_nodes(),
-            engine=args.engine,
         )
     else:
         result = partition_randomized(
@@ -159,7 +157,6 @@ def _cmd_partition(args) -> int:
             epsilon=args.epsilon,
             delta=args.delta,
             seed=args.seed,
-            engine=args.engine,
         )
     table = Table(
         f"{args.method} partition of {label}",
@@ -184,7 +181,7 @@ def _cmd_spanner(args) -> int:
     result = build_spanner(
         graph, epsilon=args.epsilon, method=args.method, seed=args.seed
     )
-    stretch = measure_stretch(graph, result.spanner, sample_nodes=8, seed=args.seed)
+    stretch = measure_stretch(graph, result.dense, sample_nodes=8, seed=args.seed)
     n = graph.number_of_nodes()
     table = Table(
         f"Corollary 17 spanner on {label}",
@@ -321,16 +318,12 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 
 
 def _run_config_from_args(args) -> RunConfig:
-    """Batch/engine knobs as a :class:`RunConfig` (CLI flag beats env).
+    """The batch knob as a :class:`RunConfig` (CLI flag beats env).
 
     ``iter_jobs`` exports the explicitly-set knobs for the run's
-    duration, which is how ``--engine`` reaches partition
-    calls in process-pool workers too.
+    duration, which is how ``--batch`` reaches process-pool workers too.
     """
-    return RunConfig(
-        sim_batch=args.batch,
-        partition_engine=args.engine,
-    )
+    return RunConfig(sim_batch=args.batch)
 
 
 def _cmd_sweep(args) -> int:
@@ -685,13 +678,6 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
         "for this run, including process-pool workers)",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="partition engine for partition/test kinds (sets "
-        "REPRO_PARTITION_ENGINE for this run, including workers)",
-    )
-    parser.add_argument(
         "--batch",
         type=_parse_batch,
         default=None,
@@ -718,12 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--analyze", action="store_true", help="collect exact violating counts"
     )
-    p_test.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="partition engine (auto = CSR-native dense when supported)",
-    )
     p_test.set_defaults(func=_cmd_test)
 
     p_part = sub.add_parser("partition", help="run the Theorem 3/4 partition")
@@ -734,12 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("deterministic", "randomized"),
     )
     p_part.add_argument("--delta", type=float, default=0.1)
-    p_part.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help="partition engine (auto = CSR-native dense when supported)",
-    )
     p_part.set_defaults(func=_cmd_partition)
 
     p_span = sub.add_parser("spanner", help="build the Corollary 17 spanner")

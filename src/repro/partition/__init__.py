@@ -2,38 +2,22 @@
 
 from .auxiliary import AuxEdge, AuxiliaryGraph
 from .coloring import cole_vishkin_emulated, randomized_coloring_emulated
-from .dense import DenseAuxiliaryGraph, DensePartitionState, dense_supported
-from .forest_decomposition import (
-    ForestDecompositionResult,
-    forest_decomposition_emulated,
-)
+from .dense import DenseAuxiliaryGraph, DensePartitionState
 from .marking import MarkingResult, mark_and_choose
 from .parts import Part, Partition, build_part
 from .stage1 import (
-    ENGINES,
-    ENGINE_ENV_VAR,
     PhaseStats,
     Stage1Result,
-    merge_parts,
     partition_stage1,
-    resolve_engine,
-    select_heaviest_out_edges,
     theoretical_phase_cap,
 )
-from .weighted_selection import (
-    RandomizedPartitionResult,
-    partition_randomized,
-    weighted_edge_selection,
-)
+from .weighted_selection import RandomizedPartitionResult, partition_randomized
 
 __all__ = [
     "AuxEdge",
     "AuxiliaryGraph",
     "DenseAuxiliaryGraph",
     "DensePartitionState",
-    "ENGINES",
-    "ENGINE_ENV_VAR",
-    "ForestDecompositionResult",
     "MarkingResult",
     "Part",
     "Partition",
@@ -42,15 +26,9 @@ __all__ = [
     "Stage1Result",
     "build_part",
     "cole_vishkin_emulated",
-    "dense_supported",
     "randomized_coloring_emulated",
-    "forest_decomposition_emulated",
     "mark_and_choose",
-    "merge_parts",
     "partition_randomized",
     "partition_stage1",
-    "resolve_engine",
-    "select_heaviest_out_edges",
     "theoretical_phase_cap",
-    "weighted_edge_selection",
 ]

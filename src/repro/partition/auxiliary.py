@@ -107,12 +107,3 @@ class AuxiliaryGraph:
         for key, connector in self._connectors.items():
             pa, pb = key
             yield AuxEdge(parts=key, weight=self._adj[pa][pb], connector=connector)
-
-    def edge_parts(self) -> Iterator[Tuple[Any, Any]]:
-        """Iterate over auxiliary edges as bare ``(pid_a, pid_b)`` pairs.
-
-        The lightweight view consumed by hot sweeps (e.g. the forest
-        decomposition's orientation pass) that need neither weights nor
-        connectors.
-        """
-        return iter(self._connectors)

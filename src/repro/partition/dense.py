@@ -1,10 +1,6 @@
-"""CSR-native Stage I engine: the partition phase loop on flat arrays.
+"""The Stage I engine: the partition phase loops on flat arrays.
 
-The seed phase loop re-derived everything from networkx views each
-phase: :class:`~repro.partition.auxiliary.AuxiliaryGraph` iterated
-``graph.edges()`` with per-edge ``id_key`` calls, ``cut_size`` iterated
-them again, and every merge rebuilt frozensets and ``Part`` objects.
-This module reruns the identical algorithm on the
+Stage I (and Theorem 4's randomized partition) run on the
 :class:`~repro.congest.topology.CompiledTopology`'s dense-index arrays:
 
 * the input graph is compiled once; undirected edges live in two numpy
@@ -12,60 +8,38 @@ This module reruns the identical algorithm on the
 * the partition state is a numpy ``part_of`` vector plus a numpy
   spanning-forest ``parent`` vector over dense indices -- cut sizes and
   auxiliary weights come from vectorized sweeps (``unique`` over packed
-  endpoint pairs) instead of per-edge dict churn, and merges re-root by
-  pointer reversal plus pointer jumping instead of a BFS;
-* the *decision* layer (forest decomposition, heaviest-out-edge
-  selection, Cole-Vishkin, CHW marking, weighted selection) is reused
-  verbatim from the emulated modules, operating on dense indices, so
-  there is exactly one implementation of the paper's logic.
+  endpoint pairs), and merges re-root by pointer reversal plus pointer
+  jumping;
+* the decision layer (forest decomposition, heaviest-out-edge
+  selection, Cole-Vishkin, CHW marking, weighted selection) runs on
+  compact part indices with the paper's exact rules.
 
-Equivalence: dense indices are assigned in ``id_key`` order, so for
-graphs with non-negative integer labels (every bundled generator) all
-tie-breaks agree with the seed's ``id_key`` order, Cole-Vishkin seeds
-from the original ids, and RNG streams are consumed in the same order --
-the engine yields bit-identical partitions, phase stats, ledgers and
-round counts, which ``tests/test_partition_dense.py`` asserts against
-the legacy engine on every bundled generator.  :func:`dense_supported`
-gates the engine; unsupported inputs fall back to the legacy path.
+Labels: dense indices are assigned in ``id_key`` order, so every
+tie-break by index is the tie-break by ``id_key``; Cole-Vishkin seeds
+from the original labels (:class:`RootSeeds`), and RNG streams are
+consumed in ``id_key`` order.  Any hashable labels therefore give the
+partitions, phase stats, ledgers and round counts of the dict-keyed
+formulation, which ``tests/_stage1_reference.py`` keeps as the oracle
+that ``tests/test_partition_dense.py`` diffs against on every bundled
+family under int, str, mixed, negative, large-int and tuple labels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..congest.programs.cole_vishkin import cv_schedule
 from ..congest.topology import CompiledTopology
 from ..errors import PartitionError
+from .coloring import cole_vishkin_emulated
 from .marking import MarkingResult
 from .parts import Part, Partition
 
-try:  # numpy ships with the scientific toolchain; gate anyway.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via dense_supported
-    np = None
-
 _MAX_ID = 2**62  # int64 headroom for the vectorized CV bit tricks
-
-
-def dense_supported(graph: nx.Graph) -> bool:
-    """Whether the CSR-native engine reproduces the legacy engine exactly.
-
-    Requires numpy, a non-empty graph (the legacy engine returns an
-    empty partition where ``compile_topology`` would refuse), and
-    non-negative (int64-sized) integer node labels: dense indices then
-    order identically to ``id_key``, and Cole-Vishkin's id-seeded
-    colors fit the vectorized bit tricks.  Anything else falls back to
-    the legacy dict engine (same results, smaller constant factor).
-    """
-    if np is None or graph.number_of_nodes() == 0:
-        return False
-    return all(
-        isinstance(v, int) and not isinstance(v, bool) and 0 <= v < _MAX_ID
-        for v in graph.nodes()
-    )
 
 
 class DenseAuxiliaryGraph:
@@ -79,11 +53,6 @@ class DenseAuxiliaryGraph:
     ``unique`` counts over packed endpoint-pair keys, designated
     connectors via a lexsort (minimum oriented edge per pair -- the
     seed's exact min-id tie-break).
-
-    Dict adjacency in the :class:`~repro.partition.auxiliary.AuxiliaryGraph`
-    interface (part ids = dense root indices) is materialized lazily for
-    consumers that need per-node maps (the randomized engine's weighted
-    selection); the deterministic engine's sweeps never touch it.
 
     Attributes:
         pids: compact index -> root dense index.
@@ -107,7 +76,6 @@ class DenseAuxiliaryGraph:
         "cut",
         "_pair_keys",
         "_n",
-        "_adj",
     )
 
     def __init__(self, part_of, eu, ev, n: int, roots=None):
@@ -155,7 +123,6 @@ class DenseAuxiliaryGraph:
         np.add.at(degrees, self.ea, 1)
         np.add.at(degrees, self.eb, 1)
         self.degrees = degrees
-        self._adj = None
 
     # -- array accessors ------------------------------------------------------
 
@@ -180,55 +147,9 @@ class DenseAuxiliaryGraph:
         cv = self.conn_v[pos]
         return np.where(flip, cv, cu), np.where(flip, cu, cv)
 
-    # -- AuxiliaryGraph query interface (dict view, lazy) ---------------------
-
-    def _dicts(self) -> Dict[int, Dict[int, int]]:
-        adj = self._adj
-        if adj is None:
-            adj = {root: {} for root in self.pids}
-            pids = self.pids
-            for a, b, weight in zip(
-                self.ea.tolist(), self.eb.tolist(), self.weights.tolist()
-            ):
-                pa, pb = pids[a], pids[b]
-                adj[pa][pb] = weight
-                adj[pb][pa] = weight
-            self._adj = adj
-        return adj
-
-    @property
-    def node_count(self) -> int:
-        return len(self.pids)
-
-    def nodes(self) -> Iterator[int]:
-        return iter(self.pids)
-
-    def neighbors(self, pid: int) -> Dict[int, int]:
-        return self._dicts()[pid]
-
-    def degree(self, pid: int) -> int:
-        return len(self._dicts()[pid])
-
-    def weight(self, pa: int, pb: int) -> int:
-        return self._dicts()[pa].get(pb, 0)
-
-    def weighted_degree(self, pid: int) -> int:
-        return sum(self._dicts()[pid].values())
-
-    def total_weight(self) -> int:
-        return self.cut
-
     def edge_count(self) -> int:
+        """Number of distinct auxiliary edges."""
         return len(self._pair_keys)
-
-    def connector(self, pa: int, pb: int) -> Tuple[int, int]:
-        u, v = self.connectors([pa], [pb])
-        return int(u[0]), int(v[0])
-
-    def edge_parts(self) -> Iterator[Tuple[int, int]]:
-        pids = self.pids
-        for a, b in zip(self.ea.tolist(), self.eb.tolist()):
-            yield (pids[a], pids[b])
 
 
 def forest_decomposition_dense(
@@ -243,12 +164,12 @@ def forest_decomposition_dense(
 ) -> Tuple[bool, "np.ndarray", "np.ndarray", int]:
     """Vectorized Barenboim-Elkin deactivation on the aux edge arrays.
 
-    Array port of
-    :func:`repro.partition.forest_decomposition.forest_decomposition_emulated`:
+    The emulated process of paper Section 2.1.5 on the contracted graph:
     each super-round deactivates every active compact node of aux degree
     <= 3*alpha and decrements the degrees of its still-active neighbors
-    with one masked scatter-add per endpoint side.  Charges the ledger
-    identically.
+    with one masked scatter-add per endpoint side.  The ledger is
+    charged ``super_round(height, alpha)`` rounds per budgeted (or, with
+    ``charge_full_budget=False``, executed) super-round.
 
     Returns ``(success, active_mask, inactive_round, super_rounds)``
     with ``inactive_round`` holding the 1-based deactivation super-round
@@ -298,19 +219,17 @@ def forest_decomposition_dense(
     return (not bool(active.any()), active, inactive_round, super_rounds)
 
 
-def orient_and_select_dense(
+def orient_dense(
     aux: DenseAuxiliaryGraph, inactive_round: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Fused array port of ``_orient`` + ``select_heaviest_out_edges``.
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """Orient every aux edge by deactivation time: ``(src, dst, weight)``.
 
-    Orients every aux edge by deactivation time (never-deactivated
-    endpoints lose; ties by id order), then picks each compact node's
-    heaviest outgoing edge with ties to the smallest neighbor -- one
-    lexsort replaces the per-candidate comparison loop, with identical
-    winners.  Returns ``(parent, weight)`` over compact indices
-    (-1 / 0 where a node has no out-edge).
+    An edge points out of the endpoint that deactivated first (ties:
+    the smaller compact index, i.e. ``id_key`` order); edges into
+    never-deactivated endpoints point toward them, and edges between
+    two never-deactivated endpoints are dropped (the process rejected).
+    Out-degrees are at most ``3 * alpha`` and the orientation is acyclic.
     """
-    k = aux.compact_count
     ea, eb, w = aux.ea, aux.eb, aux.weights
     ra = inactive_round[ea]
     rb = inactive_round[eb]
@@ -324,6 +243,22 @@ def orient_and_select_dense(
     src = np.concatenate((ea[a_wins], eb[b_wins]))
     dst = np.concatenate((eb[a_wins], ea[b_wins]))
     ww = np.concatenate((w[a_wins], w[b_wins]))
+    return src, dst, ww
+
+
+def orient_and_select_dense(
+    aux: DenseAuxiliaryGraph, inactive_round: "np.ndarray"
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Merging sub-step 1: each part's heaviest out-edge (ties: smallest target).
+
+    Orients with :func:`orient_dense`, then one lexsort picks each
+    compact node's heaviest outgoing edge, ties to the smallest
+    neighbor.  Returns ``(parent, weight)`` over compact indices
+    (-1 / 0 where a node has no out-edge).  The orientation is acyclic,
+    so the selection is a forest.
+    """
+    k = aux.compact_count
+    src, dst, ww = orient_dense(aux, inactive_round)
     parent = np.full(k, -1, dtype=np.int64)
     weight = np.zeros(k, dtype=np.int64)
     if len(src):
@@ -343,18 +278,18 @@ def weighted_selection_dense(
 ) -> Tuple[Dict[int, Optional[int]], Dict[Tuple[int, int], int]]:
     """Vectorized Theorem 4 weighted-edge selection on the aux arrays.
 
-    Array port of
-    :func:`repro.partition.weighted_selection.weighted_edge_selection`
-    that never materializes the lazy dict adjacency and replaces the
-    per-draw ``rng.choices`` (which rebuilds its cumulative-weight list
-    on *every* trial, ``O(trials * degree)`` Python work per part) with
-    one CSR sweep plus a batched ``searchsorted``.
+    Every part draws ``trials`` incident aux edges with probability
+    proportional to weight and keeps the heaviest draw (paper
+    Section 4).  One CSR sweep plus a batched ``searchsorted`` replaces
+    a per-draw ``rng.choices`` (which rebuilds its cumulative-weight
+    list on *every* trial, ``O(trials * degree)`` Python work per part).
 
-    **The RNG stream is consumed identically**: the legacy path draws
-    one ``rng.random()`` per (part, trial) in ascending part order --
-    compact order equals root-id order, so pre-drawing the same count
-    in row-major order yields the exact floats.  Each draw then
-    replicates ``random.choices``'s selection arithmetic bit for bit:
+    **The RNG stream is consumed as by ``rng.choices``**: one
+    ``rng.random()`` per (part, trial) in ascending part order --
+    compact order equals ``id_key`` order of the roots, so pre-drawing
+    the same count in row-major order yields the exact floats.  Each
+    draw then replicates ``random.choices``'s selection arithmetic bit
+    for bit:
     ``index = bisect_right(cum_weights, r * total, 0, degree - 1)``
     with the multiplication performed in float64 exactly as CPython
     does.  The global ``searchsorted`` adds the segment base in float64
@@ -364,14 +299,16 @@ def weighted_selection_dense(
     edge with ties to the smallest neighbor id -- the same fold the
     sequential loop computes.
 
-    Returns ``(out_edge, weights)`` keyed by part roots (dense ids), in
-    ascending-root insertion order, exactly like the legacy function.
+    When both endpoints select the same edge it becomes the out-edge of
+    the smaller root, keeping out-degree <= 1.  Returns
+    ``(out_edge, weights)`` keyed by part roots (dense ids), in
+    ascending-root insertion order.
     """
     pids = aux.pids
     k = aux.compact_count
     ea, eb, w = aux.ea, aux.eb, aux.weights
     # Symmetric CSR over compact indices, neighbors ascending (= id_key
-    # order of the roots, the legacy iteration order).
+    # order of the roots).
     src = np.concatenate((ea, eb))
     dst = np.concatenate((eb, ea))
     ww = np.concatenate((w, w))
@@ -438,9 +375,8 @@ def weighted_selection_dense(
             drawn[pid] = pids[pick[0]]
             weight_of[pid] = pick[1]
 
-    # Resolve double selections exactly as the legacy path: the edge
-    # becomes the out-edge of the smaller id; the larger endpoint is
-    # left without an out-edge.
+    # Resolve double selections: the edge becomes the out-edge of the
+    # smaller id; the larger endpoint is left without an out-edge.
     out_edge: Dict[int, Optional[int]] = dict(drawn)
     for pid, target in drawn.items():
         if target is None:
@@ -454,6 +390,70 @@ def weighted_selection_dense(
     return out_edge, weights_out
 
 
+class RootSeeds:
+    """Cole-Vishkin start colors of part roots, by the emulated default rule.
+
+    :func:`~repro.partition.coloring.cole_vishkin_emulated` seeds each
+    node with its label when every current label is an ``int >= 0``
+    (bools included) and with its rank in ``repr`` order otherwise.
+    Called with the current roots' dense indices, this returns the same
+    seeds as Python ints; the per-node label test runs once, here.
+    """
+
+    def __init__(self, ids: Sequence):
+        self.ids = ids
+        self.labelled = np.fromiter(
+            (isinstance(v, int) and v >= 0 for v in ids), dtype=bool, count=len(ids)
+        )
+        self._repr_rank = None
+
+    def __call__(self, pids: Sequence[int]) -> List[int]:
+        ids = self.ids
+        if self.labelled[pids].all():
+            return [ids[p] for p in pids]
+        if self._repr_rank is None:
+            order = sorted(range(len(ids)), key=lambda i: repr(ids[i]))
+            self._repr_rank = np.empty(len(ids), dtype=np.int64)
+            self._repr_rank[order] = np.arange(len(ids))
+        order = np.argsort(self._repr_rank[pids])
+        ranks = np.empty(len(pids), dtype=np.int64)
+        ranks[order] = np.arange(len(pids))
+        return ranks.tolist()
+
+
+def color_roots(
+    parent: "np.ndarray",
+    seeds: List[int],
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+    height: int = 0,
+) -> Tuple["np.ndarray", int]:
+    """Cole-Vishkin 3-coloring of the compact forest *parent* from *seeds*.
+
+    Seeds below ``2**62`` run vectorized (:func:`cole_vishkin_dense`);
+    larger ones overflow its int64 bit tricks and run through
+    :func:`~repro.partition.coloring.cole_vishkin_emulated`, which
+    applies the same rules on Python ints.  Both charge the ledger alike.
+    """
+    if max(seeds, default=0) < _MAX_ID:
+        return cole_vishkin_dense(
+            parent,
+            np.array(seeds, dtype=np.int64),
+            ledger=ledger,
+            cost_model=cost_model,
+            height=height,
+        )
+    parents = {c: (p if p >= 0 else None) for c, p in enumerate(parent.tolist())}
+    colors, rounds = cole_vishkin_emulated(
+        parents,
+        initial_colors=dict(enumerate(seeds)),
+        ledger=ledger,
+        cost_model=cost_model,
+        height=height,
+    )
+    return np.array([colors[c] for c in range(len(seeds))], dtype=np.int64), rounds
+
+
 def cole_vishkin_dense(
     parent: "np.ndarray",
     init_colors: "np.ndarray",
@@ -465,12 +465,12 @@ def cole_vishkin_dense(
     """Vectorized Cole-Vishkin 3-coloring of a compact pseudoforest.
 
     Array port of :func:`repro.partition.coloring.cole_vishkin_emulated`
-    for the deterministic dense engine: *parent* holds compact parent
-    indices (-1 at roots) and *init_colors* the distinct non-negative
-    initial colors (the original part-root ids, matching the legacy
-    id-seeded start).  Every phase applies the exact update rules of
-    ``_apply_phase`` -- the shared :func:`cv_schedule` drives both -- so
-    the final coloring is identical; the same ledger charge is recorded.
+    for the deterministic engine: *parent* holds compact parent indices
+    (-1 at roots) and *init_colors* distinct initial colors in
+    ``[0, 2**62)`` (see :class:`RootSeeds`).  Every phase applies the
+    exact update rules of ``_apply_phase`` -- the shared
+    :func:`cv_schedule` drives both -- so the final coloring is
+    identical; the same ledger charge is recorded.
     """
     k = len(parent)
     roots = parent < 0
@@ -534,8 +534,8 @@ def mark_and_choose_dense(
     abstains): *parent* is the selected out-edge per compact node (-1 if
     none), *weight* the weight of that edge, *colors* a proper
     {0,1,2}-coloring.  The returned :class:`MarkingResult` carries
-    compact indices; edge-list order is unspecified (legacy sorts by
-    ``repr``) but the edge *sets*, tree heights and weights are
+    compact indices; edge-list order is unspecified (the dict version
+    sorts by ``repr``) but the edge *sets*, tree heights and weights are
     identical.
     """
     k = len(parent)
@@ -689,13 +689,13 @@ class DensePartitionState:
     ) -> None:
         """Contract star edges (child root -> center root) in place.
 
-        Mirrors :func:`repro.partition.stage1.merge_parts`: each child's
-        tree is glued to its center through the designated connector
-        ``(u, v)`` and the merged part is re-rooted at the center.
+        Merging sub-step 4 (paper Section 2.1.6): each child's tree is
+        glued to its center through the designated connector ``(u, v)``
+        and the merged part is re-rooted at the center.
         Parent pointers and heights of a rooted tree are unique
         regardless of traversal order, so reversing the pointers on the
         path from ``u`` to the child's old root and setting
-        ``parent[u] = v`` gives exactly the legacy ``build_part`` tables.
+        ``parent[u] = v`` gives exactly the tables a BFS re-root would.
         Depths then come from pointer jumping over the whole forest,
         which also certifies it: every node must reach its part's root.
         """
@@ -741,7 +741,7 @@ class DensePartitionState:
         self.sizes = dict(zip(roots.tolist(), counts[roots].tolist()))
 
     def to_partition(self, graph: nx.Graph) -> Partition:
-        """Materialize the dense state as a legacy :class:`Partition`."""
+        """Materialize the dense state as a :class:`Partition`."""
         ids = self.topology.nodes
         parent = self.parent.tolist()
         members: Dict[int, List[int]] = {root: [] for root in self.heights}

@@ -22,52 +22,16 @@ run the a-priori phase cap; we report both).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import networkx as nx
 
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..errors import PartitionError
-from ..graphs.utils import id_key
 from ..telemetry import get_tracer
-from .auxiliary import AuxiliaryGraph
-from .coloring import cole_vishkin_emulated
-from .forest_decomposition import forest_decomposition_emulated
-from .marking import MarkingResult, mark_and_choose
-from .parts import Partition, build_part
-
-ENGINE_ENV_VAR = "REPRO_PARTITION_ENGINE"
-
-ENGINES = ("auto", "dense", "legacy")
-"""Partition engines selectable via ``engine=`` or the environment."""
-
-
-def resolve_engine(engine: Optional[str], graph: nx.Graph) -> str:
-    """Resolve the partition engine for *graph*.
-
-    ``None`` consults ``REPRO_PARTITION_ENGINE`` and defaults to
-    ``"auto"``; auto picks the CSR-native dense engine whenever
-    :func:`~repro.partition.dense.dense_supported` certifies exact
-    equivalence (numpy present, non-negative int labels) and the legacy
-    dict engine otherwise.  Requesting ``"dense"`` on an unsupported
-    input raises.
-    """
-    from .dense import dense_supported
-
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR) or "auto"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown partition engine {engine!r}; choose from {ENGINES}")
-    if engine == "auto":
-        return "dense" if dense_supported(graph) else "legacy"
-    if engine == "dense" and not dense_supported(graph):
-        raise ValueError(
-            "dense partition engine requires numpy and non-negative "
-            "integer node labels"
-        )
-    return engine
+from .marking import MarkingResult
+from .parts import Partition
 
 
 @dataclass
@@ -109,11 +73,11 @@ class Stage1Result:
         target_cut: the cut-size target that was used.
         theoretical_phase_cap: the a-priori phase bound t.
         dense_state: the final :class:`~repro.partition.dense.
-            DensePartitionState` when the dense engine ran (``None``
-            under the legacy engine).  Downstream consumers -- the
-            Corollary 17 spanner builder and the application verifiers
-            -- read the partition's parent/part-of arrays from here
-            instead of round-tripping through :class:`Partition`.
+            DensePartitionState` (``None`` for the empty graph).
+            Downstream consumers -- the Corollary 17 spanner builder and
+            the application verifiers -- read the partition's
+            parent/part-of arrays from here instead of round-tripping
+            through :class:`Partition`.
     """
 
     partition: Partition
@@ -147,76 +111,6 @@ def theoretical_phase_cap(m: int, target_cut: float, alpha: int) -> int:
         return 0
     decay = 1.0 - 1.0 / (36 * alpha)
     return int(math.ceil(math.log(max(target_cut, 0.5) / m) / math.log(decay)))
-
-
-def select_heaviest_out_edges(
-    aux: AuxiliaryGraph, out_edges: Dict[Any, List[Any]]
-) -> Tuple[Dict[Any, Optional[Any]], Dict[Tuple[Any, Any], int]]:
-    """Sub-step 1: each part selects its heaviest out-edge (ties: id order).
-
-    Returns the pseudoforest ``{pid: parent pid or None}`` plus the weight
-    of each selected edge keyed by (child, parent).  Because the
-    orientation from the forest decomposition is acyclic, the result is in
-    fact a forest.
-    """
-    selected: Dict[Any, Optional[Any]] = {}
-    weights: Dict[Tuple[Any, Any], int] = {}
-    for pid in aux.nodes():
-        best: Optional[Any] = None
-        best_weight = -1
-        for nbr in out_edges.get(pid, ()):
-            w = aux.weight(pid, nbr)
-            if w > best_weight or (
-                w == best_weight and (best is None or id_key(nbr) < id_key(best))
-            ):
-                best, best_weight = nbr, w
-        selected[pid] = best
-        if best is not None:
-            weights[(pid, best)] = best_weight
-    return selected, weights
-
-
-def merge_parts(
-    partition: Partition,
-    aux: AuxiliaryGraph,
-    contract_edges: List[Tuple[Any, Any]],
-) -> Partition:
-    """Sub-step 4: contract star edges, gluing spanning trees via connectors.
-
-    For each contracted auxiliary edge (child part -> center part) the
-    designated connector edge joins the child's spanning tree to the
-    center's; the merged part keeps the center's root (paper
-    Section 2.1.6: "notifying all nodes that r_h(i,j) is their new root").
-    """
-    star_children: Dict[Any, List[Any]] = {}
-    absorbed = set()
-    for child, center in contract_edges:
-        star_children.setdefault(center, []).append(child)
-        if child in absorbed:
-            raise PartitionError(f"part {child!r} contracted twice")
-        absorbed.add(child)
-    overlap = absorbed & set(star_children)
-    if overlap:
-        raise PartitionError(f"contraction is not star-shaped at {overlap!r}")
-
-    new_parts = []
-    for pid, part in partition.parts.items():
-        if pid in absorbed:
-            continue
-        children = star_children.get(pid, ())
-        if not children:
-            new_parts.append(part)
-            continue
-        nodes = set(part.nodes)
-        tree_edges = list(part.tree_edges())
-        for child_pid in children:
-            child = partition.parts[child_pid]
-            nodes.update(child.nodes)
-            tree_edges.extend(child.tree_edges())
-            u, v = aux.connector(child_pid, pid)
-            tree_edges.append((u, v))
-        new_parts.append(build_part(part.root, nodes, tree_edges))
-    return Partition(partition.graph, new_parts)
 
 
 def _charge_merging_overhead(
@@ -260,12 +154,17 @@ def partition_stage1(
     ledger: Optional[RoundLedger] = None,
     cost_model: Optional[TreeCostModel] = None,
     charge_full_budget: bool = True,
-    engine: Optional[str] = None,
 ) -> Stage1Result:
     """Run Stage I on *graph*.
 
+    The phase loop runs on the CSR-native dense state
+    (:mod:`repro.partition.dense`): part ids are dense indices
+    internally, which sort like ``id_key``, and Cole-Vishkin seeds from
+    the original labels, so every tie-break matches the dict-keyed
+    formulation of the paper for any hashable labels.
+
     Args:
-        graph: simple undirected graph (int-labeled recommended).
+        graph: simple undirected graph.
         epsilon: distance parameter; the default cut target is
             ``epsilon * m / 2`` per Claim 3.
         alpha: arboricity bound to verify (3 = planar).
@@ -277,9 +176,6 @@ def partition_stage1(
         cost_model: emulation cost formulas.
         charge_full_budget: charge the full O(log n) forest-decomposition
             schedule per phase (paper behavior).
-        engine: ``"auto"`` (default; CSR-native when supported),
-            ``"dense"``, or ``"legacy"`` -- see :func:`resolve_engine`.
-            Engines produce identical results; only wall-clock differs.
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -291,118 +187,24 @@ def partition_stage1(
     cap = theoretical_phase_cap(m, target_cut, alpha)
     if max_phases is None:
         max_phases = cap
-
-    if resolve_engine(engine, graph) == "dense":
-        return _partition_stage1_dense(
-            graph,
-            alpha=alpha,
+    if graph.number_of_nodes() == 0:
+        return Stage1Result(
+            partition=Partition(graph, []),
+            success=True,
+            rejecting_parts=(),
+            phases=[],
+            ledger=ledger,
             target_cut=target_cut,
-            max_phases=max_phases,
-            early_stop=early_stop,
-            ledger=ledger,
-            model=model,
-            charge_full_budget=charge_full_budget,
-            cap=cap,
+            theoretical_phase_cap=cap,
         )
 
-    partition = Partition.singletons(graph)
-    phases: List[PhaseStats] = []
-    cut = m  # singletons: every edge is a cut edge
-
-    for phase_index in range(1, max_phases + 1):
-        if cut == 0 or (early_stop and cut <= target_cut):
-            break
-        aux = AuxiliaryGraph(partition)
-        height = partition.max_height()
-
-        fd = forest_decomposition_emulated(
-            aux,
-            alpha,
-            ledger=ledger,
-            cost_model=model,
-            charge_full_budget=charge_full_budget,
-        )
-        if not fd.success:
-            return Stage1Result(
-                partition=partition,
-                success=False,
-                rejecting_parts=fd.rejecting_parts,
-                phases=phases,
-                ledger=ledger,
-                target_cut=target_cut,
-                theoretical_phase_cap=cap,
-            )
-
-        out_edge, weights = select_heaviest_out_edges(aux, fd.out_edges)
-        colors, cv_rounds = cole_vishkin_emulated(
-            out_edge, ledger=ledger, cost_model=model, height=height
-        )
-        marking = mark_and_choose(out_edge, weights, colors)
-        _charge_merging_overhead(ledger, model, height, marking)
-
-        new_partition = merge_parts(partition, aux, marking.contract_edges)
-        new_cut = new_partition.cut_size()
-        phases.append(
-            PhaseStats(
-                phase=phase_index,
-                parts_before=partition.size,
-                parts_after=new_partition.size,
-                cut_before=cut,
-                cut_after=new_cut,
-                max_height_before=height,
-                max_height_after=new_partition.max_height(),
-                fd_super_rounds=fd.super_rounds,
-                cv_super_rounds=cv_rounds,
-                max_marked_tree_height=max(
-                    marking.tree_heights.values(), default=0
-                ),
-                marked_weight=marking.marked_weight,
-                contracted_weight=marking.contracted_weight,
-            )
-        )
-        if new_cut >= cut and cut > 0:
-            raise PartitionError(
-                f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
-            )
-        partition, cut = new_partition, new_cut
-
-    return Stage1Result(
-        partition=partition,
-        success=True,
-        rejecting_parts=(),
-        phases=phases,
-        ledger=ledger,
-        target_cut=target_cut,
-        theoretical_phase_cap=cap,
-    )
-
-
-def _partition_stage1_dense(
-    graph: nx.Graph,
-    alpha: int,
-    target_cut: float,
-    max_phases: int,
-    early_stop: bool,
-    ledger: RoundLedger,
-    model: TreeCostModel,
-    charge_full_budget: bool,
-    cap: int,
-) -> Stage1Result:
-    """The Stage I phase loop on the CSR-native dense state.
-
-    Same control flow and decision layer as the legacy loop above; the
-    per-phase O(m) sweeps (auxiliary build, cut counting, merges) run on
-    the compiled topology's flat arrays.  Part ids are dense indices
-    internally; Cole-Vishkin seeds from the original ids so colorings --
-    and therefore every contraction -- match the legacy engine bit for
-    bit (asserted by the differential suite).
-    """
-    import numpy as _np
-
+    # Looked up at call time, so wrappers installed on these module
+    # attributes see every call.
     from ..congest.topology import compile_topology
     from .dense import (
         DensePartitionState,
-        cole_vishkin_dense,
+        RootSeeds,
+        color_roots,
         forest_decomposition_dense,
         mark_and_choose_dense,
         orient_and_select_dense,
@@ -411,9 +213,9 @@ def _partition_stage1_dense(
     topology = compile_topology(graph)
     ids = topology.nodes
     state = DensePartitionState(topology)
-    n = topology.n
-    m = graph.number_of_edges()
+    seeds = RootSeeds(ids)
     phases: List[PhaseStats] = []
+    rejecting: Tuple[Any, ...] = ()
     cut = m
     tracer = get_tracer()
 
@@ -430,7 +232,7 @@ def _partition_stage1_dense(
                 forest_decomposition_dense(
                     aux,
                     alpha,
-                    n_graph=n,
+                    n_graph=topology.n,
                     height=height,
                     ledger=ledger,
                     cost_model=model,
@@ -438,33 +240,18 @@ def _partition_stage1_dense(
                 )
             )
         if not success:
+            # Compact order is root order, i.e. id_key order.
             rejecting = tuple(
-                sorted(ids[pids[c]] for c in _np.nonzero(active)[0].tolist())
+                ids[pids[c]] for c in active.nonzero()[0].tolist()
             )
-            return Stage1Result(
-                partition=state.to_partition(graph),
-                success=False,
-                rejecting_parts=rejecting,
-                phases=phases,
-                ledger=ledger,
-                target_cut=target_cut,
-                theoretical_phase_cap=cap,
-                dense_state=state,
-            )
+            break
 
         # Sub-steps 1-4 on compact arrays: heaviest-out-edge selection,
-        # vectorized Cole-Vishkin, CHW marking, star contraction.
+        # Cole-Vishkin, CHW marking, star contraction.
         with tracer.span("stage1.cv", phase=phase_index):
             parent_c, weight_c = orient_and_select_dense(aux, inactive_round)
-            init_colors = _np.fromiter(
-                (ids[pid] for pid in pids), dtype=_np.int64, count=len(pids)
-            )
-            colors, cv_rounds = cole_vishkin_dense(
-                parent_c,
-                init_colors,
-                ledger=ledger,
-                cost_model=model,
-                height=height,
+            colors, cv_rounds = color_roots(
+                parent_c, seeds(pids), ledger=ledger, cost_model=model, height=height
             )
         with tracer.span("stage1.marking", phase=phase_index):
             marking = mark_and_choose_dense(parent_c, weight_c, colors)
@@ -501,8 +288,8 @@ def _partition_stage1_dense(
 
     return Stage1Result(
         partition=state.to_partition(graph),
-        success=True,
-        rejecting_parts=(),
+        success=not rejecting,
+        rejecting_parts=rejecting,
         phases=phases,
         ledger=ledger,
         target_cut=target_cut,

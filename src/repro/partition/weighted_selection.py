@@ -22,24 +22,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import networkx as nx
 
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..errors import PartitionError
-from ..graphs.utils import id_key
-from .auxiliary import AuxiliaryGraph
 from .coloring import cole_vishkin_emulated, randomized_coloring_emulated
 from .marking import mark_and_choose
 from .parts import Partition
-from .stage1 import (
-    PhaseStats,
-    Stage1Result,
-    _charge_merging_overhead,
-    merge_parts,
-    resolve_engine,
-)
+from .stage1 import PhaseStats, Stage1Result, _charge_merging_overhead
 
 
 def default_trials(delta: float, phase_budget: int) -> int:
@@ -53,52 +45,6 @@ def default_trials(delta: float, phase_budget: int) -> int:
     """
     per_phase = max(delta / max(phase_budget, 1), 1e-9)
     return max(1, int(math.ceil(math.log2(1.0 / per_phase))))
-
-
-def weighted_edge_selection(
-    aux: AuxiliaryGraph,
-    trials: int,
-    rng: random.Random,
-) -> Tuple[Dict[Any, Optional[Any]], Dict[Tuple[Any, Any], int]]:
-    """Each part draws incident edges ~ weight, keeps the heaviest of s draws.
-
-    The drawn edge becomes the part's out-edge; when both endpoints
-    select the same auxiliary edge it is oriented out of the
-    lexicographically smaller id (paper Section 4), keeping out-degree
-    <= 1, i.e. a directed pseudoforest.
-    """
-    drawn: Dict[Any, Optional[Any]] = {}
-    for pid in sorted(aux.nodes(), key=id_key):
-        nbrs = aux.neighbors(pid)
-        if not nbrs:
-            drawn[pid] = None
-            continue
-        targets = sorted(nbrs, key=id_key)
-        weights = [nbrs[t] for t in targets]
-        best: Optional[Any] = None
-        best_weight = -1
-        for _ in range(trials):
-            choice = rng.choices(targets, weights=weights, k=1)[0]
-            w = nbrs[choice]
-            if w > best_weight or (
-                w == best_weight and (best is None or id_key(choice) < id_key(best))
-            ):
-                best, best_weight = choice, w
-        drawn[pid] = best
-
-    # Resolve double selections: the edge becomes the out-edge of the
-    # smaller id; the larger endpoint is left without an out-edge.
-    out_edge: Dict[Any, Optional[Any]] = dict(drawn)
-    for pid, target in drawn.items():
-        if target is None:
-            continue
-        if drawn.get(target) == pid and id_key(target) < id_key(pid):
-            out_edge[pid] = None
-    weights_out: Dict[Tuple[Any, Any], int] = {}
-    for pid, target in out_edge.items():
-        if target is not None:
-            weights_out[(pid, target)] = aux.weight(pid, target)
-    return out_edge, weights_out
 
 
 def randomized_phase_cap(m: int, target_cut: float, alpha: int) -> int:
@@ -136,7 +82,6 @@ def partition_randomized(
     cost_model: Optional[TreeCostModel] = None,
     coloring: str = "cole-vishkin",
     coloring_rounds: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> RandomizedPartitionResult:
     """Theorem 4 partition: ``O(poly(1/eps)(log 1/delta + log* n))`` rounds.
 
@@ -158,10 +103,6 @@ def partition_randomized(
             small) abstention fraction slowing the decay.
         coloring_rounds: budget for the randomized coloring; defaults to
             ``ceil(log2(phases/delta)) + 2``.
-        engine: partition engine (``"auto"``/``"dense"``/``"legacy"``;
-            see :func:`repro.partition.stage1.resolve_engine`).  Engines
-            consume the RNG stream in the same order and produce
-            identical results.
         max_phases / early_stop / seed / ledger / cost_model: as Stage I.
     """
     if not 0 < epsilon <= 1:
@@ -181,34 +122,39 @@ def partition_randomized(
     ledger = ledger if ledger is not None else RoundLedger()
     model = cost_model or TreeCostModel()
 
-    if resolve_engine(engine, graph) == "dense":
-        return _partition_randomized_dense(
-            graph,
-            delta=delta,
-            alpha=alpha,
-            target_cut=target_cut,
-            trials=trials,
-            max_phases=max_phases,
-            early_stop=early_stop,
-            rng=rng,
+    if graph.number_of_nodes() == 0:
+        return RandomizedPartitionResult(
+            partition=Partition(graph, []),
+            success=True,
+            rejecting_parts=(),
+            phases=[],
             ledger=ledger,
-            model=model,
-            coloring=coloring,
-            coloring_rounds=coloring_rounds,
-            cap=cap,
+            target_cut=target_cut,
+            theoretical_phase_cap=cap,
+            trials=trials,
+            delta=delta,
         )
 
-    partition = Partition.singletons(graph)
+    # The weighted selection runs vectorized on the aux edge arrays
+    # (:func:`repro.partition.dense.weighted_selection_dense`), drawing
+    # from *rng* in ``id_key`` order of the part roots; the randomized
+    # coloring likewise consumes conflicts in ascending-root order.
+    from ..congest.topology import compile_topology
+    from .dense import DensePartitionState, RootSeeds, weighted_selection_dense
+
+    topology = compile_topology(graph)
+    state = DensePartitionState(topology)
+    seeds = RootSeeds(topology.nodes)
     phases: List[PhaseStats] = []
     cut = m
 
     for phase_index in range(1, max_phases + 1):
         if cut == 0 or (early_stop and cut <= target_cut):
             break
-        aux = AuxiliaryGraph(partition)
-        height = partition.max_height()
+        aux = state.build_aux()
+        height = state.max_height()
 
-        out_edge, weights = weighted_edge_selection(aux, trials, rng)
+        out_edge, weights = weighted_selection_dense(aux, trials, rng)
         # Section 4.1: each of the s draws is one uniform-edge-selection
         # convergecast (+1 boundary round to learn neighboring roots).
         ledger.charge(
@@ -226,172 +172,8 @@ def partition_randomized(
             ledger,
             model,
             height,
-        )
-        marking = mark_and_choose(out_edge, weights, colors)
-        _charge_merging_overhead(ledger, model, height, marking)
-
-        if not marking.contract_edges:
-            # Possible only under randomized coloring when every decision
-            # abstained (exponentially unlikely); the phase made no
-            # progress -- retry with fresh randomness.
-            phases.append(
-                PhaseStats(
-                    phase=phase_index,
-                    parts_before=partition.size,
-                    parts_after=partition.size,
-                    cut_before=cut,
-                    cut_after=cut,
-                    max_height_before=height,
-                    max_height_after=height,
-                    fd_super_rounds=0,
-                    cv_super_rounds=cv_rounds,
-                    max_marked_tree_height=0,
-                    marked_weight=marking.marked_weight,
-                    contracted_weight=0,
-                )
-            )
-            continue
-
-        new_partition = merge_parts(partition, aux, marking.contract_edges)
-        new_cut = new_partition.cut_size()
-        phases.append(
-            PhaseStats(
-                phase=phase_index,
-                parts_before=partition.size,
-                parts_after=new_partition.size,
-                cut_before=cut,
-                cut_after=new_cut,
-                max_height_before=height,
-                max_height_after=new_partition.max_height(),
-                fd_super_rounds=0,
-                cv_super_rounds=cv_rounds,
-                max_marked_tree_height=max(
-                    marking.tree_heights.values(), default=0
-                ),
-                marked_weight=marking.marked_weight,
-                contracted_weight=marking.contracted_weight,
-            )
-        )
-        if new_cut >= cut:
-            # Cannot happen: every marked tree contracts its heavier
-            # parity class, which has positive weight (see marking.py).
-            raise PartitionError(
-                f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
-            )
-        partition, cut = new_partition, new_cut
-
-    return RandomizedPartitionResult(
-        partition=partition,
-        success=True,
-        rejecting_parts=(),
-        phases=phases,
-        ledger=ledger,
-        target_cut=target_cut,
-        theoretical_phase_cap=cap,
-        trials=trials,
-        delta=delta,
-    )
-
-
-def _color_pseudoforest(
-    out_edge,
-    coloring: str,
-    coloring_rounds: Optional[int],
-    cap: int,
-    delta: float,
-    rng: random.Random,
-    ledger: RoundLedger,
-    model: TreeCostModel,
-    height: int,
-    initial_colors=None,
-):
-    """Sub-step 2a for both engines: CV or randomized coloring of F_i."""
-    if coloring == "cole-vishkin":
-        return cole_vishkin_emulated(
-            out_edge,
-            initial_colors=initial_colors,
-            ledger=ledger,
-            cost_model=model,
-            height=height,
-            category="randomized.coloring",
-        )
-    if coloring == "randomized":
-        budget = coloring_rounds
-        if budget is None:
-            budget = int(math.ceil(math.log2(max(2.0, (cap or 1) / delta)))) + 2
-        colors, _abstaining = randomized_coloring_emulated(
-            out_edge,
-            rounds=budget,
-            rng=rng,
-            ledger=ledger,
-            cost_model=model,
-            height=height,
-        )
-        return colors, budget
-    raise ValueError(f"unknown coloring {coloring!r}")
-
-
-def _partition_randomized_dense(
-    graph: nx.Graph,
-    delta: float,
-    alpha: int,
-    target_cut: float,
-    trials: int,
-    max_phases: int,
-    early_stop: bool,
-    rng: random.Random,
-    ledger: RoundLedger,
-    model: TreeCostModel,
-    coloring: str,
-    coloring_rounds: Optional[int],
-    cap: int,
-) -> RandomizedPartitionResult:
-    """The Theorem 4 phase loop on the CSR-native dense state.
-
-    The weighted selection runs vectorized on the aux edge arrays
-    (:func:`repro.partition.dense.weighted_selection_dense`): it
-    pre-draws the same ``rng.random()`` sequence the sequential loop
-    would consume (parts in sorted-root order, trials inner) and
-    replicates ``random.choices``'s cumulative-weight arithmetic bit
-    for bit, so the RNG stream -- and therefore every draw -- matches
-    the legacy engine exactly.  The randomized coloring likewise
-    consumes conflicts in out-edge insertion order, preserved under the
-    dense-index relabeling (dense indices sort like the original
-    non-negative int ids).
-    """
-    from ..congest.topology import compile_topology
-    from .dense import DensePartitionState, weighted_selection_dense
-
-    topology = compile_topology(graph)
-    ids = topology.nodes
-    state = DensePartitionState(topology)
-    phases: List[PhaseStats] = []
-    cut = graph.number_of_edges()
-
-    for phase_index in range(1, max_phases + 1):
-        if cut == 0 or (early_stop and cut <= target_cut):
-            break
-        aux = state.build_aux()
-        height = state.max_height()
-
-        out_edge, weights = weighted_selection_dense(aux, trials, rng)
-        ledger.charge(
-            trials * (model.convergecast(height) + 1) + 1,
-            "randomized.selection",
-            f"{trials} weighted draws over trees of height {height}",
-        )
-        colors, cv_rounds = _color_pseudoforest(
-            out_edge,
-            coloring,
-            coloring_rounds,
-            cap,
-            delta,
-            rng,
-            ledger,
-            model,
-            height,
             initial_colors=(
-                {i: ids[i] for i in out_edge}
+                dict(zip(aux.pids, seeds(aux.pids)))
                 if coloring == "cole-vishkin"
                 else None
             ),
@@ -401,6 +183,9 @@ def _partition_randomized_dense(
 
         parts_before = state.size
         if not marking.contract_edges:
+            # Possible only under randomized coloring when every decision
+            # abstained (exponentially unlikely); the phase made no
+            # progress -- retry with fresh randomness.
             phases.append(
                 PhaseStats(
                     phase=phase_index,
@@ -440,6 +225,8 @@ def _partition_randomized_dense(
             )
         )
         if new_cut >= cut:
+            # Cannot happen: every marked tree contracts its heavier
+            # parity class, which has positive weight (see marking.py).
             raise PartitionError(
                 f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
             )
@@ -457,3 +244,41 @@ def _partition_randomized_dense(
         trials=trials,
         delta=delta,
     )
+
+
+def _color_pseudoforest(
+    out_edge,
+    coloring: str,
+    coloring_rounds: Optional[int],
+    cap: int,
+    delta: float,
+    rng: random.Random,
+    ledger: RoundLedger,
+    model: TreeCostModel,
+    height: int,
+    initial_colors=None,
+):
+    """Sub-step 2a: CV or randomized coloring of F_i."""
+    if coloring == "cole-vishkin":
+        return cole_vishkin_emulated(
+            out_edge,
+            initial_colors=initial_colors,
+            ledger=ledger,
+            cost_model=model,
+            height=height,
+            category="randomized.coloring",
+        )
+    if coloring == "randomized":
+        budget = coloring_rounds
+        if budget is None:
+            budget = int(math.ceil(math.log2(max(2.0, (cap or 1) / delta)))) + 2
+        colors, _abstaining = randomized_coloring_emulated(
+            out_edge,
+            rounds=budget,
+            rng=rng,
+            ledger=ledger,
+            cost_model=model,
+            height=height,
+        )
+        return colors, budget
+    raise ValueError(f"unknown coloring {coloring!r}")

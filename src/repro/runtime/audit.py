@@ -46,7 +46,6 @@ def _run_partition_phase_audit(spec: JobSpec, graph: nx.Graph) -> Record:
         graph,
         epsilon=params.get("epsilon", 0.1),
         alpha=params.get("alpha", 3),
-        engine=params.get("engine"),
     )
     phases = [
         [stats.phase, stats.max_height_after, stats.parts_after]
@@ -88,13 +87,7 @@ def _run_application_audit(spec: JobSpec, graph: nx.Graph) -> Record:
     else:
         raise ValueError(f"unknown property {prop!r}")
     epsilon = max(0.05, min(0.4, farness * 0.8)) if farness > 0 else 0.3
-    result = runner(
-        graph,
-        epsilon=epsilon,
-        method=method,
-        seed=spec.seed,
-        engine=params.get("engine"),
-    )
+    result = runner(graph, epsilon=epsilon, method=method, seed=spec.seed)
     return {
         "property": prop,
         "method": method,
@@ -112,24 +105,19 @@ def _run_application_audit(spec: JobSpec, graph: nx.Graph) -> Record:
 def _run_spanner_baseline(spec: JobSpec, graph: nx.Graph) -> Record:
     """One baseline spanner trial (MPX cluster or sequential greedy).
 
-    Under the dense engine the graph's compiled topology (memoized per
-    graph object, so one compilation per sweep cell) is handed to the
-    baseline, which returns its spanner as flat edge arrays -- the
-    vectorized stretch measurement then never re-converts either graph.
+    The graph's compiled topology (memoized per graph object, so one
+    compilation per sweep cell) is handed to the baseline, which returns
+    its spanner as flat edge arrays -- the vectorized stretch
+    measurement then never re-converts either graph.
     """
     from ..applications.spanner import measure_stretch
-    from ..partition.stage1 import resolve_engine
+    from ..congest.topology import compile_topology
 
     params = spec.params
     method = params.get("method", "mpx")
     sample_nodes = params.get("sample_nodes", 8)
     n = graph.number_of_nodes()
-    engine = params.get("engine")
-    topology = None
-    if resolve_engine(engine, graph) == "dense":
-        from ..congest.topology import compile_topology
-
-        topology = compile_topology(graph)
+    topology = compile_topology(graph)
     if method == "mpx":
         from ..baselines import cluster_spanner
 
@@ -153,14 +141,9 @@ def _run_spanner_baseline(spec: JobSpec, graph: nx.Graph) -> Record:
     else:
         raise ValueError(f"unknown baseline method {method!r}")
     stretch = measure_stretch(
-        graph, spanner, sample_nodes=sample_nodes, seed=spec.seed,
-        engine=engine,
+        graph, spanner, sample_nodes=sample_nodes, seed=spec.seed
     )
-    edges = (
-        spanner.edge_count
-        if topology is not None
-        else spanner.number_of_edges()
-    )
+    edges = spanner.edge_count
     return {
         "method": method,
         "parameter": parameter,
@@ -309,22 +292,37 @@ def _run_lr_oracle_trial(spec: JobSpec, _graph) -> Record:
 
 
 def _run_forest_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
-    """Simulated vs emulated Barenboim-Elkin forest decomposition."""
+    """Message-passing vs Stage I Barenboim-Elkin forest decomposition.
+
+    Stage I's first phase runs :func:`forest_decomposition_dense` on the
+    singleton partition, whose auxiliary graph is the input graph; the
+    simulated program must deactivate every node in the same super-round
+    and orient every edge the same way.
+    """
     from ..congest.programs import run_forest_decomposition_simulated
-    from ..partition import (
-        AuxiliaryGraph,
-        Partition,
-        forest_decomposition_emulated,
+    from ..congest.topology import compile_topology
+    from ..partition.dense import (
+        DensePartitionState,
+        forest_decomposition_dense,
+        orient_dense,
     )
 
     alpha = spec.params.get("alpha", 3)
     sim = run_forest_decomposition_simulated(graph, alpha=alpha, seed=spec.seed)
-    emu = forest_decomposition_emulated(
-        AuxiliaryGraph(Partition.singletons(graph)), alpha=alpha
+    topology = compile_topology(graph)
+    aux = DensePartitionState(topology).build_aux()
+    _success, _active, inactive_round, _rounds = forest_decomposition_dense(
+        aux, alpha, n_graph=topology.n, height=0
     )
-    agree = sim.inactive_round == emu.inactive_round and {
+    ids = [topology.nodes[root] for root in aux.pids]
+    out_edges = {v: set() for v in ids}
+    src, dst, _weight = orient_dense(aux, inactive_round)
+    for u, v in zip(src.tolist(), dst.tolist()):
+        out_edges[ids[u]].add(ids[v])
+    rounds = {v: r or None for v, r in zip(ids, inactive_round.tolist())}
+    agree = sim.inactive_round == rounds and out_edges == {
         v: set(o) for v, o in sim.out_neighbors.items()
-    } == {v: set(o) for v, o in emu.out_edges.items()}
+    }
     return {"agree": agree}
 
 

@@ -1,9 +1,9 @@
 """One place for the runtime's configuration knobs: :class:`RunConfig`.
 
-The runtime has two knobs -- the simulator batch size and the Stage I
-partition engine -- and every entry point (``run_jobs``, ``run_sweep``,
-the CLI, ``Client``, worker processes) resolves them through one
-dataclass with a documented precedence:
+The runtime has one knob -- the simulator batch size -- and every entry
+point (``run_jobs``, ``run_sweep``, the CLI, ``Client``, worker
+processes) resolves it through one dataclass with a documented
+precedence:
 
     **constructor argument  >  environment variable  >  built-in default**
 
@@ -20,7 +20,6 @@ duration of each batch.
 field                  environment variable        default
 =====================  ==========================  =================
 ``sim_batch``          ``REPRO_SIM_BATCH``         ``1`` (no batching)
-``partition_engine``   ``REPRO_PARTITION_ENGINE``  ``"auto"``
 =====================  ==========================  =================
 
 ``run_jobs(..., config=...)`` / ``run_sweep(..., config=...)`` accept
@@ -48,7 +47,6 @@ def _parse_batch(raw: str) -> Union[int, str]:
 _KNOBS: Dict[str, Tuple[str, Any, Any]] = {
     # field -> (env var, parser for env text, built-in default)
     "sim_batch": ("REPRO_SIM_BATCH", _parse_batch, 1),
-    "partition_engine": ("REPRO_PARTITION_ENGINE", str, "auto"),
 }
 
 
@@ -64,7 +62,6 @@ class RunConfig:
     """
 
     sim_batch: Union[int, str, None] = None
-    partition_engine: Optional[str] = None
 
     def resolve(self, name: str) -> Any:
         """The effective value of knob *name* (arg > env > default)."""

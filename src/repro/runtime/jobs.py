@@ -338,7 +338,6 @@ def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
             "reject_on_embedding_failure", False
         ),
         collect_exact_violations=params.get("collect_exact_violations", False),
-        engine=params.get("engine"),
     )
     result = test_planarity(graph, seed=spec.seed, config=config)
     return {
@@ -375,7 +374,6 @@ def _run_partition_stage1(spec: JobSpec, graph: nx.Graph) -> Record:
         max_phases=params.get("max_phases"),
         early_stop=params.get("early_stop", True),
         charge_full_budget=params.get("charge_full_budget", True),
-        engine=params.get("engine"),
     )
     record = {
         "epsilon": epsilon,
@@ -407,7 +405,6 @@ def _run_partition_randomized(spec: JobSpec, graph: nx.Graph) -> Record:
         early_stop=params.get("early_stop", True),
         seed=spec.seed,
         coloring=params.get("coloring", "cole-vishkin"),
-        engine=params.get("engine"),
     )
     record = {
         "epsilon": params.get("epsilon", 0.1),
@@ -430,7 +427,6 @@ def _run_spanner(spec: JobSpec, graph: nx.Graph) -> Record:
     from ..applications.spanner import build_spanner, measure_stretch
 
     params = spec.params
-    engine = params.get("engine")
     result = build_spanner(
         graph,
         epsilon=params.get("epsilon", 0.1),
@@ -438,14 +434,12 @@ def _run_spanner(spec: JobSpec, graph: nx.Graph) -> Record:
         delta=params.get("delta", 0.1),
         alpha=params.get("alpha", 3),
         seed=spec.seed,
-        engine=engine,
     )
     stretch = measure_stretch(
         graph,
-        result.dense if result.dense is not None else result.spanner,
+        result.dense,
         sample_nodes=params.get("sample_nodes", 8),
         seed=spec.seed,
-        engine=engine,
     )
     n = graph.number_of_nodes()
     return {
@@ -484,7 +478,6 @@ def _run_cycle_freeness(spec: JobSpec, graph: nx.Graph) -> Record:
         method=params.get("method", "deterministic"),
         delta=params.get("delta", 0.1),
         seed=spec.seed,
-        engine=params.get("engine"),
     )
     return _application_record(result, epsilon)
 
@@ -501,7 +494,6 @@ def _run_bipartiteness(spec: JobSpec, graph: nx.Graph) -> Record:
         method=params.get("method", "deterministic"),
         delta=params.get("delta", 0.1),
         seed=spec.seed,
-        engine=params.get("engine"),
     )
     return _application_record(result, epsilon)
 

@@ -21,16 +21,15 @@ when the partition misses its cut target (probability <= delta).
 
 from __future__ import annotations
 
-import random
 from typing import Any, List, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..congest.ledger import TreeCostModel
 from ..graphs.utils import require_simple
 from ..partition.stage1 import Stage1Result, partition_stage1
 from ..partition.weighted_selection import partition_randomized
-from .labels import deterministic_bfs_tree
 from .results import ApplicationTestResult
 
 
@@ -41,12 +40,11 @@ def _partition_for_application(
     method: str,
     delta: float,
     seed: Optional[int],
-    engine: Optional[str],
 ) -> Stage1Result:
     target = epsilon * graph.number_of_edges() / 2
     if method == "deterministic":
         return partition_stage1(
-            graph, epsilon=epsilon, alpha=alpha, target_cut=target, engine=engine
+            graph, epsilon=epsilon, alpha=alpha, target_cut=target
         )
     if method == "randomized":
         return partition_randomized(
@@ -56,59 +54,25 @@ def _partition_for_application(
             alpha=alpha,
             target_cut=target,
             seed=seed,
-            engine=engine,
         )
     raise ValueError(f"unknown method {method!r}")
 
 
-def _verify_parts(
-    graph: nx.Graph,
-    stage1: Stage1Result,
-    check: str,
-) -> Tuple[List[Any], int]:
-    """BFS verification in every part; returns (rejecting pids, max rounds)."""
-    model = TreeCostModel()
-    rejecting: List[Any] = []
-    max_rounds = 0
-    for pid, part in stage1.partition.parts.items():
-        sub = graph.subgraph(part.nodes)
-        parents, depths = deterministic_bfs_tree(sub, part.root)
-        depth = max(depths.values(), default=0)
-        # BFS + one (depth, parent) exchange round, as in the simulated
-        # per-part check programs.
-        rounds = (depth + 1) + model.neighbor_exchange()
-        max_rounds = max(max_rounds, rounds)
-        bad = False
-        for u, v in sub.edges():
-            if parents.get(u) == v or parents.get(v) == u:
-                continue
-            if check == "cycle":
-                bad = True
-                break
-            if check == "bipartite" and depths[u] % 2 == depths[v] % 2:
-                bad = True
-                break
-        if bad:
-            rejecting.append(pid)
-    return rejecting, max_rounds
-
-
-def _verify_parts_dense(stage1: Stage1Result, check: str) -> Tuple[List[Any], int]:
-    """The per-part BFS verification on the dense partition state.
+def _verify_parts(stage1: Stage1Result, check: str) -> Tuple[List[Any], int]:
+    """BFS verification in every part; returns (rejecting pids, max rounds).
 
     One multi-source BFS from every part root over the intra-part edge
-    arrays replaces the per-part ``graph.subgraph`` + BFS walk, and the
-    non-tree / parity predicates evaluate vectorized over all intra-part
-    edges at once.  Equivalence with :func:`_verify_parts`: dense
-    indices sort like the original non-negative int ids (certified by
-    ``dense_supported``), so the min-index parent at depth ``d - 1``
-    is exactly ``deterministic_bfs_tree``'s min-``id_key`` parent, and
-    the per-part verdicts -- hence the rejecting root set and the round
-    maximum -- match the legacy walk bit for bit.
+    arrays of the dense partition state, then the non-tree / parity
+    predicates vectorized over all intra-part edges at once.  Dense
+    indices sort like ``id_key``, so the min-index parent at depth
+    ``d - 1`` is exactly ``deterministic_bfs_tree``'s min-id parent:
+    each part's verdict is that of a per-part BFS tree check.  Rounds
+    are BFS + one (depth, parent) exchange, as in the simulated per-part
+    check programs.
     """
-    import numpy as np
-
     state = stage1.dense_state
+    if state is None:  # the empty graph has no parts
+        return [], 0
     topology = state.topology
     n = topology.n
     ids = topology.nodes
@@ -140,8 +104,7 @@ def _verify_parts_dense(stage1: Stage1Result, check: str) -> Tuple[List[Any], in
     max_rounds = (int(depth.max()) + 1) + model.neighbor_exchange()
 
     # BFS parent per non-root node: minimum intra-part neighbor one
-    # level up (min dense index == min id under the dense-support
-    # certificate).
+    # level up (min dense index == min id_key).
     parent = np.full(n, n, dtype=np.int64)
     du = depth[ieu]
     dv = depth[iev]
@@ -167,18 +130,12 @@ def _run_application(
     method: str,
     delta: float,
     seed: Optional[int],
-    engine: Optional[str] = None,
 ) -> ApplicationTestResult:
     require_simple(graph)
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    stage1 = _partition_for_application(
-        graph, epsilon, alpha, method, delta, seed, engine
-    )
-    if stage1.dense_state is not None:
-        rejecting, verify_rounds = _verify_parts_dense(stage1, check)
-    else:
-        rejecting, verify_rounds = _verify_parts(graph, stage1, check)
+    stage1 = _partition_for_application(graph, epsilon, alpha, method, delta, seed)
+    rejecting, verify_rounds = _verify_parts(stage1, check)
     return ApplicationTestResult(
         accepted=not rejecting,
         rejecting_parts=tuple(sorted(rejecting, key=repr)),
@@ -195,19 +152,14 @@ def test_cycle_freeness(
     method: str = "deterministic",
     delta: float = 0.1,
     seed: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> ApplicationTestResult:
     """Corollary 16 cycle-freeness tester (minor-free promise).
 
     Deterministic method: ``O(poly(1/eps) log n)`` rounds, never errs on
     promise-satisfying inputs.  Randomized method: ``O(poly(1/eps)
     (log 1/delta + log* n))`` rounds, success probability >= 1 - delta.
-    ``engine`` selects the partition + verification engine
-    (``auto``/``dense``/``legacy``; identical verdicts either way).
     """
-    return _run_application(
-        graph, epsilon, "cycle", alpha, method, delta, seed, engine
-    )
+    return _run_application(graph, epsilon, "cycle", alpha, method, delta, seed)
 
 
 def test_bipartiteness(
@@ -217,9 +169,6 @@ def test_bipartiteness(
     method: str = "deterministic",
     delta: float = 0.1,
     seed: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> ApplicationTestResult:
     """Corollary 16 bipartiteness tester (minor-free promise)."""
-    return _run_application(
-        graph, epsilon, "bipartite", alpha, method, delta, seed, engine
-    )
+    return _run_application(graph, epsilon, "bipartite", alpha, method, delta, seed)

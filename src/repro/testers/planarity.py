@@ -48,9 +48,6 @@ class PlanarityTestConfig:
         reject_on_embedding_failure: see :class:`Stage2Config`.
         collect_exact_violations: per-part exact violating-edge counts
             (analysis mode, used by benchmarks).
-        engine: Stage I partition engine (``"auto"``/``"dense"``/
-            ``"legacy"``; ``None`` consults ``REPRO_PARTITION_ENGINE``).
-            Changes wall-clock only, never results.
     """
 
     epsilon: float = 0.1
@@ -61,7 +58,6 @@ class PlanarityTestConfig:
     max_phases: Optional[int] = None
     reject_on_embedding_failure: bool = False
     collect_exact_violations: bool = False
-    engine: Optional[str] = None
 
     def stage2(self) -> Stage2Config:
         """The Stage II view of this configuration."""
@@ -145,7 +141,6 @@ def test_planarity(
         max_phases=config.max_phases,
         early_stop=config.early_stop,
         charge_full_budget=config.charge_full_budget,
-        engine=config.engine,
     )
     if not stage1.success:
         return PlanarityTestResult(

@@ -145,7 +145,7 @@ class ReferenceForest:
             star_children.setdefault(center, []).append(child)
         tree_adj = self.tree_adj
         for child, center in contract_edges:
-            u, v = aux.connector(child, center)
+            u, v = (int(end[0]) for end in aux.connectors([child], [center]))
             tree_adj[u].append(v)
             tree_adj[v].append(u)
         parent = self.parent

@@ -1,0 +1,644 @@
+"""Reference Stage I: the dict engine the dense partition is diffed against.
+
+The package runs one Stage I engine, the CSR-native dense partition
+(:mod:`repro.partition.dense`).  This module keeps the seed's
+dict-keyed implementation of the same algorithms as a test oracle:
+
+* :func:`forest_decomposition_emulated` -- Barenboim-Elkin deactivation
+  and orientation over an :class:`~repro.partition.auxiliary.AuxiliaryGraph`;
+* :func:`select_heaviest_out_edges` and :func:`merge_parts` -- merging
+  sub-steps 1 and 4 on :class:`~repro.partition.parts.Partition` objects;
+* :func:`weighted_edge_selection` -- the Theorem 4 per-draw
+  ``rng.choices`` loop;
+* :func:`reference_partition_stage1` / :func:`reference_partition_randomized`
+  -- the two phase loops;
+* :func:`reference_build_spanner`, :func:`reference_measure_stretch` and
+  :func:`reference_application` -- the Corollary 16/17 consumers walking
+  the partition's ``Part`` objects through networkx views;
+* :func:`reference_stage1` -- patches the tester onto the reference
+  partition for the duration of a ``with`` block.
+
+:data:`RELABELINGS` and :func:`label_cases` drive the label-type
+differential suites: every case is a bundled family, relabeled.
+"""
+
+from __future__ import annotations
+
+import random
+from contextlib import contextmanager
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, Tuple
+from unittest import mock
+
+import networkx as nx
+import pytest
+
+import repro.testers.planarity as planarity
+from repro.congest.ledger import RoundLedger, TreeCostModel
+from repro.congest.programs.forest_decomposition import barenboim_elkin_round_budget
+from repro.errors import GraphInputError, PartitionError
+from repro.graphs.utils import id_key
+from repro.partition.auxiliary import AuxiliaryGraph
+from repro.partition.coloring import cole_vishkin_emulated
+from repro.partition.marking import mark_and_choose
+from repro.partition.parts import Partition, build_part
+from repro.partition.stage1 import (
+    PhaseStats,
+    Stage1Result,
+    _charge_merging_overhead,
+    theoretical_phase_cap,
+)
+from repro.partition.weighted_selection import (
+    RandomizedPartitionResult,
+    _color_pseudoforest,
+    default_trials,
+    randomized_phase_cap,
+)
+from repro.testers.labels import deterministic_bfs_tree
+from repro.testers.results import ApplicationTestResult
+
+# -- label types ---------------------------------------------------------------
+
+RELABELINGS = {
+    "identity": None,
+    "str": "v{}".format,
+    "mixed": lambda v: v if v % 2 else f"s{v}",
+    "negative": lambda v: -v - 1,
+    "big": lambda v: v + 2**62,
+    "tuple": lambda v: (v % 3, v),
+}
+"""Node relabelings of an int-labelled graph: one per label type."""
+
+
+def relabeled(graph: nx.Graph, relabeling: str) -> nx.Graph:
+    """*graph* under the named :data:`RELABELINGS` entry."""
+    mapping = RELABELINGS[relabeling]
+    return graph if mapping is None else nx.relabel_nodes(graph, mapping)
+
+
+def label_cases(names):
+    """``pytest.param(name, relabeling)`` over *names* x :data:`RELABELINGS`.
+
+    The identity case keeps the bare name as its id, so adding the
+    label axis leaves the int-labelled test ids unchanged.
+    """
+    return [
+        pytest.param(
+            name,
+            relabeling,
+            id=name if relabeling == "identity" else f"{name}/{relabeling}",
+        )
+        for name in names
+        for relabeling in RELABELINGS
+    ]
+
+
+# -- forest decomposition ------------------------------------------------------
+
+
+@dataclass
+class ForestDecompositionResult:
+    """Outcome of the emulated deactivation process on one G_i.
+
+    Attributes:
+        success: True when every auxiliary node deactivated in time.
+        rejecting_parts: part ids still active after the budget.
+        inactive_round: deactivation super-round per part id.
+        out_edges: acyclic orientation with out-degree <= 3*alpha.
+        super_rounds: budget of super-rounds charged.
+    """
+
+    success: bool
+    rejecting_parts: Tuple[Any, ...]
+    inactive_round: Dict[Any, Optional[int]]
+    out_edges: Dict[Any, List[Any]]
+    super_rounds: int
+
+
+def forest_decomposition_emulated(
+    aux: AuxiliaryGraph,
+    alpha: int,
+    budget: Optional[int] = None,
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+    charge_full_budget: bool = True,
+) -> ForestDecompositionResult:
+    """Run the deactivation process on *aux*; orient its edges.
+
+    The budget defaults to the certified ``O(log n)`` bound for the
+    *underlying* node count (nodes know n, not the number of parts).
+    """
+    if budget is None:
+        budget = barenboim_elkin_round_budget(aux.partition.graph.number_of_nodes())
+    threshold = 3 * alpha
+
+    active = set(aux.nodes())
+    active_degree = {pid: aux.degree(pid) for pid in aux.nodes()}
+    inactive_round: Dict[Any, Optional[int]] = {pid: None for pid in aux.nodes()}
+    executed = 0
+    for super_round in range(1, budget + 1):
+        if not active:
+            break
+        executed = super_round
+        deactivating = [pid for pid in active if active_degree[pid] <= threshold]
+        if not deactivating:
+            executed = budget
+            break
+        for pid in deactivating:
+            inactive_round[pid] = super_round
+        active.difference_update(deactivating)
+        for pid in deactivating:
+            for nbr in aux.neighbors(pid):
+                if nbr in active:
+                    active_degree[nbr] -= 1
+
+    rejecting = tuple(sorted(active, key=id_key))
+    out_edges = _orient(aux, inactive_round)
+
+    if ledger is not None:
+        model = cost_model or TreeCostModel()
+        height = aux.partition.max_height()
+        per_super_round = model.super_round(height, alpha)
+        charged_rounds = budget if charge_full_budget else executed
+        ledger.charge(
+            charged_rounds * per_super_round,
+            "stage1.forest_decomposition",
+            f"{charged_rounds} super-rounds x {per_super_round} rounds "
+            f"(height {height}, alpha {alpha})",
+        )
+
+    return ForestDecompositionResult(
+        success=not rejecting,
+        rejecting_parts=rejecting,
+        inactive_round=inactive_round,
+        out_edges=out_edges,
+        super_rounds=budget if charge_full_budget else executed,
+    )
+
+
+def _orient(
+    aux: AuxiliaryGraph, inactive_round: Dict[Any, Optional[int]]
+) -> Dict[Any, List[Any]]:
+    """Orient every auxiliary edge by deactivation time (ties: id order).
+
+    Edges incident to never-deactivated nodes point toward them; edges
+    between two active nodes are dropped.
+    """
+    out: Dict[Any, List[Any]] = {pid: [] for pid in aux.nodes()}
+    for edge in aux.edges():
+        pa, pb = edge.parts
+        ra, rb = inactive_round[pa], inactive_round[pb]
+        if ra is None and rb is None:
+            continue
+        if rb is None:
+            out[pa].append(pb)
+        elif ra is None:
+            out[pb].append(pa)
+        elif ra < rb or (ra == rb and id_key(pa) < id_key(pb)):
+            out[pa].append(pb)
+        else:
+            out[pb].append(pa)
+    return out
+
+
+# -- deterministic Stage I ----------------------------------------------------
+
+
+def select_heaviest_out_edges(
+    aux: AuxiliaryGraph, out_edges: Dict[Any, List[Any]]
+) -> Tuple[Dict[Any, Optional[Any]], Dict[Tuple[Any, Any], int]]:
+    """Sub-step 1: each part selects its heaviest out-edge (ties: id order)."""
+    selected: Dict[Any, Optional[Any]] = {}
+    weights: Dict[Tuple[Any, Any], int] = {}
+    for pid in aux.nodes():
+        best: Optional[Any] = None
+        best_weight = -1
+        for nbr in out_edges.get(pid, ()):
+            w = aux.weight(pid, nbr)
+            if w > best_weight or (
+                w == best_weight and (best is None or id_key(nbr) < id_key(best))
+            ):
+                best, best_weight = nbr, w
+        selected[pid] = best
+        if best is not None:
+            weights[(pid, best)] = best_weight
+    return selected, weights
+
+
+def merge_parts(
+    partition: Partition,
+    aux: AuxiliaryGraph,
+    contract_edges: List[Tuple[Any, Any]],
+) -> Partition:
+    """Sub-step 4: contract star edges, gluing spanning trees via connectors.
+
+    The merged part keeps the center's root.
+    """
+    star_children: Dict[Any, List[Any]] = {}
+    absorbed = set()
+    for child, center in contract_edges:
+        star_children.setdefault(center, []).append(child)
+        if child in absorbed:
+            raise PartitionError(f"part {child!r} contracted twice")
+        absorbed.add(child)
+    overlap = absorbed & set(star_children)
+    if overlap:
+        raise PartitionError(f"contraction is not star-shaped at {overlap!r}")
+
+    new_parts = []
+    for pid, part in partition.parts.items():
+        if pid in absorbed:
+            continue
+        children = star_children.get(pid, ())
+        if not children:
+            new_parts.append(part)
+            continue
+        nodes = set(part.nodes)
+        tree_edges = list(part.tree_edges())
+        for child_pid in children:
+            child = partition.parts[child_pid]
+            nodes.update(child.nodes)
+            tree_edges.extend(child.tree_edges())
+            tree_edges.append(aux.connector(child_pid, pid))
+        new_parts.append(build_part(part.root, nodes, tree_edges))
+    return Partition(partition.graph, new_parts)
+
+
+def _phase_stats(
+    phase, before, after, cut, new_cut, height, fd_rounds, cv_rounds, marking
+):
+    return PhaseStats(
+        phase=phase,
+        parts_before=before.size,
+        parts_after=after.size,
+        cut_before=cut,
+        cut_after=new_cut,
+        max_height_before=height,
+        max_height_after=after.max_height(),
+        fd_super_rounds=fd_rounds,
+        cv_super_rounds=cv_rounds,
+        max_marked_tree_height=max(marking.tree_heights.values(), default=0),
+        marked_weight=marking.marked_weight,
+        contracted_weight=marking.contracted_weight,
+    )
+
+
+def reference_partition_stage1(
+    graph: nx.Graph,
+    epsilon: float,
+    alpha: int = 3,
+    target_cut: Optional[float] = None,
+    max_phases: Optional[int] = None,
+    early_stop: bool = True,
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+    charge_full_budget: bool = True,
+) -> Stage1Result:
+    """The dict Stage I phase loop; same signature as ``partition_stage1``."""
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    m = graph.number_of_edges()
+    if target_cut is None:
+        target_cut = epsilon * m / 2
+    ledger = ledger if ledger is not None else RoundLedger()
+    model = cost_model or TreeCostModel()
+    cap = theoretical_phase_cap(m, target_cut, alpha)
+    if max_phases is None:
+        max_phases = cap
+
+    partition = Partition.singletons(graph)
+    phases: List[PhaseStats] = []
+    cut = m
+    for phase_index in range(1, max_phases + 1):
+        if cut == 0 or (early_stop and cut <= target_cut):
+            break
+        aux = AuxiliaryGraph(partition)
+        height = partition.max_height()
+        fd = forest_decomposition_emulated(
+            aux,
+            alpha,
+            ledger=ledger,
+            cost_model=model,
+            charge_full_budget=charge_full_budget,
+        )
+        if not fd.success:
+            return Stage1Result(
+                partition=partition,
+                success=False,
+                rejecting_parts=fd.rejecting_parts,
+                phases=phases,
+                ledger=ledger,
+                target_cut=target_cut,
+                theoretical_phase_cap=cap,
+            )
+        out_edge, weights = select_heaviest_out_edges(aux, fd.out_edges)
+        colors, cv_rounds = cole_vishkin_emulated(
+            out_edge, ledger=ledger, cost_model=model, height=height
+        )
+        marking = mark_and_choose(out_edge, weights, colors)
+        _charge_merging_overhead(ledger, model, height, marking)
+        new_partition = merge_parts(partition, aux, marking.contract_edges)
+        new_cut = new_partition.cut_size()
+        phases.append(
+            _phase_stats(
+                phase_index, partition, new_partition, cut, new_cut, height,
+                fd.super_rounds, cv_rounds, marking,
+            )
+        )
+        if new_cut >= cut and cut > 0:
+            raise PartitionError(
+                f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
+            )
+        partition, cut = new_partition, new_cut
+
+    return Stage1Result(
+        partition=partition,
+        success=True,
+        rejecting_parts=(),
+        phases=phases,
+        ledger=ledger,
+        target_cut=target_cut,
+        theoretical_phase_cap=cap,
+    )
+
+
+# -- Theorem 4 randomized partition ------------------------------------------
+
+
+def weighted_edge_selection(
+    aux: AuxiliaryGraph,
+    trials: int,
+    rng: random.Random,
+) -> Tuple[Dict[Any, Optional[Any]], Dict[Tuple[Any, Any], int]]:
+    """Each part draws incident edges ~ weight, keeps the heaviest of s draws.
+
+    When both endpoints select the same auxiliary edge it is oriented
+    out of the smaller id, keeping out-degree <= 1.
+    """
+    drawn: Dict[Any, Optional[Any]] = {}
+    for pid in sorted(aux.nodes(), key=id_key):
+        nbrs = aux.neighbors(pid)
+        if not nbrs:
+            drawn[pid] = None
+            continue
+        targets = sorted(nbrs, key=id_key)
+        weights = [nbrs[t] for t in targets]
+        best: Optional[Any] = None
+        best_weight = -1
+        for _ in range(trials):
+            choice = rng.choices(targets, weights=weights, k=1)[0]
+            w = nbrs[choice]
+            if w > best_weight or (
+                w == best_weight and (best is None or id_key(choice) < id_key(best))
+            ):
+                best, best_weight = choice, w
+        drawn[pid] = best
+
+    out_edge: Dict[Any, Optional[Any]] = dict(drawn)
+    for pid, target in drawn.items():
+        if target is None:
+            continue
+        if drawn.get(target) == pid and id_key(target) < id_key(pid):
+            out_edge[pid] = None
+    weights_out: Dict[Tuple[Any, Any], int] = {}
+    for pid, target in out_edge.items():
+        if target is not None:
+            weights_out[(pid, target)] = aux.weight(pid, target)
+    return out_edge, weights_out
+
+
+def reference_partition_randomized(
+    graph: nx.Graph,
+    epsilon: float,
+    delta: float = 0.1,
+    alpha: int = 3,
+    target_cut: Optional[float] = None,
+    trials: Optional[int] = None,
+    max_phases: Optional[int] = None,
+    early_stop: bool = True,
+    seed: Optional[int] = None,
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+    coloring: str = "cole-vishkin",
+    coloring_rounds: Optional[int] = None,
+) -> RandomizedPartitionResult:
+    """The dict Theorem 4 phase loop; same signature as ``partition_randomized``."""
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    m = graph.number_of_edges()
+    if target_cut is None:
+        target_cut = epsilon * graph.number_of_nodes()
+    cap = randomized_phase_cap(m, target_cut, alpha)
+    if max_phases is None:
+        max_phases = cap
+    if trials is None:
+        trials = default_trials(delta, cap or 1)
+    rng = random.Random(seed)
+    ledger = ledger if ledger is not None else RoundLedger()
+    model = cost_model or TreeCostModel()
+
+    partition = Partition.singletons(graph)
+    phases: List[PhaseStats] = []
+    cut = m
+    for phase_index in range(1, max_phases + 1):
+        if cut == 0 or (early_stop and cut <= target_cut):
+            break
+        aux = AuxiliaryGraph(partition)
+        height = partition.max_height()
+        out_edge, weights = weighted_edge_selection(aux, trials, rng)
+        ledger.charge(
+            trials * (model.convergecast(height) + 1) + 1,
+            "randomized.selection",
+            f"{trials} weighted draws over trees of height {height}",
+        )
+        colors, cv_rounds = _color_pseudoforest(
+            out_edge, coloring, coloring_rounds, cap, delta, rng, ledger,
+            model, height,
+        )
+        marking = mark_and_choose(out_edge, weights, colors)
+        _charge_merging_overhead(ledger, model, height, marking)
+        if not marking.contract_edges:
+            phases.append(
+                PhaseStats(
+                    phase=phase_index,
+                    parts_before=partition.size,
+                    parts_after=partition.size,
+                    cut_before=cut,
+                    cut_after=cut,
+                    max_height_before=height,
+                    max_height_after=height,
+                    fd_super_rounds=0,
+                    cv_super_rounds=cv_rounds,
+                    max_marked_tree_height=0,
+                    marked_weight=marking.marked_weight,
+                    contracted_weight=0,
+                )
+            )
+            continue
+        new_partition = merge_parts(partition, aux, marking.contract_edges)
+        new_cut = new_partition.cut_size()
+        phases.append(
+            _phase_stats(
+                phase_index, partition, new_partition, cut, new_cut, height,
+                0, cv_rounds, marking,
+            )
+        )
+        if new_cut >= cut:
+            raise PartitionError(
+                f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
+            )
+        partition, cut = new_partition, new_cut
+
+    return RandomizedPartitionResult(
+        partition=partition,
+        success=True,
+        rejecting_parts=(),
+        phases=phases,
+        ledger=ledger,
+        target_cut=target_cut,
+        theoretical_phase_cap=cap,
+        trials=trials,
+        delta=delta,
+    )
+
+
+@contextmanager
+def reference_stage1():
+    """Run the planarity tester inside the block on the reference Stage I."""
+    with mock.patch.object(
+        planarity, "partition_stage1", reference_partition_stage1
+    ):
+        yield
+
+
+# -- Corollary 16/17 consumers -------------------------------------------------
+
+
+def _reference_partition(graph, epsilon, alpha, method, delta, seed, target):
+    if method == "deterministic":
+        return reference_partition_stage1(
+            graph, epsilon=epsilon, alpha=alpha, target_cut=target
+        )
+    if method == "randomized":
+        return reference_partition_randomized(
+            graph,
+            epsilon=epsilon,
+            delta=delta,
+            alpha=alpha,
+            target_cut=target,
+            seed=seed,
+        )
+    raise ValueError(f"unknown method {method!r}")
+
+
+def reference_build_spanner(
+    graph: nx.Graph,
+    epsilon: float = 0.1,
+    method: str = "deterministic",
+    delta: float = 0.1,
+    alpha: int = 3,
+    seed: Optional[int] = None,
+) -> SimpleNamespace:
+    """The Corollary 17 spanner walked off ``Part`` objects.
+
+    Carries the fields of :class:`~repro.applications.spanner.SpannerResult`,
+    with ``spanner`` a networkx graph.
+    """
+    result = _reference_partition(
+        graph, epsilon, alpha, method, delta, seed,
+        target=epsilon * graph.number_of_nodes(),
+    )
+    spanner = nx.Graph()
+    spanner.add_nodes_from(graph.nodes())
+    tree_edges = 0
+    for part in result.partition.parts.values():
+        for child, parent in part.tree_edges():
+            spanner.add_edge(child, parent)
+            tree_edges += 1
+    connector_edges = 0
+    for edge in AuxiliaryGraph(result.partition).edges():
+        u, v = edge.connector
+        if not spanner.has_edge(u, v):
+            spanner.add_edge(u, v)
+            connector_edges += 1
+    return SimpleNamespace(
+        partition_result=result,
+        tree_edges=tree_edges,
+        connector_edges=connector_edges,
+        guaranteed_stretch=4 * result.partition.max_height() + 1,
+        spanner=spanner,
+        size=spanner.number_of_edges(),
+        rounds=result.rounds + 1,
+    )
+
+
+def reference_measure_stretch(
+    graph: nx.Graph,
+    spanner: nx.Graph,
+    sample_nodes: int = 16,
+    seed: Optional[int] = None,
+) -> float:
+    """The per-source networkx BFS fold over the same sampled sources."""
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes(), key=repr)
+    sources = rng.sample(nodes, sample_nodes) if sample_nodes < len(nodes) else nodes
+    worst = 1.0
+    for source in sources:
+        d_g = nx.single_source_shortest_path_length(graph, source)
+        d_s = nx.single_source_shortest_path_length(spanner, source)
+        for v, dg in d_g.items():
+            if dg == 0:
+                continue
+            ds = d_s.get(v)
+            if ds is None:
+                raise GraphInputError("spanner does not span the graph")
+            worst = max(worst, ds / dg)
+    return worst
+
+
+def verify_parts(
+    graph: nx.Graph, stage1: Stage1Result, check: str
+) -> Tuple[List[Any], int]:
+    """BFS verification in every part; returns (rejecting pids, max rounds)."""
+    model = TreeCostModel()
+    rejecting: List[Any] = []
+    max_rounds = 0
+    for pid, part in stage1.partition.parts.items():
+        sub = graph.subgraph(part.nodes)
+        parents, depths = deterministic_bfs_tree(sub, part.root)
+        depth = max(depths.values(), default=0)
+        max_rounds = max(max_rounds, (depth + 1) + model.neighbor_exchange())
+        for u, v in sub.edges():
+            if parents.get(u) == v or parents.get(v) == u:
+                continue
+            if check == "cycle" or depths[u] % 2 == depths[v] % 2:
+                rejecting.append(pid)
+                break
+    return rejecting, max_rounds
+
+
+def reference_application(
+    graph: nx.Graph,
+    check: str,
+    epsilon: float = 0.1,
+    alpha: int = 3,
+    method: str = "deterministic",
+    delta: float = 0.1,
+    seed: Optional[int] = None,
+) -> ApplicationTestResult:
+    """A Corollary 16 tester (``check`` = ``cycle`` or ``bipartite``)."""
+    stage1 = _reference_partition(
+        graph, epsilon, alpha, method, delta, seed,
+        target=epsilon * graph.number_of_edges() / 2,
+    )
+    rejecting, verify_rounds = verify_parts(graph, stage1, check)
+    return ApplicationTestResult(
+        accepted=not rejecting,
+        rejecting_parts=tuple(sorted(rejecting, key=repr)),
+        partition_result=stage1,
+        partition_rounds=stage1.rounds,
+        verification_rounds=verify_rounds,
+    )

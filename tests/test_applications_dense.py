@@ -1,13 +1,14 @@
-"""Differential suite: dense vs legacy applications/spanner engines.
+"""Differential suite: the applications/spanner layer vs the reference.
 
-The dense engine's contract is *bit identity* with the legacy walk:
-``build_spanner`` must produce the same ``SpannerResult`` (tree and
-connector counts, guaranteed stretch, edge set, size, rounds),
-``measure_stretch`` the same worst-ratio float (same RNG sample), and
-the Corollary 16 application testers the same verdicts (accepted,
-rejecting parts, round counts) -- across every bundled planar and
-far-from-planar generator, for both the deterministic and the seeded
-randomized partition method.
+The contract is *bit identity* with the walk over ``Part`` objects kept
+in ``tests/_stage1_reference.py``: ``build_spanner`` must produce the
+same ``SpannerResult`` (tree and connector counts, guaranteed stretch,
+edge set, size, rounds), ``measure_stretch`` the same worst-ratio float
+(same RNG sample), and the Corollary 16 application testers the same
+verdicts (accepted, rejecting parts, round counts) -- across every
+bundled planar and far-from-planar generator, under every label type of
+:data:`_stage1_reference.RELABELINGS`, for both the deterministic and
+the seeded randomized partition method.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ import pytest
 
 import networkx as nx
 
+from _stage1_reference import (
+    label_cases,
+    reference_application,
+    reference_build_spanner,
+    reference_measure_stretch,
+    relabeled,
+)
 from repro.applications import DenseSpanner, build_spanner, measure_stretch
 from repro.errors import GraphInputError
 from repro.graphs.far_from_planar import FAR_FAMILIES, make_far
@@ -42,72 +50,68 @@ def zoo():
     return graphs
 
 
-def edge_set(result):
-    if result.dense is not None:
-        return {frozenset(e) for e in result.dense.edges()}
-    return {frozenset(e) for e in result.spanner.edges()}
+def edge_set(edges):
+    return {frozenset(e) for e in edges}
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("family", FAMILIES)
-def test_spanner_bit_identical(family, method, zoo):
-    graph = zoo[family]
-    legacy = build_spanner(graph, method=method, seed=7, engine="legacy")
-    dense = build_spanner(graph, method=method, seed=7, engine="dense")
-    assert legacy.dense is None
+@pytest.mark.parametrize("family, relabeling", label_cases(FAMILIES))
+def test_spanner_bit_identical(family, relabeling, method, zoo):
+    graph = relabeled(zoo[family], relabeling)
+    reference = reference_build_spanner(graph, method=method, seed=7)
+    dense = build_spanner(graph, method=method, seed=7)
     assert isinstance(dense.dense, DenseSpanner)
-    assert dense.tree_edges == legacy.tree_edges
-    assert dense.connector_edges == legacy.connector_edges
-    assert dense.guaranteed_stretch == legacy.guaranteed_stretch
-    assert dense.size == legacy.size
-    assert dense.rounds == legacy.rounds
+    assert dense.tree_edges == reference.tree_edges
+    assert dense.connector_edges == reference.connector_edges
+    assert dense.guaranteed_stretch == reference.guaranteed_stretch
+    assert dense.size == reference.size
+    assert dense.rounds == reference.rounds
     assert (
-        dense.partition_result.success == legacy.partition_result.success
+        dense.partition_result.success == reference.partition_result.success
     )
-    assert edge_set(dense) == edge_set(legacy)
-    # The lazy networkx materialization matches the legacy graph.
+    assert edge_set(dense.dense.edges()) == edge_set(reference.spanner.edges())
+    # The lazy networkx materialization matches the reference graph.
     materialized = dense.spanner
-    assert set(materialized.nodes()) == set(legacy.spanner.nodes())
-    assert {frozenset(e) for e in materialized.edges()} == edge_set(legacy)
+    assert set(materialized.nodes()) == set(reference.spanner.nodes())
+    assert edge_set(materialized.edges()) == edge_set(reference.spanner.edges())
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("family", FAMILIES)
-def test_stretch_bit_identical(family, method, zoo):
-    graph = zoo[family]
-    legacy = build_spanner(graph, method=method, seed=7, engine="legacy")
-    dense = build_spanner(graph, method=method, seed=7, engine="dense")
-    want = measure_stretch(graph, legacy.spanner, sample_nodes=6, seed=3,
-                           engine="legacy")
-    # Dense engine, dense spanner input (the fast path).
-    assert measure_stretch(graph, dense.dense, sample_nodes=6, seed=3,
-                           engine="dense") == want
-    # Dense engine, networkx spanner input (compiled on the fly).
-    assert measure_stretch(graph, legacy.spanner, sample_nodes=6, seed=3,
-                           engine="dense") == want
-    # Auto resolution picks dense here; still the same float.
+@pytest.mark.parametrize("family, relabeling", label_cases(FAMILIES))
+def test_stretch_bit_identical(family, relabeling, method, zoo):
+    graph = relabeled(zoo[family], relabeling)
+    reference = reference_build_spanner(graph, method=method, seed=7)
+    dense = build_spanner(graph, method=method, seed=7)
+    want = reference_measure_stretch(
+        graph, reference.spanner, sample_nodes=6, seed=3
+    )
+    # Dense spanner input (the fast path).
     assert measure_stretch(graph, dense.dense, sample_nodes=6, seed=3) == want
+    # Networkx spanner input (compiled on the fly).
+    assert measure_stretch(
+        graph, reference.spanner, sample_nodes=6, seed=3
+    ) == want
     # Exhaustive sampling (>= n sources) agrees too.
     assert measure_stretch(
-        graph, dense.dense, sample_nodes=10**6, seed=3, engine="dense"
-    ) == measure_stretch(
-        graph, legacy.spanner, sample_nodes=10**6, seed=3, engine="legacy"
+        graph, dense.dense, sample_nodes=10**6, seed=3
+    ) == reference_measure_stretch(
+        graph, reference.spanner, sample_nodes=10**6, seed=3
     )
 
 
 @pytest.mark.parametrize("check", ("cycle", "bipartite"))
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("family", FAMILIES)
-def test_application_verdicts_identical(family, method, check, zoo):
-    graph = zoo[family]
+@pytest.mark.parametrize("family, relabeling", label_cases(FAMILIES))
+def test_application_verdicts_identical(family, relabeling, method, check, zoo):
+    graph = relabeled(zoo[family], relabeling)
     runner = run_cycle_freeness if check == "cycle" else run_bipartiteness
-    legacy = runner(graph, method=method, seed=11, engine="legacy")
-    dense = runner(graph, method=method, seed=11, engine="dense")
-    assert dense.accepted == legacy.accepted
-    assert dense.rejecting_parts == legacy.rejecting_parts
-    assert dense.partition_rounds == legacy.partition_rounds
-    assert dense.verification_rounds == legacy.verification_rounds
-    assert dense.rounds == legacy.rounds
+    reference = reference_application(graph, check, method=method, seed=11)
+    dense = runner(graph, method=method, seed=11)
+    assert dense.accepted == reference.accepted
+    assert dense.rejecting_parts == reference.rejecting_parts
+    assert dense.partition_rounds == reference.partition_rounds
+    assert dense.verification_rounds == reference.verification_rounds
+    assert dense.rounds == reference.rounds
 
 
 def test_bfs_fallback_matches_scipy_path():
@@ -136,14 +140,19 @@ def test_bfs_fallback_matches_scipy_path():
     assert (fast[:, -1] == -1).all()  # isolated tail nodes unreachable
 
 
-def test_explicit_dense_rejects_unsupported_labels():
+def test_str_labels_build_dense_spanner():
     graph = nx.relabel_nodes(nx.path_graph(6), lambda v: f"v{v}")
-    with pytest.raises(ValueError, match="dense"):
-        build_spanner(graph, engine="dense")
-    # Auto falls back to the legacy engine and succeeds.
     result = build_spanner(graph)
-    assert result.dense is None
+    assert isinstance(result.dense, DenseSpanner)
     assert result.size == 5
+
+
+def test_application_testers_on_empty_graph():
+    for runner in (run_cycle_freeness, run_bipartiteness):
+        result = runner(nx.Graph())
+        assert result.accepted
+        assert result.rejecting_parts == ()
+        assert result.verification_rounds == 0
 
 
 def test_dense_stretch_requires_spanning_subgraph():
@@ -151,19 +160,15 @@ def test_dense_stretch_requires_spanning_subgraph():
     broken = nx.Graph()
     broken.add_nodes_from(graph.nodes())  # no edges: spans nothing
     with pytest.raises(GraphInputError):
-        measure_stretch(graph, broken, sample_nodes=4, seed=0, engine="dense")
+        measure_stretch(graph, broken, sample_nodes=4, seed=0)
     with pytest.raises(GraphInputError):
-        measure_stretch(graph, broken, sample_nodes=4, seed=0, engine="legacy")
+        reference_measure_stretch(graph, broken, sample_nodes=4, seed=0)
 
 
 def test_dense_stretch_node_mismatch_falls_back():
     graph = make_planar("grid", 25)
-    spanner = build_spanner(graph, engine="legacy").spanner.copy()
+    spanner = build_spanner(graph).spanner.copy()
     spanner.add_node(10**9)  # extra node: not the input node set
-    want = measure_stretch(graph, spanner, sample_nodes=4, seed=0,
-                           engine="legacy")
-    # Auto detects the mismatch and quietly uses the legacy fold.
+    want = reference_measure_stretch(graph, spanner, sample_nodes=4, seed=0)
+    # The node-set mismatch routes to the per-source networkx fold.
     assert measure_stretch(graph, spanner, sample_nodes=4, seed=0) == want
-    with pytest.raises(ValueError, match="node set"):
-        measure_stretch(graph, spanner, sample_nodes=4, seed=0,
-                        engine="dense")

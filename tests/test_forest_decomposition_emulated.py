@@ -1,18 +1,15 @@
-"""Tests for the emulated forest decomposition, incl. cross-validation
-against the genuinely distributed protocol."""
+"""Tests for the reference (dict-keyed) forest decomposition, incl.
+cross-validation against the genuinely distributed protocol."""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
+from _stage1_reference import forest_decomposition_emulated
 from repro.congest import RoundLedger
 from repro.congest.programs import run_forest_decomposition_simulated
-from repro.partition import (
-    AuxiliaryGraph,
-    Partition,
-    forest_decomposition_emulated,
-)
+from repro.partition import AuxiliaryGraph, Partition
 
 
 def singleton_aux(graph):

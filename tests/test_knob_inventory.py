@@ -42,5 +42,6 @@ def test_retired_knobs_are_gone():
         "REPRO_SIM_PLANE",
         "REPRO_CACHE_COORD_KEYS",
         "REPRO_SIM_BATCH_WASTE",
+        "REPRO_PARTITION_ENGINE",
     }
     assert not retired & source_knobs()

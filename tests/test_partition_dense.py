@@ -1,36 +1,51 @@
-"""Differential tests: the CSR-native partition engine vs the seed engine.
+"""Differential tests: the Stage I engine vs the dict-keyed reference.
 
 The acceptance bar of the dense-index pipeline: on every bundled
-generator (planar and far families alike) the dense engine must produce
+generator (planar and far families alike), under every label type of
+:data:`_stage1_reference.RELABELINGS`, the engine must produce
 bit-identical partitions -- same parts, roots, spanning-tree parents and
 heights -- plus identical phase statistics, ledger charges, round
 totals, rejection evidence, and (for the randomized variant) identical
-RNG-driven draws.  The legacy dict engine is retained exactly for this
-comparison.
+RNG-driven draws.  The dict engine lives on in
+``tests/_stage1_reference.py`` exactly for this comparison.
 """
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import numpy as np
 import pytest
 
 from _reference_paths import edge_case_graphs, pinned_forest
+from _stage1_reference import (
+    label_cases,
+    reference_partition_randomized,
+    reference_partition_stage1,
+    relabeled,
+    weighted_edge_selection,
+)
 from repro.congest.topology import compile_topology
 from repro.errors import PartitionError
 from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES
 from repro.graphs.generators import PLANAR_FAMILIES
-from repro.partition import partition_randomized, partition_stage1
+from repro.partition import (
+    AuxiliaryGraph,
+    Partition,
+    partition_randomized,
+    partition_stage1,
+)
 from repro.partition.dense import (
     DensePartitionState,
     cole_vishkin_dense,
-    dense_supported,
     forest_decomposition_dense,
     forest_depths,
     mark_and_choose_dense,
     orient_and_select_dense,
+    weighted_selection_dense,
 )
-from repro.partition.stage1 import ENGINE_ENV_VAR, ENGINES, resolve_engine
 
 N = 150
 SEEDS = (0, 1)
@@ -57,71 +72,109 @@ def _canonical(result):
 
 
 class TestStage1Differential:
-    @pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-    def test_planar_families_identical(self, family):
+    @pytest.mark.parametrize(
+        "family, relabeling", label_cases(sorted(PLANAR_FAMILIES))
+    )
+    def test_planar_families_identical(self, family, relabeling):
         for seed in SEEDS:
-            graph = make_planar(family, N, seed=seed)
-            legacy = partition_stage1(graph, epsilon=0.1, engine="legacy")
-            dense = partition_stage1(graph, epsilon=0.1, engine="dense")
-            assert _canonical(legacy) == _canonical(dense), (family, seed)
+            graph = relabeled(make_planar(family, N, seed=seed), relabeling)
+            reference = reference_partition_stage1(graph, epsilon=0.1)
+            dense = partition_stage1(graph, epsilon=0.1)
+            assert _canonical(reference) == _canonical(dense), (family, seed)
             dense.partition.validate()
 
-    @pytest.mark.parametrize("far", sorted(FAR_FAMILIES))
-    def test_far_families_identical(self, far):
-        graph, _farness = make_far(far, N, seed=0)
-        legacy = partition_stage1(graph, epsilon=0.1, engine="legacy")
-        dense = partition_stage1(graph, epsilon=0.1, engine="dense")
-        assert _canonical(legacy) == _canonical(dense), far
-        assert legacy.success == dense.success
+    @pytest.mark.parametrize("far, relabeling", label_cases(sorted(FAR_FAMILIES)))
+    def test_far_families_identical(self, far, relabeling):
+        graph = relabeled(make_far(far, N, seed=0)[0], relabeling)
+        reference = reference_partition_stage1(graph, epsilon=0.1)
+        dense = partition_stage1(graph, epsilon=0.1)
+        assert _canonical(reference) == _canonical(dense), far
+        assert reference.success == dense.success
 
     def test_eps_n_target_identical(self):
         graph = make_planar("delaunay", 200, seed=3)
         n = graph.number_of_nodes()
-        legacy = partition_stage1(
-            graph, epsilon=0.2, target_cut=0.2 * n, engine="legacy"
+        reference = reference_partition_stage1(
+            graph, epsilon=0.2, target_cut=0.2 * n
         )
-        dense = partition_stage1(
-            graph, epsilon=0.2, target_cut=0.2 * n, engine="dense"
-        )
-        assert _canonical(legacy) == _canonical(dense)
+        dense = partition_stage1(graph, epsilon=0.2, target_cut=0.2 * n)
+        assert _canonical(reference) == _canonical(dense)
 
     def test_no_early_stop_identical(self):
         graph = make_planar("grid", 100, seed=0)
-        legacy = partition_stage1(
-            graph, epsilon=0.3, early_stop=False, max_phases=4, engine="legacy"
+        reference = reference_partition_stage1(
+            graph, epsilon=0.3, early_stop=False, max_phases=4
         )
         dense = partition_stage1(
-            graph, epsilon=0.3, early_stop=False, max_phases=4, engine="dense"
+            graph, epsilon=0.3, early_stop=False, max_phases=4
         )
-        assert _canonical(legacy) == _canonical(dense)
+        assert _canonical(reference) == _canonical(dense)
+
+    def test_mixed_label_rejection(self):
+        """Rejecting parts of a mixed-label graph come out in id_key
+        order: ints first, then the rest by repr."""
+        graph = nx.relabel_nodes(
+            nx.complete_graph(12), lambda v: v if v % 2 else f"s{v}"
+        )
+        dense = partition_stage1(graph, epsilon=0.1)
+        assert not dense.success
+        assert dense.rejecting_parts == (
+            1, 3, 5, 7, 9, 11, "s0", "s10", "s2", "s4", "s6", "s8"
+        )
+        assert _canonical(dense) == _canonical(
+            reference_partition_stage1(graph, epsilon=0.1)
+        )
+
+    def test_labels_beyond_int64(self):
+        """Seeds that overflow int64 take the emulated Cole-Vishkin."""
+        graph = nx.relabel_nodes(
+            make_planar("delaunay", N, seed=0), lambda v: v + 2**64
+        )
+        assert _canonical(partition_stage1(graph, epsilon=0.1)) == _canonical(
+            reference_partition_stage1(graph, epsilon=0.1)
+        )
+
+    def test_empty_graph(self):
+        for run in (partition_stage1, partition_randomized):
+            result = run(nx.Graph(), 0.1)
+            assert result.success
+            assert result.partition.size == 0
+            assert result.phases == []
+            assert result.dense_state is None
+        assert _canonical(partition_stage1(nx.Graph(), 0.1)) == _canonical(
+            reference_partition_stage1(nx.Graph(), 0.1)
+        )
 
 
 class TestRandomizedDifferential:
-    @pytest.mark.parametrize("family", ("delaunay", "apollonian", "grid"))
-    def test_same_rng_stream(self, family):
+    @pytest.mark.parametrize(
+        "family, relabeling", label_cases(("delaunay", "apollonian", "grid"))
+    )
+    def test_same_rng_stream(self, family, relabeling):
+        graph = relabeled(make_planar(family, N, seed=0), relabeling)
         for seed in SEEDS:
-            graph = make_planar(family, N, seed=0)
-            legacy = partition_randomized(
-                graph, epsilon=0.2, delta=0.1, seed=seed, engine="legacy"
-            )
-            dense = partition_randomized(
-                graph, epsilon=0.2, delta=0.1, seed=seed, engine="dense"
-            )
-            assert _canonical(legacy) == _canonical(dense), (family, seed)
-            assert legacy.trials == dense.trials
-            assert legacy.met_target == dense.met_target
+            for coloring in ("cole-vishkin", "randomized"):
+                reference = reference_partition_randomized(
+                    graph, epsilon=0.2, delta=0.1, seed=seed, coloring=coloring
+                )
+                dense = partition_randomized(
+                    graph, epsilon=0.2, delta=0.1, seed=seed, coloring=coloring
+                )
+                assert _canonical(reference) == _canonical(dense), (
+                    family, seed, coloring,
+                )
+                assert reference.trials == dense.trials
+                assert reference.met_target == dense.met_target
 
     def test_randomized_coloring_variant_identical(self):
         graph = make_planar("tri-grid", 120, seed=0)
-        legacy = partition_randomized(
-            graph, epsilon=0.2, delta=0.2, seed=5,
-            coloring="randomized", engine="legacy",
+        reference = reference_partition_randomized(
+            graph, epsilon=0.2, delta=0.2, seed=5, coloring="randomized"
         )
         dense = partition_randomized(
-            graph, epsilon=0.2, delta=0.2, seed=5,
-            coloring="randomized", engine="dense",
+            graph, epsilon=0.2, delta=0.2, seed=5, coloring="randomized"
         )
-        assert _canonical(legacy) == _canonical(dense)
+        assert _canonical(reference) == _canonical(dense)
 
     @pytest.mark.parametrize(
         "family",
@@ -130,66 +183,32 @@ class TestRandomizedDifferential:
     )
     def test_vectorized_selection_matches_legacy_and_rng_stream(self, family):
         """The vectorized Theorem 4 selection draws the exact edges of
-        the sequential loop *and* leaves the RNG in the same state, on
-        the singleton aux of every bundled family."""
-        import random
-
-        from repro.congest.topology import compile_topology
-        from repro.partition.dense import (
-            DensePartitionState,
-            weighted_selection_dense,
-        )
-        from repro.partition.weighted_selection import weighted_edge_selection
-
+        the reference's sequential loop *and* leaves the RNG in the same
+        state, on the singleton aux of every bundled family."""
         graph = make_planar(family, 150, seed=0)
-        aux = DensePartitionState(compile_topology(graph)).build_aux()
+        topology = compile_topology(graph)
+        ids = topology.nodes
+        aux = DensePartitionState(topology).build_aux()
+        reference_aux = AuxiliaryGraph(Partition.singletons(graph))
         for trials in (1, 2, 5):
-            legacy_rng = random.Random(1234)
+            reference_rng = random.Random(1234)
             dense_rng = random.Random(1234)
-            legacy = weighted_edge_selection(aux, trials, legacy_rng)
-            dense = weighted_selection_dense(aux, trials, dense_rng)
-            assert legacy == dense, (family, trials)
+            reference = weighted_edge_selection(reference_aux, trials, reference_rng)
+            out_edge, weights = weighted_selection_dense(aux, trials, dense_rng)
+            dense = (
+                {ids[p]: None if t is None else ids[t] for p, t in out_edge.items()},
+                {(ids[p], ids[t]): w for (p, t), w in weights.items()},
+            )
+            assert reference == dense, (family, trials)
             # Same draws consumed: subsequent randomness stays aligned.
-            assert legacy_rng.getstate() == dense_rng.getstate()
-
-
-class TestEngineResolution:
-    def test_auto_picks_dense_for_int_labels(self):
-        graph = make_planar("grid", 36, seed=0)
-        assert dense_supported(graph)
-        assert resolve_engine("auto", graph) == "dense"
-        assert resolve_engine(None, graph) == "dense"
-
-    def test_auto_falls_back_for_exotic_labels(self):
-        import networkx as nx
-
-        graph = nx.path_graph(["a", "b", "c"])
-        assert not dense_supported(graph)
-        assert resolve_engine("auto", graph) == "legacy"
-        with pytest.raises(ValueError, match="dense partition engine"):
-            resolve_engine("dense", graph)
-        # The legacy engine still runs such graphs.
-        result = partition_stage1(graph, epsilon=0.5)
-        assert result.success
-
-    def test_env_var_selects_engine(self, monkeypatch):
-        graph = make_planar("grid", 36, seed=0)
-        monkeypatch.setenv(ENGINE_ENV_VAR, "legacy")
-        assert resolve_engine(None, graph) == "legacy"
-        monkeypatch.setenv(ENGINE_ENV_VAR, "warp")
-        with pytest.raises(ValueError, match="unknown partition engine"):
-            resolve_engine(None, graph)
-
-    def test_engine_registry(self):
-        assert set(ENGINES) == {"auto", "dense", "legacy"}
+            assert reference_rng.getstate() == dense_rng.getstate()
 
 
 def _next_contraction(state, alpha=3):
     """One deterministic phase's star contraction on any topology.
 
-    Cole-Vishkin seeds from the dense root indices, so the loop runs on
-    graphs whose labels the Stage I engine itself would refuse.  Returns
-    ``None`` when the phase contracts nothing.
+    Cole-Vishkin seeds from the dense root indices, so the loop needs
+    no labels at all.  Returns ``None`` when the phase contracts nothing.
     """
     if state.cut_size() == 0:
         return None
@@ -226,7 +245,7 @@ class TestForestDifferential:
         for seed in SEEDS:
             graph = make_planar(family, N, seed=seed)
             with pinned_forest() as checked:
-                result = partition_stage1(graph, epsilon=0.1, engine="dense")
+                result = partition_stage1(graph, epsilon=0.1)
             assert checked, (family, seed)
             assert result.dense_state.size == checked[-1][1]
 
@@ -234,7 +253,7 @@ class TestForestDifferential:
     def test_far_families_match_bfs_reroot(self, far):
         graph, _farness = make_far(far, N, seed=0)
         with pinned_forest():
-            partition_stage1(graph, epsilon=0.1, engine="dense")
+            partition_stage1(graph, epsilon=0.1)
         with pinned_forest():
             _drive(graph)
 
@@ -242,9 +261,7 @@ class TestForestDifferential:
     def test_randomized_merges_match_bfs_reroot(self, family):
         graph = make_planar(family, N, seed=0)
         with pinned_forest() as checked:
-            partition_randomized(
-                graph, epsilon=0.2, delta=0.1, seed=3, engine="dense"
-            )
+            partition_randomized(graph, epsilon=0.2, delta=0.1, seed=3)
         assert checked
 
     @pytest.mark.parametrize("name", sorted(edge_case_graphs()))

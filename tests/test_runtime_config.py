@@ -14,6 +14,7 @@ from repro.runtime import (
     run_jobs,
     run_sweep,
 )
+from repro.runtime import jobs as jobs_module
 from repro.runtime.sweeps import SweepSpec
 
 
@@ -27,16 +28,11 @@ def _specs(n=2):
 class TestResolvePrecedence:
     def test_default_when_nothing_set(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        monkeypatch.delenv("REPRO_PARTITION_ENGINE", raising=False)
         assert RunConfig().resolve("sim_batch") == 1
-        assert RunConfig().resolve("partition_engine") == "auto"
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "8")
-        monkeypatch.setenv("REPRO_PARTITION_ENGINE", "legacy")
-        config = RunConfig()
-        assert config.resolve("sim_batch") == 8
-        assert config.resolve("partition_engine") == "legacy"
+        assert RunConfig().resolve("sim_batch") == 8
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "8")
@@ -57,15 +53,15 @@ class TestResolvePrecedence:
             RunConfig().resolve("warp_factor")
 
     def test_resolved_and_overrides(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARTITION_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
         config = RunConfig(sim_batch=4)
         assert config.overrides() == {"sim_batch": 4}
-        effective = config.resolved()
-        assert effective["sim_batch"] == 4
-        assert effective["partition_engine"] == "auto"  # default fills gaps
+        assert config.resolved() == {"sim_batch": 4}
+        assert RunConfig().overrides() == {}
+        assert RunConfig().resolved() == {"sim_batch": 1}  # default fills gaps
 
-    def test_only_batch_and_engine_knobs(self):
-        assert sorted(RunConfig().resolved()) == ["partition_engine", "sim_batch"]
+    def test_only_batch_knob(self):
+        assert sorted(RunConfig().resolved()) == ["sim_batch"]
 
     def test_env_var_lookup(self):
         assert RunConfig.env_var("sim_batch") == "REPRO_SIM_BATCH"
@@ -87,13 +83,13 @@ class TestResolvePrecedence:
 class TestExport:
     def test_export_sets_and_restores(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        monkeypatch.setenv("REPRO_PARTITION_ENGINE", "auto")
-        config = RunConfig(sim_batch=5, partition_engine="legacy")
-        with config.export():
+        with RunConfig(sim_batch=5).export():
             assert os.environ["REPRO_SIM_BATCH"] == "5"
-            assert os.environ["REPRO_PARTITION_ENGINE"] == "legacy"
         assert "REPRO_SIM_BATCH" not in os.environ  # was unset before
-        assert os.environ["REPRO_PARTITION_ENGINE"] == "auto"  # restored
+        monkeypatch.setenv("REPRO_SIM_BATCH", "auto")
+        with RunConfig(sim_batch=7).export():
+            assert os.environ["REPRO_SIM_BATCH"] == "7"
+        assert os.environ["REPRO_SIM_BATCH"] == "auto"  # restored
 
     def test_export_skips_unset_knobs(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
@@ -133,20 +129,23 @@ class TestEntryPoints:
 
     def test_run_jobs_exports_config_knobs(self, monkeypatch):
         """``run_jobs``/``iter_jobs`` export the config to job code the
-        way ``run_sweep`` does: a bad engine fails instead of running."""
-        monkeypatch.delenv("REPRO_PARTITION_ENGINE", raising=False)
-        bogus = RunConfig(partition_engine="bogus")
-        sweep = SweepSpec.make(
-            "test_planarity", families=["grid"], ns=[36],
-            epsilon=[0.5], seeds=[0],
+        way ``run_sweep`` does: the job sees the knob, and the
+        environment is restored afterwards."""
+        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
+        monkeypatch.setitem(
+            jobs_module._RUNNERS,
+            "env_probe",
+            lambda spec, graph: {"seen": os.environ.get("REPRO_SIM_BATCH")},
         )
-        with pytest.raises(ValueError, match="unknown partition engine"):
-            run_jobs(_specs(1), config=bogus)
-        with pytest.raises(ValueError, match="unknown partition engine"):
-            list(iter_jobs(_specs(1), config=bogus))
-        with pytest.raises(ValueError, match="unknown partition engine"):
-            run_sweep(sweep, config=bogus)
-        assert "REPRO_PARTITION_ENGINE" not in os.environ  # restored
+        config = RunConfig(sim_batch=3)
+        probe = [JobSpec.make("env_probe", family="grid", n=36, seed=0)]
+        sweep = SweepSpec.make(
+            "env_probe", families=["grid"], ns=[36], seeds=[0]
+        )
+        assert run_jobs(probe, config=config).records[0]["seen"] == "3"
+        assert [r["seen"] for _i, r, _hit in iter_jobs(probe, config=config)] == ["3"]
+        assert run_sweep(sweep, config=config).records[0]["seen"] == "3"
+        assert "REPRO_SIM_BATCH" not in os.environ  # restored
 
     def test_run_sweep_reads_env_through_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "2")

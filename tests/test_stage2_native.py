@@ -5,9 +5,12 @@ violating mask resolving sampled interlacements, and the dense Stage I
 feeding the tester -- asserting identical per-part verdicts, reasons,
 sampled counts, and round charges against the seed path (per-part
 relabeling from subgraph views + pairwise scans, patched in by
-:func:`_reference_paths.seed_stage2`, + the legacy partition) on planar
-and far generators alike.  Instances that reject inside Stage II are
-also pinned to the figures the dict-keyed seed implementation produced.
+:func:`_reference_paths.seed_stage2`, + the reference Stage I of
+:func:`_stage1_reference.reference_stage1`) on planar and far
+generators alike, under every label type of
+:data:`_stage1_reference.RELABELINGS`.  Instances that reject inside
+Stage II are also pinned to the figures the dict-keyed seed
+implementation produced.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import networkx as nx
 import pytest
 
 from _reference_paths import seed_stage2
+from _stage1_reference import label_cases, reference_stage1, relabeled
 from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
 from repro.graphs.generators import PLANAR_FAMILIES
@@ -34,12 +38,10 @@ from repro.testers.violations import (
 )
 
 def run_seed(graph, seed, **config):
-    """The tester on the seed path: legacy Stage I, reference Stage II."""
-    with seed_stage2():
+    """The tester on the seed path: reference Stage I and Stage II."""
+    with seed_stage2(), reference_stage1():
         return run_planarity(
-            graph,
-            seed=seed,
-            config=PlanarityTestConfig(engine="legacy", **config),
+            graph, seed=seed, config=PlanarityTestConfig(**config)
         )
 
 
@@ -70,26 +72,29 @@ def _canonical(result):
 
 
 class TestTesterDifferential:
-    @pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
-    def test_planar_families_identical(self, family):
-        graph = make_planar(family, 150, seed=0)
+    @pytest.mark.parametrize(
+        "family, relabeling", label_cases(sorted(PLANAR_FAMILIES))
+    )
+    def test_planar_families_identical(self, family, relabeling):
+        graph = relabeled(make_planar(family, 150, seed=0), relabeling)
         for seed in (0, 1):
             fast = run_planarity(
                 graph, seed=seed, config=PlanarityTestConfig(epsilon=0.1)
             )
-            legacy = run_seed(graph, seed, epsilon=0.1)
-            assert _canonical(fast) == _canonical(legacy), (family, seed)
+            reference = run_seed(graph, seed, epsilon=0.1)
+            assert _canonical(fast) == _canonical(reference), (family, seed)
 
-    @pytest.mark.parametrize("far", sorted(FAR_FAMILIES))
-    def test_far_families_identical(self, far):
+    @pytest.mark.parametrize("far, relabeling", label_cases(sorted(FAR_FAMILIES)))
+    def test_far_families_identical(self, far, relabeling):
         graph, certified = make_far(far, 150, seed=0)
+        graph = relabeled(graph, relabeling)
         epsilon = min(0.3, max(0.05, certified * 0.9))
         for seed in (0, 1, 2):
             fast = run_planarity(
                 graph, seed=seed, config=PlanarityTestConfig(epsilon=epsilon)
             )
-            legacy = run_seed(graph, seed, epsilon=epsilon)
-            assert _canonical(fast) == _canonical(legacy), (far, seed)
+            reference = run_seed(graph, seed, epsilon=epsilon)
+            assert _canonical(fast) == _canonical(reference), (far, seed)
 
     def test_exact_violation_analysis_identical(self):
         graph, _ = make_far("planted-k5", 120, seed=0)
@@ -100,9 +105,9 @@ class TestTesterDifferential:
                 epsilon=0.1, collect_exact_violations=True
             ),
         )
-        legacy = run_seed(graph, 0, epsilon=0.1, collect_exact_violations=True)
-        assert fast.total_violating_exact == legacy.total_violating_exact
-        assert _canonical(fast) == _canonical(legacy)
+        reference = run_seed(graph, 0, epsilon=0.1, collect_exact_violations=True)
+        assert fast.total_violating_exact == reference.total_violating_exact
+        assert _canonical(fast) == _canonical(reference)
 
 
     def test_seed_path_bypasses_fast_paths(self, monkeypatch):
@@ -116,7 +121,9 @@ class TestTesterDifferential:
         monkeypatch.setattr(planarity_module, "extract_part_subgraphs", fast_path)
         monkeypatch.setattr(violations_module, "_violating_array", fast_path)
         graph = make_planar("grid", 64, seed=0)
-        assert run_seed(graph, 0, epsilon=0.2).accepted
+        seed_path = run_seed(graph, 0, epsilon=0.2)
+        assert seed_path.accepted
+        assert seed_path.stage1.dense_state is None  # reference Stage I ran
         with pytest.raises(AssertionError, match="fast path reached"):
             run_planarity(graph, seed=0, config=PlanarityTestConfig(epsilon=0.2))
 
