@@ -4,7 +4,7 @@ Claim reproduced (engineering, not paper): stacking B same-topology
 CONGEST trials into ``(B, slots)`` tensors and stepping them in
 lockstep amortizes the python interpreter out of the delivery loop.
 On a dense graph the batched plane must run each trial >= 5x faster
-than the scalar dense plane under the ``fast`` profile while staying
+than the scalar dense plane while staying
 bit-identical per trial (outputs, rounds, ledger totals).
 
 The runtime half replays the same cell through :func:`run_jobs` with
@@ -51,7 +51,6 @@ def _storm_scalar(network: CongestNetwork):
         BroadcastStormProgram,
         max_rounds=STORM_ROUNDS + 2,
         config={"storm_rounds": STORM_ROUNDS},
-        profile="fast",
     )
 
 
@@ -62,7 +61,6 @@ RESULT_FIELDS = (
     "total_bits",
     "max_message_bits",
     "over_budget_messages",
-    "profile",
 )
 
 
@@ -99,7 +97,7 @@ def batched_table():
 
     table = Table(
         f"E17: batched plane on G(n={N}, p={EDGE_PROB}), B={BATCH}, "
-        f"{STORM_ROUNDS} storm rounds (fast profile)",
+        f"{STORM_ROUNDS} storm rounds",
         ["plane", "trials", "wall s", "s/trial", "msgs/s", "speedup"],
     )
     table.add_row(
@@ -130,7 +128,6 @@ def batched_table():
             seed=trial,
             graph_seed=0,
             program="storm",
-            profile="fast",
             storm_rounds=STORM_ROUNDS,
         )
         for trial in range(8)

@@ -107,7 +107,6 @@ def _scalar_kernel(program, network):
             max_rounds=budget + 3,
             config={"alpha": 3, "budget": budget},
             strict_bandwidth=True,
-            profile="fast",
         )
     schedule = cv_schedule(max(network.graph.nodes(), default=1))
     return network.run(
@@ -118,7 +117,6 @@ def _scalar_kernel(program, network):
             "schedule": schedule,
         },
         strict_bandwidth=True,
-        profile="fast",
     )
 
 
@@ -220,7 +218,6 @@ def applications_table():
             seed=trial,
             graph_seed=0,
             program="cv",
-            profile="fast",
         )
         for trial in range(8)
     ]

@@ -3,16 +3,13 @@
 Shows the substrate directly: running genuinely distributed protocols
 (BFS, Barenboim-Elkin forest decomposition, Cole-Vishkin 3-coloring) as
 per-node programs with O(log n)-bit messages, reading the bandwidth
-accounting the simulator enforces, and selecting an instrumentation
-profile -- ``faithful`` for full diagnostics, ``fast`` for throughput
-with identical results.
+accounting the simulator enforces, and watching it round by round
+through a ``round_hook``.
 
 Run:  python examples/congest_playground.py
 """
 
 from __future__ import annotations
-
-import time
 
 import networkx as nx
 
@@ -56,32 +53,31 @@ def main() -> None:
     )
     table.print()
 
-    # --- instrumentation profiles ------------------------------------------------
-    # profile="faithful" (default) validates and sizes every message and
-    # keeps per-round stats; profile="fast" memoizes sizes and elides
-    # validation after a first check.  Outputs, rounds, and totals are
-    # identical -- only wall-clock and diagnostic depth change.  (The
-    # REPRO_SIM_PROFILE env var and `repro-planarity sweep --profile`
-    # select the same knob without touching code.)
-    timings = {}
-    for profile in ("faithful", "fast"):
-        start = time.perf_counter()
-        run = network.run(
-            BFSTreeProgram,
-            max_rounds=n,
-            config={"root": 0},
-            strict_bandwidth=True,
-            profile=profile,
-        )
-        timings[profile] = time.perf_counter() - start
-        assert run.outputs == result.outputs
-        assert run.rounds == result.rounds
+    # --- per-round stats through round_hook -------------------------------------
+    # The hook runs once per executed round (never per message) and sees
+    # the running message/bit totals; consecutive deltas are the
+    # per-round counts.  A run without a hook pays one branch per round.
+    totals = [(0, 0)]
+
+    def hook(round_index, active, accounting):
+        totals.append((accounting.total_messages, accounting.total_bits))
+
+    hooked = network.run(
+        BFSTreeProgram,
+        max_rounds=n,
+        config={"root": 0},
+        strict_bandwidth=True,
+        round_hook=hook,
+    )
+    assert hooked.outputs == result.outputs
+    per_round = [
+        (m - pm, b - pb) for (pm, pb), (m, b) in zip(totals, totals[1:])
+    ]
+    busiest = max(range(len(per_round)), key=lambda r: per_round[r][0])
     print(
-        "Profiles agree on outputs and rounds; faithful "
-        f"{timings['faithful'] * 1e3:.1f} ms vs fast "
-        f"{timings['fast'] * 1e3:.1f} ms on this BFS "
-        "(round stats kept by faithful only: "
-        f"{len(result.round_stats)} rounds recorded)."
+        f"round_hook saw {len(per_round)} rounds; the busiest, round "
+        f"{busiest}, carried {per_round[busiest][0]} messages "
+        f"({per_round[busiest][1]} bits) across the BFS frontier."
     )
 
     # --- Barenboim-Elkin forest decomposition -----------------------------------

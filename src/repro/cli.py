@@ -38,9 +38,7 @@ on a sweep service that lives for this one command;
 ``repro-planarity worker --connect host:port`` processes join it, and
 a worker killed mid-run has its job requeued.
 ``--kind simulate`` sweeps raw CONGEST protocols (``--programs``) on
-the simulator, and ``--profile faithful|fast`` selects the simulator's
-instrumentation profile (exported as ``REPRO_SIM_PROFILE`` so
-process-pool workers follow along).
+the simulator.
 
 Examples::
 
@@ -51,7 +49,7 @@ Examples::
         --ns 128,256,512 --epsilons 0.5,0.1 --seeds 0,1 \\
         --backend process --cache-dir /tmp/repro-cache
     repro-planarity sweep --kind simulate --programs bfs,storm \\
-        --families delaunay --ns 256 --profile fast
+        --families delaunay --ns 256
     repro-planarity sweep --backend remote --listen 127.0.0.1:7341 \\
         --cache-dir /tmp/repro-cache   # then, on each worker host:
     repro-planarity worker --connect 127.0.0.1:7341
@@ -68,13 +66,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from .analysis.tables import Table
 from .applications.spanner import build_spanner, measure_stretch
-from .congest.instrumentation import PROFILE_ENV_VAR, PROFILES
 from .graphs.far_from_planar import FAR_FAMILIES, make_far
 from .graphs.generators import PLANAR_FAMILIES, make_planar
 from .graphs.lower_bound import lower_bound_instance
@@ -295,17 +291,6 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         params["delta"] = _parse_axis(args.deltas, float)
     if args.methods:
         params["method"] = _parse_axis(args.methods, str)
-    if args.profile:
-        # The env knob reaches every CongestNetwork.run in this process
-        # *and* in process-pool workers (they inherit the environment).
-        os.environ[PROFILE_ENV_VAR] = args.profile
-    if kind == "simulate_program":
-        # Simulator jobs carry the *effective* profile (flag, else env,
-        # else default) in their config so fast/faithful results occupy
-        # distinct cache entries even when selected via REPRO_SIM_PROFILE.
-        params["profile"] = [
-            args.profile or os.environ.get(PROFILE_ENV_VAR) or "faithful"
-        ]
     fars = _parse_axis(args.far_families, str) if args.far_families else ()
     return SweepSpec.make(
         kind,
@@ -671,20 +656,13 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
         "bfs,cv,flood,forest,storm",
     )
     parser.add_argument(
-        "--profile",
-        default=None,
-        choices=sorted(PROFILES),
-        help="simulator instrumentation profile (sets REPRO_SIM_PROFILE "
-        "for this run, including process-pool workers)",
-    )
-    parser.add_argument(
         "--batch",
         type=_parse_batch,
         default=None,
         metavar="B",
         help="coalesce up to B same-cell simulator trials into one "
-        "graph-batched tensor-plane job (simulate kind with --profile "
-        "fast; records are identical to unbatched runs; 'auto' sizes "
+        "graph-batched tensor-plane job (simulate kind; records are "
+        "identical to unbatched runs; 'auto' sizes "
         "batches from the cost table's measured per-trial wall-times; "
         "default REPRO_SIM_BATCH or 1)",
     )

@@ -9,14 +9,7 @@ from .batch import (
     register_batch_kernel,
     run_batched,
 )
-from .instrumentation import (
-    PROFILES,
-    FaithfulProfile,
-    FastProfile,
-    InstrumentationProfile,
-    register_profile,
-    resolve_profile,
-)
+from .instrumentation import MessageAccounting
 from .ledger import ChargeRecord, RoundLedger, TreeCostModel
 from .message import bit_size, default_bandwidth_bits
 from .network import CongestNetwork, SimulationResult
@@ -42,12 +35,9 @@ __all__ = [
     "CompiledTopology",
     "CongestNetwork",
     "DenseMessagePlane",
-    "FaithfulProfile",
-    "FastProfile",
-    "InstrumentationProfile",
+    "MessageAccounting",
     "NodeContext",
     "NodeProgram",
-    "PROFILES",
     "RoundLedger",
     "SimulationResult",
     "SlotInbox",
@@ -58,9 +48,7 @@ __all__ = [
     "default_bandwidth_bits",
     "pad_groups",
     "register_batch_kernel",
-    "register_profile",
     "reset_topology_stats",
-    "resolve_profile",
     "run_batched",
     "topology_stats",
 ]

@@ -32,11 +32,10 @@ smallest member by more than :data:`DEFAULT_PAD_WASTE` in slots.
 Equivalence contract
 --------------------
 
-Per trial, a batched run is **bit-identical to the scalar dense plane
-under the ``fast`` profile**: outputs, rounds, halting, message/bit
-totals, ``max_message_bits`` and over-budget counts all match, because
-the kernels replicate the fast profile's pure-broadcast accounting
-exactly (degree-0 senders are skipped *before* sizing; every sized
+Per trial, a batched run is **bit-identical to the scalar dense
+plane**: outputs, rounds, halting, message/bit totals,
+``max_message_bits`` and over-budget counts all match, because the
+kernels replicate the scalar pure-broadcast accounting exactly (degree-0 senders are skipped *before* sizing; every sized
 payload updates ``max_message_bits``; over-budget broadcasts charge
 ``degree`` messages).  The differential suite in
 ``tests/test_congest_batched.py`` certifies this across every bundled
@@ -198,9 +197,10 @@ def pad_groups(
 
 
 class BatchAccounting:
-    """Per-trial fast-profile accounting over one batched run.
+    """Per-trial accounting over one batched run.
 
-    Replicates :meth:`FastProfile._broadcast_dense` arithmetic exactly:
+    Replicates :meth:`MessageAccounting._broadcast_dense
+    <repro.congest.instrumentation.MessageAccounting>` arithmetic exactly:
     a degree-0 sender is skipped before sizing (it never touches
     ``max_message_bits``), every sized payload updates the running
     maximum, and an over-budget broadcast charges ``degree`` messages
@@ -319,8 +319,8 @@ def run_batched(
     Accepts graphs or :class:`CompiledTopology` objects (or a prebuilt
     :class:`BatchTopology`); returns one scalar-shaped
     :class:`~repro.congest.network.SimulationResult` per trial, in
-    input order, each bit-identical to a scalar dense-plane run under
-    the ``fast`` profile.  *params* carries the program knobs the
+    input order, each bit-identical to a scalar dense-plane run.
+    *params* carries the program knobs the
     scalar entry points take (``alpha`` for the forest decomposition,
     ``storm_rounds`` for the storm; roots default to each trial's
     minimum node id exactly like ``simulate_program`` jobs).
@@ -373,7 +373,6 @@ def run_batched(
                 max_message_bits=int(accounting.max_bits[b]),
                 bandwidth_bits=int(batch.bandwidth[b]),
                 over_budget_messages=int(accounting.over[b]),
-                profile="fast",
             )
         )
     return results

@@ -11,10 +11,9 @@ The simulator is a two-tier core:
   pre-derived adjacency structure (dense indices, CSR arrays, neighbor
   tuples/sets, degree table, default bandwidth budget) -- compiled once
   per graph and shared by every network/run over it;
-* an :class:`~repro.congest.instrumentation.InstrumentationProfile`
-  owns the delivery loop's validation + accounting, selectable per run
-  (``"faithful"`` keeps full diagnostics, ``"fast"`` trades them for
-  throughput without changing outputs, rounds, or halting).
+* a :class:`~repro.congest.instrumentation.MessageAccounting` owns the
+  delivery loop's validation and exact bit accounting, and files each
+  outbox into a :class:`~repro.congest.plane.DenseMessagePlane`.
 
 The scheduler itself uses an *active set*: only unhalted programs are
 stepped, and the set shrinks as programs halt, so late rounds of a
@@ -28,12 +27,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional
 
 import networkx as nx
 
 from ..errors import GraphInputError, ProtocolError, SimulationLimitError
-from .instrumentation import InstrumentationProfile, resolve_profile
+from .instrumentation import MessageAccounting
 from .node import NodeContext, NodeProgram
 from .plane import DenseMessagePlane
 from .topology import CompiledTopology, compile_topology
@@ -59,10 +58,6 @@ class SimulationResult:
         bandwidth_bits: per-edge per-round budget used for accounting.
         over_budget_messages: messages that exceeded the budget (only
             non-zero when ``strict_bandwidth`` was False).
-        profile: name of the instrumentation profile that ran the
-            delivery loop.
-        round_stats: per-round ``(messages, bits)`` tuples; populated by
-            the faithful profile, empty under counters-only profiles.
     """
 
     rounds: int
@@ -73,8 +68,6 @@ class SimulationResult:
     max_message_bits: int = 0
     bandwidth_bits: int = 0
     over_budget_messages: int = 0
-    profile: str = "faithful"
-    round_stats: Tuple[Tuple[int, int], ...] = ()
     programs: Dict[Any, NodeProgram] = field(default_factory=dict, repr=False)
 
 
@@ -91,9 +84,10 @@ class CongestNetwork:
         """Build a network over *graph* (or a pre-compiled *topology*).
 
         Args:
-            graph: a simple undirected :class:`networkx.Graph`.  Node ids
-                must be hashable and sortable (ints are typical).  Its
-                adjacency is compiled via
+            graph: a simple undirected :class:`networkx.Graph` with
+                hashable node ids, ordered by
+                :func:`~repro.graphs.utils.id_key`.  Its adjacency is
+                compiled via
                 :func:`~repro.congest.topology.compile_topology`, so
                 repeated networks over the same graph object share one
                 :class:`CompiledTopology`.
@@ -161,8 +155,7 @@ class CongestNetwork:
         config: Optional[Mapping[str, Any]] = None,
         strict_bandwidth: bool = False,
         raise_on_limit: bool = False,
-        profile: Union[None, str, InstrumentationProfile] = None,
-        round_hook: Optional[Callable[[int, int, InstrumentationProfile], None]] = None,
+        round_hook: Optional[Callable[[int, int, MessageAccounting], None]] = None,
     ) -> SimulationResult:
         """Run the protocol until all programs halt or *max_rounds* elapse.
 
@@ -174,27 +167,22 @@ class CongestNetwork:
                 of merely counting over-budget messages.
             raise_on_limit: raise :class:`SimulationLimitError` when the
                 round limit is reached with unhalted programs.
-            profile: instrumentation profile for the delivery loop -- a
-                registered name (``"faithful"``, ``"fast"``), a profile
-                instance, or ``None`` to consult ``REPRO_SIM_PROFILE``
-                and fall back to faithful.  Profiles never change
-                outputs, rounds, or halting; they trade diagnostic
-                depth for throughput.
             round_hook: optional per-round observer, called **once per
                 executed round** (never per message) after the round's
                 deliveries as ``hook(round_index, active_count,
-                profile)`` -- *active_count* is the number of programs
-                stepped this round and *profile* exposes the running
-                ``total_messages`` / ``total_bits`` counters, so a
-                hook can compute per-round deltas.  ``None`` (the
+                accounting)`` -- *active_count* is the number of
+                programs stepped this round and *accounting* exposes the
+                running ``total_messages`` / ``total_bits`` counters, so
+                a hook can compute per-round deltas.  ``None`` (the
                 default) costs one branch per round; hooks must not
-                mutate the network or the profile.
+                mutate the network or the accounting.
         """
-        prof = resolve_profile(profile)
-        prof.bind(self.topology, self.bandwidth_bits, strict_bandwidth)
+        accounting = MessageAccounting(
+            self.topology, self.bandwidth_bits, strict_bandwidth
+        )
         programs = self.make_programs(factory, config)
         rounds_executed, active = self._run_dense_plane(
-            programs, prof, max_rounds, round_hook
+            programs, accounting, max_rounds, round_hook
         )
 
         halted = not active
@@ -207,24 +195,23 @@ class CongestNetwork:
             rounds=rounds_executed,
             outputs={v: p.output for v, p in programs.items()},
             halted=halted,
-            total_messages=prof.total_messages,
-            total_bits=prof.total_bits,
-            max_message_bits=prof.max_message_bits,
+            total_messages=accounting.total_messages,
+            total_bits=accounting.total_bits,
+            max_message_bits=accounting.max_message_bits,
             bandwidth_bits=self.bandwidth_bits,
-            over_budget_messages=prof.over_budget,
-            profile=prof.name,
-            round_stats=prof.round_stats(),
+            over_budget_messages=accounting.over_budget,
             programs=programs,
         )
 
-    def _run_dense_plane(self, programs, prof, max_rounds, round_hook=None):
+    def _run_dense_plane(self, programs, accounting, max_rounds, round_hook=None):
         """Dense delivery loop: flat edge-slot buffers, CSR row scans.
 
         Payloads move through a
-        :class:`~repro.congest.plane.DenseMessagePlane`; the profile
-        files each outbox into mirror slots and receivers scan their own
-        contiguous row slice.  Round tokens are 1-based so the zeroed
-        stamp buffers read as empty in round 0.
+        :class:`~repro.congest.plane.DenseMessagePlane`; the accounting
+        files each outbox into mirror slots and receivers read their own
+        contiguous row slice through a
+        :class:`~repro.congest.plane.SlotInbox` view.  Round tokens are
+        1-based so the fresh stamp buffers read as empty in round 0.
         """
         index = self.topology.index
         active = [
@@ -235,15 +222,12 @@ class CongestNetwork:
         plane = DenseMessagePlane(self.topology)
         rounds_executed = 0
 
-        deliver = prof.deliver_dense
-        inbox_of = (
-            plane.inbox_dict if prof.materialize_inboxes else plane.inbox_view
-        )
+        deliver = accounting.deliver_dense
+        inbox_of = plane.inbox_view
         for round_index in range(max_rounds):
             if not active:
                 break
             rounds_executed += 1
-            prof.begin_round(round_index)
             token = round_index + 1
             for idx, node, program in active:
                 inbox = inbox_of(idx, round_index)
@@ -260,6 +244,6 @@ class CongestNetwork:
                     deliver(idx, node, outbox, plane, token)
             plane.swap()
             if round_hook is not None:
-                round_hook(round_index, len(active), prof)
+                round_hook(round_index, len(active), accounting)
             active = [item for item in active if not item[2].halted]
         return rounds_executed, active

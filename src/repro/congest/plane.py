@@ -18,18 +18,14 @@ payloads cost nothing.  Per-node ``mark`` stamps let the scheduler skip
 the row scan entirely for nodes that received nothing.
 
 The plane is representation only -- validation and accounting stay with
-the :class:`~repro.congest.instrumentation.InstrumentationProfile`.  The
-faithful profile materializes real dicts from row scans (bit-identical
-to the seed: CSR rows are sorted by sender id, which is exactly the
-order senders are scheduled in, so key order matches the historical
-insertion order).  The fast profile skips dict churn entirely and hands
-programs a :class:`SlotInbox` -- a read-only mapping view over the row
-slice.
+the :class:`~repro.congest.instrumentation.MessageAccounting`.  Programs
+read their mail through a :class:`SlotInbox`, a read-only mapping view
+over the row slice, so no per-round inbox dict is ever built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 from .topology import CompiledTopology
 
@@ -104,33 +100,6 @@ class DenseMessagePlane:
 
     # -- receive side ---------------------------------------------------------
 
-    def inbox_dict(self, idx: int, token: int) -> Optional[Dict[Any, Any]]:
-        """Materialize node *idx*'s inbox as a real dict, or ``None``.
-
-        Key order is the CSR row order (senders sorted by id), which is
-        identical to the seed implementation's insertion order because
-        the scheduler steps senders in sorted order.
-        """
-        if self.cur_mark[idx] != token:
-            return None
-        lo, hi = self.indptr[idx], self.indptr[idx + 1]
-        data = self.cur_data
-        ids = self.csr_ids
-        remaining = self.cur_count[idx]
-        if remaining == hi - lo:
-            # Full row (every neighbor sent): build at C speed, no
-            # stamp checks.
-            return dict(zip(ids[lo:hi], data[lo:hi]))
-        stamp = self.cur_stamp
-        box: Dict[Any, Any] = {}
-        for slot in range(lo, hi):
-            if stamp[slot] == token:
-                box[ids[slot]] = data[slot]
-                remaining -= 1
-                if not remaining:
-                    break
-        return box
-
     def inbox_view(self, idx: int, token: int) -> Optional["SlotInbox"]:
         """A zero-copy mapping view of node *idx*'s inbox, or ``None``."""
         if self.cur_mark[idx] != token:
@@ -141,18 +110,18 @@ class DenseMessagePlane:
 class SlotInbox(Mapping):
     """Read-only mapping view over one receiver's stamped row slice.
 
-    Presents the same ``sender id -> payload`` interface (and the same
-    sorted-sender iteration order) as a materialized inbox dict without
-    allocating or filling one; lookups resolve through the topology's
-    per-row slot tables and iteration scans the contiguous row slice.
+    Presents a ``sender id -> payload`` mapping, iterating senders in
+    CSR row order (``id_key`` order, the order senders are stepped in),
+    without allocating or filling a dict; a lookup is one ``send_slot``
+    dict hit plus a ``mirror`` read, and iteration scans the contiguous
+    row slice.
 
     The view is valid for the round it was handed to ``step()``: the
     buffers it reads are double-buffered and swap at the end of the
     round, so a program that *retains* its inbox across rounds reads
     stale (typically empty) state.  None of the bundled programs do;
-    a program that needs the messages later should copy
-    (``dict(inbox.items())``) -- or run under the faithful profile,
-    which materializes real dicts.
+    a program that needs the messages later should copy them
+    (``dict(inbox.items())``).
     """
 
     __slots__ = ("_plane", "_idx", "_token", "_lo", "_hi")
@@ -165,28 +134,12 @@ class SlotInbox(Mapping):
         self._hi = plane.indptr[idx + 1]
 
     def _slot_of(self, sender: Any) -> Optional[int]:
-        # send_slot[idx] maps a *target* id to the slot in the target's
-        # row owned by idx; by symmetry the slot in idx's own row owned
-        # by `sender` is the mirror of idx's entry in sender's map --
-        # but the direct row scan below is cheaper than the indirection,
-        # so lookups bisect the sorted row instead.
+        # send_slot[idx] maps a target id to the slot in the target's row
+        # owned by idx; its mirror is the slot in idx's own row owned by
+        # the target -- where that neighbor's message to idx lands.
         plane = self._plane
-        ids = plane.csr_ids
-        lo, hi = self._lo, self._hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            entry = ids[mid]
-            if entry == sender:
-                return mid
-            try:
-                below = entry < sender
-            except TypeError:
-                below = repr(entry) < repr(sender)
-            if below:
-                lo = mid + 1
-            else:
-                hi = mid
-        return None
+        slot = plane.send_slot[self._idx].get(sender)
+        return None if slot is None else plane.mirror[slot]
 
     def __getitem__(self, sender: Any) -> Any:
         slot = self._slot_of(sender)

@@ -127,13 +127,12 @@ def bfs_tree(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     topology=None,
-    profile=None,
 ) -> Tuple[Dict[Any, Any], Dict[Any, int], int]:
     """Run :class:`BFSTreeProgram`; return (parents, depths, rounds).
 
     ``parents`` maps each reached non-root node to its BFS parent;
-    ``depths`` maps each reached node to its BFS depth.  *topology* and
-    *profile* pass through to :class:`CongestNetwork` (the protocol is
+    ``depths`` maps each reached node to its BFS depth.  *topology*
+    passes through to :class:`CongestNetwork` (the protocol is
     deterministic, so *seed* only pins the per-node RNG streams).
     """
     network = CongestNetwork(
@@ -144,7 +143,6 @@ def bfs_tree(
         max_rounds=network.n + 2,
         config={"root": root},
         strict_bandwidth=True,
-        profile=profile,
     )
     parents: Dict[Any, Any] = {}
     depths: Dict[Any, int] = {}

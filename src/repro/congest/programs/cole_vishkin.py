@@ -275,7 +275,6 @@ def cole_vishkin_coloring(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     topology=None,
-    profile=None,
 ) -> Tuple[Dict[int, int], int]:
     """Run the CV protocol; return (colors, rounds).
 
@@ -296,6 +295,5 @@ def cole_vishkin_coloring(
         max_rounds=len(schedule) + 3,
         config={"parents": parents, "schedule": schedule},
         strict_bandwidth=True,
-        profile=profile,
     )
     return dict(result.outputs), result.rounds

@@ -111,7 +111,6 @@ def flood_eccentricity(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     topology=None,
-    profile=None,
 ) -> Tuple[int, dict]:
     """Run :class:`FloodProgram` and return (eccentricity, distances).
 
@@ -125,7 +124,6 @@ def flood_eccentricity(
         max_rounds=network.n + 2,
         config={"root": root},
         strict_bandwidth=True,
-        profile=profile,
     )
     distances = {v: d for v, d in result.outputs.items() if d is not None}
     eccentricity = max(distances.values())

@@ -249,7 +249,6 @@ def run_forest_decomposition_simulated(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     topology=None,
-    profile=None,
 ) -> SimulatedForestDecomposition:
     """Run :class:`BarenboimElkinProgram` on *graph*."""
     n = graph.number_of_nodes()
@@ -262,7 +261,6 @@ def run_forest_decomposition_simulated(
         max_rounds=budget + 3,
         config={"alpha": alpha, "budget": budget},
         strict_bandwidth=True,
-        profile=profile,
     )
     inactive_round = {}
     out_neighbors = {}

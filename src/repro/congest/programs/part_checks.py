@@ -90,11 +90,8 @@ def _run_check(
     program_cls,
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    profile=None,
 ) -> PartCheckResult:
-    parents, depths, bfs_rounds = bfs_tree(
-        graph, root, bandwidth_bits, seed=seed, profile=profile
-    )
+    parents, depths, bfs_rounds = bfs_tree(graph, root, bandwidth_bits, seed=seed)
     if len(depths) != graph.number_of_nodes():
         raise ValueError("graph must be connected for per-part checks")
     # Both phases share one compiled topology (memoized per graph).
@@ -104,7 +101,6 @@ def _run_check(
         max_rounds=4,
         config={"parents": parents, "depths": depths},
         strict_bandwidth=True,
-        profile=profile,
     )
     rejecting = tuple(
         sorted(v for v, verdict in result.outputs.items() if verdict == "reject")
@@ -122,10 +118,9 @@ def run_cycle_check_simulated(
     root: Any,
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    profile=None,
 ) -> PartCheckResult:
     """BFS + cycle check on a connected graph; accept iff it is a tree."""
-    return _run_check(graph, root, CycleCheckProgram, bandwidth_bits, seed, profile)
+    return _run_check(graph, root, CycleCheckProgram, bandwidth_bits, seed)
 
 
 def run_bipartite_check_simulated(
@@ -133,7 +128,6 @@ def run_bipartite_check_simulated(
     root: Any,
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    profile=None,
 ) -> PartCheckResult:
     """BFS + odd-cycle check on a connected graph; accept iff bipartite."""
-    return _run_check(graph, root, BipartiteCheckProgram, bandwidth_bits, seed, profile)
+    return _run_check(graph, root, BipartiteCheckProgram, bandwidth_bits, seed)

@@ -336,7 +336,6 @@ def run_stage2_verification_simulated(
     sample_constant: float = 2.0,
     seed: Optional[int] = None,
     bandwidth_bits: Optional[int] = None,
-    profile=None,
 ) -> SimulatedStage2Result:
     """Run the distributed Stage II pipeline on a connected part.
 
@@ -344,9 +343,7 @@ def run_stage2_verification_simulated(
     :func:`repro.planarity.check_planarity`'s embedding ``to_dict()``, or
     the identity fallback for non-planar parts).
     """
-    parents, depths, bfs_rounds = bfs_tree(
-        graph, root, bandwidth_bits, seed=seed, profile=profile
-    )
+    parents, depths, bfs_rounds = bfs_tree(graph, root, bandwidth_bits, seed=seed)
     parents_full: Dict[Any, Optional[Any]] = {root: None, **parents}
     n = graph.number_of_nodes()
     n_total = n_total if n_total is not None else n
@@ -371,7 +368,6 @@ def run_stage2_verification_simulated(
         },
         strict_bandwidth=True,
         raise_on_limit=True,
-        profile=profile,
     )
     rejecting = tuple(
         sorted(

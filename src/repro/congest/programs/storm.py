@@ -3,16 +3,21 @@
 Every node broadcasts a CONGEST-sized payload (a tag, its own id, and a
 round counter folded into a small window so payloads repeat) for a fixed
 number of rounds, then halts.  On a dense graph this makes the
-simulator's delivery loop -- validation, bit accounting, inbox writes --
+simulator's delivery loop -- validation, bit accounting, slot writes --
 the overwhelming cost, which is exactly what the E15 throughput
-benchmark needs to compare instrumentation profiles: the program's own
-``step`` work is negligible, so wall-clock differences are attributable
-to the delivery path.
+benchmark times: the program's own ``step`` work is negligible, so
+wall-clock differences are attributable to the delivery path.
 
-The payload cycles through a small window of distinct values per node
-(rather than being constant) so the fast profile's bit-size memo is
-exercised realistically: hits dominate, but new entries keep appearing
-early in the run.
+Per-round message/bit counts come from a ``round_hook``, which sees the
+running totals once per executed round::
+
+    rows = []
+    CongestNetwork(graph).run(
+        BroadcastStormProgram, max_rounds=12, config={"storm_rounds": 10},
+        round_hook=lambda r, active, acct: rows.append(
+            (r, acct.total_messages, acct.total_bits)),
+    )
+    # per-round counts are the deltas between consecutive rows
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .tags import MSG_STORM
 from ..node import Inbox, NodeContext, NodeProgram, Outbox
 
 PAYLOAD_WINDOW = 4
-"""Distinct payloads each node cycles through (memo realism knob)."""
+"""Distinct payloads each node cycles through."""
 
 
 class BroadcastStormProgram(NodeProgram):
@@ -35,7 +40,7 @@ class BroadcastStormProgram(NodeProgram):
 
     Output per node: the number of messages it received in total (a
     deterministic digest of the delivery schedule, so differential
-    tests can compare profiles on it).
+    tests can compare delivery paths on it).
     """
 
     def __init__(self, ctx: NodeContext):  # noqa: D107

@@ -12,9 +12,8 @@ executor re-expands them, so callers, caches, and every backend
 (serial / process / remote) observe exactly the records a
 scalar run would have produced -- batching is transparent end to end.
 
-Only the vectorized protocols under the ``fast`` profile are eligible;
-anything else (faithful profile, telemetry runs, custom programs)
-passes through untouched.
+Only the vectorized protocols are eligible; anything else (telemetry
+runs, custom programs) passes through untouched.
 """
 
 from __future__ import annotations
@@ -88,16 +87,12 @@ def auto_batch_size(cost_model, specs: Sequence[JobSpec]) -> int:
 def batchable(spec: JobSpec) -> bool:
     """Whether *spec* may join a ``simulate_batch`` group.
 
-    Requires bit-identical batched semantics: a vectorized program,
-    the explicit ``fast`` profile (the CLI always pins one), and no
-    telemetry (batch kernels have no per-round hook).
+    Requires bit-identical batched semantics: a vectorized program and
+    no telemetry (batch kernels have no per-round hook).
     """
     if spec.kind != "simulate_program":
         return False
-    params = spec.params
-    if params.get("program", "bfs") not in BATCHABLE_PROGRAMS:
-        return False
-    if params.get("profile") != "fast":
+    if spec.params.get("program", "bfs") not in BATCHABLE_PROGRAMS:
         return False
     from ..telemetry.spans import telemetry_enabled
 

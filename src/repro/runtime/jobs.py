@@ -508,105 +508,78 @@ def _run_simulate_program(spec: JobSpec, graph: nx.Graph) -> Record:
     exactly once per process and reused across all trials.
 
     Config knobs: ``program`` (``bfs`` | ``flood`` | ``forest`` |
-    ``cv`` | ``storm``), ``profile`` (instrumentation profile name;
-    defaults to the ``REPRO_SIM_PROFILE`` environment knob), plus
-    per-program parameters (``alpha`` for forest, ``storm_rounds`` for
-    storm; ``cv`` colors the canonical min-smaller-neighbor forest).
+    ``cv`` | ``storm``), plus per-program parameters (``alpha`` for
+    forest, ``storm_rounds`` for storm; ``cv`` colors the canonical
+    min-smaller-neighbor forest).
 
-    When telemetry is on, the network's per-round profile hook
-    collects ``(round, active nodes, messages, bits)`` deltas and the
-    record carries them as a compact ``round_profile`` JSON string --
-    the per-phase round/message accounting that doubles as a fidelity
-    check on the paper's complexity claims.  Untraced records are
-    unchanged.
+    When telemetry is on, the network's per-round hook collects
+    ``(round, active nodes, messages, bits)`` deltas and the record
+    carries them as a compact ``round_profile`` JSON string -- the
+    per-phase round/message accounting that doubles as a fidelity check
+    on the paper's complexity claims.  Untraced records are unchanged.
     """
     from ..congest import CongestNetwork
     from ..congest.programs import (
         BFSTreeProgram,
         BarenboimElkinProgram,
         BroadcastStormProgram,
+        ColeVishkinProgram,
         FloodProgram,
     )
+    from ..congest.programs.cole_vishkin import cv_schedule, min_neighbor_parents
     from ..congest.programs.forest_decomposition import (
         barenboim_elkin_round_budget,
     )
 
     params = spec.params
     program = params.get("program", "bfs")
-    profile = params.get("profile")
     network = CongestNetwork(graph, seed=spec.seed)
     root = min(graph.nodes())
+
+    def forest():
+        budget = barenboim_elkin_round_budget(network.n)
+        config = {"alpha": params.get("alpha", 3), "budget": budget}
+        return BarenboimElkinProgram, budget + 3, config, True
+
+    def cv():
+        schedule = cv_schedule(max(graph.nodes(), default=1))
+        config = {"parents": min_neighbor_parents(graph), "schedule": schedule}
+        return ColeVishkinProgram, len(schedule) + 3, config, True
+
+    def storm():
+        rounds = int(params.get("storm_rounds", 8))
+        return BroadcastStormProgram, rounds + 2, {"storm_rounds": rounds}, False
+
+    # program -> () -> (factory, max_rounds, config, strict_bandwidth)
+    programs = {
+        "bfs": lambda: (BFSTreeProgram, network.n + 2, {"root": root}, True),
+        "flood": lambda: (FloodProgram, network.n + 2, {"root": root}, True),
+        "forest": forest,
+        "cv": cv,
+        "storm": storm,
+    }
+    if program not in programs:
+        raise ValueError(f"unknown simulator program {program!r}")
+    factory, max_rounds, config, strict = programs[program]()
     round_rows: list = []
     round_hook = None
     if telemetry_enabled():
         # One list append per executed round (never per message): the
-        # deltas against the profile's running totals give per-round
-        # message/bit counts under both faithful and fast profiles.
-        def round_hook(round_index, active, prof, _rows=round_rows):
+        # deltas against the running totals give per-round message/bit
+        # counts.
+        def round_hook(round_index, active, acct, _rows=round_rows):
             _rows.append(
-                (round_index, active, prof.total_messages, prof.total_bits)
+                (round_index, active, acct.total_messages, acct.total_bits)
             )
-    if program == "bfs":
-        result = network.run(
-            BFSTreeProgram,
-            max_rounds=network.n + 2,
-            config={"root": root},
-            strict_bandwidth=True,
-            profile=profile,
-            round_hook=round_hook,
-        )
-    elif program == "flood":
-        result = network.run(
-            FloodProgram,
-            max_rounds=network.n + 2,
-            config={"root": root},
-            strict_bandwidth=True,
-            profile=profile,
-            round_hook=round_hook,
-        )
-    elif program == "forest":
-        budget = barenboim_elkin_round_budget(network.n)
-        result = network.run(
-            BarenboimElkinProgram,
-            max_rounds=budget + 3,
-            config={"alpha": params.get("alpha", 3), "budget": budget},
-            strict_bandwidth=True,
-            profile=profile,
-            round_hook=round_hook,
-        )
-    elif program == "cv":
-        from ..congest.programs.cole_vishkin import (
-            ColeVishkinProgram,
-            cv_schedule,
-            min_neighbor_parents,
-        )
-
-        schedule = cv_schedule(max(graph.nodes(), default=1))
-        result = network.run(
-            ColeVishkinProgram,
-            max_rounds=len(schedule) + 3,
-            config={
-                "parents": min_neighbor_parents(graph),
-                "schedule": schedule,
-            },
-            strict_bandwidth=True,
-            profile=profile,
-            round_hook=round_hook,
-        )
-    elif program == "storm":
-        rounds = int(params.get("storm_rounds", 8))
-        result = network.run(
-            BroadcastStormProgram,
-            max_rounds=rounds + 2,
-            config={"storm_rounds": rounds},
-            profile=profile,
-            round_hook=round_hook,
-        )
-    else:
-        raise ValueError(f"unknown simulator program {program!r}")
+    result = network.run(
+        factory,
+        max_rounds=max_rounds,
+        config=config,
+        strict_bandwidth=strict,
+        round_hook=round_hook,
+    )
     record = {
         "program": program,
-        "profile": result.profile,
         "rounds": result.rounds,
         "halted": result.halted,
         "messages": result.total_messages,
@@ -637,7 +610,7 @@ def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
     """Run a coalesced group of simulator trials as one array program.
 
     The spec carries the member trial seeds in its ``seeds`` config
-    knob (everything else -- program, profile, graph coordinates --
+    knob (everything else -- program, graph coordinates --
     is shared by construction, see
     :func:`repro.runtime.batching.make_batch_spec`).  Graphs are built
     here, once per distinct ``graph_coordinates`` (a graph-seed-pinned
@@ -662,11 +635,6 @@ def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
     seeds = params.pop("seeds", None)
     if not seeds:
         raise ValueError("simulate_batch spec carries no member seeds")
-    if params.get("profile") != "fast":
-        raise ValueError(
-            "simulate_batch requires the explicit 'fast' profile; got "
-            f"{params.get('profile')!r}"
-        )
     program = params.get("program", "bfs")
     trial_specs = [
         JobSpec.make(
@@ -707,7 +675,6 @@ def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
                 "m": built.number_of_edges(),
                 "seed": trial_spec.seed,
                 "program": program,
-                "profile": result.profile,
                 "rounds": result.rounds,
                 "halted": result.halted,
                 "messages": result.total_messages,
@@ -718,7 +685,6 @@ def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
         )
     return {
         "program": program,
-        "profile": "fast",
         "trials_n": len(trials),
         "trials": json.dumps(trials, separators=(",", ":")),
     }

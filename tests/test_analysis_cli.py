@@ -158,23 +158,16 @@ class TestCLI:
 
 
 class TestSweepCLI:
-    def test_sweep_simulate_with_profile(self, capsys, monkeypatch):
-        from repro.congest.instrumentation import PROFILE_ENV_VAR
-
-        # setenv (not delenv) so monkeypatch restores the pre-test state
-        # even though main() overwrites the variable in-process.
-        monkeypatch.setenv(PROFILE_ENV_VAR, "faithful")
-        code = main(
-            ["sweep", "--kind", "simulate", "--programs", "bfs,storm",
-             "--families", "grid", "--ns", "36", "--profile", "fast"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "storm" in out and "fast" in out
-        # The flag exports the env knob so pool workers inherit it.
-        import os
-
-        assert os.environ[PROFILE_ENV_VAR] == "fast"
+    def test_sweep_simulate_batched_matches_unbatched(self, capsys):
+        """A simulate sweep prints the same table with and without
+        ``--batch``: every vectorizable trial is batch-eligible."""
+        argv = ["sweep", "--kind", "simulate", "--programs", "bfs,storm",
+                "--families", "grid", "--ns", "36", "--seeds", "0,1"]
+        assert main(argv) == 0
+        scalar = capsys.readouterr().out
+        assert main(argv + ["--batch", "4"]) == 0
+        assert capsys.readouterr().out == scalar
+        assert "storm" in scalar and "profile" not in scalar
 
     def test_sweep_test_kind_still_works(self, capsys):
         code = main(
@@ -185,11 +178,15 @@ class TestSweepCLI:
         assert "jobs=1" in capsys.readouterr().out
 
     def test_sweep_rejects_unknown_profile(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                ["sweep", "--kind", "simulate", "--families", "grid",
-                 "--ns", "36", "--profile", "warp"]
-            )
+        """``--profile`` is gone: any value is an argparse error."""
+        for profile in ("warp", "fast", "faithful"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    ["sweep", "--kind", "simulate", "--families", "grid",
+                     "--ns", "36", "--profile", profile]
+                )
+            assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
     def test_sweep_shard_and_resume_workflow(self, capsys, tmp_path):
         """Two shard runs fill one store; the final --resume run is a

@@ -1,7 +1,7 @@
 """Differential suite: the batched tensor plane vs. the scalar dense plane.
 
 The batched engine's contract is *bit identity* with the scalar dense
-plane under the ``fast`` profile, per trial: outputs, round counts,
+plane, per trial: outputs, round counts,
 halting, message/bit ledger totals, ``max_message_bits``, bandwidth
 budgets, and over-budget counts.  This suite certifies it across every
 bundled generator (planar and far-from-planar families) for all five
@@ -53,7 +53,6 @@ RESULT_FIELDS = (
     "max_message_bits",
     "bandwidth_bits",
     "over_budget_messages",
-    "profile",
 )
 
 STORM_ROUNDS = 5
@@ -69,7 +68,6 @@ def scalar_reference(program, graph, bandwidth_bits=None):
             max_rounds=network.n + 2,
             config={"root": root},
             strict_bandwidth=True,
-            profile="fast",
         )
     if program == "bfs":
         return network.run(
@@ -77,7 +75,6 @@ def scalar_reference(program, graph, bandwidth_bits=None):
             max_rounds=network.n + 2,
             config={"root": root},
             strict_bandwidth=True,
-            profile="fast",
         )
     if program == "forest":
         budget = barenboim_elkin_round_budget(network.n)
@@ -86,7 +83,6 @@ def scalar_reference(program, graph, bandwidth_bits=None):
             max_rounds=budget + 3,
             config={"alpha": 3, "budget": budget},
             strict_bandwidth=True,
-            profile="fast",
         )
     if program == "cv":
         schedule = cv_schedule(max(graph.nodes(), default=1))
@@ -98,14 +94,12 @@ def scalar_reference(program, graph, bandwidth_bits=None):
                 "schedule": schedule,
             },
             strict_bandwidth=True,
-            profile="fast",
         )
     assert program == "storm"
     return network.run(
         BroadcastStormProgram,
         max_rounds=STORM_ROUNDS + 2,
         config={"storm_rounds": STORM_ROUNDS},
-        profile="fast",
     )
 
 
@@ -182,7 +176,6 @@ def test_identical_topologies_share_one_compilation():
         BroadcastStormProgram,
         max_rounds=4 + 2,
         config={"storm_rounds": 4},
-        profile="fast",
     )
     assert first.outputs == scalar.outputs
     assert first.total_messages == scalar.total_messages
@@ -252,7 +245,6 @@ def test_batched_plane_matches_dict_plane_fixture():
             max_rounds=network.n + 2,
             config={"root": min(graph.nodes())},
             strict_bandwidth=True,
-            profile="fast",
         )
     (batched,) = run_batched("bfs", [graph])
     assert batched.outputs == dict_result.outputs
@@ -262,12 +254,15 @@ def test_batched_plane_matches_dict_plane_fixture():
 
 
 def test_dict_plane_is_a_fixture_module_now(monkeypatch):
-    """The dict loop lives in _differential, not the network, and the
-    test-side helper really routes runs through it."""
-    import repro.congest.network as network_module
-    from repro.congest import _differential
+    """The dict loop lives in the test oracle module, not the package,
+    and the test-side helper really routes runs through it."""
+    import importlib.util
 
-    assert callable(_differential.run_dict_plane)
+    import _reference_paths
+    import repro.congest.network as network_module
+
+    assert callable(_reference_paths.run_dict_plane)
+    assert importlib.util.find_spec("repro.congest._differential") is None
     assert not hasattr(CongestNetwork, "_run_dict_plane")
 
     def no_dense_plane(topology):

@@ -2,12 +2,16 @@
 
 The hard requirement of the dense-index data plane: routing payloads
 through flat CSR edge-slot buffers instead of per-node dict inboxes may
-change only wall-clock.  For every bundled program, both instrumentation
-profiles, and a seeded sweep of generated graphs, the dense plane must
-produce outputs, rounds, halting behavior, message/bit totals, and
-(under the faithful profile) per-round stats identical to the seed's
-dict plane, which is retained precisely as this suite's reference and
-patched in through :func:`_reference_paths.dict_plane`.
+change only wall-clock.  For every bundled program and a seeded sweep
+of generated graphs, the dense plane must produce outputs, rounds,
+halting behavior, message/bit totals and per-round stats identical to
+the seed's dict plane, which is retained precisely as this suite's
+reference and patched in through :func:`_reference_paths.dict_plane`.
+
+Each program runs two dense legs against it: ``faithful`` (the dense
+plane with the seed's accounting and real inbox dicts,
+:func:`_reference_paths.faithful_profile`) and ``fast`` (the production
+path, whose per-round counts are read through ``round_hook``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from _reference_paths import dict_plane
+from _reference_paths import dict_plane, faithful_profile, inbox_dict
 from repro.congest import (
     BROADCAST,
     CongestNetwork,
@@ -41,10 +45,23 @@ from repro.errors import ProtocolError
 from repro.graphs import make_planar
 
 SEEDS = (0, 1, 2)
-PROFILES = ("faithful", "fast")
+LEGS = ("faithful", "fast")
+
+LABELLED_GRAPHS = {
+    "int": lambda: nx.relabel_nodes(
+        nx.gnp_random_graph(30, 0.3, seed=1), lambda v: 7 * v - 40
+    ),
+    "str": lambda: nx.relabel_nodes(
+        nx.gnp_random_graph(30, 0.3, seed=2), lambda v: f"v{v}"
+    ),
+    "mixed": lambda: nx.Graph(
+        [(0, 5), (0, "a"), (5, "a"), (5, 12), (12, "b"), ("b", (1, 2)), (0, 12)]
+    ),
+    "tuple": lambda: nx.grid_2d_graph(3, 12),
+}
 
 
-def _identical(dict_result, dense_result, faithful=False):
+def _identical(dict_result, dense_result):
     assert dict_result.outputs == dense_result.outputs
     assert dict_result.rounds == dense_result.rounds
     assert dict_result.halted == dense_result.halted
@@ -52,78 +69,104 @@ def _identical(dict_result, dense_result, faithful=False):
     assert dict_result.total_bits == dense_result.total_bits
     assert dict_result.max_message_bits == dense_result.max_message_bits
     assert dict_result.over_budget_messages == dense_result.over_budget_messages
-    if faithful:
-        assert dict_result.round_stats == dense_result.round_stats
 
 
-def _on_both_planes(run):
-    """``[run() on the dict plane, run() on the dense plane]``."""
+def _round_deltas(run):
+    """``(result, per-round (messages, bits))`` of ``run(round_hook)``."""
+    totals = [(0, 0)]
+
+    def hook(round_index, active, accounting):
+        totals.append((accounting.total_messages, accounting.total_bits))
+
+    result = run(hook)
+    return result, tuple(
+        (m - pm, b - pb) for (pm, pb), (m, b) in zip(totals, totals[1:])
+    )
+
+
+def _on_both_planes(run, leg):
+    """Run *run* on the dict plane and on the dense plane's *leg*; assert
+    identical results and per-round stats; return both results."""
+    with dict_plane() as built:
+        reference = run(None)
+    expected = built[0].round_stats(reference.rounds)
+    if leg == "faithful":
+        with faithful_profile() as built:
+            result = run(None)
+        stats = built[0].round_stats(result.rounds)
+    else:
+        result, stats = _round_deltas(run)
+    _identical(reference, result)
+    assert stats == expected
+    return reference, result
+
+
+def _run_planes(graph, program, max_rounds, config, leg, seed=0):
+    return _on_both_planes(
+        lambda round_hook: CongestNetwork(graph, seed=seed).run(
+            program,
+            max_rounds=max_rounds,
+            config=config,
+            strict_bandwidth=True,
+            round_hook=round_hook,
+        ),
+        leg,
+    )
+
+
+def _dict_vs_dense(run):
+    """``[run() on the dict plane, run() on the production path]``."""
     with dict_plane():
         reference = run()
     return [reference, run()]
 
 
-def _run_planes(graph, program, max_rounds, config, profile, seed=0):
-    return _on_both_planes(
-        lambda: CongestNetwork(graph, seed=seed).run(
-            program,
-            max_rounds=max_rounds,
-            config=config,
-            strict_bandwidth=True,
-            profile=profile,
-        )
-    )
-
-
 class TestDifferentialPrograms:
-    """Seeded sweep: all bundled programs x both profiles x both planes."""
+    """Seeded sweep: all bundled programs x both dense legs x dict plane."""
 
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_bfs(self, profile):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_bfs(self, leg):
         for seed in SEEDS:
             graph = make_planar("delaunay", 80, seed=seed)
-            a, b = _run_planes(
+            _run_planes(
                 graph, BFSTreeProgram, graph.number_of_nodes() + 2,
-                {"root": 0}, profile, seed=seed,
+                {"root": 0}, leg, seed=seed,
             )
-            _identical(a, b, faithful=profile == "faithful")
 
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_flood(self, profile):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_flood(self, leg):
         for seed in SEEDS:
             graph = make_planar("grid", 64, seed=seed)
-            a, b = _run_planes(
+            _run_planes(
                 graph, FloodProgram, graph.number_of_nodes() + 2,
-                {"root": 0}, profile, seed=seed,
+                {"root": 0}, leg, seed=seed,
             )
-            _identical(a, b, faithful=profile == "faithful")
 
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_forest_decomposition(self, profile):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_forest_decomposition(self, leg):
         from repro.congest.programs import BarenboimElkinProgram
 
         for seed in SEEDS:
             graph = make_planar("apollonian", 60, seed=seed)
             budget = barenboim_elkin_round_budget(graph.number_of_nodes())
-            a, b = _run_planes(
+            _run_planes(
                 graph, BarenboimElkinProgram, budget + 3,
-                {"alpha": 3, "budget": budget}, profile, seed=seed,
+                {"alpha": 3, "budget": budget}, leg, seed=seed,
             )
-            _identical(a, b, faithful=profile == "faithful")
 
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_storm(self, profile):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_storm(self, leg):
         for seed in SEEDS:
             graph = nx.gnp_random_graph(48, 0.3, seed=seed)
-            results = _on_both_planes(
-                lambda: CongestNetwork(graph, seed=seed).run(
+            _on_both_planes(
+                lambda round_hook: CongestNetwork(graph, seed=seed).run(
                     BroadcastStormProgram,
                     max_rounds=8,
                     config={"storm_rounds": 6},
-                    profile=profile,
-                )
+                    round_hook=round_hook,
+                ),
+                leg,
             )
-            _identical(*results, faithful=profile == "faithful")
 
     def test_stage2_verification(self):
         from repro.congest.programs import run_stage2_verification_simulated
@@ -132,7 +175,7 @@ class TestDifferentialPrograms:
         graph = make_planar("delaunay", 60, seed=3)
         rotation = check_planarity(graph).embedding.to_dict()
         for seed in SEEDS:
-            a, b = _on_both_planes(
+            a, b = _dict_vs_dense(
                 lambda: run_stage2_verification_simulated(
                     graph, 0, rotation, epsilon=0.2, seed=seed
                 )
@@ -147,7 +190,7 @@ class TestDifferentialPrograms:
         graph = make_planar("tri-grid", 60, seed=0)
         path = nx.path_graph(9)
         parents = {i: i + 1 if i < 8 else None for i in range(9)}
-        per_plane = _on_both_planes(
+        per_plane = _dict_vs_dense(
             lambda: (
                 flood_eccentricity(graph, 0),
                 cole_vishkin_coloring(path, parents),
@@ -217,6 +260,54 @@ class TestDensePlaneMechanics:
         with pytest.raises(KeyError):
             inbox[2]
 
+    @pytest.mark.parametrize("labels", sorted(LABELLED_GRAPHS))
+    @pytest.mark.parametrize("rows", ("full", "partial"))
+    def test_slot_inbox_matches_dict_inbox(self, labels, rows):
+        """Every read of a :class:`SlotInbox` agrees with the real inbox
+        dict, whatever the labels' Python ordering says."""
+        graph = LABELLED_GRAPHS[labels]()
+        topology = compile_topology(graph)
+        plane = DenseMessagePlane(topology)
+        send_slot = topology.plane_arrays().send_slot
+        token = 1
+        for idx, sender in enumerate(topology.nodes):
+            targets = topology.neighbors[sender]
+            if rows == "partial":
+                targets = targets[idx % 2::2]
+            for target in targets:
+                slot = send_slot[idx][target]
+                receiver = topology.index[target]
+                plane.next_data[slot] = (sender, target)
+                plane.next_stamp[slot] = token
+                if plane.next_mark[receiver] == token:
+                    plane.next_count[receiver] += 1
+                else:
+                    plane.next_mark[receiver] = token
+                    plane.next_count[receiver] = 1
+        plane.swap()
+        missing = object()
+        checked = 0
+        for idx, node in enumerate(topology.nodes):
+            expected = inbox_dict(plane, idx, token)
+            inbox = plane.inbox_view(idx, token)
+            if expected is None:
+                assert inbox is None
+                continue
+            checked += 1
+            assert len(inbox) == len(expected)
+            assert list(inbox.keys()) == list(expected.keys())
+            assert list(inbox.items()) == list(expected.items())
+            assert list(inbox.values()) == list(expected.values())
+            for sender in topology.neighbors[node] + (node, "absent"):
+                assert (sender in inbox) == (sender in expected)
+                assert inbox.get(sender, missing) == expected.get(sender, missing)
+                if sender in expected:
+                    assert inbox[sender] == expected[sender]
+                else:
+                    with pytest.raises(KeyError):
+                        inbox[sender]
+        assert checked
+
     def test_dense_fast_profile_validates_every_explicit_target(self):
         class BadSender(NodeProgram):
             def step(self, round_index, inbox):
@@ -227,7 +318,7 @@ class TestDensePlaneMechanics:
 
         graph = nx.path_graph(3)
         with pytest.raises(ProtocolError, match="non-neighbor"):
-            CongestNetwork(graph).run(BadSender, max_rounds=2, profile="fast")
+            CongestNetwork(graph).run(BadSender, max_rounds=2)
 
     def test_plane_arrays_are_consistent(self):
         graph = make_planar("grid", 36, seed=0)

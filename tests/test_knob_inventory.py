@@ -43,5 +43,6 @@ def test_retired_knobs_are_gone():
         "REPRO_CACHE_COORD_KEYS",
         "REPRO_SIM_BATCH_WASTE",
         "REPRO_PARTITION_ENGINE",
+        "REPRO_SIM_PROFILE",
     }
     assert not retired & source_knobs()

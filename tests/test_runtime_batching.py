@@ -29,7 +29,7 @@ from repro.runtime.batching import expand_batch_record
 from repro.runtime.jobs import run_job
 
 
-def sim_spec(seed=0, program="bfs", profile="fast", n=30, graph_seed=7, **kw):
+def sim_spec(seed=0, program="bfs", n=30, graph_seed=7, **kw):
     return JobSpec.make(
         "simulate_program",
         family="grid",
@@ -37,7 +37,6 @@ def sim_spec(seed=0, program="bfs", profile="fast", n=30, graph_seed=7, **kw):
         seed=seed,
         graph_seed=graph_seed,
         program=program,
-        profile=profile,
         **kw,
     )
 
@@ -48,10 +47,10 @@ FLEET = [sim_spec(seed=s) for s in range(6)]
 # -- eligibility and grouping -------------------------------------------------
 
 
-def test_batchable_requires_fast_profile_and_known_program():
-    assert batchable(sim_spec())
-    assert not batchable(sim_spec(profile="faithful"))
-    assert not batchable(sim_spec(profile=None))
+def test_batchable_requires_known_program():
+    for program in ("bfs", "cv", "flood", "forest", "storm"):
+        assert batchable(sim_spec(program=program))
+    assert not batchable(sim_spec(program="gossip"))
     assert not batchable(
         JobSpec.make("test_planarity", family="grid", n=30, seed=0)
     )
@@ -60,7 +59,7 @@ def test_batchable_requires_fast_profile_and_known_program():
 def test_coalesce_groups_chunks_and_passes_singletons_through():
     specs = (
         [sim_spec(seed=s) for s in range(5)]
-        + [sim_spec(seed=9, profile="faithful")]  # ineligible: untouched
+        + [sim_spec(seed=9, program="gossip")]  # no batch kernel: untouched
         + [sim_spec(seed=s, program="storm", storm_rounds=4) for s in (0, 1)]
         + [sim_spec(seed=99, n=60)]  # different cell: group of one
     )
@@ -71,7 +70,7 @@ def test_coalesce_groups_chunks_and_passes_singletons_through():
     assert kinds == [
         ("simulate_batch", 4),  # seeds 0-3
         ("simulate_program", 1),  # seed 4: a chunk of one stays scalar
-        ("simulate_program", 1),  # faithful passthrough
+        ("simulate_program", 1),  # unbatchable passthrough
         ("simulate_batch", 2),  # the storm pair
         ("simulate_program", 1),  # the n=60 singleton
     ]
@@ -170,7 +169,6 @@ def test_run_sweep_batched_matches_unbatched():
         ns=[30],
         seeds=[0, 1, 2, 3],
         program=["flood", "storm"],
-        profile=["fast"],
         storm_rounds=[4],
     )
     base = run_sweep(sweep)
@@ -226,7 +224,6 @@ def test_run_sweep_auto_batch_matches_unbatched(tmp_path):
         ns=[30],
         seeds=[0, 1, 2, 3],
         program=["bfs"],
-        profile=["fast"],
     )
     base = run_sweep(sweep)
     cache = ResultCache(disk_dir=tmp_path / "store")
@@ -274,7 +271,6 @@ def test_ragged_batch_respects_waste_bound(monkeypatch):
             n=24,
             seed=s,
             program="bfs",
-            profile="fast",
         )
         for s in range(4)
     ]

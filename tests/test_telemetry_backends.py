@@ -160,7 +160,7 @@ def test_trace_top_ranks_slowest_kind_first(trace_dir, tmp_path, capsys):
     run_sweep(
         SweepSpec.make(
             "simulate_program", families=["delaunay"], ns=[256], seeds=[0],
-            program="storm", profile="fast", storm_rounds=6, trial=[0, 1],
+            program="storm", storm_rounds=6, trial=[0, 1],
         ),
         backend="serial",
     )
