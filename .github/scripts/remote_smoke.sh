@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Remote-backend smoke: serve the E01-style quick grid over TCP to two
 # workers, kill one mid-run, and require (1) the sweep completes with
-# records byte-identical to the serial leg and (2) a follow-up
-# --resume run is a pure merge (executed=0).
+# records byte-identical to the serial leg, (2) the store holds one
+# row per key (72 record entries), and (3) a follow-up --resume run is
+# a pure merge (executed=0).
 #
 # Usage: remote_smoke.sh [WORKDIR]   (defaults to a fresh temp dir)
 set -euo pipefail
@@ -47,6 +48,12 @@ wait "$W2" 2>/dev/null || true
 echo "== records must be byte-identical to the serial leg"
 cmp "$WORK/serial.md" "$WORK/remote.md"
 echo "byte-identical: OK"
+
+echo "== one store row per key (the service is the only writer)"
+ROWS=$(python -c 'import sys; from repro.runtime.store import count_record_entries; print(count_record_entries(sys.argv[1]))' "$WORK/store")
+echo "record entries: $ROWS (grid: 72)"
+test "$ROWS" -eq 72
+echo "one row per key: OK"
 
 echo "== resume must be a pure merge"
 "${CLI[@]}" sweep "${GRID[@]}" --resume --cache-dir "$WORK/store" \

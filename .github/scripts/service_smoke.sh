@@ -2,7 +2,8 @@
 # Service smoke: one persistent `repro-planarity serve` process, two
 # `worker --reconnect` processes, two *concurrent* `submit` clients.
 # One worker is kill -9'd mid-run.  Requirements: both clients finish
-# with record tables byte-identical to their serial legs, and a
+# with record tables byte-identical to their serial legs, the store
+# holds one row per key (72 record entries), and a
 # SIGTERM shuts the service down cleanly (rc 0) releasing the
 # reconnect worker (rc 0 -- it got its exit frame instead of
 # redialing).
@@ -69,6 +70,12 @@ echo "== records must be byte-identical to the serial legs"
 cmp "$WORK/serial_a.md" "$WORK/service_a.md"
 cmp "$WORK/serial_b.md" "$WORK/service_b.md"
 echo "byte-identical: OK"
+
+echo "== one store row per key (the service is the only writer)"
+ROWS=$(python -c 'import sys; from repro.runtime.store import count_record_entries; print(count_record_entries(sys.argv[1]))' "$WORK/store")
+echo "record entries: $ROWS (grid: 72)"
+test "$ROWS" -eq 72
+echo "one row per key: OK"
 
 echo "== resubmit must be a pure store-hit run (both sweeps, no fleet)"
 "${CLI[@]}" submit "${GRID_A[@]}" --connect "$EP" \

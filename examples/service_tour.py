@@ -46,9 +46,9 @@ def main() -> None:
 
         # Two fleet workers.  Here they are threads; in production each
         # is `repro-planarity worker --connect <endpoint> --reconnect`
-        # on any host that can reach the service (and, optionally, its
-        # store directory -- workers without it run storeless and the
-        # service persists their records itself).
+        # on any host that can reach the service.  Workers are
+        # storeless: the service answers store hits and persists every
+        # executed record itself.
         for _ in range(2):
             threading.Thread(
                 target=serve_remote,

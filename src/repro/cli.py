@@ -86,6 +86,7 @@ from .runtime import (
     run_sweep,
 )
 from .runtime.remote import parse_endpoint
+from .runtime.worker import add_worker_arguments, run_worker
 from .testers.applications import test_bipartiteness, test_cycle_freeness
 from .testers.planarity import PlanarityTestConfig, test_planarity
 
@@ -431,19 +432,6 @@ def _cmd_families(_args) -> int:
     print("planar families: ", ", ".join(sorted(PLANAR_FAMILIES)))
     print("far families:    ", ", ".join(sorted(FAR_FAMILIES)))
     return 0
-
-
-def _cmd_worker(args) -> int:
-    from .runtime.worker import serve_remote
-
-    try:
-        host, port = parse_endpoint(args.connect)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    return serve_remote(
-        host, port, store_dir=args.store, retry_seconds=args.retry_seconds,
-        reconnect=args.reconnect,
-    )
 
 
 def _cmd_serve(args) -> int:
@@ -882,32 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="join a sweep service (`serve`, or `sweep --backend remote`) "
         "and serve jobs",
     )
-    p_worker.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="the service's --listen endpoint",
-    )
-    p_worker.add_argument(
-        "--store",
-        default=None,
-        help="sharded store directory (defaults to the server's, when "
-        "this host can reach it)",
-    )
-    p_worker.add_argument(
-        "--retry-seconds",
-        type=float,
-        default=30.0,
-        help="how long to retry the initial connection (default 30)",
-    )
-    p_worker.add_argument(
-        "--reconnect",
-        action="store_true",
-        help="fleet mode (serve): redial with capped backoff + jitter "
-        "when the server drops the connection; only an exit frame or "
-        "a handshake rejection ends the worker",
-    )
-    p_worker.set_defaults(func=_cmd_worker)
+    add_worker_arguments(p_worker)
+    p_worker.set_defaults(func=run_worker)
 
     p_trace = sub.add_parser(
         "trace", help="inspect a telemetry trace directory (sweep --trace)"

@@ -90,12 +90,6 @@ class CodecStats:
 STATS = CodecStats()
 
 
-def reset_stats() -> None:
-    """Zero the process-wide counters in place (tests only)."""
-    for name in vars(STATS):
-        setattr(STATS, name, 0)
-
-
 # -- varints ------------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ batch on an ephemeral service.  The service's worker loop is the only
 fleet dispatcher: dispatch, requeue-on-disconnect, heartbeats, store
 appends and cost accounting all live there.
 
-Wire protocol v2: **length-prefixed binary frames** (see
+Wire protocol v3: **length-prefixed binary frames** (see
 :mod:`repro.runtime.codec` -- 2-byte magic + u32 body length + one
 codec-encoded message dict).  Specs and records travel as
 *shape-packed codec payloads* (``spec_pkd`` / ``record_pkd`` bytes
@@ -18,46 +18,40 @@ fields), with each frame carrying the shape-definition blocks its
 payloads need that this connection has not seen yet (``shapes``) --
 so a worker's result bytes are appended to the store verbatim
 (:meth:`~repro.runtime.store.ShardedStore.put_raw`, zero server-side
-re-encode) and a store hit ships without a decode.
+re-encode).  Workers are storeless: the service is the only store
+reader and writer on the fleet path.
 
 =============  =========================================================
 frame          fields
 =============  =========================================================
 ``hello``      worker -> server: ``protocol`` (version int), ``kinds``
-               (worker's registered job kinds), ``store`` (worker's
-               store dir or ``None``), ``pid``
-``welcome``    server -> worker: ``protocol``, ``store`` (the
-               server's store dir, for same-host adoption),
-               optional ``trace`` (``{"dir", "parent"}`` -- the trace
-               sink same-host workers adopt; see
-               :func:`repro.telemetry.adopt_trace`)
+               (worker's registered job kinds, a list of str), ``pid``
+``welcome``    server -> worker: ``protocol``, optional ``trace``
+               (``{"dir", "parent"}`` -- the trace sink same-host
+               workers adopt; see :func:`repro.telemetry.adopt_trace`)
 ``reject``     server -> worker on a failed handshake: ``reason``;
                the connection closes immediately after
 ``job``        server -> worker: ``id``, ``spec_pkd`` (shape-packed
-               :meth:`JobSpec.to_payload`), ``key`` (cache key),
-               ``nostore``, ``shapes``
+               :meth:`JobSpec.to_payload`), ``shapes``
 ``result``     worker -> server: ``id``, ``record_pkd`` (shape-packed
-               record bytes), ``shapes``, ``hit`` (served from the
-               worker's store), ``seconds`` (worker-side wall-time,
-               ``None`` on hits), ``stored`` -- or ``error`` +
-               ``traceback`` on failure
+               record bytes), ``shapes``, ``seconds`` (worker-side
+               wall-time) -- or ``error`` + ``traceback`` on failure
 ``ping``       server -> worker heartbeat; worker answers ``pong``
 ``exit``       server -> worker: service stopping, disconnect
 =============  =========================================================
 
-A hello with the wrong ``protocol`` number, or naming a *different*
-store than the server's (split-brain caches), is rejected.  A peer
-that opens with anything but a frame magic (a protocol-1 JSON-lines
-worker sends ``{``) fails the header check and is closed without a
-reply.  Workers are admitted whatever job kinds they registered; the
-service filters dispatch per connection instead.
+A hello with the wrong ``protocol`` number (a v2 worker, which still
+probed and appended to a store of its own) or a malformed ``kinds``
+is rejected.  A peer that opens with anything but a frame magic (a
+protocol-1 JSON-lines worker sends ``{``) fails the header check and
+is closed without a reply.  Workers are admitted whatever job kinds
+they registered; the service filters dispatch per connection instead.
 """
 
 from __future__ import annotations
 
 import asyncio
 from contextlib import closing
-from pathlib import Path
 from typing import Iterator, Optional, Sequence, Tuple
 
 from ..telemetry.spans import get_tracer
@@ -70,7 +64,7 @@ from .codec import (
 )
 from .jobs import JobSpec, Record
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 async def read_bframe(reader) -> Optional[dict]:
@@ -116,7 +110,7 @@ async def reject_peer(writer, reason: str) -> None:
     writer.close()
 
 
-async def welcome_worker(hello: dict, writer, store_dir: Optional[str]) -> bool:
+async def welcome_worker(hello: dict, writer) -> bool:
     """Answer a worker's ``hello``: ``welcome`` it, or reject + ``False``."""
     if hello.get("protocol") != PROTOCOL_VERSION:
         await reject_peer(
@@ -125,19 +119,15 @@ async def welcome_worker(hello: dict, writer, store_dir: Optional[str]) -> bool:
             f"worker speaks {hello.get('protocol')!r}",
         )
         return False
-    worker_store = hello.get("store")
-    if worker_store and store_dir and not _same_path(worker_store, store_dir):
+    kinds = hello.get("kinds")
+    if kinds is not None and not (
+        isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)
+    ):
         await reject_peer(
-            writer,
-            f"store mismatch: server uses {store_dir}, "
-            f"worker uses {worker_store}",
+            writer, f"bad hello: kinds must be a list of str, got {kinds!r}"
         )
         return False
-    welcome = {
-        "op": "welcome",
-        "protocol": PROTOCOL_VERSION,
-        "store": store_dir,
-    }
+    welcome = {"op": "welcome", "protocol": PROTOCOL_VERSION}
     tracer = get_tracer()
     if tracer.enabled and tracer.trace_dir is not None:
         # Advertise the trace context: same-host workers adopt the
@@ -166,9 +156,9 @@ class RemoteBackend:
     Args:
         host / port: listen endpoint; port ``0`` binds an ephemeral
             port (read it from :attr:`bound_port` after :meth:`bind`).
-        store_dir: the service's sharded-store directory.  Workers are
-            told it at handshake; the service appends every executed
-            job's record bytes to it exactly once.
+        store_dir: the service's sharded-store directory.  The service
+            answers hits from it and appends every executed job's
+            record bytes to it exactly once; workers never touch it.
         heartbeat: idle-worker ping interval in seconds.
 
     :meth:`bind` creates a :class:`~repro.runtime.service.SweepService`
@@ -249,9 +239,3 @@ class RemoteBackend:
             service.stop()
             self.service = None
 
-
-def _same_path(left: str, right: str) -> bool:
-    try:
-        return Path(left).resolve() == Path(right).resolve()
-    except OSError:
-        return left == right

@@ -10,7 +10,9 @@ Workers open with a ``hello`` frame (handshake in
 :func:`~repro.runtime.remote.welcome_worker`; ``job``/``result``/
 ``ping``/``pong`` frames after that); clients open with a ``submit``
 frame, which is how the server tells the two peer types apart from the
-first frame.
+first frame.  The service is the fleet's only store reader and writer
+(wire protocol v3): it answers store hits at enqueue, and workers are
+storeless, so every result a worker returns is an executed job.
 
 Client-side ops (layered next to the worker ops):
 
@@ -48,10 +50,9 @@ prediction from the store's cost history, and a periodic scan
 re-dispatches any job whose elapsed time exceeds
 :class:`~repro.runtime.scheduler.SpeculationPolicy`'s straggler
 threshold to a second worker.  First result wins; the loser's result
-is dropped on arrival.  Job frames carry ``nostore: True`` so workers
-never append speculated results themselves -- the service persists
-the winning copy's bytes exactly once, keeping the store one line
-per job no matter how many twins raced.
+is dropped on arrival.  The service persists the winning copy's bytes
+exactly once, keeping the store one row per job no matter how many
+twins raced.
 
 Identical jobs submitted by different clients coalesce: the second
 client becomes a *waiter* on the first client's in-flight job instead
@@ -365,9 +366,6 @@ class SweepService:
         self._dispatch = asyncio.Event()
         if self.store_dir and self._store is None:
             self._store = ShardedStore(self.store_dir)
-            # Materialize store.json now: worker-side store adoption
-            # checks for it before the first append happens.
-            self._store._ensure_root()
         self._cost_book = CostBook(self._store)
         server = await asyncio.start_server(self._handle, sock=self._socket)
         scan_task = None
@@ -411,7 +409,7 @@ class SweepService:
                 return
             op = first.get("op")
             if op == "hello":
-                if await welcome_worker(first, writer, self.store_dir):
+                if await welcome_worker(first, writer):
                     await self._worker_loop(_Connection(reader, writer, first))
             elif op == "submit":
                 await self._client_loop(first, reader, writer)
@@ -767,10 +765,6 @@ class SweepService:
             "op": "job",
             "id": job.uid,
             "spec_pkd": spec_pkd,
-            "key": job.key,
-            # The service persists the winning copy itself (exactly
-            # once); workers must not race their own appends.
-            "nostore": True,
             "shapes": frame_shapes(iter((spec_pkd,)), conn.sent_shapes),
         }
         try:
@@ -815,7 +809,7 @@ class SweepService:
             for block in frame.get("shapes") or ():
                 GLOBAL_SHAPES.register_block(block)
             payload = bytes(record_pkd)
-            if self._store is not None and not frame.get("hit"):
+            if self._store is not None:
                 self._store.put_raw(job.key, payload)
         except (KeyError, ValueError, TruncatedEntry, struct.error):
             self._dispatch_failed(conn, job, dispatched)
@@ -823,19 +817,15 @@ class SweepService:
         job.state = _DONE
         self._pending_keys.pop(job.key, None)
         seconds = frame.get("seconds")
-        hit = bool(frame.get("hit"))
         conn.jobs_done += 1
         if isinstance(seconds, (int, float)) and self._cost_book is not None:
             self._cost_book.observe(job.spec.kind, job.spec.n, seconds)
         for session, index in job.waiters:
             if session.cancelled or session.dead:
                 continue
-            if hit:
-                session.hits += 1
-            else:
-                session.executed += 1
+            session.executed += 1
             session.remaining -= 1
-            await session.send_record(index, payload, hit, seconds)
+            await session.send_record(index, payload, False, seconds)
             if session.remaining == 0:
                 await self._finish_session(session)
         return True

@@ -4,30 +4,22 @@
 ``repro-planarity worker``) turns a process into a fleet worker: it
 dials a :class:`~repro.runtime.service.SweepService` -- a persistent
 ``serve`` endpoint, or the ephemeral one behind ``sweep --backend
-remote`` -- handshakes (protocol version, job-kind registry, store
-dir), then serves jobs until the server says ``exit`` or the
-connection drops.  Connection attempts retry for ``--retry-seconds``
-so workers can be started before the server is listening.
+remote`` -- handshakes (protocol version, job-kind registry), then
+serves jobs until the server says ``exit`` or the connection drops.
+Connection attempts retry for ``--retry-seconds`` so workers can be
+started before the server is listening.
 
 Specs arrive and records leave as **shape-packed codec payloads**
 (``spec_pkd`` / ``record_pkd``), the same byte format the sharded
-store persists -- so a worker with a store appends its freshly
-encoded record *once* and ships the identical bytes over the wire,
-and a store hit is forwarded without ever being decoded
-(:meth:`~repro.runtime.store.ShardedStore.get_raw`).  Shape
-definitions travel at most once per connection, tracked by a
-per-connection sent-set on both ends.
+store persists, so the service appends a worker's result bytes
+verbatim.  Shape definitions travel at most once per connection,
+tracked by a per-connection sent-set on both ends.
 
-When a worker has a sharded store (``--store DIR``, or the directory
-adopted from the server's ``welcome`` frame), it consults the shared
-:class:`~repro.runtime.store.ShardedStore` *before* executing a job
-whose request carries a ``key``, and appends fresh records back
-unless the request says ``nostore`` (the service persists results
-itself, exactly once).
-
-Everything a record needs to be reproducible travels in the spec
-(``seed`` drives all randomness), so a worker is stateless: killing
-and respawning one mid-batch loses nothing but the in-flight job
+Workers are storeless (wire protocol v3): the service answers store
+hits before it dispatches and appends every executed record itself,
+exactly once.  Everything a record needs to be reproducible travels
+in the spec (``seed`` drives all randomness), so killing and
+respawning a worker mid-batch loses nothing but the in-flight job
 (which the service requeues).
 """
 
@@ -39,7 +31,6 @@ import socket
 import sys
 import time
 import traceback
-from pathlib import Path
 from typing import Optional
 
 from .codec import (
@@ -54,6 +45,7 @@ from .jobs import JobSpec, job_kinds, run_job_timed
 from .store import ShardedStore
 
 
+# Only the service's enqueue probe calls this; perfbench/tracing.py wraps it here.
 def _store_payload(store: ShardedStore, key: str) -> Optional[bytes]:
     """The stored payload bytes for *key* (zero decode), or ``None``."""
     payload = store.get_raw(key)
@@ -69,48 +61,19 @@ def _flush_telemetry() -> None:
         get_metrics().flush_to(tracer.trace_dir)
 
 
-def handle_request(message: dict, store: Optional[ShardedStore]) -> dict:
+def handle_request(message: dict) -> dict:
     """Execute one job request; returns the response fields (sans id).
 
     The caller has already registered any shape blocks the request
-    carried.  Probes *store* first when the request carries a cache
-    ``key``; fresh records are appended back (``stored`` reports
-    whether that happened, so a server can persist on behalf of
-    storeless workers).  The response's ``record_pkd`` holds the
-    shape-packed record bytes -- for a store hit they come straight
-    from the shard file (zero decode), for a fresh record they are
-    encoded exactly once and shared between the local append and the
-    wire.
+    carried.  The response's ``record_pkd`` holds the shape-packed
+    record bytes, encoded exactly once; the service appends them to
+    its store verbatim.
     """
-    key = message.get("key")
-    # A request flagged ``nostore`` must never append: the service uses
-    # it for speculative duplicate dispatches, where it persists the
-    # winning copy's bytes itself -- exactly once -- so the store stays
-    # one line per job no matter how many twins raced.  Probing for an
-    # existing row is still fine (a hit *is* the one row).
-    nostore = bool(message.get("nostore"))
     try:
-        payload: Optional[bytes] = None
-        hit = False
-        seconds: Optional[float] = None
-        stored = False
-        if store is not None and key:
-            payload = _store_payload(store, key)
-            hit = payload is not None
-            stored = hit
-        if payload is None:
-            spec = JobSpec.from_payload(decode_record(message["spec_pkd"]))
-            record, seconds = run_job_timed(spec)
-            payload, _shape = encode_record(record)
-            if store is not None and key and not nostore:
-                store.put_raw(key, payload)
-                stored = True
-        return {
-            "record_pkd": payload,
-            "hit": hit,
-            "seconds": seconds,
-            "stored": stored,
-        }
+        spec = JobSpec.from_payload(decode_record(message["spec_pkd"]))
+        record, seconds = run_job_timed(spec)
+        payload, _shape = encode_record(record)
+        return {"record_pkd": payload, "seconds": seconds}
     except Exception as exc:  # report, don't die: the batch goes on
         return {
             "error": f"{type(exc).__name__}: {exc}",
@@ -118,13 +81,12 @@ def handle_request(message: dict, store: Optional[ShardedStore]) -> dict:
         }
 
 
-def _result_frame(message: dict, store: Optional[ShardedStore],
-                  sent_shapes: set) -> bytes:
+def _result_frame(message: dict, sent_shapes: set) -> bytes:
     """One encoded result frame for one job request."""
     for block in message.get("shapes") or ():
         GLOBAL_SHAPES.register_block(block)
     response = {"op": "result", "id": message.get("id")}
-    response.update(handle_request(message, store))
+    response.update(handle_request(message))
     payload = response.get("record_pkd")
     if isinstance(payload, (bytes, bytearray)):
         response["shapes"] = frame_shapes(
@@ -179,27 +141,7 @@ def _connect_with_retry(
             time.sleep(min(next(delays), max(deadline - time.monotonic(), 0)))
 
 
-def _adopt_store(store_dir: Optional[str]) -> Optional[ShardedStore]:
-    """Open a store the server advertised, if this host can reach *it*.
-
-    Adoption requires the server's already-initialized store
-    (``store.json`` written at bind time) to be visible at the path --
-    a bare ``mkdir`` succeeding proves nothing on a host without the
-    shared filesystem and would silently fork a fresh local store.
-    Workers that cannot see the server's store run storeless; the
-    server persists their records itself (``stored: false``).
-    """
-    if not store_dir:
-        return None
-    try:
-        if not (Path(store_dir) / "store.json").is_file():
-            return None  # not the server's store: run storeless
-        return ShardedStore(store_dir)
-    except OSError:
-        return None  # different filesystem: run storeless
-
-
-def _serve_connection(sock: socket.socket, store_dir: Optional[str]) -> str:
+def _serve_connection(sock: socket.socket) -> str:
     """One server connection's lifetime; the socket is consumed.
 
     Returns ``"exit"`` (clean ``exit`` frame), ``"eof"`` (the server
@@ -208,14 +150,12 @@ def _serve_connection(sock: socket.socket, store_dir: Optional[str]) -> str:
     """
     from .remote import PROTOCOL_VERSION
 
-    store = ShardedStore(store_dir) if store_dir else None
     try:
         reader = sock.makefile("rb")
         hello = {
             "op": "hello",
             "protocol": PROTOCOL_VERSION,
             "kinds": list(job_kinds()),
-            "store": store_dir,
             "pid": os.getpid(),
         }
         sock.sendall(encode_wire_frame(hello))
@@ -229,8 +169,6 @@ def _serve_connection(sock: socket.socket, store_dir: Optional[str]) -> str:
                 file=sys.stderr,
             )
             return "rejected"
-        if store is None:
-            store = _adopt_store(welcome.get("store"))
         if welcome.get("trace"):
             # The server is tracing: adopt its sink directory and
             # parent span (same-host check inside), so this worker's
@@ -251,7 +189,7 @@ def _serve_connection(sock: socket.socket, store_dir: Optional[str]) -> str:
                 continue
             if op != "job":
                 continue
-            sock.sendall(_result_frame(frame, store, sent_shapes))
+            sock.sendall(_result_frame(frame, sent_shapes))
     except (OSError, ValueError):  # reset / torn frame: same as EOF
         return "eof"
     finally:
@@ -265,7 +203,6 @@ def _serve_connection(sock: socket.socket, store_dir: Optional[str]) -> str:
 def serve_remote(
     host: str,
     port: int,
-    store_dir: Optional[str] = None,
     retry_seconds: float = 30.0,
     reconnect: bool = False,
 ) -> int:
@@ -285,28 +222,21 @@ def serve_remote(
         sock = _connect_with_retry(
             host, port, float("inf") if reconnect else retry_seconds
         )
-        outcome = _serve_connection(sock, store_dir)
+        outcome = _serve_connection(sock)
         if outcome == "rejected":
             return 1
         if outcome == "exit" or not reconnect:
             return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.runtime.worker",
-        description="fleet worker: serve jobs to a sweep service over TCP",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help="shared sharded-store directory for cross-process cache hits",
-    )
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """The worker's flags, shared by ``repro-planarity worker`` and
+    ``python -m repro.runtime.worker``."""
     parser.add_argument(
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="the sweep service to join",
+        help="the sweep service's --listen endpoint",
     )
     parser.add_argument(
         "--retry-seconds",
@@ -323,15 +253,28 @@ def main(argv=None) -> int:
             "handshake rejection ends the worker"
         ),
     )
-    args = parser.parse_args(argv)
+
+
+def run_worker(args: argparse.Namespace) -> int:
+    """Serve jobs as the parsed worker flags say."""
     from .remote import parse_endpoint
 
-    host, port = parse_endpoint(args.connect)
+    try:
+        host, port = parse_endpoint(args.connect)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     return serve_remote(
-        host, port, store_dir=args.store,
-        retry_seconds=args.retry_seconds,
-        reconnect=args.reconnect,
+        host, port, retry_seconds=args.retry_seconds, reconnect=args.reconnect
     )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro.runtime.worker",
+        description="fleet worker: serve jobs to a sweep service over TCP",
+    )
+    add_worker_arguments(parser)
+    return run_worker(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -67,19 +67,19 @@ def k33() -> nx.Graph:
 
 @pytest.fixture
 def start_workers():
-    """Start in-process fleet workers: ``start_workers(port, count=1,
-    store_dir=None)``.  At teardown every worker must have exited --
-    the service sends ``exit`` when it stops."""
+    """Start in-process fleet workers: ``start_workers(port, count=1)``.
+    At teardown every worker must have exited -- the service sends
+    ``exit`` when it stops."""
     from repro.runtime.worker import serve_remote
 
     threads = []
 
-    def start(port, count=1, store_dir=None):
+    def start(port, count=1):
         for _ in range(count):
             thread = threading.Thread(
                 target=serve_remote,
                 args=("127.0.0.1", port),
-                kwargs={"store_dir": store_dir, "retry_seconds": 10.0},
+                kwargs={"retry_seconds": 10.0},
                 daemon=True,
             )
             thread.start()

@@ -11,7 +11,6 @@ from repro.runtime import (
     run_job,
     run_jobs,
 )
-from repro.runtime.cache import KeyDeriver
 from repro.runtime.codec import encode_record
 from repro.runtime.worker import handle_request
 
@@ -33,21 +32,6 @@ def test_payload_round_trip():
         graph_seed=0, epsilon=0.2, delta=0.1,
     )
     assert JobSpec.from_payload(pinned.to_payload()) == pinned
-
-
-def test_worker_consults_shared_store(tmp_path, start_workers):
-    """Workers hit the on-disk index for keys other processes stored."""
-    store_dir = tmp_path / "shared"
-    key = KeyDeriver().key_for(SPECS[0])
-    sentinel = {"kind": "test_planarity", "sentinel": True, "rounds": -1}
-    ResultCache(disk_dir=store_dir).store(key, sentinel)
-    # Neither the parent cache (memory-only) nor the storeless service
-    # can answer the lookup, so the record must have come from the
-    # worker's store probe.
-    backend = RemoteBackend(port=0)
-    start_workers(backend.bind(), store_dir=str(store_dir))
-    batch = run_jobs([SPECS[0]], backend=backend, cache=ResultCache())
-    assert batch.records[0] == sentinel
 
 
 def test_shared_store_records_land_once(tmp_path, start_workers):
@@ -77,7 +61,7 @@ def test_worker_error_propagates():
         config=(("epsilon", -1.0),),
     )
     spec_pkd, _shape = encode_record(invalid.to_payload())
-    response = handle_request({"spec_pkd": spec_pkd, "key": None}, None)
+    response = handle_request({"spec_pkd": spec_pkd})
     assert "record_pkd" not in response
     assert "epsilon" in response["error"]
     assert "Traceback" in response["traceback"]

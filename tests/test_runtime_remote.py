@@ -49,14 +49,13 @@ def _consume_in_thread(backend, specs):
     return consumer, holder
 
 
-def _hello(sock, kinds=("test_planarity",), store=None, protocol=None):
+def _hello(sock, kinds=("test_planarity",), protocol=None):
     sock.sendall(
         encode_wire_frame(
             {
                 "op": "hello",
                 "protocol": PROTOCOL_VERSION if protocol is None else protocol,
                 "kinds": list(kinds),
-                "store": store,
                 "pid": 0,
             }
         )
@@ -88,13 +87,12 @@ def test_remote_matches_serial(start_workers):
 
 
 def test_workers_share_store_and_records_land_once(tmp_path, start_workers):
-    """Workers that see the store still leave the append to the service
-    (``nostore`` job frames): one line per record, and a fresh resume
-    run is a pure merge."""
+    """Storeless workers leave every append to the service: one line
+    per record, and a fresh resume run is a pure merge."""
     store_dir = tmp_path / "shared"
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
     cache = ResultCache(disk_dir=store_dir)
-    start_workers(backend.bind(), count=2, store_dir=str(store_dir))
+    start_workers(backend.bind(), count=2)
     batch = run_jobs(SPECS, backend=backend, cache=cache)
     assert batch.executed == len(SPECS)
     from repro.runtime.store import count_record_entries
@@ -123,13 +121,16 @@ def test_handshake_rejects_legacy_json_worker(start_workers):
     assert len(holder["batch"].records) == 1
 
 
-def test_handshake_rejects_protocol_mismatch(start_workers):
+@pytest.mark.parametrize("protocol", [2, 999])
+def test_handshake_rejects_protocol_mismatch(start_workers, protocol):
+    """A v2 worker (which still probed a store of its own) and an
+    unknown version are both refused."""
     backend = RemoteBackend(port=0)
     port = backend.bind()
     consumer, holder = _consume_in_thread(backend, SPECS[:1])
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     reader = sock.makefile("rb")
-    _hello(sock, kinds=(), protocol=999)
+    _hello(sock, kinds=(), protocol=protocol)
     reject = read_wire_frame(reader)
     sock.close()
     assert reject["op"] == "reject"
@@ -163,23 +164,6 @@ def test_worker_missing_kinds_is_admitted_and_filtered(start_workers):
         ops.append(frame["op"])
     sock.close()
     assert "job" not in ops
-
-
-def test_handshake_rejects_store_mismatch(tmp_path, start_workers):
-    backend = RemoteBackend(port=0, store_dir=str(tmp_path / "server-store"))
-    port = backend.bind()
-    consumer, holder = _consume_in_thread(backend, SPECS[:1])
-    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
-    reader = sock.makefile("rb")
-    _hello(sock, store=str(tmp_path / "other-store"))
-    reject = read_wire_frame(reader)
-    sock.close()
-    assert reject["op"] == "reject"
-    assert "store mismatch" in reject["reason"]
-    start_workers(port, store_dir=str(tmp_path / "server-store"))
-    consumer.join(15)
-    assert not consumer.is_alive()
-    assert len(holder["batch"].records) == 1
 
 
 def test_killed_worker_requeues_its_job(start_workers):
@@ -251,21 +235,6 @@ def test_abort_wakes_a_blocked_stream():
     assert backend.bound_port is None
 
 
-def test_storeless_adoption_requires_initialized_store(tmp_path, start_workers):
-    from repro.runtime.worker import _adopt_store
-
-    # A path the server never initialized (no store.json): adoption
-    # must fail rather than forking a fresh local store that the
-    # orchestrator will never read.
-    assert _adopt_store(str(tmp_path / "never-created")) is None
-    # The server's bound store is adoptable once its root exists.
-    backend = RemoteBackend(port=0, store_dir=str(tmp_path / "real"))
-    start_workers(backend.bind(), count=1)
-    batch = run_jobs(SPECS[:1], backend=backend)
-    assert len(batch.records) == 1
-    assert _adopt_store(str(tmp_path / "real")) is not None
-
-
 def test_server_appends_result_bytes_without_reencode(tmp_path, start_workers):
     """Zero-copy pin: the service appends each worker's result *bytes*
     to the store verbatim.  Workers run in-process here, so
@@ -278,9 +247,9 @@ def test_server_appends_result_bytes_without_reencode(tmp_path, start_workers):
     store_dir = tmp_path / "server-store"
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
     cache = ResultCache(disk_dir=store_dir)
-    # Workers do NOT share the store: every result rides the wire and
-    # the service persists it via put_raw.
-    start_workers(backend.bind(), count=2, store_dir=None)
+    # Workers are storeless: every result rides the wire and the
+    # service persists it via put_raw.
+    start_workers(backend.bind(), count=2)
     encoded_before = STATS.encoded_records
     decoded_before = STATS.decoded_records
     batch = run_jobs(SPECS, backend=backend, cache=cache)

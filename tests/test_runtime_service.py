@@ -65,7 +65,6 @@ class ScriptedWorker:
             "op": "hello",
             "protocol": PROTOCOL_VERSION,
             "kinds": list(job_kinds()),
-            "store": None,
             "pid": 0,
         }))
         welcome = read_wire_frame(reader)
@@ -83,7 +82,7 @@ class ScriptedWorker:
                     if self.delay:
                         time.sleep(self.delay)
                     self.jobs += 1
-                    sock.sendall(_result_frame(frame, None, sent_shapes))
+                    sock.sendall(_result_frame(frame, sent_shapes))
         except OSError:
             pass
         finally:
@@ -135,8 +134,8 @@ class TestClientParity:
             )
             assert remote == reference
             assert progress and progress[0]["total"] == sweep.size
-            # The worker adopted the service's store but job frames say
-            # nostore: only the service appends, exactly once per job.
+            # Workers are storeless: only the service appends, exactly
+            # once per job.
             assert len(puts) == sweep.size
             # Resubmission is answered from the store: same records, no
             # dispatch, no further appends.
@@ -320,19 +319,42 @@ class TestAdmissionAndErrors:
             records = Client(endpoint=svc.endpoint).run(small_sweep())
             assert len(records) == 1
 
-    def test_protocol_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("protocol", [2, 999])
+    def test_protocol_mismatch_rejected(self, tmp_path, protocol):
         with SweepService(store_dir=tmp_path / "store", heartbeat=2.0) as svc:
             sock = socket.create_connection(
                 (svc.host, svc.bound_port), timeout=15.0
             )
             sock.settimeout(15.0)
             sock.sendall(encode_wire_frame({
-                "op": "submit", "protocol": 999, "sweep_json": "{}",
+                "op": "submit", "protocol": protocol, "sweep_json": "{}",
             }))
             reply = read_wire_frame(sock.makefile("rb"))
             assert reply["op"] == "reject"
-            assert "protocol" in reply["reason"]
+            assert "protocol mismatch" in reply["reason"]
             sock.close()
+
+    def test_malformed_hello_kinds_rejected(self, tmp_path):
+        """A hello whose ``kinds`` is not a list of str is refused with
+        a reason naming ``kinds``; the service keeps serving."""
+        with SweepService(store_dir=tmp_path / "store", heartbeat=2.0) as svc:
+            for kinds in (5, [["a"]]):
+                sock = socket.create_connection(
+                    (svc.host, svc.bound_port), timeout=15.0
+                )
+                sock.settimeout(15.0)
+                sock.sendall(encode_wire_frame({
+                    "op": "hello", "protocol": PROTOCOL_VERSION,
+                    "kinds": kinds, "pid": 0,
+                }))
+                reply = read_wire_frame(sock.makefile("rb"))
+                sock.close()
+                assert reply["op"] == "reject"
+                assert "kinds" in reply["reason"]
+            assert svc.active_workers == 0
+            start_worker(svc)
+            records = Client(endpoint=svc.endpoint).run(small_sweep(ns=(36, 64)))
+            assert records == Client().run(small_sweep(ns=(36, 64)))
 
 
 class TestWorkerReconnect:

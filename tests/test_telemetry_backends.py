@@ -218,7 +218,6 @@ def test_remote_requeue_logs_partial_cost(tmp_path, start_workers):
                     "op": "hello",
                     "protocol": PROTOCOL_VERSION,
                     "kinds": ["test_planarity"],
-                    "store": None,
                     "pid": 0,
                 }
             )
