@@ -164,19 +164,18 @@ def bench_backend():
     return make_backend(name)
 
 
-def bench_cache():
-    """The result cache for benchmark sweeps, or ``None``.
+def bench_store():
+    """The result store for benchmark sweeps, or ``None``.
 
-    Every cell of one experiment's grid is a distinct spec, so a fresh
-    in-memory cache could never hit within a run; caching only pays off
-    across runs.  Set ``REPRO_BENCH_CACHE_DIR`` to a directory to enable
-    the persistent store (repeat benchmark runs then skip the simulator
-    entirely); the default disables caching so one-shot runs don't pay
-    the graph-fingerprinting overhead.
+    Every cell of one experiment's grid is a distinct spec, so a store
+    could never hit within a run; it only pays off across runs.  Set
+    ``REPRO_BENCH_CACHE_DIR`` to a directory to enable the persistent
+    store (repeat benchmark runs then skip the simulator entirely); the
+    default runs without one.
     """
     cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
     if not cache_dir:
         return None
-    from repro.runtime import ResultCache
+    from repro.runtime import ShardedStore
 
-    return ResultCache(disk_dir=cache_dir)
+    return ShardedStore(cache_dir)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis.tables import Table
 from repro.graphs import make_planar
 from repro.runtime import SweepSpec, run_sweep
@@ -34,7 +34,7 @@ def completeness_table():
         seeds=tuple(range(TRIALS)),
         epsilon=list(EPSILONS),
     )
-    result = run_sweep(sweep, backend=bench_backend(), cache=bench_cache())
+    result = run_sweep(sweep, backend=bench_backend(), store=bench_store())
 
     table = Table(
         "E1: one-sided error -- rejection rate on planar inputs (must be 0)",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis import wilson_interval
 from repro.analysis.tables import Table
 from repro.graphs import make_far
@@ -63,7 +63,7 @@ def detection_table():
             )
             for seed in range(TRIALS)
         )
-    batch = run_jobs(specs, backend=bench_backend(), cache=bench_cache())
+    batch = run_jobs(specs, backend=bench_backend(), store=bench_store())
     records = list(batch)
 
     rates = {}

@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis import fit_rounds_vs_log_n
 from repro.analysis.tables import Table
 from repro.graphs import make_planar
@@ -37,7 +37,7 @@ def scaling_series():
     sweep = SweepSpec.make(
         "test_planarity", families=[FAMILY], ns=SIZES, seeds=[0], epsilon=EPSILON
     )
-    result = run_sweep(sweep, backend=bench_backend(), cache=bench_cache())
+    result = run_sweep(sweep, backend=bench_backend(), store=bench_store())
     ns, rounds = [], []
     for record in result.records:
         assert record["accepted"]

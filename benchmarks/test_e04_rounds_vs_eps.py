@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, save_table
+from _harness import bench_backend, bench_store, save_table
 from repro.analysis.tables import Table
 from repro.graphs import make_planar
 from repro.runtime import SweepSpec, run_sweep
@@ -38,7 +38,7 @@ def eps_series():
         seeds=[0],
         epsilon=list(EPSILONS),
     )
-    result = run_sweep(sweep, backend=bench_backend(), cache=bench_cache())
+    result = run_sweep(sweep, backend=bench_backend(), store=bench_store())
     series = []
     for record in result.records:
         assert record["accepted"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.graphs import make_planar
 from repro.partition import partition_stage1
 from repro.runtime import SweepSpec, run_sweep
@@ -35,7 +35,7 @@ def partition_table():
         epsilon=list(EPSILONS),
         target_cut="eps*n",
     )
-    result = run_sweep(sweep, backend=bench_backend(), cache=bench_cache())
+    result = run_sweep(sweep, backend=bench_backend(), store=bench_store())
 
     rows = []
     for record in result.records:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis import wilson_interval
 from repro.analysis.tables import Table
 from repro.graphs import make_planar
@@ -54,7 +54,7 @@ def randomized_table():
             target_cut="eps*n",
         )
     )
-    batch = run_jobs(specs, backend=bench_backend(), cache=bench_cache())
+    batch = run_jobs(specs, backend=bench_backend(), store=bench_store())
     records = list(batch)
 
     n = records[0]["n"]  # actual generated size, from the records

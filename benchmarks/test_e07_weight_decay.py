@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis.tables import Table
 from repro.graphs import make_planar
 from repro.runtime import SweepSpec, run_sweep
@@ -43,8 +43,8 @@ def decay_table():
         "partition_randomized", families=FAMILIES, ns=(N,), seeds=(1,),
         epsilon=0.05, delta=0.05, graph_seed=0,
     )
-    det = run_sweep(det_sweep, backend=bench_backend(), cache=bench_cache())
-    rand = run_sweep(rand_sweep, backend=bench_backend(), cache=bench_cache())
+    det = run_sweep(det_sweep, backend=bench_backend(), store=bench_store())
+    rand = run_sweep(rand_sweep, backend=bench_backend(), store=bench_store())
 
     table = Table(
         "E7: per-phase cut decay factors (lower = faster progress)",

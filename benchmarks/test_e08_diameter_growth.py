@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis.tables import Table
 from repro.graphs import make_planar
 from repro.partition import partition_stage1
@@ -35,7 +35,7 @@ def diameter_table():
         )
         for family in FAMILIES
     ]
-    batch = run_jobs(specs, backend=bench_backend(), cache=bench_cache())
+    batch = run_jobs(specs, backend=bench_backend(), store=bench_store())
 
     table = Table(
         "E8: Claim 4 audit -- max part tree height after phase i vs 4^i",

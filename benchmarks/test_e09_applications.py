@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis.tables import Table
 from repro.graphs import triangulated_grid
 from repro.runtime import JobSpec, run_jobs
@@ -54,7 +54,7 @@ def applications_table():
         for _name, family, prop, _expected in WORKLOADS
         for method in METHODS
     ]
-    batch = run_jobs(specs, backend=bench_backend(), cache=bench_cache())
+    batch = run_jobs(specs, backend=bench_backend(), store=bench_store())
     records = list(batch)
 
     table = Table(

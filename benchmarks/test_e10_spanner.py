@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis.tables import Table
 from repro.applications import build_spanner
 from repro.graphs import make_planar
@@ -64,7 +64,7 @@ def spanner_table():
                 sample_nodes=STRETCH_SAMPLES,
             )
         )
-    batch = run_jobs(specs, backend=bench_backend(), cache=bench_cache())
+    batch = run_jobs(specs, backend=bench_backend(), store=bench_store())
     records = list(batch)
 
     table = Table(

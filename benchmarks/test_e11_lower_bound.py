@@ -18,7 +18,7 @@ import math
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis import linear_fit
 from repro.analysis.tables import Table
 from repro.graphs import lower_bound_instance
@@ -32,7 +32,7 @@ def lower_bound_table():
     specs = [
         JobSpec.make("lower_bound_audit", n=n, seed=0) for n in SIZES
     ]
-    batch = run_jobs(specs, backend=bench_backend(), cache=bench_cache())
+    batch = run_jobs(specs, backend=bench_backend(), store=bench_store())
 
     table = Table(
         "E11: Theorem 2 hard instances -- girth grows with log n while the "

@@ -21,7 +21,7 @@ import math
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis import linear_fit
 from repro.analysis.tables import Table
 from repro.graphs import make_planar
@@ -47,7 +47,7 @@ def ablation_table():
         for n in SIZES
     ]
     batch = run_jobs(
-        stage1_specs + mpx_specs, backend=bench_backend(), cache=bench_cache()
+        stage1_specs + mpx_specs, backend=bench_backend(), store=bench_store()
     )
     records = list(batch)
     stage1_records = records[: len(SIZES)]

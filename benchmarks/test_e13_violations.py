@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis.tables import Table
 from repro.runtime import JobSpec, run_jobs
 
@@ -40,7 +40,7 @@ def violations_table():
         JobSpec.make("violation_audit", far=family, n=N, seed=0)
         for family in FAR
     ]
-    batch = run_jobs(specs, backend=bench_backend(), cache=bench_cache())
+    batch = run_jobs(specs, backend=bench_backend(), store=bench_store())
     records = list(batch)
 
     table = Table(

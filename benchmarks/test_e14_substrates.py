@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from _harness import bench_backend, bench_cache, quick_mode, save_table
+from _harness import bench_backend, bench_store, quick_mode, save_table
 from repro.analysis.tables import Table
 from repro.graphs import make_planar
 from repro.runtime import JobSpec, run_jobs
@@ -77,7 +77,7 @@ def substrate_table():
         for family in S2_FAMILIES
     ]
     specs = lr_specs + fd_specs + [cv_spec, bw_spec] + s2_specs
-    batch = run_jobs(specs, backend=bench_backend(), cache=bench_cache())
+    batch = run_jobs(specs, backend=bench_backend(), store=bench_store())
     records = list(batch)
 
     lr = records[: len(lr_specs)]

@@ -29,7 +29,7 @@ from repro.congest import (
     topology_stats,
 )
 from repro.congest.programs import BroadcastStormProgram
-from repro.runtime import JobSpec, ResultCache, SerialBackend, run_jobs
+from repro.runtime import JobSpec, SerialBackend, run_jobs
 import pytest
 
 N = 500
@@ -101,7 +101,7 @@ def throughput_table():
         )
         for trial in range(4)
     ]
-    batch = run_jobs(specs, backend=SerialBackend(), cache=ResultCache())
+    batch = run_jobs(specs, backend=SerialBackend())
     compiled = topology_stats().compiled
     table.add_row(
         "sweep (4 trials)",

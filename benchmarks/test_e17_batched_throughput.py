@@ -31,7 +31,6 @@ from repro.congest import (
 from repro.congest.programs import BroadcastStormProgram
 from repro.runtime import (
     JobSpec,
-    ResultCache,
     RunConfig,
     SerialBackend,
     run_jobs,
@@ -135,7 +134,6 @@ def batched_table():
     batch = run_jobs(
         specs,
         backend=SerialBackend(),
-        cache=ResultCache(),
         config=RunConfig(sim_batch=8),
     )
     compiled = topology_stats().compiled

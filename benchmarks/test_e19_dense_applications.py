@@ -52,7 +52,6 @@ from repro.congest.programs.forest_decomposition import (
 )
 from repro.runtime import (
     JobSpec,
-    ResultCache,
     RunConfig,
     SerialBackend,
     run_jobs,
@@ -224,7 +223,6 @@ def applications_table():
     batch = run_jobs(
         specs,
         backend=SerialBackend(),
-        cache=ResultCache(),
         config=RunConfig(sim_batch=8),
     )
     compiled = topology_stats().compiled

@@ -50,7 +50,6 @@ from .partition.weighted_selection import (
 from .planarity.embedding import verify_planar_embedding
 from .runtime import (
     JobSpec,
-    ResultCache,
     SweepResult,
     SweepSpec,
     derive_seed,
@@ -92,7 +91,6 @@ __all__ = [
     "ProtocolError",
     "RandomizedPartitionResult",
     "ReproError",
-    "ResultCache",
     "RotationSystem",
     "RoundLedger",
     "SimulationResult",

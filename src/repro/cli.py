@@ -78,13 +78,13 @@ from .partition.stage1 import partition_stage1
 from .partition.weighted_selection import partition_randomized
 from .runtime import (
     Client,
-    ResultCache,
     RunConfig,
     ShardedStore,
     SweepSpec,
     make_backend,
     run_sweep,
 )
+from .runtime.config import parse_batch
 from .runtime.remote import parse_endpoint
 from .runtime.worker import add_worker_arguments, run_worker
 from .testers.applications import test_bipartiteness, test_cycle_freeness
@@ -270,14 +270,12 @@ def _parse_shard(raw: Optional[str]):
     return index, count
 
 
-def _parse_batch(raw: str):
-    """Parse ``--batch``: a positive int, or ``auto`` (cost-aware sizing)."""
-    if raw.strip().lower() == "auto":
-        return "auto"
+def _batch_argument(raw: str):
+    """``--batch`` through :func:`~repro.runtime.config.parse_batch`."""
     try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"--batch expects an integer or 'auto', got {raw!r}")
+        return parse_batch(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sweep_spec_from_args(args) -> SweepSpec:
@@ -304,11 +302,7 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 
 
 def _run_config_from_args(args) -> RunConfig:
-    """The batch knob as a :class:`RunConfig` (CLI flag beats env).
-
-    ``iter_jobs`` exports the explicitly-set knobs for the run's
-    duration, which is how ``--batch`` reaches process-pool workers too.
-    """
+    """The batch knob as a :class:`RunConfig` (CLI flag beats env)."""
     return RunConfig(sim_batch=args.batch)
 
 
@@ -345,17 +339,17 @@ def _cmd_sweep(args) -> int:
         )
     else:
         backend = make_backend(args.backend)
-    cache = ResultCache(disk_dir=args.cache_dir)
+    store = ShardedStore(args.cache_dir) if args.cache_dir else None
     shard = _parse_shard(args.shard)
-    if args.resume and cache.store_backend is None:
+    if args.resume and store is None:
         raise SystemExit("--resume needs --cache-dir (the store to resume from)")
-    if args.balance == "cost" and cache.store_backend is None:
+    if args.balance == "cost" and store is None:
         raise SystemExit(
             "--balance cost needs --cache-dir (the store holding the "
             "measured cost table)"
         )
     result = run_sweep(
-        sweep, backend=backend, cache=cache, shard=shard, resume=args.resume,
+        sweep, backend=backend, store=store, shard=shard, resume=args.resume,
         balance=args.balance, progress=progress,
         config=_run_config_from_args(args),
     )
@@ -373,9 +367,7 @@ def _cmd_sweep(args) -> int:
         f"jobs={summary['jobs']} executed={summary['executed']} "
         f"backend={summary['backend']}"
     )
-    # Cache accounting from the cache instance itself: includes disk
-    # hits/evictions the per-batch snapshot cannot see.
-    print(f"cache: {cache.stats.summary_line()}")
+    print(f"cache: {result.batch.cache_stats.summary_line()}")
     if args.markdown:
         with open(args.markdown, "w") as handle:
             handle.write(table.to_markdown() + "\n")
@@ -645,7 +637,7 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--batch",
-        type=_parse_batch,
+        type=_batch_argument,
         default=None,
         metavar="B",
         help="coalesce up to B same-cell simulator trials into one "

@@ -6,8 +6,8 @@ declarative, hashable :class:`JobSpec`, executes batches of them on
 three paths (in-process, a chunked process pool, or a worker fleet
 behind a :class:`SweepService` -- persistent via ``repro-planarity
 serve``, or ephemeral via ``sweep --backend remote`` -- whose TCP
-workers may die mid-job without losing work), and memoizes records in
-a cache keyed by graph coordinates + config digest, persisted in a
+workers may die mid-job without losing work), and memoizes records
+under keys derived from graph coordinates + config digest in a
 sharded multi-writer on-disk store that concurrent processes share
 (with timestamps, TTL/byte-budget GC, and a metadata shard holding the
 scheduler's measured cost table).  Sweeps split into deterministic
@@ -35,13 +35,14 @@ backend, or a live ``repro-planarity serve`` endpoint::
 
 Batch-level control (the layer the facade sits on) stays available::
 
-    from repro.runtime import JobSpec, ResultCache, run_jobs
+    from repro.runtime import JobSpec, ShardedStore, run_jobs
 
     specs = [
         JobSpec.make("test_planarity", family="grid", n=n, epsilon=0.25)
         for n in (128, 256, 512)
     ]
-    batch = run_jobs(specs, backend="process", cache=ResultCache())
+    store = ShardedStore("/tmp/repro-cache")
+    batch = run_jobs(specs, backend="process", store=store)
 
 The public surface splits in two: ``STABLE_API`` names are the
 supported library API (semver-stable); everything else in ``__all__``
@@ -53,14 +54,12 @@ from .batching import (
     AUTO_BATCH_DEFAULT,
     AUTO_BATCH_MAX,
     AUTO_TARGET_SECONDS,
-    BATCH_ENV_VAR,
     BATCHABLE_PROGRAMS,
     auto_batch_size,
     batchable,
     coalesce,
     expand_batch_record,
     make_batch_spec,
-    resolve_batch,
 )
 from .codec import (
     GLOBAL_SHAPES,
@@ -79,7 +78,6 @@ from .scheduler import CostBook, CostModel, SpeculationPolicy, assign_shards
 from .service import SweepService
 from .cache import (
     CacheStats,
-    ResultCache,
     cache_key,
     config_digest,
     coordinate_fingerprint,
@@ -123,7 +121,7 @@ from . import audit as _audit_kinds  # noqa: F401  (registers E08-E14 kinds)
 
 STABLE_API = [
     # The supported library surface: one facade, its spec/config
-    # inputs, the batch entry points it wraps, and the cache handle.
+    # inputs, the batch entry points it wraps, and the result store.
     "Client",
     "JobSpec",
     "SweepSpec",
@@ -131,7 +129,7 @@ STABLE_API = [
     "run_jobs",
     "run_sweep",
     "iter_jobs",
-    "ResultCache",
+    "ShardedStore",
     "SweepService",
     "ServiceError",
     "BatchResult",
@@ -147,7 +145,6 @@ _INTERNAL_API = [
     "AUTO_BATCH_MAX",
     "AUTO_TARGET_SECONDS",
     "BATCHABLE_PROGRAMS",
-    "BATCH_ENV_VAR",
     "CacheStats",
     "ClearReport",
     "CodecError",
@@ -160,7 +157,6 @@ _INTERNAL_API = [
     "RemoteBackend",
     "SerialBackend",
     "ShapeRegistry",
-    "ShardedStore",
     "ShardedSweep",
     "SpeculationPolicy",
     "StoreStats",
@@ -185,7 +181,6 @@ _INTERNAL_API = [
     "encode_wire_frame",
     "read_wire_frame",
     "register_kind",
-    "resolve_batch",
     "run_job",
     "run_job_timed",
     "shard_of_key",

@@ -3,7 +3,8 @@
 A sweep cell expands into many ``simulate_program`` specs that differ
 only in ``seed``.  When batching is enabled (``RunConfig(sim_batch=B)``,
 ``repro-planarity sweep --batch B``, or ``REPRO_SIM_BATCH``), the
-executor routes its miss list through :func:`coalesce`, which folds
+executor resolves the limit (sizing ``auto`` with :func:`auto_batch_size`)
+and routes its miss list through :func:`coalesce`, which folds
 each group of same-``(graph, n, config)`` trials into one
 ``simulate_batch`` spec carrying the member seeds.  The batch job runs
 all trials in one array program on the batched tensor plane
@@ -19,12 +20,9 @@ runs, custom programs) passes through untouched.
 from __future__ import annotations
 
 import json
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .jobs import JobSpec, Record
-
-BATCH_ENV_VAR = "REPRO_SIM_BATCH"
 
 BATCHABLE_PROGRAMS = frozenset({"bfs", "cv", "flood", "forest", "storm"})
 """Programs with a registered batch kernel (kept in sync by tests)."""
@@ -37,24 +35,6 @@ AUTO_TARGET_SECONDS = 0.5
 
 AUTO_BATCH_MAX = 256
 """Upper bound on an auto-sized batch (bounds worker memory)."""
-
-
-def resolve_batch(batch=None) -> int:
-    """Resolve the batch limit (arg, then ``REPRO_SIM_BATCH``, then 1).
-
-    Accepts ints, numeric strings, and ``"auto"``.  ``"auto"`` here
-    resolves to :data:`AUTO_BATCH_DEFAULT` -- the cost-aware sizing
-    lives in :func:`~repro.runtime.sweeps.run_sweep`, which knows the
-    store holding the wall-time history and resolves ``auto`` *before*
-    the limit reaches this function.
-    """
-    if batch is None:
-        batch = os.environ.get(BATCH_ENV_VAR) or 1
-    if isinstance(batch, str):
-        if batch.strip().lower() == "auto":
-            return AUTO_BATCH_DEFAULT
-        batch = int(batch)
-    return max(1, int(batch))
 
 
 def auto_batch_size(cost_model, specs: Sequence[JobSpec]) -> int:
@@ -128,10 +108,9 @@ def make_batch_spec(members: Sequence[JobSpec]) -> JobSpec:
 
 
 def coalesce(
-    specs: Sequence[JobSpec],
-    batch: Optional[int] = None,
+    specs: Sequence[JobSpec], limit: int
 ) -> Tuple[List[JobSpec], List[List[int]]]:
-    """Group *specs* into dispatchable jobs of at most *batch* trials.
+    """Group *specs* into dispatchable jobs of at most *limit* trials.
 
     Returns ``(dispatch, sources)``: ``dispatch[i]`` is either an
     original spec (non-batchable, or a group of one) or a
@@ -141,7 +120,6 @@ def coalesce(
     member, so a batch-of-one sweep is dispatched untouched.
     """
     specs = list(specs)
-    limit = resolve_batch(batch)
     if limit <= 1:
         return specs, [[i] for i in range(len(specs))]
     groups: Dict[object, List[int]] = {}

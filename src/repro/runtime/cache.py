@@ -1,4 +1,4 @@
-"""Coordinate-addressed result cache for the batch runtime.
+"""Coordinate-addressed cache keys for the batch runtime.
 
 Cache keys are ``sha256(kind || graph fingerprint || config digest)``:
 
@@ -12,28 +12,23 @@ Cache keys are ``sha256(kind || graph fingerprint || config digest)``:
   coordinates, so any change to ``epsilon``, ``method``, sampling knobs,
   or the algorithm seed invalidates the entry.
 
-Entries live in a bounded in-memory LRU; an optional on-disk layer (the
-sharded single-index :class:`~repro.runtime.store.ShardedStore` --
-append-only shard files, fcntl-locked multi-writer appends, newest-wins
-compaction) persists them across processes and CLI invocations, so
-concurrent sweeps, shard runs, and fleet workers all share one cache.
-Only flat primitive records (see :mod:`repro.runtime.jobs`) are stored,
-so JSON round-trips are lossless.
+Records live under these keys in the sharded
+:class:`~repro.runtime.store.ShardedStore` (append-only shard files,
+fcntl-locked multi-writer appends, newest-wins compaction), which
+persists them across processes and CLI invocations, so concurrent
+sweeps, shard runs and the service all share one cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict
 
 import networkx as nx
 
-from .jobs import JobSpec, Record, spec_needs_graph
-from .store import ClearReport, GCReport, ShardedStore
+from .jobs import JobSpec, spec_needs_graph
 
 
 def coordinate_fingerprint(spec: JobSpec) -> str:
@@ -108,15 +103,11 @@ def cache_key(spec: JobSpec, fingerprint: str) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters for one cache instance."""
+    """Hit/miss counters for one batch."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
-    disk_hits: int = 0
-    disk_evictions: int = 0
-    disk_bytes_reclaimed: int = 0
 
     @property
     def lookups(self) -> int:
@@ -129,142 +120,10 @@ class CacheStats:
 
     def summary_line(self) -> str:
         """One-line rendering for CLI summaries."""
-        parts = [
-            f"hits={self.hits}",
-            f"misses={self.misses}",
-            f"hit_rate={self.hit_rate:.0%}",
-            f"stores={self.stores}",
-        ]
-        if self.disk_hits:
-            parts.append(f"disk_hits={self.disk_hits}")
-        return " ".join(parts)
-
-
-@dataclass
-class ResultCache:
-    """In-memory LRU over job records, with an optional sharded disk store.
-
-    Args:
-        max_entries: LRU capacity; oldest entries evict first.  The disk
-            store (when configured) re-warms the LRU on hit.
-        disk_dir: directory for the persistent sharded store
-            (:class:`~repro.runtime.store.ShardedStore`); created on
-            first write.  ``None`` keeps the cache memory-only.
-            Multiple processes may point at one directory concurrently
-            -- appends are fcntl-locked, so pool/fleet workers and
-            parallel shard runs share a single cache.
-        disk_shards: number of shard files for a newly-created store.
-        disk_max_entries: live-entry cap the store enforces at
-            compaction time (``None`` = unbounded).
-    """
-
-    max_entries: int = 4096
-    disk_dir: Optional[Path] = None
-    disk_shards: int = 8
-    disk_max_entries: Optional[int] = None
-    stats: CacheStats = field(default_factory=CacheStats)
-    _entries: "OrderedDict[str, Record]" = field(default_factory=OrderedDict)
-    _store: Optional[ShardedStore] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.disk_dir is not None:
-            self.disk_dir = Path(self.disk_dir)
-            self._store = ShardedStore(
-                self.disk_dir,
-                shards=self.disk_shards,
-                max_entries=self.disk_max_entries,
-            )
-
-    @property
-    def store_backend(self) -> Optional[ShardedStore]:
-        """The sharded disk store, when configured."""
-        return self._store
-
-    def lookup(self, key: str) -> Optional[Record]:
-        """Return the cached record for *key*, or ``None`` on a miss."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return dict(self._entries[key])
-        if self._store is not None:
-            record = self._store.get(key)
-            if record is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                self._remember(key, record)
-                return dict(record)
-        self.stats.misses += 1
-        return None
-
-    def store(self, key: str, record: Record) -> None:
-        """Insert *record* under *key* (memory, and disk when configured)."""
-        self.stats.stores += 1
-        self._remember(key, record)
-        if self._store is not None:
-            self._store.put(key, record)
-            self.stats.disk_evictions = self._store.stats.evicted_entries
-            self.stats.disk_bytes_reclaimed = (
-                self._store.stats.bytes_reclaimed
-            )
-
-    def remember(self, key: str, record: Record) -> None:
-        """Insert into the in-memory LRU only (disk untouched).
-
-        The executor uses this when a backend already appended the
-        record to this cache's own disk store (the remote backend's
-        service with a shared ``store_dir``): a second ``put`` would
-        double every line and halve the compaction headroom.
-        """
-        self.stats.stores += 1
-        self._remember(key, record)
-
-    def _remember(self, key: str, record: Record) -> None:
-        self._entries[key] = dict(record)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self, disk: bool = False) -> ClearReport:
-        """Drop the in-memory entries (and the disk store when *disk*).
-
-        Returns a :class:`~repro.runtime.store.ClearReport` of evicted
-        entries and bytes reclaimed (in-memory entries count as
-        entries; bytes are disk bytes only).  The counts also land in
-        ``stats.evictions`` / ``stats.disk_evictions`` /
-        ``stats.disk_bytes_reclaimed``.
-        """
-        report = ClearReport(entries_removed=len(self._entries))
-        self.stats.evictions += len(self._entries)
-        self._entries.clear()
-        if disk and self._store is not None:
-            disk_report = self._store.clear()
-            report += disk_report
-            self.stats.disk_evictions += disk_report.entries_removed
-            self.stats.disk_bytes_reclaimed += disk_report.bytes_reclaimed
-        return report
-
-    def gc(
-        self,
-        ttl: Optional[float] = None,
-        max_bytes: Optional[int] = None,
-    ) -> Optional[GCReport]:
-        """Garbage-collect the disk store (see :meth:`ShardedStore.gc`).
-
-        Entries the GC removed may survive in this process's in-memory
-        LRU until they age out; other processes miss immediately.
-        Returns ``None`` for a memory-only cache.  Removal counters
-        land in ``stats.disk_evictions`` / ``disk_bytes_reclaimed``.
-        """
-        if self._store is None:
-            return None
-        report = self._store.gc(ttl=ttl, max_bytes=max_bytes)
-        self.stats.disk_evictions += report.entries_removed
-        self.stats.disk_bytes_reclaimed += report.bytes_reclaimed
-        return report
+        return (
+            f"hits={self.hits} misses={self.misses} "
+            f"hit_rate={self.hit_rate:.0%} stores={self.stores}"
+        )
 
 
 class KeyDeriver:

@@ -47,7 +47,6 @@ import threading
 from contextlib import closing
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .cache import ResultCache
 from .codec import (
     GLOBAL_SHAPES,
     WireProtocolError,
@@ -58,6 +57,7 @@ from .config import RunConfig
 from .executor import iter_jobs
 from .jobs import JobSpec, Record
 from .remote import PROTOCOL_VERSION, parse_endpoint, read_bframe
+from .store import ShardedStore
 from .sweeps import SweepSpec
 
 _SENTINEL = object()
@@ -144,27 +144,13 @@ class Client:
         on_progress: Optional[Callable[[Dict], None]],
     ) -> Iterator[Record]:
         specs = sweep.expand()
-        cache = (
-            ResultCache(disk_dir=self.cache_dir) if self.cache_dir else None
-        )
+        store = ShardedStore(self.cache_dir) if self.cache_dir else None
 
-        def generate():
-            buffer: Dict[int, Record] = {}
-            next_index = 0
-            done = 0
-            # iter_jobs exports the config's env knobs for the run's
-            # duration, so they reach job code and pool workers.
-            for index, record, _from_cache in iter_jobs(
-                specs,
-                backend=self.backend,
-                cache=cache,
-                config=self.config,
-            ):
-                done += 1
-                buffer[index] = record
-                while next_index in buffer:
-                    yield buffer.pop(next_index)
-                    next_index += 1
+        def stream():
+            jobs = iter_jobs(
+                specs, backend=self.backend, store=store, config=self.config
+            )
+            for done, (index, record, _from_cache) in enumerate(jobs, 1):
                 if on_progress is not None:
                     on_progress({
                         "done": done,
@@ -173,8 +159,9 @@ class Client:
                         "inflight": 0,
                         "workers": 0,
                     })
+                yield index, record, None
 
-        return generate()
+        return _in_order(stream())
 
     # -- remote path ----------------------------------------------------------
 

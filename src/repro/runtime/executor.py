@@ -4,8 +4,9 @@
 front-end, and the benchmarks use to execute work:
 
 1. every spec's cache key is derived from its graph coordinates and
-   config (no graph is generated for it);
-2. cache hits are answered immediately;
+   config (no graph is generated for it); specs sharing a key run once;
+2. hits in the optional :class:`~repro.runtime.store.ShardedStore`
+   are answered immediately;
 3. the misses are dispatched to the chosen backend --
    :class:`SerialBackend` runs them in-process,
    :class:`ProcessPoolBackend` fans them over a
@@ -13,15 +14,14 @@ front-end, and the benchmarks use to execute work:
    dispatch, and :class:`~repro.runtime.remote.RemoteBackend` submits
    them to an ephemeral :class:`~repro.runtime.service.SweepService`
    whose worker fleet joins over TCP;
-4. fresh records are stored back and the full result list is returned
-   in the order of the input specs.
+4. fresh records are put into the store and the full result list is
+   returned in the order of the input specs.
 
 :func:`iter_jobs` is the streaming face of the same machinery: it
 yields ``(index, record, from_cache)`` triples as results land
 (hits first, then misses in completion order) instead of barriering
-the whole batch -- fresh records are cached the moment they arrive, so
-a concurrent orchestrator sharing the same on-disk store sees them
-mid-flight.
+the whole batch -- fresh records are stored the moment they arrive, so
+a concurrent orchestrator sharing the same store sees them mid-flight.
 
 Records are flat primitive dicts (see :mod:`repro.runtime.jobs`), so
 backends are interchangeable: the same batch yields byte-identical
@@ -35,15 +35,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..telemetry.metrics import get_metrics
 from ..telemetry.spans import telemetry_enabled
-from .batching import coalesce, expand_batch_record
-from .cache import CacheStats, KeyDeriver, ResultCache
+from .batching import auto_batch_size, coalesce, expand_batch_record
+from .cache import CacheStats, KeyDeriver
 from .config import RunConfig
 from .jobs import JobSpec, Record, run_job_timed, spec_needs_graph
 from .remote import RemoteBackend
+from .scheduler import CostModel
+from .store import ShardedStore
 
 
 class SerialBackend:
@@ -154,6 +156,15 @@ def make_backend(name: str, **kwargs):
     return factory(**kwargs)
 
 
+def _as_backend(backend):
+    """*backend* as an instance: ``None`` is serial, a str a registry name."""
+    if backend is None:
+        return SerialBackend()
+    if isinstance(backend, str):
+        return make_backend(backend)
+    return backend
+
+
 def _graph_hints(specs: Sequence[JobSpec]) -> List:
     """Build each distinct input graph once and map it onto *specs*.
 
@@ -183,8 +194,8 @@ class BatchResult:
 
     Attributes:
         records: one record per input spec, in input order.
-        cache_stats: snapshot of this batch's hits/misses (hits are
-            lookups answered from the cache *in this call*).
+        cache_stats: this batch's hits/misses/stores (hits are specs
+            answered from the store or a same-key spec *in this call*).
         backend: name of the backend that ran the misses.
         executed: number of jobs actually executed (= misses).
     """
@@ -204,25 +215,26 @@ class BatchResult:
 def iter_jobs(
     specs: Sequence[JobSpec],
     backend=None,
-    cache: Optional[ResultCache] = None,
+    store: Optional[ShardedStore] = None,
     stats: Optional[CacheStats] = None,
     cost_book=None,
-    batch: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> Iterator[Tuple[int, Record, bool]]:
     """Execute *specs*, yielding ``(index, record, from_cache)`` as they land.
 
-    Cache hits stream first (input order); misses follow in the
-    backend's completion order.  Fresh records are stored into *cache*
-    the moment they arrive, so concurrent orchestrators sharing one
-    on-disk store observe them mid-batch.  Duplicate specs within the
-    batch execute once; their copies are yielded when the first record
-    lands.
+    Store hits stream first (input order); misses follow in the
+    backend's completion order.  Fresh records are put into *store*
+    the moment they arrive, so concurrent orchestrators sharing it
+    observe them mid-batch.  Specs sharing a cache key (duplicates,
+    or spellings of one job such as an explicit ``graph_seed=seed``)
+    execute once; their copies are yielded when the first record
+    lands and count as hits.
 
     Args:
         specs: job specs to run.
         backend: backend instance or registry name (default serial).
-        cache: optional :class:`ResultCache`.
+        store: optional :class:`~repro.runtime.store.ShardedStore`
+            answering hits and keeping fresh records.
         stats: optional :class:`CacheStats` to fill with this batch's
             hit/miss/store counters (what :func:`run_jobs` reports).
         cost_book: optional :class:`~repro.runtime.scheduler.CostBook`
@@ -230,91 +242,66 @@ def iter_jobs(
             job (cache hits are never observed; a coalesced trial is
             observed under its own ``simulate_program`` kind at its
             amortized ``seconds / B`` share).
-        batch: coalesce eligible same-cell simulator trials into
-            ``simulate_batch`` jobs of at most this many members
-            (``None`` consults ``REPRO_SIM_BATCH``; 1 disables).  The
-            expansion is transparent: yielded records, cache contents,
+        config: optional :class:`~repro.runtime.config.RunConfig`; its
+            ``sim_batch`` knob (arg > env > default) caps how many
+            eligible same-cell simulator trials coalesce into one
+            ``simulate_batch`` job (1 disables; ``"auto"`` sizes
+            batches from the store's measured per-trial wall-times,
+            see :func:`~repro.runtime.batching.auto_batch_size`).  The
+            expansion is transparent: yielded records, store contents
             and cost observations are per-trial regardless.
-        config: optional :class:`~repro.runtime.config.RunConfig`; when
-            *batch* is ``None`` its ``sim_batch`` knob (arg > env >
-            default) supplies the coalescing limit.  Every explicitly
-            set knob is exported to the environment while the batch
-            runs, so job code, pool forks and same-host workers resolve
-            the run identically.
     """
-    if config is None:
-        config = RunConfig()
-    if batch is None:
-        batch = config.resolve("sim_batch")
-    with config.export():
-        yield from _iter_jobs(specs, backend, cache, stats, cost_book, batch)
-
-
-def _iter_jobs(specs, backend, cache, stats, cost_book, batch):
-    """:func:`iter_jobs` with a resolved limit and the config exported."""
-    if backend is None:
-        backend = SerialBackend()
-    elif isinstance(backend, str):
-        backend = make_backend(backend)
+    backend = _as_backend(backend)
     specs = list(specs)
-    batch_stats = stats if stats is not None else CacheStats()
+    stats = stats if stats is not None else CacheStats()
+    limit = (config or RunConfig()).resolve("sim_batch")
     traced = telemetry_enabled()
 
     # pending: key -> indices of the specs sharing it; the first index
     # of each entry runs, the rest piggyback on its record.
-    pending: Dict = {}
-    if cache is None:
-        # No cache: still deduplicate identical specs within the batch.
-        keys: Sequence = specs
-        for index, spec in enumerate(specs):
-            pending.setdefault(spec, []).append(index)
-    else:
-        deriver = KeyDeriver()
-        keys = [deriver.key_for(spec) for spec in specs]
-        for index, key in enumerate(keys):
-            if key in pending:
-                pending[key].append(index)
-                batch_stats.hits += 1
-                continue
-            hit = cache.lookup(key)
-            if hit is not None:
-                batch_stats.hits += 1
-                if traced:
-                    get_metrics().inc("cache.hits")
-                yield index, hit, True
-            else:
-                batch_stats.misses += 1
-                if traced:
-                    get_metrics().inc("cache.misses")
-                pending[key] = [index]
+    deriver = KeyDeriver()
+    keys = [deriver.key_for(spec) for spec in specs]
+    pending: Dict[str, List[int]] = {}
+    for index, key in enumerate(keys):
+        if key in pending:
+            pending[key].append(index)
+            stats.hits += 1
+            continue
+        hit = store.get(key) if store is not None else None
+        if hit is not None:
+            stats.hits += 1
+            if traced:
+                get_metrics().inc("cache.hits")
+            yield index, hit, True
+        else:
+            stats.misses += 1
+            if traced:
+                get_metrics().inc("cache.misses")
+            pending[key] = [index]
 
     if not pending:
         return
     miss_indices = [indices[0] for indices in pending.values()]
     miss_specs = [specs[i] for i in miss_indices]
-    dispatch, sources = coalesce(miss_specs, batch)
+    if limit == "auto":
+        limit = auto_batch_size(CostModel.from_store(store), miss_specs)
+    dispatch, sources = coalesce(miss_specs, limit)
     dispatch_graphs = (
         _graph_hints(dispatch)
         if getattr(backend, "wants_graph_hints", False)
         else None
     )
-    store = absorb = None
-    if cache is not None:
-        # When the backend persists to this cache's own disk store (a
-        # remote backend whose service shares store_dir), the record is
-        # already on disk by the time it streams back: remember it in
-        # memory only, or every line would land twice.  Coalesced
-        # trials are the exception: the service persisted only the
-        # *batch* record under the batch key, so the expanded per-trial
-        # records must be stored here regardless.
-        backend_store = getattr(backend, "store_dir", None)
-        backend_persists = (
-            backend_store is not None
-            and cache.disk_dir is not None
-            and Path(backend_store).resolve() == Path(cache.disk_dir).resolve()
-        )
-        store = cache.store
-        absorb = cache.remember if backend_persists else cache.store
+    # A remote backend whose service writes to this very store has
+    # already put each record by the time it streams back; a second put
+    # would double every line.  Coalesced trials are the exception: the
+    # service persisted only the *batch* record, so the expanded
+    # per-trial records are put here regardless.
+    backend_store = getattr(backend, "store_dir", None)
+    backend_persists = (
+        store is not None
+        and backend_store is not None
+        and Path(backend_store).resolve() == store.root.resolve()
+    )
     for position, record, seconds in backend.run_stream(
         dispatch, graphs=dispatch_graphs
     ):
@@ -322,19 +309,20 @@ def _iter_jobs(specs, backend, cache, stats, cost_book, batch):
         if dispatch[position].kind == "simulate_batch":
             per_trial = seconds / len(members) if seconds is not None else None
             expanded = zip(members, expand_batch_record(record))
-            store_trial = store
+            put = store is not None
         else:
             per_trial = seconds
             expanded = ((members[0], record),)
-            store_trial = absorb
+            put = store is not None and not backend_persists
         for source, trial_record in expanded:
             key = keys[miss_indices[source]]
             if cost_book is not None and per_trial is not None:
                 spec = miss_specs[source]
                 cost_book.observe(spec.kind, spec.n, per_trial)
-            if store_trial is not None:
-                store_trial(key, trial_record)
-                batch_stats.stores += 1
+            if put:
+                store.put(key, trial_record)
+            if store is not None:
+                stats.stores += 1
             for index in pending[key]:
                 yield index, dict(trial_record), False
 
@@ -342,60 +330,40 @@ def _iter_jobs(specs, backend, cache, stats, cost_book, batch):
 def run_jobs(
     specs: Sequence[JobSpec],
     backend=None,
-    cache: Optional[ResultCache] = None,
+    store: Optional[ShardedStore] = None,
     cost_book=None,
     config: Optional[RunConfig] = None,
+    on_record: Optional[Callable[[int, Record, bool], None]] = None,
 ) -> BatchResult:
-    """Execute *specs*, serving repeats from *cache*.
+    """Execute *specs*, serving repeats from *store*.
 
     Args:
-        specs: job specs; duplicates within the batch are executed once.
+        specs: job specs; specs sharing a cache key execute once.
         backend: a backend instance or registry name; defaults to
             :class:`SerialBackend`.
-        cache: a :class:`ResultCache`; ``None`` disables caching (every
-            spec executes).
-        cost_book: optional :class:`~repro.runtime.scheduler.CostBook`
-            collecting per-job wall-times (see :func:`iter_jobs`).
-        config: optional :class:`~repro.runtime.config.RunConfig`
-            supplying the ``sim_batch`` coalescing limit and the knobs
-            exported while the batch runs (see :func:`iter_jobs`).
+        store: a :class:`~repro.runtime.store.ShardedStore`; ``None``
+            disables caching across calls.
+        cost_book / config: as :func:`iter_jobs`.
+        on_record: optional callback receiving each ``(index, record,
+            from_cache)`` as it lands (the sweep dashboard's feed).
 
     Returns:
         A :class:`BatchResult` with one record per spec, in input order.
     """
-    return _run_jobs(
-        specs, backend=backend, cache=cache, cost_book=cost_book,
-        config=config,
-    )
-
-
-def _run_jobs(
-    specs: Sequence[JobSpec],
-    backend=None,
-    cache: Optional[ResultCache] = None,
-    cost_book=None,
-    batch: Optional[int] = None,
-    config: Optional[RunConfig] = None,
-) -> BatchResult:
-    """:func:`run_jobs` with an optional resolved coalescing limit
-    (``run_sweep`` sizes ``"auto"`` batches before calling it)."""
-    if backend is None:
-        backend = SerialBackend()
-    elif isinstance(backend, str):
-        backend = make_backend(backend)
-
+    backend = _as_backend(backend)
     specs = list(specs)
-    batch_stats = CacheStats()
+    stats = CacheStats()
     records: List[Optional[Record]] = [None] * len(specs)
-    for index, record, _from_cache in iter_jobs(
-        specs, backend=backend, cache=cache, stats=batch_stats,
-        cost_book=cost_book, batch=batch, config=config,
+    for index, record, from_cache in iter_jobs(
+        specs, backend=backend, store=store, stats=stats,
+        cost_book=cost_book, config=config,
     ):
         records[index] = record
-    executed = batch_stats.misses if cache is not None else len(set(specs))
+        if on_record is not None:
+            on_record(index, record, from_cache)
     return BatchResult(
         records=[r for r in records if r is not None],
-        cache_stats=batch_stats,
+        cache_stats=stats,
         backend=getattr(backend, "name", type(backend).__name__),
-        executed=executed,
+        executed=stats.misses,
     )

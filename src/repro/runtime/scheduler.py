@@ -59,9 +59,11 @@ class CostBook:
     orchestrators can race on a cell; the loser's increment is lost,
     which is acceptable for an advisory cost table.
 
-    ``observe`` is thread-safe: the remote backend logs requeued jobs'
-    partial elapsed time from its pump thread while ``iter_jobs``
-    observes completed jobs from the consumer thread.  When telemetry
+    ``observe`` is thread-safe, so one book may be fed from several
+    threads.  A :class:`~repro.runtime.service.SweepService` keeps its
+    own book: its event loop logs completed jobs and requeued jobs'
+    partial elapsed time there, while ``iter_jobs`` observes into the
+    caller's book from the consumer thread.  When telemetry
     is enabled and a :class:`CostModel` is attached (``model``), every
     observation also feeds the ``scheduler.cost_rel_error`` histogram
     with ``|actual - predicted| / predicted`` -- the model-quality

@@ -17,8 +17,8 @@ orchestrator processes (CI legs, machines in a fleet) each run
 ``--shard i/k`` against one shared on-disk store and a final
 ``merge()`` -- or simply a full ``--resume`` run, which is then a 100%
 cache hit -- reassembles the grid in canonical expansion order.
-``resume=True`` certifies a cache is attached and reruns only the keys
-the store is missing (the executor's hit path skips even graph
+``resume=True`` certifies a store is attached and reruns only the keys
+it is missing (the executor's hit path skips even graph
 generation under the default coordinate keys).  Runs with a disk store
 automatically feed their wall-times back into the cost table
 (:class:`~repro.runtime.scheduler.CostBook`), so balance improves as
@@ -36,17 +36,17 @@ import itertools
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import Table
 from ..telemetry.metrics import get_metrics
 from ..telemetry.spans import TRACE_PARENT_ENV_VAR, get_tracer
-from .batching import auto_batch_size
-from .cache import CacheStats, ResultCache
+from .cache import CacheStats
 from .config import RunConfig
-from .executor import BatchResult, _run_jobs, iter_jobs, make_backend, run_jobs
+from .executor import BatchResult, _as_backend, run_jobs
 from .jobs import JobSpec, Record
 from .scheduler import CostBook, CostModel, assign_shards
+from .store import ShardedStore
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ class ShardedSweep:
     (:func:`~repro.runtime.scheduler.assign_shards`; falls back to the
     hash split while the cost table is empty).  Each shard can run
     (and resume) independently -- on another process, another machine,
-    another CI leg -- against one shared cache store, and
+    another CI leg -- against one shared store, and
     :meth:`merge` reassembles per-shard results into canonical
     expansion order.  Keep the *same* cost table across a fleet's legs
     for a consistent partition; mismatched tables at worst overlap
@@ -237,17 +237,19 @@ class ShardedSweep:
         self,
         index: int,
         backend=None,
-        cache: Optional[ResultCache] = None,
+        store: Optional[ShardedStore] = None,
     ) -> "SweepResult":
         """Execute one shard; the result covers only that shard's jobs."""
-        batch = run_jobs(self.shard_specs(index), backend=backend, cache=cache)
+        batch = run_jobs(self.shard_specs(index), backend=backend, store=store)
         return SweepResult(spec=self.spec, batch=batch)
 
     def merge(self, results: Sequence["SweepResult"]) -> "SweepResult":
         """Reassemble per-shard results into canonical expansion order.
 
         *results* must hold one :class:`SweepResult` per shard, in
-        shard-index order (each as returned by :meth:`run_shard`).
+        shard-index order (each as returned by :meth:`run_shard`); a
+        shard with too few or too many records raises
+        :class:`ValueError`.
         """
         if len(results) != self.shards:
             raise ValueError(
@@ -266,7 +268,18 @@ class ShardedSweep:
                 )
             merged.append(queues[shard][cursor])
             cursors[shard] = cursor + 1
-        stats = _merge_stats(result.batch.cache_stats for result in results)
+        for shard, (cursor, queue) in enumerate(zip(cursors, queues)):
+            if cursor < len(queue):
+                raise ValueError(
+                    f"shard {shard} has {len(queue) - cursor} records left "
+                    "over; was it run against this grid?"
+                )
+        all_stats = [result.batch.cache_stats for result in results]
+        stats = CacheStats(
+            hits=sum(item.hits for item in all_stats),
+            misses=sum(item.misses for item in all_stats),
+            stores=sum(item.stores for item in all_stats),
+        )
         batch = BatchResult(
             records=merged,
             cache_stats=stats,
@@ -274,19 +287,6 @@ class ShardedSweep:
             executed=sum(result.batch.executed for result in results),
         )
         return SweepResult(spec=self.spec, batch=batch)
-
-
-def _merge_stats(stats: Iterable) -> "CacheStats":
-    from .cache import CacheStats
-
-    merged = CacheStats()
-    for item in stats:
-        merged.hits += item.hits
-        merged.misses += item.misses
-        merged.stores += item.stores
-        merged.evictions += item.evictions
-        merged.disk_hits += item.disk_hits
-    return merged
 
 
 @dataclass
@@ -358,7 +358,7 @@ def _set_env(name: str, value: Optional[str]) -> None:
 def run_sweep(
     spec: SweepSpec,
     backend=None,
-    cache: Optional[ResultCache] = None,
+    store: Optional[ShardedStore] = None,
     shard: Optional[Tuple[int, int]] = None,
     resume: bool = False,
     balance: str = "hash",
@@ -370,13 +370,16 @@ def run_sweep(
 
     Args:
         spec: the grid to run.
-        backend / cache: as :func:`~repro.runtime.run_jobs`.
+        backend / store / config: as :func:`~repro.runtime.run_jobs`
+            (``config.sim_batch`` caps graph-batched ``simulate_batch``
+            jobs; ``"auto"`` sizes them from the store's measured
+            per-trial wall-times).
         shard: ``(index, count)`` restricts execution to one
             deterministic shard of the grid (see :class:`ShardedSweep`);
             the result covers only that shard's jobs.
-        resume: certify this is a continuation run: requires *cache*
+        resume: certify this is a continuation run: requires *store*
             (otherwise nothing could have survived the earlier run) and
-            executes only the keys the cache is missing -- which is the
+            executes only the keys the store is missing -- which is the
             executor's normal hit path, so a completed sweep resumes as
             a 100% hit with zero graph generations under coordinate
             keys.
@@ -384,48 +387,27 @@ def run_sweep(
             or ``"cost"`` (LPT over measured wall-times; falls back to
             hash while the cost table is empty).
         cost_model: explicit :class:`~repro.runtime.scheduler.CostModel`
-            for ``balance="cost"``; defaults to the history in the
-            cache's disk store.
+            for ``balance="cost"``; defaults to the history in *store*.
         progress: optional
             :class:`~repro.telemetry.dashboard.SweepProgress` fed one
             update per landing record (the CLI's ``--progress`` live
-            line); switches execution to the streaming
-            :func:`~repro.runtime.iter_jobs` path.
-        config: optional :class:`~repro.runtime.config.RunConfig`.
-            Its ``sim_batch`` knob (arg > env > default) sets the
-            coalescing limit: an int caps graph-batched
-            ``simulate_batch`` jobs at that many member trials (1
-            disables), ``"auto"`` sizes batches from the store's
-            measured per-trial wall-times so one batch job lands near
-            :data:`~repro.runtime.batching.AUTO_TARGET_SECONDS` of
-            work (fixed default without history); batching is
-            transparent either way -- records, cache state, and cost
-            accounting stay per-trial on every backend.  Every
-            *explicitly set* knob is exported to the environment while
-            the batch runs (see :func:`~repro.runtime.iter_jobs`), so
-            pool forks and same-host workers resolve the run
-            identically.
+            line).
 
-    Runs with a disk store feed their measured wall-times back into
-    the store's metadata shard, so later ``balance="cost"`` splits
-    have history to work from.  With telemetry enabled
-    (:mod:`repro.telemetry`) the whole batch runs under a ``sweep``
-    span (plus a nested ``shard`` span for sharded legs) whose id is
-    exported as ``REPRO_TRACE_PARENT`` for the duration, so every
-    backend's job spans -- including remote workers' -- link under it
-    in the merged trace.
+    Runs with a store feed their measured wall-times back into its
+    metadata shard, so later ``balance="cost"`` splits have history to
+    work from.  With telemetry enabled (:mod:`repro.telemetry`) the
+    whole batch runs under a ``sweep`` span (plus a nested ``shard``
+    span for sharded legs) whose id is exported as
+    ``REPRO_TRACE_PARENT`` for the duration, so every backend's job
+    spans -- including remote workers' -- link under it in the merged
+    trace.
     """
-    if config is None:
-        config = RunConfig()
-    batch_limit = config.resolve("sim_batch")
-    if resume and cache is None:
+    if resume and store is None:
         raise ValueError(
-            "resume=True needs a cache (e.g. ResultCache(disk_dir=...)); "
+            "resume=True needs a cache store (a ShardedStore); "
             "without one there is nothing to resume from"
         )
-    if isinstance(backend, str):
-        backend = make_backend(backend)
-    store = cache.store_backend if cache is not None else None
+    backend = _as_backend(backend)
     if shard is not None:
         index, count = shard
         if balance == "cost" and cost_model is None:
@@ -435,16 +417,7 @@ def run_sweep(
         ).shard_specs(index)
     else:
         specs = spec.expand()
-    if isinstance(batch_limit, str) and batch_limit.strip().lower() == "auto":
-        # Cost-aware sizing: the store's metadata shard holds measured
-        # per-trial wall-times from earlier runs of this grid.
-        auto_model = cost_model or CostModel.from_store(store)
-        batch_limit = auto_batch_size(auto_model, specs)
-    backend_name = (
-        getattr(backend, "name", type(backend).__name__)
-        if backend is not None
-        else "serial"
-    )
+    backend_name = getattr(backend, "name", type(backend).__name__)
     cost_book = CostBook(store) if store is not None else None
     tracer = get_tracer()
     if cost_book is not None and tracer.enabled:
@@ -475,21 +448,20 @@ def run_sweep(
                     os.environ.get(TRACE_PARENT_ENV_VAR),
                 )
                 os.environ[TRACE_PARENT_ENV_VAR] = parent_id
+        if progress is not None:
+            eta_model = cost_model
+            if eta_model is None and cost_book is not None:
+                eta_model = cost_book.model or CostModel.from_store(store)
+            progress.start(specs, cost_model=eta_model, backend=backend)
         try:
-            if progress is not None:
-                eta_model = cost_model
-                if eta_model is None and cost_book is not None:
-                    eta_model = cost_book.model or CostModel.from_store(store)
-                batch = _run_streaming(
-                    specs, backend, cache, cost_book, progress, eta_model,
-                    backend_name, batch_limit, config,
-                )
-            else:
-                batch = _run_jobs(
-                    specs, backend=backend, cache=cache,
-                    cost_book=cost_book, batch=batch_limit, config=config,
-                )
+            batch = run_jobs(
+                specs, backend=backend, store=store, cost_book=cost_book,
+                config=config,
+                on_record=progress.update if progress is not None else None,
+            )
         finally:
+            if progress is not None:
+                progress.finish()
             # Flush even when the batch aborts: the wall-times of every
             # job that *did* complete are exactly the history a retry's
             # cost-balanced split needs.
@@ -501,38 +473,3 @@ def run_sweep(
     if tracer.enabled and tracer.trace_dir is not None:
         get_metrics().flush_to(tracer.trace_dir)
     return SweepResult(spec=spec, batch=batch)
-
-
-def _run_streaming(
-    specs: List[JobSpec],
-    backend,
-    cache: Optional[ResultCache],
-    cost_book: Optional[CostBook],
-    progress,
-    eta_model: Optional[CostModel],
-    backend_name: str,
-    batch_limit: Optional[int],
-    config: RunConfig,
-) -> BatchResult:
-    """The ``--progress`` execution path: stream records through the
-    dashboard as they land, then assemble the same :class:`BatchResult`
-    :func:`~repro.runtime.run_jobs` would have returned."""
-    stats = CacheStats()
-    records: List[Optional[Record]] = [None] * len(specs)
-    progress.start(specs, cost_model=eta_model, backend=backend)
-    try:
-        for index, record, from_cache in iter_jobs(
-            specs, backend=backend, cache=cache, stats=stats,
-            cost_book=cost_book, batch=batch_limit, config=config,
-        ):
-            records[index] = record
-            progress.update(index, record, from_cache)
-    finally:
-        progress.finish()
-    executed = stats.misses if cache is not None else len(set(specs))
-    return BatchResult(
-        records=[r for r in records if r is not None],
-        cache_stats=stats,
-        backend=backend_name,
-        executed=executed,
-    )

@@ -205,6 +205,17 @@ class TestSweepCLI:
         assert "jobs=4 executed=0" in out
         assert "cache: hits=4" in out
 
+    @pytest.mark.parametrize("raw", ["-3", "0", "abc"])
+    def test_sweep_rejects_bad_batch(self, capsys, raw):
+        """``--batch`` goes through the one batch parser: anything but a
+        positive int or ``auto`` is an argparse error, not a silent
+        unbatched run."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kind", "simulate", "--families", "grid",
+                  "--ns", "36", f"--batch={raw}"])
+        assert exc.value.code == 2
+        assert "batch limit" in capsys.readouterr().err
+
     def test_sweep_shard_argument_validation(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--shard", "2/2"])

@@ -27,7 +27,7 @@ from repro.errors import GraphInputError
 from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES
 from repro.graphs.generators import PLANAR_FAMILIES
-from repro.runtime import JobSpec, ResultCache, SerialBackend, run_jobs
+from repro.runtime import JobSpec, SerialBackend, ShardedStore, run_jobs
 
 
 class TestCompiledTopology:
@@ -217,10 +217,11 @@ class TestRuntimeTopologyReuse:
             for trial in range(trials)
         ]
 
-    def test_cached_sweep_compiles_topology_once(self):
+    def test_cached_sweep_compiles_topology_once(self, tmp_path):
         reset_topology_stats()
         batch = run_jobs(
-            self._trial_specs(4), backend=SerialBackend(), cache=ResultCache()
+            self._trial_specs(4), backend=SerialBackend(),
+            store=ShardedStore(tmp_path / "store"),
         )
         assert batch.executed == 4
         assert topology_stats().compiled == 1  # acceptance criterion
@@ -246,7 +247,7 @@ class TestRuntimeTopologyReuse:
             )
             for graph_seed in (0, 0, 1)
         ]
-        run_jobs(specs, backend=SerialBackend(), cache=ResultCache())
+        run_jobs(specs, backend=SerialBackend())
         assert topology_stats().compiled == 2  # one per distinct graph
 
 

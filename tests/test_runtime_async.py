@@ -5,8 +5,8 @@ from __future__ import annotations
 from repro.runtime import (
     JobSpec,
     RemoteBackend,
-    ResultCache,
     SerialBackend,
+    ShardedStore,
     iter_jobs,
     run_job,
     run_jobs,
@@ -38,16 +38,15 @@ def test_shared_store_records_land_once(tmp_path, start_workers):
     """The service appends storeless workers' records to the shared
     store; the orchestrator must not append them a second time."""
     store_dir = tmp_path / "shared"
-    cache = ResultCache(disk_dir=store_dir)
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
     start_workers(backend.bind(), count=2)
-    run_jobs(SPECS, backend=backend, cache=cache)
+    run_jobs(SPECS, backend=backend, store=ShardedStore(store_dir))
     from repro.runtime.store import count_record_entries
 
     # One physical entry per record, not two.
     assert count_record_entries(store_dir) == len(SPECS)
     # And the records are still served back on a fresh run.
-    rerun = run_jobs(SPECS, cache=ResultCache(disk_dir=store_dir))
+    rerun = run_jobs(SPECS, store=ShardedStore(store_dir))
     assert rerun.executed == 0
 
 
@@ -67,10 +66,10 @@ def test_worker_error_propagates():
     assert "Traceback" in response["traceback"]
 
 
-def test_iter_jobs_streams_hits_then_misses():
-    cache = ResultCache()
-    warm = run_jobs(SPECS[:2], cache=cache)
-    events = list(iter_jobs(SPECS, cache=cache))
+def test_iter_jobs_streams_hits_then_misses(tmp_path):
+    store = ShardedStore(tmp_path / "store")
+    warm = run_jobs(SPECS[:2], store=store)
+    events = list(iter_jobs(SPECS, store=store))
     assert len(events) == len(SPECS)
     from_cache = [cached for _i, _r, cached in events]
     assert from_cache == [True, True, False, False]

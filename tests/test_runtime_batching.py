@@ -12,12 +12,11 @@ service, and the env-var knob.
 from __future__ import annotations
 
 from repro.runtime import (
-    BATCH_ENV_VAR,
     CostBook,
     JobSpec,
     RemoteBackend,
-    ResultCache,
     RunConfig,
+    ShardedStore,
     batchable,
     coalesce,
     make_batch_spec,
@@ -112,12 +111,12 @@ def test_run_jobs_batched_matches_unbatched():
 
 
 def test_run_jobs_batched_with_cache_then_scalar_rerun(tmp_path):
-    cache = ResultCache(disk_dir=tmp_path / "store")
-    first = run_jobs(FLEET, cache=cache, config=RunConfig(sim_batch=8))
+    store = ShardedStore(tmp_path / "store")
+    first = run_jobs(FLEET, store=store, config=RunConfig(sim_batch=8))
     assert first.cache_stats.misses == len(FLEET)
     assert first.cache_stats.stores == len(FLEET)
-    # A later *unbatched* run replays entirely from the per-trial cache.
-    second = run_jobs(FLEET, cache=cache)
+    # A later *unbatched* run replays entirely from the per-trial records.
+    second = run_jobs(FLEET, store=store)
     assert second.cache_stats.misses == 0
     assert second.records == first.records
 
@@ -140,22 +139,22 @@ def test_process_backend_ships_batches():
 def test_remote_backend_ships_batches(tmp_path, start_workers):
     base = run_jobs(FLEET)
     store_dir = tmp_path / "store"
-    cache = ResultCache(disk_dir=store_dir)
+    store = ShardedStore(store_dir)
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
     start_workers(backend.bind(), count=2)
     batched = run_jobs(
-        FLEET, backend=backend, cache=cache, config=RunConfig(sim_batch=3)
+        FLEET, backend=backend, store=store, config=RunConfig(sim_batch=3)
     )
     assert batched.records == base.records
-    # The expanded per-trial records landed in the cache despite the
+    # The expanded per-trial records landed in the store despite the
     # service persisting only batch records.
-    rerun = run_jobs(FLEET, cache=cache)
+    rerun = run_jobs(FLEET, store=store)
     assert rerun.cache_stats.misses == 0
 
 
 def test_env_var_enables_batching(monkeypatch):
-    monkeypatch.setenv(BATCH_ENV_VAR, "4")
-    dispatch, _sources = coalesce(FLEET)
+    monkeypatch.setenv("REPRO_SIM_BATCH", "4")
+    dispatch, _sources = coalesce(FLEET, RunConfig().resolve("sim_batch"))
     assert [d.kind for d in dispatch] == ["simulate_batch", "simulate_batch"]
     base = run_jobs(FLEET)
     batched = run_jobs(FLEET)  # picks the env knob up inside iter_jobs
@@ -205,13 +204,37 @@ def test_auto_batch_sizes_from_measured_trial_cost():
     assert auto_batch_size(free, FLEET) == AUTO_BATCH_MAX
 
 
-def test_resolve_batch_tolerates_auto(monkeypatch):
-    from repro.runtime import AUTO_BATCH_DEFAULT, resolve_batch
+def test_run_jobs_resolves_auto_batch(monkeypatch, tmp_path):
+    """``"auto"`` (explicit or from the env) reaches ``coalesce`` as an
+    int: the fixed default without a store or history, and the size
+    the store's measured per-trial cost implies with one."""
+    import repro.runtime.executor as executor_mod
+    from repro.runtime import AUTO_BATCH_DEFAULT, AUTO_TARGET_SECONDS
 
-    assert resolve_batch("auto") == AUTO_BATCH_DEFAULT
-    assert resolve_batch("8") == 8
-    monkeypatch.setenv(BATCH_ENV_VAR, "auto")
-    assert resolve_batch() == AUTO_BATCH_DEFAULT
+    limits = []
+    real_coalesce = executor_mod.coalesce
+
+    def recording(specs, limit):
+        limits.append(limit)
+        return real_coalesce(specs, limit)
+
+    monkeypatch.setattr(executor_mod, "coalesce", recording)
+    monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
+    base = run_jobs(FLEET)
+    assert run_jobs(FLEET, config=RunConfig(sim_batch="auto")).records == (
+        base.records
+    )
+    monkeypatch.setenv("REPRO_SIM_BATCH", "auto")
+    run_jobs(FLEET)
+    store = ShardedStore(tmp_path / "store")
+    book = CostBook(store)
+    book.observe("simulate_program", 30, 0.01)
+    book.flush()
+    assert run_jobs(FLEET, store=store).records == base.records
+    assert limits == [
+        1, AUTO_BATCH_DEFAULT, AUTO_BATCH_DEFAULT,
+        int(AUTO_TARGET_SECONDS / 0.01),
+    ]
 
 
 def test_run_sweep_auto_batch_matches_unbatched(tmp_path):
@@ -226,13 +249,13 @@ def test_run_sweep_auto_batch_matches_unbatched(tmp_path):
         program=["bfs"],
     )
     base = run_sweep(sweep)
-    cache = ResultCache(disk_dir=tmp_path / "store")
-    first = run_sweep(sweep, cache=cache, config=RunConfig(sim_batch="auto"))
+    store = ShardedStore(tmp_path / "store")
+    first = run_sweep(sweep, store=store, config=RunConfig(sim_batch="auto"))
     assert first.records == base.records
     assert first.batch.executed == len(first.records)
-    cache2 = ResultCache(disk_dir=tmp_path / "store")
     second = run_sweep(
-        sweep, cache=cache2, config=RunConfig(sim_batch="auto"), resume=True
+        sweep, store=ShardedStore(tmp_path / "store"),
+        config=RunConfig(sim_batch="auto"), resume=True,
     )
     assert second.records == base.records
     assert second.batch.executed == 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from repro.runtime import JobSpec, ResultCache
+from repro.runtime import JobSpec, ShardedStore, run_jobs
 from repro.runtime.cache import (
     KeyDeriver,
     cache_key,
@@ -28,14 +28,18 @@ def test_fingerprint_sees_structure():
     assert graph_fingerprint(path) != graph_fingerprint(isolated)
 
 
-def test_cache_hit_miss_semantics():
-    cache = ResultCache()
-    assert cache.lookup("k") is None
-    assert cache.stats.misses == 1
-    cache.store("k", {"rounds": 3})
-    assert cache.lookup("k") == {"rounds": 3}
-    assert cache.stats.hits == 1
-    assert cache.stats.hit_rate == 0.5
+def _stage1(epsilon):
+    return JobSpec.make("partition_stage1", family="grid", n=36, epsilon=epsilon)
+
+
+def test_cache_hit_miss_semantics(tmp_path):
+    store = ShardedStore(tmp_path / "store")
+    first = run_jobs([_stage1(0.5)], store=store)
+    assert (first.cache_stats.hits, first.cache_stats.misses) == (0, 1)
+    second = run_jobs([_stage1(0.5), _stage1(0.25)], store=store)
+    assert (second.cache_stats.hits, second.cache_stats.misses) == (1, 1)
+    assert second.cache_stats.hit_rate == 0.5
+    assert second.records[0] == first.records[0]
 
 
 def test_config_change_invalidates_key():
@@ -60,43 +64,22 @@ def test_same_graph_different_phrasing_shares_fingerprint():
     )
 
 
-def test_lru_eviction():
-    cache = ResultCache(max_entries=2)
-    cache.store("a", {"v": 1})
-    cache.store("b", {"v": 2})
-    cache.store("c", {"v": 3})
-    assert cache.stats.evictions == 1
-    assert cache.lookup("a") is None  # oldest evicted
-    assert cache.lookup("b") == {"v": 2}
-    assert cache.lookup("c") == {"v": 3}
-    # The lookups above touched "b" then "c", so "b" is now the LRU
-    # entry and the next insert evicts it.
-    cache.store("d", {"v": 4})
-    assert cache.lookup("b") is None
-    assert cache.lookup("c") == {"v": 3}
-
-
 def test_disk_store_round_trip(tmp_path):
-    first = ResultCache(disk_dir=tmp_path / "store")
-    first.store("key1", {"rounds": 7, "accepted": True})
-    # A brand-new cache instance (fresh process in real life) re-reads
-    # the JSON store.
-    second = ResultCache(disk_dir=tmp_path / "store")
-    assert second.lookup("key1") == {"rounds": 7, "accepted": True}
-    assert second.stats.disk_hits == 1
-    # Corrupt files degrade to a miss, not a crash.
-    (tmp_path / "store" / "bad.json").write_text("{not json")
-    assert second.lookup("bad") is None
+    first = run_jobs([_stage1(0.5)], store=ShardedStore(tmp_path / "store"))
+    # A brand-new store instance (fresh process in real life) re-reads
+    # the records the first run put.
+    second = run_jobs([_stage1(0.5)], store=ShardedStore(tmp_path / "store"))
+    assert second.records == first.records
+    assert second.executed == 0
+    assert second.cache_stats.hits == 1
 
 
 def test_clear(tmp_path):
-    cache = ResultCache(disk_dir=tmp_path / "store")
-    cache.store("k", {"v": 1})
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.lookup("k") == {"v": 1}  # still on disk
-    cache.clear(disk=True)
-    assert cache.lookup("k") is None
+    store = ShardedStore(tmp_path / "store")
+    run_jobs([_stage1(0.5)], store=store)
+    assert run_jobs([_stage1(0.5)], store=store).executed == 0
+    store.clear()
+    assert run_jobs([_stage1(0.5)], store=store).executed == 1
 
 
 class TestCoordinateKeys:
@@ -130,11 +113,9 @@ class TestCoordinateKeys:
         key = KeyDeriver().key_for(spec)
         assert key == cache_key(spec, coordinate_fingerprint(spec))
 
-    def test_determinism_cross_check(self):
+    def test_determinism_cross_check(self, tmp_path):
         """Coordinate keys are sound: regeneration is bit-stable and
         cached runs produce the records cache-less runs do."""
-        from repro.runtime import ResultCache, run_jobs
-
         spec = self._spec(epsilon=0.5)
         # The generator is deterministic in its coordinates: two
         # independent builds share a content fingerprint.
@@ -144,9 +125,9 @@ class TestCoordinateKeys:
 
         specs = [self._spec(epsilon=eps) for eps in (0.5, 0.25)]
         uncached = run_jobs(specs)
-        coord_cache = ResultCache()
-        coord_first = run_jobs(specs, cache=coord_cache)
-        coord_second = run_jobs(specs, cache=coord_cache)
+        store = ShardedStore(tmp_path / "store")
+        coord_first = run_jobs(specs, store=store)
+        coord_second = run_jobs(specs, store=store)
         assert uncached.records == coord_first.records
         assert coord_second.records == coord_first.records
         assert coord_second.executed == 0  # fully served from cache
@@ -181,13 +162,13 @@ class TestCoordinateKeys:
         """Acceptance: a repeated sweep against the sharded store is a
         100% cache hit that never touches the generators."""
         import repro.runtime.jobs as jobs_mod
-        from repro.runtime import ResultCache, SweepSpec, run_sweep
+        from repro.runtime import SweepSpec, run_sweep
 
         sweep = SweepSpec.make(
             "partition_stage1", families=["grid", "tree"], ns=[36],
             seeds=[0, 1], epsilon=[0.5, 0.25],
         )
-        run_sweep(sweep, cache=ResultCache(disk_dir=tmp_path / "store"))
+        run_sweep(sweep, store=ShardedStore(tmp_path / "store"))
 
         calls = {"planar": 0, "far": 0}
         real_planar, real_far = jobs_mod.make_planar, jobs_mod.make_far
@@ -202,9 +183,7 @@ class TestCoordinateKeys:
 
         monkeypatch.setattr(jobs_mod, "make_planar", counting_planar)
         monkeypatch.setattr(jobs_mod, "make_far", counting_far)
-        repeat = run_sweep(
-            sweep, cache=ResultCache(disk_dir=tmp_path / "store")
-        )
+        repeat = run_sweep(sweep, store=ShardedStore(tmp_path / "store"))
         assert repeat.batch.executed == 0
         assert repeat.batch.cache_stats.hits == sweep.size
         assert calls == {"planar": 0, "far": 0}  # zero graph generations

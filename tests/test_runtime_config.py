@@ -1,20 +1,12 @@
-"""RunConfig: precedence, env export, and the entry points that take it."""
+"""RunConfig: precedence, the batch parser, and the entry points."""
 
 from __future__ import annotations
 
-import os
+import dataclasses
 
 import pytest
 
-from repro.runtime import (
-    JobSpec,
-    ResultCache,
-    RunConfig,
-    iter_jobs,
-    run_jobs,
-    run_sweep,
-)
-from repro.runtime import jobs as jobs_module
+from repro.runtime import JobSpec, RunConfig, run_jobs, run_sweep
 from repro.runtime.sweeps import SweepSpec
 
 
@@ -52,26 +44,23 @@ class TestResolvePrecedence:
         with pytest.raises(KeyError, match="unknown runtime knob"):
             RunConfig().resolve("warp_factor")
 
-    def test_resolved_and_overrides(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        config = RunConfig(sim_batch=4)
-        assert config.overrides() == {"sim_batch": 4}
-        assert config.resolved() == {"sim_batch": 4}
-        assert RunConfig().overrides() == {}
-        assert RunConfig().resolved() == {"sim_batch": 1}  # default fills gaps
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_non_positive_env_warns_and_defaults(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SIM_BATCH", raw)
+        with pytest.warns(RuntimeWarning, match="at least 1"):
+            assert RunConfig().resolve("sim_batch") == 1
+
+    def test_explicit_string_goes_through_the_parser(self):
+        assert RunConfig(sim_batch="8").resolve("sim_batch") == 8
+        assert RunConfig(sim_batch=" AUTO ").resolve("sim_batch") == "auto"
+        with pytest.raises(ValueError, match="at least 1"):
+            RunConfig(sim_batch="0").resolve("sim_batch")
 
     def test_only_batch_knob(self):
-        assert sorted(RunConfig().resolved()) == ["sim_batch"]
+        assert [f.name for f in dataclasses.fields(RunConfig)] == ["sim_batch"]
 
     def test_env_var_lookup(self):
         assert RunConfig.env_var("sim_batch") == "REPRO_SIM_BATCH"
-
-    def test_from_env_pins_current_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BATCH", "6")
-        pinned = RunConfig.from_env()
-        monkeypatch.setenv("REPRO_SIM_BATCH", "9")
-        assert pinned.resolve("sim_batch") == 6  # frozen, not re-read
-        assert RunConfig().resolve("sim_batch") == 9
 
     def test_frozen_and_hashable(self):
         config = RunConfig(sim_batch=2)
@@ -80,35 +69,9 @@ class TestResolvePrecedence:
             config.sim_batch = 3
 
 
-class TestExport:
-    def test_export_sets_and_restores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        with RunConfig(sim_batch=5).export():
-            assert os.environ["REPRO_SIM_BATCH"] == "5"
-        assert "REPRO_SIM_BATCH" not in os.environ  # was unset before
-        monkeypatch.setenv("REPRO_SIM_BATCH", "auto")
-        with RunConfig(sim_batch=7).export():
-            assert os.environ["REPRO_SIM_BATCH"] == "7"
-        assert os.environ["REPRO_SIM_BATCH"] == "auto"  # restored
-
-    def test_export_skips_unset_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        with RunConfig().export():
-            assert "REPRO_SIM_BATCH" not in os.environ
-
-    def test_export_restores_on_error(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        with pytest.raises(RuntimeError):
-            with RunConfig(sim_batch=3).export():
-                raise RuntimeError("boom")
-        assert "REPRO_SIM_BATCH" not in os.environ
-
-
 class TestEntryPoints:
     def test_run_jobs_config_no_warning(self, recwarn):
-        result = run_jobs(
-            _specs(), cache=ResultCache(), config=RunConfig(sim_batch=1)
-        )
+        result = run_jobs(_specs(), config=RunConfig(sim_batch=1))
         assert len(result.records) == 2
         assert not [
             w for w in recwarn.list
@@ -126,26 +89,6 @@ class TestEntryPoints:
             run_sweep(sweep, batch=1)
         with pytest.raises(TypeError, match="batch_waste"):
             run_sweep(sweep, batch_waste=4.0)
-
-    def test_run_jobs_exports_config_knobs(self, monkeypatch):
-        """``run_jobs``/``iter_jobs`` export the config to job code the
-        way ``run_sweep`` does: the job sees the knob, and the
-        environment is restored afterwards."""
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        monkeypatch.setitem(
-            jobs_module._RUNNERS,
-            "env_probe",
-            lambda spec, graph: {"seen": os.environ.get("REPRO_SIM_BATCH")},
-        )
-        config = RunConfig(sim_batch=3)
-        probe = [JobSpec.make("env_probe", family="grid", n=36, seed=0)]
-        sweep = SweepSpec.make(
-            "env_probe", families=["grid"], ns=[36], seeds=[0]
-        )
-        assert run_jobs(probe, config=config).records[0]["seen"] == "3"
-        assert [r["seen"] for _i, r, _hit in iter_jobs(probe, config=config)] == ["3"]
-        assert run_sweep(sweep, config=config).records[0]["seen"] == "3"
-        assert "REPRO_SIM_BATCH" not in os.environ  # restored
 
     def test_run_sweep_reads_env_through_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCH", "2")

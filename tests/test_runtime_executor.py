@@ -8,8 +8,8 @@ from repro.runtime import (
     BACKENDS,
     JobSpec,
     ProcessPoolBackend,
-    ResultCache,
     SerialBackend,
+    ShardedStore,
     SweepSpec,
     make_backend,
     run_jobs,
@@ -47,24 +47,38 @@ def test_serial_and_process_results_identical():
     assert serial.records == pooled.records
 
 
-def test_cache_repeat_hit_rate():
-    cache = ResultCache()
-    first = run_jobs(SMALL_SPECS, cache=cache)
+def test_cache_repeat_hit_rate(tmp_path):
+    store = ShardedStore(tmp_path / "store")
+    first = run_jobs(SMALL_SPECS, store=store)
     assert first.cache_stats.hit_rate == 0.0
     assert first.executed == len(SMALL_SPECS)
-    second = run_jobs(SMALL_SPECS, cache=cache)
+    second = run_jobs(SMALL_SPECS, store=store)
     assert second.cache_stats.hit_rate >= 0.9  # acceptance criterion
     assert second.executed == 0
     assert second.records == first.records
 
 
-def test_duplicate_specs_execute_once():
-    cache = ResultCache()
+def test_duplicate_specs_execute_once(tmp_path):
     specs = [SMALL_SPECS[0]] * 5
-    batch = run_jobs(specs, cache=cache)
+    batch = run_jobs(specs, store=ShardedStore(tmp_path / "store"))
     assert batch.executed == 1
     assert len(batch) == 5
     assert all(record == batch.records[0] for record in batch.records)
+
+
+@pytest.mark.parametrize("with_store", [False, True])
+def test_same_key_spellings_execute_once(tmp_path, with_store):
+    """Specs that differ only in spelling ``graph_seed=seed`` share a
+    cache key, so they run once whether or not a store is attached."""
+    implicit = JobSpec.make("test_planarity", family="grid", n=36, seed=1,
+                            epsilon=0.5)
+    explicit = JobSpec.make("test_planarity", family="grid", n=36, seed=1,
+                            graph_seed=1, epsilon=0.5)
+    assert implicit != explicit
+    store = ShardedStore(tmp_path / "store") if with_store else None
+    batch = run_jobs([implicit, explicit], store=store)
+    assert batch.executed == 1
+    assert batch.records[0] == batch.records[1]
 
 
 def test_duplicates_deduplicated_without_cache():
@@ -76,8 +90,8 @@ def test_duplicates_deduplicated_without_cache():
 
 def test_disk_cache_survives_new_run(tmp_path):
     specs = SMALL_SPECS[:2]
-    run_jobs(specs, cache=ResultCache(disk_dir=tmp_path / "c"))
-    rerun = run_jobs(specs, cache=ResultCache(disk_dir=tmp_path / "c"))
+    run_jobs(specs, store=ShardedStore(tmp_path / "c"))
+    rerun = run_jobs(specs, store=ShardedStore(tmp_path / "c"))
     assert rerun.executed == 0
     assert rerun.cache_stats.hit_rate == 1.0
 
@@ -87,9 +101,9 @@ def test_pool_falls_back_to_serial_for_one_worker():
     assert len(batch) == 1
 
 
-def test_cached_serial_path_builds_each_graph_once(monkeypatch):
-    # Fingerprinting builds the graph; the serial backend must reuse it
-    # rather than regenerating per miss.
+def test_cached_serial_path_builds_each_graph_once(monkeypatch, tmp_path):
+    # Misses on one graph share a single prebuilt instance rather than
+    # regenerating it per job.
     import repro.runtime.jobs as jobs_mod
 
     calls = {"count": 0}
@@ -104,7 +118,9 @@ def test_cached_serial_path_builds_each_graph_once(monkeypatch):
         JobSpec.make("test_planarity", family="grid", n=36, epsilon=epsilon)
         for epsilon in (0.5, 0.25, 0.1)
     ]
-    batch = run_jobs(specs, backend=SerialBackend(), cache=ResultCache())
+    batch = run_jobs(
+        specs, backend=SerialBackend(), store=ShardedStore(tmp_path / "store")
+    )
     assert batch.executed == 3
     assert calls["count"] == 1  # one shared graph, built exactly once
 
@@ -133,13 +149,9 @@ def test_backend_parity(name, tmp_path, start_workers):
         backend = make_backend("process", max_workers=2)
     else:
         backend = make_backend(name)
-    result = run_sweep(
-        sweep, backend=backend, cache=ResultCache(disk_dir=store_dir)
-    )
+    result = run_sweep(sweep, backend=backend, store=ShardedStore(store_dir))
     assert result.records == reference.records
     assert count_record_entries(store_dir) == len(reference.records)
-    resumed = run_sweep(
-        sweep, cache=ResultCache(disk_dir=store_dir), resume=True
-    )
+    resumed = run_sweep(sweep, store=ShardedStore(store_dir), resume=True)
     assert resumed.batch.executed == 0
     assert resumed.records == reference.records

@@ -12,9 +12,9 @@ import pytest
 from repro.runtime import (
     JobSpec,
     RemoteBackend,
-    ResultCache,
     SerialBackend,
     ServiceError,
+    ShardedStore,
     make_backend,
     run_jobs,
 )
@@ -91,15 +91,14 @@ def test_workers_share_store_and_records_land_once(tmp_path, start_workers):
     per record, and a fresh resume run is a pure merge."""
     store_dir = tmp_path / "shared"
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
-    cache = ResultCache(disk_dir=store_dir)
     start_workers(backend.bind(), count=2)
-    batch = run_jobs(SPECS, backend=backend, cache=cache)
+    batch = run_jobs(SPECS, backend=backend, store=ShardedStore(store_dir))
     assert batch.executed == len(SPECS)
     from repro.runtime.store import count_record_entries
 
     # One physical entry per record, not two.
     assert count_record_entries(store_dir) == len(SPECS)
-    rerun = run_jobs(SPECS, cache=ResultCache(disk_dir=store_dir))
+    rerun = run_jobs(SPECS, store=ShardedStore(store_dir))
     assert rerun.executed == 0
     assert rerun.records == batch.records
 
@@ -246,20 +245,18 @@ def test_server_appends_result_bytes_without_reencode(tmp_path, start_workers):
     the service's cost-table flush: one meta cell per ``(kind, n)``."""
     store_dir = tmp_path / "server-store"
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
-    cache = ResultCache(disk_dir=store_dir)
     # Workers are storeless: every result rides the wire and the
     # service persists it via put_raw.
     start_workers(backend.bind(), count=2)
     encoded_before = STATS.encoded_records
     decoded_before = STATS.decoded_records
-    batch = run_jobs(SPECS, backend=backend, cache=cache)
+    batch = run_jobs(SPECS, backend=backend, store=ShardedStore(store_dir))
     assert batch.executed == len(SPECS)
     cost_cells = len({(spec.kind, spec.n) for spec in SPECS})
     assert STATS.encoded_records - encoded_before == 2 * len(SPECS) + cost_cells
     assert STATS.decoded_records - decoded_before == 2 * len(SPECS)
     # The spliced bytes decode back to exactly what the workers sent.
     from repro.runtime.cache import KeyDeriver
-    from repro.runtime.store import ShardedStore
 
     store = ShardedStore(store_dir)
     deriver = KeyDeriver()

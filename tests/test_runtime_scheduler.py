@@ -8,7 +8,6 @@ from repro.runtime import (
     CostBook,
     CostModel,
     JobSpec,
-    ResultCache,
     ShardedStore,
     ShardedSweep,
     SweepSpec,
@@ -157,15 +156,14 @@ class TestCostBalancedSweeps:
             ShardedSweep(self._sweep(), 2, balance="magic")
 
     def test_run_sweep_records_costs_into_store(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path / "store")
-        run_sweep(self._sweep(), cache=cache)
-        store = cache.store_backend
+        store = ShardedStore(tmp_path / "store")
+        run_sweep(self._sweep(), store=store)
         cell = store.get_meta(cost_meta_key("test_planarity", 36))
         assert cell is not None
         assert cell["count"] == self._sweep().size
         assert cell["mean_s"] > 0
         # A resume run is all hits: no new observations land.
-        run_sweep(self._sweep(), cache=ResultCache(disk_dir=tmp_path / "store"),
+        run_sweep(self._sweep(), store=ShardedStore(tmp_path / "store"),
                   resume=True)
         after = store.get_meta(cost_meta_key("test_planarity", 36))
         assert after["count"] == cell["count"]
@@ -175,21 +173,17 @@ class TestCostBalancedSweeps:
         cost-balanced split still covers the grid and resumes clean."""
         sweep = self._sweep()
         store_dir = tmp_path / "store"
-        run_sweep(sweep, cache=ResultCache(disk_dir=store_dir))
-        model = CostModel.from_store(
-            ResultCache(disk_dir=store_dir).store_backend
-        )
+        run_sweep(sweep, store=ShardedStore(store_dir))
+        model = CostModel.from_store(ShardedStore(store_dir))
         assert not model.empty
         for index in range(2):
             run_sweep(
                 sweep,
-                cache=ResultCache(disk_dir=store_dir),
+                store=ShardedStore(store_dir),
                 shard=(index, 2),
                 balance="cost",
                 cost_model=model,
             )
-        final = run_sweep(
-            sweep, cache=ResultCache(disk_dir=store_dir), resume=True
-        )
+        final = run_sweep(sweep, store=ShardedStore(store_dir), resume=True)
         assert final.batch.executed == 0
         assert final.records == run_sweep(sweep).records

@@ -5,7 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-from repro.runtime import JobSpec, ResultCache, ShardedStore, run_jobs
+from repro.runtime import JobSpec, ShardedStore, run_jobs
 from repro.runtime.store import count_record_entries, shard_of_key
 
 def test_round_trip_and_miss(tmp_path):
@@ -105,7 +105,7 @@ def _sweep_process(root, queue):
                      epsilon=0.5)
         for seed in (0, 1)
     ]
-    batch = run_jobs(specs, cache=ResultCache(disk_dir=root))
+    batch = run_jobs(specs, store=ShardedStore(root))
     queue.put((batch.executed, batch.cache_stats.hits))
 
 def test_two_pool_workers_share_hits_from_one_disk_index(tmp_path):
@@ -298,46 +298,3 @@ class TestMetaShard:
         report = store.gc(ttl=1.0, now=10_000.0)
         assert report.entries_removed == 1  # the data entry expired
         assert store.get_meta("cost:k:10") == {"mean_s": 1.0}
-
-class TestResultCacheIntegration:
-    def test_disk_round_trip_through_cache(self, tmp_path):
-        first = ResultCache(disk_dir=tmp_path / "store")
-        first.store("key1", {"rounds": 7, "accepted": True})
-        second = ResultCache(disk_dir=tmp_path / "store")
-        assert second.lookup("key1") == {"rounds": 7, "accepted": True}
-        assert second.stats.disk_hits == 1
-
-    def test_clear_reports_eviction_accounting(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path / "store")
-        cache.store("a", {"v": 1})
-        cache.store("b", {"v": 2})
-        report = cache.clear(disk=True)
-        assert report.entries_removed >= 2
-        assert report.bytes_reclaimed > 0
-        assert cache.stats.disk_evictions >= 2
-        assert cache.stats.disk_bytes_reclaimed == report.bytes_reclaimed
-        assert cache.lookup("a") is None
-
-    def test_memory_only_clear_keeps_disk(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path / "store")
-        cache.store("k", {"v": 1})
-        report = cache.clear()
-        assert report.entries_removed == 1
-        assert report.bytes_reclaimed == 0
-        assert cache.lookup("k") == {"v": 1}  # still on disk
-
-    def test_cache_gc_collects_disk_store(self, tmp_path, monkeypatch):
-        import repro.runtime.store as store_mod
-
-        clock = {"t": 100.0}
-        monkeypatch.setattr(store_mod, "_now", lambda: clock["t"])
-        cache = ResultCache(disk_dir=tmp_path / "store")
-        cache.store("stale", {"v": 1})
-        clock["t"] = 10_000.0
-        report = cache.gc(ttl=1.0)
-        assert report.entries_removed == 1
-        assert cache.stats.disk_evictions >= 1
-        assert cache.stats.disk_bytes_reclaimed > 0
-        # Other processes miss immediately.
-        assert ResultCache(disk_dir=tmp_path / "store").lookup("stale") is None
-        assert ResultCache().gc(ttl=1.0) is None  # memory-only: no-op

@@ -6,8 +6,8 @@ import pytest
 
 from repro.runtime import (
     ProcessPoolBackend,
-    ResultCache,
     SerialBackend,
+    ShardedStore,
     ShardedSweep,
     SweepSpec,
     job_shard,
@@ -74,16 +74,16 @@ def test_sweep_tables_identical_across_backends():
     )
 
 
-def test_sweep_summary_and_cache():
-    cache = ResultCache()
+def test_sweep_summary_and_cache(tmp_path):
+    store = ShardedStore(tmp_path / "store")
     sweep = _small_sweep()
-    first = run_sweep(sweep, cache=cache)
+    first = run_sweep(sweep, store=store)
     summary = first.summary()
     assert summary["jobs"] == sweep.size
     assert summary["executed"] == sweep.size
     assert summary["accept_rate"] == 1.0
     assert summary["rounds_min"] <= summary["rounds_mean"] <= summary["rounds_max"]
-    second = run_sweep(sweep, cache=cache)
+    second = run_sweep(sweep, store=store)
     assert second.summary()["cache_hit_rate"] >= 0.9
     assert second.summary()["executed"] == 0
 
@@ -123,10 +123,8 @@ class TestShardedSweep:
         sharded = ShardedSweep(sweep, 2)
         store = tmp_path / "store"
         for index in range(2):
-            sharded.run_shard(index, cache=ResultCache(disk_dir=store))
-        final = run_sweep(
-            sweep, cache=ResultCache(disk_dir=store), resume=True
-        )
+            sharded.run_shard(index, store=ShardedStore(store))
+        final = run_sweep(sweep, store=ShardedStore(store), resume=True)
         assert final.batch.executed == 0
         assert final.records == run_sweep(sweep).records
 
@@ -140,6 +138,20 @@ class TestShardedSweep:
         sharded = ShardedSweep(_small_sweep(), 2)
         with pytest.raises(ValueError, match="expected 2 shard results"):
             sharded.merge([sharded.run_shard(0)])
+
+    def test_merge_rejects_extra_records(self):
+        """Shard results of a larger grid do not silently truncate
+        into a smaller one: the leftover records raise."""
+        def grid(seeds):
+            return SweepSpec.make(
+                "partition_stage1", families=["grid"], ns=[16],
+                seeds=seeds, epsilon=[0.5],
+            )
+
+        big = ShardedSweep(grid(range(6)), 2)
+        results = [big.run_shard(i) for i in range(2)]
+        with pytest.raises(ValueError, match="left over"):
+            ShardedSweep(grid([0, 1]), 2).merge(results)
 
 
 class TestResume:
@@ -156,7 +168,7 @@ class TestResume:
         store = tmp_path / "store"
         # Run one shard, abandoning the rest of the grid.
         partial = ShardedSweep(sweep, 2).run_shard(
-            0, cache=ResultCache(disk_dir=store)
+            0, store=ShardedStore(store)
         )
         done = len(partial.records)
         assert 0 < done < sweep.size
@@ -171,9 +183,7 @@ class TestResume:
         # Every backend executes through jobs.run_job_timed, which
         # looks run_job up in its own module.
         monkeypatch.setattr(jobs_mod, "run_job", counting_run)
-        resumed = run_sweep(
-            sweep, cache=ResultCache(disk_dir=store), resume=True
-        )
+        resumed = run_sweep(sweep, store=ShardedStore(store), resume=True)
         assert resumed.batch.executed == sweep.size - done
         assert len(executed_kinds) == sweep.size - done
         missing = set(

@@ -24,7 +24,7 @@ from repro.runtime import (
     CostModel,
     JobSpec,
     RemoteBackend,
-    ResultCache,
+    ShardedStore,
     SweepSpec,
     make_backend,
     run_jobs,
@@ -132,15 +132,14 @@ def test_remote_backend_merged_trace(trace_dir):
 
 
 def test_cost_error_histogram_from_seeded_book(trace_dir, tmp_path):
-    cache = ResultCache(disk_dir=tmp_path / "store")
-    store = cache.store_backend
+    store = ShardedStore(tmp_path / "store")
     seed_book = CostBook(store)
     seed_book.observe("test_planarity", 36, 0.004)
     assert seed_book.flush() == 1
     assert CostModel.from_store(store).predict(
         "test_planarity", 36
     ) == pytest.approx(0.004)
-    result = run_sweep(SWEEP, cache=cache)
+    result = run_sweep(SWEEP, store=store)
     assert result.batch.executed == len(SPECS)
     # Every executed job compared its wall-time against the pre-sweep
     # prediction; the error histogram is the model-quality signal.
@@ -203,8 +202,8 @@ def test_remote_requeue_logs_partial_cost(tmp_path, start_workers):
     counted once although the run's CostBook shares the service's
     store."""
     store_dir = tmp_path / "store"
-    cache = ResultCache(disk_dir=store_dir)
-    book = CostBook(cache.store_backend)
+    store = ShardedStore(store_dir)
+    book = CostBook(store)
     backend = RemoteBackend(port=0, store_dir=str(store_dir))
     port = backend.bind()
     got_job = threading.Event()
@@ -233,7 +232,7 @@ def test_remote_requeue_logs_partial_cost(tmp_path, start_workers):
 
     def consume():
         holder["batch"] = run_jobs(
-            SPECS, backend=backend, cache=cache, cost_book=book
+            SPECS, backend=backend, store=store, cost_book=book
         )
 
     consumer = threading.Thread(target=consume, daemon=True)
@@ -244,5 +243,5 @@ def test_remote_requeue_logs_partial_cost(tmp_path, start_workers):
     assert not consumer.is_alive()
     assert len(holder["batch"].records) == len(SPECS)
     book.flush()
-    cell = cache.store_backend.get_meta(cost_meta_key("test_planarity", 36))
+    cell = store.get_meta(cost_meta_key("test_planarity", 36))
     assert cell["count"] == len(SPECS) + 1
