@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional
 import networkx as nx
 
 from ..errors import GraphInputError
-from ..graphs.utils import require_simple
+from ..graphs.utils import id_key, require_simple
 from ..partition.parts import Part, Partition, build_part
 
 
@@ -77,7 +77,8 @@ def mpx_partition(
         v: rng.expovariate(beta) for v in sorted(graph.nodes(), key=repr)
     }
     # Multi-source Dijkstra on keys d(u, v) - delta_u; ties broken by
-    # center id for determinism.
+    # center id, then by node id in ``id_key`` order (so mixed labels
+    # never compare across types), for determinism.
     best_key: Dict[Any, float] = {}
     owner: Dict[Any, Any] = {}
     predecessor: Dict[Any, Optional[Any]] = {}
@@ -87,10 +88,10 @@ def mpx_partition(
         best_key[v] = key
         owner[v] = v
         predecessor[v] = None
-        heapq.heappush(heap, (key, repr(v), v, v, None))
+        heapq.heappush(heap, (key, repr(v), id_key(v), v, v, None))
     settled = set()
     while heap:
-        key, _tie, v, center, pred = heapq.heappop(heap)
+        key, _center_tie, _node_tie, v, center, pred = heapq.heappop(heap)
         if v in settled:
             continue
         settled.add(v)
@@ -102,7 +103,7 @@ def mpx_partition(
             new_key = key + 1.0
             if new_key < best_key[w] - 1e-12:
                 best_key[w] = new_key
-                heapq.heappush(heap, (new_key, repr(center), w, center, v))
+                heapq.heappush(heap, (new_key, repr(center), id_key(w), w, center, v))
 
     clusters: Dict[Any, list] = {}
     for v in graph.nodes():

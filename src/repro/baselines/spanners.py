@@ -27,17 +27,17 @@ from collections import deque
 from typing import Optional
 
 import networkx as nx
+import numpy as np
 
+from ..congest.topology import compile_topology
 from ..errors import GraphInputError
 from ..graphs.utils import require_simple
-from ..partition.auxiliary import AuxiliaryGraph
+from ..partition.dense import DenseAuxiliaryGraph
 from .mpx_partition import MPXResult, mpx_partition
 
 
 def _to_dense_spanner(spanner: nx.Graph, topology):
     """Re-index an nx spanner as a DenseSpanner over *topology*."""
-    import numpy as np
-
     from ..applications.dense import DenseSpanner
 
     index = topology.index
@@ -59,19 +59,30 @@ def cluster_spanner(
 ):
     """MPX-cluster spanner; returns (spanner, MPXResult).
 
-    With *topology* (the graph's compiled topology) the spanner is a
+    The spanner is every cluster's BFS tree plus, per adjacent cluster
+    pair, the designated connector of the clusters'
+    :class:`~repro.partition.dense.DenseAuxiliaryGraph` (the minimum
+    oriented edge between them, as Stage I's merges use).  With
+    *topology* (the graph's compiled topology) the spanner is a
     :class:`~repro.applications.dense.DenseSpanner` over its index
     space; otherwise a networkx graph.  Same edge set either way.
     """
     result = mpx_partition(graph, beta=beta, seed=seed)
+    compiled = topology if topology is not None else compile_topology(graph)
+    ids, index = compiled.nodes, compiled.index
+    part_of = result.partition.part_of
+    roots = np.fromiter(
+        (index[part_of[v]] for v in ids), dtype=np.int64, count=compiled.n
+    )
+    eu, ev = compiled.edge_arrays()
+    aux = DenseAuxiliaryGraph(roots, eu, ev, compiled.n)
     spanner = nx.Graph()
     spanner.add_nodes_from(graph.nodes())
     for part in result.partition.parts.values():
         spanner.add_edges_from(part.tree_edges())
-    aux = AuxiliaryGraph(result.partition)
-    for edge in aux.edges():
-        u, v = edge.connector
-        spanner.add_edge(u, v)
+    spanner.add_edges_from(
+        (ids[u], ids[v]) for u, v in zip(aux.conn_u.tolist(), aux.conn_v.tolist())
+    )
     if topology is not None:
         return _to_dense_spanner(spanner, topology), result
     return spanner, result

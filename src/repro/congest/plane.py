@@ -86,18 +86,6 @@ class DenseMessagePlane:
         self.cur_count, self.next_count = self.next_count, self.cur_count
         self.swaps += 1
 
-    def occupancy(self, token: int) -> "tuple[int, int]":
-        """Diagnostic probe: ``(receivers, live slots)`` for *token*.
-
-        Scans the *current* buffers for slots stamped with *token* --
-        an O(n + 2m) walk intended for opt-in telemetry and tests, not
-        the delivery loop (which relies on the per-node marks/counts
-        precisely to avoid this scan).
-        """
-        receivers = sum(1 for mark in self.cur_mark if mark == token)
-        slots = sum(1 for stamp in self.cur_stamp if stamp == token)
-        return receivers, slots
-
     # -- receive side ---------------------------------------------------------
 
     def inbox_view(self, idx: int, token: int) -> Optional["SlotInbox"]:

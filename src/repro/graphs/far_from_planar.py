@@ -6,7 +6,7 @@ removed to obtain a planar graph (via Euler-formula skewness bounds or
 vertex-disjoint Kuratowski subgraphs).  Benchmarks use the certificate to
 assert that an instance really is epsilon-far before measuring detection,
 replacing the paper's probabilistic-method constants with per-instance
-certificates (DESIGN.md, substitution 3).
+certificates (ARCHITECTURE.md, "Paper substitutions", item 3).
 """
 
 from __future__ import annotations

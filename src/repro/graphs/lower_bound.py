@@ -11,7 +11,8 @@ The construction samples ``G(n, p)`` and removes one edge from every
 short cycle.  Claim 11 uses ``p = 1000 k^2 / n``; at laptop scale that
 constant makes the graph nearly complete, so the generator exposes the
 expected average degree directly and *certifies* the resulting farness a
-posteriori via the girth-refined Euler bound (DESIGN.md, substitution 3):
+posteriori via the girth-refined Euler bound (ARCHITECTURE.md, "Paper
+substitutions", item 3):
 a graph with girth ``g`` needs ``m <= g (n - 2)/(g - 2)`` to be planar,
 so high-girth graphs with ``m = cn/2`` for ``c > 2`` have skewness
 ``~ (1 - 2/c) m``.

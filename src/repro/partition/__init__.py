@@ -1,9 +1,7 @@
 """Stage I partitioning: deterministic (Thm 1/3) and randomized (Thm 4)."""
 
-from .auxiliary import AuxEdge, AuxiliaryGraph
 from .coloring import cole_vishkin_emulated, randomized_coloring_emulated
-from .dense import DenseAuxiliaryGraph, DensePartitionState
-from .marking import MarkingResult, mark_and_choose
+from .dense import DenseAuxiliaryGraph, DensePartitionState, MarkingResult
 from .parts import Part, Partition, build_part
 from .stage1 import (
     PhaseStats,
@@ -14,8 +12,6 @@ from .stage1 import (
 from .weighted_selection import RandomizedPartitionResult, partition_randomized
 
 __all__ = [
-    "AuxEdge",
-    "AuxiliaryGraph",
     "DenseAuxiliaryGraph",
     "DensePartitionState",
     "MarkingResult",
@@ -27,7 +23,6 @@ __all__ = [
     "build_part",
     "cole_vishkin_emulated",
     "randomized_coloring_emulated",
-    "mark_and_choose",
     "partition_randomized",
     "partition_stage1",
     "theoretical_phase_cap",

@@ -10,22 +10,28 @@ Stage I (and Theorem 4's randomized partition) run on the
   auxiliary weights come from vectorized sweeps (``unique`` over packed
   endpoint pairs), and merges re-root by pointer reversal plus pointer
   jumping;
-* the decision layer (forest decomposition, heaviest-out-edge
-  selection, Cole-Vishkin, CHW marking, weighted selection) runs on
-  compact part indices with the paper's exact rules.
+* the decision layer runs on compact part indices with the paper's
+  exact rules, and one copy of it serves both theorems: Stage I's
+  forest decomposition and heaviest-out-edge selection, or Theorem 4's
+  weighted selection, each yield a compact ``(parent, weight)``
+  pseudoforest that :func:`color_roots` colors and
+  :func:`mark_and_choose_dense` marks.
 
 Labels: dense indices are assigned in ``id_key`` order, so every
 tie-break by index is the tie-break by ``id_key``; Cole-Vishkin seeds
 from the original labels (:class:`RootSeeds`), and RNG streams are
 consumed in ``id_key`` order.  Any hashable labels therefore give the
 partitions, phase stats, ledgers and round counts of the dict-keyed
-formulation, which ``tests/_stage1_reference.py`` keeps as the oracle
-that ``tests/test_partition_dense.py`` diffs against on every bundled
-family under int, str, mixed, negative, large-int and tuple labels.
+formulation.  ``tests/_stage1_reference.py`` keeps that formulation
+(``AuxiliaryGraph``, ``mark_and_choose``, ``_color_pseudoforest`` and
+the two phase loops) as the oracle that ``tests/test_partition_dense.py``
+diffs against on every bundled family under int, str, mixed, negative,
+large-int and tuple labels.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -36,7 +42,6 @@ from ..congest.programs.cole_vishkin import cv_schedule
 from ..congest.topology import CompiledTopology
 from ..errors import PartitionError
 from .coloring import cole_vishkin_emulated
-from .marking import MarkingResult
 from .parts import Part, Partition
 
 _MAX_ID = 2**62  # int64 headroom for the vectorized CV bit tricks
@@ -88,7 +93,7 @@ class DenseAuxiliaryGraph:
         lo = np.minimum(cu, cv)
         hi = np.maximum(cu, cv)
         # Connector endpoints oriented (node in lo-part, node in hi-part),
-        # matching AuxiliaryGraph.connector's canonical orientation.
+        # the canonical orientation of the reference AuxiliaryGraph.
         su = eu[mask]
         sv = ev[mask]
         swapped = cu != lo
@@ -275,7 +280,7 @@ def weighted_selection_dense(
     aux: DenseAuxiliaryGraph,
     trials: int,
     rng,
-) -> Tuple[Dict[int, Optional[int]], Dict[Tuple[int, int], int]]:
+) -> Tuple["np.ndarray", "np.ndarray"]:
     """Vectorized Theorem 4 weighted-edge selection on the aux arrays.
 
     Every part draws ``trials`` incident aux edges with probability
@@ -300,11 +305,12 @@ def weighted_selection_dense(
     sequential loop computes.
 
     When both endpoints select the same edge it becomes the out-edge of
-    the smaller root, keeping out-degree <= 1.  Returns
-    ``(out_edge, weights)`` keyed by part roots (dense ids), in
-    ascending-root insertion order.
+    the smaller root, keeping out-degree <= 1.  Returns ``(parent,
+    weight)`` over compact indices (-1 / 0 where a part has no
+    out-edge), as :func:`orient_and_select_dense` does, so the selected
+    pseudoforest feeds the same :func:`color_roots` and
+    :func:`mark_and_choose_dense` as Stage I's forest.
     """
-    pids = aux.pids
     k = aux.compact_count
     ea, eb, w = aux.ea, aux.eb, aux.weights
     # Symmetric CSR over compact indices, neighbors ascending (= id_key
@@ -325,7 +331,8 @@ def weighted_selection_dense(
     totals = (cum0[indptr[1:]] - base).astype(np.float64)
 
     active = np.nonzero(counts > 0)[0]
-    drawn: Dict[int, Optional[int]] = {}
+    parent = np.full(k, -1, dtype=np.int64)
+    weight = np.zeros(k, dtype=np.int64)
     if len(active) and trials > 0:
         # One rng.random() per (active part, trial), part-major: the
         # exact draws the sequential loop would consume.
@@ -358,36 +365,17 @@ def weighted_selection_dense(
         cand_w = w_s[flat_local].reshape(len(active), trials)
         best_w = cand_w.max(axis=1)
         # Ties to the smallest neighbor id (compact order = id order).
-        best_nb = np.where(cand_w == best_w[:, None], cand, k).min(axis=1)
-        chosen = dict(
-            zip(active.tolist(), zip(best_nb.tolist(), best_w.tolist()))
-        )
-    else:
-        chosen = {}
+        parent[active] = np.where(cand_w == best_w[:, None], cand, k).min(axis=1)
+        weight[active] = best_w
 
-    weight_of: Dict[int, int] = {}
-    for compact in range(k):
-        pid = pids[compact]
-        pick = chosen.get(compact)
-        if pick is None:
-            drawn[pid] = None
-        else:
-            drawn[pid] = pids[pick[0]]
-            weight_of[pid] = pick[1]
-
-    # Resolve double selections: the edge becomes the out-edge of the
-    # smaller id; the larger endpoint is left without an out-edge.
-    out_edge: Dict[int, Optional[int]] = dict(drawn)
-    for pid, target in drawn.items():
-        if target is None:
-            continue
-        if drawn.get(target) == pid and target < pid:
-            out_edge[pid] = None
-    weights_out: Dict[Tuple[int, int], int] = {}
-    for pid, target in out_edge.items():
-        if target is not None:
-            weights_out[(pid, target)] = weight_of[pid]
-    return out_edge, weights_out
+    # Resolve double selections: a mutually drawn edge stays the
+    # out-edge of the smaller root; the larger root loses its out-edge.
+    own = np.arange(k, dtype=np.int64)
+    drawn = parent >= 0
+    mutual = drawn & (parent < own) & (parent[np.where(drawn, parent, 0)] == own)
+    parent[mutual] = -1
+    weight[mutual] = 0
+    return parent, weight
 
 
 class RootSeeds:
@@ -427,13 +415,15 @@ def color_roots(
     ledger: Optional[RoundLedger] = None,
     cost_model: Optional[TreeCostModel] = None,
     height: int = 0,
+    category: str = "stage1.coloring",
 ) -> Tuple["np.ndarray", int]:
-    """Cole-Vishkin 3-coloring of the compact forest *parent* from *seeds*.
+    """Cole-Vishkin 3-coloring of the compact pseudoforest *parent* from *seeds*.
 
     Seeds below ``2**62`` run vectorized (:func:`cole_vishkin_dense`);
     larger ones overflow its int64 bit tricks and run through
     :func:`~repro.partition.coloring.cole_vishkin_emulated`, which
-    applies the same rules on Python ints.  Both charge the ledger alike.
+    applies the same rules on Python ints.  Both charge the ledger alike,
+    under *category*.
     """
     if max(seeds, default=0) < _MAX_ID:
         return cole_vishkin_dense(
@@ -442,6 +432,7 @@ def color_roots(
             ledger=ledger,
             cost_model=cost_model,
             height=height,
+            category=category,
         )
     parents = {c: (p if p >= 0 else None) for c, p in enumerate(parent.tolist())}
     colors, rounds = cole_vishkin_emulated(
@@ -450,6 +441,7 @@ def color_roots(
         ledger=ledger,
         cost_model=cost_model,
         height=height,
+        category=category,
     )
     return np.array([colors[c] for c in range(len(seeds))], dtype=np.int64), rounds
 
@@ -521,48 +513,73 @@ def cole_vishkin_dense(
     return colors, len(schedule)
 
 
+@dataclass
+class MarkingResult:
+    """Outcome of the marking + contraction choice, over compact indices.
+
+    Attributes:
+        marked_edges: the selected subtree edges, as (child, parent).
+        contract_edges: the star edges chosen for contraction.
+        tree_heights: height of each marked subtree, keyed by its root.
+        marked_weight: total weight of marked edges, w(T_i).
+        contracted_weight: total weight of contracted edges.
+    """
+
+    marked_edges: List[Tuple[int, int]]
+    contract_edges: List[Tuple[int, int]]
+    tree_heights: Dict[int, int]
+    marked_weight: int
+    contracted_weight: int
+
+
 def mark_and_choose_dense(
     parent: "np.ndarray",
     weight: "np.ndarray",
     colors: "np.ndarray",
 ) -> MarkingResult:
-    """Array port of CHW marking + parity choice on compact indices.
+    """CHW marking + parity choice on a compact pseudoforest (sub-steps 2b-4).
 
-    Applies the exact decision rules of
-    :func:`repro.partition.marking.mark_and_choose` (all nodes
-    participate -- the deterministic engine's CV coloring never
-    abstains): *parent* is the selected out-edge per compact node (-1 if
+    The one implementation of the marking rules (paper Section 2.1.2,
+    after Czygrinow, Hanckowiak & Wawrzyniak), serving Stage I's
+    heaviest-out-edge forests and Theorem 4's selected pseudoforests
+    alike: *parent* is the selected out-edge per compact node (-1 if
     none), *weight* the weight of that edge, *colors* a proper
-    {0,1,2}-coloring.  The returned :class:`MarkingResult` carries
-    compact indices; edge-list order is unspecified (the dict version
-    sorts by ``repr``) but the edge *sets*, tree heights and weights are
-    identical.
+    {0,1,2}-coloring (the paper's classes {1,2,3}).  The rules select
+    shallow subtrees (Claim 1: height at most 10, at least a third of
+    the forest's weight); each tree's root then contracts the heavier
+    of its even/odd edge classes, producing vertex-disjoint stars.
+    Claim 15 -- the marked subgraph is a forest even when *parent* has
+    directed cycles -- is asserted here.
+
+    Color -1 marks a node that abstained from Remark 1's randomized
+    coloring: it makes no decisions, it never counts toward a parent's
+    incoming weight, its out-edge is never marked, and no color-0 node
+    marks its edge into it.  The marked graph is then that of the
+    properly colored subgraph, so Claim 15 applies unchanged.
+    Cole-Vishkin never abstains.
+
+    Edge lists come back in ascending child order.
     """
     k = len(parent)
     has_parent = parent >= 0
     safe_parent = np.where(has_parent, parent, 0)
     edge_weight = np.where(has_parent, weight, 0)
+    parent_color = colors[safe_parent]
+    # Children that take part in their parent's decision.
+    counted = has_parent & (colors >= 0)
 
-    # Incoming weight sums (all children / color-3 children only).
+    # Incoming weight sums (participating / color-3 children only).
     w_in = np.zeros(k, dtype=np.int64)
-    np.add.at(w_in, parent[has_parent], edge_weight[has_parent])
+    np.add.at(w_in, parent[counted], edge_weight[counted])
     child_is3 = has_parent & (colors == 2)
     w_in3 = np.zeros(k, dtype=np.int64)
     np.add.at(w_in3, parent[child_is3], edge_weight[child_is3])
 
     # Per-node "mark my out-edge" decisions (sub-step 2b).
-    up1 = (colors == 0) & has_parent & (edge_weight >= w_in)
-    up2 = (
-        (colors == 1)
-        & has_parent
-        & (colors[safe_parent] == 2)
-        & (edge_weight >= w_in3)
-    )
-    parent_color = colors[safe_parent]
-    down1 = has_parent & (parent_color == 0) & ~up1[safe_parent]
-    down2 = (
-        child_is3 & (parent_color == 1) & ~up2[safe_parent]
-    )
+    up1 = (colors == 0) & has_parent & (parent_color >= 0) & (edge_weight >= w_in)
+    up2 = has_parent & (colors == 1) & (parent_color == 2) & (edge_weight >= w_in3)
+    down1 = counted & (parent_color == 0) & ~up1[safe_parent]
+    down2 = child_is3 & (parent_color == 1) & ~up2[safe_parent]
     marked = up1 | up2 | down1 | down2
 
     marked_idx = np.nonzero(marked)[0].tolist()

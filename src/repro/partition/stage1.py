@@ -15,8 +15,8 @@ tester; ``epsilon * n`` for the Theorem 3 partition).  Claims reproduced:
   and checked by ``Partition.validate`` in tests.
 
 Termination: the default mode stops as soon as the cut target is met
-(substitution 2 in DESIGN.md -- a fixed-schedule CONGEST execution would
-run the a-priori phase cap; we report both).
+(ARCHITECTURE.md, "Paper substitutions", item 2 -- a fixed-schedule
+CONGEST execution would run the a-priori phase cap; we report both).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import networkx as nx
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..errors import PartitionError
 from ..telemetry import get_tracer
-from .marking import MarkingResult
+from .dense import MarkingResult
 from .parts import Partition
 
 

@@ -7,10 +7,11 @@ auxiliary node draws an incident edge with probability proportional to
 its weight, repeats ``s = Theta(log 1/delta)`` times, and keeps the
 heaviest draw (the *weighted-edge selection*, paper Section 4).  Lemma 13
 shows the selected pseudoforest retains a ``1/(16*alpha)`` weight
-fraction with probability ``1 - delta``; the merging machinery
-(Cole-Vishkin + CHW marking, which tolerates pseudoforest cycles by
-Claim 15) then contracts as in Stage I, giving Claim 14's per-phase decay
-of ``1 - 1/(64*alpha)``.
+fraction with probability ``1 - delta``; Stage I's own merging code
+(:func:`~repro.partition.dense.color_roots` and
+:func:`~repro.partition.dense.mark_and_choose_dense`, whose marking
+tolerates pseudoforest cycles by Claim 15) then contracts it, giving
+Claim 14's per-phase decay of ``1 - 1/(64*alpha)``.
 
 Round cost: each draw is emulated by a uniform-edge-selection
 convergecast over part trees (Section 4.1), so a phase costs
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import networkx as nx
+import numpy as np
 
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..errors import PartitionError
-from .coloring import cole_vishkin_emulated, randomized_coloring_emulated
-from .marking import mark_and_choose
+from .coloring import randomized_coloring_emulated
 from .parts import Partition
 from .stage1 import PhaseStats, Stage1Result, _charge_merging_overhead
 
@@ -109,6 +110,10 @@ def partition_randomized(
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if coloring not in ("cole-vishkin", "randomized"):
+        raise ValueError(f"unknown coloring {coloring!r}")
+    if coloring_rounds is not None and coloring_rounds < 1:
+        raise ValueError(f"coloring_rounds must be >= 1, got {coloring_rounds}")
     m = graph.number_of_edges()
     n = graph.number_of_nodes()
     if target_cut is None:
@@ -135,12 +140,21 @@ def partition_randomized(
             delta=delta,
         )
 
-    # The weighted selection runs vectorized on the aux edge arrays
-    # (:func:`repro.partition.dense.weighted_selection_dense`), drawing
-    # from *rng* in ``id_key`` order of the part roots; the randomized
-    # coloring likewise consumes conflicts in ascending-root order.
+    if coloring_rounds is None:
+        coloring_rounds = int(math.ceil(math.log2(max(2.0, (cap or 1) / delta)))) + 2
+
+    # The phase loop is Stage I's, with the weighted selection in place
+    # of the forest decomposition: the selection draws from *rng* in
+    # ``id_key`` order of the part roots, and the randomized coloring
+    # likewise consumes conflicts in ascending-root order.
     from ..congest.topology import compile_topology
-    from .dense import DensePartitionState, RootSeeds, weighted_selection_dense
+    from .dense import (
+        DensePartitionState,
+        RootSeeds,
+        color_roots,
+        mark_and_choose_dense,
+        weighted_selection_dense,
+    )
 
     topology = compile_topology(graph)
     state = DensePartitionState(topology)
@@ -153,8 +167,9 @@ def partition_randomized(
             break
         aux = state.build_aux()
         height = state.max_height()
+        pids = aux.pids
 
-        out_edge, weights = weighted_selection_dense(aux, trials, rng)
+        parent_c, weight_c = weighted_selection_dense(aux, trials, rng)
         # Section 4.1: each of the s draws is one uniform-edge-selection
         # convergecast (+1 boundary round to learn neighboring roots).
         ledger.charge(
@@ -162,49 +177,34 @@ def partition_randomized(
             "randomized.selection",
             f"{trials} weighted draws over trees of height {height}",
         )
-        colors, cv_rounds = _color_pseudoforest(
-            out_edge,
-            coloring,
-            coloring_rounds,
-            cap,
-            delta,
-            rng,
-            ledger,
-            model,
-            height,
-            initial_colors=(
-                dict(zip(aux.pids, seeds(aux.pids)))
-                if coloring == "cole-vishkin"
-                else None
-            ),
-        )
-        marking = mark_and_choose(out_edge, weights, colors)
+        # Sub-step 2a: CV or Remark 1's randomized coloring of F_i.
+        if coloring == "cole-vishkin":
+            colors, cv_rounds = color_roots(
+                parent_c,
+                seeds(pids),
+                ledger=ledger,
+                cost_model=model,
+                height=height,
+                category="randomized.coloring",
+            )
+        else:
+            drawn, _abstaining = randomized_coloring_emulated(
+                {c: (p if p >= 0 else None) for c, p in enumerate(parent_c.tolist())},
+                rounds=coloring_rounds,
+                rng=rng,
+                ledger=ledger,
+                cost_model=model,
+                height=height,
+            )
+            colors = np.array(
+                [-1 if c is None else c for c in drawn.values()], dtype=np.int64
+            )
+            cv_rounds = coloring_rounds
+        marking = mark_and_choose_dense(parent_c, weight_c, colors)
         _charge_merging_overhead(ledger, model, height, marking)
 
         parts_before = state.size
-        if not marking.contract_edges:
-            # Possible only under randomized coloring when every decision
-            # abstained (exponentially unlikely); the phase made no
-            # progress -- retry with fresh randomness.
-            phases.append(
-                PhaseStats(
-                    phase=phase_index,
-                    parts_before=parts_before,
-                    parts_after=parts_before,
-                    cut_before=cut,
-                    cut_after=cut,
-                    max_height_before=height,
-                    max_height_after=height,
-                    fd_super_rounds=0,
-                    cv_super_rounds=cv_rounds,
-                    max_marked_tree_height=0,
-                    marked_weight=marking.marked_weight,
-                    contracted_weight=0,
-                )
-            )
-            continue
-
-        state.merge(marking.contract_edges, aux)
+        state.merge([(pids[c], pids[p]) for c, p in marking.contract_edges], aux)
         new_cut = state.cut_size()
         phases.append(
             PhaseStats(
@@ -224,9 +224,12 @@ def partition_randomized(
                 contracted_weight=marking.contracted_weight,
             )
         )
-        if new_cut >= cut:
-            # Cannot happen: every marked tree contracts its heavier
-            # parity class, which has positive weight (see marking.py).
+        # An empty contraction is possible only under randomized coloring
+        # when every decision abstained (exponentially unlikely): the
+        # phase made no progress and the next one retries with fresh
+        # randomness.  Otherwise every marked tree contracts its heavier
+        # parity class, which has positive weight.
+        if marking.contract_edges and new_cut >= cut:
             raise PartitionError(
                 f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
             )
@@ -245,40 +248,3 @@ def partition_randomized(
         delta=delta,
     )
 
-
-def _color_pseudoforest(
-    out_edge,
-    coloring: str,
-    coloring_rounds: Optional[int],
-    cap: int,
-    delta: float,
-    rng: random.Random,
-    ledger: RoundLedger,
-    model: TreeCostModel,
-    height: int,
-    initial_colors=None,
-):
-    """Sub-step 2a: CV or randomized coloring of F_i."""
-    if coloring == "cole-vishkin":
-        return cole_vishkin_emulated(
-            out_edge,
-            initial_colors=initial_colors,
-            ledger=ledger,
-            cost_model=model,
-            height=height,
-            category="randomized.coloring",
-        )
-    if coloring == "randomized":
-        budget = coloring_rounds
-        if budget is None:
-            budget = int(math.ceil(math.log2(max(2.0, (cap or 1) / delta)))) + 2
-        colors, _abstaining = randomized_coloring_emulated(
-            out_edge,
-            rounds=budget,
-            rng=rng,
-            ledger=ledger,
-            cost_model=model,
-            height=height,
-        )
-        return colors, budget
-    raise ValueError(f"unknown coloring {coloring!r}")

@@ -15,10 +15,10 @@ algorithmic skeleton behind Boyer-Myrvold-class linear-time testers:
 
 In this reproduction the algorithm plays the role of the
 Ghaffari-Haeupler distributed planar-embedding subroutine of paper
-Section 2.2.2 (see DESIGN.md, substitution 1): it produces the
-combinatorial embedding for each (planar) part, while the *distributed*
-round cost of the GH algorithm is charged analytically by the Stage II
-driver.
+Section 2.2.2 (ARCHITECTURE.md, "Paper substitutions", item 1): it
+produces the combinatorial embedding for each (planar) part, while the
+*distributed* round cost of the GH algorithm is charged analytically by
+the Stage II driver.
 
 Everything runs on a :class:`LocalGraph` -- the input relabeled to
 indices ``0..n-1`` once -- and flat int lists:

@@ -24,7 +24,6 @@ from .violations import (
     SamplingOutcome,
     count_violating,
     edges_interlace,
-    find_any_interlacement,
     sample_and_detect,
     violating_mask,
     violating_mask_bruteforce,
@@ -43,7 +42,6 @@ __all__ = [
     "deterministic_bfs_tree",
     "edges_interlace",
     "embedding_ranks",
-    "find_any_interlacement",
     "max_label_length",
     "non_tree_intervals",
     "sample_and_detect",

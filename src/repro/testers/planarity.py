@@ -41,7 +41,7 @@ class PlanarityTestConfig:
         sample_constant: Stage II sampling constant c in
             ``s = c log2(n) / epsilon``.
         early_stop: stop Stage I once the cut target is met
-            (DESIGN.md substitution 2).
+            (ARCHITECTURE.md, "Paper substitutions", item 2).
         charge_full_budget: charge the full ``O(log n)``
             forest-decomposition schedule per phase (paper behavior).
         max_phases: optional Stage I phase cap override.

@@ -8,8 +8,9 @@ parallel; the stage's round cost is the maximum over parts):
 2. reject when ``m > 3n - 6`` (Euler density check);
 3. compute a combinatorial embedding with the embedding subroutine
    (Ghaffari-Haeupler in the paper; this library's LR implementation
-   here -- see DESIGN.md substitution 1).  On non-planar parts, where GH
-   may emit an arbitrary ordering, use the id-sorted fallback rotation;
+   here -- see ARCHITECTURE.md, "Paper substitutions", item 1).  On
+   non-planar parts, where GH may emit an arbitrary ordering, use the
+   id-sorted fallback rotation;
 4. derive the lexicographic labels / preorder ranks;
 5. sample ``s = Theta(log n / epsilon)`` non-tree edges and reject when
    any sampled edge interlaces another non-tree edge (Definition 7).
@@ -80,7 +81,8 @@ class Stage2Config:
             failure as rejection evidence.  Off by default: the paper's
             GH subroutine may emit an ordering even on non-planar parts,
             and we exercise the sampling machinery rather than leak the
-            LR oracle's verdict (DESIGN.md substitution 1).
+            LR oracle's verdict (ARCHITECTURE.md, "Paper substitutions",
+            item 1).
         collect_exact_violations: also compute the exact violating-edge
             count per part (analysis only; used by benchmark E13).
     """

@@ -112,29 +112,6 @@ def count_violating(intervals: Sequence[Interval], universe: int) -> int:
     return sum(violating_mask(intervals, universe))
 
 
-def find_any_interlacement(
-    intervals: Sequence[Interval],
-) -> Optional[Tuple[int, int]]:
-    """Indices of one interlacing pair, or None.  O(k log k) stack sweep."""
-    # Sort by left endpoint; maintain a stack of open intervals.  This is
-    # only used for witness extraction in reports, so an O(k^2) fallback
-    # on small inputs would also do; we keep it near-linear regardless.
-    order = sorted(range(len(intervals)), key=lambda i: intervals[i])
-    best: Optional[Tuple[int, int]] = None
-    # simple approach: for each interval find the max-right interval
-    # starting inside it.
-    events = sorted(
-        (intervals[i][0], intervals[i][1], i) for i in order
-    )
-    for idx, (a, b, i) in enumerate(events):
-        for a2, b2, j in events[idx + 1 :]:
-            if a2 >= b:
-                break
-            if a < a2 < b < b2:
-                return (i, j)
-    return best
-
-
 @dataclass
 class SamplingOutcome:
     """Result of the distributed sampling-based violation detection.

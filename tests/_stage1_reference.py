@@ -1,15 +1,25 @@
 """Reference Stage I: the dict engine the dense partition is diffed against.
 
 The package runs one Stage I engine, the CSR-native dense partition
-(:mod:`repro.partition.dense`).  This module keeps the seed's
-dict-keyed implementation of the same algorithms as a test oracle:
+(:mod:`repro.partition.dense`), and one decision layer in it serves
+Theorem 3 and Theorem 4 alike.  This module keeps the seed's dict-keyed
+implementation of the same algorithms as a test oracle; none of it is
+reachable from ``src/``:
 
+* :class:`AuxiliaryGraph` -- the weighted contraction ``G_i`` of a
+  :class:`~repro.partition.parts.Partition`, with min-id designated
+  connectors (the oracle of
+  :class:`~repro.partition.dense.DenseAuxiliaryGraph`);
 * :func:`forest_decomposition_emulated` -- Barenboim-Elkin deactivation
-  and orientation over an :class:`~repro.partition.auxiliary.AuxiliaryGraph`;
+  and orientation over an :class:`AuxiliaryGraph`;
 * :func:`select_heaviest_out_edges` and :func:`merge_parts` -- merging
   sub-steps 1 and 4 on :class:`~repro.partition.parts.Partition` objects;
-* :func:`weighted_edge_selection` -- the Theorem 4 per-draw
-  ``rng.choices`` loop;
+* :func:`mark_and_choose` -- CHW marking and parity choice on dict
+  pseudoforests, abstainers included (the oracle of
+  :func:`~repro.partition.dense.mark_and_choose_dense`, which
+  :func:`dense_marking` runs on the same dict input);
+* :func:`weighted_edge_selection` and :func:`_color_pseudoforest` -- the
+  Theorem 4 per-draw ``rng.choices`` loop and its dict coloring step;
 * :func:`reference_partition_stage1` / :func:`reference_partition_randomized`
   -- the two phase loops;
 * :func:`reference_build_spanner`, :func:`reference_measure_stretch` and
@@ -24,14 +34,16 @@ differential suites: every case is a bundled family, relabeled.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import repro.testers.planarity as planarity
@@ -39,9 +51,11 @@ from repro.congest.ledger import RoundLedger, TreeCostModel
 from repro.congest.programs.forest_decomposition import barenboim_elkin_round_budget
 from repro.errors import GraphInputError, PartitionError
 from repro.graphs.utils import id_key
-from repro.partition.auxiliary import AuxiliaryGraph
-from repro.partition.coloring import cole_vishkin_emulated
-from repro.partition.marking import mark_and_choose
+from repro.partition.coloring import (
+    cole_vishkin_emulated,
+    randomized_coloring_emulated,
+)
+from repro.partition.dense import MarkingResult, mark_and_choose_dense
 from repro.partition.parts import Partition, build_part
 from repro.partition.stage1 import (
     PhaseStats,
@@ -51,7 +65,6 @@ from repro.partition.stage1 import (
 )
 from repro.partition.weighted_selection import (
     RandomizedPartitionResult,
-    _color_pseudoforest,
     default_trials,
     randomized_phase_cap,
 )
@@ -92,6 +105,256 @@ def label_cases(names):
         for name in names
         for relabeling in RELABELINGS
     ]
+
+
+# -- auxiliary graph -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AuxEdge:
+    """One auxiliary edge with its designated connector edge in G."""
+
+    parts: Tuple[Any, Any]  # (pid_a, pid_b), canonical order
+    weight: int
+    connector: Tuple[Any, Any]  # (node in pid_a, node in pid_b)
+
+
+class AuxiliaryGraph:
+    """The weighted contraction of a partition."""
+
+    def __init__(self, partition: Partition):
+        """Build G_i from *partition* in O(m) time."""
+        self.partition = partition
+        self._adj: Dict[Any, Dict[Any, int]] = {
+            pid: {} for pid in partition.parts
+        }
+        connectors: Dict[Tuple[Any, Any], Tuple[Any, Any]] = {}
+        part_of = partition.part_of
+        for u, v in partition.graph.edges():
+            pu, pv = part_of[u], part_of[v]
+            if pu == pv:
+                continue
+            self._adj[pu][pv] = self._adj[pu].get(pv, 0) + 1
+            self._adj[pv][pu] = self._adj[pv].get(pu, 0) + 1
+            key = self._key(pu, pv)
+            edge = (u, v) if key == (pu, pv) else (v, u)
+            best = connectors.get(key)
+            if best is None or (id_key(edge[0]), id_key(edge[1])) < (
+                id_key(best[0]),
+                id_key(best[1]),
+            ):
+                connectors[key] = edge
+        self._connectors = connectors
+
+    @staticmethod
+    def _key(pa: Any, pb: Any) -> Tuple[Any, Any]:
+        return (pa, pb) if id_key(pa) <= id_key(pb) else (pb, pa)
+
+    # -- queries -------------------------------------------------------------
+
+    @property
+    def node_count(self) -> int:
+        """Number of auxiliary nodes (= parts)."""
+        return len(self._adj)
+
+    def nodes(self) -> Iterator[Any]:
+        """Iterate over part ids."""
+        return iter(self._adj)
+
+    def neighbors(self, pid: Any) -> Dict[Any, int]:
+        """Mapping from neighboring pid to edge weight."""
+        return self._adj[pid]
+
+    def degree(self, pid: Any) -> int:
+        """Number of distinct auxiliary neighbors."""
+        return len(self._adj[pid])
+
+    def weight(self, pa: Any, pb: Any) -> int:
+        """Weight of auxiliary edge (pa, pb); 0 when absent."""
+        return self._adj[pa].get(pb, 0)
+
+    def weighted_degree(self, pid: Any) -> int:
+        """Total weight of auxiliary edges incident to *pid*."""
+        return sum(self._adj[pid].values())
+
+    def total_weight(self) -> int:
+        """Total auxiliary edge weight = number of cut edges in G."""
+        return sum(self.weighted_degree(pid) for pid in self._adj) // 2
+
+    def edge_count(self) -> int:
+        """Number of distinct auxiliary edges."""
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+
+    def connector(self, pa: Any, pb: Any) -> Tuple[Any, Any]:
+        """The designated graph edge for auxiliary edge (pa, pb).
+
+        Returned oriented as ``(node in pa, node in pb)``.
+        """
+        key = self._key(pa, pb)
+        u, v = self._connectors[key]
+        return (u, v) if key == (pa, pb) else (v, u)
+
+    def edges(self) -> Iterator[AuxEdge]:
+        """Iterate over auxiliary edges (canonical orientation)."""
+        for key, connector in self._connectors.items():
+            pa, pb = key
+            yield AuxEdge(parts=key, weight=self._adj[pa][pb], connector=connector)
+
+
+# -- CHW marking ---------------------------------------------------------------
+
+
+def mark_and_choose(
+    out_edge: Dict[Any, Optional[Any]],
+    weight: Dict[Tuple[Any, Any], int],
+    colors: Dict[Any, int],
+) -> MarkingResult:
+    """Run sub-steps 2b-4 on the pseudoforest ``{v: out_edge[v]}``.
+
+    Args:
+        out_edge: each node's selected out-neighbor (None when absent).
+        weight: weight of each pseudoforest edge keyed by (child, parent).
+        colors: proper 3-coloring with values {0, 1, 2}; the paper's
+            color classes {1, 2, 3} map to {0, 1, 2} here (class "3" = 2).
+    """
+    incoming: Dict[Any, List[Any]] = {v: [] for v in out_edge}
+    for v, p in out_edge.items():
+        if p is not None:
+            if p not in incoming:
+                raise PartitionError(f"out-edge target {p!r} not a pseudoforest node")
+            incoming[p].append(v)
+
+    marked: set = set()
+    color_one, color_two, color_three = 0, 1, 2
+
+    def participates(v: Any) -> bool:
+        # Nodes with color None abstained from the randomized coloring
+        # (Remark 1); they make no decisions and their edges stay
+        # unmarked, so the marked graph is the marked graph of the
+        # properly-colored subgraph and Claim 15 applies unchanged.
+        return colors[v] is not None
+
+    for u in out_edge:
+        if not participates(u):
+            continue
+        color = colors[u]
+        if color == color_one:
+            p = out_edge[u]
+            considered = [v for v in incoming[u] if participates(v)]
+            w_in = sum(weight[(v, u)] for v in considered)
+            if p is not None and participates(p) and weight[(u, p)] >= w_in:
+                marked.add((u, p))
+            else:
+                marked.update((v, u) for v in considered)
+        elif color == color_two:
+            p = out_edge[u]
+            in3 = [v for v in incoming[u] if colors[v] == color_three]
+            w_in3 = sum(weight[(v, u)] for v in in3)
+            if (
+                p is not None
+                and colors[p] == color_three
+                and weight[(u, p)] >= w_in3
+            ):
+                marked.add((u, p))
+            else:
+                marked.update((v, u) for v in in3)
+
+    return _choose_parity(out_edge, weight, marked)
+
+
+def dense_marking(
+    out_edge: Dict[int, Optional[int]],
+    weight: Dict[Tuple[int, int], int],
+    colors: Dict[int, Optional[int]],
+) -> MarkingResult:
+    """:func:`~repro.partition.dense.mark_and_choose_dense` on a dict input.
+
+    *out_edge* is a pseudoforest over the nodes ``0..n-1``, in the
+    format :func:`mark_and_choose` takes; an abstainer's ``None`` color
+    becomes the engine's -1.
+    """
+    nodes = range(len(out_edge))
+    parent = [-1 if out_edge[v] is None else out_edge[v] for v in nodes]
+    edge_weight = [0 if p < 0 else weight[(v, p)] for v, p in zip(nodes, parent)]
+    color = [-1 if colors[v] is None else colors[v] for v in nodes]
+    return mark_and_choose_dense(
+        np.array(parent, dtype=np.int64),
+        np.array(edge_weight, dtype=np.int64),
+        np.array(color, dtype=np.int64),
+    )
+
+
+def _choose_parity(out_edge, weight, marked) -> MarkingResult:
+    """Compute levels per marked tree and contract the heavier parity."""
+    marked_children: Dict[Any, List[Any]] = {v: [] for v in out_edge}
+    marked_out: Dict[Any, Optional[Any]] = {v: None for v in out_edge}
+    for child, parent in marked:
+        marked_children[parent].append(child)
+        marked_out[child] = parent
+
+    # Roots of marked trees: nodes with a marked incident edge but no
+    # marked out-edge.  Claim 15 guarantees there are no marked cycles.
+    touched = {v for e in marked for v in e}
+    roots = [v for v in touched if marked_out[v] is None]
+
+    level: Dict[Any, int] = {}
+    tree_heights: Dict[Any, int] = {}
+    for root in roots:
+        stack = [(root, 0)]
+        height = 0
+        while stack:
+            v, depth = stack.pop()
+            if v in level:
+                raise PartitionError("marked subgraph is not a forest (Claim 15)")
+            level[v] = depth
+            height = max(height, depth)
+            for child in marked_children[v]:
+                stack.append((child, depth + 1))
+        tree_heights[root] = height
+    if len(level) != len(touched):
+        raise PartitionError("marked subgraph contains a cycle (Claim 15)")
+
+    # Per-tree parity decision; trees are identified by their root.
+    tree_root: Dict[Any, Any] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            tree_root[v] = root
+            stack.extend(marked_children[v])
+
+    parity_weight: Dict[Any, List[int]] = {root: [0, 0] for root in roots}
+    for child, parent in marked:
+        parity_weight[tree_root[parent]][level[child] % 2] += weight[(child, parent)]
+
+    contract: List[Tuple[Any, Any]] = []
+    contracted_weight = 0
+    for child, parent in marked:
+        w0, w1 = parity_weight[tree_root[parent]]
+        chosen_parity = 0 if w0 >= w1 else 1
+        if level[child] % 2 == chosen_parity:
+            contract.append((child, parent))
+            contracted_weight += weight[(child, parent)]
+
+    _assert_stars(contract)
+    return MarkingResult(
+        marked_edges=sorted(marked, key=repr),
+        contract_edges=sorted(contract, key=repr),
+        tree_heights=tree_heights,
+        marked_weight=sum(weight[e] for e in marked),
+        contracted_weight=contracted_weight,
+    )
+
+
+def _assert_stars(contract: List[Tuple[Any, Any]]) -> None:
+    """Contracted edges must form stars: children merge into centers."""
+    children = {c for c, _p in contract}
+    centers = {p for _c, p in contract}
+    overlap = children & centers
+    if overlap:
+        raise PartitionError(
+            f"contraction edges do not form stars; chained nodes: {overlap!r}"
+        )
 
 
 # -- forest decomposition ------------------------------------------------------
@@ -406,6 +669,42 @@ def weighted_edge_selection(
         if target is not None:
             weights_out[(pid, target)] = aux.weight(pid, target)
     return out_edge, weights_out
+
+
+def _color_pseudoforest(
+    out_edge,
+    coloring: str,
+    coloring_rounds: Optional[int],
+    cap: int,
+    delta: float,
+    rng: random.Random,
+    ledger: RoundLedger,
+    model: TreeCostModel,
+    height: int,
+):
+    """Sub-step 2a: CV or randomized coloring of F_i."""
+    if coloring == "cole-vishkin":
+        return cole_vishkin_emulated(
+            out_edge,
+            ledger=ledger,
+            cost_model=model,
+            height=height,
+            category="randomized.coloring",
+        )
+    if coloring == "randomized":
+        budget = coloring_rounds
+        if budget is None:
+            budget = int(math.ceil(math.log2(max(2.0, (cap or 1) / delta)))) + 2
+        colors, _abstaining = randomized_coloring_emulated(
+            out_edge,
+            rounds=budget,
+            rng=rng,
+            ledger=ledger,
+            cost_model=model,
+            height=height,
+        )
+        return colors, budget
+    raise ValueError(f"unknown coloring {coloring!r}")
 
 
 def reference_partition_randomized(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from _stage1_reference import AuxiliaryGraph, label_cases, relabeled
 from repro.baselines import (
     bipartiteness_ground_truth,
     cluster_spanner,
@@ -13,8 +14,10 @@ from repro.baselines import (
     mpx_partition,
     planarity_ground_truth,
 )
+from repro.congest.topology import compile_topology
 from repro.errors import GraphInputError
 from repro.graphs import make_planar
+from repro.graphs.generators import PLANAR_FAMILIES
 
 
 class TestMPXPartition:
@@ -63,6 +66,29 @@ class TestBaselineSpanners:
         spanner, result = cluster_spanner(graph, beta=0.3, seed=1)
         assert nx.is_connected(spanner)
         assert set(spanner.nodes()) == set(graph.nodes())
+
+    @pytest.mark.parametrize("family, relabeling", label_cases(sorted(PLANAR_FAMILIES)))
+    def test_cluster_spanner_is_trees_plus_oracle_connectors(self, family, relabeling):
+        """MPX tree edges plus one min-id connector per adjacent cluster
+        pair, as the dict oracle picks it, in both spanner forms."""
+        graph = relabeled(make_planar(family, 80, seed=1), relabeling)
+        spanner, result = cluster_spanner(graph, beta=0.3, seed=2)
+        expected = {
+            frozenset(edge)
+            for part in result.partition.parts.values()
+            for edge in part.tree_edges()
+        }
+        expected |= {
+            frozenset(edge.connector)
+            for edge in AuxiliaryGraph(result.partition).edges()
+        }
+        assert {frozenset(edge) for edge in spanner.edges()} == expected
+        assert spanner.number_of_edges() == len(expected)
+        dense, _result = cluster_spanner(
+            graph, beta=0.3, seed=2, topology=compile_topology(graph)
+        )
+        assert {frozenset(edge) for edge in dense.edges()} == expected
+        assert dense.edge_count == len(expected)
 
     def test_greedy_spanner_stretch_guarantee(self):
         graph = make_planar("grid", 100, seed=0)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _stage1_reference import dense_marking, mark_and_choose
 from repro.congest.programs import cole_vishkin_coloring
 from repro.errors import PartitionError
-from repro.partition import cole_vishkin_emulated, mark_and_choose
+from repro.partition import cole_vishkin_emulated
 
 
 def random_pseudoforest(n, seed):
@@ -93,9 +94,11 @@ class TestColeVishkinEmulated:
 
 
 class TestMarking:
+    """CHW invariants of the engine's marking on dict pseudoforests."""
+
     def run_marking(self, out_edge, weights):
         colors, _ = cole_vishkin_emulated(out_edge)
-        return mark_and_choose(out_edge, weights, colors)
+        return dense_marking(out_edge, weights, colors)
 
     def test_single_edge_always_contracted(self):
         out_edge = {0: 1, 1: None}
@@ -144,20 +147,26 @@ class TestMarking:
         out_edge = {i: (i + 1) % n for i in range(n)}
         weights = {(i, (i + 1) % n): 3 for i in range(n)}
         result = self.run_marking(out_edge, weights)
-        # mark_and_choose raises PartitionError on cycles; reaching here
+        # the marking raises PartitionError on cycles; reaching here
         # with some contraction is the assertion
         assert result.contract_edges
 
-    def test_unknown_out_target_rejected(self):
-        with pytest.raises(PartitionError):
-            mark_and_choose({0: 99}, {(0, 99): 1}, {0: 0})
+    def test_stars(self):
+        """A star's leaves all point at the center: the whole star is
+        marked and contracted at once."""
+        for leaves in (1, 2, 7):
+            out_edge = {0: None, **{leaf: 0 for leaf in range(1, leaves + 1)}}
+            weights = {(leaf, 0): leaf for leaf in range(1, leaves + 1)}
+            result = self.run_marking(out_edge, weights)
+            assert set(result.contract_edges) == set(weights)
+            assert result.contracted_weight == sum(weights.values())
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 70), seed=st.integers(0, 2000))
     def test_invariants_random(self, n, seed):
         out_edge, weights = random_pseudoforest(n, seed)
         colors, _ = cole_vishkin_emulated(out_edge)
-        result = mark_and_choose(out_edge, weights, colors)
+        result = dense_marking(out_edge, weights, colors)
         marked = set(result.marked_edges)
         assert set(result.contract_edges) <= marked
         assert all(e in weights for e in marked)
@@ -165,3 +174,50 @@ class TestMarking:
         if total:
             assert result.marked_weight * 3 >= total
             assert result.contracted_weight * 2 >= result.marked_weight
+
+
+def selected_pseudoforest(n, seed, abstain):
+    """A Theorem 4 selection: random out-edges, 2-cycles resolved.
+
+    Every node picks a random other node (or none); a mutual pick stays
+    the out-edge of the smaller node, as ``weighted_selection_dense``
+    resolves it.  Cole-Vishkin colors the result, then each node
+    abstains (color ``None``) with probability *abstain*.
+    """
+    rng = random.Random(seed)
+    drawn = {}
+    for v in range(n):
+        w = rng.randrange(n)
+        drawn[v] = None if w == v or rng.random() < 0.1 else w
+    out_edge = {
+        v: None if p is not None and drawn[p] == v and p < v else p
+        for v, p in drawn.items()
+    }
+    weights = {
+        (v, p): rng.randint(1, 20) for v, p in out_edge.items() if p is not None
+    }
+    colors, _ = cole_vishkin_emulated(out_edge)
+    for v in colors:
+        if rng.random() < abstain:
+            colors[v] = None
+    return out_edge, weights, colors
+
+
+class TestMarkingDifferential:
+    """``mark_and_choose_dense`` against the dict oracle, abstainers included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        seed=st.integers(0, 10**6),
+        abstain=st.sampled_from((0.0, 0.1, 0.3, 0.7)),
+    )
+    def test_matches_dict_oracle(self, n, seed, abstain):
+        out_edge, weights, colors = selected_pseudoforest(n, seed, abstain)
+        oracle = mark_and_choose(out_edge, weights, colors)
+        dense = dense_marking(out_edge, weights, colors)
+        assert set(dense.marked_edges) == set(oracle.marked_edges)
+        assert set(dense.contract_edges) == set(oracle.contract_edges)
+        assert dense.tree_heights == oracle.tree_heights
+        assert dense.marked_weight == oracle.marked_weight
+        assert dense.contracted_weight == oracle.contracted_weight

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import networkx as nx
 
+from _stage1_reference import AuxiliaryGraph
 from repro.congest.programs import bfs_tree
 from repro.graphs import make_far, make_planar
-from repro.partition import AuxiliaryGraph, partition_stage1
+from repro.partition import partition_stage1
 from repro.planarity import check_planarity, verify_planar_embedding
 from repro.testers import PlanarityTestConfig
 from repro.testers import test_planarity as run_planarity

@@ -20,6 +20,7 @@ import pytest
 
 from _reference_paths import edge_case_graphs, pinned_forest
 from _stage1_reference import (
+    AuxiliaryGraph,
     label_cases,
     reference_partition_randomized,
     reference_partition_stage1,
@@ -32,7 +33,6 @@ from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES
 from repro.graphs.generators import PLANAR_FAMILIES
 from repro.partition import (
-    AuxiliaryGraph,
     Partition,
     partition_randomized,
     partition_stage1,
@@ -176,6 +176,24 @@ class TestRandomizedDifferential:
         )
         assert _canonical(reference) == _canonical(dense)
 
+    def test_stalled_phases_identical(self):
+        """A phase whose every decision abstained contracts nothing and
+        the next retries; one coloring round on an edge stalls often."""
+        stalled = 0
+        for seed in range(40):
+            kwargs = dict(
+                epsilon=0.2,
+                seed=seed,
+                target_cut=0.5,
+                coloring="randomized",
+                coloring_rounds=1,
+            )
+            reference = reference_partition_randomized(nx.path_graph(2), **kwargs)
+            dense = partition_randomized(nx.path_graph(2), **kwargs)
+            assert _canonical(reference) == _canonical(dense), seed
+            stalled += sum(p.cut_after == p.cut_before for p in dense.phases)
+        assert stalled
+
     @pytest.mark.parametrize(
         "family",
         ("grid", "tri-grid", "apollonian", "delaunay", "planar-sparse",
@@ -194,10 +212,18 @@ class TestRandomizedDifferential:
             reference_rng = random.Random(1234)
             dense_rng = random.Random(1234)
             reference = weighted_edge_selection(reference_aux, trials, reference_rng)
-            out_edge, weights = weighted_selection_dense(aux, trials, dense_rng)
+            parent, weight = weighted_selection_dense(aux, trials, dense_rng)
+            roots = [ids[p] for p in aux.pids]
             dense = (
-                {ids[p]: None if t is None else ids[t] for p, t in out_edge.items()},
-                {(ids[p], ids[t]): w for (p, t), w in weights.items()},
+                {
+                    roots[c]: None if p < 0 else roots[p]
+                    for c, p in enumerate(parent.tolist())
+                },
+                {
+                    (roots[c], roots[p]): w
+                    for c, (p, w) in enumerate(zip(parent.tolist(), weight.tolist()))
+                    if p >= 0
+                },
             )
             assert reference == dense, (family, trials)
             # Same draws consumed: subsequent randomness stays aligned.

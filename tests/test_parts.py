@@ -5,8 +5,9 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from _stage1_reference import AuxiliaryGraph
 from repro.errors import PartitionError
-from repro.partition import AuxiliaryGraph, Part, Partition, build_part
+from repro.partition import Part, Partition, build_part
 
 
 class TestBuildPart:

