@@ -10,8 +10,9 @@ Claims reproduced / audited:
 * **paper-literal preorder criterion**: Claim 10 as printed does NOT
   hold -- planar graphs exhibit preorder interlacements (3x3 grid and
   every tested family); this reproduction finding motivates the corner
-  refinement (see ``Stage2Config.criterion`` in
-  ``repro/testers/stage2.py``).
+  refinement, the only criterion Stage II runs (the preorder column is
+  computed by the ``violation_audit`` kind in
+  ``repro/runtime/audit.py``).
 
 The family sweep runs as ``violation_audit`` jobs on the
 :mod:`repro.runtime` engine: planar specs analyze their LR embedding,

@@ -278,6 +278,19 @@ def _batch_argument(raw: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _non_negative(kind):
+    """An argparse type: *kind* (``int``/``float``) that is ``>= 0``."""
+
+    def parse(raw: str):
+        value = kind(raw)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in errors
+    return parse
+
+
 def _sweep_spec_from_args(args) -> SweepSpec:
     """Expand the grid axes shared by ``sweep`` and ``submit``."""
     kind = SWEEP_KINDS[args.kind]
@@ -925,13 +938,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gc.add_argument(
         "--ttl",
-        type=float,
+        type=_non_negative(float),
         default=None,
         help="drop entries older than this many seconds",
     )
     p_gc.add_argument(
         "--max-bytes",
-        type=int,
+        type=_non_negative(int),
         default=None,
         help="keep only the newest entries fitting in this many bytes",
     )
@@ -942,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gc.add_argument(
         "--grace",
-        type=float,
+        type=_non_negative(float),
         default=60.0,
         help="never collect entries newer than this many seconds "
         "(concurrent-writer / clock-skew guard; default 60)",

@@ -215,6 +215,7 @@ def _run_violation_audit(spec: JobSpec, _graph) -> Record:
     per job instead of regenerating just for the certificate.
     """
     from ..planarity import check_planarity, identity_rotation
+    from ..planarity.lr_planarity import LocalGraph
     from ..testers import count_violating
     from ..testers.labels import (
         corner_intervals,
@@ -230,26 +231,25 @@ def _run_violation_audit(spec: JobSpec, _graph) -> Record:
         graph, certified = make_far(
             spec.far, spec.n, seed=spec.effective_graph_seed
         )
-        rotation = identity_rotation(graph)
-        planar = False
     else:
         certified = 0.0
         graph = spec.build_graph()
-        rotation = check_planarity(graph).embedding
-        planar = True
-    parents, _depths = deterministic_bfs_tree(graph, 0)
-    positions, universe = euler_tour_positions(graph, 0, rotation, parents)
+    local = LocalGraph.from_graph(graph)
+    ring = identity_rotation(local) if spec.far else check_planarity(local).ring
+    root = local.index[0]
+    parents, _depths = deterministic_bfs_tree(local, root)
+    positions, universe = euler_tour_positions(local, root, ring, parents)
     corner = [
-        (a, b) for a, b, _u, _v in corner_intervals(graph, parents, positions)
+        (a, b) for a, b, _u, _v in corner_intervals(local, parents, positions)
     ]
-    ranks = embedding_ranks(graph, 0, rotation, parents)
+    ranks = embedding_ranks(local, root, ring, parents)
     preorder = [
-        (a, b) for a, b, _u, _v in non_tree_intervals(graph, parents, ranks)
+        (a, b) for a, b, _u, _v in non_tree_intervals(local, parents, ranks)
     ]
     return {
         "n": graph.number_of_nodes(),
         "m": graph.number_of_edges(),
-        "planar": planar,
+        "planar": not spec.far,
         "certified_farness": certified,
         "non_tree_edges": len(corner),
         "violating_corner": count_violating(corner, universe=universe),
@@ -371,16 +371,20 @@ def _run_congest_bandwidth(spec: JobSpec, graph: nx.Graph) -> Record:
 def _run_stage2_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
     """Distributed Stage II protocol vs the emulated Euler-tour walk."""
     from ..congest.programs import run_stage2_verification_simulated
-    from ..planarity import check_planarity
+    from ..planarity.lr_planarity import LocalGraph, check_planarity
     from ..testers.labels import deterministic_bfs_tree, euler_tour_positions
 
     epsilon = spec.params.get("epsilon", 0.2)
-    embedding = check_planarity(graph).embedding
+    local = LocalGraph.from_graph(graph)
+    lr = check_planarity(local)
     distributed = run_stage2_verification_simulated(
-        graph, 0, embedding.to_dict(), epsilon=epsilon, seed=spec.seed
+        graph, 0, lr.embedding.to_dict(), epsilon=epsilon, seed=spec.seed
     )
-    parents, _depths = deterministic_bfs_tree(graph, 0)
-    emulated, _total = euler_tour_positions(graph, 0, embedding, parents)
+    root = local.index[0]
+    parents, _depths = deterministic_bfs_tree(local, root)
+    positions, _total = euler_tour_positions(local, root, lr.ring, parents)
+    nodes, n = local.nodes, local.n
+    emulated = {(nodes[k // n], nodes[k % n]): p for k, p in positions.items()}
     return {
         "accepted": distributed.accepted,
         "agree": distributed.accepted and distributed.positions == emulated,

@@ -19,9 +19,8 @@
   already-encoded payload (e.g. bytes received from a remote worker)
   without decode/re-encode, and :meth:`ShardedStore.get_raw` returns
   the stored bytes for the symmetric send path;
-* **compaction** rewrites a shard newest-wins, evicting the
-  least-recently-touched entries beyond ``max_entries`` and reporting
-  entries evicted + bytes reclaimed;
+* **compaction** rewrites a shard newest-wins, dropping dead
+  duplicates and reporting the bytes reclaimed;
 * every entry carries an **append timestamp** for TTL/size
   :meth:`ShardedStore.gc`; one **metadata shard** (``meta-00``, same
   append path and locking, exempt from caps/GC) holds small
@@ -48,7 +47,6 @@ import os
 import struct
 import tempfile
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -160,8 +158,7 @@ class GCReport:
 class _Shard:
     """One logical shard: its data file plus this process's index.
 
-    ``index`` maps key -> byte offset of the newest entry holding it,
-    ordered by recency (move-to-end on append and lookup).
+    ``index`` maps key -> byte offset of the newest entry holding it.
     ``scanned_bin`` is how far into the file the index is valid;
     anything past it was appended by another process and is folded in
     lazily.  Reads go through a persistent read-only ``mmap`` so
@@ -188,7 +185,7 @@ class _Shard:
         self.stats = stats  # owning store's StoreStats, if any
         self.bin_path = root / f"{name}.rbin"
         self.idx_path = root / f"{name}.idx"
-        self.index: "OrderedDict[str, int]" = OrderedDict()
+        self.index: Dict[str, int] = {}
         self.scanned_bin = 0
         # Writer-side state: the binary file's size after our last
         # locked append.  A later append that finds the file *smaller*
@@ -312,7 +309,6 @@ class _Shard:
         index = self.index
         for entry in entries:
             index[entry.key] = base + entry.offset
-            index.move_to_end(entry.key)
         # A trailing truncated entry (writer mid-append) stays
         # unscanned so the next refresh picks it up once complete.
         self.scanned_bin = base + scanned
@@ -348,7 +344,7 @@ class _Shard:
                 GLOBAL_SHAPES.register_block(blob[pos : pos + length])
                 pos += length
             n_entries, pos = read_uvarint(blob, pos)
-            seeded: "OrderedDict[str, int]" = OrderedDict()
+            seeded: Dict[str, int] = {}
             offset = 0
             for _ in range(n_entries):
                 delta, pos = read_uvarint(blob, pos)
@@ -390,9 +386,6 @@ class ShardedStore:
         root: store directory; created on first write.
         shards: number of shard files (fixed at creation; persisted in
             ``store.json`` so every opener agrees).
-        max_entries: per-store live-entry cap enforced at compaction
-            time (``None`` = unbounded).  Eviction order is this
-            process's recency order (append/lookup), oldest first.
         compact_factor: a shard compacts automatically when its file
             holds more than ``compact_factor`` times its live entries
             (dead newest-wins duplicates) and at least ``shards``
@@ -405,7 +398,6 @@ class ShardedStore:
 
     root: Path
     shards: int = DEFAULT_SHARDS
-    max_entries: Optional[int] = None
     compact_factor: float = 4.0
     stats: StoreStats = field(default_factory=StoreStats)
     _shards: List[_Shard] = field(default_factory=list, repr=False)
@@ -513,15 +505,14 @@ class ShardedStore:
             record = self._read_indexed(shard, key)
         if record is None:
             return None
-        shard.index.move_to_end(key)  # recency for LRU compaction
         self.stats.hits += 1
         return record
 
     def get_raw(self, key: str) -> Optional[bytes]:
         """The stored binary payload for *key*, or ``None``.
 
-        Workers use this to ship cache hits over the wire without a
-        decode/encode cycle.
+        The service uses this to send cache hits over the wire without
+        a decode/encode cycle.
         """
         self.stats.lookups += 1
         shard = self._shards[shard_of_key(key, self.shards)]
@@ -533,7 +524,6 @@ class ShardedStore:
             payload = self._read_indexed(shard, key, raw=True)
         if payload is None:
             return None
-        shard.index.move_to_end(key)
         self.stats.hits += 1
         return payload
 
@@ -632,7 +622,6 @@ class ShardedStore:
         shard.shapes_written.add(shape.shape_id)
         shard.bin_absent = False
         shard.index[key] = shard.bin_end - len(entry)
-        shard.index.move_to_end(key)
         # Our scan pointer advances past our own entry only when no
         # other writer interleaved; otherwise the next refresh re-reads
         # the gap (idempotent).
@@ -660,7 +649,6 @@ class ShardedStore:
         entries, scanned = scan_entries(gap, 0, len(gap), GLOBAL_SHAPES)
         for entry in entries:
             shard.index[entry.key] = start + entry.offset
-            shard.index.move_to_end(entry.key)
         if start + scanned < size:
             with open(shard.bin_path, "r+b") as patcher:
                 patcher.seek(start + scanned)
@@ -679,38 +667,29 @@ class ShardedStore:
             shard.refresh()
             yield from list(shard.index)
 
-    # -- compaction / eviction --------------------------------------
-
-    def _live_cap_per_shard(self) -> Optional[int]:
-        if self.max_entries is None:
-            return None
-        return max(1, self.max_entries // self.shards)
+    # -- compaction -------------------------------------------------
 
     def _maybe_compact(self, shard_id: int) -> None:
-        shard = self._shards[shard_id]
-        live = max(1, len(shard.index))
-        cap = self._live_cap_per_shard()
-        over_cap = cap is not None and len(shard.index) > cap
+        live = max(1, len(self._shards[shard_id].index))
         # Estimate dead weight from append counts since the last
-        # rewrite: compact when the file is mostly dead or over cap.
+        # rewrite: compact when the file is mostly dead.
         self._lines[shard_id] += 1
-        if over_cap or (
+        if (
             self._lines[shard_id] >= live * self.compact_factor
             and self._lines[shard_id] >= 2 * self.shards
         ):
             self.compact(shard_id)
 
     def compact(self, shard_id: Optional[int] = None) -> ClearReport:
-        """Rewrite shards newest-wins, evicting beyond ``max_entries``.
+        """Rewrite shards newest-wins, dropping dead duplicates.
 
-        Returns a :class:`ClearReport` of entries evicted (cap
-        overflow only -- deduplicated stale entries are not
-        "entries") and total bytes reclaimed.  Rewrites splice entry
-        bytes; the ``.idx`` sidecar is refreshed afterwards.
+        Returns a :class:`ClearReport` of the bytes reclaimed (no live
+        entry is removed, so ``entries_removed`` is 0).  Rewrites
+        splice entry bytes; the ``.idx`` sidecar is refreshed
+        afterwards.
         """
         report = ClearReport()
         ids = range(self.shards) if shard_id is None else (shard_id,)
-        cap = self._live_cap_per_shard()
         for sid in ids:
             shard = self._shards[sid]
             with self._lock_named(shard.name):
@@ -719,24 +698,15 @@ class ShardedStore:
                 if not shard.index and old_size == 0:
                     self._lines[sid] = 0
                     continue
-                keep = list(shard.index.items())  # oldest -> newest
-                evicted = 0
-                if cap is not None and len(keep) > cap:
-                    evicted = len(keep) - cap
-                    for key, _offset in keep[:evicted]:
-                        del shard.index[key]
-                    keep = keep[evicted:]
-                new_size = self._rewrite_shard(shard, keep)
+                new_size = self._rewrite_shard(shard, list(shard.index.items()))
                 self._lines[sid] = len(shard.index)
                 self.stats.compactions += 1
-                self.stats.evicted_entries += evicted
                 reclaimed = max(0, old_size - new_size)
                 self.stats.bytes_reclaimed += reclaimed
-                report += ClearReport(evicted, reclaimed)
+                report += ClearReport(bytes_reclaimed=reclaimed)
         if telemetry_enabled():
             metrics = get_metrics()
             metrics.inc("store.compactions")
-            metrics.inc("store.evicted_entries", report.entries_removed)
             metrics.inc("store.bytes_reclaimed", report.bytes_reclaimed)
         return report
 
@@ -745,7 +715,7 @@ class ShardedStore:
     @staticmethod
     def _scan_live(
         shard: _Shard,
-    ) -> "OrderedDict[str, Tuple[int, int, float, int]]":
+    ) -> Dict[str, Tuple[int, int, float, int]]:
         """Newest-wins scan of one shard's data file.
 
         Returns ``key -> (offset, length, timestamp, payload_start)``
@@ -755,7 +725,7 @@ class ShardedStore:
         packed payload, so a rewrite can splice entry bytes without
         re-parsing them.
         """
-        live: "OrderedDict[str, Tuple[int, int, float, int]]" = OrderedDict()
+        live: Dict[str, Tuple[int, int, float, int]] = {}
         try:
             data = shard.bin_path.read_bytes()
         except OSError:
@@ -768,7 +738,6 @@ class ShardedStore:
                 entry.stamp,
                 entry.payload_slice[0],
             )
-            live.move_to_end(entry.key)
         return live
 
     def gc(
@@ -806,7 +775,14 @@ class ShardedStore:
 
         Returns a :class:`GCReport`; the removal counters also land
         in ``stats.evicted_entries`` / ``stats.bytes_reclaimed``.
+
+        Raises:
+            ValueError: *ttl* or *max_bytes* is negative (either would
+                collect every entry outside the grace window).
         """
+        for name, bound in (("ttl", ttl), ("max_bytes", max_bytes)):
+            if bound is not None and bound < 0:
+                raise ValueError(f"{name} must be >= 0, got {bound}")
         snapshot_now = _now() if now is None else now
         keep_floor = snapshot_now - max(0.0, grace)
         ttl_cut = (snapshot_now - ttl) if ttl is not None else None
@@ -961,7 +937,7 @@ class ShardedStore:
         ``.idx`` sidecar, and returns the new data size.
         """
         fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        new_index: "OrderedDict[str, int]" = OrderedDict()
+        new_index: Dict[str, int] = {}
         shapes_written: set = set()
         shape_blocks: List[bytes] = []
         offset_out = 0
@@ -1037,7 +1013,7 @@ class ShardedStore:
     def _write_idx(
         self,
         shard: _Shard,
-        new_index: "OrderedDict[str, int]",
+        new_index: Dict[str, int],
         data_size: int,
         shape_blocks: List[bytes],
     ) -> None:

@@ -26,7 +26,6 @@ from .violations import (
     edges_interlace,
     sample_and_detect,
     violating_mask,
-    violating_mask_bruteforce,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "test_hereditary_property",
     "test_planarity",
     "violating_mask",
-    "violating_mask_bruteforce",
 ]

@@ -41,6 +41,9 @@ def _partition_for_application(
     delta: float,
     seed: Optional[int],
 ) -> Stage1Result:
+    """The Corollary 16 partition: cut target ``epsilon * m / 2``."""
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     target = epsilon * graph.number_of_edges() / 2
     if method == "deterministic":
         return partition_stage1(
@@ -132,8 +135,6 @@ def _run_application(
     seed: Optional[int],
 ) -> ApplicationTestResult:
     require_simple(graph)
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     stage1 = _partition_for_application(graph, epsilon, alpha, method, delta, seed)
     rejecting, verify_rounds = _verify_parts(stage1, check)
     return ApplicationTestResult(

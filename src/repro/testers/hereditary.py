@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import networkx as nx
 
 from ..graphs.utils import degeneracy, require_simple
-from ..partition.stage1 import partition_stage1
-from ..partition.weighted_selection import partition_randomized
-from ..planarity.lr_planarity import check_planarity
+from ..planarity.lr_planarity import LocalGraph, check_planarity
+from .applications import _partition_for_application
 from .labels import deterministic_bfs_tree
 from .results import ApplicationTestResult
 
@@ -50,27 +49,32 @@ their distributed implementations.
 """
 
 
-def _bfs_rounds(sub: nx.Graph, root: Any) -> Tuple[dict, dict, int]:
-    parents, depths = deterministic_bfs_tree(sub, root)
-    depth = max(depths.values(), default=0)
-    return parents, depths, depth + 2
+def _bfs_rounds(sub: nx.Graph, root: Any) -> Tuple[LocalGraph, List[int], int]:
+    """*sub* relabeled, its BFS depths from *root*, and the rounds charged."""
+    local = LocalGraph.from_graph(sub)
+    _parents, depths = deterministic_bfs_tree(local, local.index[root])
+    return local, depths, max(depths, default=0) + 2
 
 
 def cycle_freeness_checker(sub: nx.Graph, root: Any) -> Tuple[bool, int]:
     """Accept iff the part is a tree (BFS + non-tree-edge scan)."""
-    _parents, _depths, rounds = _bfs_rounds(sub, root)
-    ok = sub.number_of_edges() == sub.number_of_nodes() - 1
-    return ok, rounds
+    local, _depths, rounds = _bfs_rounds(sub, root)
+    return local.m == local.n - 1, rounds
 
 
 def bipartiteness_checker(sub: nx.Graph, root: Any) -> Tuple[bool, int]:
-    """Accept iff the part has no odd cycle (BFS parity check)."""
-    parents, depths, rounds = _bfs_rounds(sub, root)
-    for u, v in sub.edges():
-        if parents.get(u) == v or parents.get(v) == u:
-            continue
-        if depths[u] % 2 == depths[v] % 2:
-            return False, rounds
+    """Accept iff the part has no odd cycle (BFS parity check).
+
+    BFS depths of adjacent nodes differ by at most one, so an edge joins
+    equal parities -- closing an odd cycle -- iff its ends share a depth;
+    tree edges never do.
+    """
+    local, depths, rounds = _bfs_rounds(sub, root)
+    for u, row in enumerate(local.rows):
+        d = depths[u]
+        for v in row:
+            if depths[v] == d:
+                return False, rounds
     return True, rounds
 
 
@@ -83,9 +87,8 @@ def planarity_checker(sub: nx.Graph, root: Any) -> Tuple[bool, int]:
     decidable in O(D) rounds by collecting the part at the root, whose
     edge count is O(n_j) by the density check).
     """
-    _p, _d, rounds = _bfs_rounds(sub, root)
-    n = sub.number_of_nodes()
-    rounds += min(n, 3 * n)  # convergecast of O(n_j) edge words
+    local, _depths, rounds = _bfs_rounds(sub, root)
+    rounds += local.n  # convergecast of O(n_j) edge words
     return check_planarity(sub).is_planar, rounds
 
 
@@ -97,9 +100,8 @@ def outerplanarity_checker(sub: nx.Graph, root: Any) -> Tuple[bool, int]:
     are K4- and K23-minor free, so outerplanarity is a hereditary,
     minor-closed property -- exactly the setting of the paper's remark.
     """
-    _p, _d, rounds = _bfs_rounds(sub, root)
-    n = sub.number_of_nodes()
-    rounds += min(n, 3 * n)
+    local, _depths, rounds = _bfs_rounds(sub, root)
+    rounds += local.n
     apex = object()  # guaranteed-fresh node id
     augmented = nx.Graph(sub)
     augmented.add_edges_from((apex, v) for v in sub.nodes())
@@ -113,7 +115,7 @@ def degeneracy_checker(bound: int) -> PartChecker:
     """
 
     def checker(sub: nx.Graph, root: Any) -> Tuple[bool, int]:
-        _p, _d, rounds = _bfs_rounds(sub, root)
+        _local, _depths, rounds = _bfs_rounds(sub, root)
         # distributed peeling runs in O(log n_j) phases of local rounds;
         # charge diameter + log as a conservative poly(diameter) cost
         rounds += int(math.ceil(math.log2(max(2, sub.number_of_nodes()))))
@@ -165,8 +167,6 @@ def test_hereditary_property(
         for the randomized partition.
     """
     require_simple(graph, "test_hereditary_property input")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if isinstance(checker, str):
         name = checker
         try:
@@ -179,18 +179,7 @@ def test_hereditary_property(
     else:
         name = getattr(checker, "__name__", "custom")
 
-    target = epsilon * graph.number_of_edges() / 2
-    if method == "deterministic":
-        stage1 = partition_stage1(
-            graph, epsilon=epsilon, alpha=alpha, target_cut=target
-        )
-    elif method == "randomized":
-        stage1 = partition_randomized(
-            graph, epsilon=epsilon, delta=delta, alpha=alpha,
-            target_cut=target, seed=seed,
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    stage1 = _partition_for_application(graph, epsilon, alpha, method, delta, seed)
 
     rejecting = []
     max_rounds = 0

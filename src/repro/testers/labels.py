@@ -10,45 +10,28 @@ exactly DFS preorder of ``T_B`` with children visited in rotation order,
 so we assign each node its preorder *rank* -- an equivalent, compact
 representation of the order.
 
-Every function works on a relabeled
-:class:`~repro.planarity.lr_planarity.LocalGraph`, walking a
-:class:`~repro.planarity.rotation.HalfEdgeRing` and int lists: that is
-what Stage II runs.  Given a networkx graph instead (with a
-:class:`~repro.planarity.rotation.RotationSystem` and dicts keyed by node
-id), each one relabels, runs the same code and maps the answer back.
+Every function takes a relabeled
+:class:`~repro.planarity.lr_planarity.LocalGraph` and walks a
+:class:`~repro.planarity.rotation.HalfEdgeRing` and int lists over its
+indices.  Callers holding a networkx graph relabel once with
+:meth:`LocalGraph.from_graph` and get the ring from
+:func:`~repro.planarity.lr_planarity.check_planarity` or
+:func:`~repro.planarity.embedding.identity_rotation`, which keep the
+networkx boundary.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import GraphInputError
 from ..planarity.lr_planarity import LocalGraph
-from ..planarity.rotation import HalfEdgeRing, RotationSystem
+from ..planarity.rotation import HalfEdgeRing
 
 
-def _local_parents(graph: nx.Graph, parents) -> Tuple[LocalGraph, List[int]]:
-    """*graph* relabeled, and its ``{node: parent}`` dict as an index list."""
-    local = LocalGraph.from_graph(graph)
-    index = local.index
-    parent = [-1] * local.n
-    for v, p in parents.items():
-        if p is not None:
-            parent[index[v]] = index[p]
-    return local, parent
-
-
-def _local_ring(local: LocalGraph, rotation: RotationSystem) -> HalfEdgeRing:
-    """*rotation* (keyed by node id) as a ring over *local*'s indices."""
-    index = local.index
-    return HalfEdgeRing.from_rotations(
-        [[index[w] for w in rotation.rotation(v)] for v in local.nodes]
-    )
-
-
-def deterministic_bfs_tree(graph, root):
+def deterministic_bfs_tree(
+    graph: LocalGraph, root: int
+) -> Tuple[List[int], List[int]]:
     """BFS tree matching the distributed construction of Section 2.2.1.
 
     All nodes of depth ``d`` announce in the same round, so a node at
@@ -56,25 +39,9 @@ def deterministic_bfs_tree(graph, root):
     parent -- the same rule as :class:`repro.congest.programs.bfs`
     (ties by :func:`~repro.graphs.utils.id_key`).
 
-    Returns (parents, depths).  On a :class:`LocalGraph` with a root
-    index these are lists over indices (``parents[root] == -1``);
-    otherwise dicts keyed by node id (``parents[root] is None``), in BFS
-    order.
+    Returns (parents, depths), lists over *graph*'s indices with
+    ``parents[root] == -1``.
     """
-    if isinstance(graph, LocalGraph):
-        parent, depth, _order = _bfs_tree(graph, root)
-        return parent, depth
-    local = LocalGraph.from_graph(graph)
-    parent, depth, order = _bfs_tree(local, local.index[root])
-    nodes = local.nodes
-    return (
-        {nodes[v]: (nodes[parent[v]] if parent[v] >= 0 else None) for v in order},
-        {nodes[v]: depth[v] for v in order},
-    )
-
-
-def _bfs_tree(graph: LocalGraph, root: int):
-    """(parent, depth, BFS order) lists over *graph*'s indices."""
     rows = graph.rows
     n = len(rows)
     depth = [-1] * n
@@ -97,7 +64,7 @@ def _bfs_tree(graph: LocalGraph, root: int):
             if depth[w] == up and (best < 0 or keys[w] < keys[best]):
                 best = w
         parent[v] = best
-    return parent, depth, order
+    return parent, depth
 
 
 def _children_in_rotation_order(ring: HalfEdgeRing, to, parent, v: int) -> List[int]:
@@ -127,23 +94,16 @@ def _children_in_rotation_order(ring: HalfEdgeRing, to, parent, v: int) -> List[
             return children
 
 
-def embedding_ranks(graph, root, rotation, parents):
+def embedding_ranks(
+    graph: LocalGraph, root: int, rotation: HalfEdgeRing, parents: Sequence[int]
+) -> List[int]:
     """Preorder rank of every node under the embedding-ordered DFS of T_B.
 
     Ranks realize the lexicographic order on the paper's labels: the
     label of u is a strict prefix of v's iff u is an ancestor of v (and
     then rank(u) < rank(v)); otherwise the first differing edge label
     orders the subtrees exactly as rotation-ordered DFS does.
-
-    A list over indices on a :class:`LocalGraph`, else a dict by node id.
     """
-    if not isinstance(graph, LocalGraph):
-        local, parent = _local_parents(graph, parents)
-        ring = _local_ring(local, rotation)
-        ranks = embedding_ranks(local, local.index[root], ring, parent)
-        nodes = local.nodes
-        order = sorted(range(local.n), key=ranks.__getitem__)
-        return {nodes[v]: ranks[v] for v in order}
     n = graph.n
     to = rotation.targets()
     ranks = [-1] * n
@@ -163,20 +123,14 @@ def embedding_ranks(graph, root, rotation, parents):
     return ranks
 
 
-def non_tree_intervals(graph, parents, ranks) -> List[Tuple[Any, Any, Any, Any]]:
+def non_tree_intervals(
+    graph: LocalGraph, parents: Sequence[int], ranks: Sequence[int]
+) -> List[Tuple[int, int, int, int]]:
     """Non-tree edges of T_B as rank intervals ``(a, b, u, v)`` with a < b.
 
     Definition 7 orients each edge so the smaller label comes first; the
-    returned tuples keep the original endpoints for reporting.
+    returned tuples keep the endpoint indices for reporting.
     """
-    if not isinstance(graph, LocalGraph):
-        local, parent = _local_parents(graph, parents)
-        nodes = local.nodes
-        ranked = [ranks[v] for v in nodes]
-        return [
-            (a, b, nodes[u], nodes[v])
-            for a, b, u, v in non_tree_intervals(local, parent, ranked)
-        ]
     intervals = []
     for u, row in enumerate(graph.rows):
         pu = parents[u]
@@ -188,12 +142,14 @@ def non_tree_intervals(graph, parents, ranks) -> List[Tuple[Any, Any, Any, Any]]
     return intervals
 
 
-def max_label_length(depths) -> int:
+def max_label_length(depths: Sequence[int]) -> int:
     """Length (in edge labels = id-sized words) of the longest node label."""
-    return max(depths.values() if isinstance(depths, dict) else depths, default=0)
+    return max(depths, default=0)
 
 
-def euler_tour_positions(graph, root, rotation, parents):
+def euler_tour_positions(
+    graph: LocalGraph, root: int, rotation: HalfEdgeRing, parents: Sequence[int]
+) -> Tuple[Dict[int, int], int]:
     """Corner positions of non-tree half-edges along the tree's Euler tour.
 
     The complement of a spanning tree in the sphere is a single disk whose
@@ -214,21 +170,11 @@ def euler_tour_positions(graph, root, rotation, parents):
     prefix sums of subtree corner counts down ``T_B``).
 
     Returns:
-        (positions, total): ``positions`` maps each non-tree half-edge to
-        its walk position, in walk order -- keyed ``(v, x)`` by node id,
-        or ``v * n + x`` by index on a :class:`LocalGraph` (whose
-        *rotation* is a :class:`HalfEdgeRing` and *parents* a list);
-        ``total`` is the number of positions assigned (= 2 * number of
-        non-tree edges).
+        (positions, total): ``positions`` maps each non-tree half-edge
+        ``v -> x`` (keyed ``v * n + x``) to its walk position, in walk
+        order; ``total`` is the number of positions assigned (= 2 *
+        number of non-tree edges).
     """
-    if not isinstance(graph, LocalGraph):
-        local, parent = _local_parents(graph, parents)
-        ring = _local_ring(local, rotation)
-        positions, total = euler_tour_positions(local, local.index[root], ring, parent)
-        nodes = local.nodes
-        n = local.n
-        named = {(nodes[k // n], nodes[k % n]): p for k, p in positions.items()}
-        return named, total
     n = graph.n
     positions: Dict[int, int] = {}
     if n <= 1:
@@ -277,23 +223,15 @@ def euler_tour_positions(graph, root, rotation, parents):
     return positions, counter
 
 
-def corner_intervals(graph, parents, positions) -> List[Tuple[int, int, Any, Any]]:
+def corner_intervals(
+    graph: LocalGraph, parents: Sequence[int], positions: Dict[int, int]
+) -> List[Tuple[int, int, int, int]]:
     """Non-tree edges as corner-position intervals ``(a, b, u, v)``, a < b.
 
     All 2k endpoints are distinct, so interlacement is exactly strict
     alternation around the disk boundary.  Intervals come in networkx's
     ``graph.edges()`` order, which fixes the sampling order downstream.
     """
-    if not isinstance(graph, LocalGraph):
-        local, parent = _local_parents(graph, parents)
-        nodes = local.nodes
-        index = local.index
-        n = local.n
-        keyed = {index[v] * n + index[x]: p for (v, x), p in positions.items()}
-        return [
-            (a, b, nodes[u], nodes[v])
-            for a, b, u, v in corner_intervals(local, parent, keyed)
-        ]
     # networkx yields edge (u, v) from u's row when v comes later.
     n = graph.n
     intervals = []

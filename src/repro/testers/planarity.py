@@ -92,13 +92,12 @@ def stage2_over_partition(
         part = partition.parts[pid]
         rng = derive_rng(seed, repr(pid), "stage2")
         verdict = test_part(
-            graph,
             part,
+            subgraphs[pid],
             n_total=n_total,
             rng=rng,
             config=stage2_config,
             cost_model=model,
-            subgraph=subgraphs[pid],
         )
         verdicts.append(verdict)
         max_part_rounds = max(max_part_rounds, verdict.rounds)

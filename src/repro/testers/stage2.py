@@ -11,19 +11,21 @@ parallel; the stage's round cost is the maximum over parts):
    here -- see ARCHITECTURE.md, "Paper substitutions", item 1).  On
    non-planar parts, where GH may emit an arbitrary ordering, use the
    id-sorted fallback rotation;
-4. derive the lexicographic labels / preorder ranks;
+4. label the non-tree edges by their corners on ``T_B^j``'s Euler tour
+   (the corner refinement of the paper's lexicographic labels, see
+   :func:`~repro.testers.labels.euler_tour_positions`);
 5. sample ``s = Theta(log n / epsilon)`` non-tree edges and reject when
    any sampled edge interlaces another non-tree edge (Definition 7).
 
 All parts are relabeled in one pass over the parent adjacency
 (:func:`extract_part_subgraphs`), each to a
 :class:`~repro.planarity.lr_planarity.LocalGraph` over indices
-``0..n_j-1``; the BFS, the LR embedding (a half-edge ring), the labels
-and the sampling all run on int lists from there, and sampled edges are
-resolved against the numpy :func:`violating_mask`.  The seed's
-per-part relabeling (``test_part(subgraph=None)``) and the ``O(s*k)``
-pairwise sample scan (``sample_and_detect(universe=None)``) remain only
-as the references the differential tests compare against.
+``0..n_j-1``; the BFS, the LR embedding (a half-edge ring), the corner
+labels (:mod:`repro.testers.labels`) and the sampling all run on int
+lists from there, and sampled edges are resolved against the numpy
+:func:`violating_mask`.  The seed's per-part view relabeling and its
+``O(s*k)`` pairwise sample scan live on only as test-side references
+(``tests/_reference_paths.seed_stage2``).
 
 Round accounting per part (charged to the ledger, category "stage2.*"):
 BFS costs ``depth + 1``; the counts convergecast/broadcast ``2 depth + 2``;
@@ -49,10 +51,8 @@ from ..planarity.lr_planarity import LocalGraph, check_planarity
 from .labels import (
     corner_intervals,
     deterministic_bfs_tree,
-    embedding_ranks,
     euler_tour_positions,
     max_label_length,
-    non_tree_intervals,
 )
 from .results import PartVerdict
 from .violations import sample_and_detect, violating_mask
@@ -66,17 +66,6 @@ class Stage2Config:
         epsilon: distance parameter (detection threshold is epsilon/2
             per part, per Claim 3).
         sample_constant: c in ``s = ceil(c * log2(n) / epsilon)``.
-        criterion: which interlacement criterion defines "violating":
-
-            * ``"corner"`` (default): non-tree edges as chords of the
-              tree-complement disk, positioned at their Euler-tour
-              corners.  Sound *and* complete: a planar embedding has no
-              violating edge, and a violating-edge-free part is planar.
-            * ``"preorder"``: the paper's literal Definition 7 labels
-              (first-visit preorder ranks).  Sound (Claim 8 holds) but
-              NOT complete: planar parts can exhibit interlacements
-              (counterexample: the 3x3 grid; see tests), which would
-              break one-sided error.  Provided for comparison/benchmarks.
         reject_on_embedding_failure: treat an embedding-subroutine
             failure as rejection evidence.  Off by default: the paper's
             GH subroutine may emit an ordering even on non-planar parts,
@@ -89,7 +78,6 @@ class Stage2Config:
 
     epsilon: float = 0.1
     sample_constant: float = 2.0
-    criterion: str = "corner"
     reject_on_embedding_failure: bool = False
     collect_exact_violations: bool = False
 
@@ -137,29 +125,21 @@ def sample_size(n_total: int, config: Stage2Config) -> int:
 
 
 def test_part(
-    graph: nx.Graph,
     part: Part,
+    sub: LocalGraph,
     n_total: int,
     rng: random.Random,
     config: Stage2Config,
     ledger: Optional[RoundLedger] = None,
     cost_model: Optional[TreeCostModel] = None,
-    subgraph: Optional[LocalGraph] = None,
 ) -> PartVerdict:
     """Run Stage II on one part; return its verdict.
 
-    *graph* is the full graph; the part's induced subgraph is examined.
-    *subgraph* may supply it already relabeled (see
-    :func:`extract_part_subgraphs`); by default it is relabeled from
-    the ``graph.subgraph(part.nodes)`` view, in the view's order.
+    *sub* is the part's induced subgraph, relabeled (see
+    :func:`extract_part_subgraphs`).
     """
     model = cost_model or TreeCostModel()
     local = RoundLedger()
-    sub = (
-        LocalGraph.from_graph(graph.subgraph(part.nodes))
-        if subgraph is None
-        else subgraph
-    )
     n, m = sub.n, sub.m
     root = sub.index[part.root]
 
@@ -211,17 +191,9 @@ def test_part(
         ring = identity_rotation(sub)
         embedding_planar = False
 
-    # 4. Labels: corner positions on the tree's Euler tour (default) or
-    # the paper-literal preorder ranks.
-    if config.criterion == "corner":
-        positions, universe = euler_tour_positions(sub, root, ring, parents)
-        intervals_full = corner_intervals(sub, parents, positions)
-    elif config.criterion == "preorder":
-        ranks = embedding_ranks(sub, root, ring, parents)
-        intervals_full = non_tree_intervals(sub, parents, ranks)
-        universe = n
-    else:
-        raise ValueError(f"unknown criterion {config.criterion!r}")
+    # 4. Labels: corner positions on the tree's Euler tour.
+    positions, universe = euler_tour_positions(sub, root, ring, parents)
+    intervals_full = corner_intervals(sub, parents, positions)
     label_words = max_label_length(depths)
     local.charge(
         model.broadcast(depth, max(1, label_words)),

@@ -9,9 +9,11 @@ Two intervals ``(a, b)`` and ``(c, d)`` (with ``a < b``, ``c < d``,
 * the part is planar and the labels come from a planar embedding =>
   there is no violating edge (one-sided error).
 
-This module provides the exact violating-edge analysis (both a brute
-force reference and numpy range-max / range-min tables) and the paper's
-sampling-based distributed detection procedure.
+This module provides the exact violating-edge mask (numpy range-max /
+range-min tables) and the paper's sampling-based distributed detection
+procedure, which resolves each sampled edge against that mask.  The
+``O(k^2)`` brute-force mask and the ``O(s*k)`` pairwise sample scan it
+replaced are test-side oracles (``tests/_reference_paths.py``).
 """
 
 from __future__ import annotations
@@ -31,18 +33,6 @@ def edges_interlace(first: Interval, second: Interval) -> bool:
     if a > c:
         (a, b), (c, d) = (c, d), (a, b)
     return a < c < b < d
-
-
-def violating_mask_bruteforce(intervals: Sequence[Interval]) -> List[bool]:
-    """O(k^2) reference implementation of the violating-edge mask."""
-    k = len(intervals)
-    mask = [False] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if edges_interlace(intervals[i], intervals[j]):
-                mask[i] = True
-                mask[j] = True
-    return mask
 
 
 def _range_reduce(values, op, lo, hi):
@@ -135,7 +125,7 @@ def sample_and_detect(
     intervals: Sequence[Interval],
     sample_target: int,
     rng: random.Random,
-    universe: Optional[int] = None,
+    universe: int,
     mask: Optional[List[bool]] = None,
 ) -> SamplingOutcome:
     """Paper Section 2.2.2 detection: sample ~s non-tree edges, broadcast
@@ -148,14 +138,11 @@ def sample_and_detect(
     1/poly(n)-probability event).  A violation is detected when a sampled
     edge interlaces *any* non-tree edge, sampled or not.
 
-    When *universe* is given (an exclusive upper bound on endpoint
-    values), the per-sample interlacement test resolves against
-    :func:`violating_mask` instead of the ``O(s * k)`` pairwise scan --
-    the mask answers exactly the predicate "does edge i interlace some
-    other edge", so the outcome (including the reported witness) is
-    identical.  Callers
-    that already computed the mask (analysis mode) pass it via *mask*
-    to skip the rebuild.
+    The per-sample interlacement test resolves against
+    :func:`violating_mask` (*universe* is an exclusive upper bound on
+    endpoint values): the mask answers exactly the predicate "does edge
+    i interlace some other edge".  Callers that already computed the
+    mask (analysis mode) pass it via *mask* to skip the rebuild.
     """
     k = len(intervals)
     if k == 0 or sample_target <= 0:
@@ -166,31 +153,18 @@ def sample_and_detect(
     truncated = len(chosen) > cap
     if truncated:
         chosen = chosen[:cap]
-    if universe is not None or mask is not None:
-        if mask is None:
-            mask = _violating_array(intervals, universe)
-        for i in chosen:
-            if mask[i]:
-                # Reconstruct the seed's witness: the first partner in
-                # index order.
-                for j in range(k):
-                    if j != i and edges_interlace(intervals[i], intervals[j]):
-                        return SamplingOutcome(
-                            True,
-                            sample_target,
-                            len(chosen),
-                            truncated,
-                            witness=(intervals[i], intervals[j]),
-                        )
-        return SamplingOutcome(False, sample_target, len(chosen), truncated)
+    if mask is None:
+        mask = _violating_array(intervals, universe)
     for i in chosen:
-        for j in range(k):
-            if j != i and edges_interlace(intervals[i], intervals[j]):
-                return SamplingOutcome(
-                    True,
-                    sample_target,
-                    len(chosen),
-                    truncated,
-                    witness=(intervals[i], intervals[j]),
-                )
+        if mask[i]:
+            # The witness is the first partner in index order.
+            for j in range(k):
+                if j != i and edges_interlace(intervals[i], intervals[j]):
+                    return SamplingOutcome(
+                        True,
+                        sample_target,
+                        len(chosen),
+                        truncated,
+                        witness=(intervals[i], intervals[j]),
+                    )
     return SamplingOutcome(False, sample_target, len(chosen), truncated)

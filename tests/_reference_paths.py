@@ -11,18 +11,19 @@ for the duration of a ``with`` block instead:
   accounting and real inbox dicts (:func:`inbox_dict`) in place of
   :class:`~repro.congest.plane.SlotInbox` views;
 * :func:`seed_stage2` -- Stage II relabeling each part from its
-  ``graph.subgraph`` view (``test_part(subgraph=None)``) and checking
-  samples with the ``O(s*k)`` pairwise scan
-  (``sample_and_detect(universe=None)``);
+  ``graph.subgraph`` view (:func:`_per_part_views`) and checking
+  samples with the ``O(s*k)`` pairwise scan (:func:`_pairwise_scan`);
 * :func:`pinned_forest` -- the dense Stage I engine's pointer-reversal
   merge checked, phase by phase, against the BFS re-root over
   per-node tree-adjacency lists that it replaced
   (:class:`ReferenceForest`).
 
-Two plain oracles sit beside them: :func:`reference_topology`, the
+Three plain oracles sit beside them: :func:`reference_topology`, the
 per-node constructor loop that ``CompiledTopology`` replaced with numpy
-sorts, and :func:`reference_edge_arrays`, its Python double loop over
-the CSR slots.
+sorts, :func:`reference_edge_arrays`, its Python double loop over the
+CSR slots, and :func:`violating_mask_bruteforce`, the ``O(k^2)``
+violating-edge mask.  :func:`labels_by_id` runs the int-indexed label
+layer on a networkx graph and keys its answers by node id.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ from repro.errors import BandwidthExceededError, PartitionError, ProtocolError
 from repro.graphs import make_planar
 from repro.graphs.utils import id_key
 from repro.partition.dense import DensePartitionState
+from repro.planarity.lr_planarity import LocalGraph
+from repro.planarity.rotation import HalfEdgeRing
+from repro.testers.labels import (
+    corner_intervals,
+    deterministic_bfs_tree,
+    embedding_ranks,
+    euler_tour_positions,
+    non_tree_intervals,
+)
+from repro.testers.violations import SamplingOutcome, edges_interlace
 import repro.testers.planarity as planarity
 import repro.testers.stage2 as stage2
 
@@ -257,14 +268,80 @@ def faithful_profile():
 
 
 def _per_part_views(graph, partition):
-    return dict.fromkeys(partition.parts)
-
-
-_SAMPLE_AND_DETECT = stage2.sample_and_detect
+    """Each part relabeled from its own ``graph.subgraph`` view."""
+    return {
+        pid: LocalGraph.from_graph(graph.subgraph(part.nodes))
+        for pid, part in partition.parts.items()
+    }
 
 
 def _pairwise_scan(intervals, s, rng, universe=None, mask=None):
-    return _SAMPLE_AND_DETECT(intervals, s, rng)
+    """:func:`sample_and_detect`'s sampling, each sampled edge checked
+    against every other non-tree edge instead of the violating mask."""
+    k = len(intervals)
+    if k == 0 or s <= 0:
+        return SamplingOutcome(False, s, 0, False)
+    probability = min(1.0, s / k)
+    chosen = [i for i in range(k) if rng.random() < probability]
+    cap = max(4 * s, 1)
+    truncated = len(chosen) > cap
+    if truncated:
+        chosen = chosen[:cap]
+    for i in chosen:
+        for j in range(k):
+            if j != i and edges_interlace(intervals[i], intervals[j]):
+                return SamplingOutcome(
+                    True, s, len(chosen), truncated, (intervals[i], intervals[j])
+                )
+    return SamplingOutcome(False, s, len(chosen), truncated)
+
+
+def violating_mask_bruteforce(intervals):
+    """The ``O(k^2)`` violating-edge mask :func:`violating_mask` replaced."""
+    k = len(intervals)
+    mask = [False] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if edges_interlace(intervals[i], intervals[j]):
+                mask[i] = mask[j] = True
+    return mask
+
+
+def labels_by_id(graph, root, rotation=None):
+    """Stage II's labels of networkx *graph* from *root*, keyed by node id.
+
+    The label layer runs on a relabeled :class:`LocalGraph`; this
+    relabels once, runs it and maps the answers back: ``parents`` (None
+    at the root) and ``depths`` by node and, given *rotation* (a
+    :class:`~repro.planarity.rotation.RotationSystem` over node ids),
+    ``ranks`` by node, corner ``positions`` by ``(v, x)`` half-edge and
+    their ``total``, and the ``corner`` and ``preorder`` non-tree
+    intervals as ``(a, b)`` pairs.
+    """
+    local = LocalGraph.from_graph(graph)
+    nodes, index, n = local.nodes, local.index, local.n
+    r = index[root]
+    parent, depth = deterministic_bfs_tree(local, r)
+    out = SimpleNamespace(
+        parents={v: nodes[p] if p >= 0 else None for v, p in zip(nodes, parent)},
+        depths=dict(zip(nodes, depth)),
+    )
+    if rotation is None:
+        return out
+    ring = HalfEdgeRing.from_rotations(
+        [[index[w] for w in rotation.rotation(v)] for v in nodes]
+    )
+    ranks = embedding_ranks(local, r, ring, parent)
+    positions, out.total = euler_tour_positions(local, r, ring, parent)
+    out.ranks = dict(zip(nodes, ranks))
+    out.positions = {(nodes[k // n], nodes[k % n]): p for k, p in positions.items()}
+    out.corner = [
+        (a, b) for a, b, _u, _v in corner_intervals(local, parent, positions)
+    ]
+    out.preorder = [
+        (a, b) for a, b, _u, _v in non_tree_intervals(local, parent, ranks)
+    ]
+    return out
 
 
 @contextmanager

@@ -47,6 +47,7 @@ import numpy as np
 import pytest
 
 import repro.testers.planarity as planarity
+from _reference_paths import labels_by_id
 from repro.congest.ledger import RoundLedger, TreeCostModel
 from repro.congest.programs.forest_decomposition import barenboim_elkin_round_budget
 from repro.errors import GraphInputError, PartitionError
@@ -68,7 +69,6 @@ from repro.partition.weighted_selection import (
     default_trials,
     randomized_phase_cap,
 )
-from repro.testers.labels import deterministic_bfs_tree
 from repro.testers.results import ApplicationTestResult
 
 # -- label types ---------------------------------------------------------------
@@ -907,7 +907,8 @@ def verify_parts(
     max_rounds = 0
     for pid, part in stage1.partition.parts.items():
         sub = graph.subgraph(part.nodes)
-        parents, depths = deterministic_bfs_tree(sub, part.root)
+        bfs = labels_by_id(sub, part.root)
+        parents, depths = bfs.parents, bfs.depths
         depth = max(depths.values(), default=0)
         max_rounds = max(max_rounds, (depth + 1) + model.neighbor_exchange())
         for u, v in sub.edges():

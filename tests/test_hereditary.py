@@ -6,6 +6,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from _stage1_reference import label_cases, relabeled
 from repro.graphs import (
     grid_graph,
     make_planar,
@@ -20,6 +21,8 @@ from repro.testers import (
     degeneracy_checker,
     outerplanarity_checker,
     planarity_checker,
+    test_bipartiteness as run_bipartiteness,
+    test_cycle_freeness as run_cycle_freeness,
     test_hereditary_property as run_hereditary,
 )
 
@@ -121,3 +124,30 @@ class TestHereditaryTester:
         result = run_hereditary(graph, "planar", epsilon=0.3)
         assert result.rounds == result.partition_rounds + result.verification_rounds
         assert result.verification_rounds > 0
+
+
+class TestMatchesCorollary16Testers:
+    """The cycle-free and bipartite built-ins, run per part on a
+    relabeled subgraph, agree with the Corollary 16 testers' vectorized
+    BFS check on every label type."""
+
+    @pytest.mark.parametrize(
+        "family,relabeling",
+        label_cases(["grid", "tri-grid", "apollonian", "delaunay"]),
+    )
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3])
+    @pytest.mark.parametrize("method", ["deterministic", "randomized"])
+    @pytest.mark.parametrize(
+        "checker,tester",
+        [("cycle-free", run_cycle_freeness), ("bipartite", run_bipartiteness)],
+        ids=["cycle-free", "bipartite"],
+    )
+    def test_verdicts_agree(
+        self, family, relabeling, epsilon, method, checker, tester
+    ):
+        graph = relabeled(make_planar(family, 120, seed=0), relabeling)
+        ours = run_hereditary(graph, checker, epsilon=epsilon, method=method, seed=0)
+        theirs = tester(graph, epsilon=epsilon, method=method, seed=0)
+        assert (
+            ours.accepted, ours.rejecting_parts, ours.verification_rounds
+        ) == (theirs.accepted, theirs.rejecting_parts, theirs.verification_rounds)

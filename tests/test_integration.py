@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import networkx as nx
 
+from _reference_paths import labels_by_id
 from _stage1_reference import AuxiliaryGraph
 from repro.congest.programs import bfs_tree
 from repro.graphs import make_far, make_planar
 from repro.partition import partition_stage1
 from repro.planarity import check_planarity, verify_planar_embedding
-from repro.testers import PlanarityTestConfig
 from repro.testers import test_planarity as run_planarity
-from repro.testers.labels import deterministic_bfs_tree
 
 
 class TestClaim3Chain:
@@ -42,8 +41,7 @@ class TestLemma6Chain:
         graph = make_planar("delaunay", 300, seed=2)
         result = partition_stage1(graph, epsilon=0.2)
         for pid, part in result.partition.parts.items():
-            sub = graph.subgraph(part.nodes)
-            parents, depths = deterministic_bfs_tree(sub, part.root)
+            depths = labels_by_id(graph.subgraph(part.nodes), part.root).depths
             assert max(depths.values(), default=0) <= 2 * part.height + 1
 
     def test_bfs_tree_matches_congest_protocol_per_part(self):
@@ -53,8 +51,7 @@ class TestLemma6Chain:
         part = result.partition.parts[pid]
         sub = nx.Graph(graph.subgraph(part.nodes))
         sim_parents, sim_depths, _ = bfs_tree(sub, part.root)
-        emu_parents, emu_depths = deterministic_bfs_tree(sub, part.root)
-        assert sim_depths == emu_depths
+        assert sim_depths == labels_by_id(sub, part.root).depths
 
 
 class TestEmbeddingChain:

@@ -10,29 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference_paths import labels_by_id, violating_mask_bruteforce
 from repro.congest.programs import bfs_tree
+from repro.errors import GraphInputError
 from repro.planarity import check_planarity, identity_rotation
 from repro.planarity.lr_planarity import LocalGraph
 from repro.testers import (
     count_violating,
     deterministic_bfs_tree,
     edges_interlace,
-    embedding_ranks,
-    non_tree_intervals,
     sample_and_detect,
     violating_mask,
-    violating_mask_bruteforce,
 )
-from repro.testers.labels import corner_intervals, euler_tour_positions
 
 
 class TestDeterministicBFS:
     def test_matches_distributed_protocol(self, small_tri_grid):
         """The emulated BFS must equal the simulated CONGEST BFS exactly."""
         sim_parents, sim_depths, _ = bfs_tree(small_tri_grid, 0)
-        emu_parents, emu_depths = deterministic_bfs_tree(small_tri_grid, 0)
-        assert emu_depths == sim_depths
-        assert {v: p for v, p in emu_parents.items() if p is not None} == sim_parents
+        emu = labels_by_id(small_tri_grid, 0)
+        assert emu.depths == sim_depths
+        assert {v: p for v, p in emu.parents.items() if p is not None} == sim_parents
 
     def test_parent_ties_break_by_id_key(self):
         # Depth-1 candidates for 99: ints before strings, strings by repr
@@ -43,45 +41,40 @@ class TestDeterministicBFS:
             graph.add_edge(mid, 99)
         for mid in ("n9", "n10"):
             graph.add_edge(mid, "leaf")
-        parents, depths = deterministic_bfs_tree(graph, "root")
-        assert parents[99] == 2 and parents["leaf"] == "n10"
-        assert depths == {"root": 0, "n9": 1, 10: 1, "n10": 1, 2: 1, 99: 2, "leaf": 2}
         local = LocalGraph.from_graph(graph)
         parent, depth = deterministic_bfs_tree(local, local.index["root"])
-        assert local.nodes[parent[local.index[99]]] == 2
-        assert depth == [depths[v] for v in local.nodes]
+        nodes, index = local.nodes, local.index
+        assert nodes[parent[index[99]]] == 2 and nodes[parent[index["leaf"]]] == "n10"
+        assert dict(zip(nodes, depth)) == {
+            "root": 0, "n9": 1, 10: 1, "n10": 1, 2: 1, 99: 2, "leaf": 2
+        }
 
     def test_disconnected_rejected(self):
-        graph = nx.Graph([(0, 1), (2, 3)])
-        from repro.errors import GraphInputError
-
+        local = LocalGraph.from_graph(nx.Graph([(0, 1), (2, 3)]))
         with pytest.raises(GraphInputError):
-            deterministic_bfs_tree(graph, 0)
+            deterministic_bfs_tree(local, 0)
 
 
 class TestEmbeddingRanks:
     def test_root_rank_zero(self, small_grid):
         emb = check_planarity(small_grid).embedding
-        parents, _ = deterministic_bfs_tree(small_grid, 0)
-        ranks = embedding_ranks(small_grid, 0, emb, parents)
+        ranks = labels_by_id(small_grid, 0, emb).ranks
         assert ranks[0] == 0
         assert sorted(ranks.values()) == list(range(small_grid.number_of_nodes()))
 
     def test_parents_before_children(self, small_apollonian):
         emb = check_planarity(small_apollonian).embedding
-        parents, _ = deterministic_bfs_tree(small_apollonian, 0)
-        ranks = embedding_ranks(small_apollonian, 0, emb, parents)
-        for child, parent in parents.items():
+        labels = labels_by_id(small_apollonian, 0, emb)
+        for child, parent in labels.parents.items():
             if parent is not None:
-                assert ranks[parent] < ranks[child]
+                assert labels.ranks[parent] < labels.ranks[child]
 
 
 class TestEulerTourPositions:
     def test_position_count(self, planar_zoo):
         for name, graph in planar_zoo:
-            emb = check_planarity(graph).embedding
-            parents, _ = deterministic_bfs_tree(graph, 0)
-            positions, total = euler_tour_positions(graph, 0, emb, parents)
+            labels = labels_by_id(graph, 0, check_planarity(graph).embedding)
+            positions, total = labels.positions, labels.total
             non_tree = graph.number_of_edges() - (graph.number_of_nodes() - 1)
             assert len(positions) == 2 * non_tree, name
             assert total == 2 * non_tree, name
@@ -90,22 +83,15 @@ class TestEulerTourPositions:
     def test_single_node(self):
         graph = nx.Graph()
         graph.add_node(0)
-        emb = check_planarity(graph).embedding
-        positions, total = euler_tour_positions(graph, 0, emb, {0: None})
-        assert positions == {} and total == 0
+        labels = labels_by_id(graph, 0, check_planarity(graph).embedding)
+        assert labels.positions == {} and labels.total == 0
 
     def test_tree_has_no_positions(self):
         tree = nx.random_labeled_tree(30, seed=2)
-        emb = check_planarity(tree).embedding
-        parents, _ = deterministic_bfs_tree(tree, 0)
-        positions, total = euler_tour_positions(tree, 0, emb, parents)
-        assert total == 0
+        assert labels_by_id(tree, 0, check_planarity(tree).embedding).total == 0
 
     def test_works_with_identity_rotation(self, k5):
-        rot = identity_rotation(k5)
-        parents, _ = deterministic_bfs_tree(k5, 0)
-        positions, total = euler_tour_positions(k5, 0, rot, parents)
-        assert total == 2 * (10 - 4)
+        assert labels_by_id(k5, 0, identity_rotation(k5)).total == 2 * (10 - 4)
 
 
 class TestClaimTen:
@@ -119,49 +105,25 @@ class TestClaimTen:
 
     def test_corner_criterion_complete_on_planar(self, planar_zoo):
         for name, graph in planar_zoo:
-            emb = check_planarity(graph).embedding
-            parents, _ = deterministic_bfs_tree(graph, 0)
-            positions, total = euler_tour_positions(graph, 0, emb, parents)
-            intervals = [
-                (a, b)
-                for a, b, _u, _v in corner_intervals(graph, parents, positions)
-            ]
-            assert count_violating(intervals, universe=total) == 0, name
+            labels = labels_by_id(graph, 0, check_planarity(graph).embedding)
+            assert count_violating(labels.corner, universe=labels.total) == 0, name
 
     def test_preorder_criterion_incomplete_on_3x3_grid(self):
         graph = nx.convert_node_labels_to_integers(nx.grid_2d_graph(3, 3))
-        emb = check_planarity(graph).embedding
-        parents, _ = deterministic_bfs_tree(graph, 0)
-        ranks = embedding_ranks(graph, 0, emb, parents)
-        intervals = [
-            (a, b)
-            for a, b, _u, _v in non_tree_intervals(graph, parents, ranks)
-        ]
+        labels = labels_by_id(graph, 0, check_planarity(graph).embedding)
         # the paper-literal criterion flags violations on a planar graph
-        assert count_violating(intervals, universe=9) > 0
+        assert count_violating(labels.preorder, universe=9) > 0
 
     def test_corner_criterion_fine_on_3x3_grid(self):
         graph = nx.convert_node_labels_to_integers(nx.grid_2d_graph(3, 3))
-        emb = check_planarity(graph).embedding
-        parents, _ = deterministic_bfs_tree(graph, 0)
-        positions, total = euler_tour_positions(graph, 0, emb, parents)
-        intervals = [
-            (a, b)
-            for a, b, _u, _v in corner_intervals(graph, parents, positions)
-        ]
-        assert count_violating(intervals, universe=total) == 0
+        labels = labels_by_id(graph, 0, check_planarity(graph).embedding)
+        assert count_violating(labels.corner, universe=labels.total) == 0
 
     def test_far_graphs_have_many_violations(self, far_zoo):
         """Corollary 9 (corner form): gamma-far => >= gamma*m violating."""
         for name, graph, certified in far_zoo:
-            rot = identity_rotation(graph)
-            parents, _ = deterministic_bfs_tree(graph, 0)
-            positions, total = euler_tour_positions(graph, 0, rot, parents)
-            intervals = [
-                (a, b)
-                for a, b, _u, _v in corner_intervals(graph, parents, positions)
-            ]
-            violating = count_violating(intervals, universe=total)
+            labels = labels_by_id(graph, 0, identity_rotation(graph))
+            violating = count_violating(labels.corner, universe=labels.total)
             m = graph.number_of_edges()
             assert violating >= certified * m - 1e-9, (name, violating, certified * m)
 
@@ -195,34 +157,34 @@ class TestInterlacement:
 
 class TestSampling:
     def test_no_intervals(self):
-        outcome = sample_and_detect([], 5, random.Random(0))
+        outcome = sample_and_detect([], 5, random.Random(0), universe=0)
         assert not outcome.detected
         assert outcome.sampled == 0
 
     def test_full_sampling_detects(self):
         intervals = [(0, 2), (1, 3)]  # interlacing pair
-        outcome = sample_and_detect(intervals, 10, random.Random(0))
+        outcome = sample_and_detect(intervals, 10, random.Random(0), universe=4)
         assert outcome.detected
         assert outcome.witness is not None
 
     def test_no_violation_no_detection(self):
         intervals = [(0, 1), (2, 3), (4, 9)]
-        outcome = sample_and_detect(intervals, 10, random.Random(0))
+        outcome = sample_and_detect(intervals, 10, random.Random(0), universe=10)
         assert not outcome.detected
 
     def test_sampling_probability_reasonable(self):
         intervals = [(i, i + 100) for i in range(0, 400, 2)]  # massively interlacing
         detected = sum(
-            sample_and_detect(intervals, 5, random.Random(seed)).detected
+            sample_and_detect(intervals, 5, random.Random(seed), universe=500).detected
             for seed in range(20)
         )
         assert detected == 20  # any sample hits (all edges are violating)
 
     def test_truncation_cap(self):
         intervals = [(2 * i, 2 * i + 1) for i in range(1000)]
-        outcome = sample_and_detect(intervals, 1, random.Random(3))
+        outcome = sample_and_detect(intervals, 1, random.Random(3), universe=2000)
         assert outcome.sampled <= 4  # cap = 4 * s
 
     def test_zero_target(self):
-        outcome = sample_and_detect([(0, 2), (1, 3)], 0, random.Random(0))
+        outcome = sample_and_detect([(0, 2), (1, 3)], 0, random.Random(0), universe=4)
         assert not outcome.detected

@@ -110,14 +110,6 @@ class TestConfiguration:
         result = run_planarity(k33, seed=0, config=config)
         assert not result.accepted
 
-    def test_preorder_criterion_mode_runs(self):
-        # The paper-literal criterion remains available (soundness holds;
-        # completeness does not -- see test_labels_violations).
-        graph, _ = make_far("planted-k5", 150, seed=5)
-        config = PlanarityTestConfig(epsilon=0.1)
-        config_s2 = config.stage2()
-        assert config_s2.criterion == "corner"
-
     def test_rounds_split(self):
         graph = make_planar("grid", 150, seed=0)
         result = run_planarity(graph, epsilon=0.2, seed=0)

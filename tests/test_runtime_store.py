@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import multiprocessing
-import os
+import time
 
+import pytest
+
+from repro.cli import main
 from repro.runtime import JobSpec, ShardedStore, run_jobs
 from repro.runtime.store import count_record_entries, shard_of_key
 
@@ -28,17 +31,6 @@ def test_newest_wins_and_compaction(tmp_path):
     # The shard file now holds exactly one live entry.
     assert count_record_entries(tmp_path / "s") == 1
     assert store.get("k") == {"v": 4}
-
-def test_eviction_cap_reports_counts(tmp_path):
-    store = ShardedStore(tmp_path / "s", shards=1, max_entries=3)
-    for index in range(8):
-        store.put(f"key-{index}", {"v": index})
-    store.compact()
-    assert len(store) <= 3
-    assert store.stats.evicted_entries >= 5
-    assert store.stats.bytes_reclaimed > 0
-    # The *newest* entries survive (recency order eviction).
-    assert store.get("key-7") == {"v": 7}
 
 def test_fresh_instance_reads_existing_store(tmp_path):
     first = ShardedStore(tmp_path / "s", shards=4)
@@ -242,6 +234,36 @@ class TestGC:
         report = store.gc(ttl=0.001, now=2000.0)
         assert report.entries_removed == 1
         assert store.get("recent") is None
+
+    @pytest.mark.parametrize("bound", [{"ttl": -1.0}, {"max_bytes": -1}])
+    def test_negative_bound_rejected(self, tmp_path, bound):
+        """A negative TTL or byte budget is an error, not "collect
+        everything outside the grace window"."""
+        store = ShardedStore(tmp_path / "s", shards=1)
+        for index in range(5):
+            store.put(f"k{index}", {"v": index})
+        with pytest.raises(ValueError, match="must be >= 0"):
+            store.gc(now=time.time() + 3600.0, **bound)
+        assert len(ShardedStore(tmp_path / "s")) == 5
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--max-bytes", "-1", "--grace", "0"],
+            ["--ttl", "-1", "--grace", "0"],
+            ["--ttl", "3600", "--grace", "-1"],
+        ],
+    )
+    def test_cli_rejects_negative_bounds(self, tmp_path, capsys, bounds):
+        root = tmp_path / "s"
+        store = ShardedStore(root, shards=1)
+        for index in range(5):
+            store.put(f"k{index}", {"v": index})
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", "--cache-dir", str(root)] + bounds)
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert len(ShardedStore(root)) == 5
 
     def test_gc_compacts_meta_shard(self, tmp_path):
         store = ShardedStore(tmp_path / "s", shards=1)

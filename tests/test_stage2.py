@@ -9,9 +9,16 @@ import pytest
 
 from repro.congest import RoundLedger
 from repro.graphs import make_planar
-from repro.partition import Partition, build_part
+from repro.partition import build_part
+from repro.planarity.lr_planarity import LocalGraph
+from repro.testers import stage2
 from repro.testers.stage2 import Stage2Config
-from repro.testers.stage2 import test_part as run_part
+
+
+def run_part(graph, part, **kwargs):
+    """Stage II on *part*, relabeled from its ``graph.subgraph`` view."""
+    sub = LocalGraph.from_graph(graph.subgraph(part.nodes))
+    return stage2.test_part(part, sub, **kwargs)
 
 
 def whole_graph_part(graph, root=0):
@@ -73,23 +80,6 @@ class TestPartVerdicts:
         )
         assert verdict.violating_exact is not None
         assert verdict.violating_exact > 0
-
-    def test_preorder_criterion_on_nonplanar(self, k33):
-        part = whole_graph_part(k33)
-        verdict = run_part(
-            k33, part, n_total=6, rng=random.Random(0),
-            config=Stage2Config(epsilon=0.3, criterion="preorder"),
-        )
-        # soundness of the preorder criterion: detection still possible
-        assert verdict.reason in ("violation", None)
-
-    def test_unknown_criterion(self, small_grid):
-        part = whole_graph_part(small_grid)
-        with pytest.raises(ValueError):
-            run_part(
-                small_grid, part, n_total=36, rng=random.Random(0),
-                config=Stage2Config(epsilon=0.3, criterion="astral"),
-            )
 
     def test_single_node_part(self):
         graph = nx.Graph()

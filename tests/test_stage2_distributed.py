@@ -11,10 +11,10 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from _reference_paths import labels_by_id
 from repro.congest.programs import run_stage2_verification_simulated
 from repro.graphs import make_far, make_planar
 from repro.planarity import check_planarity, identity_rotation
-from repro.testers.labels import deterministic_bfs_tree, euler_tour_positions
 
 
 def run_distributed(graph, rotation, epsilon=0.2, seed=0):
@@ -31,16 +31,12 @@ class TestPositionsMatchEmulated:
         graph = make_planar(family, 90, seed=2)
         emb = check_planarity(graph).embedding
         result = run_distributed(graph, emb)
-        parents, _ = deterministic_bfs_tree(graph, 0)
-        emulated, total = euler_tour_positions(graph, 0, emb, parents)
-        assert result.positions == emulated
+        assert result.positions == labels_by_id(graph, 0, emb).positions
 
     def test_positions_with_fallback_rotation(self, k33):
         rot = identity_rotation(k33)
         result = run_distributed(k33, rot, seed=1)
-        parents, _ = deterministic_bfs_tree(k33, 0)
-        emulated, _total = euler_tour_positions(k33, 0, rot, parents)
-        assert result.positions == emulated
+        assert result.positions == labels_by_id(k33, 0, rot).positions
 
     def test_tree_part_has_no_positions(self):
         tree = nx.random_labeled_tree(40, seed=1)

@@ -20,7 +20,7 @@ import random
 import networkx as nx
 import pytest
 
-from _reference_paths import seed_stage2
+from _reference_paths import _pairwise_scan, seed_stage2, violating_mask_bruteforce
 from _stage1_reference import label_cases, reference_stage1, relabeled
 from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
@@ -31,11 +31,7 @@ from repro.planarity.lr_planarity import LocalGraph
 from repro.testers.planarity import PlanarityTestConfig, stage2_over_partition
 from repro.testers.planarity import test_planarity as run_planarity
 from repro.testers.stage2 import Stage2Config, extract_part_subgraphs
-from repro.testers.violations import (
-    sample_and_detect,
-    violating_mask,
-    violating_mask_bruteforce,
-)
+from repro.testers.violations import sample_and_detect, violating_mask
 
 def run_seed(graph, seed, **config):
     """The tester on the seed path: reference Stage I and Stage II."""
@@ -175,9 +171,7 @@ class TestSamplingFastPath:
                 a, b = rng_intervals.sample(range(universe), 2)
                 intervals.append((min(a, b), max(a, b)))
             for seed in range(3):
-                scan = sample_and_detect(
-                    intervals, 5, random.Random(seed)
-                )
+                scan = _pairwise_scan(intervals, 5, random.Random(seed))
                 fast = sample_and_detect(
                     intervals, 5, random.Random(seed), universe=universe
                 )
@@ -307,13 +301,10 @@ class TestStage2Rejections:
             sum(v.violating_exact or 0 for v in verdicts),
         ) == SEED_REJECTIONS[name]
 
-    @pytest.mark.parametrize("criterion", ["corner", "preorder"])
-    def test_criteria_identical_across_paths(self, criterion):
+    def test_exact_violations_identical_across_paths(self):
         graph = stage2_rejecting("outerplanar+10/0")
         partition = partition_stage1(graph, epsilon=0.1).partition
-        config = Stage2Config(
-            epsilon=0.1, criterion=criterion, collect_exact_violations=True
-        )
+        config = Stage2Config(epsilon=0.1, collect_exact_violations=True)
 
         def outcome():
             verdicts, rejecting, rounds = stage2_over_partition(
