@@ -31,7 +31,7 @@ import networkx as nx
 
 from ..errors import GraphInputError
 from ..graphs.utils import id_key, require_simple
-from ..partition.parts import Part, Partition, build_part
+from ..partition.parts import Partition, build_part
 
 
 @dataclass

@@ -224,7 +224,7 @@ class Client:
         total: int,
         on_progress: Optional[Callable[[Dict], None]],
     ) -> Iterator[Tuple[int, Record, Optional[float]]]:
-        delivered = 0
+        seen = bytearray(total)
         verdict: Optional[dict] = None
         completed = False
         try:
@@ -242,7 +242,13 @@ class Client:
                 if kind == "verdict":
                     verdict = item[1]
                     continue
-                delivered += 1
+                index = item[1]
+                if not 0 <= index < total or seen[index]:
+                    raise ServiceError(
+                        f"service sent record index {index} twice or "
+                        f"outside 0..{total - 1}"
+                    )
+                seen[index] = 1
                 yield item[1:]
             completed = True
             if verdict is not None and not verdict.get("ok"):
@@ -254,9 +260,9 @@ class Client:
                 raise ServiceError(
                     "service closed the connection before the verdict"
                 )
-            if delivered != total:
+            if sum(seen) != total:
                 raise ServiceError(
-                    f"service delivered {delivered} of {total} records"
+                    f"service delivered {sum(seen)} of {total} records"
                 )
         finally:
             if not completed:
@@ -282,7 +288,9 @@ class Client:
         """The async core: one connection, one submission, one verdict.
 
         *body* is the submit frame's payload field: ``sweep_json`` or
-        ``specs_json``.
+        ``specs_json``.  One loop reads every frame and hands it to
+        :func:`_route`; a frame already buffered is read without a
+        trip through the event loop.
         """
         ctrl["loop"] = asyncio.get_running_loop()
         cancel = asyncio.Event()
@@ -292,6 +300,12 @@ class Client:
             reader, writer = await asyncio.open_connection(host, port)
         finally:
             ctrl["started"].set()
+        # One watcher per submission: the consumer's cancel (set from
+        # its thread) completes it, and it cancels this task out of the
+        # read loop; cancelled in ``finally``, it interrupts nothing.
+        driver = asyncio.current_task()
+        watcher = asyncio.ensure_future(cancel.wait())
+        watcher.add_done_callback(lambda w: w.cancelled() or driver.cancel())
         try:
             writer.write(encode_wire_frame({
                 "op": "submit",
@@ -300,60 +314,14 @@ class Client:
                 **body,
             }))
             await writer.drain()
-            while True:
-                frame_task = asyncio.ensure_future(read_bframe(reader))
-                cancel_task = asyncio.ensure_future(cancel.wait())
-                done, _ = await asyncio.wait(
-                    {frame_task, cancel_task},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                cancel_task.cancel()
-                if frame_task not in done:
-                    frame_task.cancel()
-                    await self._send_cancel(reader, writer)
-                    return
-                frame = frame_task.result()  # WireProtocolError propagates
-                if frame is None:
-                    out.put((
-                        "error",
-                        ServiceError(
-                            "service closed the connection before the verdict"
-                        ),
-                    ))
-                    return
-                op = frame.get("op")
-                if op == "reject":
-                    out.put((
-                        "error",
-                        ServiceError(
-                            f"service rejected submission: "
-                            f"{frame.get('reason')}"
-                        ),
-                    ))
-                    return
-                if op == "record":
-                    for block in frame.get("shapes") or ():
-                        GLOBAL_SHAPES.register_block(block)
-                    record = decode_record(bytes(frame["record_pkd"]))
-                    out.put((
-                        "record",
-                        int(frame["index"]),
-                        record,
-                        frame.get("seconds"),
-                    ))
-                    continue
-                if op == "progress":
-                    out.put((
-                        "progress",
-                        {k: frame.get(k) for k in _PROGRESS_FIELDS},
-                    ))
-                    continue
-                if op == "verdict":
-                    out.put(("verdict", frame))
-                    return
-                # Unknown op: ignore (forward-compatible with new
-                # server-side frame types).
+            while _route(await read_bframe(reader), out):
+                pass
+        except asyncio.CancelledError:
+            if not cancel.is_set():
+                raise
+            await self._send_cancel(reader, writer)
         finally:
+            watcher.cancel()
             writer.close()
 
     @staticmethod
@@ -370,6 +338,36 @@ class Client:
             pass
 
 
+def _route(frame: Optional[dict], out: "queue.Queue") -> bool:
+    """Hand one frame to the consumer; ``False`` once the submission ends.
+
+    A verdict ends it cleanly; EOF (``None``) and ``reject`` end it with
+    an error.  Unknown ops are ignored (forward-compatible with new
+    server-side frame types).
+    """
+    op = None if frame is None else frame.get("op")
+    if op == "record":
+        for block in frame.get("shapes") or ():
+            GLOBAL_SHAPES.register_block(block)
+        record = decode_record(bytes(frame["record_pkd"]))
+        out.put(("record", int(frame["index"]), record, frame.get("seconds")))
+        return True
+    if op == "progress":
+        out.put(("progress", {k: frame.get(k) for k in _PROGRESS_FIELDS}))
+        return True
+    if op == "verdict":
+        out.put(("verdict", frame))
+        return False
+    if frame is None:
+        error = "service closed the connection before the verdict"
+    elif op == "reject":
+        error = f"service rejected submission: {frame.get('reason')}"
+    else:
+        return True
+    out.put(("error", ServiceError(error)))
+    return False
+
+
 def _in_order(
     stream: Iterator[Tuple[int, Record, Optional[float]]],
 ) -> Iterator[Record]:
@@ -382,3 +380,5 @@ def _in_order(
             while next_index in buffer:
                 yield buffer.pop(next_index)
                 next_index += 1
+    if buffer:
+        raise ServiceError(f"record stream ended without index {next_index}")

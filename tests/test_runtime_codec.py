@@ -12,7 +12,6 @@ torn tails, and concatenation.
 from __future__ import annotations
 
 import io
-import math
 import struct
 
 import pytest
