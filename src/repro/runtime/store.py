@@ -19,23 +19,26 @@
   already-encoded payload (e.g. bytes received from a remote worker)
   without decode/re-encode, and :meth:`ShardedStore.get_raw` returns
   the stored bytes for the symmetric send path;
-* **compaction** rewrites a shard newest-wins, dropping dead
-  duplicates and reporting the bytes reclaimed;
+* **one rewrite path**: compaction, GC, the metadata shard's dedup and
+  ``clear`` all rewrite a shard newest-wins through one locked helper
+  that drops dead duplicates (and whatever the caller's keep rule
+  rejects) and reports the bytes reclaimed;
 * every entry carries an **append timestamp** for TTL/size
   :meth:`ShardedStore.gc`; one **metadata shard** (``meta-00``, same
   append path and locking, exempt from caps/GC) holds small
-  operational records;
-* a **memory-mapped shard index sidecar** (``shard-SS.idx``, written
-  after every compaction/GC): the live entries' offset table plus the
-  shard's shape dictionary, so a fresh process seeds its index without
-  scanning entry-by-entry (telemetry counts ``store.index_hits`` /
-  ``store.index_misses``).
+  operational records.
 
-Durability model: an entry is the unit of persistence.  Torn or
-corrupt entries (crash mid-append, disk trouble) degrade to misses at
-scan time, never to crashes or wrong records: scans resynchronize on
-the entry magic + header checksum, and the next locked append
-neutralizes a torn tail before writing after it.
+A store directory holds only ``store.json``, ``*.rbin`` shards and
+``*.lock`` files.  (``*.idx`` files an older version wrote beside the
+shards are never read.)
+
+Durability model: an entry is the unit of persistence.  A torn entry
+(crash mid-append) or a damaged entry header degrades to a miss at
+scan time, never to a crash: scans resynchronize on the entry magic +
+header checksum, and the next locked append neutralizes a torn tail
+before writing after it.  The checksum covers only the header's length
+field, not the entry body: a flipped byte inside a stored payload is
+not detected and can decode to a wrong value.
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ import hashlib
 import json
 import mmap
 import os
-import struct
 import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 try:  # POSIX advisory locks; other platforms use an O_EXCL lock file.
     import fcntl
@@ -71,13 +74,14 @@ from .codec import (
     pack_record_entry,
     pack_shape_entry,
     read_entry,
-    read_uvarint,
     scan_entries,
     shape_of_payload,
-    write_uvarint,
 )
 
 Record = Dict[str, object]
+
+LiveRef = Tuple[int, int, float, int]
+"""A live entry's ``(offset, length, stamp, payload_start)`` in its shard."""
 
 DEFAULT_SHARDS = 8
 
@@ -86,9 +90,6 @@ META_SHARD = "meta-00"
 
 FORMAT_RBIN = "rbin"
 """The record format ``store.json`` declares; the only one there is."""
-
-IDX_MAGIC = b"RIDX\x01"
-_IDX_HEAD = struct.Struct("<QB16s")
 
 
 def _now() -> float:
@@ -112,30 +113,16 @@ class StoreStats:
     compactions: int = 0
     evicted_entries: int = 0
     bytes_reclaimed: int = 0
-    index_hits: int = 0
-    index_misses: int = 0
-
-
-@dataclass
-class ClearReport:
-    """What a destructive operation (clear / compaction) removed."""
-
-    entries_removed: int = 0
-    bytes_reclaimed: int = 0
-
-    def __iadd__(self, other: "ClearReport") -> "ClearReport":
-        self.entries_removed += other.entries_removed
-        self.bytes_reclaimed += other.bytes_reclaimed
-        return self
 
 
 @dataclass
 class GCReport:
-    """Outcome of one :meth:`ShardedStore.gc` pass.
+    """Outcome of one shard rewrite pass (gc, compact or clear).
 
     ``entries_removed`` counts live entries dropped (TTL-expired plus
-    byte-budget evictions); ``bytes_reclaimed`` additionally includes
-    dead newest-wins duplicates rewritten away.
+    byte-budget evictions, or every entry for ``clear``);
+    ``bytes_reclaimed`` additionally includes dead newest-wins
+    duplicates rewritten away.
     """
 
     entries_removed: int = 0
@@ -169,22 +156,18 @@ class _Shard:
     __slots__ = (
         "name",
         "bin_path",
-        "idx_path",
         "index",
         "scanned_bin",
         "bin_end",
         "shapes_written",
         "bin_absent",
-        "idx_tried",
-        "stats",
+        "appends",
         "_mmap",
     )
 
-    def __init__(self, root: Path, name: str, stats=None):
+    def __init__(self, root: Path, name: str):
         self.name = name
-        self.stats = stats  # owning store's StoreStats, if any
         self.bin_path = root / f"{name}.rbin"
-        self.idx_path = root / f"{name}.idx"
         self.index: Dict[str, int] = {}
         self.scanned_bin = 0
         # Writer-side state: the binary file's size after our last
@@ -197,7 +180,8 @@ class _Shard:
         # the data file absent, skip re-statting it on every refresh
         # until the next reset (or until this process creates it).
         self.bin_absent = False
-        self.idx_tried = False
+        # Appends since the last rewrite: the auto-compaction trigger.
+        self.appends = 0
         self._mmap: Optional[mmap.mmap] = None
 
     def reset(self) -> None:
@@ -205,7 +189,6 @@ class _Shard:
         self.index.clear()
         self.scanned_bin = 0
         self.bin_absent = False
-        self.idx_tried = False
         self.close_mmap()
 
     # -- file plumbing ----------------------------------------------
@@ -283,18 +266,6 @@ class _Shard:
             # compaction in another process): rescan from scratch.
             self.reset()
             size = self.stat_bin()
-        if self.scanned_bin == 0 and size > 0 and not self.idx_tried:
-            self.idx_tried = True
-            hit = self._load_idx(size)
-            if self.stats is not None:
-                if hit:
-                    self.stats.index_hits += 1
-                else:
-                    self.stats.index_misses += 1
-            if telemetry_enabled():
-                get_metrics().inc(
-                    "store.index_hits" if hit else "store.index_misses"
-                )
         if size <= self.scanned_bin:
             return
         try:
@@ -312,52 +283,6 @@ class _Shard:
         # A trailing truncated entry (writer mid-append) stays
         # unscanned so the next refresh picks it up once complete.
         self.scanned_bin = base + scanned
-
-    def _load_idx(self, bin_size: int) -> bool:
-        """Seed the index from the ``.idx`` sidecar; True on success.
-
-        The sidecar is a *hint*: it must cover a prefix of the
-        current data file (size + head-echo check), and every offset
-        it names must parse as a record entry in the mapped data
-        file.  Anything off falls back to a full scan; per-lookup key
-        verification keeps even a maliciously stale sidecar safe.
-        """
-        try:
-            blob = self.idx_path.read_bytes()
-        except OSError:
-            return False
-        if not blob.startswith(IDX_MAGIC):
-            return False
-        try:
-            data_size, head_len, head = _IDX_HEAD.unpack_from(
-                blob, len(IDX_MAGIC)
-            )
-            pos = len(IDX_MAGIC) + _IDX_HEAD.size
-            if data_size > bin_size or head_len > 16:
-                return False
-            buf = self.ensure_mmap(data_size)
-            if buf is None or bytes(buf[:head_len]) != head[:head_len]:
-                return False
-            n_shapes, pos = read_uvarint(blob, pos)
-            for _ in range(n_shapes):
-                length, pos = read_uvarint(blob, pos)
-                GLOBAL_SHAPES.register_block(blob[pos : pos + length])
-                pos += length
-            n_entries, pos = read_uvarint(blob, pos)
-            seeded: Dict[str, int] = {}
-            offset = 0
-            for _ in range(n_entries):
-                delta, pos = read_uvarint(blob, pos)
-                offset += delta
-                entry, _ = read_entry(buf, offset, data_size, GLOBAL_SHAPES)
-                if entry is None:
-                    return False
-                seeded[entry.key] = offset
-        except (CorruptEntry, TruncatedEntry, ValueError, struct.error):
-            return False
-        self.index.update(seeded)
-        self.scanned_bin = data_size
-        return True
 
 
 def count_record_entries(root) -> int:
@@ -401,7 +326,7 @@ class ShardedStore:
     compact_factor: float = 4.0
     stats: StoreStats = field(default_factory=StoreStats)
     _shards: List[_Shard] = field(default_factory=list, repr=False)
-    _lines: List[int] = field(default_factory=list, repr=False)
+    _meta: _Shard = field(init=False, repr=False)
 
     def __post_init__(self):
         self.root = Path(self.root)
@@ -420,10 +345,9 @@ class ShardedStore:
                 f"(expected {FORMAT_RBIN!r})"
             )
         self._shards = [
-            _Shard(self.root, f"shard-{i:02d}", stats=self.stats)
-            for i in range(self.shards)
+            _Shard(self.root, f"shard-{i:02d}") for i in range(self.shards)
         ]
-        self._lines = [0] * self.shards
+        self._meta = _Shard(self.root, META_SHARD)
 
     # -- layout helpers ---------------------------------------------
 
@@ -492,21 +416,7 @@ class ShardedStore:
 
     def get(self, key: str) -> Optional[Record]:
         """Return the newest record stored under *key*, or ``None``."""
-        self.stats.lookups += 1
-        shard = self._shards[shard_of_key(key, self.shards)]
-        shard.refresh()
-        record = self._read_indexed(shard, key)
-        if record is None and key in shard.index:
-            # The offset was stale (another process rewrote the shard
-            # without shrinking it below our scan pointer): rebuild
-            # the index from scratch and retry once.
-            shard.reset()
-            shard.refresh()
-            record = self._read_indexed(shard, key)
-        if record is None:
-            return None
-        self.stats.hits += 1
-        return record
+        return self._get(key, raw=False)
 
     def get_raw(self, key: str) -> Optional[bytes]:
         """The stored binary payload for *key*, or ``None``.
@@ -514,26 +424,36 @@ class ShardedStore:
         The service uses this to send cache hits over the wire without
         a decode/encode cycle.
         """
+        return self._get(key, raw=True)
+
+    def _get(self, key: str, raw: bool) -> Optional[object]:
         self.stats.lookups += 1
         shard = self._shards[shard_of_key(key, self.shards)]
-        shard.refresh()
-        payload = self._read_indexed(shard, key, raw=True)
-        if payload is None and key in shard.index:
-            shard.reset()
-            shard.refresh()
-            payload = self._read_indexed(shard, key, raw=True)
-        if payload is None:
-            return None
-        self.stats.hits += 1
-        return payload
+        found = self._lookup(shard, key, raw)
+        if found is not None:
+            self.stats.hits += 1
+        return found
 
-    def _read_indexed(
+    def _lookup(
         self, shard: _Shard, key: str, raw: bool = False
     ) -> Optional[object]:
-        offset = shard.index.get(key)
-        if offset is None:
-            return None
-        return self._record_at(shard, offset, key, raw=raw)
+        """Read *key* from *shard*: the lookup path of every getter.
+
+        A stale offset (another process rewrote the shard without
+        shrinking it below our scan pointer) rebuilds the index from
+        scratch and retries once.
+        """
+        shard.refresh()
+        for attempt in (0, 1):
+            offset = shard.index.get(key)
+            if offset is None:
+                return None
+            found = self._record_at(shard, offset, key, raw=raw)
+            if found is not None or attempt:
+                return found
+            shard.reset()
+            shard.refresh()
+        return None  # pragma: no cover - loop always returns
 
     @staticmethod
     def _record_at(
@@ -585,11 +505,19 @@ class ShardedStore:
 
     def _put_payload(self, key: str, payload: bytes, shape) -> None:
         shard_id = shard_of_key(key, self.shards)
-        self._append(self._shards[shard_id], key, payload, shape)
+        shard = self._shards[shard_id]
+        self._append(shard, key, payload, shape)
         self.stats.appends += 1
         if telemetry_enabled():
             get_metrics().inc("store.appends")
-        self._maybe_compact(shard_id)
+        # Estimate dead weight from append counts since the last
+        # rewrite: compact when the file is mostly dead.
+        shard.appends += 1
+        if (
+            shard.appends >= max(1, len(shard.index)) * self.compact_factor
+            and shard.appends >= 2 * self.shards
+        ):
+            self.compact(shard_id)
 
     def _append(self, shard: _Shard, key: str, payload: bytes, shape) -> None:
         """Append one stamped record entry to *shard* under its lock.
@@ -669,41 +597,18 @@ class ShardedStore:
 
     # -- compaction -------------------------------------------------
 
-    def _maybe_compact(self, shard_id: int) -> None:
-        live = max(1, len(self._shards[shard_id].index))
-        # Estimate dead weight from append counts since the last
-        # rewrite: compact when the file is mostly dead.
-        self._lines[shard_id] += 1
-        if (
-            self._lines[shard_id] >= live * self.compact_factor
-            and self._lines[shard_id] >= 2 * self.shards
-        ):
-            self.compact(shard_id)
-
-    def compact(self, shard_id: Optional[int] = None) -> ClearReport:
+    def compact(self, shard_id: Optional[int] = None) -> GCReport:
         """Rewrite shards newest-wins, dropping dead duplicates.
 
-        Returns a :class:`ClearReport` of the bytes reclaimed (no live
-        entry is removed, so ``entries_removed`` is 0).  Rewrites
-        splice entry bytes; the ``.idx`` sidecar is refreshed
-        afterwards.
+        Returns a :class:`GCReport` of the bytes reclaimed (no live
+        entry is removed, so ``entries_removed`` is 0).
         """
-        report = ClearReport()
+        report = GCReport()
         ids = range(self.shards) if shard_id is None else (shard_id,)
         for sid in ids:
-            shard = self._shards[sid]
-            with self._lock_named(shard.name):
-                shard.refresh()
-                old_size = shard.stat_bin()
-                if not shard.index and old_size == 0:
-                    self._lines[sid] = 0
-                    continue
-                new_size = self._rewrite_shard(shard, list(shard.index.items()))
-                self._lines[sid] = len(shard.index)
-                self.stats.compactions += 1
-                reclaimed = max(0, old_size - new_size)
-                self.stats.bytes_reclaimed += reclaimed
-                report += ClearReport(bytes_reclaimed=reclaimed)
+            report += self._rewrite_locked(self._shards[sid])
+        self.stats.compactions += 1
+        self.stats.bytes_reclaimed += report.bytes_reclaimed
         if telemetry_enabled():
             metrics = get_metrics()
             metrics.inc("store.compactions")
@@ -713,9 +618,7 @@ class ShardedStore:
     # -- garbage collection -----------------------------------------
 
     @staticmethod
-    def _scan_live(
-        shard: _Shard,
-    ) -> Dict[str, Tuple[int, int, float, int]]:
+    def _scan_live(shard: _Shard) -> Dict[str, LiveRef]:
         """Newest-wins scan of one shard's data file.
 
         Returns ``key -> (offset, length, timestamp, payload_start)``
@@ -725,7 +628,7 @@ class ShardedStore:
         packed payload, so a rewrite can splice entry bytes without
         re-parsing them.
         """
-        live: Dict[str, Tuple[int, int, float, int]] = {}
+        live: Dict[str, LiveRef] = {}
         try:
             data = shard.bin_path.read_bytes()
         except OSError:
@@ -820,48 +723,29 @@ class ShardedStore:
         else:
             for stamp, sid, length, key in candidates:
                 survivors[(sid, key)] = stamp
-        # Phase 2: rewrite each shard under its lock.  A fresh rescan
-        # folds in entries appended since the snapshot; anything
-        # stamped after the snapshot is kept unconditionally.
+        # Phase 2: rewrite each shard under its lock.  The locked
+        # rescan folds in entries appended since the snapshot; keep
+        # phase-1 survivors, anything stamped after the grace floor
+        # (covers appends during the GC, timestamp rounding, and
+        # cross-host clock skew up to *grace*), and keys phase 1 never
+        # saw (with no limit, that is every key).
+        def survives(sid: int, key: str, ref: LiveRef) -> bool:
+            return (
+                (sid, key) in survivors
+                or ref[2] > keep_floor
+                or key not in seen[sid]
+            )
+
         report = GCReport(
             expired_entries=expired, evicted_entries=evicted_by_size
         )
-        for sid in range(self.shards):
-            shard = self._shards[sid]
-            with self._lock_named(shard.name):
-                live = self._scan_live(shard)
-                if not live:
-                    self._drop_shard_files(shard, sid, report)
-                    continue
-                old_size = shard.stat_bin()
-                # Keep: phase-1 survivors, anything stamped after the
-                # grace floor (covers appends during the GC, timestamp
-                # rounding, and cross-host clock skew up to *grace*),
-                # and keys phase 1 never saw.
-                keep = []
-                kept_bytes = 0
-                for key, ref in live.items():
-                    if (
-                        not limited
-                        or (sid, key) in survivors
-                        or ref[2] > keep_floor
-                        or key not in seen[sid]
-                    ):
-                        keep.append((key, ref))
-                        kept_bytes += ref[1]
-                removed = len(live) - len(keep)
-                new_size = self._rewrite_shard(shard, keep)
-                self._lines[sid] = len(shard.index)
-                # bytes_kept counts record-entry bytes (what the
-                # max_bytes budget is spent on); shape-definition
-                # entries are amortized overhead outside the budget.
-                report += GCReport(
-                    entries_removed=removed,
-                    bytes_reclaimed=max(0, old_size - new_size),
-                    entries_kept=len(shard.index),
-                    bytes_kept=kept_bytes,
-                )
-        report += self._compact_meta()
+        for sid, shard in enumerate(self._shards):
+            report += self._rewrite_locked(shard, partial(survives, sid))
+        # The metadata shard is exempt from the bounds; only its dead
+        # duplicates (one per read-modify-write update) go.
+        report.bytes_reclaimed += self._rewrite_locked(
+            self._meta
+        ).bytes_reclaimed
         self.stats.compactions += 1
         self.stats.evicted_entries += report.entries_removed
         self.stats.bytes_reclaimed += report.bytes_reclaimed
@@ -872,87 +756,84 @@ class ShardedStore:
             metrics.inc("store.bytes_reclaimed", report.bytes_reclaimed)
         return report
 
-    def _compact_meta(self) -> GCReport:
-        """Deduplicate the metadata shard newest-wins (no TTL, no cap).
-
-        Meta cells are read-modify-write records (the scheduler's
-        cost table), so the file accumulates one dead entry per
-        update; every GC rewrites it down to its live entries so the
-        meta shard cannot grow without bound either.
-        """
-        meta = self._meta
-        with self._lock_named(meta.name):
-            live = self._scan_live(meta)
-            if not live:
-                return GCReport()
-            old_size = meta.stat_bin()
-            new_size = self._rewrite_shard(meta, list(live.items()))
-            return GCReport(bytes_reclaimed=max(0, old_size - new_size))
-
-    def _drop_shard_files(
-        self, shard: _Shard, sid: int, report: GCReport
-    ) -> None:
-        """Remove an all-dead shard's files during GC (caller locks)."""
-        size = self._unlink_shard(shard)
-        self._lines[sid] = 0
-        if size:
-            report += GCReport(bytes_reclaimed=size)
-
-    @staticmethod
-    def _unlink_shard(shard: _Shard) -> int:
-        """Delete *shard*'s data file and sidecar; returns bytes freed."""
-        size = 0
-        try:
-            size = shard.bin_path.stat().st_size
-            shard.bin_path.unlink()
-        except OSError:
-            size = 0
-        try:
-            shard.idx_path.unlink()
-        except OSError:
-            pass
-        shard.reset()
-        shard.bin_end = 0
-        shard.shapes_written.clear()
-        return size
-
     # -- shard rewriting --------------------------------------------
 
+    def _rewrite_locked(
+        self,
+        shard: _Shard,
+        keep: Optional[Callable[[str, LiveRef], bool]] = None,
+    ) -> GCReport:
+        """Rewrite *shard* to the live entries *keep* accepts.
+
+        The one rewrite path of :meth:`compact`, :meth:`gc` and
+        :meth:`clear`.  Under the shard lock, a newest-wins
+        :meth:`_scan_live` lists the live entries and
+        ``keep(key, ref)`` picks the survivors (``None`` keeps every
+        one).  The shard is rewritten to exactly those, or its data
+        file is deleted when none survive.
+        """
+        with self._lock_named(shard.name):
+            live = self._scan_live(shard)
+            try:
+                old_size = shard.bin_path.stat().st_size
+            except OSError:
+                old_size = 0
+            kept = [
+                (key, ref)
+                for key, ref in live.items()
+                if keep is None or keep(key, ref)
+            ]
+            if kept:
+                new_size = self._rewrite_shard(shard, kept)
+            else:
+                new_size = 0
+                try:
+                    shard.bin_path.unlink()
+                except OSError:
+                    pass
+                shard.reset()
+                shard.bin_end = 0
+                shard.shapes_written.clear()
+                shard.appends = 0
+        # bytes_kept counts record-entry bytes (what the gc byte
+        # budget is spent on); shape-definition entries are amortized
+        # overhead outside the budget.
+        return GCReport(
+            entries_removed=len(live) - len(kept),
+            bytes_reclaimed=max(0, old_size - new_size),
+            entries_kept=len(shard.index),
+            bytes_kept=sum(ref[1] for _key, ref in kept),
+        )
+
     def _rewrite_shard(
-        self, shard: _Shard, keep: List[Tuple[str, object]]
+        self, shard: _Shard, keep: List[Tuple[str, LiveRef]]
     ) -> int:
-        """Rewrite *shard* to exactly the ``(key, source ref)`` entries.
+        """Rewrite *shard* to exactly the ``(key, scan ref)`` entries.
 
-        A source ref is a bare offset (from the append index) or the
-        full :meth:`_scan_live` 4-tuple, whose length and payload
-        offset let entries splice with no per-entry re-parse.
-
-        The shared tail of :meth:`compact` and :meth:`gc` (caller
-        holds the shard lock): entries are spliced byte-for-byte
-        (shape-packed payloads are position independent), shape
-        definitions are written ahead of their first use, and the
-        result atomically replaces the shard.  Unreadable source
-        entries are dropped (they were unreadable in place too).
-        Adopts the new index/scan state on *shard*, writes its
-        ``.idx`` sidecar, and returns the new data size.
+        The caller holds the shard lock and made the refs with
+        :meth:`_scan_live`, so each entry's length and payload offset
+        splice its bytes with no re-parse (shape-packed payloads are
+        position independent).  Shape definitions are written ahead
+        of their first use, and the result atomically replaces the
+        shard.  Unreadable source entries are dropped (they were
+        unreadable in place too).  Adopts the new index/scan state on
+        *shard* and returns the new data size.
         """
         fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         new_index: Dict[str, int] = {}
         shapes_written: set = set()
-        shape_blocks: List[bytes] = []
         offset_out = 0
         try:
-            data = shard.bin_path.read_bytes() if keep else b""
+            data = shard.bin_path.read_bytes()
         except OSError:
             data = b""
         try:
             with os.fdopen(fd, "wb") as dst:
-                for key, ref in keep:
-                    source = self._source_entry(ref, data)
-                    if source is None:
+                for key, (offset, length, _stamp, payload_start) in keep:
+                    end = offset + length
+                    if end > len(data):
                         continue
-                    entry_bytes, payload = source
-                    shape_id = bytes(payload[:8])
+                    shape_id = data[payload_start : payload_start + 8]
                     if shape_id not in shapes_written:
                         shape = GLOBAL_SHAPES.get(shape_id)
                         if shape is None:
@@ -961,10 +842,9 @@ class ShardedStore:
                         dst.write(block_entry)
                         offset_out += len(block_entry)
                         shapes_written.add(shape_id)
-                        shape_blocks.append(shape.block)
-                    dst.write(entry_bytes)
+                    dst.write(data[offset:end])
                     new_index[key] = offset_out
-                    offset_out += len(entry_bytes)
+                    offset_out += length
             os.replace(tmp_name, shard.bin_path)
         except BaseException:
             try:
@@ -972,91 +852,14 @@ class ShardedStore:
             except OSError:
                 pass
             raise
-        self._write_idx(shard, new_index, offset_out, shape_blocks)
         shard.close_mmap()
         shard.index = new_index
         shard.scanned_bin = offset_out
         shard.bin_absent = False
-        shard.idx_tried = True
         shard.bin_end = offset_out
         shard.shapes_written = shapes_written
+        shard.appends = len(new_index)
         return offset_out
-
-    @staticmethod
-    def _source_entry(
-        ref: object, data: bytes
-    ) -> Optional[Tuple[bytes, bytes]]:
-        """Slice one rewrite source out of *data*: ``(entry, payload)``.
-
-        *data* is the shard file read into memory once per rewrite,
-        so a compaction costs one read per shard instead of two seeks
-        per entry.  A :meth:`_scan_live` ref (made under the same
-        lock) slices directly; a bare offset re-parses the entry
-        header.  Unreadable sources return ``None``.
-        """
-        if isinstance(ref, tuple):
-            offset, length, _stamp, payload_start = ref
-            end = offset + length
-            if end <= len(data):
-                return data[offset:end], data[payload_start:end]
-        else:
-            offset = ref
-        try:
-            entry, _ = read_entry(data, offset, len(data), GLOBAL_SHAPES)
-        except (CorruptEntry, TruncatedEntry):
-            return None
-        if entry is None:
-            return None
-        start, end = entry.payload_slice
-        return data[offset : offset + entry.length], data[start:end]
-
-    def _write_idx(
-        self,
-        shard: _Shard,
-        new_index: Dict[str, int],
-        data_size: int,
-        shape_blocks: List[bytes],
-    ) -> None:
-        """Write the ``.idx`` sidecar for a freshly-rewritten shard.
-
-        Layout: magic+version, the covered data size, a head echo of
-        the data file (fast staleness check), the shard's shape
-        dictionary, then the live entries' offsets as ascending
-        varint deltas.  Keys are *not* duplicated here -- seeding
-        reads them from the memory-mapped data file, which keeps the
-        sidecar a few bytes per entry.
-        """
-        if data_size == 0 or not new_index:
-            try:
-                shard.idx_path.unlink()
-            except OSError:
-                pass
-            return
-        try:
-            with open(shard.bin_path, "rb") as handle:
-                head = handle.read(16)
-        except OSError:
-            return
-        out = bytearray(IDX_MAGIC)
-        out += _IDX_HEAD.pack(data_size, len(head), head.ljust(16, b"\x00"))
-        write_uvarint(out, len(shape_blocks))
-        for block in shape_blocks:
-            write_uvarint(out, len(block))
-            out += block
-        write_uvarint(out, len(new_index))
-        previous = 0
-        for offset in new_index.values():
-            write_uvarint(out, offset - previous)
-            previous = offset
-        tmp = shard.idx_path.with_suffix(".idx.tmp")
-        try:
-            tmp.write_bytes(out)
-            os.replace(tmp, shard.idx_path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     # -- usage / dump -----------------------------------------------
 
@@ -1065,22 +868,16 @@ class ShardedStore:
 
         Scans every shard (newest-wins): live entry count, live vs
         on-disk bytes (the difference is reclaimable by compaction),
-        and the age range of the live entries.  ``index_bytes``
-        counts the ``.idx`` sidecars (not part of the data plane).
+        and the age range of the live entries.
         """
         entries = 0
         live_bytes = 0
         file_bytes = 0
-        index_bytes = 0
         oldest: Optional[float] = None
         newest: Optional[float] = None
         for shard in self._shards:
             try:
                 file_bytes += shard.bin_path.stat().st_size
-            except OSError:
-                pass
-            try:
-                index_bytes += shard.idx_path.stat().st_size
             except OSError:
                 pass
             for _offset, length, stamp, _pay in self._scan_live(
@@ -1098,7 +895,6 @@ class ShardedStore:
             "entries": entries,
             "live_bytes": live_bytes,
             "file_bytes": file_bytes,
-            "index_bytes": index_bytes,
             "reclaimable_bytes": max(0, file_bytes - live_bytes),
             "oldest_t": oldest,
             "newest_t": newest,
@@ -1123,14 +919,6 @@ class ShardedStore:
 
     # -- metadata shard ---------------------------------------------
 
-    @property
-    def _meta(self) -> _Shard:
-        meta = getattr(self, "_meta_shard", None)
-        if meta is None:
-            meta = _Shard(self.root, META_SHARD, stats=self.stats)
-            self._meta_shard = meta
-        return meta
-
     def put_meta(self, key: str, record: Record) -> None:
         """Append an operational record to the metadata shard.
 
@@ -1143,13 +931,7 @@ class ShardedStore:
 
     def get_meta(self, key: str) -> Optional[Record]:
         """Return the newest metadata record under *key*, or ``None``."""
-        meta = self._meta
-        meta.refresh()
-        record = self._read_indexed(meta, key)
-        if record is None and key in meta.index:
-            meta.reset()
-            meta.refresh()
-            record = self._read_indexed(meta, key)
+        record = self._lookup(self._meta, key)
         return record if isinstance(record, dict) else None
 
     def meta_keys(self) -> Iterator[str]:
@@ -1158,16 +940,11 @@ class ShardedStore:
         meta.refresh()
         yield from list(meta.index)
 
-    def clear(self) -> ClearReport:
-        """Delete every shard file; report entries and bytes removed."""
-        report = ClearReport()
-        for sid, shard in enumerate(self._shards):
-            with self._lock_named(shard.name):
-                shard.refresh()
-                entries = len(shard.index)
-                size = self._unlink_shard(shard)
-                self._lines[sid] = 0
-                report += ClearReport(entries, size)
+    def clear(self) -> GCReport:
+        """Delete every data shard file; report entries and bytes removed."""
+        report = GCReport()
+        for shard in self._shards:
+            report += self._rewrite_locked(shard, keep=lambda _key, _ref: False)
         self.stats.evicted_entries += report.entries_removed
         self.stats.bytes_reclaimed += report.bytes_reclaimed
         return report

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.cli import build_parser
 from repro.runtime import Client, ServiceError, SweepService
 from repro.runtime.codec import encode_wire_frame, read_wire_frame
 from repro.runtime.jobs import job_kinds
@@ -288,6 +289,36 @@ class TestSpeculation:
 
 
 class TestAdmissionAndErrors:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"heartbeat": 0},  # asyncio.wait(timeout=0): a ping busy loop
+            {"heartbeat": -1.0},
+            {"heartbeat": float("nan")},
+            {"speculation_interval": 0},
+            {"max_clients": 0},  # would reject every submit
+            {"max_pending": 0},
+        ],
+    )
+    def test_unusable_settings_rejected(self, setting):
+        with pytest.raises(ValueError, match="must be"):
+            SweepService(**setting)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--listen", "127.0.0.1:0", "--heartbeat", "0"],
+            ["serve", "--listen", "127.0.0.1:0", "--max-clients", "0"],
+            ["serve", "--listen", "127.0.0.1:0", "--max-pending", "0"],
+            ["sweep", "--kind", "test", "--workers", "-3"],
+        ],
+    )
+    def test_cli_rejects_non_positive_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
+
     def test_max_clients_rejects_with_service_error(self, tmp_path):
         with SweepService(
             store_dir=tmp_path / "store", heartbeat=2.0, max_clients=1
