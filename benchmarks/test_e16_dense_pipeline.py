@@ -16,11 +16,15 @@ single output.  Gated (and run in CI's bench-smoke job):
   per-part verdicts (the full differential suite lives in
   ``tests/test_partition_dense.py`` / ``tests/test_stage2_native.py``).
 
-Two ungated figures ride along in ``BENCH_e16.json``: the wall time of
-one fresh ``CompiledTopology`` build (the ``compile`` row), and the
-number of full (generation-2) collections per tester op, counted with
-``gc.callbacks`` over ops on fresh copies of a pool of graphs -- the
-collector pauses that set the tester's tail latency.
+Three ungated figures ride along in ``BENCH_e16.json``: the wall time of
+one fresh ``CompiledTopology`` build (the ``compile`` row); the wall
+time of a Stage I reject (the ``reject`` row, ``reject_s``): the tester
+on n=2000 with 300 planted K5s (perfbench's ``tester-far`` input),
+rejected after one phase, on a fresh copy per run so every run
+compiles; and the number of full
+(generation-2) collections per tester op, counted with ``gc.callbacks``
+over ops on fresh copies of a pool of graphs -- the collector pauses
+that set the tester's tail latency.
 
 The gate sizes are fixed at n=2000 regardless of ``REPRO_BENCH_QUICK``
 -- the speedup claim is specifically about that scale; quick mode only
@@ -40,6 +44,7 @@ from _stage1_reference import reference_partition_stage1, reference_stage1
 from repro.analysis.tables import Table
 from repro.congest.topology import CompiledTopology, compile_topology
 from repro.graphs import make_planar
+from repro.graphs.far_from_planar import planted_kuratowski
 from repro.partition import partition_stage1
 from repro.testers.planarity import PlanarityTestConfig
 from repro.testers.planarity import test_planarity as run_planarity
@@ -49,6 +54,7 @@ EPSILON = 0.1
 REPEATS = 2 if quick_mode() else 4
 GC_POOL = 8 if quick_mode() else 16
 GC_OPS = 16 if quick_mode() else 32
+PLANTED_K5 = 300
 
 PARTITION_GATE = 3.0
 TESTER_GATE = 1.5
@@ -117,6 +123,11 @@ def pipeline_table():
         lambda: run_planarity(graph, seed=0, config=native_config)
     )
     compile_time, _topology = _best(lambda: CompiledTopology(graph))
+    far, _farness = planted_kuratowski(N, count=PLANTED_K5, minor="k5", seed=0)
+    fresh = [far.copy() for _ in range(REPEATS)]
+    reject_time, reject = _best(
+        lambda: run_planarity(fresh.pop(), seed=0, config=native_config)
+    )
     gen2_per_op, gen2_pause_ms = _full_collections(native_config)
 
     assert dense.partition.size == legacy.partition.size
@@ -125,6 +136,7 @@ def pipeline_table():
     assert [vars(s) for s in dense.phases] == [vars(s) for s in legacy.phases]
     assert native_result.accepted == seed_result.accepted
     assert native_result.rounds == seed_result.rounds
+    assert reject.rejected_stage == "stage1"
 
     partition_speedup = legacy_time / dense_time
     tester_speedup = seed_tester_time / native_tester_time
@@ -154,6 +166,9 @@ def pipeline_table():
         "yes",
     )
     table.add_row("compile", "CSR (numpy)", round(compile_time, 4), "-", "-", "-")
+    table.add_row(
+        f"reject ({PLANTED_K5} K5)", "dense", round(reject_time, 4), "-", "-", "-"
+    )
     save_table(
         table,
         "e16_dense_pipeline.md",
@@ -171,6 +186,7 @@ def pipeline_table():
             "tester_gate": TESTER_GATE,
             "compile_s": round(compile_time, 6),
             "compile_share_of_tester": round(compile_time / native_tester_time, 4),
+            "reject_s": round(reject_time, 6),
             "gc_pool": GC_POOL,
             "gc_ops": GC_OPS,
             "gc_gen2_per_op": round(gen2_per_op, 4),

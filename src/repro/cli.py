@@ -132,7 +132,7 @@ def _cmd_test(args) -> int:
         result.rounds,
         result.stage1_rounds,
         result.stage2_rounds,
-        result.stage1.partition.size,
+        result.stage1.dense_state.size,
     )
     table.print()
     if args.analyze and result.total_violating_exact is not None:

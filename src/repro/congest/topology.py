@@ -47,7 +47,7 @@ import networkx as nx
 import numpy as np
 
 from ..errors import GraphInputError
-from ..graphs.utils import has_self_loops, id_key
+from ..graphs.utils import id_key
 from .message import default_bandwidth_bits
 
 
@@ -65,7 +65,7 @@ class CompiledTopology:
         graph: the source :class:`networkx.Graph` (held weakly; ``None``
             once the graph has been garbage-collected).
         n: number of nodes.
-        m: number of edges.
+        m: number of edges (half the CSR slots).
         nodes: node ids in ``id_key`` order; position = dense index.
         index: mapping from node id to dense index.
         indptr: CSR row pointers (length ``n + 1``); the neighbors of
@@ -107,13 +107,10 @@ class CompiledTopology:
     def __init__(self, graph: nx.Graph):
         if graph.is_directed() or graph.is_multigraph():
             raise GraphInputError("CongestNetwork requires a simple undirected graph")
-        if has_self_loops(graph):
-            raise GraphInputError("CongestNetwork does not support self-loops")
         if graph.number_of_nodes() == 0:
             raise GraphInputError("CongestNetwork requires at least one node")
         self._graph_ref = weakref.ref(graph)
         n = self.n = graph.number_of_nodes()
-        self.m = graph.number_of_edges()
         nodes: Tuple[Any, ...] = tuple(sorted(graph, key=id_key))
         self.nodes = nodes
         index: Dict[Any, int] = {v: i for i, v in enumerate(nodes)}
@@ -128,6 +125,10 @@ class CompiledTopology:
             (index[w] for v in nodes for w in adj[v]), np.int64, slots
         )
         rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        if (columns == rows).any():
+            raise GraphInputError("CongestNetwork does not support self-loops")
+        # Loop-free, so every edge fills exactly two slots.
+        self.m = slots // 2
         keys = np.sort(rows * n + columns)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
@@ -368,17 +369,17 @@ def compile_topology(graph: nx.Graph, reuse: bool = True) -> CompiledTopology:
     to force a fresh compilation (it is still stored for later reuse).
 
     Callers who mutate a graph between runs should recompile; as a
-    guard, a memo hit whose node/edge counts no longer match the graph
-    is discarded and recompiled (same-count rewires are not detected).
+    guard, a memo hit whose node or ``_adj`` slot count no longer
+    matches the graph is discarded and recompiled (same-count rewires
+    are not detected).  ``number_of_edges()`` would cache a
+    ``DegreeView`` that points back at the graph: a reference cycle.
     """
     if reuse:
         with _lock:
             cached = _memo.get(graph)
         if cached is not None:
-            if (
-                cached.n == graph.number_of_nodes()
-                and cached.m == graph.number_of_edges()
-            ):
+            slots = sum(map(len, graph._adj.values()))
+            if cached.n == graph.number_of_nodes() and 2 * cached.m == slots:
                 with _lock:
                     _stats.reused += 1
                 return cached

@@ -32,8 +32,9 @@ def id_key(node: Any):
 
 
 def has_self_loops(graph: nx.Graph) -> bool:
-    """True if some node of *graph* is its own neighbor (one O(n) scan)."""
-    return any(v in nbrs for v, nbrs in graph.adj.items())
+    """True if some node of *graph* is its own neighbor (one O(n) scan of
+    the raw ``_adj`` rows; ``graph.adj`` would wrap each in an ``AtlasView``)."""
+    return any(v in nbrs for v, nbrs in graph._adj.items())
 
 
 def require_simple(graph: nx.Graph, name: str = "graph") -> None:

@@ -582,73 +582,45 @@ def mark_and_choose_dense(
     down2 = child_is3 & (parent_color == 1) & ~up2[safe_parent]
     marked = up1 | up2 | down1 | down2
 
-    marked_idx = np.nonzero(marked)[0].tolist()
-    parent_list = parent.tolist()
-    weight_list = edge_weight.tolist()
-    marked_edges = [(v, parent_list[v]) for v in marked_idx]
-    marked_weight = sum(weight_list[v] for v in marked_idx)
+    marked_idx = np.nonzero(marked)[0]
+    heads = parent[marked_idx]
+    marked_weights = edge_weight[marked_idx]
 
-    # Parity choice (sub-steps 3-4), per marked tree.
-    marked_children: Dict[int, List[int]] = {}
-    touched = set()
-    for v in marked_idx:
-        p = parent_list[v]
-        marked_children.setdefault(p, []).append(v)
-        touched.add(v)
-        touched.add(p)
-    marked_out = set(marked_idx)
-    roots = [v for v in touched if v not in marked_out]
-
-    level: Dict[int, int] = {}
-    tree_root: Dict[int, int] = {}
-    tree_heights: Dict[int, int] = {}
-    for root in roots:
-        depth = 0
-        frontier = [root]
-        height = 0
-        while frontier:
-            nxt: List[int] = []
-            for v in frontier:
-                if v in level:
-                    raise PartitionError(
-                        "marked subgraph is not a forest (Claim 15)"
-                    )
-                level[v] = depth
-                tree_root[v] = root
-                nxt.extend(marked_children.get(v, ()))
-            height = depth
-            depth += 1
-            frontier = nxt
-        tree_heights[root] = height
-    if len(level) != len(touched):
+    # Parity choice (sub-steps 3-4), per marked tree: every node's tree
+    # root (its first unmarked ancestor) and level below that root.
+    root, level = pointer_jump(np.where(marked, parent, -1))
+    tree_root = root[marked_idx]
+    if marked[tree_root].any():
+        # Some marked chain never reaches an unmarked node.
         raise PartitionError("marked subgraph contains a cycle (Claim 15)")
+    tree_level = level[marked_idx]
+    tallest = np.zeros(k, dtype=np.int64)
+    np.maximum.at(tallest, tree_root, tree_level)
+    roots = np.unique(tree_root)
+    tree_heights = dict(zip(roots.tolist(), tallest[roots].tolist()))
 
-    parity_weight: Dict[int, List[int]] = {root: [0, 0] for root in roots}
-    for v in marked_idx:
-        parity_weight[tree_root[parent_list[v]]][level[v] % 2] += weight_list[v]
+    parity = tree_level % 2
+    parity_weight = np.zeros((k, 2), dtype=np.int64)
+    np.add.at(parity_weight, (tree_root, parity), marked_weights)
+    # Each tree keeps its heavier class; ties go to the even levels.
+    odd_heavier = parity_weight[:, 1] > parity_weight[:, 0]
+    chosen = parity == odd_heavier[tree_root]
+    children = marked_idx[chosen]
+    centers = heads[chosen]
+    contract = list(zip(children.tolist(), centers.tolist()))
 
-    contract: List[Tuple[int, int]] = []
-    contracted_weight = 0
-    for v in marked_idx:
-        w0, w1 = parity_weight[tree_root[parent_list[v]]]
-        chosen = 0 if w0 >= w1 else 1
-        if level[v] % 2 == chosen:
-            contract.append((v, parent_list[v]))
-            contracted_weight += weight_list[v]
-
-    children = {c for c, _p in contract}
-    centers = {p for _c, p in contract}
-    overlap = children & centers
-    if overlap:
+    overlap = np.intersect1d(children, centers)
+    if len(overlap):
         raise PartitionError(
-            f"contraction edges do not form stars; chained nodes: {overlap!r}"
+            "contraction edges do not form stars; chained nodes: "
+            f"{set(overlap.tolist())!r}"
         )
     return MarkingResult(
-        marked_edges=marked_edges,
+        marked_edges=list(zip(marked_idx.tolist(), heads.tolist())),
         contract_edges=contract,
         tree_heights=tree_heights,
-        marked_weight=marked_weight,
-        contracted_weight=contracted_weight,
+        marked_weight=int(marked_weights.sum()),
+        contracted_weight=int(marked_weights[chosen].sum()),
     )
 
 
@@ -780,13 +752,12 @@ class DensePartitionState:
         return Partition(graph, parts)
 
 
-def forest_depths(parent: "np.ndarray", part_of: "np.ndarray") -> "np.ndarray":
-    """Depth of every node in the spanning forest *parent*, by pointer jumping.
+def pointer_jump(parent: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """``(root, depth)`` of every node of the forest *parent* (-1 at roots).
 
     ``ceil(log2(n)) + 1`` doublings reach every root of an acyclic
-    forest.  Raises :class:`PartitionError` when the jumps do not
-    converge (a cycle) or some node's root is not its part's root (the
-    part's spanning tree does not reach it).
+    forest; a node on or below a cycle comes back with a ``root`` that
+    still has a parent.
     """
     n = len(parent)
     is_root = parent < 0
@@ -798,7 +769,18 @@ def forest_depths(parent: "np.ndarray", part_of: "np.ndarray") -> "np.ndarray":
             break
         depth += depth[ancestor]
         ancestor = above
-    if not is_root[ancestor].all():
+    return ancestor, depth
+
+
+def forest_depths(parent: "np.ndarray", part_of: "np.ndarray") -> "np.ndarray":
+    """Depth of every node in the spanning forest *parent*, by pointer jumping.
+
+    Raises :class:`PartitionError` when the jumps do not converge (a
+    cycle) or some node's root is not its part's root (the part's
+    spanning tree does not reach it).
+    """
+    ancestor, depth = pointer_jump(parent)
+    if (parent[ancestor] >= 0).any():
         raise PartitionError("spanning forest contains a cycle")
     stray = ancestor != part_of
     if stray.any():

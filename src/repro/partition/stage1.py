@@ -59,12 +59,29 @@ class PhaseStats:
         return self.cut_after / self.cut_before
 
 
+class _PartitionOnRead:
+    """``Stage1Result.partition``: kept if given, else built from
+    ``dense_state`` on first read (a dataclass field with a descriptor
+    default routes ``__init__``'s assignment through ``__set__``)."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the field's default
+        partition = result.__dict__.get("_partition")
+        if partition is None and result.dense_state is not None:
+            partition = result.dense_state.to_partition(result.graph)
+            result.__dict__["_partition"] = partition
+        return partition
+
+    def __set__(self, result, partition):
+        result.__dict__["_partition"] = partition
+
+
 @dataclass
 class Stage1Result:
     """Outcome of Stage I.
 
     Attributes:
-        partition: the final partition (or the partition at rejection).
         success: False when some part obtained evidence of arboricity
             > alpha (the graph is certainly not planar).
         rejecting_parts: root ids holding the rejection evidence.
@@ -72,22 +89,26 @@ class Stage1Result:
         ledger: round-cost accounting for the whole stage.
         target_cut: the cut-size target that was used.
         theoretical_phase_cap: the a-priori phase bound t.
+        partition: the final partition (or the partition at rejection),
+            built from ``dense_state`` on first read unless given.
         dense_state: the final :class:`~repro.partition.dense.
             DensePartitionState` (``None`` for the empty graph).
-            Downstream consumers -- the Corollary 17 spanner builder and
-            the application verifiers -- read the partition's
-            parent/part-of arrays from here instead of round-tripping
-            through :class:`Partition`.
+            Downstream consumers -- the Corollary 17 spanner builder, the
+            application verifiers and the job records -- read the
+            partition's arrays and summaries (``size``, ``cut_size()``,
+            ``max_height()``) from here instead of :class:`Partition`.
+        graph: the input graph, which the partition is built over.
     """
 
-    partition: Partition
     success: bool
     rejecting_parts: Tuple[Any, ...]
     phases: List[PhaseStats]
     ledger: RoundLedger
     target_cut: float
     theoretical_phase_cap: int
+    partition: Partition = _PartitionOnRead()
     dense_state: Optional[Any] = field(default=None, repr=False, compare=False)
+    graph: Optional[nx.Graph] = field(default=None, repr=False, compare=False)
 
     @property
     def rounds(self) -> int:
@@ -97,7 +118,9 @@ class Stage1Result:
     @property
     def final_cut(self) -> int:
         """Number of inter-part edges in the final partition."""
-        return self.phases[-1].cut_after if self.phases else self.partition.cut_size()
+        if self.phases:
+            return self.phases[-1].cut_after
+        return (self.dense_state or self.partition).cut_size()
 
 
 def theoretical_phase_cap(m: int, target_cut: float, alpha: int) -> int:
@@ -179,25 +202,6 @@ def partition_stage1(
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    m = graph.number_of_edges()
-    if target_cut is None:
-        target_cut = epsilon * m / 2
-    ledger = ledger if ledger is not None else RoundLedger()
-    model = cost_model or TreeCostModel()
-    cap = theoretical_phase_cap(m, target_cut, alpha)
-    if max_phases is None:
-        max_phases = cap
-    if graph.number_of_nodes() == 0:
-        return Stage1Result(
-            partition=Partition(graph, []),
-            success=True,
-            rejecting_parts=(),
-            phases=[],
-            ledger=ledger,
-            target_cut=target_cut,
-            theoretical_phase_cap=cap,
-        )
-
     # Looked up at call time, so wrappers installed on these module
     # attributes see every call.
     from ..congest.topology import compile_topology
@@ -210,7 +214,26 @@ def partition_stage1(
         orient_and_select_dense,
     )
 
-    topology = compile_topology(graph)
+    topology = compile_topology(graph) if graph.number_of_nodes() else None
+    m = topology.m if topology is not None else 0
+    if target_cut is None:
+        target_cut = epsilon * m / 2
+    ledger = ledger if ledger is not None else RoundLedger()
+    model = cost_model or TreeCostModel()
+    cap = theoretical_phase_cap(m, target_cut, alpha)
+    if max_phases is None:
+        max_phases = cap
+    if topology is None:
+        return Stage1Result(
+            partition=Partition(graph, []),
+            success=True,
+            rejecting_parts=(),
+            phases=[],
+            ledger=ledger,
+            target_cut=target_cut,
+            theoretical_phase_cap=cap,
+        )
+
     ids = topology.nodes
     state = DensePartitionState(topology)
     seeds = RootSeeds(ids)
@@ -287,7 +310,6 @@ def partition_stage1(
         cut = new_cut
 
     return Stage1Result(
-        partition=state.to_partition(graph),
         success=not rejecting,
         rejecting_parts=rejecting,
         phases=phases,
@@ -295,4 +317,5 @@ def partition_stage1(
         target_cut=target_cut,
         theoretical_phase_cap=cap,
         dense_state=state,
+        graph=graph,
     )

@@ -66,7 +66,7 @@ class RandomizedPartitionResult(Stage1Result):
     @property
     def met_target(self) -> bool:
         """Whether the cut target was reached within the phase cap."""
-        return self.partition.cut_size() <= self.target_cut
+        return self.final_cut <= self.target_cut
 
 
 def partition_randomized(
@@ -114,8 +114,22 @@ def partition_randomized(
         raise ValueError(f"unknown coloring {coloring!r}")
     if coloring_rounds is not None and coloring_rounds < 1:
         raise ValueError(f"coloring_rounds must be >= 1, got {coloring_rounds}")
-    m = graph.number_of_edges()
+    # The phase loop is Stage I's, with the weighted selection in place
+    # of the forest decomposition: the selection draws from *rng* in
+    # ``id_key`` order of the part roots, and the randomized coloring
+    # likewise consumes conflicts in ascending-root order.
+    from ..congest.topology import compile_topology
+    from .dense import (
+        DensePartitionState,
+        RootSeeds,
+        color_roots,
+        mark_and_choose_dense,
+        weighted_selection_dense,
+    )
+
     n = graph.number_of_nodes()
+    topology = compile_topology(graph) if n else None
+    m = topology.m if topology is not None else 0
     if target_cut is None:
         target_cut = epsilon * n
     cap = randomized_phase_cap(m, target_cut, alpha)
@@ -127,7 +141,7 @@ def partition_randomized(
     ledger = ledger if ledger is not None else RoundLedger()
     model = cost_model or TreeCostModel()
 
-    if graph.number_of_nodes() == 0:
+    if topology is None:
         return RandomizedPartitionResult(
             partition=Partition(graph, []),
             success=True,
@@ -143,20 +157,6 @@ def partition_randomized(
     if coloring_rounds is None:
         coloring_rounds = int(math.ceil(math.log2(max(2.0, (cap or 1) / delta)))) + 2
 
-    # The phase loop is Stage I's, with the weighted selection in place
-    # of the forest decomposition: the selection draws from *rng* in
-    # ``id_key`` order of the part roots, and the randomized coloring
-    # likewise consumes conflicts in ascending-root order.
-    from ..congest.topology import compile_topology
-    from .dense import (
-        DensePartitionState,
-        RootSeeds,
-        color_roots,
-        mark_and_choose_dense,
-        weighted_selection_dense,
-    )
-
-    topology = compile_topology(graph)
     state = DensePartitionState(topology)
     seeds = RootSeeds(topology.nodes)
     phases: List[PhaseStats] = []
@@ -236,7 +236,6 @@ def partition_randomized(
         cut = new_cut
 
     return RandomizedPartitionResult(
-        partition=state.to_partition(graph),
         success=True,
         rejecting_parts=(),
         phases=phases,
@@ -244,6 +243,7 @@ def partition_randomized(
         target_cut=target_cut,
         theoretical_phase_cap=cap,
         dense_state=state,
+        graph=graph,
         trials=trials,
         delta=delta,
     )

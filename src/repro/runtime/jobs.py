@@ -345,6 +345,7 @@ def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
         collect_exact_violations=params.get("collect_exact_violations", False),
     )
     result = test_planarity(graph, seed=spec.seed, config=config)
+    state = result.stage1.dense_state
     return {
         "epsilon": config.epsilon,
         "accepted": result.accepted,
@@ -354,9 +355,9 @@ def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
         "stage1_rounds": result.stage1_rounds,
         "stage2_rounds": result.stage2_rounds,
         "phases": len(result.stage1.phases),
-        "parts": result.stage1.partition.size,
-        "cut": result.stage1.partition.cut_size(),
-        "max_part_height": result.stage1.partition.max_height(),
+        "parts": state.size,
+        "cut": state.cut_size(),
+        "max_part_height": state.max_height(),
         "violating_exact": result.total_violating_exact,
     }
 

@@ -30,7 +30,7 @@
 
 A store directory holds only ``store.json``, ``*.rbin`` shards and
 ``*.lock`` files.  (``*.idx`` files an older version wrote beside the
-shards are never read.)
+shards are never read; the next rewrite of their shard deletes them.)
 
 Durability model: an entry is the unit of persistence.  A torn entry
 (crash mid-append) or a damaged entry header degrades to a miss at
@@ -301,6 +301,54 @@ def count_record_entries(root) -> int:
         entries, _ = scan_entries(data, 0, len(data), ShapeRegistry())
         total += len(entries)
     return total
+
+
+def _scan(shard: _Shard) -> Tuple[bytes, Dict[str, LiveRef]]:
+    """One shard's data file (``b""`` when missing) and its live entries.
+
+    The newest-wins map is ``key -> (offset, length, timestamp,
+    payload_start)`` over every complete entry, later entries overriding
+    earlier ones.  Entries are parsed header-only -- no payload decode;
+    ``payload_start`` is the absolute file offset of the entry's packed
+    payload, so a rewrite can splice entry bytes without re-parsing them.
+    """
+    try:
+        data = shard.bin_path.read_bytes()
+    except OSError:
+        return b"", {}
+    entries, _ = scan_entries(data, 0, len(data), GLOBAL_SHAPES)
+    live = {
+        entry.key: (entry.offset, entry.length, entry.stamp, entry.payload_slice[0])
+        for entry in entries
+    }
+    return data, live
+
+
+def _splice_plan(
+    data: bytes, keep: List[Tuple[str, LiveRef]]
+) -> Iterator[Tuple[str, bytes, bytes, int, int]]:
+    """What a rewrite of *data* to the *keep* entries writes, in order.
+
+    Yields ``(key, shape_id, shape_entry, start, end)`` per written
+    entry: ``shape_entry`` is the shape definition that goes just ahead
+    of the shape's first use (``b""`` after it), then ``data[start:end]``
+    is the entry itself.  Entries past the end of *data*, or whose shape
+    definition is lost, are skipped (they were unreadable in place too).
+    """
+    shapes_written: set = set()
+    for key, (offset, length, _stamp, payload_start) in keep:
+        end = offset + length
+        if end > len(data):
+            continue
+        shape_id = data[payload_start : payload_start + 8]
+        shape_entry = b""
+        if shape_id not in shapes_written:
+            shape = GLOBAL_SHAPES.get(shape_id)
+            if shape is None:
+                continue
+            shape_entry = pack_shape_entry(shape.block)
+            shapes_written.add(shape_id)
+        yield key, shape_id, shape_entry, offset, end
 
 
 @dataclass
@@ -600,13 +648,14 @@ class ShardedStore:
     def compact(self, shard_id: Optional[int] = None) -> GCReport:
         """Rewrite shards newest-wins, dropping dead duplicates.
 
+        With no *shard_id*, every data shard and the metadata shard.
         Returns a :class:`GCReport` of the bytes reclaimed (no live
         entry is removed, so ``entries_removed`` is 0).
         """
-        report = GCReport()
-        ids = range(self.shards) if shard_id is None else (shard_id,)
-        for sid in ids:
-            report += self._rewrite_locked(self._shards[sid])
+        if shard_id is None:
+            report = self._rewrite_all(lambda _sid, _key, _ref: True)
+        else:
+            report = self._rewrite_locked(self._shards[shard_id])
         self.stats.compactions += 1
         self.stats.bytes_reclaimed += report.bytes_reclaimed
         if telemetry_enabled():
@@ -619,29 +668,8 @@ class ShardedStore:
 
     @staticmethod
     def _scan_live(shard: _Shard) -> Dict[str, LiveRef]:
-        """Newest-wins scan of one shard's data file.
-
-        Returns ``key -> (offset, length, timestamp, payload_start)``
-        for every complete entry, later entries overriding earlier
-        ones.  Entries are parsed header-only -- no payload decode;
-        ``payload_start`` is the absolute file offset of the entry's
-        packed payload, so a rewrite can splice entry bytes without
-        re-parsing them.
-        """
-        live: Dict[str, LiveRef] = {}
-        try:
-            data = shard.bin_path.read_bytes()
-        except OSError:
-            return live
-        entries, _ = scan_entries(data, 0, len(data), GLOBAL_SHAPES)
-        for entry in entries:
-            live[entry.key] = (
-                entry.offset,
-                entry.length,
-                entry.stamp,
-                entry.payload_slice[0],
-            )
-        return live
+        """Newest-wins scan of one shard's data file (see :func:`_scan`)."""
+        return _scan(shard)[1]
 
     def gc(
         self,
@@ -739,13 +767,7 @@ class ShardedStore:
         report = GCReport(
             expired_entries=expired, evicted_entries=evicted_by_size
         )
-        for sid, shard in enumerate(self._shards):
-            report += self._rewrite_locked(shard, partial(survives, sid))
-        # The metadata shard is exempt from the bounds; only its dead
-        # duplicates (one per read-modify-write update) go.
-        report.bytes_reclaimed += self._rewrite_locked(
-            self._meta
-        ).bytes_reclaimed
+        report += self._rewrite_all(survives)
         self.stats.compactions += 1
         self.stats.evicted_entries += report.entries_removed
         self.stats.bytes_reclaimed += report.bytes_reclaimed
@@ -758,6 +780,17 @@ class ShardedStore:
 
     # -- shard rewriting --------------------------------------------
 
+    def _rewrite_all(self, keep: Callable[[int, str, LiveRef], bool]) -> GCReport:
+        """Rewrite every data shard to the entries ``keep(sid, key, ref)``
+        accepts, then the metadata shard, which is exempt from every keep
+        rule: only its dead duplicates (one per read-modify-write
+        update) go."""
+        report = GCReport()
+        for sid, shard in enumerate(self._shards):
+            report += self._rewrite_locked(shard, partial(keep, sid))
+        report.bytes_reclaimed += self._rewrite_locked(self._meta).bytes_reclaimed
+        return report
+
     def _rewrite_locked(
         self,
         shard: _Shard,
@@ -767,24 +800,24 @@ class ShardedStore:
 
         The one rewrite path of :meth:`compact`, :meth:`gc` and
         :meth:`clear`.  Under the shard lock, a newest-wins
-        :meth:`_scan_live` lists the live entries and
+        :func:`_scan` lists the live entries and
         ``keep(key, ref)`` picks the survivors (``None`` keeps every
         one).  The shard is rewritten to exactly those, or its data
         file is deleted when none survive.
         """
         with self._lock_named(shard.name):
-            live = self._scan_live(shard)
-            try:
-                old_size = shard.bin_path.stat().st_size
-            except OSError:
-                old_size = 0
+            data, live = _scan(shard)
             kept = [
                 (key, ref)
                 for key, ref in live.items()
                 if keep is None or keep(key, ref)
             ]
+            try:  # an older version's index sidecar: never read
+                shard.bin_path.with_suffix(".idx").unlink()
+            except OSError:
+                pass
             if kept:
-                new_size = self._rewrite_shard(shard, kept)
+                new_size = self._rewrite_shard(shard, data, kept)
             else:
                 new_size = 0
                 try:
@@ -800,51 +833,35 @@ class ShardedStore:
         # overhead outside the budget.
         return GCReport(
             entries_removed=len(live) - len(kept),
-            bytes_reclaimed=max(0, old_size - new_size),
+            bytes_reclaimed=max(0, len(data) - new_size),
             entries_kept=len(shard.index),
             bytes_kept=sum(ref[1] for _key, ref in kept),
         )
 
     def _rewrite_shard(
-        self, shard: _Shard, keep: List[Tuple[str, LiveRef]]
+        self, shard: _Shard, data: bytes, keep: List[Tuple[str, LiveRef]]
     ) -> int:
-        """Rewrite *shard* to exactly the ``(key, scan ref)`` entries.
+        """Rewrite *shard* from its *data* to exactly the *keep* entries.
 
-        The caller holds the shard lock and made the refs with
-        :meth:`_scan_live`, so each entry's length and payload offset
+        The caller holds the shard lock and made the ``(key, scan ref)``
+        pairs from *data*, so each entry's length and payload offset
         splice its bytes with no re-parse (shape-packed payloads are
-        position independent).  Shape definitions are written ahead
-        of their first use, and the result atomically replaces the
-        shard.  Unreadable source entries are dropped (they were
-        unreadable in place too).  Adopts the new index/scan state on
-        *shard* and returns the new data size.
+        position independent); :func:`_splice_plan` lays them out.  The
+        result atomically replaces the shard.  Adopts the new index/scan
+        state on *shard* and returns the new data size.
         """
         fd, tmp_name = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         new_index: Dict[str, int] = {}
         shapes_written: set = set()
         offset_out = 0
         try:
-            data = shard.bin_path.read_bytes()
-        except OSError:
-            data = b""
-        try:
             with os.fdopen(fd, "wb") as dst:
-                for key, (offset, length, _stamp, payload_start) in keep:
-                    end = offset + length
-                    if end > len(data):
-                        continue
-                    shape_id = data[payload_start : payload_start + 8]
-                    if shape_id not in shapes_written:
-                        shape = GLOBAL_SHAPES.get(shape_id)
-                        if shape is None:
-                            continue  # definition lost; entry unreadable
-                        block_entry = pack_shape_entry(shape.block)
-                        dst.write(block_entry)
-                        offset_out += len(block_entry)
-                        shapes_written.add(shape_id)
-                    dst.write(data[offset:end])
-                    new_index[key] = offset_out
-                    offset_out += length
+                for key, shape_id, shape_entry, start, end in _splice_plan(data, keep):
+                    dst.write(shape_entry)
+                    dst.write(data[start:end])
+                    shapes_written.add(shape_id)
+                    new_index[key] = offset_out + len(shape_entry)
+                    offset_out += len(shape_entry) + end - start
             os.replace(tmp_name, shard.bin_path)
         except BaseException:
             try:
@@ -866,28 +883,31 @@ class ShardedStore:
     def usage(self) -> Dict[str, object]:
         """Store-wide usage summary for ``repro-planarity cache stats``.
 
-        Scans every shard (newest-wins): live entry count, live vs
-        on-disk bytes (the difference is reclaimable by compaction),
-        and the age range of the live entries.
+        Scans every shard (newest-wins): live entry count, live record
+        bytes, on-disk bytes, the bytes a compaction would reclaim (the
+        on-disk bytes less what it would write: the live records plus
+        one shape definition per distinct live shape and shard), and
+        the age range of the live entries.
         """
         entries = 0
         live_bytes = 0
         file_bytes = 0
+        compacted_bytes = 0
         oldest: Optional[float] = None
         newest: Optional[float] = None
         for shard in self._shards:
-            try:
-                file_bytes += shard.bin_path.stat().st_size
-            except OSError:
-                pass
-            for _offset, length, stamp, _pay in self._scan_live(
-                shard
-            ).values():
+            data, live = _scan(shard)
+            file_bytes += len(data)
+            for _offset, length, stamp, _pay in live.values():
                 entries += 1
                 live_bytes += length
                 if stamp > 0:
                     oldest = stamp if oldest is None else min(oldest, stamp)
                     newest = stamp if newest is None else max(newest, stamp)
+            plan = _splice_plan(data, list(live.items()))
+            compacted_bytes += sum(
+                len(shape) + end - start for _k, _i, shape, start, end in plan
+            )
         meta_entries = sum(1 for _ in self.meta_keys())
         return {
             "root": str(self.root),
@@ -895,7 +915,7 @@ class ShardedStore:
             "entries": entries,
             "live_bytes": live_bytes,
             "file_bytes": file_bytes,
-            "reclaimable_bytes": max(0, file_bytes - live_bytes),
+            "reclaimable_bytes": max(0, file_bytes - compacted_bytes),
             "oldest_t": oldest,
             "newest_t": newest,
             "meta_entries": meta_entries,
@@ -941,10 +961,12 @@ class ShardedStore:
         yield from list(meta.index)
 
     def clear(self) -> GCReport:
-        """Delete every data shard file; report entries and bytes removed."""
-        report = GCReport()
-        for shard in self._shards:
-            report += self._rewrite_locked(shard, keep=lambda _key, _ref: False)
+        """Delete every data shard file; report entries and bytes removed.
+
+        The metadata shard keeps its records; like :meth:`gc`, this drops
+        only its dead duplicates.
+        """
+        report = self._rewrite_all(lambda _sid, _key, _ref: False)
         self.stats.evicted_entries += report.entries_removed
         self.stats.bytes_reclaimed += report.bytes_reclaimed
         return report

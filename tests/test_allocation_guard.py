@@ -6,18 +6,24 @@ later ops.  The tester reads only the compiled topology's CSR arrays
 and the dense Stage I state's numpy vectors, so after
 ``test_planarity`` the simulator's per-node views must still be unbuilt
 and the retained Stage I state must hold a handful of gc-tracked
-containers, not one per node.
+containers, not one per node.  Nor may the tester cache a networkx view
+that points back at its input graph (``degree``, ``edges``): that would
+put the graph in a reference cycle, which only a collection frees.
 """
 
 from __future__ import annotations
 
 import gc
 import types
+import weakref
+from unittest import mock
 
 import pytest
 
 from repro.congest import CongestNetwork, compile_topology
 from repro.graphs import make_planar
+from repro.graphs.far_from_planar import planted_kuratowski
+from repro.partition import parts
 from repro.testers.planarity import PlanarityTestConfig
 from repro.testers.planarity import test_planarity as run_planarity
 
@@ -74,3 +80,37 @@ def test_network_builds_views_on_first_use(tested):
     root = topology.nodes[0]
     assert topology.neighbors[root] == tuple(sorted(graph.neighbors(root)))
     assert topology.neighbor_sets[root] == frozenset(graph.neighbors(root))
+
+
+TESTER_INPUTS = {
+    "delaunay": lambda: make_planar("delaunay", N, seed=0),
+    "planted-k5": lambda: planted_kuratowski(N, count=300, minor="k5", seed=0)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TESTER_INPUTS))
+def test_input_graph_freed_by_refcount(name):
+    # A fresh copy, as perfbench and the workers hand over: the far
+    # generator itself reads ``degree`` on the graph it builds.
+    graph = TESTER_INPUTS[name]().copy()
+    assert not {"degree", "edges"} & set(vars(graph))
+    probe = weakref.ref(graph)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_planarity(graph, seed=0, config=PlanarityTestConfig(epsilon=0.1))
+        assert result.accepted == (name == "delaunay")
+        assert not {"degree", "edges"} & set(vars(graph))
+        del result, graph
+        assert probe() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_stage1_reject_builds_no_part():
+    graph = TESTER_INPUTS["planted-k5"]()
+    with mock.patch.object(parts.Part, "__init__", side_effect=AssertionError):
+        result = run_planarity(graph, seed=0, config=PlanarityTestConfig(epsilon=0.1))
+    assert result.rejected_stage == "stage1"
+    assert result.stage1.dense_state.size > 1

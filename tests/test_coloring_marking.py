@@ -151,6 +151,24 @@ class TestMarking:
         # with some contraction is the assertion
         assert result.contract_edges
 
+    def test_marked_cycle_raises(self):
+        """Claim 15's check: an improper coloring (one color everywhere)
+        marks a whole directed cycle."""
+        out_edge = {i: (i + 1) % 6 for i in range(6)}
+        out_edge[6] = None
+        weights = {(v, p): 3 for v, p in out_edge.items() if p is not None}
+        with pytest.raises(PartitionError, match="Claim 15"):
+            dense_marking(out_edge, weights, dict.fromkeys(out_edge, 0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_edge_lists_in_ascending_child_order(self, seed):
+        out_edge, weights = random_pseudoforest(60, seed)
+        result = self.run_marking(out_edge, weights)
+        for edges in (result.marked_edges, result.contract_edges):
+            children = [child for child, _parent in edges]
+            assert children == sorted(set(children))
+            assert all(type(v) is int for edge in edges for v in edge)
+
     def test_stars(self):
         """A star's leaves all point at the center: the whole star is
         marked and contracted at once."""

@@ -79,6 +79,25 @@ class TestCompiledTopology:
         with pytest.raises(GraphInputError):
             CompiledTopology(nx.MultiGraph([(0, 1), (0, 1)]))
 
+    def test_self_loop_found_on_the_csr(self):
+        """The loop sits on the last node in id order, on the graph and
+        on subgraph views of it; views without it compile."""
+        graph = nx.path_graph(6)
+        graph.add_edge(5, 5)
+        for view in (graph, graph.subgraph([0, 4, 5]), graph.subgraph(graph)):
+            with pytest.raises(
+                GraphInputError, match="CongestNetwork does not support self-loops"
+            ):
+                CompiledTopology(view)
+        assert CompiledTopology(graph.subgraph(range(5))).m == 4
+
+    def test_memo_hit_gaining_a_self_loop_recompiles(self):
+        graph = nx.path_graph(4)
+        compile_topology(graph)
+        graph.add_edge(3, 3)
+        with pytest.raises(GraphInputError, match="does not support self-loops"):
+            compile_topology(graph)
+
 
 def _differential_graphs():
     graphs = {
@@ -96,6 +115,11 @@ DIFFERENTIAL_GRAPHS = _differential_graphs()
 
 class TestReferenceCompile:
     """The numpy-sorted CSR and the lazy views against the per-node loop."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+    def test_edge_count_is_half_the_slots(self, name):
+        graph = DIFFERENTIAL_GRAPHS[name]
+        assert CompiledTopology(graph).m == graph.number_of_edges()
 
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
     def test_tables_match_reference_loop(self, name):

@@ -193,6 +193,18 @@ class TestMisc:
         assert not has_self_loops(graph.subgraph([0, 1, 3]))
         assert has_self_loops(graph.subgraph([1, 2]))
 
+    def test_self_loop_on_last_node(self):
+        graph = nx.path_graph(6)
+        graph.add_edge(5, 5)
+        for view in (graph, graph.subgraph([0, 4, 5]), graph.subgraph(graph)):
+            assert has_self_loops(view)
+            with pytest.raises(
+                GraphInputError, match="input must not contain self-loops"
+            ):
+                require_simple(view, "input")
+        assert not has_self_loops(graph.subgraph([0, 1, 4]))
+        require_simple(graph.subgraph(range(5)), "input")
+
     def test_ensure_int_labels(self):
         graph = nx.Graph([("a", "b"), ("b", "c")])
         relabeled, mapping = ensure_int_labels(graph)

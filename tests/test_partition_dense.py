@@ -146,6 +146,49 @@ class TestStage1Differential:
         )
 
 
+def _parts(partition):
+    return {
+        pid: (part.nodes, dict(part.parents), part.height)
+        for pid, part in partition.parts.items()
+    }
+
+
+class TestLazyPartition:
+    """``result.partition`` is built on first read, exactly as an eager
+    ``to_partition`` builds it; nothing before that read builds parts."""
+
+    @pytest.mark.parametrize(
+        "family, relabeling",
+        label_cases(sorted(PLANAR_FAMILIES)) + label_cases(sorted(FAR_FAMILIES)),
+    )
+    def test_matches_eager_build(self, family, relabeling):
+        if family in PLANAR_FAMILIES:
+            graph = make_planar(family, N, seed=0)
+        else:
+            graph = make_far(family, N, seed=0)[0]
+        graph = relabeled(graph, relabeling)
+        for run in (partition_stage1, partition_randomized):
+            result = run(graph, 0.1)
+            assert result.__dict__["_partition"] is None
+            eager = result.dense_state.to_partition(graph)
+            assert result.final_cut == eager.cut_size()
+            lazy = result.partition
+            assert lazy is result.partition
+            assert lazy.graph is graph
+            assert _parts(lazy) == _parts(eager)
+            assert lazy.part_of == eager.part_of
+
+    def test_given_partition_is_kept(self):
+        """The dict oracle builds its results with ``partition=...``."""
+        graph = nx.path_graph(3)
+        result = reference_partition_stage1(graph, epsilon=0.5)
+        assert result.dense_state is None
+        assert isinstance(result.partition, Partition)
+        given = Partition.singletons(graph)
+        result.partition = given
+        assert result.partition is given
+
+
 class TestRandomizedDifferential:
     @pytest.mark.parametrize(
         "family, relabeling", label_cases(("delaunay", "apollonian", "grid"))

@@ -79,6 +79,24 @@ def test_run_job_far_family():
     assert record["family"] == "planted-k5"
 
 
+@pytest.mark.parametrize(
+    "graph_kw",
+    [{"family": "delaunay", "n": 200}, {"far": "planted-k5", "n": 200}],
+    ids=["planar", "far"],
+)
+def test_planarity_record_matches_partition(graph_kw):
+    """The record's partition summaries come from the dense state; they
+    equal the :class:`Partition` figures they were read from before."""
+    from repro.testers.planarity import test_planarity as run_planarity
+
+    spec = JobSpec.make("test_planarity", epsilon=0.1, **graph_kw)
+    record = run_job(spec)
+    graph = spec.build_graph()
+    partition = run_planarity(graph, seed=spec.seed, epsilon=0.1).stage1.partition
+    summary = (partition.size, partition.cut_size(), partition.max_height())
+    assert (record["parts"], record["cut"], record["max_part_height"]) == summary
+
+
 def test_run_job_spanner_record():
     spec = JobSpec.make("spanner", family="grid", n=36, epsilon=0.5)
     record = run_job(spec)

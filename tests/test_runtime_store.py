@@ -285,10 +285,26 @@ class TestGC:
         usage = store.usage()
         assert usage["entries"] == 1
         assert usage["file_bytes"] > usage["live_bytes"] > 0
-        assert usage["reclaimable_bytes"] == (
-            usage["file_bytes"] - usage["live_bytes"]
-        )
+        # The three dead entries; the live one and its shape definition
+        # stay.
+        length = store._scan_live(store._shards[0])["dup"][1]
+        assert usage["reclaimable_bytes"] == 3 * length
         assert usage["newest_t"] >= usage["oldest_t"] > 0
+
+    def test_reclaimable_is_what_compaction_reclaims(self, tmp_path):
+        store = ShardedStore(tmp_path / "s", shards=2, compact_factor=100.0)
+        for index in range(12):
+            store.put(f"k{index}", {"v": index, "tag": "a" * (index % 3)})
+        store.put("k0", {"v": -1, "tag": ""})
+        before = store.usage()["reclaimable_bytes"]
+        assert before == store.compact().bytes_reclaimed > 0
+        assert store.usage()["reclaimable_bytes"] == 0
+        # One overwritten key leaves exactly its dead entry behind.
+        live = {}
+        for shard in store._shards:
+            live.update(store._scan_live(shard))
+        store.put("k5", {"v": 55, "tag": "aa"})
+        assert store.usage()["reclaimable_bytes"] == live["k5"][1]
 
 class TestMetaShard:
     def test_round_trip_and_isolation(self, tmp_path):

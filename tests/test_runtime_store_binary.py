@@ -162,6 +162,23 @@ def test_leftover_idx_files_are_never_read(tmp_path):
         assert fresh.get(key) == record
 
 
+@pytest.mark.parametrize("rewrite", ["compact", "clear"])
+def test_rewrite_deletes_leftover_idx_files(tmp_path, rewrite):
+    """Sidecars an older version left beside a data shard and the
+    metadata shard go with the next rewrite of their shard."""
+    root = tmp_path / "s"
+    store = ShardedStore(root, shards=2)
+    _fill(store, count=20)
+    store.put_meta("cost:test:36", {"count": 1})
+    stray = [root / "shard-00.idx", root / "meta-00.idx"]
+    for path in stray:
+        path.write_bytes(b"RIDX\x01")
+    getattr(store, rewrite)()
+    assert not [path.name for path in stray if path.exists()]
+    assert _only_store_files(root)
+    assert store.get_meta("cost:test:36") == {"count": 1}
+
+
 def test_fresh_open_after_rewrite_and_appends_serves_every_key(tmp_path):
     store = ShardedStore(tmp_path / "s", shards=1)
     _fill(store, count=10)
