@@ -31,8 +31,8 @@ import networkx as nx
 
 from ..errors import GraphInputError
 from ..graphs.utils import require_simple
-from ..partition.stage1 import Stage1Result, partition_stage1
-from ..partition.weighted_selection import partition_randomized
+from ..partition.stage1 import Stage1Result
+from ..partition.weighted_selection import partition_by_method
 from .dense import (
     DenseSpanner,
     adjacency_csr,
@@ -109,23 +109,9 @@ def build_spanner(
     n = graph.number_of_nodes()
     if n == 0:
         raise GraphInputError("build_spanner requires at least one node")
-    target = epsilon * n
-    if method == "deterministic":
-        result = partition_stage1(
-            graph, epsilon=epsilon, alpha=alpha, target_cut=target
-        )
-    elif method == "randomized":
-        result = partition_randomized(
-            graph,
-            epsilon=epsilon,
-            delta=delta,
-            alpha=alpha,
-            target_cut=target,
-            seed=seed,
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    result = partition_by_method(
+        graph, epsilon, method, epsilon * n, delta, alpha, seed
+    )
     dense, tree_edges, connector_edges = build_dense_spanner(result.dense_state)
     return SpannerResult(
         partition_result=result,

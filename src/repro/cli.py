@@ -74,8 +74,7 @@ from .applications.spanner import build_spanner, measure_stretch
 from .graphs.far_from_planar import FAR_FAMILIES, make_far
 from .graphs.generators import PLANAR_FAMILIES, make_planar
 from .graphs.lower_bound import lower_bound_instance
-from .partition.stage1 import partition_stage1
-from .partition.weighted_selection import partition_randomized
+from .partition.weighted_selection import METHODS, partition_by_method
 from .runtime import (
     Client,
     RunConfig,
@@ -142,30 +141,21 @@ def _cmd_test(args) -> int:
 
 def _cmd_partition(args) -> int:
     graph, label = _build_graph(args)
-    if args.method == "deterministic":
-        result = partition_stage1(
-            graph,
-            epsilon=args.epsilon,
-            target_cut=args.epsilon * graph.number_of_nodes(),
-        )
-    else:
-        result = partition_randomized(
-            graph,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            seed=args.seed,
-        )
+    n = graph.number_of_nodes()
+    result = partition_by_method(
+        graph, args.epsilon, args.method, args.epsilon * n, args.delta, seed=args.seed
+    )
     table = Table(
         f"{args.method} partition of {label}",
         ["n", "m", "parts", "cut", "target", "max height", "phases", "rounds"],
     )
     table.add_row(
-        graph.number_of_nodes(),
+        n,
         graph.number_of_edges(),
-        result.partition.size,
-        result.partition.cut_size(),
+        result.dense_state.size,
+        result.dense_state.cut_size(),
         result.target_cut,
-        result.partition.max_height(),
+        result.dense_state.max_height(),
         len(result.phases),
         result.rounds,
     )
@@ -687,21 +677,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", help="run the Theorem 3/4 partition")
     _add_graph_arguments(p_part)
-    p_part.add_argument(
-        "--method",
-        default="deterministic",
-        choices=("deterministic", "randomized"),
-    )
+    p_part.add_argument("--method", default="deterministic", choices=METHODS)
     p_part.add_argument("--delta", type=float, default=0.1)
     p_part.set_defaults(func=_cmd_partition)
 
     p_span = sub.add_parser("spanner", help="build the Corollary 17 spanner")
     _add_graph_arguments(p_span)
-    p_span.add_argument(
-        "--method",
-        default="deterministic",
-        choices=("deterministic", "randomized"),
-    )
+    p_span.add_argument("--method", default="deterministic", choices=METHODS)
     p_span.set_defaults(func=_cmd_spanner)
 
     p_app = sub.add_parser(

@@ -47,7 +47,7 @@ import networkx as nx
 import numpy as np
 
 from ..errors import GraphInputError
-from ..graphs.utils import id_key
+from ..graphs.utils import adjacency_slots, id_key
 from .message import default_bandwidth_bits
 
 
@@ -371,14 +371,14 @@ def compile_topology(graph: nx.Graph, reuse: bool = True) -> CompiledTopology:
     Callers who mutate a graph between runs should recompile; as a
     guard, a memo hit whose node or ``_adj`` slot count no longer
     matches the graph is discarded and recompiled (same-count rewires
-    are not detected).  ``number_of_edges()`` would cache a
-    ``DegreeView`` that points back at the graph: a reference cycle.
+    are not detected); :func:`~repro.graphs.utils.adjacency_slots`
+    counts without caching a view on the graph.
     """
     if reuse:
         with _lock:
             cached = _memo.get(graph)
         if cached is not None:
-            slots = sum(map(len, graph._adj.values()))
+            slots = adjacency_slots(graph)
             if cached.n == graph.number_of_nodes() and 2 * cached.m == slots:
                 with _lock:
                     _stats.reused += 1

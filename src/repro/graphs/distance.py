@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import networkx as nx
 
 from ..planarity import check_planarity
-from .utils import girth
+from .utils import edge_count, girth, iter_edges
 
 
 # -- planarity -----------------------------------------------------------------
@@ -35,7 +35,7 @@ def planarity_skewness_lower_bound(graph: nx.Graph, use_girth: bool = True) -> i
     total = 0
     for component in nx.connected_components(graph):
         sub = graph.subgraph(component)
-        n, m = sub.number_of_nodes(), sub.number_of_edges()
+        n, m = sub.number_of_nodes(), edge_count(sub)
         if n < 3:
             continue
         budget = 3 * n - 6
@@ -51,7 +51,7 @@ def planarity_skewness_lower_bound(graph: nx.Graph, use_girth: bool = True) -> i
 
 def planarity_farness_lower_bound(graph: nx.Graph, use_girth: bool = True) -> float:
     """Certified lower bound on the farness-from-planarity fraction."""
-    m = graph.number_of_edges()
+    m = edge_count(graph)
     if m == 0:
         return 0.0
     return planarity_skewness_lower_bound(graph, use_girth) / m
@@ -67,7 +67,7 @@ def greedy_maximal_planar_subgraph(
     upper bound on the skewness.
     """
     rng = random.Random(seed)
-    edges = list(graph.edges())
+    edges = list(iter_edges(graph))
     rng.shuffle(edges)
     sub = nx.Graph()
     sub.add_nodes_from(graph.nodes())
@@ -86,7 +86,7 @@ def planarity_farness_bounds(
     graph: nx.Graph, seed: Optional[int] = None
 ) -> Tuple[float, float]:
     """(certified lower bound, constructive upper bound) on farness."""
-    m = graph.number_of_edges()
+    m = edge_count(graph)
     if m == 0:
         return (0.0, 0.0)
     lower = planarity_farness_lower_bound(graph)
@@ -101,7 +101,7 @@ def planarity_farness_bounds(
 def cycle_freeness_distance(graph: nx.Graph) -> int:
     """Exact number of removals to reach a forest: ``m - n + #components``."""
     return (
-        graph.number_of_edges()
+        edge_count(graph)
         - graph.number_of_nodes()
         + nx.number_connected_components(graph)
     )
@@ -109,7 +109,7 @@ def cycle_freeness_distance(graph: nx.Graph) -> int:
 
 def cycle_freeness_farness(graph: nx.Graph) -> float:
     """Exact farness-from-cycle-freeness fraction."""
-    m = graph.number_of_edges()
+    m = edge_count(graph)
     if m == 0:
         return 0.0
     return cycle_freeness_distance(graph) / m
@@ -125,7 +125,7 @@ def bipartiteness_farness_lower_bound(graph: nx.Graph) -> float:
     BFS trees and claims the non-tree edge plus cycle edges of any odd
     fundamental cycle whose edges are all unclaimed.
     """
-    m = graph.number_of_edges()
+    m = edge_count(graph)
     if m == 0:
         return 0.0
     claimed = set()
@@ -185,7 +185,7 @@ def bipartiteness_farness_upper_bound(
     The number of monochromatic edges under any 2-coloring upper-bounds
     the distance to bipartiteness.
     """
-    m = graph.number_of_edges()
+    m = edge_count(graph)
     if m == 0:
         return 0.0
     rng = random.Random(seed)
@@ -206,12 +206,12 @@ def bipartiteness_farness_upper_bound(
             improved = False
             for v in graph.nodes():
                 same = sum(1 for w in graph.adj[v] if side[w] == side[v])
-                if 2 * same > graph.degree(v):
+                if 2 * same > len(graph._adj[v]) + (v in graph._adj[v]):
                     side[v] ^= 1
                     improved = True
             if not improved:
                 break
-        monochromatic = sum(1 for u, v in graph.edges() if side[u] == side[v])
+        monochromatic = sum(1 for u, v in iter_edges(graph) if side[u] == side[v])
         best = min(best, monochromatic)
     return best / m
 

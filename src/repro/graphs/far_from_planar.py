@@ -20,6 +20,7 @@ import networkx as nx
 from ..errors import GraphInputError
 from .distance import planarity_farness_lower_bound
 from .generators import random_apollonian
+from .utils import edge_count
 
 
 def _connect(graph: nx.Graph, rng: random.Random) -> None:
@@ -105,7 +106,7 @@ def planted_kuratowski(
             left, right = group[:3], group[3:]
             graph.add_edges_from((u, v) for u in left for v in right)
         planted += 1
-    m = graph.number_of_edges()
+    m = edge_count(graph)
     certificate = max(planted / m, planarity_farness_lower_bound(graph))
     return graph, certificate
 
@@ -134,7 +135,7 @@ def dense_planar_plus_matching(
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v)
             added += 1
-    return graph, added / graph.number_of_edges()
+    return graph, added / edge_count(graph)
 
 
 FAR_FAMILIES = {

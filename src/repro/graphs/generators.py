@@ -22,6 +22,7 @@ from typing import Optional
 import networkx as nx
 
 from ..errors import GraphInputError
+from .utils import iter_edges
 
 
 def _rng(seed: Optional[int]) -> random.Random:
@@ -92,14 +93,17 @@ def random_planar(
         )
     rng = _rng(seed)
     graph = random_apollonian(n, seed=rng.randrange(2**31))
-    edges = list(graph.edges())
+    edges = list(iter_edges(graph))
     rng.shuffle(edges)
+    m = len(edges)
     for u, v in edges:
-        if graph.number_of_edges() <= target_m:
+        if m <= target_m:
             break
         graph.remove_edge(u, v)
         # Keep the graph connected: re-add bridges.
-        if not _still_connected_locally(graph, u, v):
+        if _still_connected_locally(graph, u, v):
+            m -= 1
+        else:
             graph.add_edge(u, v)
     return graph
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -35,6 +35,34 @@ def has_self_loops(graph: nx.Graph) -> bool:
     """True if some node of *graph* is its own neighbor (one O(n) scan of
     the raw ``_adj`` rows; ``graph.adj`` would wrap each in an ``AtlasView``)."""
     return any(v in nbrs for v, nbrs in graph._adj.items())
+
+
+def adjacency_slots(graph: nx.Graph) -> int:
+    """Entries of the raw ``_adj`` rows: two per edge, one per self-loop.
+
+    Counting there caches no view on the graph: ``number_of_edges()``
+    caches a ``DegreeView`` and ``edges()`` an ``EdgeView``, and both
+    point back at the graph, a reference cycle that keeps it alive until
+    the cyclic collector runs.
+    """
+    return sum(map(len, graph._adj.values()))
+
+
+def edge_count(graph: nx.Graph) -> int:
+    """``graph.number_of_edges()``: half the degree sum, a self-loop adding
+    two to its node's degree, read off ``_adj`` (see :func:`adjacency_slots`)."""
+    return sum(len(nbrs) + (v in nbrs) for v, nbrs in graph._adj.items()) // 2
+
+
+def iter_edges(graph: nx.Graph) -> Iterator[Tuple[Any, Any]]:
+    """``graph.edges()``, in its order, walked over ``_adj`` (see
+    :func:`adjacency_slots`)."""
+    seen = set()
+    for u, nbrs in graph._adj.items():
+        for v in nbrs:
+            if v not in seen:
+                yield u, v
+        seen.add(u)
 
 
 def require_simple(graph: nx.Graph, name: str = "graph") -> None:

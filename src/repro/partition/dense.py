@@ -1,6 +1,7 @@
-"""The Stage I engine: the partition phase loops on flat arrays.
+"""The Stage I engine: the steps of the partition phase loop on flat arrays.
 
-Stage I (and Theorem 4's randomized partition) run on the
+Stage I's phase loop (:func:`~repro.partition.stage1.run_phases`, which
+Theorem 4's randomized partition shares) runs on the
 :class:`~repro.congest.topology.CompiledTopology`'s dense-index arrays:
 
 * the input graph is compiled once; undirected edges live in two numpy
@@ -165,7 +166,6 @@ def forest_decomposition_dense(
     budget: Optional[int] = None,
     ledger: Optional[RoundLedger] = None,
     cost_model: Optional[TreeCostModel] = None,
-    charge_full_budget: bool = True,
 ) -> Tuple[bool, "np.ndarray", "np.ndarray", int]:
     """Vectorized Barenboim-Elkin deactivation on the aux edge arrays.
 
@@ -173,12 +173,13 @@ def forest_decomposition_dense(
     each super-round deactivates every active compact node of aux degree
     <= 3*alpha and decrements the degrees of its still-active neighbors
     with one masked scatter-add per endpoint side.  The ledger is
-    charged ``super_round(height, alpha)`` rounds per budgeted (or, with
-    ``charge_full_budget=False``, executed) super-round.
+    charged ``super_round(height, alpha)`` rounds per budgeted
+    super-round: the paper's fixed ``O(log n)`` schedule.
 
     Returns ``(success, active_mask, inactive_round, super_rounds)``
     with ``inactive_round`` holding the 1-based deactivation super-round
-    (0 = never deactivated) per compact index.
+    (0 = never deactivated) per compact index and ``super_rounds`` the
+    budget.
     """
     from ..congest.programs.forest_decomposition import (
         barenboim_elkin_round_budget,
@@ -192,16 +193,13 @@ def forest_decomposition_dense(
     degrees = aux.degrees.copy()
     active = np.ones(k, dtype=bool)
     inactive_round = np.zeros(k, dtype=np.int64)
-    executed = 0
     for super_round in range(1, budget + 1):
         if not active.any():
             break
-        executed = super_round
         deactivating = active & (degrees <= threshold)
         if not deactivating.any():
             # No node can ever deactivate again: the active subgraph has
             # min degree > 3*alpha, certifying arboricity > alpha.
-            executed = budget
             break
         inactive_round[deactivating] = super_round
         active &= ~deactivating
@@ -213,15 +211,13 @@ def forest_decomposition_dense(
     if ledger is not None:
         model = cost_model or TreeCostModel()
         per_super_round = model.super_round(height, alpha)
-        charged_rounds = budget if charge_full_budget else executed
         ledger.charge(
-            charged_rounds * per_super_round,
+            budget * per_super_round,
             "stage1.forest_decomposition",
-            f"{charged_rounds} super-rounds x {per_super_round} rounds "
+            f"{budget} super-rounds x {per_super_round} rounds "
             f"(height {height}, alpha {alpha})",
         )
-    super_rounds = budget if charge_full_budget else executed
-    return (not bool(active.any()), active, inactive_round, super_rounds)
+    return (not bool(active.any()), active, inactive_round, budget)
 
 
 def orient_dense(

@@ -15,6 +15,7 @@ from typing import Any, Dict, FrozenSet, Iterator, List, Tuple
 import networkx as nx
 
 from ..errors import PartitionError
+from ..graphs.utils import iter_edges
 
 
 @dataclass
@@ -119,7 +120,7 @@ class Partition:
     def cut_edges(self) -> Iterator[Tuple[Any, Any]]:
         """Edges of the graph whose endpoints lie in different parts."""
         part_of = self.part_of
-        for u, v in self.graph.edges():
+        for u, v in iter_edges(self.graph):
             if part_of[u] != part_of[v]:
                 yield (u, v)
 

@@ -17,20 +17,27 @@ tester; ``epsilon * n`` for the Theorem 3 partition).  Claims reproduced:
 Termination: the default mode stops as soon as the cut target is met
 (ARCHITECTURE.md, "Paper substitutions", item 2 -- a fixed-schedule
 CONGEST execution would run the a-priori phase cap; we report both).
+
+One phase loop, :func:`run_phases`, serves Stage I and Theorem 4's
+randomized partition (:mod:`repro.partition.weighted_selection`) alike;
+the two differ only in the pseudoforest they select and how they color it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, List, Optional, Tuple
 
 import networkx as nx
 
+from ..congest import topology as congest_topology
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..errors import PartitionError
+from ..graphs.utils import adjacency_slots
 from ..telemetry import get_tracer
-from .dense import MarkingResult
+from . import dense
 from .parts import Partition
 
 
@@ -123,16 +130,19 @@ class Stage1Result:
         return (self.dense_state or self.partition).cut_size()
 
 
-def theoretical_phase_cap(m: int, target_cut: float, alpha: int) -> int:
+def theoretical_phase_cap(
+    m: int, target_cut: float, alpha: int, slowdown: int = 36
+) -> int:
     """A-priori number of phases t with m * decay^t <= target.
 
     Uses the conservative provable per-phase decay ``1 - 1/(36*alpha)``
     (heaviest-out-edge selection keeps >= 1/(3*alpha) of the weight, the
-    marking keeps >= 1/3 of that, the parity choice >= 1/2).
+    marking keeps >= 1/3 of that, the parity choice >= 1/2); Theorem 4
+    passes its own *slowdown*.
     """
     if m == 0 or target_cut >= m:
         return 0
-    decay = 1.0 - 1.0 / (36 * alpha)
+    decay = 1.0 - 1.0 / (slowdown * alpha)
     return int(math.ceil(math.log(max(target_cut, 0.5) / m) / math.log(decay)))
 
 
@@ -140,7 +150,7 @@ def _charge_merging_overhead(
     ledger: RoundLedger,
     model: TreeCostModel,
     height: int,
-    marking: MarkingResult,
+    marking: dense.MarkingResult,
 ) -> None:
     """Rounds for sub-steps 1, 2b, 3 and 4 (all but the CV coloring).
 
@@ -167,123 +177,70 @@ def _charge_merging_overhead(
     ledger.charge(2 * relay, "stage1.merge.contract", "sub-step 4: re-root")
 
 
-def partition_stage1(
+def run_phases(
     graph: nx.Graph,
-    epsilon: float,
-    alpha: int = 3,
-    target_cut: Optional[float] = None,
-    max_phases: Optional[int] = None,
-    early_stop: bool = True,
-    ledger: Optional[RoundLedger] = None,
-    cost_model: Optional[TreeCostModel] = None,
-    charge_full_budget: bool = True,
+    make_result: Callable[..., Stage1Result],
+    select: Callable,
+    color: Callable,
+    target_cut: float,
+    cap: int,
+    early_stop: bool,
+    ledger: RoundLedger,
+    model: TreeCostModel,
+    retry_stalls: bool = False,
 ) -> Stage1Result:
-    """Run Stage I on *graph*.
+    """The phase loop of both theorems, on the dense state (module doc).
 
-    The phase loop runs on the CSR-native dense state
-    (:mod:`repro.partition.dense`): part ids are dense indices
-    internally, which sort like ``id_key``, and Cole-Vishkin seeds from
-    the original labels, so every tie-break matches the dict-keyed
-    formulation of the paper for any hashable labels.
-
-    Args:
-        graph: simple undirected graph.
-        epsilon: distance parameter; the default cut target is
-            ``epsilon * m / 2`` per Claim 3.
-        alpha: arboricity bound to verify (3 = planar).
-        target_cut: override the cut target (Theorem 3 uses
-            ``epsilon * n``).
-        max_phases: phase cap; defaults to the theoretical bound.
-        early_stop: stop as soon as the target is met (see module doc).
-        ledger: optional shared ledger (a fresh one is made otherwise).
-        cost_model: emulation cost formulas.
-        charge_full_budget: charge the full O(log n) forest-decomposition
-            schedule per phase (paper behavior).
+    A phase builds the auxiliary graph, selects a compact pseudoforest on
+    it with ``select(aux, height) -> (parent, weight, rounds, stuck)``,
+    colors it with ``color(parent, seeds, height) -> (colors, rounds)``
+    (``seeds()`` gives the roots' Cole-Vishkin start colors), marks and
+    chooses (CHW) and merges.  A *stuck* mask ends the loop: those parts
+    hold the evidence of arboricity > alpha.  With *retry_stalls* a
+    phase that contracts nothing (Remark 1's abstentions) is retried
+    instead of raising.
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    phases: List[PhaseStats] = []
+    result = partial(
+        make_result,
+        phases=phases,
+        ledger=ledger,
+        target_cut=target_cut,
+        theoretical_phase_cap=cap,
+        graph=graph,
+    )
+    if not graph.number_of_nodes():
+        return result(success=True, rejecting_parts=(), partition=Partition(graph, []))
     # Looked up at call time, so wrappers installed on these module
     # attributes see every call.
-    from ..congest.topology import compile_topology
-    from .dense import (
-        DensePartitionState,
-        RootSeeds,
-        color_roots,
-        forest_decomposition_dense,
-        mark_and_choose_dense,
-        orient_and_select_dense,
-    )
-
-    topology = compile_topology(graph) if graph.number_of_nodes() else None
-    m = topology.m if topology is not None else 0
-    if target_cut is None:
-        target_cut = epsilon * m / 2
-    ledger = ledger if ledger is not None else RoundLedger()
-    model = cost_model or TreeCostModel()
-    cap = theoretical_phase_cap(m, target_cut, alpha)
-    if max_phases is None:
-        max_phases = cap
-    if topology is None:
-        return Stage1Result(
-            partition=Partition(graph, []),
-            success=True,
-            rejecting_parts=(),
-            phases=[],
-            ledger=ledger,
-            target_cut=target_cut,
-            theoretical_phase_cap=cap,
-        )
-
+    topology = congest_topology.compile_topology(graph)
     ids = topology.nodes
-    state = DensePartitionState(topology)
-    seeds = RootSeeds(ids)
-    phases: List[PhaseStats] = []
+    state = dense.DensePartitionState(topology)
+    root_seeds = dense.RootSeeds(ids)
     rejecting: Tuple[Any, ...] = ()
-    cut = m
+    cut = topology.m
     tracer = get_tracer()
 
-    for phase_index in range(1, max_phases + 1):
+    for phase_index in range(1, cap + 1):
         if cut == 0 or (early_stop and cut <= target_cut):
             break
         with tracer.span("stage1.aux_build", phase=phase_index, parts=state.size):
             aux = state.build_aux()
         height = state.max_height()
         pids = aux.pids
-
-        with tracer.span("stage1.forest", phase=phase_index, aux_edges=aux.edge_count()):
-            success, active, inactive_round, fd_super_rounds = (
-                forest_decomposition_dense(
-                    aux,
-                    alpha,
-                    n_graph=topology.n,
-                    height=height,
-                    ledger=ledger,
-                    cost_model=model,
-                    charge_full_budget=charge_full_budget,
-                )
-            )
-        if not success:
+        with tracer.span("stage1.select", phase=phase_index, edges=aux.edge_count()):
+            parent_c, weight_c, select_rounds, stuck = select(aux, height)
+        if stuck is not None:
             # Compact order is root order, i.e. id_key order.
-            rejecting = tuple(
-                ids[pids[c]] for c in active.nonzero()[0].tolist()
-            )
+            rejecting = tuple(ids[pids[c]] for c in stuck.nonzero()[0].tolist())
             break
-
-        # Sub-steps 1-4 on compact arrays: heaviest-out-edge selection,
-        # Cole-Vishkin, CHW marking, star contraction.
-        with tracer.span("stage1.cv", phase=phase_index):
-            parent_c, weight_c = orient_and_select_dense(aux, inactive_round)
-            colors, cv_rounds = color_roots(
-                parent_c, seeds(pids), ledger=ledger, cost_model=model, height=height
-            )
+        with tracer.span("stage1.color", phase=phase_index):
+            colors, color_rounds = color(parent_c, lambda: root_seeds(pids), height)
         with tracer.span("stage1.marking", phase=phase_index):
-            marking = mark_and_choose_dense(parent_c, weight_c, colors)
+            marking = dense.mark_and_choose_dense(parent_c, weight_c, colors)
             _charge_merging_overhead(ledger, model, height, marking)
-
             parts_before = state.size
-            state.merge(
-                [(pids[c], pids[p]) for c, p in marking.contract_edges], aux
-            )
+            state.merge([(pids[c], pids[p]) for c, p in marking.contract_edges], aux)
             new_cut = state.cut_size()
         phases.append(
             PhaseStats(
@@ -294,28 +251,67 @@ def partition_stage1(
                 cut_after=new_cut,
                 max_height_before=height,
                 max_height_after=state.max_height(),
-                fd_super_rounds=fd_super_rounds,
-                cv_super_rounds=cv_rounds,
-                max_marked_tree_height=max(
-                    marking.tree_heights.values(), default=0
-                ),
+                fd_super_rounds=select_rounds,
+                cv_super_rounds=color_rounds,
+                max_marked_tree_height=max(marking.tree_heights.values(), default=0),
                 marked_weight=marking.marked_weight,
                 contracted_weight=marking.contracted_weight,
             )
         )
-        if new_cut >= cut and cut > 0:
+        # Every marked tree contracts its heavier parity class, which has
+        # positive weight: only a phase whose decisions all abstained
+        # contracts nothing.
+        if new_cut >= cut and (marking.contract_edges or not retry_stalls):
             raise PartitionError(
                 f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
             )
         cut = new_cut
+    return result(success=not rejecting, rejecting_parts=rejecting, dense_state=state)
 
-    return Stage1Result(
-        success=not rejecting,
-        rejecting_parts=rejecting,
-        phases=phases,
-        ledger=ledger,
-        target_cut=target_cut,
-        theoretical_phase_cap=cap,
-        dense_state=state,
-        graph=graph,
+
+def partition_stage1(
+    graph: nx.Graph,
+    epsilon: float,
+    alpha: int = 3,
+    target_cut: Optional[float] = None,
+    early_stop: bool = True,
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+) -> Stage1Result:
+    """Run Stage I on *graph*: forest decomposition and heaviest out-edges,
+    Cole-Vishkin coloring.
+
+    Args:
+        graph: simple undirected graph.
+        epsilon: distance parameter; the default cut target is
+            ``epsilon * m / 2`` per Claim 3.
+        alpha: arboricity bound to verify (3 = planar).
+        target_cut: override the cut target (Theorem 3 uses
+            ``epsilon * n``).
+        early_stop: stop as soon as the target is met (see module doc).
+        ledger: optional shared ledger (a fresh one is made otherwise).
+        cost_model: emulation cost formulas.
+    """
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    m = adjacency_slots(graph) // 2  # the compile rejects self-loops
+    if target_cut is None:
+        target_cut = epsilon * m / 2
+    ledger = ledger if ledger is not None else RoundLedger()
+    model = cost_model or TreeCostModel()
+
+    def select(aux, height):
+        found, active, inactive_round, rounds = dense.forest_decomposition_dense(
+            aux, alpha, len(graph), height, ledger=ledger, cost_model=model
+        )
+        if not found:
+            return None, None, rounds, active
+        return (*dense.orient_and_select_dense(aux, inactive_round), rounds, None)
+
+    def color(parent, seeds, height):
+        return dense.color_roots(parent, seeds(), ledger, model, height)
+
+    cap = theoretical_phase_cap(m, target_cut, alpha)
+    return run_phases(
+        graph, Stage1Result, select, color, target_cut, cap, early_stop, ledger, model
     )

@@ -23,16 +23,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import Optional
 
 import networkx as nx
 import numpy as np
 
 from ..congest.ledger import RoundLedger, TreeCostModel
-from ..errors import PartitionError
+from ..graphs.utils import adjacency_slots
+from . import dense
 from .coloring import randomized_coloring_emulated
-from .parts import Partition
-from .stage1 import PhaseStats, Stage1Result, _charge_merging_overhead
+from .stage1 import Stage1Result, partition_stage1, run_phases, theoretical_phase_cap
 
 
 def default_trials(delta: float, phase_budget: int) -> int:
@@ -46,14 +47,6 @@ def default_trials(delta: float, phase_budget: int) -> int:
     """
     per_phase = max(delta / max(phase_budget, 1), 1e-9)
     return max(1, int(math.ceil(math.log2(1.0 / per_phase))))
-
-
-def randomized_phase_cap(m: int, target_cut: float, alpha: int) -> int:
-    """A-priori phase bound using Claim 14's decay ``1 - 1/(64*alpha)``."""
-    if m == 0 or target_cut >= m:
-        return 0
-    decay = 1.0 - 1.0 / (64 * alpha)
-    return int(math.ceil(math.log(max(target_cut, 0.5) / m) / math.log(decay)))
 
 
 @dataclass
@@ -76,7 +69,6 @@ def partition_randomized(
     alpha: int = 3,
     target_cut: Optional[float] = None,
     trials: Optional[int] = None,
-    max_phases: Optional[int] = None,
     early_stop: bool = True,
     seed: Optional[int] = None,
     ledger: Optional[RoundLedger] = None,
@@ -85,6 +77,12 @@ def partition_randomized(
     coloring_rounds: Optional[int] = None,
 ) -> RandomizedPartitionResult:
     """Theorem 4 partition: ``O(poly(1/eps)(log 1/delta + log* n))`` rounds.
+
+    Stage I's :func:`~repro.partition.stage1.run_phases` with the
+    weighted selection in place of the forest decomposition: the
+    selection draws from the seeded RNG in ``id_key`` order of the part
+    roots, then the randomized coloring (if chosen) consumes conflicts in
+    ascending-root order, phase by phase.
 
     Args:
         graph: the input graph; quality guarantees assume it is
@@ -104,7 +102,7 @@ def partition_randomized(
             small) abstention fraction slowing the decay.
         coloring_rounds: budget for the randomized coloring; defaults to
             ``ceil(log2(phases/delta)) + 2``.
-        max_phases / early_stop / seed / ledger / cost_model: as Stage I.
+        early_stop / seed / ledger / cost_model: as Stage I.
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -114,62 +112,19 @@ def partition_randomized(
         raise ValueError(f"unknown coloring {coloring!r}")
     if coloring_rounds is not None and coloring_rounds < 1:
         raise ValueError(f"coloring_rounds must be >= 1, got {coloring_rounds}")
-    # The phase loop is Stage I's, with the weighted selection in place
-    # of the forest decomposition: the selection draws from *rng* in
-    # ``id_key`` order of the part roots, and the randomized coloring
-    # likewise consumes conflicts in ascending-root order.
-    from ..congest.topology import compile_topology
-    from .dense import (
-        DensePartitionState,
-        RootSeeds,
-        color_roots,
-        mark_and_choose_dense,
-        weighted_selection_dense,
-    )
-
-    n = graph.number_of_nodes()
-    topology = compile_topology(graph) if n else None
-    m = topology.m if topology is not None else 0
+    m = adjacency_slots(graph) // 2  # the compile rejects self-loops
     if target_cut is None:
-        target_cut = epsilon * n
-    cap = randomized_phase_cap(m, target_cut, alpha)
-    if max_phases is None:
-        max_phases = cap
+        target_cut = epsilon * graph.number_of_nodes()
+    cap = theoretical_phase_cap(m, target_cut, alpha, slowdown=64)  # Claim 14
     if trials is None:
         trials = default_trials(delta, cap or 1)
+    if coloring_rounds is None:
+        coloring_rounds = int(math.ceil(math.log2(max(2.0, (cap or 1) / delta)))) + 2
     rng = random.Random(seed)
     ledger = ledger if ledger is not None else RoundLedger()
     model = cost_model or TreeCostModel()
 
-    if topology is None:
-        return RandomizedPartitionResult(
-            partition=Partition(graph, []),
-            success=True,
-            rejecting_parts=(),
-            phases=[],
-            ledger=ledger,
-            target_cut=target_cut,
-            theoretical_phase_cap=cap,
-            trials=trials,
-            delta=delta,
-        )
-
-    if coloring_rounds is None:
-        coloring_rounds = int(math.ceil(math.log2(max(2.0, (cap or 1) / delta)))) + 2
-
-    state = DensePartitionState(topology)
-    seeds = RootSeeds(topology.nodes)
-    phases: List[PhaseStats] = []
-    cut = m
-
-    for phase_index in range(1, max_phases + 1):
-        if cut == 0 or (early_stop and cut <= target_cut):
-            break
-        aux = state.build_aux()
-        height = state.max_height()
-        pids = aux.pids
-
-        parent_c, weight_c = weighted_selection_dense(aux, trials, rng)
+    def select(aux, height):
         # Section 4.1: each of the s draws is one uniform-edge-selection
         # convergecast (+1 boundary round to learn neighboring roots).
         ledger.charge(
@@ -177,74 +132,59 @@ def partition_randomized(
             "randomized.selection",
             f"{trials} weighted draws over trees of height {height}",
         )
+        return (*dense.weighted_selection_dense(aux, trials, rng), 0, None)
+
+    def color(parent, seeds, height):
         # Sub-step 2a: CV or Remark 1's randomized coloring of F_i.
         if coloring == "cole-vishkin":
-            colors, cv_rounds = color_roots(
-                parent_c,
-                seeds(pids),
-                ledger=ledger,
-                cost_model=model,
-                height=height,
-                category="randomized.coloring",
-            )
-        else:
-            drawn, _abstaining = randomized_coloring_emulated(
-                {c: (p if p >= 0 else None) for c, p in enumerate(parent_c.tolist())},
-                rounds=coloring_rounds,
-                rng=rng,
-                ledger=ledger,
-                cost_model=model,
-                height=height,
-            )
-            colors = np.array(
-                [-1 if c is None else c for c in drawn.values()], dtype=np.int64
-            )
-            cv_rounds = coloring_rounds
-        marking = mark_and_choose_dense(parent_c, weight_c, colors)
-        _charge_merging_overhead(ledger, model, height, marking)
-
-        parts_before = state.size
-        state.merge([(pids[c], pids[p]) for c, p in marking.contract_edges], aux)
-        new_cut = state.cut_size()
-        phases.append(
-            PhaseStats(
-                phase=phase_index,
-                parts_before=parts_before,
-                parts_after=state.size,
-                cut_before=cut,
-                cut_after=new_cut,
-                max_height_before=height,
-                max_height_after=state.max_height(),
-                fd_super_rounds=0,
-                cv_super_rounds=cv_rounds,
-                max_marked_tree_height=max(
-                    marking.tree_heights.values(), default=0
-                ),
-                marked_weight=marking.marked_weight,
-                contracted_weight=marking.contracted_weight,
-            )
+            category = "randomized.coloring"
+            return dense.color_roots(parent, seeds(), ledger, model, height, category)
+        drawn, _abstaining = randomized_coloring_emulated(
+            {c: (p if p >= 0 else None) for c, p in enumerate(parent.tolist())},
+            rounds=coloring_rounds,
+            rng=rng,
+            ledger=ledger,
+            cost_model=model,
+            height=height,
         )
-        # An empty contraction is possible only under randomized coloring
-        # when every decision abstained (exponentially unlikely): the
-        # phase made no progress and the next one retries with fresh
-        # randomness.  Otherwise every marked tree contracts its heavier
-        # parity class, which has positive weight.
-        if marking.contract_edges and new_cut >= cut:
-            raise PartitionError(
-                f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
-            )
-        cut = new_cut
+        colors = [-1 if c is None else c for c in drawn.values()]
+        return np.array(colors, dtype=np.int64), coloring_rounds
 
-    return RandomizedPartitionResult(
-        success=True,
-        rejecting_parts=(),
-        phases=phases,
-        ledger=ledger,
-        target_cut=target_cut,
-        theoretical_phase_cap=cap,
-        dense_state=state,
-        graph=graph,
-        trials=trials,
-        delta=delta,
+    result = partial(RandomizedPartitionResult, trials=trials, delta=delta)
+    return run_phases(
+        graph,
+        result,
+        select,
+        color,
+        target_cut,
+        cap,
+        early_stop,
+        ledger,
+        model,
+        retry_stalls=True,
     )
 
+
+METHODS = ("deterministic", "randomized")
+"""What :func:`partition_by_method` takes: Theorem 3's partition or Theorem 4's."""
+
+
+def partition_by_method(
+    graph: nx.Graph,
+    epsilon: float,
+    method: str = "deterministic",
+    target_cut: Optional[float] = None,
+    delta: float = 0.1,
+    alpha: int = 3,
+    seed: Optional[int] = None,
+) -> Stage1Result:
+    """The Theorem 3 (``"deterministic"``) or Theorem 4 (``"randomized"``)
+    partition of *graph* with cut target *target_cut*; *delta* and *seed*
+    serve the randomized one only."""
+    if method == "deterministic":
+        return partition_stage1(graph, epsilon, alpha=alpha, target_cut=target_cut)
+    if method == "randomized":
+        return partition_randomized(
+            graph, epsilon, delta=delta, alpha=alpha, target_cut=target_cut, seed=seed
+        )
+    raise ValueError(f"unknown method {method!r}")

@@ -54,8 +54,8 @@ def _run_partition_phase_audit(spec: JobSpec, graph: nx.Graph) -> Record:
     return {
         "epsilon": params.get("epsilon", 0.1),
         "success": result.success,
-        "parts": result.partition.size,
-        "cut": result.partition.cut_size(),
+        "parts": result.dense_state.size,
+        "cut": result.dense_state.cut_size(),
         "phases": len(result.phases),
         "phases_json": json.dumps(phases, separators=(",", ":")),
     }

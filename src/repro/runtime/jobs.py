@@ -337,8 +337,6 @@ def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
         alpha=params.get("alpha", 3),
         sample_constant=params.get("sample_constant", 2.0),
         early_stop=params.get("early_stop", True),
-        charge_full_budget=params.get("charge_full_budget", True),
-        max_phases=params.get("max_phases"),
         reject_on_embedding_failure=params.get(
             "reject_on_embedding_failure", False
         ),
@@ -377,17 +375,15 @@ def _run_partition_stage1(spec: JobSpec, graph: nx.Graph) -> Record:
         epsilon=epsilon,
         alpha=params.get("alpha", 3),
         target_cut=target_cut,
-        max_phases=params.get("max_phases"),
         early_stop=params.get("early_stop", True),
-        charge_full_budget=params.get("charge_full_budget", True),
     )
     record = {
         "epsilon": epsilon,
         "success": result.success,
-        "parts": result.partition.size,
-        "cut": result.partition.cut_size(),
+        "parts": result.dense_state.size,
+        "cut": result.dense_state.cut_size(),
         "target_cut": result.target_cut,
-        "max_height": result.partition.max_height(),
+        "max_height": result.dense_state.max_height(),
         "max_diameter": result.partition.max_diameter(),
         "phases": len(result.phases),
         "rounds": result.rounds,
@@ -407,7 +403,6 @@ def _run_partition_randomized(spec: JobSpec, graph: nx.Graph) -> Record:
         alpha=params.get("alpha", 3),
         target_cut=params.get("target_cut"),
         trials=params.get("trials"),
-        max_phases=params.get("max_phases"),
         early_stop=params.get("early_stop", True),
         seed=spec.seed,
         coloring=params.get("coloring", "cole-vishkin"),
@@ -417,10 +412,10 @@ def _run_partition_randomized(spec: JobSpec, graph: nx.Graph) -> Record:
         "delta": result.delta,
         "success": result.success,
         "met_target": result.met_target,
-        "parts": result.partition.size,
-        "cut": result.partition.cut_size(),
+        "parts": result.dense_state.size,
+        "cut": result.dense_state.cut_size(),
         "target_cut": result.target_cut,
-        "max_height": result.partition.max_height(),
+        "max_height": result.dense_state.max_height(),
         "phases": len(result.phases),
         "trials": result.trials,
         "rounds": result.rounds,

@@ -27,38 +27,10 @@ import networkx as nx
 import numpy as np
 
 from ..congest.ledger import TreeCostModel
-from ..graphs.utils import require_simple
-from ..partition.stage1 import Stage1Result, partition_stage1
-from ..partition.weighted_selection import partition_randomized
+from ..graphs.utils import edge_count, require_simple
+from ..partition.stage1 import Stage1Result
+from ..partition.weighted_selection import partition_by_method
 from .results import ApplicationTestResult
-
-
-def _partition_for_application(
-    graph: nx.Graph,
-    epsilon: float,
-    alpha: int,
-    method: str,
-    delta: float,
-    seed: Optional[int],
-) -> Stage1Result:
-    """The Corollary 16 partition: cut target ``epsilon * m / 2``."""
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    target = epsilon * graph.number_of_edges() / 2
-    if method == "deterministic":
-        return partition_stage1(
-            graph, epsilon=epsilon, alpha=alpha, target_cut=target
-        )
-    if method == "randomized":
-        return partition_randomized(
-            graph,
-            epsilon=epsilon,
-            delta=delta,
-            alpha=alpha,
-            target_cut=target,
-            seed=seed,
-        )
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _verify_parts(stage1: Stage1Result, check: str) -> Tuple[List[Any], int]:
@@ -135,7 +107,8 @@ def _run_application(
     seed: Optional[int],
 ) -> ApplicationTestResult:
     require_simple(graph)
-    stage1 = _partition_for_application(graph, epsilon, alpha, method, delta, seed)
+    target_cut = epsilon * edge_count(graph) / 2  # Corollary 16
+    stage1 = partition_by_method(graph, epsilon, method, target_cut, delta, alpha, seed)
     rejecting, verify_rounds = _verify_parts(stage1, check)
     return ApplicationTestResult(
         accepted=not rejecting,

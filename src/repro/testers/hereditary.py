@@ -33,9 +33,9 @@ from typing import Any, Callable, List, Optional, Tuple
 
 import networkx as nx
 
-from ..graphs.utils import degeneracy, require_simple
+from ..graphs.utils import degeneracy, edge_count, require_simple
+from ..partition.weighted_selection import partition_by_method
 from ..planarity.lr_planarity import LocalGraph, check_planarity
-from .applications import _partition_for_application
 from .labels import deterministic_bfs_tree
 from .results import ApplicationTestResult
 
@@ -179,7 +179,8 @@ def test_hereditary_property(
     else:
         name = getattr(checker, "__name__", "custom")
 
-    stage1 = _partition_for_application(graph, epsilon, alpha, method, delta, seed)
+    target_cut = epsilon * edge_count(graph) / 2
+    stage1 = partition_by_method(graph, epsilon, method, target_cut, delta, alpha, seed)
 
     rejecting = []
     max_rounds = 0

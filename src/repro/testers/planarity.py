@@ -42,9 +42,6 @@ class PlanarityTestConfig:
             ``s = c log2(n) / epsilon``.
         early_stop: stop Stage I once the cut target is met
             (ARCHITECTURE.md, "Paper substitutions", item 2).
-        charge_full_budget: charge the full ``O(log n)``
-            forest-decomposition schedule per phase (paper behavior).
-        max_phases: optional Stage I phase cap override.
         reject_on_embedding_failure: see :class:`Stage2Config`.
         collect_exact_violations: per-part exact violating-edge counts
             (analysis mode, used by benchmarks).
@@ -54,8 +51,6 @@ class PlanarityTestConfig:
     alpha: int = 3
     sample_constant: float = 2.0
     early_stop: bool = True
-    charge_full_budget: bool = True
-    max_phases: Optional[int] = None
     reject_on_embedding_failure: bool = False
     collect_exact_violations: bool = False
 
@@ -137,9 +132,7 @@ def test_planarity(
         graph,
         epsilon=config.epsilon,
         alpha=config.alpha,
-        max_phases=config.max_phases,
         early_stop=config.early_stop,
-        charge_full_budget=config.charge_full_budget,
     )
     if not stage1.success:
         return PlanarityTestResult(

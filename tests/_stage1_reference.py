@@ -67,7 +67,6 @@ from repro.partition.stage1 import (
 from repro.partition.weighted_selection import (
     RandomizedPartitionResult,
     default_trials,
-    randomized_phase_cap,
 )
 from repro.testers.results import ApplicationTestResult
 
@@ -730,7 +729,7 @@ def reference_partition_randomized(
     m = graph.number_of_edges()
     if target_cut is None:
         target_cut = epsilon * graph.number_of_nodes()
-    cap = randomized_phase_cap(m, target_cut, alpha)
+    cap = theoretical_phase_cap(m, target_cut, alpha, slowdown=64)
     if max_phases is None:
         max_phases = cap
     if trials is None:

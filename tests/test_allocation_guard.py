@@ -8,7 +8,8 @@ and the dense Stage I state's numpy vectors, so after
 and the retained Stage I state must hold a handful of gc-tracked
 containers, not one per node.  Nor may the tester cache a networkx view
 that points back at its input graph (``degree``, ``edges``): that would
-put the graph in a reference cycle, which only a collection frees.
+put the graph in a reference cycle, which only a collection frees.  The
+same holds for Stage I's ``Partition`` and for the graph generators.
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ from __future__ import annotations
 import gc
 import types
 import weakref
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 
 from repro.congest import CongestNetwork, compile_topology
-from repro.graphs import make_planar
-from repro.graphs.far_from_planar import planted_kuratowski
-from repro.partition import parts
+from repro.graphs import make_far, make_planar
+from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
+from repro.graphs.generators import PLANAR_FAMILIES
+from repro.partition import partition_stage1, parts
 from repro.testers.planarity import PlanarityTestConfig
 from repro.testers.planarity import test_planarity as run_planarity
 
@@ -90,22 +93,54 @@ TESTER_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(TESTER_INPUTS))
 def test_input_graph_freed_by_refcount(name):
-    # A fresh copy, as perfbench and the workers hand over: the far
-    # generator itself reads ``degree`` on the graph it builds.
+    # A fresh copy, as perfbench and the workers hand over.
     graph = TESTER_INPUTS[name]().copy()
     assert not {"degree", "edges"} & set(vars(graph))
     probe = weakref.ref(graph)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_off():
         result = run_planarity(graph, seed=0, config=PlanarityTestConfig(epsilon=0.1))
         assert result.accepted == (name == "delaunay")
         assert not {"degree", "edges"} & set(vars(graph))
         del result, graph
         assert probe() is None
+
+
+@contextmanager
+def collector_off():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_partition_cut_size_leaves_graph_acyclic():
+    graph = make_planar("grid", 100, seed=0)
+    probe = weakref.ref(graph)
+    with collector_off():
+        assert partition_stage1(graph, 0.1).partition.cut_size() >= 0
+        assert not {"degree", "edges"} & set(vars(graph))
+        del graph
+        assert probe() is None
+
+
+@pytest.mark.parametrize(
+    "family", sorted(PLANAR_FAMILIES) + [f"far:{f}" for f in sorted(FAR_FAMILIES)]
+)
+def test_generated_graph_freed_by_refcount(family):
+    """Generators and their farness certificates cache no view that
+    points back at the graph they return."""
+    with collector_off():
+        if family.startswith("far:"):
+            graph = make_far(family[4:], 120, seed=0)[0]
+        else:
+            graph = make_planar(family, 120, seed=0)
+        assert not {"degree", "edges"} & set(vars(graph))
+        probe = weakref.ref(graph)
+        del graph
+        assert probe() is None
 
 
 def test_stage1_reject_builds_no_part():

@@ -21,7 +21,7 @@ from repro.graphs import (
     require_simple,
     tree_height,
 )
-from repro.graphs.utils import has_self_loops
+from repro.graphs.utils import edge_count, has_self_loops, iter_edges
 
 
 class TestBFSLevels:
@@ -204,6 +204,20 @@ class TestMisc:
                 require_simple(view, "input")
         assert not has_self_loops(graph.subgraph([0, 1, 4]))
         require_simple(graph.subgraph(range(5)), "input")
+
+    def test_edge_count_and_iter_edges_match_networkx(self):
+        """Same counts and edge order as ``number_of_edges()`` and
+        ``edges()``, self-loops and subgraph views included, with no view
+        left cached on the graph."""
+        graph = nx.relabel_nodes(nx.petersen_graph(), lambda v: v if v % 3 else f"s{v}")
+        graph.add_edge("s0", "s0")
+        graph.add_edge(4, 4)
+        subgraph = graph.subgraph(["s0", 1, 4, "s6"])
+        for view in (graph, subgraph, nx.Graph(), nx.path_graph(3)):
+            count, edges = edge_count(view), list(iter_edges(view))
+            assert not {"degree", "edges"} & set(vars(view))
+            assert count == view.number_of_edges()
+            assert edges == list(view.edges())
 
     def test_ensure_int_labels(self):
         graph = nx.Graph([("a", "b"), ("b", "c")])

@@ -102,12 +102,8 @@ class TestStage1Differential:
 
     def test_no_early_stop_identical(self):
         graph = make_planar("grid", 100, seed=0)
-        reference = reference_partition_stage1(
-            graph, epsilon=0.3, early_stop=False, max_phases=4
-        )
-        dense = partition_stage1(
-            graph, epsilon=0.3, early_stop=False, max_phases=4
-        )
+        reference = reference_partition_stage1(graph, epsilon=0.3, early_stop=False)
+        dense = partition_stage1(graph, epsilon=0.3, early_stop=False)
         assert _canonical(reference) == _canonical(dense)
 
     def test_mixed_label_rejection(self):

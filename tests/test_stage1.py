@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import networkx as nx
 import pytest
 
+from repro.errors import PartitionError
 from repro.graphs import make_far, make_planar
 from repro.partition import (
+    MarkingResult,
     partition_randomized,
     partition_stage1,
     theoretical_phase_cap,
 )
+from repro.partition.weighted_selection import partition_by_method
 
 
 class TestStage1OnPlanar:
@@ -181,3 +186,46 @@ class TestRandomizedPartition:
         )
         # allow at most one unlucky phase at this confidence
         assert bad_phases <= 1
+
+
+def _contract_nothing(parent, weight, colors):
+    return MarkingResult([], [], {}, 0, 0)
+
+
+class TestNoProgressGuard:
+    """A phase that contracts nothing: Stage I raises, while Theorem 4
+    retries it (Remark 1's abstentions can empty a phase)."""
+
+    @pytest.fixture(autouse=True)
+    def stalled(self):
+        with mock.patch(
+            "repro.partition.dense.mark_and_choose_dense", _contract_nothing
+        ):
+            yield
+
+    def test_stage1_raises(self):
+        with pytest.raises(PartitionError, match="made no progress"):
+            partition_stage1(make_planar("grid", 36, seed=0), epsilon=0.2)
+
+    def test_randomized_runs_to_cap(self):
+        graph = make_planar("grid", 36, seed=0)
+        result = partition_randomized(graph, epsilon=0.2, seed=0, coloring="randomized")
+        assert len(result.phases) == result.theoretical_phase_cap > 0
+        assert result.final_cut == graph.number_of_edges()
+        assert not result.met_target
+
+
+class TestMethodSwitch:
+    def test_methods(self, small_grid):
+        target = 0.2 * small_grid.number_of_nodes()
+        det = partition_by_method(small_grid, 0.2, target_cut=target)
+        expected = partition_stage1(small_grid, 0.2, target_cut=target)
+        assert det.phases == expected.phases
+        rand = partition_by_method(
+            small_grid, 0.2, method="randomized", target_cut=target, seed=3
+        )
+        assert rand.phases == partition_randomized(small_grid, 0.2, seed=3).phases
+
+    def test_unknown_method(self, small_grid):
+        with pytest.raises(ValueError, match="unknown method"):
+            partition_by_method(small_grid, 0.2, method="greedy")
