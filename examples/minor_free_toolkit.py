@@ -41,12 +41,15 @@ def main() -> None:
         ["algorithm", "parts", "cut edges", "target", "max diameter", "rounds"],
     )
     for label, result in (("Theorem 3 (det.)", det), ("Theorem 4 (rand.)", rand)):
+        # ``result.partition`` is the dense partition: per-node part roots
+        # and tree parents, summarized here without building part objects.
+        partition = result.partition
         table.add_row(
             label,
-            result.partition.size,
-            result.partition.cut_size(),
+            partition.size,
+            partition.cut_size(),
             result.target_cut,
-            result.partition.max_diameter(),
+            partition.max_diameter(field),
             result.rounds,
         )
     table.print()

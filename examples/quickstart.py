@@ -21,7 +21,12 @@ def show(result, label: str) -> None:
         print(f"  evidence holders: {len(result.rejecting_parts)} part root(s)")
     print(f"  CONGEST rounds  : {result.rounds:,} "
           f"(Stage I {result.stage1_rounds:,} + Stage II {result.stage2_rounds:,})")
-    print(f"  parts after Stage I: {result.stage1.partition.size}")
+    # The partition is two label vectors over the graph's nodes:
+    # ``part_of`` (each node's part root) and ``parent`` (its tree parent).
+    partition = result.stage1.partition
+    print(f"  parts after Stage I: {partition.size} "
+          f"(largest {max(partition.sizes.values())} nodes, "
+          f"tree height <= {partition.max_height()})")
 
 
 def main() -> None:

@@ -41,7 +41,6 @@ from .errors import (
 from .graphs.far_from_planar import FAR_FAMILIES, make_far
 from .graphs.generators import PLANAR_FAMILIES, make_planar
 from .graphs.lower_bound import LowerBoundInstance, lower_bound_instance
-from .partition.parts import Part, Partition
 from .partition.stage1 import Stage1Result, partition_stage1
 from .partition.weighted_selection import (
     RandomizedPartitionResult,
@@ -81,8 +80,6 @@ __all__ = [
     "NodeContext",
     "NodeProgram",
     "PLANAR_FAMILIES",
-    "Part",
-    "Partition",
     "PartitionError",
     "PartVerdict",
     "PlanarityResult",

@@ -2,8 +2,7 @@
 
 The spanner is built straight from the
 :class:`~repro.partition.dense.DensePartitionState` arrays the Stage I
-engine produced, never from :class:`~repro.partition.parts.Part`
-objects or networkx views:
+engine produced, never from per-part objects or networkx views:
 
 * **tree edges** are read off the per-node parent array (one edge per
   non-root dense index, ``n - k`` total);
@@ -17,7 +16,7 @@ objects or networkx views:
 Stretch measurement runs as a *batched* level-synchronous BFS over the
 CSR arrays: one ``(sources, n)`` frontier tensor per graph instead of
 one ``nx.single_source_shortest_path_length`` call per sampled pair.
-Both are bit-identical to the walk over ``Part`` objects and the
+Both are bit-identical to the dict oracle's per-part walk and the
 per-pair fold kept in ``tests/_stage1_reference.py`` (same edge sets,
 same counts, same worst-ratio float) -- gated by
 ``tests/test_applications_dense.py`` and benchmark E19.

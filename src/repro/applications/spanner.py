@@ -17,8 +17,8 @@ The spanner is assembled as edge arrays straight from the partition's
 :class:`~repro.partition.dense.DensePartitionState`
 (:mod:`repro.applications.dense`); the networkx graph is materialized
 only when someone asks for ``result.spanner``.  Stretch runs as one
-batched BFS over CSR arrays.  Both are bit-identical to the walk over
-``Part`` objects and the per-source fold (benchmark E19).
+batched BFS over CSR arrays.  Both are bit-identical to the dict
+oracle's per-part walk and the per-source fold (benchmark E19).
 """
 
 from __future__ import annotations
@@ -112,12 +112,12 @@ def build_spanner(
     result = partition_by_method(
         graph, epsilon, method, epsilon * n, delta, alpha, seed
     )
-    dense, tree_edges, connector_edges = build_dense_spanner(result.dense_state)
+    dense, tree_edges, connector_edges = build_dense_spanner(result.partition)
     return SpannerResult(
         partition_result=result,
         tree_edges=tree_edges,
         connector_edges=connector_edges,
-        guaranteed_stretch=4 * result.dense_state.max_height() + 1,
+        guaranteed_stretch=4 * result.partition.max_height() + 1,
         dense=dense,
     )
 

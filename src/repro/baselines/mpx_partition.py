@@ -29,9 +29,10 @@ from typing import Any, Dict, Optional
 
 import networkx as nx
 
+from ..congest.topology import compile_topology
 from ..errors import GraphInputError
 from ..graphs.utils import id_key, require_simple
-from ..partition.parts import Partition, build_part
+from ..partition.dense import DensePartitionState
 
 
 @dataclass
@@ -39,7 +40,8 @@ class MPXResult:
     """Exponential-shift clustering outcome.
 
     Attributes:
-        partition: the clusters as a rooted :class:`Partition`.
+        partition: the clusters' Dijkstra trees as a dense partition
+            state (``None`` for the empty graph).
         rounds: CONGEST round cost: the maximal start delay plus the
             maximal cluster depth plus one announcement round (each BFS
             wavefront level is one round in the standard implementation).
@@ -47,7 +49,7 @@ class MPXResult:
         beta: the rate parameter used.
     """
 
-    partition: Partition
+    partition: Optional[DensePartitionState]
     rounds: int
     max_shift: float
     beta: float
@@ -55,7 +57,7 @@ class MPXResult:
     @property
     def cut_size(self) -> int:
         """Number of inter-cluster edges."""
-        return self.partition.cut_size()
+        return self.partition.cut_size() if self.partition is not None else 0
 
 
 def mpx_partition(
@@ -80,44 +82,31 @@ def mpx_partition(
     # center id, then by node id in ``id_key`` order (so mixed labels
     # never compare across types), for determinism.
     best_key: Dict[Any, float] = {}
-    owner: Dict[Any, Any] = {}
-    predecessor: Dict[Any, Optional[Any]] = {}
+    predecessor: Dict[Any, Optional[Any]] = {}  # filled as nodes settle
     heap = []
     for v in graph.nodes():
         key = -shifts[v]
         best_key[v] = key
-        owner[v] = v
-        predecessor[v] = None
         heapq.heappush(heap, (key, repr(v), id_key(v), v, v, None))
-    settled = set()
     while heap:
         key, _center_tie, _node_tie, v, center, pred = heapq.heappop(heap)
-        if v in settled:
+        if v in predecessor:
             continue
-        settled.add(v)
-        owner[v] = center
         predecessor[v] = pred
         for w in graph.adj[v]:
-            if w in settled:
+            if w in predecessor:
                 continue
             new_key = key + 1.0
             if new_key < best_key[w] - 1e-12:
                 best_key[w] = new_key
                 heapq.heappush(heap, (new_key, repr(center), id_key(w), w, center, v))
 
-    clusters: Dict[Any, list] = {}
-    for v in graph.nodes():
-        clusters.setdefault(owner[v], []).append(v)
-    parts = []
-    max_depth = 0
-    for center, members in clusters.items():
-        tree_edges = [
-            (v, predecessor[v]) for v in members if predecessor[v] is not None
-        ]
-        part = build_part(center, members, tree_edges)
-        max_depth = max(max_depth, part.height)
-        parts.append(part)
-    partition = Partition(graph, parts)
+    partition = None
+    if predecessor:  # a root's predecessor None maps to -1
+        topology = compile_topology(graph)
+        parent = [topology.index.get(predecessor[v], -1) for v in topology.nodes]
+        partition = DensePartitionState.from_forest(topology, parent)
+    max_depth = partition.max_height() if partition is not None else 0
     max_shift = max(shifts.values()) if shifts else 0.0
     rounds = int(math.ceil(max_shift)) + max_depth + 1
     return MPXResult(

@@ -29,17 +29,14 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from ..congest.topology import compile_topology
+from ..applications.dense import DenseSpanner, build_dense_spanner
 from ..errors import GraphInputError
 from ..graphs.utils import require_simple
-from ..partition.dense import DenseAuxiliaryGraph
 from .mpx_partition import MPXResult, mpx_partition
 
 
 def _to_dense_spanner(spanner: nx.Graph, topology):
     """Re-index an nx spanner as a DenseSpanner over *topology*."""
-    from ..applications.dense import DenseSpanner
-
     index = topology.index
     count = spanner.number_of_edges()
     su = np.fromiter(
@@ -62,29 +59,21 @@ def cluster_spanner(
     The spanner is every cluster's BFS tree plus, per adjacent cluster
     pair, the designated connector of the clusters'
     :class:`~repro.partition.dense.DenseAuxiliaryGraph` (the minimum
-    oriented edge between them, as Stage I's merges use).  With
+    oriented edge between them, as Stage I's merges use), both read off
+    the clusters' dense partition by ``build_dense_spanner``.  With
     *topology* (the graph's compiled topology) the spanner is a
     :class:`~repro.applications.dense.DenseSpanner` over its index
     space; otherwise a networkx graph.  Same edge set either way.
     """
     result = mpx_partition(graph, beta=beta, seed=seed)
-    compiled = topology if topology is not None else compile_topology(graph)
-    ids, index = compiled.nodes, compiled.index
-    part_of = result.partition.part_of
-    roots = np.fromiter(
-        (index[part_of[v]] for v in ids), dtype=np.int64, count=compiled.n
-    )
-    eu, ev = compiled.edge_arrays()
-    aux = DenseAuxiliaryGraph(roots, eu, ev, compiled.n)
+    if result.partition is None:
+        raise GraphInputError("cluster_spanner requires at least one node")
+    dense, _tree_edges, _connectors = build_dense_spanner(result.partition)
+    if topology is not None:
+        return DenseSpanner(topology, dense.su, dense.sv), result
     spanner = nx.Graph()
     spanner.add_nodes_from(graph.nodes())
-    for part in result.partition.parts.values():
-        spanner.add_edges_from(part.tree_edges())
-    spanner.add_edges_from(
-        (ids[u], ids[v]) for u, v in zip(aux.conn_u.tolist(), aux.conn_v.tolist())
-    )
-    if topology is not None:
-        return _to_dense_spanner(spanner, topology), result
+    spanner.add_edges_from(dense.edges())
     return spanner, result
 
 

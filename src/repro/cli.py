@@ -131,7 +131,7 @@ def _cmd_test(args) -> int:
         result.rounds,
         result.stage1_rounds,
         result.stage2_rounds,
-        result.stage1.dense_state.size,
+        result.stage1.partition.size,
     )
     table.print()
     if args.analyze and result.total_violating_exact is not None:
@@ -152,10 +152,10 @@ def _cmd_partition(args) -> int:
     table.add_row(
         n,
         graph.number_of_edges(),
-        result.dense_state.size,
-        result.dense_state.cut_size(),
+        result.partition.size,
+        result.partition.cut_size(),
         result.target_cut,
-        result.dense_state.max_height(),
+        result.partition.max_height(),
         len(result.phases),
         result.rounds,
     )

@@ -71,13 +71,14 @@ def greedy_maximal_planar_subgraph(
     rng.shuffle(edges)
     sub = nx.Graph()
     sub.add_nodes_from(graph.nodes())
+    n, m = len(sub), 0  # counted here: ``number_of_edges`` caches a view
     for u, v in edges:
-        sub.add_edge(u, v)
-        n, m = sub.number_of_nodes(), sub.number_of_edges()
-        if n > 2 and m > 3 * n - 6:
-            sub.remove_edge(u, v)
+        if n > 2 and m + 1 > 3 * n - 6:
             continue
-        if not check_planarity(sub).is_planar:
+        sub.add_edge(u, v)
+        if check_planarity(sub).is_planar:
+            m += 1
+        else:
             sub.remove_edge(u, v)
     return sub
 
@@ -91,7 +92,7 @@ def planarity_farness_bounds(
         return (0.0, 0.0)
     lower = planarity_farness_lower_bound(graph)
     planar_sub = greedy_maximal_planar_subgraph(graph, seed=seed)
-    upper = (m - planar_sub.number_of_edges()) / m
+    upper = (m - edge_count(planar_sub)) / m
     return (lower, upper)
 
 

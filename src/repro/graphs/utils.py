@@ -101,7 +101,10 @@ def eccentricity(graph: nx.Graph, source: Any) -> int:
     return max(depth.values())
 
 
-def diameter(graph: nx.Graph, exact_threshold: int = 1200) -> int:
+EXACT_DIAMETER_NODES = 1200  # diameter() is exact up to this many nodes
+
+
+def diameter(graph: nx.Graph, exact_threshold: int = EXACT_DIAMETER_NODES) -> int:
     """Diameter of a connected graph.
 
     Exact (all-sources BFS) for graphs up to *exact_threshold* nodes;
@@ -282,7 +285,7 @@ def degeneracy(graph: nx.Graph) -> int:
 
 
 def greedy_forest_partition(graph: nx.Graph) -> List[List[Tuple[Any, Any]]]:
-    """Partition the edges into forests greedily (arboricity upper bound).
+    """Split the edges into forests greedily (arboricity upper bound).
 
     Uses the degeneracy order: orienting each edge toward the earlier node
     in the order gives out-degree at most the degeneracy, and each node's

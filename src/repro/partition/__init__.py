@@ -2,7 +2,6 @@
 
 from .coloring import cole_vishkin_emulated, randomized_coloring_emulated
 from .dense import DenseAuxiliaryGraph, DensePartitionState, MarkingResult
-from .parts import Part, Partition, build_part
 from .stage1 import (
     PhaseStats,
     Stage1Result,
@@ -15,12 +14,9 @@ __all__ = [
     "DenseAuxiliaryGraph",
     "DensePartitionState",
     "MarkingResult",
-    "Part",
-    "Partition",
     "PhaseStats",
     "RandomizedPartitionResult",
     "Stage1Result",
-    "build_part",
     "cole_vishkin_emulated",
     "randomized_coloring_emulated",
     "partition_randomized",

@@ -33,7 +33,7 @@ large-int and tuple labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -43,7 +43,6 @@ from ..congest.programs.cole_vishkin import cv_schedule
 from ..congest.topology import CompiledTopology
 from ..errors import PartitionError
 from .coloring import cole_vishkin_emulated
-from .parts import Part, Partition
 
 _MAX_ID = 2**62  # int64 headroom for the vectorized CV bit tricks
 
@@ -84,7 +83,7 @@ class DenseAuxiliaryGraph:
         "_n",
     )
 
-    def __init__(self, part_of, eu, ev, n: int, roots=None):
+    def __init__(self, part_of, eu, ev, n: int, roots):
         pu = part_of[eu]
         pv = part_of[ev]
         mask = pu != pv
@@ -109,8 +108,6 @@ class DenseAuxiliaryGraph:
         )
         chosen = order[first]
 
-        if roots is None:
-            roots = np.unique(part_of).tolist()
         pids = list(roots)
         k = len(pids)
         compact_of = np.full(n, -1, dtype=np.int64)
@@ -719,33 +716,76 @@ class DensePartitionState:
         roots = np.fromiter(
             (r for r in self.heights if r not in absorbed), np.int64
         )
+        self._measure(depth, roots)
+
+    def _measure(self, depth: "np.ndarray", roots: "np.ndarray") -> None:
+        """Set ``heights`` and ``sizes`` of the parts rooted at *roots*."""
+        n = self.topology.n
         tallest = np.zeros(n, dtype=np.int64)
-        np.maximum.at(tallest, part_of, depth)
-        counts = np.bincount(part_of, minlength=n)
+        np.maximum.at(tallest, self.part_of, depth)
+        counts = np.bincount(self.part_of, minlength=n)
         self.heights = dict(zip(roots.tolist(), tallest[roots].tolist()))
         self.sizes = dict(zip(roots.tolist(), counts[roots].tolist()))
 
-    def to_partition(self, graph: nx.Graph) -> Partition:
-        """Materialize the dense state as a :class:`Partition`."""
+    def node_sets(self) -> Dict[Any, FrozenSet[Any]]:
+        """Each part's node set by root id, roots ascending.  Each set is
+        built in ascending dense-index order, the order the dict oracle
+        builds it in, so a part's ``graph.subgraph`` view iterates the
+        same way on both paths: the order Stage II and the per-part
+        checkers see."""
         ids = self.topology.nodes
-        parent = self.parent.tolist()
-        members: Dict[int, List[int]] = {root: [] for root in self.heights}
-        for idx, root in enumerate(self.part_of.tolist()):
-            members[root].append(idx)
-        parts = []
-        for root, group in members.items():
-            parents = {
-                ids[idx]: ids[parent[idx]] for idx in group if parent[idx] >= 0
-            }
-            parts.append(
-                Part(
-                    root=ids[root],
-                    nodes=frozenset(ids[idx] for idx in group),
-                    parents=parents,
-                    height=self.heights[root],
-                )
-            )
-        return Partition(graph, parts)
+        order = np.argsort(self.part_of, kind="stable").tolist()
+        sets: Dict[Any, FrozenSet[Any]] = {}
+        start = 0
+        for root, size in self.sizes.items():
+            sets[ids[root]] = frozenset(ids[i] for i in order[start : start + size])
+            start += size
+        return sets
+
+    def max_diameter(self, graph: nx.Graph) -> int:
+        """Largest part diameter in *graph*, the graph this partition was
+        built on, by :func:`~repro.graphs.utils.diameter`'s rule: parts up
+        to ``EXACT_DIAMETER_NODES`` nodes are exact, by one batched BFS
+        over the part's intra-part CSR; larger parts take the double sweep
+        on their ``graph.subgraph`` view, built as :meth:`node_sets`
+        builds it."""
+        from ..applications.dense import adjacency_csr, multi_source_distances
+        from ..graphs.utils import EXACT_DIAMETER_NODES, diameter
+
+        part_of = self.part_of
+        order = np.argsort(part_of, kind="stable")
+        position = np.argsort(order)  # node -> its slot in part order
+        intra = part_of[self.eu] == part_of[self.ev]
+        pu, pv = position[self.eu[intra]], position[self.ev[intra]]
+        by_u = np.argsort(pu, kind="stable")
+        pu, pv = pu[by_u], pv[by_u]
+        ids = self.topology.nodes
+
+        best = start = 0  # the part spans part-order slots [start, start + size)
+        for size in self.sizes.values():
+            if size > EXACT_DIAMETER_NODES:
+                nodes = frozenset(ids[i] for i in order[start : start + size].tolist())
+                best = max(best, diameter(graph.subgraph(nodes)))
+            elif size > 1:
+                a, b = np.searchsorted(pu, [start, start + size]).tolist()
+                csr = adjacency_csr(size, pu[a:b] - start, pv[a:b] - start)
+                dist = multi_source_distances(*csr, np.arange(size), size)
+                best = max(best, int(dist.max()))
+            start += size
+        return best
+
+    @classmethod
+    def from_forest(cls, topology: CompiledTopology, parent) -> "DensePartitionState":
+        """The partition into the trees of the forest *parent* (a dense
+        index per node, -1 at roots), by pointer jumping."""
+        state = cls(topology)
+        parent = np.asarray(parent, dtype=np.int64)
+        root, depth = pointer_jump(parent)
+        if (parent[root] >= 0).any():
+            raise PartitionError("spanning forest contains a cycle")
+        state.part_of, state.parent = root, parent
+        state._measure(depth, np.nonzero(parent < 0)[0])
+        return state
 
 
 def pointer_jump(parent: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:

@@ -12,7 +12,7 @@ tester; ``epsilon * n`` for the Theorem 3 partition).  Claims reproduced:
 * Claim 4: part diameters grow at most geometrically (<= 4^i); we track
   spanning-tree heights exactly.
 * Lemma 6: parts keep rooted spanning trees; maintained by construction
-  and checked by ``Partition.validate`` in tests.
+  and checked against the dict oracle's Lemma 6 validation in tests.
 
 Termination: the default mode stops as soon as the cut target is met
 (ARCHITECTURE.md, "Paper substitutions", item 2 -- a fixed-schedule
@@ -26,7 +26,7 @@ the two differ only in the pseudoforest they select and how they color it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -38,7 +38,6 @@ from ..errors import PartitionError
 from ..graphs.utils import adjacency_slots
 from ..telemetry import get_tracer
 from . import dense
-from .parts import Partition
 
 
 @dataclass
@@ -66,24 +65,6 @@ class PhaseStats:
         return self.cut_after / self.cut_before
 
 
-class _PartitionOnRead:
-    """``Stage1Result.partition``: kept if given, else built from
-    ``dense_state`` on first read (a dataclass field with a descriptor
-    default routes ``__init__``'s assignment through ``__set__``)."""
-
-    def __get__(self, result, owner=None):
-        if result is None:
-            return None  # the field's default
-        partition = result.__dict__.get("_partition")
-        if partition is None and result.dense_state is not None:
-            partition = result.dense_state.to_partition(result.graph)
-            result.__dict__["_partition"] = partition
-        return partition
-
-    def __set__(self, result, partition):
-        result.__dict__["_partition"] = partition
-
-
 @dataclass
 class Stage1Result:
     """Outcome of Stage I.
@@ -96,15 +77,9 @@ class Stage1Result:
         ledger: round-cost accounting for the whole stage.
         target_cut: the cut-size target that was used.
         theoretical_phase_cap: the a-priori phase bound t.
-        partition: the final partition (or the partition at rejection),
-            built from ``dense_state`` on first read unless given.
-        dense_state: the final :class:`~repro.partition.dense.
-            DensePartitionState` (``None`` for the empty graph).
-            Downstream consumers -- the Corollary 17 spanner builder, the
-            application verifiers and the job records -- read the
-            partition's arrays and summaries (``size``, ``cut_size()``,
-            ``max_height()``) from here instead of :class:`Partition`.
-        graph: the input graph, which the partition is built over.
+        partition: the final partition (or the partition at rejection), a
+            :class:`~repro.partition.dense.DensePartitionState` (``None``
+            for the empty graph).
     """
 
     success: bool
@@ -113,9 +88,7 @@ class Stage1Result:
     ledger: RoundLedger
     target_cut: float
     theoretical_phase_cap: int
-    partition: Partition = _PartitionOnRead()
-    dense_state: Optional[Any] = field(default=None, repr=False, compare=False)
-    graph: Optional[nx.Graph] = field(default=None, repr=False, compare=False)
+    partition: Optional[dense.DensePartitionState] = None
 
     @property
     def rounds(self) -> int:
@@ -127,7 +100,7 @@ class Stage1Result:
         """Number of inter-part edges in the final partition."""
         if self.phases:
             return self.phases[-1].cut_after
-        return (self.dense_state or self.partition).cut_size()
+        return self.partition.cut_size() if self.partition is not None else 0
 
 
 def theoretical_phase_cap(
@@ -207,10 +180,9 @@ def run_phases(
         ledger=ledger,
         target_cut=target_cut,
         theoretical_phase_cap=cap,
-        graph=graph,
     )
     if not graph.number_of_nodes():
-        return result(success=True, rejecting_parts=(), partition=Partition(graph, []))
+        return result(success=True, rejecting_parts=())
     # Looked up at call time, so wrappers installed on these module
     # attributes see every call.
     topology = congest_topology.compile_topology(graph)
@@ -266,7 +238,7 @@ def run_phases(
                 f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
             )
         cut = new_cut
-    return result(success=not rejecting, rejecting_parts=rejecting, dense_state=state)
+    return result(success=not rejecting, rejecting_parts=rejecting, partition=state)
 
 
 def partition_stage1(

@@ -54,8 +54,8 @@ def _run_partition_phase_audit(spec: JobSpec, graph: nx.Graph) -> Record:
     return {
         "epsilon": params.get("epsilon", 0.1),
         "success": result.success,
-        "parts": result.dense_state.size,
-        "cut": result.dense_state.cut_size(),
+        "parts": result.partition.size,
+        "cut": result.partition.cut_size(),
         "phases": len(result.phases),
         "phases_json": json.dumps(phases, separators=(",", ":")),
     }
@@ -197,7 +197,7 @@ def _run_mpx_ablation(spec: JobSpec, graph: nx.Graph) -> Record:
         "rounds": mpx.rounds + stage2_rounds,
         "partition_rounds": mpx.rounds,
         "stage2_rounds": stage2_rounds,
-        "max_height": mpx.partition.max_height(),
+        "max_height": mpx.partition.max_height() if mpx.partition is not None else 0,
     }
 
 

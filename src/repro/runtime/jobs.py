@@ -343,7 +343,7 @@ def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
         collect_exact_violations=params.get("collect_exact_violations", False),
     )
     result = test_planarity(graph, seed=spec.seed, config=config)
-    state = result.stage1.dense_state
+    state = result.stage1.partition
     return {
         "epsilon": config.epsilon,
         "accepted": result.accepted,
@@ -380,11 +380,11 @@ def _run_partition_stage1(spec: JobSpec, graph: nx.Graph) -> Record:
     record = {
         "epsilon": epsilon,
         "success": result.success,
-        "parts": result.dense_state.size,
-        "cut": result.dense_state.cut_size(),
+        "parts": result.partition.size,
+        "cut": result.partition.cut_size(),
         "target_cut": result.target_cut,
-        "max_height": result.dense_state.max_height(),
-        "max_diameter": result.partition.max_diameter(),
+        "max_height": result.partition.max_height(),
+        "max_diameter": result.partition.max_diameter(graph),
         "phases": len(result.phases),
         "rounds": result.rounds,
     }
@@ -412,10 +412,10 @@ def _run_partition_randomized(spec: JobSpec, graph: nx.Graph) -> Record:
         "delta": result.delta,
         "success": result.success,
         "met_target": result.met_target,
-        "parts": result.dense_state.size,
-        "cut": result.dense_state.cut_size(),
+        "parts": result.partition.size,
+        "cut": result.partition.cut_size(),
         "target_cut": result.target_cut,
-        "max_height": result.dense_state.max_height(),
+        "max_height": result.partition.max_height(),
         "phases": len(result.phases),
         "trials": result.trials,
         "rounds": result.rounds,

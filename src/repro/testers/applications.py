@@ -45,7 +45,7 @@ def _verify_parts(stage1: Stage1Result, check: str) -> Tuple[List[Any], int]:
     are BFS + one (depth, parent) exchange, as in the simulated per-part
     check programs.
     """
-    state = stage1.dense_state
+    state = stage1.partition
     if state is None:  # the empty graph has no parts
         return [], 0
     topology = state.topology

@@ -184,9 +184,10 @@ def test_hereditary_property(
 
     rejecting = []
     max_rounds = 0
-    for pid, part in stage1.partition.parts.items():
-        sub = graph.subgraph(part.nodes)
-        ok, rounds = checker(sub, part.root)
+    state = stage1.partition
+    node_sets = state.node_sets() if state is not None else {}
+    for pid, nodes in node_sets.items():
+        ok, rounds = checker(graph.subgraph(nodes), pid)
         max_rounds = max(max_rounds, rounds)
         if not ok:
             rejecting.append(pid)

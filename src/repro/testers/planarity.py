@@ -66,28 +66,29 @@ class PlanarityTestConfig:
 
 def stage2_over_partition(
     graph: nx.Graph,
-    partition,
+    state,
     stage2_config: Stage2Config,
     seed: Optional[int] = None,
 ):
-    """Run Stage II over an arbitrary rooted partition.
+    """Run Stage II over an arbitrary rooted partition's dense *state*.
 
     Used by the full tester and by the E12 ablation, which feeds Stage II
     with the Elkin-Neiman/MPX baseline partition instead of Stage I.
     Returns ``(verdicts, rejecting_pids, max_part_rounds)``; parts run in
     parallel, so the stage's round cost is the max over parts.
     """
+    if state is None:  # the empty graph has no parts
+        return [], [], 0
     model = TreeCostModel()
     n_total = graph.number_of_nodes()
     verdicts = []
     rejecting = []
     max_part_rounds = 0
-    subgraphs = extract_part_subgraphs(graph, partition)
-    for pid in sorted(partition.parts, key=repr):
-        part = partition.parts[pid]
+    subgraphs = extract_part_subgraphs(graph, state)
+    for pid in sorted(subgraphs, key=repr):
         rng = derive_rng(seed, repr(pid), "stage2")
         verdict = test_part(
-            part,
+            pid,
             subgraphs[pid],
             n_total=n_total,
             rng=rng,

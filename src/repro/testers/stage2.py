@@ -40,12 +40,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import networkx as nx
 
 from ..congest.ledger import RoundLedger, TreeCostModel
-from ..partition.parts import Part
 from ..planarity.embedding import identity_rotation
 from ..planarity.lr_planarity import LocalGraph, check_planarity
 from .labels import (
@@ -82,12 +81,12 @@ class Stage2Config:
     collect_exact_violations: bool = False
 
 
-def extract_part_subgraphs(graph: nx.Graph, partition) -> dict:
+def extract_part_subgraphs(graph: nx.Graph, state) -> dict:
     """Every part relabeled to a :class:`LocalGraph`, in one pass.
 
     Each part's node order is taken by iterating its
-    ``graph.subgraph(part.nodes)`` view once: networkx filter atlases
-    pick parent order or filter-set order depending on relative sizes,
+    ``graph.subgraph(nodes)`` view (``state.node_sets()``) once: networkx
+    filter atlases pick parent order or filter-set order by relative size,
     so only the view itself is an authoritative order source.  Each row
     is the parent's ``graph._adj[v]`` order filtered by the part's index
     dict -- exactly what the view's per-row filter atlas yields.  Every
@@ -96,12 +95,12 @@ def extract_part_subgraphs(graph: nx.Graph, partition) -> dict:
     sequence it would see through the view, without a view filter on
     every access.
 
-    Returns a mapping ``pid -> LocalGraph``.
+    Returns a mapping ``pid -> LocalGraph`` (``pid`` the root's id).
     """
     parent_adj = graph._adj
     parts: dict = {}
-    for pid, part in partition.parts.items():
-        nodes = list(graph.subgraph(part.nodes))
+    for pid, members in state.node_sets().items():
+        nodes = list(graph.subgraph(members))
         index = {v: i for i, v in enumerate(nodes)}
         find = index.get
         parts[pid] = LocalGraph(
@@ -125,7 +124,7 @@ def sample_size(n_total: int, config: Stage2Config) -> int:
 
 
 def test_part(
-    part: Part,
+    pid: Any,
     sub: LocalGraph,
     n_total: int,
     rng: random.Random,
@@ -133,7 +132,7 @@ def test_part(
     ledger: Optional[RoundLedger] = None,
     cost_model: Optional[TreeCostModel] = None,
 ) -> PartVerdict:
-    """Run Stage II on one part; return its verdict.
+    """Run Stage II on the part rooted at node *pid*; return its verdict.
 
     *sub* is the part's induced subgraph, relabeled (see
     :func:`extract_part_subgraphs`).
@@ -141,7 +140,7 @@ def test_part(
     model = cost_model or TreeCostModel()
     local = RoundLedger()
     n, m = sub.n, sub.m
-    root = sub.index[part.root]
+    root = sub.index[pid]
 
     # 1. BFS tree + counts (Section 2.2.1).
     parents, depths = deterministic_bfs_tree(sub, root)
@@ -157,7 +156,7 @@ def test_part(
         if ledger is not None:
             ledger.merge(local)
         return PartVerdict(
-            pid=part.pid,
+            pid=pid,
             accepted=accepted,
             reason=reason,
             n=n,

@@ -267,11 +267,17 @@ def faithful_profile():
         yield built
 
 
-def _per_part_views(graph, partition):
-    """Each part relabeled from its own ``graph.subgraph`` view."""
+def _per_part_views(graph, state):
+    """Each part of the dense *state* relabeled from its own
+    ``graph.subgraph`` view, its node set built in ascending dense-index
+    order as the tester builds it."""
+    ids = state.topology.nodes
+    members = {}
+    for idx, root in enumerate(state.part_of.tolist()):
+        members.setdefault(ids[root], []).append(ids[idx])
     return {
-        pid: LocalGraph.from_graph(graph.subgraph(part.nodes))
-        for pid, part in partition.parts.items()
+        pid: LocalGraph.from_graph(graph.subgraph(frozenset(nodes)))
+        for pid, nodes in members.items()
     }
 
 

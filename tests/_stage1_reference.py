@@ -6,14 +6,19 @@ Theorem 3 and Theorem 4 alike.  This module keeps the seed's dict-keyed
 implementation of the same algorithms as a test oracle; none of it is
 reachable from ``src/``:
 
+* :class:`Part`, :func:`build_part` and :class:`Partition` -- the
+  partition as per-part objects, with the Lemma 6 checks
+  (:meth:`Partition.validate`); :func:`to_partition` and
+  :func:`dense_of` convert to and from the engine's
+  :class:`~repro.partition.dense.DensePartitionState`;
 * :class:`AuxiliaryGraph` -- the weighted contraction ``G_i`` of a
-  :class:`~repro.partition.parts.Partition`, with min-id designated
+  :class:`Partition`, with min-id designated
   connectors (the oracle of
   :class:`~repro.partition.dense.DenseAuxiliaryGraph`);
 * :func:`forest_decomposition_emulated` -- Barenboim-Elkin deactivation
   and orientation over an :class:`AuxiliaryGraph`;
 * :func:`select_heaviest_out_edges` and :func:`merge_parts` -- merging
-  sub-steps 1 and 4 on :class:`~repro.partition.parts.Partition` objects;
+  sub-steps 1 and 4 on :class:`Partition` objects;
 * :func:`mark_and_choose` -- CHW marking and parity choice on dict
   pseudoforests, abstainers included (the oracle of
   :func:`~repro.partition.dense.mark_and_choose_dense`, which
@@ -26,7 +31,8 @@ reachable from ``src/``:
   :func:`reference_application` -- the Corollary 16/17 consumers walking
   the partition's ``Part`` objects through networkx views;
 * :func:`reference_stage1` -- patches the tester onto the reference
-  partition for the duration of a ``with`` block.
+  partition, handed to Stage II through :func:`dense_of`, for the
+  duration of a ``with`` block.
 
 :data:`RELABELINGS` and :func:`label_cases` drive the label-type
 differential suites: every case is a bundled family, relabeled.
@@ -36,10 +42,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 from unittest import mock
 
 import networkx as nx
@@ -50,14 +57,18 @@ import repro.testers.planarity as planarity
 from _reference_paths import labels_by_id
 from repro.congest.ledger import RoundLedger, TreeCostModel
 from repro.congest.programs.forest_decomposition import barenboim_elkin_round_budget
+from repro.congest.topology import compile_topology
 from repro.errors import GraphInputError, PartitionError
-from repro.graphs.utils import id_key
+from repro.graphs.utils import diameter, id_key, iter_edges
 from repro.partition.coloring import (
     cole_vishkin_emulated,
     randomized_coloring_emulated,
 )
-from repro.partition.dense import MarkingResult, mark_and_choose_dense
-from repro.partition.parts import Partition, build_part
+from repro.partition.dense import (
+    DensePartitionState,
+    MarkingResult,
+    mark_and_choose_dense,
+)
 from repro.partition.stage1 import (
     PhaseStats,
     Stage1Result,
@@ -104,6 +115,224 @@ def label_cases(names):
         for name in names
         for relabeling in RELABELINGS
     ]
+
+
+# -- the dict partition ----------------------------------------------------------
+#
+# Lemma 6's partition as per-part objects: a connected node set with a
+# rooted spanning tree, named by its root.  The engine keeps the same
+# partition as two vectors (``DensePartitionState.part_of`` and
+# ``parent``); :func:`to_partition` and :func:`dense_of` convert between
+# the two forms.
+
+
+@dataclass
+class Part:
+    """One part: a connected node set with a rooted spanning tree.
+
+    Attributes:
+        root: designated root node (also the part's identifier).
+        nodes: the part's node set.
+        parents: spanning-tree parent pointers (child -> parent) for every
+            non-root node of the part.
+        height: height of the spanning tree.
+    """
+
+    root: Any
+    nodes: FrozenSet[Any]
+    parents: Dict[Any, Any] = field(default_factory=dict)
+    height: int = 0
+
+    @property
+    def pid(self) -> Any:
+        """Part identifier (the root node's id)."""
+        return self.root
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def tree_edges(self) -> Iterator[Tuple[Any, Any]]:
+        """Spanning-tree edges as (child, parent) pairs."""
+        return iter(self.parents.items())
+
+
+def build_part(root: Any, nodes, tree_edges) -> Part:
+    """Construct a part from a root and an edge set; recompute the tree.
+
+    *tree_edges* must connect exactly the node set; parent pointers and
+    height are derived by BFS from the root (so callers may pass edges in
+    any orientation).
+    """
+    node_set = frozenset(nodes)
+    adjacency: Dict[Any, List[Any]] = {v: [] for v in node_set}
+    for u, v in tree_edges:
+        if u not in node_set or v not in node_set:
+            raise PartitionError(f"tree edge ({u!r}, {v!r}) leaves the part")
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    parents: Dict[Any, Any] = {}
+    height = 0
+    seen = {root}
+    queue = deque([(root, 0)])
+    while queue:
+        v, depth = queue.popleft()
+        height = max(height, depth)
+        for w in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                parents[w] = v
+                queue.append((w, depth + 1))
+    if seen != node_set:
+        raise PartitionError(
+            f"spanning tree of part rooted at {root!r} does not reach "
+            f"{len(node_set - seen)} nodes"
+        )
+    return Part(root=root, nodes=node_set, parents=parents, height=height)
+
+
+class Partition:
+    """A partition of a graph's nodes into rooted connected parts."""
+
+    def __init__(self, graph: nx.Graph, parts: List[Part]):
+        """Wrap *parts* over *graph*; derives the node -> part index."""
+        self.graph = graph
+        self.parts: Dict[Any, Part] = {}
+        self.part_of: Dict[Any, Any] = {}
+        for part in parts:
+            if part.pid in self.parts:
+                raise PartitionError(f"duplicate part id {part.pid!r}")
+            self.parts[part.pid] = part
+            for node in part.nodes:
+                if node in self.part_of:
+                    raise PartitionError(f"node {node!r} appears in two parts")
+                self.part_of[node] = part.pid
+        missing = set(graph.nodes()) - set(self.part_of)
+        if missing:
+            raise PartitionError(f"{len(missing)} nodes not covered by any part")
+
+    @classmethod
+    def singletons(cls, graph: nx.Graph) -> "Partition":
+        """The initial partition P_1: every node is its own part."""
+        return cls(
+            graph,
+            [Part(root=v, nodes=frozenset([v])) for v in graph.nodes()],
+        )
+
+    # -- queries ---------------------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        """Number of parts."""
+        return len(self.parts)
+
+    def cut_edges(self) -> Iterator[Tuple[Any, Any]]:
+        """Edges of the graph whose endpoints lie in different parts."""
+        part_of = self.part_of
+        for u, v in iter_edges(self.graph):
+            if part_of[u] != part_of[v]:
+                yield (u, v)
+
+    def cut_size(self) -> int:
+        """Number of inter-part edges (the weight of the auxiliary graph)."""
+        return sum(1 for _ in self.cut_edges())
+
+    def max_height(self) -> int:
+        """Maximum spanning-tree height over parts."""
+        return max((p.height for p in self.parts.values()), default=0)
+
+    def max_diameter(self) -> int:
+        """Maximum diameter of the induced subgraphs of the parts."""
+        best = 0
+        for part in self.parts.values():
+            if len(part) > 1:
+                best = max(best, diameter(self.graph.subgraph(part.nodes)))
+        return best
+
+    def part_subgraph(self, pid: Any) -> nx.Graph:
+        """Induced subgraph of the part with id *pid*."""
+        return self.graph.subgraph(self.parts[pid].nodes)
+
+    # -- validation -------------------------------------------------------------
+
+    def validate(self) -> None:
+        """Check all Lemma 6 invariants; raise :class:`PartitionError`."""
+        for part in self.parts.values():
+            if part.root not in part.nodes:
+                raise PartitionError(f"root {part.root!r} outside its part")
+            sub = self.graph.subgraph(part.nodes)
+            if len(part) > 1 and not nx.is_connected(sub):
+                raise PartitionError(f"part {part.pid!r} is not connected")
+            if set(part.parents) != part.nodes - {part.root}:
+                raise PartitionError(
+                    f"part {part.pid!r}: parent pointers do not cover the part"
+                )
+            depth_seen: Dict[Any, int] = {part.root: 0}
+            for node in part.parents:
+                # Walk to the root, detecting cycles and escapes.
+                chain = []
+                v = node
+                while v not in depth_seen:
+                    chain.append(v)
+                    v = part.parents.get(v)
+                    if v is None or v not in part.nodes:
+                        raise PartitionError(
+                            f"part {part.pid!r}: broken parent chain at {node!r}"
+                        )
+                    if len(chain) > len(part.nodes):
+                        raise PartitionError(
+                            f"part {part.pid!r}: parent pointers contain a cycle"
+                        )
+                base = depth_seen[v]
+                for offset, w in enumerate(reversed(chain), start=1):
+                    depth_seen[w] = base + offset
+            for child, parent in part.parents.items():
+                if not self.graph.has_edge(child, parent):
+                    raise PartitionError(
+                        f"part {part.pid!r}: tree edge ({child!r}, {parent!r}) "
+                        "is not a graph edge"
+                    )
+            true_height = max(depth_seen.values(), default=0)
+            if true_height != part.height:
+                raise PartitionError(
+                    f"part {part.pid!r}: recorded height {part.height} != "
+                    f"actual {true_height}"
+                )
+
+
+def to_partition(state: DensePartitionState, graph: nx.Graph) -> Partition:
+    """The dense *state* over *graph* as a :class:`Partition`.
+
+    Parts come in ascending root order, and each node set is built in
+    ascending dense-index order.
+    """
+    ids = state.topology.nodes
+    parent = state.parent.tolist()
+    members: Dict[int, List[int]] = {root: [] for root in state.heights}
+    for idx, root in enumerate(state.part_of.tolist()):
+        members[root].append(idx)
+    parts = []
+    for root, group in members.items():
+        parents = {ids[idx]: ids[parent[idx]] for idx in group if parent[idx] >= 0}
+        parts.append(
+            Part(
+                root=ids[root],
+                nodes=frozenset(ids[idx] for idx in group),
+                parents=parents,
+                height=state.heights[root],
+            )
+        )
+    return Partition(graph, parts)
+
+
+def dense_of(partition: Partition) -> DensePartitionState:
+    """The dict *partition* as a :class:`DensePartitionState`."""
+    topology = compile_topology(partition.graph)
+    index = topology.index
+    parent = np.full(topology.n, -1, dtype=np.int64)
+    for part in partition.parts.values():
+        for child, up in part.tree_edges():
+            parent[index[child]] = index[up]
+    return DensePartitionState.from_forest(topology, parent)
 
 
 # -- auxiliary graph -----------------------------------------------------------
@@ -805,11 +1034,21 @@ def reference_partition_randomized(
 
 @contextmanager
 def reference_stage1():
-    """Run the planarity tester inside the block on the reference Stage I."""
-    with mock.patch.object(
-        planarity, "partition_stage1", reference_partition_stage1
-    ):
-        yield
+    """Run the planarity tester inside the block on the reference Stage I.
+
+    Stage II reads the reference partition through :func:`dense_of`;
+    yields the list of dict partitions built, one per tester run.
+    """
+    built: List[Partition] = []
+
+    def stage1(graph, *args, **kwargs):
+        result = reference_partition_stage1(graph, *args, **kwargs)
+        built.append(result.partition)
+        result.partition = dense_of(result.partition)
+        return result
+
+    with mock.patch.object(planarity, "partition_stage1", stage1):
+        yield built
 
 
 # -- Corollary 16/17 consumers -------------------------------------------------

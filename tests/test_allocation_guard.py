@@ -9,7 +9,8 @@ and the retained Stage I state must hold a handful of gc-tracked
 containers, not one per node.  Nor may the tester cache a networkx view
 that points back at its input graph (``degree``, ``edges``): that would
 put the graph in a reference cycle, which only a collection frees.  The
-same holds for Stage I's ``Partition`` and for the graph generators.
+same holds for Stage I's partition, for the graph generators and for
+the greedy maximal planar subgraph.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ import gc
 import types
 import weakref
 from contextlib import contextmanager
-from unittest import mock
-
 import pytest
 
 from repro.congest import CongestNetwork, compile_topology
 from repro.graphs import make_far, make_planar
+from repro.graphs.distance import greedy_maximal_planar_subgraph
 from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
 from repro.graphs.generators import PLANAR_FAMILIES
-from repro.partition import partition_stage1, parts
+from repro.partition import DensePartitionState, partition_stage1
 from repro.testers.planarity import PlanarityTestConfig
 from repro.testers.planarity import test_planarity as run_planarity
 
@@ -59,9 +59,9 @@ def tested():
 
 def test_simulator_views_unbuilt_after_tester(tested):
     graph, result = tested
-    assert result.stage1.dense_state is not None
+    assert result.stage1.partition is not None
     topology = compile_topology(graph)
-    assert result.stage1.dense_state.topology is topology
+    assert result.stage1.partition.topology is topology
     assert topology._neighbors is None
     assert topology._neighbor_sets is None
     assert topology._neighbor_index_sets is None
@@ -69,7 +69,7 @@ def test_simulator_views_unbuilt_after_tester(tested):
 
 def test_dense_state_retains_few_containers(tested):
     _graph, result = tested
-    count = tracked_containers(result.stage1.dense_state)
+    count = tracked_containers(result.stage1.partition)
     assert count < CONTAINER_LIMIT, count
 
 
@@ -143,9 +143,22 @@ def test_generated_graph_freed_by_refcount(family):
         assert probe() is None
 
 
-def test_stage1_reject_builds_no_part():
+def test_greedy_planar_subgraph_freed_by_refcount():
+    """The greedy maximal planar subgraph counts its edges itself and
+    caches no view on the subgraph it returns."""
+    graph = make_far("planted-k5", 120, seed=0)[0]
+    with collector_off():
+        sub = greedy_maximal_planar_subgraph(graph, seed=0)
+        assert not {"degree", "edges"} & set(vars(sub))
+        probe = weakref.ref(sub)
+        del sub
+        assert probe() is None
+
+
+def test_stage1_reject_keeps_dense_partition():
     graph = TESTER_INPUTS["planted-k5"]()
-    with mock.patch.object(parts.Part, "__init__", side_effect=AssertionError):
-        result = run_planarity(graph, seed=0, config=PlanarityTestConfig(epsilon=0.1))
+    result = run_planarity(graph, seed=0, config=PlanarityTestConfig(epsilon=0.1))
     assert result.rejected_stage == "stage1"
-    assert result.stage1.dense_state.size > 1
+    assert isinstance(result.stage1.partition, DensePartitionState)
+    assert result.stage1.partition.size > 1
+    assert tracked_containers(result.stage1.partition) < CONTAINER_LIMIT

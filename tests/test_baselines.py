@@ -5,7 +5,13 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from _stage1_reference import AuxiliaryGraph, label_cases, relabeled
+from _stage1_reference import (
+    AuxiliaryGraph,
+    build_part,
+    label_cases,
+    relabeled,
+    to_partition,
+)
 from repro.baselines import (
     bipartiteness_ground_truth,
     cluster_spanner,
@@ -24,7 +30,27 @@ class TestMPXPartition:
     def test_valid_partition(self):
         graph = make_planar("delaunay", 250, seed=1)
         result = mpx_partition(graph, beta=0.3, seed=2)
-        result.partition.validate()
+        to_partition(result.partition, graph).validate()
+
+    @pytest.mark.parametrize("family, relabeling", label_cases(sorted(PLANAR_FAMILIES)))
+    def test_forest_matches_build_part(self, family, relabeling):
+        """Every cluster's roots, members, parents and height, as the
+        dense forest gives them, are the ``build_part`` oracle's BFS of
+        the cluster's Dijkstra tree."""
+        graph = relabeled(make_planar(family, 120, seed=1), relabeling)
+        state = mpx_partition(graph, beta=0.2, seed=4).partition
+        ids = state.topology.nodes
+        parent = state.parent.tolist()
+        members = {}
+        for idx, root in enumerate(state.part_of.tolist()):
+            members.setdefault(root, []).append(idx)
+        assert sorted(members) == list(state.heights)
+        for root, group in members.items():
+            tree = {ids[i]: ids[parent[i]] for i in group if parent[i] >= 0}
+            part = build_part(ids[root], [ids[i] for i in group], tree.items())
+            assert part.parents == tree
+            assert part.height == state.heights[root]
+            assert len(part) == state.sizes[root]
 
     def test_cut_expectation(self):
         # E[cut] <= beta * m; check across seeds with slack factor 2.
@@ -51,13 +77,31 @@ class TestMPXPartition:
         with pytest.raises(GraphInputError):
             mpx_partition(small_grid, beta=1.5)
 
+    def test_empty_graph_feeds_stage2_nothing(self):
+        """The empty graph has no parts: MPX's partition is ``None``,
+        Stage II over it runs no part, and the E12 ablation record
+        reports height 0."""
+        from repro.runtime.audit import _run_mpx_ablation
+        from repro.runtime.jobs import JobSpec
+        from repro.testers.planarity import stage2_over_partition
+        from repro.testers.stage2 import Stage2Config
+
+        graph = nx.Graph()
+        result = mpx_partition(graph, beta=0.3, seed=1)
+        assert result.partition is None and result.cut_size == 0
+        assert stage2_over_partition(
+            graph, result.partition, Stage2Config(epsilon=0.1)
+        ) == ([], [], 0)
+        spec = JobSpec.make("mpx_ablation", family="grid", n=4, epsilon=0.1)
+        record = _run_mpx_ablation(spec, graph)
+        assert record["accepted"] and record["max_height"] == 0
+        assert record["stage2_rounds"] == 0
+
     def test_deterministic(self):
         graph = make_planar("delaunay", 150, seed=2)
         a = mpx_partition(graph, beta=0.3, seed=9)
         b = mpx_partition(graph, beta=0.3, seed=9)
-        assert {p: sorted(part.nodes) for p, part in a.partition.parts.items()} == {
-            p: sorted(part.nodes) for p, part in b.partition.parts.items()
-        }
+        assert a.partition.node_sets() == b.partition.node_sets()
 
 
 class TestBaselineSpanners:
@@ -73,14 +117,14 @@ class TestBaselineSpanners:
         pair, as the dict oracle picks it, in both spanner forms."""
         graph = relabeled(make_planar(family, 80, seed=1), relabeling)
         spanner, result = cluster_spanner(graph, beta=0.3, seed=2)
+        partition = to_partition(result.partition, graph)
         expected = {
             frozenset(edge)
-            for part in result.partition.parts.values()
+            for part in partition.parts.values()
             for edge in part.tree_edges()
         }
         expected |= {
-            frozenset(edge.connector)
-            for edge in AuxiliaryGraph(result.partition).edges()
+            frozenset(edge.connector) for edge in AuxiliaryGraph(partition).edges()
         }
         assert {frozenset(edge) for edge in spanner.edges()} == expected
         assert spanner.number_of_edges() == len(expected)

@@ -6,10 +6,13 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from _stage1_reference import AuxiliaryGraph, forest_decomposition_emulated
+from _stage1_reference import (
+    AuxiliaryGraph,
+    Partition,
+    forest_decomposition_emulated,
+)
 from repro.congest import RoundLedger
 from repro.congest.programs import run_forest_decomposition_simulated
-from repro.partition import Partition
 
 
 def singleton_aux(graph):

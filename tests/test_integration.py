@@ -6,7 +6,7 @@ from __future__ import annotations
 import networkx as nx
 
 from _reference_paths import labels_by_id
-from _stage1_reference import AuxiliaryGraph
+from _stage1_reference import AuxiliaryGraph, to_partition
 from repro.congest.programs import bfs_tree
 from repro.graphs import make_far, make_planar
 from repro.partition import partition_stage1
@@ -28,8 +28,8 @@ class TestClaim3Chain:
         # part must be non-planar
         nonplanar_parts = [
             pid
-            for pid, part in result.partition.parts.items()
-            if not check_planarity(graph.subgraph(part.nodes)).is_planar
+            for pid, nodes in result.partition.node_sets().items()
+            if not check_planarity(graph.subgraph(nodes)).is_planar
         ]
         assert nonplanar_parts
 
@@ -40,15 +40,15 @@ class TestLemma6Chain:
     def test_part_trees_usable_for_bfs(self):
         graph = make_planar("delaunay", 300, seed=2)
         result = partition_stage1(graph, epsilon=0.2)
-        for pid, part in result.partition.parts.items():
+        for pid, part in to_partition(result.partition, graph).parts.items():
             depths = labels_by_id(graph.subgraph(part.nodes), part.root).depths
             assert max(depths.values(), default=0) <= 2 * part.height + 1
 
     def test_bfs_tree_matches_congest_protocol_per_part(self):
         graph = make_planar("grid", 150, seed=3)
         result = partition_stage1(graph, epsilon=0.3)
-        pid = max(result.partition.parts, key=lambda p: len(result.partition.parts[p]))
-        part = result.partition.parts[pid]
+        parts = to_partition(result.partition, graph).parts
+        part = parts[max(parts, key=lambda p: len(parts[p]))]
         sub = nx.Graph(graph.subgraph(part.nodes))
         sim_parents, sim_depths, _ = bfs_tree(sub, part.root)
         assert sim_depths == labels_by_id(sub, part.root).depths
@@ -60,8 +60,8 @@ class TestEmbeddingChain:
     def test_part_embeddings_verify(self):
         graph = make_planar("apollonian", 250, seed=4)
         result = partition_stage1(graph, epsilon=0.2)
-        for pid, part in result.partition.parts.items():
-            sub = nx.Graph(graph.subgraph(part.nodes))
+        for nodes in result.partition.node_sets().values():
+            sub = nx.Graph(graph.subgraph(nodes))
             lr = check_planarity(sub)
             assert lr.is_planar
             verify_planar_embedding(lr.embedding, sub)
@@ -71,18 +71,18 @@ class TestAuxiliaryConsistency:
     def test_aux_weight_equals_cut(self):
         graph = make_planar("tri-grid", 200, seed=5)
         result = partition_stage1(graph, epsilon=0.3)
-        aux = AuxiliaryGraph(result.partition)
+        aux = AuxiliaryGraph(to_partition(result.partition, graph))
         assert aux.total_weight() == result.partition.cut_size()
 
     def test_connectors_are_graph_edges(self):
         graph = make_planar("delaunay", 200, seed=6)
         result = partition_stage1(graph, epsilon=0.3)
-        aux = AuxiliaryGraph(result.partition)
-        for edge in aux.edges():
+        partition = to_partition(result.partition, graph)
+        for edge in AuxiliaryGraph(partition).edges():
             u, v = edge.connector
             assert graph.has_edge(u, v)
-            assert result.partition.part_of[u] == edge.parts[0]
-            assert result.partition.part_of[v] == edge.parts[1]
+            assert partition.part_of[u] == edge.parts[0]
+            assert partition.part_of[v] == edge.parts[1]
 
 
 class TestSoundnessStatistics:

@@ -12,31 +12,32 @@ RNG-driven draws.  The dict engine lives on in
 
 from __future__ import annotations
 
+import gc
 import random
 
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from _reference_paths import edge_case_graphs, pinned_forest
 from _stage1_reference import (
     AuxiliaryGraph,
+    Partition,
     label_cases,
     reference_partition_randomized,
     reference_partition_stage1,
     relabeled,
+    to_partition,
     weighted_edge_selection,
 )
+from repro.baselines import mpx_partition
 from repro.congest.topology import compile_topology
 from repro.errors import PartitionError
 from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES
 from repro.graphs.generators import PLANAR_FAMILIES
-from repro.partition import (
-    Partition,
-    partition_randomized,
-    partition_stage1,
-)
+from repro.partition import partition_randomized, partition_stage1
 from repro.partition.dense import (
     DensePartitionState,
     cole_vishkin_dense,
@@ -52,14 +53,22 @@ SEEDS = (0, 1)
 
 
 def _canonical(result):
-    """Everything a Stage1Result exposes, in an order-insensitive shape."""
+    """Everything a Stage1Result exposes, in an order-insensitive shape.
+
+    A dense partition is compared as the dict oracle's
+    :class:`Partition`; the empty graph's partition (``None`` in the
+    engine, an empty oracle one) has no parts.
+    """
+    partition = result.partition
+    if isinstance(partition, DensePartitionState):
+        partition = to_partition(partition, partition.topology.graph)
     parts = {
         part.pid: (part.nodes, dict(part.parents), part.height)
-        for part in result.partition.parts.values()
+        for part in (partition.parts.values() if partition is not None else ())
     }
     return (
         parts,
-        dict(result.partition.part_of),
+        dict(partition.part_of) if partition is not None else {},
         result.success,
         result.rejecting_parts,
         [vars(stats) for stats in result.phases],
@@ -81,7 +90,7 @@ class TestStage1Differential:
             reference = reference_partition_stage1(graph, epsilon=0.1)
             dense = partition_stage1(graph, epsilon=0.1)
             assert _canonical(reference) == _canonical(dense), (family, seed)
-            dense.partition.validate()
+            to_partition(dense.partition, graph).validate()
 
     @pytest.mark.parametrize("far, relabeling", label_cases(sorted(FAR_FAMILIES)))
     def test_far_families_identical(self, far, relabeling):
@@ -134,55 +143,100 @@ class TestStage1Differential:
         for run in (partition_stage1, partition_randomized):
             result = run(nx.Graph(), 0.1)
             assert result.success
-            assert result.partition.size == 0
+            assert result.partition is None
+            assert result.final_cut == 0
             assert result.phases == []
-            assert result.dense_state is None
         assert _canonical(partition_stage1(nx.Graph(), 0.1)) == _canonical(
             reference_partition_stage1(nx.Graph(), 0.1)
         )
 
 
-def _parts(partition):
-    return {
-        pid: (part.nodes, dict(part.parents), part.height)
-        for pid, part in partition.parts.items()
-    }
-
-
-class TestLazyPartition:
-    """``result.partition`` is built on first read, exactly as an eager
-    ``to_partition`` builds it; nothing before that read builds parts."""
+class TestLemma6:
+    """The engine's partitions -- both theorems' and the MPX baseline's --
+    pass every Lemma 6 check once materialized as the dict oracle's
+    :class:`Partition`, and their summaries agree with it."""
 
     @pytest.mark.parametrize(
         "family, relabeling",
         label_cases(sorted(PLANAR_FAMILIES)) + label_cases(sorted(FAR_FAMILIES)),
     )
-    def test_matches_eager_build(self, family, relabeling):
+    def test_validates(self, family, relabeling):
         if family in PLANAR_FAMILIES:
             graph = make_planar(family, N, seed=0)
         else:
             graph = make_far(family, N, seed=0)[0]
         graph = relabeled(graph, relabeling)
-        for run in (partition_stage1, partition_randomized):
-            result = run(graph, 0.1)
-            assert result.__dict__["_partition"] is None
-            eager = result.dense_state.to_partition(graph)
-            assert result.final_cut == eager.cut_size()
-            lazy = result.partition
-            assert lazy is result.partition
-            assert lazy.graph is graph
-            assert _parts(lazy) == _parts(eager)
-            assert lazy.part_of == eager.part_of
+        results = [run(graph, 0.1) for run in (partition_stage1, partition_randomized)]
+        for result in results:
+            assert result.final_cut == result.partition.cut_size()
+        results.append(mpx_partition(graph, beta=0.1, seed=0))
+        for result in results:
+            state = result.partition
+            partition = to_partition(state, graph)
+            partition.validate()
+            assert state.size == partition.size
+            assert state.cut_size() == partition.cut_size()
+            assert state.max_height() == partition.max_height()
+            assert state.node_sets() == {
+                pid: part.nodes for pid, part in partition.parts.items()
+            }
 
-    def test_given_partition_is_kept(self):
-        """The dict oracle builds its results with ``partition=...``."""
-        graph = nx.path_graph(3)
-        result = reference_partition_stage1(graph, epsilon=0.5)
-        assert result.dense_state is None
-        assert isinstance(result.partition, Partition)
-        given = Partition.singletons(graph)
-        result.partition = given
-        assert result.partition is given
+
+def _exact_diameter(graph, nodes):
+    """All-pairs BFS diameter of the induced subgraph, in scipy."""
+    adjacency = nx.to_scipy_sparse_array(graph.subgraph(nodes))
+    return int(shortest_path(adjacency, unweighted=True).max())
+
+
+class TestMaxDiameter:
+    """``DensePartitionState.max_diameter`` against the oracle's per-part
+    :func:`~repro.graphs.utils.diameter` over ``graph.subgraph`` views."""
+
+    @pytest.mark.parametrize(
+        "family, relabeling",
+        label_cases(("delaunay",))
+        + [(f, "identity") for f in sorted(PLANAR_FAMILIES) if f != "delaunay"],
+    )
+    def test_matches_oracle(self, family, relabeling):
+        graph = relabeled(make_planar(family, 200, seed=0), relabeling)
+        for epsilon in (0.05, 0.3):
+            for target in (None, epsilon * graph.number_of_nodes()):
+                result = partition_stage1(graph, epsilon, target_cut=target)
+                oracle = to_partition(result.partition, graph).max_diameter()
+                assert result.partition.max_diameter(graph) == oracle
+
+    def test_large_part_keeps_the_double_sweep(self):
+        """Parts over 1200 nodes report the double sweep started where
+        the part's view iterates, a lower bound: this delaunay instance
+        has a 1738-node part of exact diameter 29, reported as 26."""
+        graph = make_planar("delaunay", 2000, seed=1)
+        state = partition_stage1(graph, epsilon=0.1).partition
+        oracle = to_partition(state, graph)
+        assert state.max_diameter(graph) == oracle.max_diameter() == 26
+        (nodes,) = [s for s in state.node_sets().values() if len(s) > 1200]
+        assert len(nodes) == 1738
+        assert _exact_diameter(graph, nodes) == 29
+
+    def test_outlives_the_input_graph(self):
+        """The partition holds its graph only weakly; ``max_diameter``
+        reads the graph it is given, so a partition built on a
+        temporary graph still reports its diameter."""
+        state = partition_stage1(make_planar("delaunay", 2000, seed=1), 0.1).partition
+        gc.collect()
+        assert state.topology.graph is None
+        assert state.max_diameter(make_planar("delaunay", 2000, seed=1)) == 26
+
+    def test_forest_of_paths(self):
+        """Parts of every size from 1 to 7 nodes report exactly."""
+        paths = [nx.path_graph(k % 7 + 1) for k in range(500)]
+        graph = nx.disjoint_union_all(paths)
+        starts = {sum(len(p) for p in paths[:k]) for k in range(500)}
+        parent = [-1 if v in starts else v - 1 for v in graph]
+        state = DensePartitionState.from_forest(compile_topology(graph), parent)
+        assert state.size == 500
+        assert state.max_diameter(graph) == 6
+        edgeless = nx.empty_graph(3)
+        assert partition_stage1(edgeless, 0.5).partition.max_diameter(edgeless) == 0
 
 
 class TestRandomizedDifferential:
@@ -227,8 +281,9 @@ class TestRandomizedDifferential:
                 coloring="randomized",
                 coloring_rounds=1,
             )
-            reference = reference_partition_randomized(nx.path_graph(2), **kwargs)
-            dense = partition_randomized(nx.path_graph(2), **kwargs)
+            graph = nx.path_graph(2)  # held: the dense result keeps it weakly
+            reference = reference_partition_randomized(graph, **kwargs)
+            dense = partition_randomized(graph, **kwargs)
             assert _canonical(reference) == _canonical(dense), seed
             stalled += sum(p.cut_after == p.cut_before for p in dense.phases)
         assert stalled
@@ -312,7 +367,7 @@ class TestForestDifferential:
             with pinned_forest() as checked:
                 result = partition_stage1(graph, epsilon=0.1)
             assert checked, (family, seed)
-            assert result.dense_state.size == checked[-1][1]
+            assert result.partition.size == checked[-1][1]
 
     @pytest.mark.parametrize("far", sorted(FAR_FAMILIES))
     def test_far_families_match_bfs_reroot(self, far):

@@ -1,13 +1,12 @@
-"""Tests for Part/Partition bookkeeping and the auxiliary graph."""
+"""Tests for the dict oracle's Part/Partition bookkeeping and auxiliary graph."""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
-from _stage1_reference import AuxiliaryGraph
+from _stage1_reference import AuxiliaryGraph, Part, Partition, build_part
 from repro.errors import PartitionError
-from repro.partition import Part, Partition, build_part
 
 
 class TestBuildPart:

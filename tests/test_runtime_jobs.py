@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from _stage1_reference import to_partition
 from repro.runtime import JobSpec, job_kinds, run_job
 from repro.runtime.cache import config_digest
 
@@ -85,14 +86,15 @@ def test_run_job_far_family():
     ids=["planar", "far"],
 )
 def test_planarity_record_matches_partition(graph_kw):
-    """The record's partition summaries come from the dense state; they
-    equal the :class:`Partition` figures they were read from before."""
+    """The record's partition summaries equal the dict oracle's figures
+    for the same Stage I partition."""
     from repro.testers.planarity import test_planarity as run_planarity
 
     spec = JobSpec.make("test_planarity", epsilon=0.1, **graph_kw)
     record = run_job(spec)
     graph = spec.build_graph()
-    partition = run_planarity(graph, seed=spec.seed, epsilon=0.1).stage1.partition
+    state = run_planarity(graph, seed=spec.seed, epsilon=0.1).stage1.partition
+    partition = to_partition(state, graph)
     summary = (partition.size, partition.cut_size(), partition.max_height())
     assert (record["parts"], record["cut"], record["max_part_height"]) == summary
 
@@ -111,3 +113,17 @@ def test_run_job_applications():
     bip = run_job(JobSpec.make("bipartiteness", family="grid", n=36,
                                epsilon=0.5))
     assert bip["accepted"] is True
+
+
+def test_partition_record_diameter_matches_oracle():
+    """``max_diameter`` in the partition record is the dict oracle's."""
+    from repro.partition import partition_stage1
+
+    spec = JobSpec.make(
+        "partition_stage1", family="delaunay", n=300, epsilon=0.1, target_cut="eps*n"
+    )
+    record = run_job(spec)
+    graph = spec.build_graph()
+    state = partition_stage1(graph, 0.1, target_cut=0.1 * len(graph)).partition
+    assert record["max_diameter"] == to_partition(state, graph).max_diameter()
+    assert record["max_diameter"] == state.max_diameter(graph)

@@ -7,6 +7,7 @@ from unittest import mock
 import networkx as nx
 import pytest
 
+from _stage1_reference import to_partition
 from repro.errors import PartitionError
 from repro.graphs import make_far, make_planar
 from repro.partition import (
@@ -28,7 +29,7 @@ class TestStage1OnPlanar:
     def test_partition_valid(self, planar_zoo):
         for name, graph in planar_zoo:
             result = partition_stage1(graph, epsilon=0.25)
-            result.partition.validate()
+            to_partition(result.partition, graph).validate()
 
     def test_never_rejects_planar(self, planar_zoo):
         for name, graph in planar_zoo:
@@ -54,9 +55,7 @@ class TestStage1OnPlanar:
         graph = make_planar("delaunay", 200, seed=4)
         r1 = partition_stage1(graph, epsilon=0.2)
         r2 = partition_stage1(graph, epsilon=0.2)
-        assert {p: sorted(part.nodes) for p, part in r1.partition.parts.items()} == {
-            p: sorted(part.nodes) for p, part in r2.partition.parts.items()
-        }
+        assert r1.partition.node_sets() == r2.partition.node_sets()
         assert r1.rounds == r2.rounds
 
     def test_rounds_positive_and_ledgered(self, small_grid):
@@ -96,10 +95,10 @@ class TestStage1OnPlanar:
         )
         result = partition_stage1(graph, epsilon=0.5)
         assert result.success
-        result.partition.validate()
+        to_partition(result.partition, graph).validate()
         # parts never span components
-        for part in result.partition.parts.values():
-            assert len({v // 10 for v in part.nodes}) == 1
+        for nodes in result.partition.node_sets().values():
+            assert len({v // 10 for v in nodes}) == 1
 
 
 class TestStage1OnFar:
@@ -142,7 +141,7 @@ class TestRandomizedPartition:
         hits = 0
         for seed in range(5):
             result = partition_randomized(graph, epsilon=0.2, delta=0.1, seed=seed)
-            result.partition.validate()
+            to_partition(result.partition, graph).validate()
             if result.met_target:
                 hits += 1
         assert hits >= 4  # delta = 0.1: expect ~all to succeed
@@ -173,9 +172,7 @@ class TestRandomizedPartition:
         graph = make_planar("delaunay", 150, seed=2)
         a = partition_randomized(graph, epsilon=0.2, seed=42)
         b = partition_randomized(graph, epsilon=0.2, seed=42)
-        assert {p: sorted(part.nodes) for p, part in a.partition.parts.items()} == {
-            p: sorted(part.nodes) for p, part in b.partition.parts.items()
-        }
+        assert a.partition.node_sets() == b.partition.node_sets()
 
     def test_claim14_decay(self):
         """Claim 14 decay bound 1 - 1/(64 alpha), with delta slack."""

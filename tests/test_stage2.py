@@ -7,9 +7,9 @@ import random
 import networkx as nx
 import pytest
 
+from _stage1_reference import build_part, to_partition
 from repro.congest import RoundLedger
 from repro.graphs import make_planar
-from repro.partition import build_part
 from repro.planarity.lr_planarity import LocalGraph
 from repro.testers import stage2
 from repro.testers.stage2 import Stage2Config
@@ -18,7 +18,7 @@ from repro.testers.stage2 import Stage2Config
 def run_part(graph, part, **kwargs):
     """Stage II on *part*, relabeled from its ``graph.subgraph`` view."""
     sub = LocalGraph.from_graph(graph.subgraph(part.nodes))
-    return stage2.test_part(part, sub, **kwargs)
+    return stage2.test_part(part.root, sub, **kwargs)
 
 
 def whole_graph_part(graph, root=0):
@@ -183,7 +183,7 @@ class TestRemark1Coloring:
         result = partition_randomized(
             graph, epsilon=0.25, delta=0.2, seed=4, coloring="randomized"
         )
-        result.partition.validate()
+        to_partition(result.partition, graph).validate()
         assert result.met_target
 
     def test_unknown_coloring(self, small_grid):

@@ -21,12 +21,17 @@ import networkx as nx
 import pytest
 
 from _reference_paths import _pairwise_scan, seed_stage2, violating_mask_bruteforce
-from _stage1_reference import label_cases, reference_stage1, relabeled
+from _stage1_reference import (
+    label_cases,
+    reference_stage1,
+    relabeled,
+    to_partition,
+)
+from repro.congest.topology import compile_topology
 from repro.graphs import make_far, make_planar
 from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
 from repro.graphs.generators import PLANAR_FAMILIES
-from repro.partition import partition_stage1
-from repro.partition.parts import Part, Partition
+from repro.partition import DensePartitionState, partition_stage1
 from repro.planarity.lr_planarity import LocalGraph
 from repro.testers.planarity import PlanarityTestConfig, stage2_over_partition
 from repro.testers.planarity import test_planarity as run_planarity
@@ -117,9 +122,12 @@ class TestTesterDifferential:
         monkeypatch.setattr(planarity_module, "extract_part_subgraphs", fast_path)
         monkeypatch.setattr(violations_module, "_violating_array", fast_path)
         graph = make_planar("grid", 64, seed=0)
-        seed_path = run_seed(graph, 0, epsilon=0.2)
+        with seed_stage2(), reference_stage1() as built:
+            seed_path = run_planarity(
+                graph, seed=0, config=PlanarityTestConfig(epsilon=0.2)
+            )
         assert seed_path.accepted
-        assert seed_path.stage1.dense_state is None  # reference Stage I ran
+        assert len(built) == 1  # the reference Stage I ran
         with pytest.raises(AssertionError, match="fast path reached"):
             run_planarity(graph, seed=0, config=PlanarityTestConfig(epsilon=0.2))
 
@@ -128,8 +136,8 @@ class TestExtraction:
     def test_subgraphs_match_views_exactly(self):
         graph = make_planar("delaunay", 200, seed=1)
         stage1 = partition_stage1(graph, epsilon=0.2)
-        partition = stage1.partition
-        subs = extract_part_subgraphs(graph, partition)
+        partition = to_partition(stage1.partition, graph)
+        subs = extract_part_subgraphs(graph, stage1.partition)
         assert set(subs) == set(partition.parts)
         for pid, part in partition.parts.items():
             view = graph.subgraph(part.nodes)
@@ -142,6 +150,28 @@ class TestExtraction:
                 # Same per-row adjacency iteration order.
                 assert [sub.nodes[j] for j in sub.rows[i]] == list(view.adj[node])
 
+    @pytest.mark.parametrize(
+        "family, relabeling",
+        label_cases(sorted(PLANAR_FAMILIES)) + label_cases(sorted(FAR_FAMILIES)),
+    )
+    def test_matches_oracle_views(self, family, relabeling):
+        """Node order and rows equal those of each oracle part's own
+        ``graph.subgraph(part.nodes)`` view."""
+        for n in (300, 1500) if family in PLANAR_FAMILIES else (300,):
+            if family in PLANAR_FAMILIES:
+                graph = make_planar(family, n, seed=0)
+            else:
+                graph = make_far(family, n, seed=0)[0]
+            graph = relabeled(graph, relabeling)
+            state = partition_stage1(graph, epsilon=0.1).partition
+            subs = extract_part_subgraphs(graph, state)
+            parts = to_partition(state, graph).parts
+            assert list(subs) == list(parts)
+            for pid, part in parts.items():
+                reference = LocalGraph.from_graph(graph.subgraph(part.nodes))
+                assert subs[pid].nodes == reference.nodes, (n, pid)
+                assert subs[pid].rows == reference.rows, (n, pid)
+
     def test_extraction_matches_view_relabeling(self):
         # A part larger than half the graph iterates in parent order, a
         # small one in its node set's order; relabeling the grid makes the
@@ -151,11 +181,20 @@ class TestExtraction:
         graph = nx.relabel_nodes(grid, {v: 7 * v % 36 for v in grid})
         big = frozenset(7 * v % 36 for v in range(30))
         small = frozenset(7 * v % 36 for v in range(30, 36))
-        partition = Partition(graph, [Part(0, big), Part(30, small)])
-        subs = extract_part_subgraphs(graph, partition)
+        # Extraction reads part membership only, so star-shaped parent
+        # vectors (not graph edges) are enough to name the two parts.
+        topology = compile_topology(graph)
+        index = topology.index
+        parent = [-1] * 36
+        for root, part in ((0, big), (30, small)):
+            for v in part - {root}:
+                parent[index[v]] = index[root]
+        state = DensePartitionState.from_forest(topology, parent)
+        assert state.node_sets() == {0: big, 30: small}
+        subs = extract_part_subgraphs(graph, state)
         assert subs[30].nodes != [v for v in graph if v in small]
-        for pid, part in partition.parts.items():
-            reference = LocalGraph.from_graph(graph.subgraph(part.nodes))
+        for pid, nodes in state.node_sets().items():
+            reference = LocalGraph.from_graph(graph.subgraph(nodes))
             assert subs[pid].nodes == reference.nodes
             assert subs[pid].rows == reference.rows
 
