@@ -72,6 +72,8 @@ class CompiledTopology:
             dense index ``i`` are ``indices[indptr[i]:indptr[i + 1]]``.
         indices: CSR column indices (dense neighbor indices, ascending
             within each row).
+        columns: int64 numpy vector of the same rows in the source
+            graph's ``_adj`` order, which Stage II's extraction keeps.
         degrees: dense degree table (``degrees[i]`` = degree of node
             ``nodes[i]``).
         neighbors: node id -> tuple of neighbor ids in dense order (the
@@ -93,6 +95,7 @@ class CompiledTopology:
         "index",
         "indptr",
         "indices",
+        "columns",
         "degrees",
         "bandwidth_bits",
         "_neighbors",
@@ -134,6 +137,7 @@ class CompiledTopology:
         np.cumsum(degrees, out=indptr[1:])
         self.indptr = _int_array(indptr)
         self.indices = _int_array(keys - rows * n)
+        self.columns = columns
         self.degrees = _int_array(degrees)
         self.bandwidth_bits = default_bandwidth_bits(n)
         self._neighbors = None

@@ -239,9 +239,7 @@ def _run_violation_audit(spec: JobSpec, _graph) -> Record:
     root = local.index[0]
     parents, _depths = deterministic_bfs_tree(local, root)
     positions, universe = euler_tour_positions(local, root, ring, parents)
-    corner = [
-        (a, b) for a, b, _u, _v in corner_intervals(local, parents, positions)
-    ]
+    corner = corner_intervals(local, parents, positions, ring)
     ranks = embedding_ranks(local, root, ring, parents)
     preorder = [
         (a, b) for a, b, _u, _v in non_tree_intervals(local, parents, ranks)
@@ -383,8 +381,10 @@ def _run_stage2_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
     root = local.index[0]
     parents, _depths = deterministic_bfs_tree(local, root)
     positions, _total = euler_tour_positions(local, root, lr.ring, parents)
-    nodes, n = local.nodes, local.n
-    emulated = {(nodes[k // n], nodes[k % n]): p for k, p in positions.items()}
+    nodes, to = local.nodes, lr.ring.targets()
+    emulated = {
+        (nodes[to[h ^ 1]], nodes[to[h]]): p for h, p in enumerate(positions) if p >= 0
+    }
     return {
         "accepted": distributed.accepted,
         "agree": distributed.accepted and distributed.positions == emulated,

@@ -13,7 +13,8 @@ representation of the order.
 Every function takes a relabeled
 :class:`~repro.planarity.lr_planarity.LocalGraph` and walks a
 :class:`~repro.planarity.rotation.HalfEdgeRing` and int lists over its
-indices.  Callers holding a networkx graph relabel once with
+indices; corner positions are a list over the ring's half-edges.
+Callers holding a networkx graph relabel once with
 :meth:`LocalGraph.from_graph` and get the ring from
 :func:`~repro.planarity.lr_planarity.check_planarity` or
 :func:`~repro.planarity.embedding.identity_rotation`, which keep the
@@ -22,7 +23,7 @@ networkx boundary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import GraphInputError
 from ..planarity.lr_planarity import LocalGraph
@@ -44,26 +45,24 @@ def deterministic_bfs_tree(
     """
     rows = graph.rows
     n = len(rows)
+    keys = graph.id_keys()
     depth = [-1] * n
+    parent = [-1] * n
     depth[root] = 0
     order = [root]
     for v in order:  # grows while it is walked: the BFS queue
         d = depth[v] + 1
+        key = keys[v]
         for w in rows[v]:
-            if depth[w] < 0:
+            dw = depth[w]
+            if dw < 0:
                 depth[w] = d
+                parent[w] = v
                 order.append(w)
+            elif dw == d and key < keys[parent[w]]:  # a smaller announcer
+                parent[w] = v
     if len(order) != n:
         raise GraphInputError("BFS labeling requires a connected part")
-    keys = graph.id_keys()
-    parent = [-1] * n
-    for v in order[1:]:
-        up = depth[v] - 1
-        best = -1
-        for w in rows[v]:
-            if depth[w] == up and (best < 0 or keys[w] < keys[best]):
-                best = w
-        parent[v] = best
     return parent, depth
 
 
@@ -149,7 +148,7 @@ def max_label_length(depths: Sequence[int]) -> int:
 
 def euler_tour_positions(
     graph: LocalGraph, root: int, rotation: HalfEdgeRing, parents: Sequence[int]
-) -> Tuple[Dict[int, int], int]:
+) -> Tuple[List[int], int]:
     """Corner positions of non-tree half-edges along the tree's Euler tour.
 
     The complement of a spanning tree in the sphere is a single disk whose
@@ -170,17 +169,16 @@ def euler_tour_positions(
     prefix sums of subtree corner counts down ``T_B``).
 
     Returns:
-        (positions, total): ``positions`` maps each non-tree half-edge
-        ``v -> x`` (keyed ``v * n + x``) to its walk position, in walk
-        order; ``total`` is the number of positions assigned (= 2 *
-        number of non-tree edges).
+        (positions, total): ``positions[h]`` is the walk position of
+        *rotation*'s half-edge ``h`` when it is a non-tree half-edge and
+        ``-1`` when it is a tree half-edge; ``total`` is the number of
+        positions assigned (= 2 * number of non-tree edges).
     """
-    n = graph.n
-    positions: Dict[int, int] = {}
-    if n <= 1:
-        return positions, 0
     nxt = rotation.nxt
     to = rotation.targets()
+    positions = [-1] * len(to)
+    if graph.n <= 1:
+        return positions, 0
 
     # Start by traversing the first tree edge of the root's rotation; the
     # gap preceding it is scanned on the final return.
@@ -193,18 +191,16 @@ def euler_tour_positions(
             raise GraphInputError("the root has no tree edge")
     current = to[start]
     incoming = start ^ 1  # the tour's current half-edge, seen from `current`
-    base = current * n
     counter = 0
-    for _ in range(2 * (n - 1) - 1):  # the remaining tree half-edges
+    for _ in range(2 * (graph.n - 1) - 1):  # the remaining tree half-edges
         h = nxt[incoming]
         while True:
             w = to[h]
             if parents[w] == current or parents[current] == w:
                 current = w
                 incoming = h ^ 1
-                base = w * n
                 break
-            positions[base + w] = counter
+            positions[h] = counter
             counter += 1
             h = nxt[h]
 
@@ -217,30 +213,39 @@ def euler_tour_positions(
         w = to[h]
         if parents[w] == root or parents[root] == w:
             raise GraphInputError("Euler tour missed a tree edge")
-        positions[base + w] = counter
+        positions[h] = counter
         counter += 1
         h = nxt[h]
     return positions, counter
 
 
 def corner_intervals(
-    graph: LocalGraph, parents: Sequence[int], positions: Dict[int, int]
-) -> List[Tuple[int, int, int, int]]:
-    """Non-tree edges as corner-position intervals ``(a, b, u, v)``, a < b.
+    graph: LocalGraph, parents: List[int], positions: List[int], ring: HalfEdgeRing
+) -> List[Tuple[int, int]]:
+    """Non-tree edges as corner-position intervals ``(a, b)``, a < b.
 
-    All 2k endpoints are distinct, so interlacement is exactly strict
-    alternation around the disk boundary.  Intervals come in networkx's
-    ``graph.edges()`` order, which fixes the sampling order downstream.
+    *positions* is :func:`euler_tour_positions`' list over the half-edges
+    of *ring*, the rotation it walked.  All 2k endpoints are distinct, so
+    interlacement is exactly strict alternation around the disk boundary.
+    Intervals come in networkx's ``graph.edges()`` order, which fixes the
+    sampling order downstream.
     """
-    # networkx yields edge (u, v) from u's row when v comes later.
-    n = graph.n
+    first = ring.first
+    nxt = ring.nxt
+    to = ring.targets()
+    half = [0] * graph.n  # u's half-edge to each neighbor, filled per row
     intervals = []
+    # networkx yields edge (u, v) from u's row when v comes later.
     for u, row in enumerate(graph.rows):
+        h = first[u]
+        for _ in row:  # u's ring has one half-edge per row entry
+            half[to[h]] = h
+            h = nxt[h]
         pu = parents[u]
-        base = u * n
         for v in row:
             if v > u and v != pu and parents[v] != u:
-                a = positions[base + v]
-                b = positions[v * n + u]
-                intervals.append((b, a, v, u) if a > b else (a, b, u, v))
+                h = half[v]
+                a = positions[h]
+                b = positions[h ^ 1]
+                intervals.append((b, a) if a > b else (a, b))
     return intervals

@@ -27,6 +27,7 @@ from ..congest.ledger import TreeCostModel
 from ..graphs.utils import require_simple
 from ..partition.stage1 import partition_stage1
 from ..runtime.seeding import derive_rng
+from ..telemetry import get_tracer
 from .results import PlanarityTestResult
 from .stage2 import Stage2Config, extract_part_subgraphs, test_part
 
@@ -84,7 +85,8 @@ def stage2_over_partition(
     verdicts = []
     rejecting = []
     max_part_rounds = 0
-    subgraphs = extract_part_subgraphs(graph, state)
+    with get_tracer().span("stage2.extract", parts=len(state.sizes)):
+        subgraphs = extract_part_subgraphs(graph, state)
     for pid in sorted(subgraphs, key=repr):
         rng = derive_rng(seed, repr(pid), "stage2")
         verdict = test_part(

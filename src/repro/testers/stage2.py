@@ -17,7 +17,7 @@ parallel; the stage's round cost is the maximum over parts):
 5. sample ``s = Theta(log n / epsilon)`` non-tree edges and reject when
    any sampled edge interlaces another non-tree edge (Definition 7).
 
-All parts are relabeled in one pass over the parent adjacency
+All parts are relabeled at once from the compiled CSR
 (:func:`extract_part_subgraphs`), each to a
 :class:`~repro.planarity.lr_planarity.LocalGraph` over indices
 ``0..n_j-1``; the BFS, the LR embedding (a half-edge ring), the corner
@@ -43,10 +43,12 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 import networkx as nx
+import numpy as np
 
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..planarity.embedding import identity_rotation
 from ..planarity.lr_planarity import LocalGraph, check_planarity
+from ..telemetry import get_tracer
 from .labels import (
     corner_intervals,
     deterministic_bfs_tree,
@@ -82,32 +84,49 @@ class Stage2Config:
 
 
 def extract_part_subgraphs(graph: nx.Graph, state) -> dict:
-    """Every part relabeled to a :class:`LocalGraph`, in one pass.
+    """Every part of the dense *state* relabeled to a :class:`LocalGraph`.
 
-    Each part's node order is taken by iterating its
-    ``graph.subgraph(nodes)`` view (``state.node_sets()``) once: networkx
-    filter atlases pick parent order or filter-set order by relative size,
-    so only the view itself is an authoritative order source.  Each row
-    is the parent's ``graph._adj[v]`` order filtered by the part's index
-    dict -- exactly what the view's per-row filter atlas yields.  Every
-    order-sensitive step (the LR embedding, whose rotation system drives
-    the corner labels and so the sampled intervals) then sees the
-    sequence it would see through the view, without a view filter on
-    every access.
+    Rows come from the compiled CSR: one masked selection keeps the
+    ``columns`` slots (the parent's ``_adj`` order) whose endpoints share
+    a part, and one gather maps them to part-local indices, so each row
+    is a slice of one flat list.  Node order is what the part's
+    ``graph.subgraph(nodes)`` view yields (``nodes`` as
+    ``state.node_sets()`` builds it): networkx's filter atlas walks
+    ``set(iter(nodes))`` when ``2 |P| < n``, else the graph's own node
+    order filtered to the part.  So every order-sensitive step (the LR
+    embedding, whose rotation drives the corner labels and so the
+    sampled intervals) sees the sequence it would see through the view.
 
     Returns a mapping ``pid -> LocalGraph`` (``pid`` the root's id).
     """
-    parent_adj = graph._adj
-    parts: dict = {}
-    for pid, members in state.node_sets().items():
-        nodes = list(graph.subgraph(members))
-        index = {v: i for i, v in enumerate(nodes)}
-        find = index.get
-        parts[pid] = LocalGraph(
-            nodes,
-            index,
-            [[j for j in map(find, parent_adj[v]) if j is not None] for v in nodes],
-        )
+    topology = state.topology
+    ids, index, part_of = topology.nodes, topology.index, state.part_of
+    grouped = np.argsort(part_of, kind="stable").tolist()
+    # A subgraph view's own ``subgraph`` filters the graph it views.
+    base = graph._graph if hasattr(graph, "_NODE_OK") else graph
+    local = np.empty(topology.n, dtype=np.int64)  # node -> index in its part
+    orders = []
+    start = 0
+    for root, size in state.sizes.items():
+        if 2 * size < len(base):
+            members = frozenset(ids[i] for i in grouped[start : start + size])
+            order = [index[v] for v in set(iter(members))]
+        else:
+            order = np.fromiter((index[v] for v in base if v in index), np.int64)
+            order = order[part_of[order] == root].tolist()
+        local[order] = np.arange(size)
+        orders.append(order)
+        start += size
+    owner, columns = topology.batch_arrays().row_owner, topology.columns
+    keep = part_of[owner] == part_of[columns]
+    ptr = [0, *np.cumsum(np.bincount(owner[keep], minlength=topology.n)).tolist()]
+    flat = local[columns[keep]].tolist()
+    parts = {}
+    for root, order in zip(state.sizes, orders):
+        nodes = [ids[i] for i in order]
+        rows = [flat[ptr[i] : ptr[i + 1]] for i in order]
+        local_index = dict(zip(nodes, range(len(nodes))))
+        parts[ids[root]] = LocalGraph(nodes, local_index, rows)
     return parts
 
 
@@ -141,9 +160,11 @@ def test_part(
     local = RoundLedger()
     n, m = sub.n, sub.m
     root = sub.index[pid]
+    tracer = get_tracer()  # its spans are no-ops while telemetry is off
 
     # 1. BFS tree + counts (Section 2.2.1).
-    parents, depths = deterministic_bfs_tree(sub, root)
+    with tracer.span("stage2.labels"):
+        parents, depths = deterministic_bfs_tree(sub, root)
     depth = max(depths, default=0)
     local.charge(depth + 1, "stage2.bfs", f"BFS tree of depth {depth}")
     local.charge(
@@ -180,7 +201,8 @@ def test_part(
         "stage2.embedding",
         f"planar embedding, D<={diameter_bound} (Ghaffari-Haeupler bound)",
     )
-    lr = check_planarity(sub)
+    with tracer.span("stage2.embed"):
+        lr = check_planarity(sub)
     if lr.is_planar:
         ring = lr.ring
         embedding_planar = True
@@ -191,15 +213,15 @@ def test_part(
         embedding_planar = False
 
     # 4. Labels: corner positions on the tree's Euler tour.
-    positions, universe = euler_tour_positions(sub, root, ring, parents)
-    intervals_full = corner_intervals(sub, parents, positions)
+    with tracer.span("stage2.labels"):
+        positions, universe = euler_tour_positions(sub, root, ring, parents)
+        intervals = corner_intervals(sub, parents, positions, ring)
     label_words = max_label_length(depths)
     local.charge(
         model.broadcast(depth, max(1, label_words)),
         "stage2.labels",
         f"distribute labels of <= {label_words} words",
     )
-    intervals = [(a, b) for (a, b, _u, _v) in intervals_full]
 
     mask = (
         violating_mask(intervals, universe=universe)
@@ -212,7 +234,8 @@ def test_part(
     # the violating mask, reusing the analysis mask when it was already
     # computed.
     s = sample_size(n_total, config)
-    outcome = sample_and_detect(intervals, s, rng, universe=universe, mask=mask)
+    with tracer.span("stage2.sample"):
+        outcome = sample_and_detect(intervals, s, rng, universe=universe, mask=mask)
     label_cost = max(1, 2 * label_words)
     local.charge(
         model.convergecast(depth, max(1, outcome.sampled))

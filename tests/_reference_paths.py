@@ -325,7 +325,7 @@ def labels_by_id(graph, root, rotation=None):
     intervals as ``(a, b)`` pairs.
     """
     local = LocalGraph.from_graph(graph)
-    nodes, index, n = local.nodes, local.index, local.n
+    nodes, index = local.nodes, local.index
     r = index[root]
     parent, depth = deterministic_bfs_tree(local, r)
     out = SimpleNamespace(
@@ -340,10 +340,11 @@ def labels_by_id(graph, root, rotation=None):
     ranks = embedding_ranks(local, r, ring, parent)
     positions, out.total = euler_tour_positions(local, r, ring, parent)
     out.ranks = dict(zip(nodes, ranks))
-    out.positions = {(nodes[k // n], nodes[k % n]): p for k, p in positions.items()}
-    out.corner = [
-        (a, b) for a, b, _u, _v in corner_intervals(local, parent, positions)
-    ]
+    to = ring.targets()
+    out.positions = {
+        (nodes[to[h ^ 1]], nodes[to[h]]): p for h, p in enumerate(positions) if p >= 0
+    }
+    out.corner = corner_intervals(local, parent, positions, ring)
     out.preorder = [
         (a, b) for a, b, _u, _v in non_tree_intervals(local, parent, ranks)
     ]

@@ -7,6 +7,9 @@ dict-keyed port of the same pseudocode kept in ``_lr_reference``.
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +18,10 @@ from hypothesis import strategies as st
 from _lr_reference import reference_check_planarity
 from repro.errors import GraphInputError
 from repro.graphs import make_planar
+from repro.partition import partition_stage1
 from repro.planarity import check_planarity, is_planar, verify_planar_embedding
+from repro.planarity.lr_planarity import LocalGraph, lr_embedding
+from repro.testers.stage2 import extract_part_subgraphs
 
 
 def assert_agrees_with_oracle(graph):
@@ -263,3 +269,65 @@ class TestReferenceOracle:
             make_planar("delaunay", 120, seed=1), lambda v: f"n{v}"
         )
         assert_matches_reference(graph)
+
+
+def exit_site(graph):
+    """Which of :func:`lr_embedding`'s ``return None`` lines ends its run
+    on *graph*: 0 for the density early-out, 1 and 2 for the testing
+    phase's two conflict exits, ``None`` for an embedding."""
+    source, start = inspect.getsourcelines(lr_embedding)
+    sites = [start + i for i, line in enumerate(source) if "return None" in line]
+    code = lr_embedding.__code__
+    returned = []
+
+    def trace(frame, event, _arg):
+        if frame.f_code is not code:
+            return None
+        if event == "return":
+            returned.append(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        ring = lr_embedding(LocalGraph.from_graph(graph))
+    finally:
+        sys.settrace(previous)
+    assert (ring is None) == (returned[-1] in sites)
+    return sites.index(returned[-1]) if ring is None else None
+
+
+# Non-planar inputs by the exit_site they take.
+EXIT_CASES = {
+    "k5": (lambda: nx.complete_graph(5), 0),
+    "k33": (lambda: nx.complete_bipartite_graph(3, 3), 1),
+    "petersen": (nx.petersen_graph, 2),
+    "gnp-1": (lambda: nx.gnp_random_graph(9, 0.5, seed=1), 0),
+    "gnp-12": (lambda: nx.gnp_random_graph(9, 0.5, seed=12), 1),
+    "gnp-5": (lambda: nx.gnp_random_graph(9, 0.5, seed=5), 2),
+}
+
+
+class TestLRDifferential:
+    """The int LR's rings against the dict reference on the inputs the
+    tester feeds it, and each of its non-planar exits taken."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_delaunay_parts_match_reference(self, seed):
+        graph = make_planar("delaunay", 2000, seed=seed)
+        state = partition_stage1(graph, epsilon=0.1).partition
+        subs = extract_part_subgraphs(graph, state)
+        assert len(subs) > 1
+        for pid, sub in subs.items():
+            ring = lr_embedding(sub)
+            planar, rotation = reference_check_planarity(graph.subgraph(sub.nodes))
+            assert planar and ring is not None, pid
+            assert ring.to_rotation_system(sub.nodes).to_dict() == rotation.to_dict()
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CASES))
+    def test_nonplanar_exit_sites(self, name):
+        build, site = EXIT_CASES[name]
+        graph = build()
+        assert exit_site(graph) == site
+        assert not reference_check_planarity(graph)[0]
+        assert not nx.check_planarity(graph)[0]

@@ -20,8 +20,14 @@ import random
 import networkx as nx
 import pytest
 
-from _reference_paths import _pairwise_scan, seed_stage2, violating_mask_bruteforce
+from _reference_paths import (
+    _pairwise_scan,
+    _per_part_views,
+    seed_stage2,
+    violating_mask_bruteforce,
+)
 from _stage1_reference import (
+    RELABELINGS,
     label_cases,
     reference_stage1,
     relabeled,
@@ -197,6 +203,92 @@ class TestExtraction:
             reference = LocalGraph.from_graph(graph.subgraph(nodes))
             assert subs[pid].nodes == reference.nodes
             assert subs[pid].rows == reference.rows
+
+
+def shuffled(graph, seed):
+    """*graph* rebuilt with nodes and edges inserted in a shuffled order,
+    so its node order and every ``_adj`` row differ from ``id_key`` order."""
+    rng = random.Random(seed)
+    nodes, edges = list(graph), list(graph.edges())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    out = nx.Graph()
+    out.add_nodes_from(nodes)
+    out.add_edges_from(edges)
+    return out
+
+
+def forest_state(graph, parts):
+    """A dense state whose parts are *parts* (lists of dense indices, root
+    first), each a star: extraction reads membership only."""
+    topology = compile_topology(graph)
+    parent = [-1] * topology.n
+    for part in parts:
+        for i in part[1:]:
+            parent[i] = part[0]
+    return DensePartitionState.from_forest(topology, parent)
+
+
+class TestExtractionOrder:
+    """The array extraction against the view oracle on shuffled inputs,
+    through both of networkx's filter-atlas branches."""
+
+    @staticmethod
+    def assert_matches_views(graph, state):
+        subs = extract_part_subgraphs(graph, state)
+        views = _per_part_views(graph, state)
+        assert set(subs) == set(views)
+        for pid, view in views.items():
+            sub = subs[pid]
+            assert sub.nodes == view.nodes, pid
+            assert sub.rows == view.rows, pid
+            assert sub.index == view.index, pid
+        return subs
+
+    @pytest.mark.parametrize("relabeling", sorted(RELABELINGS))
+    def test_stage1_parts(self, relabeling):
+        graph = relabeled(make_planar("delaunay", 300, seed=2), relabeling)
+        graph = shuffled(graph, 5)
+        state = partition_stage1(graph, epsilon=0.1).partition
+        self.assert_matches_views(graph, state)
+
+    @pytest.mark.parametrize("relabeling", sorted(RELABELINGS))
+    @pytest.mark.parametrize("layout", ["halves", "big+small"])
+    def test_large_and_small_parts(self, relabeling, layout):
+        graph = relabeled(make_planar("delaunay", 120, seed=4), relabeling)
+        graph = shuffled(graph, 9)
+        topology = compile_topology(graph)
+        dense = list(range(topology.n))
+        random.Random(3).shuffle(dense)
+        if layout == "halves":  # 2|P| == n: both parts take the graph order
+            parts = [sorted(dense[:60]), sorted(dense[60:])]
+        else:  # one part in the graph order, the rest in set order
+            parts = [sorted(dense[k : k + 5]) for k in range(100, 120, 5)]
+            parts.insert(0, sorted(dense[:100]))
+        subs = self.assert_matches_views(graph, forest_state(graph, parts))
+        # The orders differ from the dense order and, for small parts, from
+        # the graph order, so neither shortcut would pass.
+        ids, order = topology.nodes, list(graph)
+        big = subs[ids[parts[0][0]]]
+        assert big.nodes != [ids[i] for i in parts[0]]
+        if layout == "big+small":
+            assert any(
+                subs[ids[p[0]]].nodes != [v for v in order if topology.index[v] in p]
+                for p in parts[1:]
+            )
+
+    def test_subgraph_view_input(self):
+        base = shuffled(make_planar("delaunay", 200, seed=6), 1)
+        graph = base.subgraph(list(base)[:150])
+        state = partition_stage1(graph, epsilon=0.1).partition
+        self.assert_matches_views(graph, state)
+        dense = list(range(150))
+        random.Random(8).shuffle(dense)
+        # The view's own subgraph compares 2|P| with the base graph's 200
+        # nodes: two parts of 75 take the set order, not the view's order.
+        for split in (60, 75, 100):
+            parts = [sorted(dense[:split]), sorted(dense[split:])]
+            self.assert_matches_views(graph, forest_state(graph, parts))
 
 
 class TestSamplingFastPath:
