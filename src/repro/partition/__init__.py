@@ -1,6 +1,5 @@
 """Stage I partitioning: deterministic (Thm 1/3) and randomized (Thm 4)."""
 
-from .coloring import cole_vishkin_emulated, randomized_coloring_emulated
 from .dense import DenseAuxiliaryGraph, DensePartitionState, MarkingResult
 from .stage1 import (
     PhaseStats,
@@ -17,8 +16,6 @@ __all__ = [
     "PhaseStats",
     "RandomizedPartitionResult",
     "Stage1Result",
-    "cole_vishkin_emulated",
-    "randomized_coloring_emulated",
     "partition_randomized",
     "partition_stage1",
     "theoretical_phase_cap",

@@ -39,10 +39,9 @@ import networkx as nx
 import numpy as np
 
 from ..congest.ledger import RoundLedger, TreeCostModel
-from ..congest.programs.cole_vishkin import cv_schedule
+from ..congest.programs.cole_vishkin import cv_schedule, cv_step_value
 from ..congest.topology import CompiledTopology
 from ..errors import PartitionError
-from .coloring import cole_vishkin_emulated
 
 _MAX_ID = 2**62  # int64 headroom for the vectorized CV bit tricks
 
@@ -372,13 +371,13 @@ def weighted_selection_dense(
 
 
 class RootSeeds:
-    """Cole-Vishkin start colors of part roots, by the emulated default rule.
+    """Cole-Vishkin start colors of part roots, by the CONGEST default rule.
 
-    :func:`~repro.partition.coloring.cole_vishkin_emulated` seeds each
-    node with its label when every current label is an ``int >= 0``
-    (bools included) and with its rank in ``repr`` order otherwise.
-    Called with the current roots' dense indices, this returns the same
-    seeds as Python ints; the per-node label test runs once, here.
+    A root is seeded with its label when every current root label is an
+    ``int >= 0`` (bools included) and with its rank in ``repr`` order
+    otherwise, so any hashable labels give distinct non-negative seeds.
+    Called with the current roots' dense indices, this returns the seeds
+    as Python ints; the per-node label test runs once, here.
     """
 
     def __init__(self, ids: Sequence):
@@ -410,38 +409,15 @@ def color_roots(
     height: int = 0,
     category: str = "stage1.coloring",
 ) -> Tuple["np.ndarray", int]:
-    """Cole-Vishkin 3-coloring of the compact pseudoforest *parent* from *seeds*.
-
-    Seeds below ``2**62`` run vectorized (:func:`cole_vishkin_dense`);
-    larger ones overflow its int64 bit tricks and run through
-    :func:`~repro.partition.coloring.cole_vishkin_emulated`, which
-    applies the same rules on Python ints.  Both charge the ledger alike,
-    under *category*.
-    """
-    if max(seeds, default=0) < _MAX_ID:
-        return cole_vishkin_dense(
-            parent,
-            np.array(seeds, dtype=np.int64),
-            ledger=ledger,
-            cost_model=cost_model,
-            height=height,
-            category=category,
-        )
-    parents = {c: (p if p >= 0 else None) for c, p in enumerate(parent.tolist())}
-    colors, rounds = cole_vishkin_emulated(
-        parents,
-        initial_colors=dict(enumerate(seeds)),
-        ledger=ledger,
-        cost_model=cost_model,
-        height=height,
-        category=category,
-    )
-    return np.array([colors[c] for c in range(len(seeds))], dtype=np.int64), rounds
+    """Sub-step 2a: Cole-Vishkin 3-coloring of the compact pseudoforest
+    *parent* from the roots' *seeds* (:class:`RootSeeds`), charged to
+    *ledger* under *category*."""
+    return cole_vishkin_dense(parent, seeds, ledger, cost_model, height, category)
 
 
 def cole_vishkin_dense(
     parent: "np.ndarray",
-    init_colors: "np.ndarray",
+    init_colors: Sequence[int],
     ledger: Optional[RoundLedger] = None,
     cost_model: Optional[TreeCostModel] = None,
     height: int = 0,
@@ -449,23 +425,39 @@ def cole_vishkin_dense(
 ) -> Tuple["np.ndarray", int]:
     """Vectorized Cole-Vishkin 3-coloring of a compact pseudoforest.
 
-    Array port of :func:`repro.partition.coloring.cole_vishkin_emulated`
-    for the deterministic engine: *parent* holds compact parent indices
-    (-1 at roots) and *init_colors* distinct initial colors in
-    ``[0, 2**62)`` (see :class:`RootSeeds`).  Every phase applies the
-    exact update rules of ``_apply_phase`` -- the shared
-    :func:`cv_schedule` drives both -- so the final coloring is
-    identical; the same ledger charge is recorded.
+    *parent* holds compact parent indices (-1 at roots) and
+    *init_colors* distinct non-negative ints of any size, one per node.
+    Every phase of :func:`cv_schedule` applies the update rules of the
+    simulated protocol (:mod:`repro.congest.programs.cole_vishkin`).
+    int64 bit tricks need colors below ``2**62``; larger seeds run the
+    schedule's first ``cv`` phase on Python ints with
+    :func:`cv_step_value`, which leaves every color below twice the
+    largest seed's bit length, and the rest on int64.  The ledger is
+    charged ``len(schedule)`` super-rounds of
+    ``aux_message_relay(height)`` rounds each.
     """
     k = len(parent)
     roots = parent < 0
     safe_parent = np.where(roots, np.arange(k, dtype=np.int64), parent)
     nonroot = ~roots
-    colors = init_colors.astype(np.int64)
     one = np.int64(1)
 
-    schedule = cv_schedule(int(colors.max()) if k else 1)
-    for phase in schedule:
+    top = int(max(init_colors, default=1))
+    schedule = cv_schedule(top)
+    if top >= _MAX_ID:
+        seeds = [int(c) for c in init_colors]
+        colors = np.array(
+            [
+                cv_step_value(c, c ^ 1 if p < 0 else seeds[p])
+                for c, p in zip(seeds, parent.tolist())
+            ],
+            dtype=np.int64,
+        )
+        phases = schedule[1:]  # every schedule opens with a "cv" phase
+    else:
+        colors = np.array(init_colors, dtype=np.int64)
+        phases = schedule
+    for phase in phases:
         pc = colors[safe_parent]
         if phase == "cv":
             own = colors
@@ -504,6 +496,62 @@ def cole_vishkin_dense(
             f"(height {height})",
         )
     return colors, len(schedule)
+
+
+def randomized_coloring_dense(
+    parent: "np.ndarray",
+    rounds: int,
+    rng,
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+    height: int = 0,
+    category: str = "randomized.coloring",
+) -> Tuple["np.ndarray", int]:
+    """Remark 1: constant-round randomized 3-coloring with abstention.
+
+    Every node of the compact pseudoforest *parent* (-1 at roots) draws
+    ``rng.randrange(3)`` in ascending index order; for up to *rounds*
+    super-rounds, the nodes whose color equals their parent's redraw,
+    again in ascending order.  Each conflicted node resolves with
+    probability 2/3 per round, so after ``r`` rounds the expected
+    conflict fraction is ``3^-r``.  A node still conflicted after the
+    budget **abstains** (color -1) unless its parent already has: the
+    abstentions are decided in one ascending pass, so a child whose
+    parent abstained keeps its color.  The marking step ignores
+    abstainers, which can only reduce the contracted weight --
+    correctness (Claim 15) holds unconditionally, and only the per-phase
+    decay degrades with the (exponentially small) abstention rate.  This
+    removes the ``log* n`` of Cole-Vishkin for constant success
+    probability, realizing the paper's Remark 1 trade-off.
+
+    Returns (colors with -1 for abstainers, number of abstaining nodes).
+    """
+    if rounds < 1:
+        raise PartitionError("randomized coloring needs at least one round")
+    k = len(parent)
+    nonroot = parent >= 0
+    safe_parent = np.where(nonroot, parent, np.arange(k, dtype=np.int64))
+    colors = np.array([rng.randrange(3) for _ in range(k)], dtype=np.int64)
+    for _ in range(rounds):
+        conflicted = np.flatnonzero(nonroot & (colors == colors[safe_parent]))
+        if not len(conflicted):
+            break
+        colors[conflicted] = [rng.randrange(3) for _ in range(len(conflicted))]
+    abstaining = 0
+    for v in np.flatnonzero(nonroot & (colors == colors[safe_parent])).tolist():
+        if colors[parent[v]] >= 0:  # -1: its parent abstained earlier in the pass
+            colors[v] = -1
+            abstaining += 1
+    if ledger is not None:
+        model = cost_model or TreeCostModel()
+        per_round = model.aux_message_relay(height)
+        ledger.charge(
+            rounds * per_round,
+            category,
+            f"{rounds} randomized-coloring super-rounds x {per_round} rounds "
+            f"(height {height}); {abstaining} abstentions",
+        )
+    return colors, abstaining
 
 
 @dataclass

@@ -27,12 +27,10 @@ from functools import partial
 from typing import Optional
 
 import networkx as nx
-import numpy as np
 
 from ..congest.ledger import RoundLedger, TreeCostModel
 from ..graphs.utils import adjacency_slots
 from . import dense
-from .coloring import randomized_coloring_emulated
 from .stage1 import Stage1Result, partition_stage1, run_phases, theoretical_phase_cap
 
 
@@ -139,16 +137,10 @@ def partition_randomized(
         if coloring == "cole-vishkin":
             category = "randomized.coloring"
             return dense.color_roots(parent, seeds(), ledger, model, height, category)
-        drawn, _abstaining = randomized_coloring_emulated(
-            {c: (p if p >= 0 else None) for c, p in enumerate(parent.tolist())},
-            rounds=coloring_rounds,
-            rng=rng,
-            ledger=ledger,
-            cost_model=model,
-            height=height,
+        colors, _abstaining = dense.randomized_coloring_dense(
+            parent, coloring_rounds, rng, ledger, model, height
         )
-        colors = [-1 if c is None else c for c in drawn.values()]
-        return np.array(colors, dtype=np.int64), coloring_rounds
+        return colors, coloring_rounds
 
     result = partial(RandomizedPartitionResult, trials=trials, delta=delta)
     return run_phases(

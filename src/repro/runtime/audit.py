@@ -325,9 +325,11 @@ def _run_forest_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
 
 
 def _run_cv_agreement(spec: JobSpec, _graph) -> Record:
-    """Simulated vs emulated Cole-Vishkin on a rooted path."""
+    """Simulated Cole-Vishkin vs Stage I's ``color_roots`` on a rooted path."""
+    import numpy as np
+
     from ..congest.programs import cole_vishkin_coloring
-    from ..partition import cole_vishkin_emulated
+    from ..partition.dense import color_roots
 
     length = spec.params.get("length", 120)
     graph = nx.path_graph(length)
@@ -335,11 +337,12 @@ def _run_cv_agreement(spec: JobSpec, _graph) -> Record:
     sim_colors, sim_rounds = cole_vishkin_coloring(
         graph, parents, seed=spec.seed
     )
-    emu_colors, emu_super = cole_vishkin_emulated(parents)
+    parent = np.arange(-1, length - 1, dtype=np.int64)
+    emu_colors, emu_super = color_roots(parent, list(range(length)))
     return {
         "n": length,
         "m": length - 1,
-        "agree": sim_colors == emu_colors,
+        "agree": sim_colors == dict(enumerate(emu_colors.tolist())),
         "sim_rounds": sim_rounds,
         "emu_super_rounds": emu_super,
     }

@@ -19,6 +19,10 @@ reachable from ``src/``:
   and orientation over an :class:`AuxiliaryGraph`;
 * :func:`select_heaviest_out_edges` and :func:`merge_parts` -- merging
   sub-steps 1 and 4 on :class:`Partition` objects;
+* :func:`cole_vishkin_emulated` and :func:`randomized_coloring_emulated`
+  -- sub-step 2a and Remark 1's randomized coloring on dict
+  pseudoforests (the oracles of :func:`~repro.partition.dense.color_roots`
+  and :func:`~repro.partition.dense.randomized_coloring_dense`);
 * :func:`mark_and_choose` -- CHW marking and parity choice on dict
   pseudoforests, abstainers included (the oracle of
   :func:`~repro.partition.dense.mark_and_choose_dense`, which
@@ -56,14 +60,11 @@ import pytest
 import repro.testers.planarity as planarity
 from _reference_paths import labels_by_id
 from repro.congest.ledger import RoundLedger, TreeCostModel
+from repro.congest.programs.cole_vishkin import cv_schedule, cv_step_value
 from repro.congest.programs.forest_decomposition import barenboim_elkin_round_budget
 from repro.congest.topology import compile_topology
 from repro.errors import GraphInputError, PartitionError
 from repro.graphs.utils import diameter, id_key, iter_edges
-from repro.partition.coloring import (
-    cole_vishkin_emulated,
-    randomized_coloring_emulated,
-)
 from repro.partition.dense import (
     DensePartitionState,
     MarkingResult,
@@ -427,6 +428,163 @@ class AuxiliaryGraph:
         for key, connector in self._connectors.items():
             pa, pb = key
             yield AuxEdge(parts=key, weight=self._adj[pa][pb], connector=connector)
+
+
+# -- Cole-Vishkin and Remark 1 colorings ----------------------------------------
+
+
+def cole_vishkin_emulated(
+    parents: Dict[Any, Optional[Any]],
+    initial_colors: Optional[Dict[Any, int]] = None,
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+    height: int = 0,
+    category: str = "stage1.coloring",
+) -> Tuple[Dict[Any, int], int]:
+    """3-color a directed pseudoforest; return (colors, super_rounds).
+
+    Args:
+        parents: out-edge (parent) per node; ``None`` for roots.  Every
+            node of the pseudoforest must appear as a key.
+        initial_colors: distinct non-negative ints per node; defaults to
+            the node ids when those are ints (the CONGEST assumption), or
+            to ranks in sorted id order otherwise.
+        ledger / cost_model / height: emulation cost accounting.
+        category: ledger category for the charge.
+    """
+    nodes = list(parents)
+    for v, p in parents.items():
+        if p is not None and p not in parents:
+            raise PartitionError(f"parent {p!r} of {v!r} missing from pseudoforest")
+    if initial_colors is None:
+        if all(isinstance(v, int) and v >= 0 for v in nodes):
+            initial_colors = {v: v for v in nodes}
+        else:
+            initial_colors = {v: i for i, v in enumerate(sorted(nodes, key=repr))}
+    colors = dict(initial_colors)
+    if len(set(colors.values())) != len(nodes):
+        raise PartitionError("initial CV colors must be distinct")
+
+    children: Dict[Any, list] = {v: [] for v in nodes}
+    for v, p in parents.items():
+        if p is not None:
+            children[p].append(v)
+
+    schedule = cv_schedule(max(colors.values(), default=1))
+    for phase in schedule:
+        colors = _apply_phase(phase, colors, parents, children)
+
+    _check_proper(colors, parents)
+    if ledger is not None:
+        model = cost_model or TreeCostModel()
+        per_round = model.aux_message_relay(height)
+        ledger.charge(
+            len(schedule) * per_round,
+            category,
+            f"{len(schedule)} CV super-rounds x {per_round} rounds "
+            f"(height {height})",
+        )
+    return colors, len(schedule)
+
+
+def _apply_phase(phase, colors, parents, children):
+    new = dict(colors)
+    if phase == "cv":
+        for v, c in colors.items():
+            p = parents[v]
+            if p is None:
+                new[v] = cv_step_value(c, c ^ 1)
+            else:
+                new[v] = cv_step_value(c, colors[p])
+    elif phase == "shift":
+        for v, c in colors.items():
+            p = parents[v]
+            if p is None:
+                new[v] = 0 if c != 0 else 1
+            else:
+                new[v] = colors[p]
+    elif phase.startswith("elim"):
+        target = int(phase[4:])
+        for v, c in colors.items():
+            if c != target:
+                continue
+            forbidden = set()
+            p = parents[v]
+            if p is not None:
+                forbidden.add(colors[p])
+            for child in children[v]:
+                forbidden.add(colors[child])
+            new[v] = min(x for x in (0, 1, 2) if x not in forbidden)
+    else:  # pragma: no cover - defensive
+        raise PartitionError(f"unknown CV phase {phase!r}")
+    return new
+
+
+def _check_proper(colors, parents):
+    for v, p in parents.items():
+        if p is not None and colors[v] == colors[p]:
+            raise PartitionError(
+                f"CV produced an improper coloring on edge ({v!r}, {p!r})"
+            )
+    bad = {c for c in colors.values() if c not in (0, 1, 2)}
+    if bad:
+        raise PartitionError(f"CV left colors outside {{0,1,2}}: {bad!r}")
+
+
+def randomized_coloring_emulated(
+    parents: Dict[Any, Optional[Any]],
+    rounds: int,
+    rng,
+    ledger: Optional[RoundLedger] = None,
+    cost_model: Optional[TreeCostModel] = None,
+    height: int = 0,
+    category: str = "randomized.coloring",
+) -> Tuple[Dict[Any, Optional[int]], int]:
+    """Remark 1: constant-round randomized 3-coloring with abstention.
+
+    Every node picks a uniform color from {0, 1, 2}; for a fixed budget
+    of super-rounds, nodes whose color equals their parent's re-pick.
+    Each conflicted node resolves with probability 2/3 per round, so
+    after ``r`` rounds the expected conflict fraction is ``3^-r``.
+    Nodes still conflicted after the budget **abstain** (color ``None``):
+    the marking step ignores them, which can only reduce the contracted
+    weight -- correctness (Claim 15) is preserved unconditionally, and
+    only the per-phase decay degrades with the (exponentially small)
+    abstention rate.  This removes the ``log* n`` of Cole-Vishkin for
+    constant success probability, realizing the paper's Remark 1
+    trade-off.
+
+    Returns (colors-with-possible-None, number of abstaining nodes).
+    """
+    if rounds < 1:
+        raise PartitionError("randomized coloring needs at least one round")
+    nodes = list(parents)
+    colors: Dict[Any, Optional[int]] = {v: rng.randrange(3) for v in nodes}
+    for _ in range(rounds):
+        conflicted = [
+            v
+            for v, p in parents.items()
+            if p is not None and colors[v] == colors[p]
+        ]
+        if not conflicted:
+            break
+        for v in conflicted:
+            colors[v] = rng.randrange(3)
+    abstaining = 0
+    for v, p in parents.items():
+        if p is not None and colors[v] == colors[p]:
+            colors[v] = None
+            abstaining += 1
+    if ledger is not None:
+        model = cost_model or TreeCostModel()
+        per_round = model.aux_message_relay(height)
+        ledger.charge(
+            rounds * per_round,
+            category,
+            f"{rounds} randomized-coloring super-rounds x {per_round} rounds "
+            f"(height {height}); {abstaining} abstentions",
+        )
+    return colors, abstaining
 
 
 # -- CHW marking ---------------------------------------------------------------

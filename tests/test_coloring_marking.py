@@ -1,18 +1,25 @@
-"""Tests for the emulated CV coloring and the CHW marking step."""
+"""Tests for the Stage I colorings and the CHW marking step."""
 
 from __future__ import annotations
 
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _stage1_reference import dense_marking, mark_and_choose
+from _stage1_reference import (
+    cole_vishkin_emulated,
+    dense_marking,
+    mark_and_choose,
+    randomized_coloring_emulated,
+)
+from repro.congest.ledger import RoundLedger
 from repro.congest.programs import cole_vishkin_coloring
 from repro.errors import PartitionError
-from repro.partition import cole_vishkin_emulated
+from repro.partition.dense import RootSeeds, color_roots, randomized_coloring_dense
 
 
 def random_pseudoforest(n, seed):
@@ -35,10 +42,24 @@ def random_pseudoforest(n, seed):
     return out_edge, weights
 
 
-class TestColeVishkinEmulated:
+def compact(parents):
+    """The compact parent vector (-1 at roots) of a dict pseudoforest on 0..n-1."""
+    return np.array(
+        [-1 if parents[v] is None else parents[v] for v in range(len(parents))],
+        dtype=np.int64,
+    )
+
+
+def color_by_ids(parents):
+    """``color_roots`` seeded with the node ids, as a dict."""
+    colors, rounds = color_roots(compact(parents), list(range(len(parents))))
+    return dict(enumerate(colors.tolist())), rounds
+
+
+class TestColorRoots:
     def test_path(self):
         parents = {i: i - 1 if i > 0 else None for i in range(50)}
-        colors, rounds = cole_vishkin_emulated(parents)
+        colors, rounds = color_by_ids(parents)
         assert set(colors.values()) <= {0, 1, 2}
         for child, parent in parents.items():
             if parent is not None:
@@ -47,10 +68,44 @@ class TestColeVishkinEmulated:
 
     def test_directed_cycle(self):
         parents = {i: (i + 1) % 21 for i in range(21)}
-        colors, _ = cole_vishkin_emulated(parents)
+        colors, _ = color_by_ids(parents)
         for child, parent in parents.items():
             assert colors[child] != colors[parent]
 
+    def test_non_int_ids_fall_back_to_ranks(self):
+        seeds = RootSeeds(["c", "a", "b"])([0, 1, 2])
+        assert seeds == [2, 0, 1]
+        colors, _ = color_roots(np.array([-1, 0, 1], dtype=np.int64), seeds)
+        assert set(colors.tolist()) <= {0, 1, 2}
+        assert colors[1] != colors[0] and colors[2] != colors[1]
+
+    def test_matches_simulated_protocol(self):
+        """Stage I's and the genuinely distributed CV must agree exactly."""
+        graph = nx.path_graph(40)
+        parents = {i: i - 1 if i > 0 else None for i in graph.nodes()}
+        sim_colors, _ = cole_vishkin_coloring(graph, parents)
+        colors, _ = color_by_ids(parents)
+        assert sim_colors == colors
+
+    def test_matches_simulated_on_cycle(self):
+        n = 17
+        graph = nx.cycle_graph(n)
+        parents = {i: (i + 1) % n for i in range(n)}
+        sim_colors, _ = cole_vishkin_coloring(graph, parents)
+        colors, _ = color_by_ids(parents)
+        assert sim_colors == colors
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 60), seed=st.integers(0, 500))
+    def test_random_pseudoforests_proper(self, n, seed):
+        out_edge, _w = random_pseudoforest(n, seed)
+        colors, _ = color_by_ids(out_edge)
+        for v, p in out_edge.items():
+            if p is not None:
+                assert colors[v] != colors[p]
+
+
+class TestColeVishkinOracle:
     def test_missing_parent_rejected(self):
         with pytest.raises(PartitionError):
             cole_vishkin_emulated({0: 7})
@@ -61,36 +116,85 @@ class TestColeVishkinEmulated:
                 {0: None, 1: None}, initial_colors={0: 5, 1: 5}
             )
 
-    def test_non_int_ids_fall_back_to_ranks(self):
-        parents = {"a": None, "b": "a", "c": "b"}
-        colors, _ = cole_vishkin_emulated(parents)
-        assert set(colors.values()) <= {0, 1, 2}
-        assert colors["b"] != colors["a"]
 
-    def test_matches_simulated_protocol(self):
-        """Emulated and genuinely distributed CV must agree exactly."""
-        graph = nx.path_graph(40)
-        parents = {i: i - 1 if i > 0 else None for i in graph.nodes()}
-        sim_colors, _ = cole_vishkin_coloring(graph, parents)
-        emu_colors, _ = cole_vishkin_emulated(parents)
-        assert sim_colors == emu_colors
+class TestColorRootsDifferential:
+    """``color_roots`` against the dict oracle, seeds on both sides of 2**62."""
 
-    def test_matches_simulated_on_cycle(self):
-        n = 17
-        graph = nx.cycle_graph(n)
-        parents = {i: (i + 1) % n for i in range(n)}
-        sim_colors, _ = cole_vishkin_coloring(graph, parents)
-        emu_colors, _ = cole_vishkin_emulated(parents)
-        assert sim_colors == emu_colors
+    @pytest.mark.parametrize(
+        "offset",
+        [0, 2**62 - 30, 2**62, 2**64, 2**200],
+        ids=["0", "2**62-k", "2**62", "2**64", "2**200"],
+    )
+    def test_matches_dict_oracle(self, offset):
+        for seed in range(60):
+            rng = random.Random(seed)
+            out_edge, _w = random_pseudoforest(rng.randint(2, 60), seed)
+            # distinct seeds; at 2**62 - k some fall below 2**62, some above
+            seeds = [offset + s for s in rng.sample(range(60), len(out_edge))]
+            ledger, oracle_ledger = RoundLedger(), RoundLedger()
+            colors, rounds = color_roots(
+                compact(out_edge), seeds, ledger, height=3, category="c.cv"
+            )
+            oracle, oracle_rounds = cole_vishkin_emulated(
+                out_edge,
+                dict(enumerate(seeds)),
+                oracle_ledger,
+                height=3,
+                category="c.cv",
+            )
+            assert colors.tolist() == [oracle[v] for v in range(len(seeds))]
+            assert rounds == oracle_rounds
+            assert ledger.records == oracle_ledger.records  # amount, category, note
 
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 60), seed=st.integers(0, 500))
-    def test_random_pseudoforests_proper(self, n, seed):
-        out_edge, _w = random_pseudoforest(n, seed)
-        colors, _ = cole_vishkin_emulated(out_edge)
-        for v, p in out_edge.items():
-            if p is not None:
-                assert colors[v] != colors[p]
+
+class ConstantRng:
+    """Draws 0 every time, so every conflict survives every round."""
+
+    def randrange(self, _stop):
+        return 0
+
+
+class TestRandomizedColoringDifferential:
+    """``randomized_coloring_dense`` against the dict oracle."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    def test_matches_dict_oracle(self, budget):
+        for seed in range(80):
+            n = random.Random(seed).randint(2, 60)
+            out_edge, _w = random_pseudoforest(n, seed)
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            ledger, oracle_ledger = RoundLedger(), RoundLedger()
+            colors, abstaining = randomized_coloring_dense(
+                compact(out_edge), budget, rng, ledger, height=2
+            )
+            oracle, oracle_abstaining = randomized_coloring_emulated(
+                out_edge, budget, oracle_rng, oracle_ledger, height=2
+            )
+            assert colors.tolist() == [
+                -1 if oracle[v] is None else oracle[v] for v in range(len(oracle))
+            ]
+            assert abstaining == oracle_abstaining
+            assert rng.getstate() == oracle_rng.getstate()
+            assert ledger.records == oracle_ledger.records  # amount, category, note
+
+    @pytest.mark.parametrize(
+        "parents, expected",
+        [
+            # 2 -> 1 -> 0: 1 abstains first, so its child 2 keeps color 0
+            ({0: None, 1: 0, 2: 1}, [0, -1, 0]),
+            # 1 -> 2 -> 0: 1 abstains before its parent 2 is reached
+            ({0: None, 1: 2, 2: 0}, [0, -1, -1]),
+        ],
+        ids=["child-after-parent", "child-before-parent"],
+    )
+    def test_child_of_abstainer_keeps_its_color(self, parents, expected):
+        colors, abstaining = randomized_coloring_dense(
+            compact(parents), 3, ConstantRng()
+        )
+        assert colors.tolist() == expected
+        assert abstaining == expected.count(-1)
+        oracle, _ = randomized_coloring_emulated(parents, 3, ConstantRng())
+        assert [-1 if c is None else c for c in oracle.values()] == expected
 
 
 class TestMarking:

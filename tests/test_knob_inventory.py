@@ -2,13 +2,18 @@
 
 Scans ``src/`` for ``REPRO_*`` names and pins the set to the table under
 "Environment knobs" in ARCHITECTURE.md, so adding (or removing) a knob
-fails here until the documentation follows.
+fails here until the documentation follows.  Retired knobs, exports and
+modules must stay gone.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import pathlib
 import re
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KNOB = re.compile(r"REPRO_[A-Z_]+")
@@ -46,3 +51,45 @@ def test_retired_knobs_are_gone():
         "REPRO_SIM_PROFILE",
     }
     assert not retired & source_knobs()
+
+
+RETIRED_EXPORTS = (
+    "Part",
+    "Partition",
+    "cole_vishkin_emulated",
+    "randomized_coloring_emulated",
+    "DisjointSets",
+    "FenwickTree",
+)
+"""Names that left ``src/``; the first four live on as test oracles."""
+
+RETIRED_MODULES = {"repro.partition.coloring", "repro.graphs.structures"}
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.partition", "repro.graphs"])
+def test_retired_exports_are_gone(module):
+    package = importlib.import_module(module)
+    assert [name for name in RETIRED_EXPORTS if hasattr(package, name)] == []
+
+
+def imported_modules(path):
+    """Absolute names of the modules *path* (a file under ``src/``) imports."""
+    package = list(path.relative_to(ROOT / "src").parent.parts)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            prefix = ".".join(base + ([node.module] if node.module else []))
+            yield prefix
+            yield from (f"{prefix}.{alias.name}" for alias in node.names)
+
+
+def test_retired_modules_are_not_imported():
+    offenders = {
+        (str(path.relative_to(ROOT)), name)
+        for path in (ROOT / "src").rglob("*.py")
+        for name in imported_modules(path)
+        if name in RETIRED_MODULES
+    }
+    assert offenders == set()

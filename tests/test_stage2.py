@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from _stage1_reference import build_part, to_partition
@@ -144,37 +145,39 @@ class TestRemark1Coloring:
     """Randomized coloring with abstention (Remark 1 trade-off)."""
 
     def test_proper_among_participants(self):
-        from repro.partition import randomized_coloring_emulated
+        from repro.partition.dense import randomized_coloring_dense
 
-        parents = {i: (i + 1) % 301 for i in range(301)}  # directed cycle
-        colors, abstaining = randomized_coloring_emulated(
-            parents, rounds=8, rng=random.Random(1)
+        parent = (np.arange(301, dtype=np.int64) + 1) % 301  # directed cycle
+        colors, abstaining = randomized_coloring_dense(
+            parent, rounds=8, rng=random.Random(1)
         )
-        for v, p in parents.items():
-            if colors[v] is not None and colors[p] is not None:
+        for v, p in enumerate(parent.tolist()):
+            if colors[v] >= 0 and colors[p] >= 0:
                 assert colors[v] != colors[p]
-        assert abstaining <= 301
+        assert abstaining == int((colors < 0).sum()) <= 301
 
     def test_abstention_rate_drops_with_rounds(self):
-        from repro.partition import randomized_coloring_emulated
+        from repro.partition.dense import randomized_coloring_dense
 
-        parents = {i: i - 1 if i > 0 else None for i in range(2000)}
+        parent = np.arange(-1, 1999, dtype=np.int64)  # a path rooted at 0
         few = sum(
-            randomized_coloring_emulated(parents, 1, random.Random(s))[1]
+            randomized_coloring_dense(parent, 1, random.Random(s))[1]
             for s in range(5)
         )
         many = sum(
-            randomized_coloring_emulated(parents, 10, random.Random(s))[1]
+            randomized_coloring_dense(parent, 10, random.Random(s))[1]
             for s in range(5)
         )
         assert many <= few
 
     def test_invalid_rounds(self):
         from repro.errors import PartitionError
-        from repro.partition import randomized_coloring_emulated
+        from repro.partition.dense import randomized_coloring_dense
 
         with pytest.raises(PartitionError):
-            randomized_coloring_emulated({0: None}, rounds=0, rng=random.Random(0))
+            randomized_coloring_dense(
+                np.array([-1], dtype=np.int64), rounds=0, rng=random.Random(0)
+            )
 
     def test_partition_with_randomized_coloring(self):
         from repro.partition import partition_randomized
