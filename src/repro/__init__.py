@@ -2,7 +2,8 @@
 
 Levi, Medina, Ron; PODC 2018 (arXiv:1805.10657).
 
-Quick tour (see README.md for more):
+Quick tour (ARCHITECTURE.md maps the layers; ``examples/quickstart.py``
+runs a fuller tour):
 
 >>> from repro import make_planar, test_planarity
 >>> G = make_planar("delaunay", 500, seed=1)
@@ -18,7 +19,7 @@ The package layers:
 * :mod:`repro.partition` -- Stage I (Thm 1/3) and randomized (Thm 4);
 * :mod:`repro.testers` -- the planarity tester (Thm 1) and Corollary 16;
 * :mod:`repro.applications` -- spanners (Corollary 17);
-* :mod:`repro.baselines` -- MPX partition, baseline spanners, ground truth;
+* :mod:`repro.baselines` -- MPX partition and baseline spanners;
 * :mod:`repro.runtime` -- parallel batch-execution engine with caching;
 * :mod:`repro.analysis` -- experiment statistics and tables.
 """

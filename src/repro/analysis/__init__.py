@@ -2,11 +2,9 @@
 
 from .stats import (
     LinearFit,
-    fit_rounds_vs_log2_n,
     fit_rounds_vs_log_n,
     geometric_mean,
     linear_fit,
-    predicted_detection_probability,
     wilson_interval,
 )
 from .tables import Table, format_cell
@@ -14,11 +12,9 @@ from .tables import Table, format_cell
 __all__ = [
     "LinearFit",
     "Table",
-    "fit_rounds_vs_log2_n",
     "fit_rounds_vs_log_n",
     "format_cell",
     "geometric_mean",
     "linear_fit",
-    "predicted_detection_probability",
     "wilson_interval",
 ]

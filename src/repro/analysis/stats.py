@@ -1,9 +1,8 @@
 """Statistics helpers for the experiment harness.
 
 Small, dependency-light routines: Wilson confidence intervals for
-detection rates, least-squares fits of round counts against ``log n`` and
-``log^2 n`` (the E3/E12 scaling analysis), and the predicted detection
-profile ``1 - (1 - gamma)^s`` from the sampling lemma.
+detection rates, least-squares fits (of round counts against ``log n``
+for the E3 scaling analysis) and geometric means.
 """
 
 from __future__ import annotations
@@ -65,23 +64,6 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
 def fit_rounds_vs_log_n(ns: Sequence[int], rounds: Sequence[int]) -> LinearFit:
     """Fit ``rounds ~ a * log2(n) + b`` (benchmark E3)."""
     return linear_fit([math.log2(n) for n in ns], list(rounds))
-
-
-def fit_rounds_vs_log2_n(ns: Sequence[int], rounds: Sequence[int]) -> LinearFit:
-    """Fit ``rounds ~ a * log2(n)^2 + b`` (the MPX ablation, E12)."""
-    return linear_fit([math.log2(n) ** 2 for n in ns], list(rounds))
-
-
-def predicted_detection_probability(gamma: float, samples: int) -> float:
-    """Sampling-lemma profile: ``1 - (1 - gamma)^s``.
-
-    *gamma* is the violating fraction among non-tree edges and *samples*
-    the number of sampled edges; the tester detects iff the sample hits a
-    violating edge (each sampled edge is checked against all edges).
-    """
-    if not 0 <= gamma <= 1:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    return 1.0 - (1.0 - gamma) ** max(0, samples)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -1,19 +1,11 @@
-"""Baselines: MPX/Elkin-Neiman partition, spanner baselines, ground truth."""
+"""Baselines: MPX/Elkin-Neiman partition and spanner baselines."""
 
-from .centralized import (
-    bipartiteness_ground_truth,
-    cycle_freeness_ground_truth,
-    planarity_ground_truth,
-)
 from .mpx_partition import MPXResult, mpx_partition
 from .spanners import cluster_spanner, greedy_spanner
 
 __all__ = [
     "MPXResult",
-    "bipartiteness_ground_truth",
     "cluster_spanner",
-    "cycle_freeness_ground_truth",
     "greedy_spanner",
     "mpx_partition",
-    "planarity_ground_truth",
 ]

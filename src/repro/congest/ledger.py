@@ -68,20 +68,6 @@ class RoundLedger:
         """Append all records from *other*."""
         self.records.extend(other.records)
 
-    def merge_parallel(self, others: List["RoundLedger"], category: str) -> int:
-        """Charge the max total of *others* (components running in parallel).
-
-        Distinct parts of a partition occupy disjoint node/edge sets, so
-        their per-part protocols run concurrently; the network-level round
-        cost is the maximum over parts, not the sum.  *others* may be any
-        iterable (it is materialized once) and may be empty -- an empty
-        collection charges nothing and returns 0.
-        """
-        others = list(others)
-        cost = max((o.total for o in others), default=0)
-        self.charge(cost, category, f"max over {len(others)} parallel components")
-        return cost
-
     def __iter__(self) -> Iterator[ChargeRecord]:
         return iter(self.records)
 

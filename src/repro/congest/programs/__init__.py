@@ -8,7 +8,7 @@ ground truth against which the faster emulated layer is cross-validated.
 
 from .bfs import BFSTreeProgram, bfs_tree
 from .cole_vishkin import ColeVishkinProgram, cole_vishkin_coloring
-from .flood import FloodProgram, flood_eccentricity
+from .flood import FloodProgram
 from .forest_decomposition import (
     BarenboimElkinProgram,
     run_forest_decomposition_simulated,
@@ -18,29 +18,18 @@ from .stage2_verification import (
     Stage2VerificationProgram,
     run_stage2_verification_simulated,
 )
-from .part_checks import (
-    BipartiteCheckProgram,
-    CycleCheckProgram,
-    run_bipartite_check_simulated,
-    run_cycle_check_simulated,
-)
 from .storm import BroadcastStormProgram
 
 __all__ = [
     "BFSTreeProgram",
     "BarenboimElkinProgram",
-    "BipartiteCheckProgram",
     "BroadcastStormProgram",
     "ColeVishkinProgram",
-    "CycleCheckProgram",
     "FloodProgram",
     "SimulatedStage2Result",
     "Stage2VerificationProgram",
     "bfs_tree",
     "cole_vishkin_coloring",
-    "flood_eccentricity",
-    "run_bipartite_check_simulated",
-    "run_cycle_check_simulated",
     "run_forest_decomposition_simulated",
     "run_stage2_verification_simulated",
 ]

@@ -7,14 +7,12 @@ from the root.  The maximum over nodes is the root's eccentricity.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from ..batch import BIG, BatchKernel, register_batch_kernel
 from ..message import bit_size
-from ..network import CongestNetwork
 from .tags import MSG_FLOOD
 from ..node import Inbox, NodeContext, NodeProgram, Outbox
 from ..xp import int_bit_length
@@ -103,28 +101,3 @@ class FloodBatchKernel(BatchKernel):
 
 
 register_batch_kernel("flood", FloodBatchKernel)
-
-
-def flood_eccentricity(
-    graph: nx.Graph,
-    root: Any,
-    bandwidth_bits: Optional[int] = None,
-    seed: Optional[int] = None,
-    topology=None,
-) -> Tuple[int, dict]:
-    """Run :class:`FloodProgram` and return (eccentricity, distances).
-
-    Only meaningful for graphs where every node is reachable from *root*.
-    """
-    network = CongestNetwork(
-        graph, bandwidth_bits=bandwidth_bits, seed=seed, topology=topology
-    )
-    result = network.run(
-        FloodProgram,
-        max_rounds=network.n + 2,
-        config={"root": root},
-        strict_bandwidth=True,
-    )
-    distances = {v: d for v, d in result.outputs.items() if d is not None}
-    eccentricity = max(distances.values())
-    return eccentricity, distances

@@ -235,12 +235,6 @@ class SimulatedForestDecomposition:
     rejecting_nodes: Tuple[Any, ...]
     rounds: int
 
-    def orientation_edges(self):
-        """Yield oriented edges (u, v) with u -> v."""
-        for u, outs in self.out_neighbors.items():
-            for v in outs:
-                yield (u, v)
-
 
 def run_forest_decomposition_simulated(
     graph: nx.Graph,

@@ -10,5 +10,4 @@ MSG_BFS = 1
 MSG_ACTIVE = 2
 MSG_INACTIVE = 3
 MSG_CV = 4
-MSG_INFO = 5
 MSG_STORM = 6

@@ -252,10 +252,6 @@ class CompiledTopology:
             )
         return arrays
 
-    def neighbor_indices(self, i: int):
-        """Dense neighbor indices of dense index *i* (CSR row slice)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
     def degree(self, node: Any) -> int:
         """Degree of *node* (by id)."""
         return self.degrees[self.index[node]]

@@ -6,8 +6,6 @@ from .distance import (
     bipartiteness_farness_upper_bound,
     cycle_freeness_distance,
     cycle_freeness_farness,
-    greedy_maximal_planar_subgraph,
-    planarity_farness_bounds,
     planarity_farness_lower_bound,
     planarity_skewness_lower_bound,
 )
@@ -37,17 +35,12 @@ from .lower_bound import (
     view_is_tree,
 )
 from .utils import (
-    arboricity_bounds,
     bfs_levels,
-    degeneracy,
     diameter,
     eccentricity,
-    ensure_int_labels,
     find_short_cycle,
     girth,
-    greedy_forest_partition,
     require_simple,
-    tree_height,
 )
 
 __all__ = [
@@ -55,29 +48,23 @@ __all__ = [
     "PLANAR_FAMILIES",
     "LowerBoundInstance",
     "all_views_are_trees",
-    "arboricity_bounds",
     "bfs_levels",
     "bipartiteness_farness_bounds",
     "bipartiteness_farness_lower_bound",
     "bipartiteness_farness_upper_bound",
     "cycle_freeness_distance",
     "cycle_freeness_farness",
-    "degeneracy",
     "delaunay_graph",
     "dense_planar_plus_matching",
     "diameter",
     "eccentricity",
-    "ensure_int_labels",
     "find_short_cycle",
     "girth",
     "gnp_far",
-    "greedy_forest_partition",
-    "greedy_maximal_planar_subgraph",
     "grid_graph",
     "lower_bound_instance",
     "make_far",
     "make_planar",
-    "planarity_farness_bounds",
     "planarity_farness_lower_bound",
     "planarity_skewness_lower_bound",
     "planted_kuratowski",
@@ -87,7 +74,6 @@ __all__ = [
     "random_regular_far",
     "random_tree",
     "require_simple",
-    "tree_height",
     "triangulated_grid",
     "view_is_tree",
 ]

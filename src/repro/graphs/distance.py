@@ -5,7 +5,7 @@ than ``epsilon * m`` edges must be removed to obtain the property.  This
 module certifies farness of concrete instances:
 
 * **planarity**: skewness lower bounds from Euler's formula (with a girth
-  refinement) and upper bounds from a greedy maximal planar subgraph;
+  refinement);
 * **cycle-freeness**: the distance is exact, ``m - (n - #components)``;
 * **bipartiteness**: lower bound via greedily packed edge-disjoint odd
   cycles, upper bound via local-search max-cut.
@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 
 import networkx as nx
 
-from ..planarity import check_planarity
 from .utils import edge_count, girth, iter_edges
 
 
@@ -55,45 +54,6 @@ def planarity_farness_lower_bound(graph: nx.Graph, use_girth: bool = True) -> fl
     if m == 0:
         return 0.0
     return planarity_skewness_lower_bound(graph, use_girth) / m
-
-
-def greedy_maximal_planar_subgraph(
-    graph: nx.Graph, seed: Optional[int] = None
-) -> nx.Graph:
-    """A maximal planar subgraph grown greedily in random edge order.
-
-    Every edge is offered once; it is kept when the subgraph stays planar
-    (checked with the library's own LR test).  The complement size is an
-    upper bound on the skewness.
-    """
-    rng = random.Random(seed)
-    edges = list(iter_edges(graph))
-    rng.shuffle(edges)
-    sub = nx.Graph()
-    sub.add_nodes_from(graph.nodes())
-    n, m = len(sub), 0  # counted here: ``number_of_edges`` caches a view
-    for u, v in edges:
-        if n > 2 and m + 1 > 3 * n - 6:
-            continue
-        sub.add_edge(u, v)
-        if check_planarity(sub).is_planar:
-            m += 1
-        else:
-            sub.remove_edge(u, v)
-    return sub
-
-
-def planarity_farness_bounds(
-    graph: nx.Graph, seed: Optional[int] = None
-) -> Tuple[float, float]:
-    """(certified lower bound, constructive upper bound) on farness."""
-    m = edge_count(graph)
-    if m == 0:
-        return (0.0, 0.0)
-    lower = planarity_farness_lower_bound(graph)
-    planar_sub = greedy_maximal_planar_subgraph(graph, seed=seed)
-    upper = (m - edge_count(planar_sub)) / m
-    return (lower, upper)
 
 
 # -- cycle-freeness ---------------------------------------------------------------

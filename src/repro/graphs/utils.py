@@ -1,4 +1,4 @@
-"""Graph utilities: girth, diameter, arboricity bounds, relabeling.
+"""Graph utilities: girth, diameter, short cycles, edge counts.
 
 Pure-Python implementations on adjacency dictionaries; ``networkx`` graphs
 are accepted everywhere.  These are substrate utilities used by the
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -73,12 +73,6 @@ def require_simple(graph: nx.Graph, name: str = "graph") -> None:
         raise GraphInputError(f"{name} must not contain self-loops")
 
 
-def ensure_int_labels(graph: nx.Graph) -> Tuple[nx.Graph, Dict[Any, int]]:
-    """Relabel nodes to ``0..n-1`` (sorted by repr); return (graph, mapping)."""
-    mapping = {v: i for i, v in enumerate(sorted(graph.nodes(), key=repr))}
-    return nx.relabel_nodes(graph, mapping, copy=True), mapping
-
-
 def bfs_levels(adj: Dict[Any, Iterable[Any]], source: Any) -> Dict[Any, int]:
     """Hop distances from *source* over an adjacency mapping."""
     depth = {source: 0}
@@ -126,28 +120,6 @@ def diameter(graph: nx.Graph, exact_threshold: int = EXACT_DIAMETER_NODES) -> in
     far = max(depth, key=depth.get)
     depth2 = bfs_levels(graph.adj, far)
     return max(depth2.values())
-
-
-def tree_height(parents: Dict[Any, Any], root: Any) -> int:
-    """Height of a tree given as child -> parent pointers."""
-    children: Dict[Any, List[Any]] = {}
-    for child, parent in parents.items():
-        children.setdefault(parent, []).append(child)
-    height = 0
-    frontier = [root]
-    seen = {root}
-    while frontier:
-        nxt: List[Any] = []
-        for v in frontier:
-            for c in children.get(v, ()):
-                if c in seen:
-                    raise GraphInputError("parent pointers contain a cycle")
-                seen.add(c)
-                nxt.append(c)
-        if nxt:
-            height += 1
-        frontier = nxt
-    return height
 
 
 def find_short_cycle(graph: nx.Graph, max_length: int) -> Optional[List[Any]]:
@@ -253,105 +225,3 @@ def _shortest_cycle_through(adj, source: Any, best: float) -> float:
                 if length < local_best:
                     local_best = length
     return local_best
-
-
-def degeneracy(graph: nx.Graph) -> int:
-    """Degeneracy (max over the core decomposition); 0 for edgeless graphs."""
-    if graph.number_of_edges() == 0:
-        return 0
-    degrees = dict(graph.degree())
-    buckets: Dict[int, Set[Any]] = {}
-    for v, d in degrees.items():
-        buckets.setdefault(d, set()).add(v)
-    removed: Set[Any] = set()
-    result = 0
-    n = graph.number_of_nodes()
-    current = 0
-    for _ in range(n):
-        while current not in buckets or not buckets[current]:
-            current += 1
-        v = buckets[current].pop()
-        removed.add(v)
-        result = max(result, current)
-        for w in graph.adj[v]:
-            if w in removed:
-                continue
-            d = degrees[w]
-            buckets[d].discard(w)
-            degrees[w] = d - 1
-            buckets.setdefault(d - 1, set()).add(w)
-        current = max(0, current - 1)
-    return result
-
-
-def greedy_forest_partition(graph: nx.Graph) -> List[List[Tuple[Any, Any]]]:
-    """Split the edges into forests greedily (arboricity upper bound).
-
-    Uses the degeneracy order: orienting each edge toward the earlier node
-    in the order gives out-degree at most the degeneracy, and each node's
-    k-th out-edge goes to the k-th forest; the result is a valid forest
-    decomposition into at most ``degeneracy`` forests.
-    """
-    order = _degeneracy_order(graph)
-    rank = {v: i for i, v in enumerate(order)}
-    out_count: Dict[Any, int] = {v: 0 for v in graph.nodes()}
-    forests: List[List[Tuple[Any, Any]]] = []
-    for u, v in graph.edges():
-        # orient from the later node toward the earlier node in the order
-        tail, head = (u, v) if rank[u] > rank[v] else (v, u)
-        index = out_count[tail]
-        out_count[tail] += 1
-        while len(forests) <= index:
-            forests.append([])
-        forests[index].append((tail, head))
-    return forests
-
-
-def _degeneracy_order(graph: nx.Graph) -> List[Any]:
-    degrees = dict(graph.degree())
-    buckets: Dict[int, Set[Any]] = {}
-    for v, d in degrees.items():
-        buckets.setdefault(d, set()).add(v)
-    removed: Set[Any] = set()
-    order: List[Any] = []
-    current = 0
-    for _ in range(graph.number_of_nodes()):
-        while current not in buckets or not buckets[current]:
-            current += 1
-        v = buckets[current].pop()
-        removed.add(v)
-        order.append(v)
-        for w in graph.adj[v]:
-            if w in removed:
-                continue
-            d = degrees[w]
-            buckets[d].discard(w)
-            degrees[w] = d - 1
-            buckets.setdefault(d - 1, set()).add(w)
-        current = max(0, current - 1)
-    return order
-
-
-def arboricity_bounds(graph: nx.Graph) -> Tuple[int, int]:
-    """(lower, upper) bounds on the Nash-Williams arboricity.
-
-    Lower bound: ``max ceil(m_H / (n_H - 1))`` over the whole graph and all
-    cores of the degeneracy decomposition.  Upper bound: the size of the
-    greedy forest partition (at most the degeneracy).
-    """
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
-    if m == 0:
-        return (0, 0)
-    lower = max(1, math.ceil(m / max(1, n - 1)))
-    # Cores give denser subgraphs: the k-core has min degree k, hence
-    # m_core >= k * n_core / 2.
-    core = nx.core_number(graph)
-    for k in sorted(set(core.values()), reverse=True):
-        nodes = [v for v, c in core.items() if c >= k]
-        if len(nodes) < 2:
-            continue
-        sub = graph.subgraph(nodes)
-        lower = max(lower, math.ceil(sub.number_of_edges() / (len(nodes) - 1)))
-    upper = max(lower, len(greedy_forest_partition(graph)))
-    return (lower, upper)

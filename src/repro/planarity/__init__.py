@@ -4,7 +4,6 @@ from .embedding import (
     faces,
     genus_by_component,
     identity_rotation,
-    is_planar_embedding,
     match_graph,
     verify_planar_embedding,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "genus_by_component",
     "identity_rotation",
     "is_planar",
-    "is_planar_embedding",
     "match_graph",
     "verify_planar_embedding",
 ]

@@ -117,15 +117,6 @@ def genus_by_component(
     return result
 
 
-def is_planar_embedding(rotations: RotationSystem, graph: nx.Graph) -> bool:
-    """True iff the rotation system is a genus-0 embedding of *graph*."""
-    try:
-        stats = genus_by_component(rotations, graph)
-    except EmbeddingError:
-        return False
-    return all(genus == 0 for (_n, _m, _f, genus) in stats.values())
-
-
 def verify_planar_embedding(rotations: RotationSystem, graph: nx.Graph) -> None:
     """Raise :class:`EmbeddingError` unless rotations planarly embed *graph*."""
     stats = genus_by_component(rotations, graph)

@@ -6,10 +6,13 @@ cellular embedding on an orientable surface; the embedding is planar iff
 the Euler characteristic computed from the face count is 2 per connected
 component (see :mod:`repro.planarity.embedding`).
 
-:class:`RotationSystem` stores doubly linked circular lists per node,
-keyed by node id.  :class:`HalfEdgeRing` is the same structure over int
-nodes and int half-edges, in flat lists: the LR embedding builds it with
-O(1) insertions and Stage II's labels walk it.
+:class:`RotationSystem` stores, per node id, a clockwise successor map
+(a singly linked circular list) and a first entry; rotations are set
+whole with :meth:`RotationSystem.set_rotation`.  :class:`HalfEdgeRing`
+is the doubly linked form over int nodes and int half-edges, in flat
+lists: the LR embedding builds it with O(1) insertions, Stage II's
+labels walk it, and :meth:`HalfEdgeRing.to_rotation_system` maps it
+back to node ids.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ class RotationSystem:
     def __init__(self) -> None:  # noqa: D107
         self._first: Dict[Any, Optional[Any]] = {}
         self._cw: Dict[Any, Dict[Any, Any]] = {}
-        self._ccw: Dict[Any, Dict[Any, Any]] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -36,63 +38,10 @@ class RotationSystem:
         if v not in self._first:
             self._first[v] = None
             self._cw[v] = {}
-            self._ccw[v] = {}
 
     def _require_node(self, v: Any) -> None:
         if v not in self._first:
             raise EmbeddingError(f"unknown node {v!r}")
-
-    def _insert_only(self, v: Any, w: Any) -> None:
-        self._first[v] = w
-        self._cw[v][w] = w
-        self._ccw[v][w] = w
-
-    def add_half_edge_cw(self, v: Any, w: Any, ref: Optional[Any]) -> None:
-        """Insert half-edge ``(v, w)`` clockwise-after *ref* in v's rotation."""
-        self._require_node(v)
-        if w in self._cw[v]:
-            raise EmbeddingError(f"half-edge ({v!r}, {w!r}) already present")
-        if not self._cw[v]:
-            if ref is not None:
-                raise EmbeddingError(
-                    f"reference {ref!r} given but rotation of {v!r} is empty"
-                )
-            self._insert_only(v, w)
-            return
-        if ref not in self._cw[v]:
-            raise EmbeddingError(f"reference {ref!r} not in rotation of {v!r}")
-        nxt = self._cw[v][ref]
-        self._cw[v][ref] = w
-        self._cw[v][w] = nxt
-        self._ccw[v][nxt] = w
-        self._ccw[v][w] = ref
-
-    def add_half_edge_ccw(self, v: Any, w: Any, ref: Optional[Any]) -> None:
-        """Insert half-edge ``(v, w)`` counterclockwise-after (before) *ref*."""
-        self._require_node(v)
-        if not self._cw[v]:
-            if ref is not None:
-                raise EmbeddingError(
-                    f"reference {ref!r} given but rotation of {v!r} is empty"
-                )
-            if w in self._cw[v]:
-                raise EmbeddingError(f"half-edge ({v!r}, {w!r}) already present")
-            self._insert_only(v, w)
-            return
-        if ref not in self._ccw[v]:
-            raise EmbeddingError(f"reference {ref!r} not in rotation of {v!r}")
-        self.add_half_edge_cw(v, w, self._ccw[v][ref])
-
-    def add_half_edge_first(self, v: Any, w: Any) -> None:
-        """Insert half-edge ``(v, w)`` as the new first entry of v's rotation."""
-        self._require_node(v)
-        if self._first[v] is None:
-            if w in self._cw[v]:
-                raise EmbeddingError(f"half-edge ({v!r}, {w!r}) already present")
-            self._insert_only(v, w)
-        else:
-            self.add_half_edge_ccw(v, w, self._first[v])
-            self._first[v] = w
 
     def set_rotation(self, v: Any, neighbors: Iterable[Any]) -> None:
         """Replace v's rotation with *neighbors* in clockwise order."""
@@ -100,13 +49,8 @@ class RotationSystem:
         ordered = list(neighbors)
         if len(set(ordered)) != len(ordered):
             raise EmbeddingError(f"duplicate neighbor in rotation of {v!r}")
-        self._cw[v] = {}
-        self._ccw[v] = {}
+        self._cw[v] = dict(zip(ordered, ordered[1:] + ordered[:1]))
         self._first[v] = ordered[0] if ordered else None
-        k = len(ordered)
-        for i, w in enumerate(ordered):
-            self._cw[v][w] = ordered[(i + 1) % k]
-            self._ccw[v][w] = ordered[(i - 1) % k]
 
     # -- queries ---------------------------------------------------------------
 
@@ -120,21 +64,10 @@ class RotationSystem:
         self._require_node(v)
         return len(self._cw[v])
 
-    def has_half_edge(self, v: Any, w: Any) -> bool:
-        """True if half-edge ``(v, w)`` is present."""
-        return v in self._cw and w in self._cw[v]
-
     def next_cw(self, v: Any, w: Any) -> Any:
         """Neighbor following *w* clockwise in v's rotation."""
         try:
             return self._cw[v][w]
-        except KeyError:
-            raise EmbeddingError(f"half-edge ({v!r}, {w!r}) not present") from None
-
-    def next_ccw(self, v: Any, w: Any) -> Any:
-        """Neighbor preceding *w* (counterclockwise) in v's rotation."""
-        try:
-            return self._ccw[v][w]
         except KeyError:
             raise EmbeddingError(f"half-edge ({v!r}, {w!r}) not present") from None
 
@@ -160,14 +93,6 @@ class RotationSystem:
     def to_dict(self) -> Dict[Any, List[Any]]:
         """Plain-dict snapshot ``{node: clockwise neighbor list}``."""
         return {v: self.rotation(v) for v in self._first}
-
-    @classmethod
-    def from_dict(cls, rotations: Dict[Any, Iterable[Any]]) -> "RotationSystem":
-        """Build a rotation system from ``{node: clockwise neighbor list}``."""
-        rs = cls()
-        for v, order in rotations.items():
-            rs.set_rotation(v, order)
-        return rs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RotationSystem):

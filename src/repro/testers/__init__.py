@@ -6,7 +6,6 @@ from .hereditary import (
     HereditaryTestResult,
     bipartiteness_checker,
     cycle_freeness_checker,
-    degeneracy_checker,
     outerplanarity_checker,
     planarity_checker,
     test_hereditary_property,
@@ -47,7 +46,6 @@ __all__ = [
     "sample_size",
     "bipartiteness_checker",
     "cycle_freeness_checker",
-    "degeneracy_checker",
     "outerplanarity_checker",
     "planarity_checker",
     "test_bipartiteness",

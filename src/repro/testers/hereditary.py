@@ -20,20 +20,19 @@ part that still violates the property, and a sound checker flags it.
 Completeness: parts of a satisfying graph are subgraphs, hence satisfy
 the (hereditary) property, and a complete checker accepts them.
 
-Built-in checkers: cycle-freeness, bipartiteness, planarity,
+Built-in checkers: cycle-freeness, bipartiteness, planarity and
 outerplanarity (via the "add a universal apex vertex, test planarity"
-characterization), and bounded-degeneracy.
+characterization).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 import networkx as nx
 
-from ..graphs.utils import degeneracy, edge_count, require_simple
+from ..graphs.utils import edge_count, require_simple
 from ..partition.weighted_selection import partition_by_method
 from ..planarity.lr_planarity import LocalGraph, check_planarity
 from .labels import deterministic_bfs_tree
@@ -106,22 +105,6 @@ def outerplanarity_checker(sub: nx.Graph, root: Any) -> Tuple[bool, int]:
     augmented = nx.Graph(sub)
     augmented.add_edges_from((apex, v) for v in sub.nodes())
     return check_planarity(augmented).is_planar, rounds
-
-
-def degeneracy_checker(bound: int) -> PartChecker:
-    """Checker factory: accept iff the part's degeneracy is <= *bound*.
-
-    Bounded degeneracy is hereditary (subgraphs only lose edges).
-    """
-
-    def checker(sub: nx.Graph, root: Any) -> Tuple[bool, int]:
-        _local, _depths, rounds = _bfs_rounds(sub, root)
-        # distributed peeling runs in O(log n_j) phases of local rounds;
-        # charge diameter + log as a conservative poly(diameter) cost
-        rounds += int(math.ceil(math.log2(max(2, sub.number_of_nodes()))))
-        return degeneracy(sub) <= bound, rounds
-
-    return checker
 
 
 BUILTIN_CHECKERS = {

@@ -7,7 +7,10 @@ kept here, outside ``src/``, as the oracle the int implementation in
 the same rotation system on every graph.
 
 Every edge is a ``(v, w)`` tuple key, and conflict pairs and intervals
-are small objects; ``stack_bottom`` records object identity.
+are small objects; ``stack_bottom`` records object identity.  The
+embedding phase grows each rotation edge by edge, so it builds an
+:class:`IncrementalRotation`, which adds insertion next to a given
+neighbor to the library's set-whole :class:`RotationSystem`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,49 @@ from repro.errors import GraphInputError
 from repro.planarity.rotation import RotationSystem
 
 Edge = Tuple[Any, Any]
+
+
+class IncrementalRotation(RotationSystem):
+    """A :class:`RotationSystem` grown one half-edge at a time.
+
+    Keeps counterclockwise links beside the clockwise ones, so a
+    half-edge can go in on either side of a neighbor already present.
+    """
+
+    def __init__(self) -> None:  # noqa: D107
+        super().__init__()
+        self._ccw: Dict[Any, Dict[Any, Any]] = {}
+
+    def add_node(self, v: Any) -> None:
+        super().add_node(v)
+        self._ccw.setdefault(v, {})
+
+    def add_half_edge_cw(self, v: Any, w: Any, ref: Optional[Any]) -> None:
+        """Insert ``(v, w)`` clockwise after *ref* (``None``: v's rotation
+        is empty and ``w`` becomes its first entry)."""
+        cw, ccw = self._cw[v], self._ccw[v]
+        if ref is None:
+            self._first[v] = w
+            cw[w] = ccw[w] = w
+            return
+        nxt = cw[ref]
+        cw[ref] = w
+        cw[w] = nxt
+        ccw[nxt] = w
+        ccw[w] = ref
+
+    def add_half_edge_ccw(self, v: Any, w: Any, ref: Any) -> None:
+        """Insert ``(v, w)`` counterclockwise after (before) *ref*."""
+        self.add_half_edge_cw(v, w, self._ccw[v][ref])
+
+    def add_half_edge_first(self, v: Any, w: Any) -> None:
+        """Insert ``(v, w)`` as the new first entry of v's rotation."""
+        first = self._first[v]
+        if first is None:
+            self.add_half_edge_cw(v, w, None)
+        else:
+            self.add_half_edge_ccw(v, w, first)
+            self._first[v] = w
 
 
 class _Interval:
@@ -93,7 +139,7 @@ class _LRPlanarity:
         self.lowpt_edge: Dict[Edge, Edge] = {}
         self.ordered_adjs: Dict[Any, List[Any]] = {}
         self.roots: List[Any] = []
-        self.embedding = RotationSystem()
+        self.embedding = IncrementalRotation()
         self.left_ref: Dict[Any, Any] = {}
         self.right_ref: Dict[Any, Any] = {}
 

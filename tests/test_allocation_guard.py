@@ -23,7 +23,6 @@ import pytest
 
 from repro.congest import CongestNetwork, compile_topology
 from repro.graphs import make_far, make_planar
-from repro.graphs.distance import greedy_maximal_planar_subgraph
 from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
 from repro.graphs.generators import PLANAR_FAMILIES
 from repro.partition import DensePartitionState, partition_stage1
@@ -140,18 +139,6 @@ def test_generated_graph_freed_by_refcount(family):
         assert not {"degree", "edges"} & set(vars(graph))
         probe = weakref.ref(graph)
         del graph
-        assert probe() is None
-
-
-def test_greedy_planar_subgraph_freed_by_refcount():
-    """The greedy maximal planar subgraph counts its edges itself and
-    caches no view on the subgraph it returns."""
-    graph = make_far("planted-k5", 120, seed=0)[0]
-    with collector_off():
-        sub = greedy_maximal_planar_subgraph(graph, seed=0)
-        assert not {"degree", "edges"} & set(vars(sub))
-        probe = weakref.ref(sub)
-        del sub
         assert probe() is None
 
 

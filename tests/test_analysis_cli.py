@@ -8,12 +8,10 @@ import pytest
 
 from repro.analysis import (
     Table,
-    fit_rounds_vs_log2_n,
     fit_rounds_vs_log_n,
     format_cell,
     geometric_mean,
     linear_fit,
-    predicted_detection_probability,
     wilson_interval,
 )
 from repro.cli import main
@@ -54,21 +52,6 @@ class TestStats:
         fit = fit_rounds_vs_log_n(ns, rounds)
         assert fit.slope == pytest.approx(10)
         assert fit.r_squared > 0.999
-
-    def test_log2_fit(self):
-        ns = [2**k for k in range(5, 10)]
-        rounds = [4 * math.log2(n) ** 2 for n in ns]
-        fit = fit_rounds_vs_log2_n(ns, rounds)
-        assert fit.slope == pytest.approx(4)
-
-    def test_detection_profile(self):
-        assert predicted_detection_probability(0.0, 100) == 0.0
-        assert predicted_detection_probability(1.0, 1) == 1.0
-        assert 0.63 < predicted_detection_probability(0.01, 100) < 0.64
-
-    def test_detection_profile_validation(self):
-        with pytest.raises(ValueError):
-            predicted_detection_probability(1.2, 10)
 
     def test_geometric_mean(self):
         assert geometric_mean([2, 8]) == pytest.approx(4)

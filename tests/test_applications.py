@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from _stage1_reference import label_cases, relabeled
 from repro.applications import build_spanner, measure_stretch
 from repro.graphs import (
     cycle_freeness_farness,
@@ -90,6 +91,34 @@ class TestBipartiteness:
         for seed in range(3):
             graph = grid_graph(9, 9)
             assert run_bipartiteness(graph, epsilon=0.1, seed=seed).accepted
+
+
+class TestPartVerdictsMatchNetworkx:
+    """The vectorized per-part BFS check is exact: a part is rejected
+    iff networkx finds the part itself is not a forest (cycle-freeness)
+    or not bipartite (bipartiteness), on every label type."""
+
+    @pytest.mark.parametrize(
+        "family,relabeling",
+        label_cases(["tree", "grid", "tri-grid", "delaunay"]),
+    )
+    @pytest.mark.parametrize(
+        "tester,holds",
+        [(run_cycle_freeness, nx.is_forest), (run_bipartiteness, nx.is_bipartite)],
+        ids=["cycle-free", "bipartite"],
+    )
+    def test_rejecting_parts_are_violating_parts(
+        self, family, relabeling, tester, holds
+    ):
+        graph = relabeled(make_planar(family, 120, seed=0), relabeling)
+        result = tester(graph, epsilon=0.2)
+        node_sets = result.partition_result.partition.node_sets()
+        violating = {
+            pid for pid, nodes in node_sets.items()
+            if not holds(graph.subgraph(nodes))
+        }
+        assert set(result.rejecting_parts) == violating
+        assert result.accepted == (not violating)
 
 
 class TestSpanner:

@@ -1,4 +1,4 @@
-"""Tests for the MPX baseline partition, baseline spanners, ground truth."""
+"""Tests for the MPX baseline partition and the baseline spanners."""
 
 from __future__ import annotations
 
@@ -13,12 +13,9 @@ from _stage1_reference import (
     to_partition,
 )
 from repro.baselines import (
-    bipartiteness_ground_truth,
     cluster_spanner,
-    cycle_freeness_ground_truth,
     greedy_spanner,
     mpx_partition,
-    planarity_ground_truth,
 )
 from repro.congest.topology import compile_topology
 from repro.errors import GraphInputError
@@ -153,17 +150,3 @@ class TestBaselineSpanners:
     def test_greedy_even_stretch_rejected(self, small_grid):
         with pytest.raises(GraphInputError):
             greedy_spanner(small_grid, stretch=4)
-
-
-class TestGroundTruth:
-    def test_planarity(self, k5, small_grid):
-        assert planarity_ground_truth(small_grid)
-        assert not planarity_ground_truth(k5)
-
-    def test_cycle_freeness(self):
-        assert cycle_freeness_ground_truth(nx.random_labeled_tree(20, seed=0))
-        assert not cycle_freeness_ground_truth(nx.cycle_graph(5))
-
-    def test_bipartiteness(self, small_grid, small_tri_grid):
-        assert bipartiteness_ground_truth(small_grid)
-        assert not bipartiteness_ground_truth(small_tri_grid)

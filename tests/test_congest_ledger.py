@@ -45,40 +45,6 @@ class TestRoundLedger:
         a.merge(b)
         assert a.total == 3
 
-    def test_merge_parallel_takes_max(self):
-        main = RoundLedger()
-        others = [RoundLedger(), RoundLedger()]
-        others[0].charge(10, "p")
-        others[1].charge(3, "p")
-        cost = main.merge_parallel(others, "parallel")
-        assert cost == 10
-        assert main.total == 10
-
-    def test_merge_parallel_empty(self):
-        main = RoundLedger()
-        assert main.merge_parallel([], "parallel") == 0
-
-    def test_merge_parallel_empty_leaves_no_record(self):
-        main = RoundLedger()
-        main.charge(4, "before")
-        main.merge_parallel([], "parallel")
-        assert main.total == 4
-        assert "parallel" not in main.by_category()
-
-    def test_merge_parallel_accepts_any_iterable(self):
-        main = RoundLedger()
-        others = [RoundLedger(), RoundLedger()]
-        others[0].charge(7, "p")
-        cost = main.merge_parallel((o for o in others), "parallel")
-        assert cost == 7
-        (record,) = main.records
-        assert record.note == "max over 2 parallel components"
-
-    def test_merge_parallel_all_zero_totals(self):
-        main = RoundLedger()
-        assert main.merge_parallel([RoundLedger(), RoundLedger()], "p") == 0
-        assert main.records == []
-
     def test_by_prefix_without_dot_uses_whole_category(self):
         ledger = RoundLedger()
         ledger.charge(3, "standalone")

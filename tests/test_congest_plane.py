@@ -33,9 +33,6 @@ from repro.congest.programs import (
     BroadcastStormProgram,
     FloodProgram,
     cole_vishkin_coloring,
-    flood_eccentricity,
-    run_bipartite_check_simulated,
-    run_cycle_check_simulated,
     run_forest_decomposition_simulated,
 )
 from repro.congest.programs.forest_decomposition import (
@@ -192,26 +189,19 @@ class TestDifferentialPrograms:
         parents = {i: i + 1 if i < 8 else None for i in range(9)}
         per_plane = _dict_vs_dense(
             lambda: (
-                flood_eccentricity(graph, 0),
+                CongestNetwork(graph).run(
+                    FloodProgram,
+                    max_rounds=graph.number_of_nodes() + 2,
+                    config={"root": 0},
+                    strict_bandwidth=True,
+                ),
                 cole_vishkin_coloring(path, parents),
-                run_cycle_check_simulated(graph, 0),
-                run_bipartite_check_simulated(graph, 0),
                 run_forest_decomposition_simulated(graph, alpha=3),
             )
         )
-        (f_ecc, f_cv, f_cyc, f_bip, f_fd), (d_ecc, d_cv, d_cyc, d_bip, d_fd) = (
-            per_plane
-        )
-        assert f_ecc == d_ecc
+        (f_flood, f_cv, f_fd), (d_flood, d_cv, d_fd) = per_plane
+        assert (f_flood.outputs, f_flood.rounds) == (d_flood.outputs, d_flood.rounds)
         assert f_cv == d_cv
-        assert (f_cyc.accepted, f_cyc.rejecting_nodes) == (
-            d_cyc.accepted,
-            d_cyc.rejecting_nodes,
-        )
-        assert (f_bip.accepted, f_bip.rejecting_nodes) == (
-            d_bip.accepted,
-            d_bip.rejecting_nodes,
-        )
         assert f_fd.inactive_round == d_fd.inactive_round
         assert f_fd.out_neighbors == d_fd.out_neighbors
 

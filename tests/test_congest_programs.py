@@ -1,4 +1,4 @@
-"""Tests for the distributed node programs (flood, BFS, BE, CV, checks)."""
+"""Tests for the distributed node programs (flood, BFS, BE, CV)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.congest.network import CongestNetwork
 from repro.congest.programs import (
+    FloodProgram,
     bfs_tree,
     cole_vishkin_coloring,
-    flood_eccentricity,
-    run_bipartite_check_simulated,
-    run_cycle_check_simulated,
     run_forest_decomposition_simulated,
 )
 from repro.congest.programs.cole_vishkin import cv_schedule, cv_step_value
@@ -23,15 +22,23 @@ from repro.congest.programs.forest_decomposition import (
 
 class TestFlood:
     def test_matches_eccentricity(self, small_grid):
-        ecc, dists = flood_eccentricity(small_grid, 0)
-        assert ecc == nx.eccentricity(small_grid, 0)
-        assert dists == nx.single_source_shortest_path_length(small_grid, 0)
+        result = CongestNetwork(small_grid).run(
+            FloodProgram,
+            max_rounds=small_grid.number_of_nodes() + 2,
+            config={"root": 0},
+            strict_bandwidth=True,
+        )
+        distances = nx.single_source_shortest_path_length(small_grid, 0)
+        assert result.outputs == distances
+        assert result.rounds == nx.eccentricity(small_grid, 0) + 2
 
     def test_single_node(self):
         graph = nx.Graph()
         graph.add_node(0)
-        ecc, dists = flood_eccentricity(graph, 0)
-        assert ecc == 0 and dists == {0: 0}
+        result = CongestNetwork(graph).run(
+            FloodProgram, max_rounds=3, config={"root": 0}, strict_bandwidth=True
+        )
+        assert result.outputs == {0: 0}
 
 
 class TestBFS:
@@ -74,7 +81,7 @@ class TestBarenboimElkin:
 
     def test_orientation_covers_all_edges_once(self, small_tri_grid):
         fd = run_forest_decomposition_simulated(small_tri_grid, alpha=3)
-        oriented = set(fd.orientation_edges())
+        oriented = {(u, v) for u, outs in fd.out_neighbors.items() for v in outs}
         assert len(oriented) == small_tri_grid.number_of_edges()
         for u, v in small_tri_grid.edges():
             assert ((u, v) in oriented) != ((v, u) in oriented)
@@ -85,7 +92,9 @@ class TestBarenboimElkin:
 
     def test_orientation_acyclic(self, small_apollonian):
         fd = run_forest_decomposition_simulated(small_apollonian, alpha=3)
-        dg = nx.DiGraph(fd.orientation_edges())
+        dg = nx.DiGraph(
+            (u, v) for u, outs in fd.out_neighbors.items() for v in outs
+        )
         assert nx.is_directed_acyclic_graph(dg)
 
     def test_rejects_dense_graph(self):
@@ -174,35 +183,3 @@ class TestColeVishkin:
         for v, w in edges:
             assert colors[v] != colors[w]
 
-
-class TestPartChecks:
-    def test_tree_accepted(self):
-        tree = nx.random_labeled_tree(25, seed=3)
-        assert run_cycle_check_simulated(tree, 0).accepted
-
-    def test_cycle_rejected(self):
-        assert not run_cycle_check_simulated(nx.cycle_graph(7), 0).accepted
-
-    def test_even_cycle_bipartite(self):
-        assert run_bipartite_check_simulated(nx.cycle_graph(8), 0).accepted
-
-    def test_odd_cycle_not_bipartite(self):
-        result = run_bipartite_check_simulated(nx.cycle_graph(9), 0)
-        assert not result.accepted
-        assert result.rejecting_nodes
-
-    def test_grid_bipartite(self, small_grid):
-        assert run_bipartite_check_simulated(small_grid, 0).accepted
-
-    def test_tri_grid_not_bipartite(self, small_tri_grid):
-        assert not run_bipartite_check_simulated(small_tri_grid, 0).accepted
-
-    def test_disconnected_rejected(self):
-        graph = nx.Graph([(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            run_cycle_check_simulated(graph, 0)
-
-    def test_rounds_reported(self, small_grid):
-        result = run_bipartite_check_simulated(small_grid, 0)
-        assert result.rounds == result.bfs_rounds + result.check_rounds
-        assert result.rounds > 0

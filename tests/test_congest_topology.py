@@ -43,7 +43,7 @@ class TestCompiledTopology:
         topo = CompiledTopology(graph)
         for v in graph.nodes():
             i = topo.index[v]
-            row = list(topo.neighbor_indices(i))
+            row = list(topo.indices[topo.indptr[i] : topo.indptr[i + 1]])
             expected = [topo.index[w] for w in sorted(graph.neighbors(v))]
             assert row == expected
             assert topo.neighbor_index_sets[i] == frozenset(expected)

@@ -9,13 +9,10 @@ from repro.graphs import (
     bipartiteness_farness_bounds,
     cycle_freeness_distance,
     cycle_freeness_farness,
-    greedy_maximal_planar_subgraph,
-    planarity_farness_bounds,
     planarity_farness_lower_bound,
     planarity_skewness_lower_bound,
     triangulated_grid,
 )
-from repro.planarity import is_planar
 
 
 class TestPlanaritySkewness:
@@ -47,26 +44,6 @@ class TestPlanaritySkewness:
     def test_disconnected_sums_components(self, k5):
         graph = nx.union(k5, nx.relabel_nodes(k5, {i: i + 10 for i in range(5)}))
         assert planarity_skewness_lower_bound(graph) >= 2
-
-
-class TestGreedyPlanarSubgraph:
-    def test_planar_input_kept_whole(self, small_grid):
-        sub = greedy_maximal_planar_subgraph(small_grid, seed=1)
-        assert sub.number_of_edges() == small_grid.number_of_edges()
-
-    def test_output_planar(self, k5):
-        sub = greedy_maximal_planar_subgraph(k5, seed=1)
-        assert is_planar(sub)
-        assert sub.number_of_edges() == 9  # K5 minus exactly one edge
-
-    def test_bounds_are_ordered(self, far_zoo):
-        for name, graph, _f in far_zoo:
-            lower, upper = planarity_farness_bounds(graph, seed=0)
-            assert 0 <= lower <= upper <= 1, name
-
-    def test_k5_bounds_tight(self, k5):
-        lower, upper = planarity_farness_bounds(k5)
-        assert lower == upper == pytest.approx(0.1)
 
 
 class TestCycleFreeness:

@@ -1,4 +1,4 @@
-"""Tests for graph utilities: girth, diameter, arboricity, cycles."""
+"""Tests for graph utilities: girth, diameter, cycles, edge counts."""
 
 from __future__ import annotations
 
@@ -9,17 +9,12 @@ import pytest
 
 from repro.errors import GraphInputError
 from repro.graphs import (
-    arboricity_bounds,
     bfs_levels,
-    degeneracy,
     diameter,
     eccentricity,
-    ensure_int_labels,
     find_short_cycle,
     girth,
-    greedy_forest_partition,
     require_simple,
-    tree_height,
 )
 from repro.graphs.utils import edge_count, has_self_loops, iter_edges
 
@@ -110,62 +105,7 @@ class TestFindShortCycle:
         assert find_short_cycle(nx.complete_graph(4), 2) is None
 
 
-class TestDegeneracyAndArboricity:
-    def test_degeneracy_tree(self):
-        assert degeneracy(nx.random_labeled_tree(30, seed=0)) == 1
-
-    def test_degeneracy_complete(self):
-        assert degeneracy(nx.complete_graph(7)) == 6
-
-    def test_degeneracy_empty(self):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(3))
-        assert degeneracy(graph) == 0
-
-    def test_planar_degeneracy_at_most_5(self, planar_zoo):
-        for name, graph in planar_zoo:
-            assert degeneracy(graph) <= 5, name
-
-    def test_forest_partition_valid(self, small_apollonian):
-        forests = greedy_forest_partition(small_apollonian)
-        seen = set()
-        for forest in forests:
-            sub = nx.Graph(forest)
-            assert nx.is_forest(sub)
-            for u, v in forest:
-                edge = frozenset((u, v))
-                assert edge not in seen
-                seen.add(edge)
-        assert len(seen) == small_apollonian.number_of_edges()
-
-    def test_arboricity_bounds_ordered(self, planar_zoo):
-        for name, graph in planar_zoo:
-            lower, upper = arboricity_bounds(graph)
-            assert 0 < lower <= upper, name
-
-    def test_planar_arboricity_lower_at_most_3(self, planar_zoo):
-        for name, graph in planar_zoo:
-            lower, _upper = arboricity_bounds(graph)
-            assert lower <= 3, name
-
-    def test_k5_arboricity_exact(self, k5):
-        lower, upper = arboricity_bounds(k5)
-        assert lower == 3  # ceil(10/4)
-
-    def test_empty_graph_bounds(self):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(4))
-        assert arboricity_bounds(graph) == (0, 0)
-
-
 class TestMisc:
-    def test_tree_height(self):
-        parents = {1: 0, 2: 0, 3: 1, 4: 3}
-        assert tree_height(parents, 0) == 3
-
-    def test_tree_height_cycle_detected(self):
-        with pytest.raises(GraphInputError):
-            tree_height({1: 0, 0: 1}, 0)
 
     def test_require_simple(self):
         require_simple(nx.path_graph(3))
@@ -218,9 +158,3 @@ class TestMisc:
             assert not {"degree", "edges"} & set(vars(view))
             assert count == view.number_of_edges()
             assert edges == list(view.edges())
-
-    def test_ensure_int_labels(self):
-        graph = nx.Graph([("a", "b"), ("b", "c")])
-        relabeled, mapping = ensure_int_labels(graph)
-        assert sorted(relabeled.nodes()) == [0, 1, 2]
-        assert mapping["a"] == 0

@@ -18,7 +18,6 @@ from repro.testers import (
     BUILTIN_CHECKERS,
     bipartiteness_checker,
     cycle_freeness_checker,
-    degeneracy_checker,
     outerplanarity_checker,
     planarity_checker,
     test_bipartiteness as run_bipartiteness,
@@ -52,13 +51,6 @@ class TestCheckers:
         assert ok
         # K4 is planar but not outerplanar
         ok, _ = outerplanarity_checker(nx.complete_graph(4), 0)
-        assert not ok
-
-    def test_degeneracy_checker_factory(self):
-        checker = degeneracy_checker(1)
-        ok, _ = checker(random_tree(20, seed=0), 0)
-        assert ok
-        ok, _ = checker(nx.cycle_graph(5), 0)
         assert not ok
 
 

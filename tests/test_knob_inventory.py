@@ -3,7 +3,8 @@
 Scans ``src/`` for ``REPRO_*`` names and pins the set to the table under
 "Environment knobs" in ARCHITECTURE.md, so adding (or removing) a knob
 fails here until the documentation follows.  Retired knobs, exports and
-modules must stay gone.
+modules must stay gone, and every top-level definition under ``src/``
+must be named somewhere other than ``tests/``.
 """
 
 from __future__ import annotations
@@ -60,13 +61,50 @@ RETIRED_EXPORTS = (
     "randomized_coloring_emulated",
     "DisjointSets",
     "FenwickTree",
+    "arboricity_bounds",
+    "tree_height",
+    "ensure_int_labels",
+    "degeneracy",
+    "greedy_forest_partition",
+    "planarity_farness_bounds",
+    "greedy_maximal_planar_subgraph",
+    "flood_eccentricity",
+    "CycleCheckProgram",
+    "BipartiteCheckProgram",
+    "PartCheckResult",
+    "run_cycle_check_simulated",
+    "run_bipartite_check_simulated",
+    "degeneracy_checker",
+    "is_planar_embedding",
+    "predicted_detection_probability",
+    "fit_rounds_vs_log2_n",
+    "planarity_ground_truth",
+    "cycle_freeness_ground_truth",
+    "bipartiteness_ground_truth",
 )
 """Names that left ``src/``; the first four live on as test oracles."""
 
-RETIRED_MODULES = {"repro.partition.coloring", "repro.graphs.structures"}
+RETIRED_MODULES = {
+    "repro.partition.coloring",
+    "repro.graphs.structures",
+    "repro.congest.programs.part_checks",
+    "repro.baselines.centralized",
+}
 
 
-@pytest.mark.parametrize("module", ["repro", "repro.partition", "repro.graphs"])
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro",
+        "repro.partition",
+        "repro.graphs",
+        "repro.congest.programs",
+        "repro.testers",
+        "repro.planarity",
+        "repro.analysis",
+        "repro.baselines",
+    ],
+)
 def test_retired_exports_are_gone(module):
     package = importlib.import_module(module)
     assert [name for name in RETIRED_EXPORTS if hasattr(package, name)] == []
@@ -93,3 +131,76 @@ def test_retired_modules_are_not_imported():
         if name in RETIRED_MODULES
     }
     assert offenders == set()
+
+
+# -- reachability ------------------------------------------------------------
+
+REACH_DIRS = ("src", "benchmarks", "examples", "perfbench", ".github")
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def top_level_definitions():
+    """``(module path, name)`` of every top-level function and class of a
+    non-``__init__`` module under ``src/``."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, DEFINITIONS):
+                yield str(path.relative_to(ROOT)), node.name
+
+
+def _names_in(tree):
+    """Identifiers, attribute names, import names and aliases, and the
+    words of string constants under *tree*."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from WORD.findall(node.value)
+
+
+def named_elsewhere():
+    """``{name: set of top-level definitions it is named inside}``, over the
+    reach dirs: a name used at module level maps to ``None``.  Package
+    ``__init__`` modules under ``src/`` only re-export and do not count;
+    non-Python files under ``.github/`` count word by word."""
+    seen = {}
+    for top in REACH_DIRS:
+        for path in (ROOT / top).rglob("*"):
+            if not path.is_file() or "__pycache__" in path.parts:
+                continue
+            if path.suffix != ".py":
+                if top == ".github":
+                    for word in WORD.findall(path.read_text(encoding="utf-8")):
+                        seen.setdefault(word, set()).add(None)
+                continue
+            if top == "src" and path.name == "__init__.py":
+                continue
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                owner = getattr(node, "name", None)
+                for name in _names_in(node):
+                    seen.setdefault(name, set()).add(owner)
+    return seen
+
+
+def test_every_definition_is_reached():
+    """A top-level ``src/`` definition that only tests name is dead surface:
+    delete it (a test oracle lives under ``tests/``) rather than keep it."""
+    roots = set(importlib.import_module("repro").__all__)
+    seen = named_elsewhere()
+    unreached = [
+        f"{module}::{name}"
+        for module, name in top_level_definitions()
+        if name not in roots and not seen.get(name, set()) - {name}
+    ]
+    assert unreached == [], "only tests reach:\n" + "\n".join(unreached)
