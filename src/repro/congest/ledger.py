@@ -30,8 +30,7 @@ class RoundLedger:
     """Accumulates round charges, grouped by category.
 
     Categories are free-form dotted strings such as ``"stage1.forest"`` or
-    ``"stage2.bfs"``; :meth:`by_category` groups by full category string
-    and :meth:`by_prefix` by the first dotted component.
+    ``"stage2.bfs"``; :meth:`by_category` groups by full category string.
     """
 
     records: List[ChargeRecord] = field(default_factory=list)
@@ -54,14 +53,6 @@ class RoundLedger:
         out: Dict[str, int] = {}
         for record in self.records:
             out[record.category] = out.get(record.category, 0) + record.rounds
-        return out
-
-    def by_prefix(self) -> Dict[str, int]:
-        """Total rounds per first dotted category component."""
-        out: Dict[str, int] = {}
-        for record in self.records:
-            prefix = record.category.split(".", 1)[0]
-            out[prefix] = out.get(prefix, 0) + record.rounds
         return out
 
     def merge(self, other: "RoundLedger") -> None:

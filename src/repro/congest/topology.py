@@ -16,10 +16,10 @@ CSR first:
   (``indptr``/``indices``, rows ascending) plus a degree table, built by
   numpy sorts with no per-node Python containers -- the Stage I engine
   and the batched plane read only these arrays;
-* the simulator's per-node views -- neighbor tuples (original ids),
-  frozen neighbor sets for O(1) membership checks in the delivery loop,
-  and frozen neighbor *index* sets -- are derived from the CSR on first
-  use, so a tester run that never simulates never allocates them;
+* the simulator's per-node views -- neighbor tuples (original ids) and
+  frozen neighbor sets for O(1) membership checks in the delivery loop
+  -- are derived from the CSR on first use, so a tester run that never
+  simulates never allocates them;
 * the default per-edge bandwidth budget.
 
 :func:`compile_topology` memoizes compilations per graph *object* in a
@@ -41,6 +41,7 @@ import threading
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, Optional, Tuple
 
 import networkx as nx
@@ -81,8 +82,6 @@ class CompiledTopology:
             Built on first access.
         neighbor_sets: node id -> frozenset of neighbor ids (delivery
             loop membership checks).  Built on first access.
-        neighbor_index_sets: dense index -> frozenset of dense neighbor
-            indices.  Built on first access.
         bandwidth_bits: the default CONGEST budget for this ``n`` (see
             :func:`repro.congest.message.default_bandwidth_bits`).
     """
@@ -100,7 +99,6 @@ class CompiledTopology:
         "bandwidth_bits",
         "_neighbors",
         "_neighbor_sets",
-        "_neighbor_index_sets",
         "_plane_arrays",
         "_edge_arrays",
         "_batch_arrays",
@@ -114,19 +112,29 @@ class CompiledTopology:
             raise GraphInputError("CongestNetwork requires at least one node")
         self._graph_ref = weakref.ref(graph)
         n = self.n = graph.number_of_nodes()
-        nodes: Tuple[Any, ...] = tuple(sorted(graph, key=id_key))
+        adj = graph._adj
+        # Plain ints (bools and IntEnums excluded) sort numerically, as
+        # id_key does; sorted distinct ints from 0 to n - 1 are exactly
+        # 0..n-1, where every label is its own dense index.
+        if set(map(type, adj)) == {int}:
+            nodes: Tuple[Any, ...] = tuple(sorted(adj))
+            dense_labels = nodes[0] == 0 and nodes[-1] == n - 1
+        else:
+            nodes = tuple(sorted(adj, key=id_key))
+            dense_labels = False
         self.nodes = nodes
-        index: Dict[Any, int] = {v: i for i, v in enumerate(nodes)}
+        index: Dict[Any, int] = dict(zip(nodes, range(n)))
         self.index = index
 
         # Rows are filled in dense order, so one sort of the packed
         # (row, column) keys orders every row by neighbor index.
-        adj = graph._adj
-        degrees = np.fromiter((len(adj[v]) for v in nodes), np.int64, n)
+        degrees = np.fromiter(map(len, map(adj.__getitem__, nodes)), np.int64, n)
         slots = int(degrees.sum())
-        columns = np.fromiter(
-            (index[w] for v in nodes for w in adj[v]), np.int64, slots
-        )
+        if dense_labels:
+            neighbor_indices = chain.from_iterable(map(adj.__getitem__, nodes))
+        else:
+            neighbor_indices = (index[w] for v in nodes for w in adj[v])
+        columns = np.fromiter(neighbor_indices, np.int64, slots)
         rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
         if (columns == rows).any():
             raise GraphInputError("CongestNetwork does not support self-loops")
@@ -142,7 +150,6 @@ class CompiledTopology:
         self.bandwidth_bits = default_bandwidth_bits(n)
         self._neighbors = None
         self._neighbor_sets = None
-        self._neighbor_index_sets = None
         self._plane_arrays = None
         self._edge_arrays = None
         self._batch_arrays = None
@@ -175,18 +182,6 @@ class CompiledTopology:
             views = self._neighbor_sets = {
                 v: frozenset(nbrs) for v, nbrs in self.neighbors.items()
             }
-        return views
-
-    @property
-    def neighbor_index_sets(self) -> Tuple[frozenset, ...]:
-        """Dense index -> frozenset of dense neighbor indices."""
-        views = self._neighbor_index_sets
-        if views is None:
-            indptr, indices = self.indptr, self.indices
-            views = self._neighbor_index_sets = tuple(
-                frozenset(indices[indptr[i] : indptr[i + 1]])
-                for i in range(self.n)
-            )
         return views
 
     # -- dense-index accessors ------------------------------------------------

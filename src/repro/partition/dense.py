@@ -6,11 +6,13 @@ Theorem 4's randomized partition shares) runs on the
 
 * the input graph is compiled once; undirected edges live in two numpy
   index arrays (``eu``, ``ev``) shared by every phase;
-* the partition state is a numpy ``part_of`` vector plus a numpy
-  spanning-forest ``parent`` vector over dense indices -- cut sizes and
-  auxiliary weights come from vectorized sweeps (``unique`` over packed
-  endpoint pairs), and merges re-root by pointer reversal plus pointer
-  jumping;
+* the partition state is a numpy ``part_of`` vector, a numpy
+  spanning-forest ``parent`` vector over dense indices and the sorted
+  ``roots`` vector -- cut sizes and auxiliary weights come from
+  vectorized sweeps (runs of one stable argsort of packed part pairs),
+  and merges re-root by pointer reversal plus pointer jumping; no step
+  calls ``unique``, ``intersect1d`` or ``lexsort``: selections are
+  scatters and set tests boolean masks;
 * the decision layer runs on compact part indices with the paper's
   exact rules, and one copy of it serves both theorems: Stage I's
   forest decomposition and heaviest-out-edge selection, or Theorem 4's
@@ -53,13 +55,16 @@ class DenseAuxiliaryGraph:
     indices ``0..k-1`` (``pids[c]`` maps back to the part's root dense
     index): one row per auxiliary edge with endpoints, weight, and the
     designated connector, plus a compact degree table.  The whole build
-    is one masked sweep over the compiled edge arrays: weights via
-    ``unique`` counts over packed endpoint-pair keys, designated
-    connectors via a lexsort (minimum oriented edge per pair -- the
-    seed's exact min-id tie-break).
+    is one masked sweep over the compiled CSR slots: a cut edge is the
+    slot whose owner's part precedes its neighbor's, and one stable
+    argsort of the packed part-pair keys groups those slots into runs,
+    found by an adjacent difference.  A run's length is the aux edge's
+    weight and its first slot -- slots come in oriented-edge order --
+    the designated connector (the seed's exact min-id tie-break).
 
     Attributes:
-        pids: compact index -> root dense index.
+        pids: compact index -> root dense index (an int64 array of the
+            part roots, ascending).
         ea / eb: per aux edge, compact endpoint indices (``ea < eb`` in
             root order).
         weights: per aux edge, multiplicity (number of cut edges).
@@ -82,49 +87,38 @@ class DenseAuxiliaryGraph:
         "_n",
     )
 
-    def __init__(self, part_of, eu, ev, n: int, roots):
-        pu = part_of[eu]
-        pv = part_of[ev]
-        mask = pu != pv
-        self.cut = int(mask.sum())
-        cu = pu[mask]
-        cv = pv[mask]
-        lo = np.minimum(cu, cv)
-        hi = np.maximum(cu, cv)
-        # Connector endpoints oriented (node in lo-part, node in hi-part),
-        # the canonical orientation of the reference AuxiliaryGraph.
-        su = eu[mask]
-        sv = ev[mask]
-        swapped = cu != lo
-        ca = np.where(swapped, sv, su)
-        cb = np.where(swapped, su, sv)
-        pair_key = lo * n + hi
-        conn_key = ca * n + cb
-        order = np.lexsort((conn_key, pair_key))
+    def __init__(self, part_of, owner, neighbor, n: int, roots: "np.ndarray"):
+        # Each cut edge once, oriented (node in lo-part, node in hi-part):
+        # the CSR slots whose owner's part precedes the neighbor's, which
+        # come in (owner, neighbor) order -- the connector order.
+        po = part_of[owner]
+        pn = part_of[neighbor]
+        cut = np.flatnonzero(po < pn)
+        self.cut = len(cut)
+        pair_key = (po * n + pn)[cut]
+        # Stable, so each pair's run opens with its smallest connector
+        # (the seed's min-id tie-break); the run length is its weight.
+        order = np.argsort(pair_key, kind="stable")
         pair_sorted = pair_key[order]
-        uniq, first, counts = np.unique(
-            pair_sorted, return_index=True, return_counts=True
-        )
-        chosen = order[first]
+        run_start = np.empty(len(order), dtype=bool)
+        run_start[:1] = True
+        np.not_equal(pair_sorted[1:], pair_sorted[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        first = cut[order[starts]]
 
-        pids = list(roots)
-        k = len(pids)
+        k = len(roots)
         compact_of = np.full(n, -1, dtype=np.int64)
-        compact_of[np.asarray(pids, dtype=np.int64)] = np.arange(
-            k, dtype=np.int64
-        )
-        self.pids = pids
+        compact_of[roots] = np.arange(k, dtype=np.int64)
+        self.pids = roots
         self._n = n
-        self._pair_keys = uniq
-        self.ea = compact_of[uniq // n]
-        self.eb = compact_of[uniq % n]
-        self.weights = counts.astype(np.int64)
-        self.conn_u = ca[chosen]
-        self.conn_v = cb[chosen]
-        degrees = np.zeros(k, dtype=np.int64)
-        np.add.at(degrees, self.ea, 1)
-        np.add.at(degrees, self.eb, 1)
-        self.degrees = degrees
+        self._pair_keys = pair_sorted[starts]
+        self.ea = compact_of[po[first]]
+        self.eb = compact_of[pn[first]]
+        self.weights = np.diff(starts, append=len(order))
+        self.conn_u = owner[first]
+        self.conn_v = neighbor[first]
+        degrees = np.bincount(self.ea, minlength=k)
+        self.degrees = degrees + np.bincount(self.eb, minlength=k)
 
     # -- array accessors ------------------------------------------------------
 
@@ -248,23 +242,20 @@ def orient_and_select_dense(
 ) -> Tuple["np.ndarray", "np.ndarray"]:
     """Merging sub-step 1: each part's heaviest out-edge (ties: smallest target).
 
-    Orients with :func:`orient_dense`, then one lexsort picks each
-    compact node's heaviest outgoing edge, ties to the smallest
-    neighbor.  Returns ``(parent, weight)`` over compact indices
-    (-1 / 0 where a node has no out-edge).  The orientation is acyclic,
-    so the selection is a forest.
+    Orients with :func:`orient_dense`, then a scatter-max of the weights
+    and a scatter-min of the targets among the heaviest edges pick each
+    compact node's out-edge.  Returns ``(parent, weight)`` over compact
+    indices (-1 / 0 where a node has no out-edge; aux weights are
+    positive).  The orientation is acyclic, so the selection is a forest.
     """
     k = aux.compact_count
     src, dst, ww = orient_dense(aux, inactive_round)
-    parent = np.full(k, -1, dtype=np.int64)
     weight = np.zeros(k, dtype=np.int64)
-    if len(src):
-        order = np.lexsort((dst, -ww, src))
-        src_sorted = src[order]
-        owners, first = np.unique(src_sorted, return_index=True)
-        best = order[first]
-        parent[owners] = dst[best]
-        weight[owners] = ww[best]
+    np.maximum.at(weight, src, ww)
+    heaviest = ww == weight[src]
+    parent = np.full(k, k, dtype=np.int64)
+    np.minimum.at(parent, src[heaviest], dst[heaviest])
+    parent[parent == k] = -1
     return parent, weight
 
 
@@ -376,8 +367,9 @@ class RootSeeds:
     A root is seeded with its label when every current root label is an
     ``int >= 0`` (bools included) and with its rank in ``repr`` order
     otherwise, so any hashable labels give distinct non-negative seeds.
-    Called with the current roots' dense indices, this returns the seeds
-    as Python ints; the per-node label test runs once, here.
+    Called with the current roots' dense indices (an int64 array), this
+    returns the seeds as Python ints; the per-node label test runs once,
+    here.
     """
 
     def __init__(self, ids: Sequence):
@@ -387,10 +379,10 @@ class RootSeeds:
         )
         self._repr_rank = None
 
-    def __call__(self, pids: Sequence[int]) -> List[int]:
+    def __call__(self, pids: "np.ndarray") -> List[int]:
         ids = self.ids
         if self.labelled[pids].all():
-            return [ids[p] for p in pids]
+            return [ids[p] for p in pids.tolist()]
         if self._repr_rank is None:
             order = sorted(range(len(ids)), key=lambda i: repr(ids[i]))
             self._repr_rank = np.empty(len(ids), dtype=np.int64)
@@ -560,14 +552,16 @@ class MarkingResult:
 
     Attributes:
         marked_edges: the selected subtree edges, as (child, parent).
-        contract_edges: the star edges chosen for contraction.
+        contract_children / contract_centers: the star edges chosen for
+            contraction, as two int64 arrays (child ascending).
         tree_heights: height of each marked subtree, keyed by its root.
         marked_weight: total weight of marked edges, w(T_i).
         contracted_weight: total weight of contracted edges.
     """
 
     marked_edges: List[Tuple[int, int]]
-    contract_edges: List[Tuple[int, int]]
+    contract_children: "np.ndarray"
+    contract_centers: "np.ndarray"
     tree_heights: Dict[int, int]
     marked_weight: int
     contracted_weight: int
@@ -599,7 +593,10 @@ def mark_and_choose_dense(
     properly colored subgraph, so Claim 15 applies unchanged.
     Cole-Vishkin never abstains.
 
-    Edge lists come back in ascending child order.
+    Every step is a scatter or a mask over the compact range.  Edges
+    come back in ascending child order: the marked ones as pairs, the
+    contracted ones as the two index arrays that
+    :meth:`DensePartitionState.merge` takes.
     """
     k = len(parent)
     has_parent = parent >= 0
@@ -637,7 +634,9 @@ def mark_and_choose_dense(
     tree_level = level[marked_idx]
     tallest = np.zeros(k, dtype=np.int64)
     np.maximum.at(tallest, tree_root, tree_level)
-    roots = np.unique(tree_root)
+    # Marked nodes sit at level >= 1, so exactly the tree roots have a
+    # positive height.
+    roots = np.flatnonzero(tallest)
     tree_heights = dict(zip(roots.tolist(), tallest[roots].tolist()))
 
     parity = tree_level % 2
@@ -648,17 +647,19 @@ def mark_and_choose_dense(
     chosen = parity == odd_heavier[tree_root]
     children = marked_idx[chosen]
     centers = heads[chosen]
-    contract = list(zip(children.tolist(), centers.tolist()))
 
-    overlap = np.intersect1d(children, centers)
-    if len(overlap):
+    is_child = np.zeros(k, dtype=bool)
+    is_child[children] = True
+    chained = np.flatnonzero(is_child & (np.bincount(centers, minlength=k) > 0))
+    if len(chained):
         raise PartitionError(
             "contraction edges do not form stars; chained nodes: "
-            f"{set(overlap.tolist())!r}"
+            f"{set(chained.tolist())!r}"
         )
     return MarkingResult(
         marked_edges=list(zip(marked_idx.tolist(), heads.tolist())),
-        contract_edges=contract,
+        contract_children=children,
+        contract_centers=centers,
         tree_heights=tree_heights,
         marked_weight=int(marked_weights.sum()),
         contracted_weight=int(marked_weights[chosen].sum()),
@@ -678,6 +679,7 @@ class DensePartitionState:
         part_of: numpy vector mapping dense index -> root dense index.
         parent: int64 vector, spanning-tree parent per dense index (-1
             at roots).
+        roots: int64 vector of the part roots, ascending.
         heights: root index -> spanning-tree height (ascending roots).
         sizes: root index -> part size (ascending roots).
     """
@@ -688,6 +690,7 @@ class DensePartitionState:
         self.eu, self.ev = topology.edge_arrays()
         self.part_of = np.arange(n, dtype=np.int64)
         self.parent = np.full(n, -1, dtype=np.int64)
+        self.roots = np.arange(n, dtype=np.int64)
         self.heights: Dict[int, int] = dict.fromkeys(range(n), 0)
         self.sizes: Dict[int, int] = dict.fromkeys(range(n), 1)
 
@@ -704,20 +707,19 @@ class DensePartitionState:
         return int((part_of[self.eu] != part_of[self.ev]).sum())
 
     def build_aux(self) -> DenseAuxiliaryGraph:
+        csr = self.topology.batch_arrays()
         return DenseAuxiliaryGraph(
-            self.part_of,
-            self.eu,
-            self.ev,
-            self.topology.n,
-            roots=self.heights,
+            self.part_of, csr.row_owner, csr.indices, self.topology.n, self.roots
         )
 
     def merge(
         self,
-        contract_edges: List[Tuple[int, int]],
+        children: "np.ndarray",
+        centers: "np.ndarray",
         aux: DenseAuxiliaryGraph,
     ) -> None:
-        """Contract star edges (child root -> center root) in place.
+        """Contract star edges ``children[i] -> centers[i]`` (root dense
+        indices, two int64 arrays) in place.
 
         Merging sub-step 4 (paper Section 2.1.6): each child's tree is
         glued to its center through the designated connector ``(u, v)``
@@ -728,47 +730,55 @@ class DensePartitionState:
         ``parent[u] = v`` gives exactly the tables a BFS re-root would.
         Depths then come from pointer jumping over the whole forest,
         which also certifies it: every node must reach its part's root.
+        A repeated child, or a child that is also a center, raises.
         """
-        absorbed = set()
-        for child, _center in contract_edges:
-            if child in absorbed:
-                raise PartitionError(f"part {child!r} contracted twice")
-            absorbed.add(child)
-        overlap = absorbed.intersection(center for _child, center in contract_edges)
-        if overlap:
-            raise PartitionError(f"contraction is not star-shaped at {overlap!r}")
-        if not contract_edges:
+        n = self.topology.n
+        absorbed = np.zeros(n, dtype=bool)
+        absorbed[children] = True
+        if np.count_nonzero(absorbed) < len(children):
+            seen: set = set()
+            twice = next(c for c in children.tolist() if c in seen or seen.add(c))
+            raise PartitionError(f"part {twice!r} contracted twice")
+        chained = centers[absorbed[centers]].tolist()
+        if chained:
+            raise PartitionError(f"contraction is not star-shaped at {set(chained)!r}")
+        if not len(children):
             return
 
-        n = self.topology.n
-        pairs = np.array(contract_edges, dtype=np.int64)
-        children, centers = pairs[:, 0], pairs[:, 1]
         root_map = np.arange(n, dtype=np.int64)
         root_map[children] = centers
         self.part_of = part_of = root_map[self.part_of]
 
-        parent = self.parent.tolist()
+        # Mark each path from ``u`` up to its old root by doubling: one
+        # sweep adds every mark's 2**j-th ancestor.  The paths lie in
+        # distinct absorbed parts, so each marked non-root node is the one
+        # marked child of its parent, and the reversal is one scatter.
+        parent = self.parent
         conn_u, conn_v = aux.connectors(children, centers)
-        for u, v in zip(conn_u.tolist(), conn_v.tolist()):
-            for _ in range(n):
-                up = parent[u]
-                parent[u] = v
-                if up < 0:
-                    break
-                u, v = up, u
-            else:
-                raise PartitionError("spanning forest contains a cycle")
-        self.parent = np.array(parent, dtype=np.int64)
+        on_path = np.zeros(n, dtype=bool)
+        on_path[conn_u] = True
+        ancestor = np.where(parent < 0, np.arange(n, dtype=np.int64), parent)
+        for _ in range(n.bit_length() + 1):
+            on_path[ancestor[on_path]] = True
+            above = ancestor[ancestor]
+            if np.array_equal(above, ancestor):
+                break
+            ancestor = above
+        else:
+            raise PartitionError("spanning forest contains a cycle")
+        below = np.flatnonzero(on_path & (parent >= 0))
+        self.parent = parent = parent.copy()
+        parent[parent[below]] = below
+        parent[conn_u] = conn_v
 
         depth = forest_depths(self.parent, part_of)
-        roots = np.fromiter(
-            (r for r in self.heights if r not in absorbed), np.int64
-        )
-        self._measure(depth, roots)
+        self._measure(depth, self.roots[~absorbed[self.roots]])
 
     def _measure(self, depth: "np.ndarray", roots: "np.ndarray") -> None:
-        """Set ``heights`` and ``sizes`` of the parts rooted at *roots*."""
+        """Set ``roots``, ``heights`` and ``sizes`` from the parts rooted
+        at *roots* (ascending)."""
         n = self.topology.n
+        self.roots = roots
         tallest = np.zeros(n, dtype=np.int64)
         np.maximum.at(tallest, self.part_of, depth)
         counts = np.bincount(self.part_of, minlength=n)

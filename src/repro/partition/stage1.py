@@ -204,7 +204,7 @@ def run_phases(
             parent_c, weight_c, select_rounds, stuck = select(aux, height)
         if stuck is not None:
             # Compact order is root order, i.e. id_key order.
-            rejecting = tuple(ids[pids[c]] for c in stuck.nonzero()[0].tolist())
+            rejecting = tuple(ids[p] for p in pids[stuck].tolist())
             break
         with tracer.span("stage1.color", phase=phase_index):
             colors, color_rounds = color(parent_c, lambda: root_seeds(pids), height)
@@ -212,7 +212,8 @@ def run_phases(
             marking = dense.mark_and_choose_dense(parent_c, weight_c, colors)
             _charge_merging_overhead(ledger, model, height, marking)
             parts_before = state.size
-            state.merge([(pids[c], pids[p]) for c, p in marking.contract_edges], aux)
+            children = marking.contract_children
+            state.merge(pids[children], pids[marking.contract_centers], aux)
             new_cut = state.cut_size()
         phases.append(
             PhaseStats(
@@ -233,7 +234,7 @@ def run_phases(
         # Every marked tree contracts its heavier parity class, which has
         # positive weight: only a phase whose decisions all abstained
         # contracts nothing.
-        if new_cut >= cut and (marking.contract_edges or not retry_stalls):
+        if new_cut >= cut and (len(children) or not retry_stalls):
             raise PartitionError(
                 f"phase {phase_index} made no progress (cut {cut} -> {new_cut})"
             )

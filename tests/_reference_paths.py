@@ -364,7 +364,8 @@ def reference_topology(graph):
     """The per-node compile loop: every table ``CompiledTopology`` exposes.
 
     Rows are sorted by ``id_key`` neighbor order, the same order as the
-    dense indices, so each row's index list comes out ascending.
+    dense indices, so each row's index list comes out ascending;
+    ``columns`` keeps each row in the graph's own neighbor order.
     """
     nodes = tuple(sorted(graph.nodes(), key=id_key))
     index = {v: i for i, v in enumerate(nodes)}
@@ -373,16 +374,17 @@ def reference_topology(graph):
     degrees = array("q")
     neighbors = {}
     neighbor_sets = {}
-    neighbor_index_sets = []
-    for v in nodes:
+    row_owner = []
+    columns = []
+    for i, v in enumerate(nodes):
         nbrs = tuple(sorted(graph.neighbors(v), key=id_key))
         neighbors[v] = nbrs
         neighbor_sets[v] = frozenset(nbrs)
-        row = [index[w] for w in nbrs]
-        indices.extend(row)
+        indices.extend(index[w] for w in nbrs)
         indptr.append(len(indices))
         degrees.append(len(nbrs))
-        neighbor_index_sets.append(frozenset(row))
+        row_owner.extend([i] * len(nbrs))
+        columns.extend(index[w] for w in graph.neighbors(v))
     return SimpleNamespace(
         nodes=nodes,
         index=index,
@@ -391,7 +393,8 @@ def reference_topology(graph):
         degrees=degrees,
         neighbors=neighbors,
         neighbor_sets=neighbor_sets,
-        neighbor_index_sets=tuple(neighbor_index_sets),
+        row_owner=row_owner,
+        columns=columns,
     )
 
 
@@ -483,16 +486,18 @@ def pinned_forest():
     """
     checked = []
 
-    def merge(state, contract_edges, aux):
+    def merge(state, children, centers, aux):
         reference = state.__dict__.get("_reference_forest")
         if reference is None:
             reference = state._reference_forest = ReferenceForest(state.topology.n)
         before = state.size
-        _DENSE_MERGE(state, contract_edges, aux)
+        contract_edges = list(zip(children.tolist(), centers.tolist()))
+        _DENSE_MERGE(state, children, centers, aux)
         reference.merge(contract_edges, aux)
         assert state.parent.tolist() == reference.parent
         assert list(state.heights.items()) == list(reference.heights.items())
         assert list(state.sizes.items()) == list(reference.sizes.items())
+        assert state.roots.tolist() == list(reference.sizes)
         checked.append((before, state.size))
 
     with mock.patch.object(DensePartitionState, "merge", merge):

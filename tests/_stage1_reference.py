@@ -590,11 +590,36 @@ def randomized_coloring_emulated(
 # -- CHW marking ---------------------------------------------------------------
 
 
+@dataclass
+class ReferenceMarking:
+    """The oracle's marking outcome, keyed by node ids.
+
+    Attributes:
+        marked_edges: the selected subtree edges, as (child, parent).
+        contract_edges: the star edges chosen for contraction.
+        tree_heights: height of each marked subtree, keyed by its root.
+        marked_weight: total weight of marked edges, w(T_i).
+        contracted_weight: total weight of contracted edges.
+    """
+
+    marked_edges: List[Tuple[Any, Any]]
+    contract_edges: List[Tuple[Any, Any]]
+    tree_heights: Dict[Any, int]
+    marked_weight: int
+    contracted_weight: int
+
+
+def contract_pairs(result: MarkingResult) -> List[Tuple[int, int]]:
+    """The engine's contraction edges as ``(child, center)`` int pairs."""
+    children, centers = result.contract_children, result.contract_centers
+    return list(zip(children.tolist(), centers.tolist()))
+
+
 def mark_and_choose(
     out_edge: Dict[Any, Optional[Any]],
     weight: Dict[Tuple[Any, Any], int],
     colors: Dict[Any, int],
-) -> MarkingResult:
+) -> ReferenceMarking:
     """Run sub-steps 2b-4 on the pseudoforest ``{v: out_edge[v]}``.
 
     Args:
@@ -670,7 +695,7 @@ def dense_marking(
     )
 
 
-def _choose_parity(out_edge, weight, marked) -> MarkingResult:
+def _choose_parity(out_edge, weight, marked) -> ReferenceMarking:
     """Compute levels per marked tree and contract the heavier parity."""
     marked_children: Dict[Any, List[Any]] = {v: [] for v in out_edge}
     marked_out: Dict[Any, Optional[Any]] = {v: None for v in out_edge}
@@ -723,7 +748,7 @@ def _choose_parity(out_edge, weight, marked) -> MarkingResult:
             contracted_weight += weight[(child, parent)]
 
     _assert_stars(contract)
-    return MarkingResult(
+    return ReferenceMarking(
         marked_edges=sorted(marked, key=repr),
         contract_edges=sorted(contract, key=repr),
         tree_heights=tree_heights,

@@ -63,7 +63,6 @@ def test_simulator_views_unbuilt_after_tester(tested):
     assert result.stage1.partition.topology is topology
     assert topology._neighbors is None
     assert topology._neighbor_sets is None
-    assert topology._neighbor_index_sets is None
 
 
 def test_dense_state_retains_few_containers(tested):

@@ -31,12 +31,13 @@ class TestRoundLedger:
         ledger.charge(5, "stage2.bfs")
         assert ledger.by_category() == {"stage1.fd": 3, "stage2.bfs": 5}
 
-    def test_by_prefix(self):
+    def test_by_category_keeps_dotted_names_whole(self):
         ledger = RoundLedger()
         ledger.charge(1, "stage1.fd")
         ledger.charge(2, "stage1.cv")
         ledger.charge(5, "stage2.bfs")
-        assert ledger.by_prefix() == {"stage1": 3, "stage2": 5}
+        assert ledger.by_category() == {"stage1.fd": 1, "stage1.cv": 2, "stage2.bfs": 5}
+        assert not hasattr(ledger, "by_prefix")
 
     def test_merge(self):
         a, b = RoundLedger(), RoundLedger()
@@ -45,14 +46,14 @@ class TestRoundLedger:
         a.merge(b)
         assert a.total == 3
 
-    def test_by_prefix_without_dot_uses_whole_category(self):
+    def test_by_category_separates_a_name_from_its_dotted_children(self):
         ledger = RoundLedger()
         ledger.charge(3, "standalone")
         ledger.charge(2, "standalone.sub")
-        assert ledger.by_prefix() == {"standalone": 5}
+        assert ledger.by_category() == {"standalone": 3, "standalone.sub": 2}
 
-    def test_by_prefix_empty_ledger(self):
-        assert RoundLedger().by_prefix() == {}
+    def test_by_category_empty_ledger(self):
+        assert RoundLedger().by_category() == {}
 
     def test_summary_mentions_categories(self):
         ledger = RoundLedger()

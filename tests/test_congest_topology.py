@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import enum
 import gc
+import random
 import weakref
 from array import array
 
@@ -46,7 +48,7 @@ class TestCompiledTopology:
             row = list(topo.indices[topo.indptr[i] : topo.indptr[i + 1]])
             expected = [topo.index[w] for w in sorted(graph.neighbors(v))]
             assert row == expected
-            assert topo.neighbor_index_sets[i] == frozenset(expected)
+        assert not hasattr(topo, "neighbor_index_sets")
 
     def test_neighbor_tuples_and_sets(self):
         graph = nx.cycle_graph(6)
@@ -113,6 +115,45 @@ def _differential_graphs():
 DIFFERENTIAL_GRAPHS = _differential_graphs()
 
 
+def _shuffled_dense_labels():
+    """``0..n-1`` whose nodes and neighbors are inserted out of order."""
+    base = make_planar("delaunay", 120, seed=2)
+    edges = list(base.edges())
+    random.Random(5).shuffle(edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(random.Random(6).sample(range(120), 120))
+    graph.add_edges_from(edges)
+    return graph
+
+
+def _ints_and_bools():
+    """Ints from 2 up beside ``True`` and ``False``, which equal 1 and 0."""
+    graph = nx.convert_node_labels_to_integers(
+        make_planar("grid", 30, seed=0), first_label=2
+    )
+    return nx.relabel_nodes(graph, {2: True, 3: False})
+
+
+def _one_to_n():
+    return nx.convert_node_labels_to_integers(
+        make_planar("delaunay", 120, seed=4), first_label=1
+    )
+
+
+def _int_enum_labels():
+    graph = make_planar("delaunay", 60, seed=3)
+    members = enum.IntEnum("Members", [(f"N{v}", v) for v in graph])
+    return nx.relabel_nodes(graph, {v: members(v) for v in graph})
+
+
+LABEL_CASES = {
+    "dense-shuffled": _shuffled_dense_labels,
+    "one-to-n": _one_to_n,
+    "ints-and-bools": _ints_and_bools,
+    "int-enum": _int_enum_labels,
+}
+
+
 class TestReferenceCompile:
     """The numpy-sorted CSR and the lazy views against the per-node loop."""
 
@@ -136,7 +177,9 @@ class TestReferenceCompile:
         assert topo.neighbors == ref.neighbors
         assert list(topo.neighbors) == list(ref.neighbors)
         assert topo.neighbor_sets == ref.neighbor_sets
-        assert topo.neighbor_index_sets == ref.neighbor_index_sets
+        batch = topo.batch_arrays()
+        assert batch.row_owner.tolist() == ref.row_owner
+        assert topo.columns.tolist() == ref.columns
 
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
     def test_edge_arrays_match_reference_loop(self, name):
@@ -147,6 +190,24 @@ class TestReferenceCompile:
         assert eu.tolist() == ref_u.tolist()
         assert ev.tolist() == ref_v.tolist()
         assert len(eu) == topo.m
+
+    @pytest.mark.parametrize("name", sorted(LABEL_CASES))
+    def test_int_label_shapes_match_reference_loop(self, name):
+        """All four give the reference loop's tables: ``0..n-1`` (here
+        inserted out of order) takes the compile's own-index path, the
+        shifted ints, the ints beside bools and the ``IntEnum`` labels
+        the general one."""
+        graph = LABEL_CASES[name]()
+        assert len(graph) > 2 and all(isinstance(v, int) for v in graph)
+        topo = CompiledTopology(graph)
+        ref = reference_topology(graph)
+        assert topo.nodes == ref.nodes
+        assert [type(v) for v in topo.nodes] == [type(v) for v in ref.nodes]
+        assert topo.index == ref.index
+        for table in ("indptr", "indices", "degrees"):
+            assert getattr(topo, table) == getattr(ref, table), table
+        assert topo.columns.tolist() == ref.columns
+        assert topo.neighbors == ref.neighbors
 
     def test_mixed_labels_compile_in_id_key_order(self):
         graph = edge_case_graphs()["mixed-labels"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import random
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -35,7 +36,7 @@ from repro.baselines import mpx_partition
 from repro.congest.topology import compile_topology
 from repro.errors import PartitionError
 from repro.graphs import make_far, make_planar
-from repro.graphs.far_from_planar import FAR_FAMILIES
+from repro.graphs.far_from_planar import FAR_FAMILIES, planted_kuratowski
 from repro.graphs.generators import PLANAR_FAMILIES
 from repro.partition import partition_randomized, partition_stage1
 from repro.partition.dense import (
@@ -339,12 +340,12 @@ def _next_contraction(state, alpha=3):
     if not success:
         return None
     parent, weight = orient_and_select_dense(aux, inactive_round)
-    colors, _cv = cole_vishkin_dense(parent, np.asarray(aux.pids, dtype=np.int64))
+    colors, _cv = cole_vishkin_dense(parent, aux.pids)
     marking = mark_and_choose_dense(parent, weight, colors)
-    if not marking.contract_edges:
+    if not len(marking.contract_children):
         return None
     pids = aux.pids
-    return [(pids[c], pids[p]) for c, p in marking.contract_edges], aux
+    return pids[marking.contract_children], pids[marking.contract_centers], aux
 
 
 def _drive(graph, phases=12):
@@ -409,3 +410,56 @@ class TestForestDifferential:
         state.parent[member] = -1
         with pytest.raises(PartitionError, match="does not reach"):
             state.merge(*_next_contraction(state))
+
+    def test_contracted_twice_names_the_first_repeat(self):
+        state = DensePartitionState(compile_topology(nx.path_graph(6)))
+        aux = state.build_aux()
+        children = np.array([4, 3, 1, 3, 4], dtype=np.int64)
+        centers = np.array([5, 2, 0, 2, 5], dtype=np.int64)
+        with pytest.raises(PartitionError, match=r"^part 3 contracted twice$"):
+            state.merge(children, centers, aux)
+
+    def test_chained_contraction_names_the_chained_parts(self):
+        state = DensePartitionState(compile_topology(nx.path_graph(6)))
+        aux = state.build_aux()
+        children = np.array([1, 2, 4], dtype=np.int64)
+        centers = np.array([2, 3, 3], dtype=np.int64)
+        with pytest.raises(
+            PartitionError, match=r"^contraction is not star-shaped at \{2\}$"
+        ):
+            state.merge(children, centers, aux)
+        assert state.roots.tolist() == list(range(6))
+
+
+COUNTED = ("lexsort", "unique", "intersect1d")
+
+
+@pytest.mark.parametrize(
+    "graph_of",
+    (
+        lambda: make_planar("delaunay", 2000, seed=0),
+        lambda: planted_kuratowski(2000, count=300, minor="k5", seed=0)[0],
+    ),
+    ids=("delaunay", "planted-k5"),
+)
+def test_stage1_calls_no_sort_based_set_routine(graph_of):
+    """Stage I runs on scatters, sorted runs and masks: numpy's
+    ``lexsort``, ``unique`` and ``intersect1d`` stay out of every phase."""
+    graph = graph_of()
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counting(name):
+        raw = getattr(np, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return raw(*args, **kwargs)
+
+        return counted
+
+    with mock.patch.multiple(np, **{name: counting(name) for name in COUNTED}):
+        result = partition_stage1(graph, epsilon=0.1)
+        assert calls == dict.fromkeys(COUNTED, 0)
+        np.unique(np.arange(3))  # the counters do count
+    assert calls["unique"] == 1
+    assert result.phases
