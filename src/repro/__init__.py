@@ -58,8 +58,11 @@ from .runtime import (
 )
 from .planarity.lr_planarity import PlanarityResult, check_planarity, is_planar
 from .planarity.rotation import RotationSystem
-from .testers.applications import test_bipartiteness, test_cycle_freeness
-from .testers.hereditary import test_hereditary_property
+from .testers.applications import (
+    test_bipartiteness,
+    test_cycle_freeness,
+    test_hereditary_property,
+)
 from .testers.planarity import PlanarityTestConfig, test_planarity
 from .testers.results import (
     ApplicationTestResult,

@@ -17,7 +17,7 @@ Theorem 4's randomized partition shares) runs on the
   exact rules, and one copy of it serves both theorems: Stage I's
   forest decomposition and heaviest-out-edge selection, or Theorem 4's
   weighted selection, each yield a compact ``(parent, weight)``
-  pseudoforest that :func:`color_roots` colors and
+  pseudoforest that :func:`cole_vishkin_dense` colors and
   :func:`mark_and_choose_dense` marks.
 
 Labels: dense indices are assigned in ``id_key`` order, so every
@@ -35,7 +35,7 @@ large-int and tuple labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -291,17 +291,19 @@ def weighted_selection_dense(
     the smaller root, keeping out-degree <= 1.  Returns ``(parent,
     weight)`` over compact indices (-1 / 0 where a part has no
     out-edge), as :func:`orient_and_select_dense` does, so the selected
-    pseudoforest feeds the same :func:`color_roots` and
+    pseudoforest feeds the same :func:`cole_vishkin_dense` and
     :func:`mark_and_choose_dense` as Stage I's forest.
     """
     k = aux.compact_count
     ea, eb, w = aux.ea, aux.eb, aux.weights
     # Symmetric CSR over compact indices, neighbors ascending (= id_key
-    # order of the roots).
-    src = np.concatenate((ea, eb))
-    dst = np.concatenate((eb, ea))
+    # order of the roots).  Aux edges come sorted by (ea, eb) with
+    # ea < eb, so with the eb -> ea half first a stable sort by source
+    # lists each row's lower neighbors, ascending, then its higher ones.
+    src = np.concatenate((eb, ea))
+    dst = np.concatenate((ea, eb))
     ww = np.concatenate((w, w))
-    order = np.lexsort((dst, src))
+    order = np.argsort(src, kind="stable")
     src_s = src[order]
     dst_s = dst[order]
     w_s = ww[order]
@@ -393,20 +395,6 @@ class RootSeeds:
         return ranks.tolist()
 
 
-def color_roots(
-    parent: "np.ndarray",
-    seeds: List[int],
-    ledger: Optional[RoundLedger] = None,
-    cost_model: Optional[TreeCostModel] = None,
-    height: int = 0,
-    category: str = "stage1.coloring",
-) -> Tuple["np.ndarray", int]:
-    """Sub-step 2a: Cole-Vishkin 3-coloring of the compact pseudoforest
-    *parent* from the roots' *seeds* (:class:`RootSeeds`), charged to
-    *ledger* under *category*."""
-    return cole_vishkin_dense(parent, seeds, ledger, cost_model, height, category)
-
-
 def cole_vishkin_dense(
     parent: "np.ndarray",
     init_colors: Sequence[int],
@@ -415,10 +403,12 @@ def cole_vishkin_dense(
     height: int = 0,
     category: str = "stage1.coloring",
 ) -> Tuple["np.ndarray", int]:
-    """Vectorized Cole-Vishkin 3-coloring of a compact pseudoforest.
+    """Sub-step 2a: vectorized Cole-Vishkin 3-coloring of a compact
+    pseudoforest, charged to *ledger* under *category*.
 
     *parent* holds compact parent indices (-1 at roots) and
-    *init_colors* distinct non-negative ints of any size, one per node.
+    *init_colors* distinct non-negative ints of any size, one per node
+    (Stage I passes the roots' :class:`RootSeeds`).
     Every phase of :func:`cv_schedule` applies the update rules of the
     simulated protocol (:mod:`repro.congest.programs.cole_vishkin`).
     int64 bit tricks need colors below ``2**62``; larger seeds run the
@@ -551,7 +541,8 @@ class MarkingResult:
     """Outcome of the marking + contraction choice, over compact indices.
 
     Attributes:
-        marked_edges: the selected subtree edges, as (child, parent).
+        marked_idx: the nodes whose out-edge is marked, as an int64 array
+            (ascending); the edges' heads are ``parent[marked_idx]``.
         contract_children / contract_centers: the star edges chosen for
             contraction, as two int64 arrays (child ascending).
         tree_heights: height of each marked subtree, keyed by its root.
@@ -559,7 +550,7 @@ class MarkingResult:
         contracted_weight: total weight of contracted edges.
     """
 
-    marked_edges: List[Tuple[int, int]]
+    marked_idx: "np.ndarray"
     contract_children: "np.ndarray"
     contract_centers: "np.ndarray"
     tree_heights: Dict[int, int]
@@ -594,8 +585,8 @@ def mark_and_choose_dense(
     Cole-Vishkin never abstains.
 
     Every step is a scatter or a mask over the compact range.  Edges
-    come back in ascending child order: the marked ones as pairs, the
-    contracted ones as the two index arrays that
+    come back in ascending child order: the marked ones as their
+    children, the contracted ones as the two index arrays that
     :meth:`DensePartitionState.merge` takes.
     """
     k = len(parent)
@@ -657,7 +648,7 @@ def mark_and_choose_dense(
             f"{set(chained.tolist())!r}"
         )
     return MarkingResult(
-        marked_edges=list(zip(marked_idx.tolist(), heads.tolist())),
+        marked_idx=marked_idx,
         contract_children=children,
         contract_centers=centers,
         tree_heights=tree_heights,
@@ -785,28 +776,13 @@ class DensePartitionState:
         self.heights = dict(zip(roots.tolist(), tallest[roots].tolist()))
         self.sizes = dict(zip(roots.tolist(), counts[roots].tolist()))
 
-    def node_sets(self) -> Dict[Any, FrozenSet[Any]]:
-        """Each part's node set by root id, roots ascending.  Each set is
-        built in ascending dense-index order, the order the dict oracle
-        builds it in, so a part's ``graph.subgraph`` view iterates the
-        same way on both paths: the order Stage II and the per-part
-        checkers see."""
-        ids = self.topology.nodes
-        order = np.argsort(self.part_of, kind="stable").tolist()
-        sets: Dict[Any, FrozenSet[Any]] = {}
-        start = 0
-        for root, size in self.sizes.items():
-            sets[ids[root]] = frozenset(ids[i] for i in order[start : start + size])
-            start += size
-        return sets
-
     def max_diameter(self, graph: nx.Graph) -> int:
         """Largest part diameter in *graph*, the graph this partition was
         built on, by :func:`~repro.graphs.utils.diameter`'s rule: parts up
         to ``EXACT_DIAMETER_NODES`` nodes are exact, by one batched BFS
         over the part's intra-part CSR; larger parts take the double sweep
-        on their ``graph.subgraph`` view, built as :meth:`node_sets`
-        builds it."""
+        on their ``graph.subgraph`` view, the node set built in ascending
+        dense-index order."""
         from ..applications.dense import adjacency_csr, multi_source_distances
         from ..graphs.utils import EXACT_DIAMETER_NODES, diameter
 

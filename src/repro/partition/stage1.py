@@ -282,7 +282,7 @@ def partition_stage1(
         return (*dense.orient_and_select_dense(aux, inactive_round), rounds, None)
 
     def color(parent, seeds, height):
-        return dense.color_roots(parent, seeds(), ledger, model, height)
+        return dense.cole_vishkin_dense(parent, seeds(), ledger, model, height)
 
     cap = theoretical_phase_cap(m, target_cut, alpha)
     return run_phases(

@@ -8,7 +8,7 @@ its weight, repeats ``s = Theta(log 1/delta)`` times, and keeps the
 heaviest draw (the *weighted-edge selection*, paper Section 4).  Lemma 13
 shows the selected pseudoforest retains a ``1/(16*alpha)`` weight
 fraction with probability ``1 - delta``; Stage I's own merging code
-(:func:`~repro.partition.dense.color_roots` and
+(:func:`~repro.partition.dense.cole_vishkin_dense` and
 :func:`~repro.partition.dense.mark_and_choose_dense`, whose marking
 tolerates pseudoforest cycles by Claim 15) then contracts it, giving
 Claim 14's per-phase decay of ``1 - 1/(64*alpha)``.
@@ -135,8 +135,9 @@ def partition_randomized(
     def color(parent, seeds, height):
         # Sub-step 2a: CV or Remark 1's randomized coloring of F_i.
         if coloring == "cole-vishkin":
-            category = "randomized.coloring"
-            return dense.color_roots(parent, seeds(), ledger, model, height, category)
+            return dense.cole_vishkin_dense(
+                parent, seeds(), ledger, model, height, "randomized.coloring"
+            )
         colors, _abstaining = dense.randomized_coloring_dense(
             parent, coloring_rounds, rng, ledger, model, height
         )

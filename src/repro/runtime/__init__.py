@@ -1,7 +1,7 @@
 """Fleet orchestrator: sharded batch execution with a shared result store.
 
 The runtime turns every computation in the repo -- planarity tests,
-partitions, spanners, application testers, claim audits -- into a
+partitions, spanners, the Corollary 16 tester, claim audits -- into a
 declarative, hashable :class:`JobSpec`, executes batches of them on
 three paths (in-process, a chunked process pool, or a worker fleet
 behind a :class:`SweepService` -- persistent via ``repro-planarity
@@ -11,9 +11,10 @@ under keys derived from graph coordinates + config digest in a
 sharded multi-writer on-disk store that concurrent processes share
 (with timestamps, TTL/byte-budget GC, and a metadata shard holding the
 scheduler's measured cost table).  Sweeps split into deterministic
-shards (``ShardedSweep`` / ``repro-planarity sweep --shard i/k``) --
-by key-hash or cost-balanced LPT (``--balance cost``) -- and resume
-from whatever the store already holds.
+shards (``run_sweep(shard=(i, k))`` / ``repro-planarity sweep --shard
+i/k``, each leg the ``ShardedSweep.shard_specs(i)`` slice) -- by
+key-hash or cost-balanced LPT (``--balance cost``) -- and resume from
+whatever the store already holds, which reassembles the grid.
 
 Typical use -- the :class:`Client` facade, which runs the same
 ``submit(SweepSpec)`` against the in-process serial path, any local

@@ -325,11 +325,11 @@ def _run_forest_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
 
 
 def _run_cv_agreement(spec: JobSpec, _graph) -> Record:
-    """Simulated Cole-Vishkin vs Stage I's ``color_roots`` on a rooted path."""
+    """Simulated Cole-Vishkin vs Stage I's ``cole_vishkin_dense`` on a rooted path."""
     import numpy as np
 
     from ..congest.programs import cole_vishkin_coloring
-    from ..partition.dense import color_roots
+    from ..partition.dense import cole_vishkin_dense
 
     length = spec.params.get("length", 120)
     graph = nx.path_graph(length)
@@ -338,7 +338,7 @@ def _run_cv_agreement(spec: JobSpec, _graph) -> Record:
         graph, parents, seed=spec.seed
     )
     parent = np.arange(-1, length - 1, dtype=np.int64)
-    emu_colors, emu_super = color_roots(parent, list(range(length)))
+    emu_colors, emu_super = cole_vishkin_dense(parent, list(range(length)))
     return {
         "n": length,
         "m": length - 1,

@@ -456,7 +456,25 @@ def _run_spanner(spec: JobSpec, graph: nx.Graph) -> Record:
     }
 
 
-def _application_record(result, epsilon: float) -> Record:
+_APPLICATION_PROPERTIES = {"cycle_freeness": "cycle-free", "bipartiteness": "bipartite"}
+"""Job kind -> the Corollary 16 property its runner tests."""
+
+
+def _run_application(spec: JobSpec, graph: nx.Graph) -> Record:
+    """A Corollary 16 tester: ``cycle_freeness`` or ``bipartiteness``."""
+    from ..testers.applications import test_hereditary_property
+
+    params = spec.params
+    epsilon = params.get("epsilon", 0.1)
+    result = test_hereditary_property(
+        graph,
+        _APPLICATION_PROPERTIES[spec.kind],
+        epsilon=epsilon,
+        alpha=params.get("alpha", 3),
+        method=params.get("method", "deterministic"),
+        delta=params.get("delta", 0.1),
+        seed=spec.seed,
+    )
     return {
         "epsilon": epsilon,
         "accepted": result.accepted,
@@ -465,38 +483,6 @@ def _application_record(result, epsilon: float) -> Record:
         "verification_rounds": result.verification_rounds,
         "rounds": result.rounds,
     }
-
-
-def _run_cycle_freeness(spec: JobSpec, graph: nx.Graph) -> Record:
-    from ..testers.applications import test_cycle_freeness
-
-    params = spec.params
-    epsilon = params.get("epsilon", 0.1)
-    result = test_cycle_freeness(
-        graph,
-        epsilon=epsilon,
-        alpha=params.get("alpha", 3),
-        method=params.get("method", "deterministic"),
-        delta=params.get("delta", 0.1),
-        seed=spec.seed,
-    )
-    return _application_record(result, epsilon)
-
-
-def _run_bipartiteness(spec: JobSpec, graph: nx.Graph) -> Record:
-    from ..testers.applications import test_bipartiteness
-
-    params = spec.params
-    epsilon = params.get("epsilon", 0.1)
-    result = test_bipartiteness(
-        graph,
-        epsilon=epsilon,
-        alpha=params.get("alpha", 3),
-        method=params.get("method", "deterministic"),
-        delta=params.get("delta", 0.1),
-        seed=spec.seed,
-    )
-    return _application_record(result, epsilon)
 
 
 def _run_simulate_program(spec: JobSpec, graph: nx.Graph) -> Record:
@@ -688,7 +674,7 @@ register_kind("test_planarity", _run_test_planarity)
 register_kind("partition_stage1", _run_partition_stage1)
 register_kind("partition_randomized", _run_partition_randomized)
 register_kind("spanner", _run_spanner)
-register_kind("cycle_freeness", _run_cycle_freeness)
-register_kind("bipartiteness", _run_bipartiteness)
+register_kind("cycle_freeness", _run_application)
+register_kind("bipartiteness", _run_application)
 register_kind("simulate_program", _run_simulate_program)
 register_kind("simulate_batch", _run_simulate_batch, needs_graph=False)

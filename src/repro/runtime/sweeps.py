@@ -14,9 +14,9 @@ encoding (``balance="hash"``), or by measured job cost
 (``balance="cost"``: LPT over the scheduler's learned per-kind/per-n
 wall-times, hash fallback while there is no history) -- so independent
 orchestrator processes (CI legs, machines in a fleet) each run
-``--shard i/k`` against one shared on-disk store and a final
-``merge()`` -- or simply a full ``--resume`` run, which is then a 100%
-cache hit -- reassembles the grid in canonical expansion order.
+``--shard i/k`` against one shared on-disk store, and a final full
+``--resume`` run, then a 100% cache hit, reassembles the grid in
+canonical expansion order.
 ``resume=True`` certifies a store is attached and reruns only the keys
 it is missing (the executor's hit path skips even graph
 generation under the default coordinate keys).  Runs with a disk store
@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..analysis.tables import Table
 from ..telemetry.metrics import get_metrics
 from ..telemetry.spans import TRACE_PARENT_ENV_VAR, get_tracer
-from .cache import CacheStats
 from .config import RunConfig
 from .executor import BatchResult, _as_backend, run_jobs
 from .jobs import JobSpec, Record
@@ -192,13 +191,14 @@ class ShardedSweep:
     default key-hash split) or, with ``balance="cost"``, by the
     scheduler's LPT assignment over measured job costs
     (:func:`~repro.runtime.scheduler.assign_shards`; falls back to the
-    hash split while the cost table is empty).  Each shard can run
-    (and resume) independently -- on another process, another machine,
-    another CI leg -- against one shared store, and
-    :meth:`merge` reassembles per-shard results into canonical
-    expansion order.  Keep the *same* cost table across a fleet's legs
-    for a consistent partition; mismatched tables at worst overlap
-    (cache hits) or leave gaps a final ``--resume`` fills.
+    hash split while the cost table is empty).  Each shard runs (and
+    resumes) as ``run_sweep(spec, shard=(i, k))``, independently -- on
+    another process, another machine, another CI leg -- against one
+    shared store, and a final ``run_sweep(spec, store=...,
+    resume=True)`` over the whole grid reads every record back in
+    canonical expansion order.  Keep the *same* cost table across a
+    fleet's legs for a consistent partition; mismatched tables at worst
+    overlap (cache hits) or leave gaps a final ``--resume`` fills.
     """
 
     spec: SweepSpec
@@ -232,61 +232,6 @@ class ShardedSweep:
             for spec, shard in zip(self.spec.expand(), self.assignments())
             if shard == index
         ]
-
-    def run_shard(
-        self,
-        index: int,
-        backend=None,
-        store: Optional[ShardedStore] = None,
-    ) -> "SweepResult":
-        """Execute one shard; the result covers only that shard's jobs."""
-        batch = run_jobs(self.shard_specs(index), backend=backend, store=store)
-        return SweepResult(spec=self.spec, batch=batch)
-
-    def merge(self, results: Sequence["SweepResult"]) -> "SweepResult":
-        """Reassemble per-shard results into canonical expansion order.
-
-        *results* must hold one :class:`SweepResult` per shard, in
-        shard-index order (each as returned by :meth:`run_shard`); a
-        shard with too few or too many records raises
-        :class:`ValueError`.
-        """
-        if len(results) != self.shards:
-            raise ValueError(
-                f"expected {self.shards} shard results, got {len(results)}"
-            )
-        queues = [list(result.records) for result in results]
-        cursors = [0] * self.shards
-        merged: List[Record] = []
-        assignments = self.assignments()
-        for spec, shard in zip(self.spec.expand(), assignments):
-            cursor = cursors[shard]
-            if cursor >= len(queues[shard]):
-                raise ValueError(
-                    f"shard {shard} is short {spec.kind!r} records; "
-                    "was it run against this grid?"
-                )
-            merged.append(queues[shard][cursor])
-            cursors[shard] = cursor + 1
-        for shard, (cursor, queue) in enumerate(zip(cursors, queues)):
-            if cursor < len(queue):
-                raise ValueError(
-                    f"shard {shard} has {len(queue) - cursor} records left "
-                    "over; was it run against this grid?"
-                )
-        all_stats = [result.batch.cache_stats for result in results]
-        stats = CacheStats(
-            hits=sum(item.hits for item in all_stats),
-            misses=sum(item.misses for item in all_stats),
-            stores=sum(item.stores for item in all_stats),
-        )
-        batch = BatchResult(
-            records=merged,
-            cache_stats=stats,
-            backend=results[0].batch.backend if results else "serial",
-            executed=sum(result.batch.executed for result in results),
-        )
-        return SweepResult(spec=self.spec, batch=batch)
 
 
 @dataclass

@@ -1,13 +1,11 @@
-"""Distributed property testers: planarity (Thm 1) and applications (Cor 16)."""
+"""Distributed property testers: planarity (Thm 1), and Corollary 16's
+hereditary properties -- cycle-freeness, bipartiteness, and, by the
+remark after it, planarity and outerplanarity -- verified per part of
+the partition."""
 
-from .applications import test_bipartiteness, test_cycle_freeness
-from .hereditary import (
-    BUILTIN_CHECKERS,
-    HereditaryTestResult,
-    bipartiteness_checker,
-    cycle_freeness_checker,
-    outerplanarity_checker,
-    planarity_checker,
+from .applications import (
+    test_bipartiteness,
+    test_cycle_freeness,
     test_hereditary_property,
 )
 from .labels import (
@@ -29,8 +27,6 @@ from .violations import (
 
 __all__ = [
     "ApplicationTestResult",
-    "BUILTIN_CHECKERS",
-    "HereditaryTestResult",
     "PartVerdict",
     "PlanarityTestConfig",
     "PlanarityTestResult",
@@ -44,10 +40,6 @@ __all__ = [
     "non_tree_intervals",
     "sample_and_detect",
     "sample_size",
-    "bipartiteness_checker",
-    "cycle_freeness_checker",
-    "outerplanarity_checker",
-    "planarity_checker",
     "test_bipartiteness",
     "test_cycle_freeness",
     "test_part",

@@ -1,22 +1,30 @@
-"""Corollary 16: testing cycle-freeness and bipartiteness on minor-free
-graphs.
+"""Corollary 16 and the remark after it: testing hereditary properties of
+minor-free graphs.
 
-Both testers first partition the graph (deterministically per Theorem 3,
-or randomized per Theorem 4) with the edge-cut target set below
-``epsilon * m``, then verify the property inside every part with a BFS
-tree:
+One tester, :func:`test_hereditary_property`, partitions the graph
+(deterministically per Theorem 3, or randomized per Theorem 4) with the
+edge-cut target ``epsilon * m / 2``, then verifies the property inside
+every part, all parts at once on the dense partition state:
 
-* cycle-freeness: any non-tree edge closes a cycle;
+* cycle-freeness: any BFS non-tree edge closes a cycle;
 * bipartiteness: any non-tree edge joining equal BFS parities closes an
-  odd cycle.
+  odd cycle;
+* planarity: the part's LR embedding exists (the part is collected at
+  its root: ``O(n_j)`` edge words, by the density check);
+* outerplanarity: the part plus one universal apex node is planar (all
+  nodes fit on one face).
 
-Soundness: when G is epsilon-far from the property, removing the
-<= ``epsilon m / 2`` cut edges cannot make it close, so some part still
-violates the property, and the BFS check finds a witness
-deterministically.  Completeness is immediate (the checks only fire on
-genuine witnesses), so the deterministic variant errs on *no* input
-satisfying the minor-free promise, and the randomized variant fails only
-when the partition misses its cut target (probability <= delta).
+Corollary 16 states the first two; the paper's remark after it extends
+the argument to any hereditary property that can be verified in a number
+of rounds polynomial in the part diameter, and the last two are such
+properties.  Soundness: when G is epsilon-far from the property,
+removing the <= ``epsilon m / 2`` cut edges cannot make it close, so
+some part still violates the property, and its check finds that
+deterministically.  Completeness: parts of a satisfying graph are
+subgraphs, hence satisfy the hereditary property, so the deterministic
+variant errs on *no* input satisfying the minor-free promise, and the
+randomized variant fails only when the partition misses its cut target
+(probability <= delta).
 """
 
 from __future__ import annotations
@@ -28,37 +36,51 @@ import numpy as np
 
 from ..congest.ledger import TreeCostModel
 from ..graphs.utils import edge_count, require_simple
-from ..partition.stage1 import Stage1Result
 from ..partition.weighted_selection import partition_by_method
+from ..planarity.lr_planarity import LocalGraph, lr_embedding
 from .results import ApplicationTestResult
+from .stage2 import extract_part_subgraphs
+
+PROPERTIES = ("cycle-free", "bipartite", "planar", "outerplanar")
+"""The properties :func:`test_hereditary_property` verifies."""
 
 
-def _verify_parts(stage1: Stage1Result, check: str) -> Tuple[List[Any], int]:
-    """BFS verification in every part; returns (rejecting pids, max rounds).
+def _with_apex(part: LocalGraph) -> LocalGraph:
+    """*part* plus one node adjacent to every node: planar iff *part* is
+    outerplanar."""
+    n = part.n
+    rows = [row + [n] for row in part.rows]
+    rows.append(list(range(n)))
+    return LocalGraph([*part.nodes, object()], part.index, rows)
+
+
+def _verify_parts(graph: nx.Graph, state, prop: str) -> Tuple[List[Any], int]:
+    """Verify *prop* in every part of *state*; returns (rejecting pids,
+    max rounds).
 
     One multi-source BFS from every part root over the intra-part edge
-    arrays of the dense partition state, then the non-tree / parity
-    predicates vectorized over all intra-part edges at once.  Dense
-    indices sort like ``id_key``, so the min-index parent at depth
+    arrays gives every node's depth, and a scatter-max over ``part_of``
+    each part's.  Cycle-freeness and bipartiteness then run the non-tree
+    / parity predicates vectorized over all intra-part edges at once.
+    Dense indices sort like ``id_key``, so the min-index parent at depth
     ``d - 1`` is exactly ``deterministic_bfs_tree``'s min-id parent:
-    each part's verdict is that of a per-part BFS tree check.  Rounds
-    are BFS + one (depth, parent) exchange, as in the simulated per-part
-    check programs.
+    each part's verdict is that of a per-part BFS tree check.  Planarity
+    and outerplanarity run the LR embedding on the parts that Stage II's
+    :func:`extract_part_subgraphs` relabels.  A part's rounds are its
+    BFS + one (depth, parent) exchange, plus ``n_j`` for collecting the
+    part at its root for the two LR properties.
     """
-    state = stage1.partition
     if state is None:  # the empty graph has no parts
         return [], 0
     topology = state.topology
     n = topology.n
     ids = topology.nodes
     part_of = state.part_of
+    roots = state.roots
     intra = part_of[state.eu] == part_of[state.ev]
     ieu = state.eu[intra]
     iev = state.ev[intra]
 
-    roots = np.fromiter(
-        state.heights.keys(), dtype=np.int64, count=len(state.heights)
-    )
     depth = np.full(n, -1, dtype=np.int64)
     depth[roots] = 0
     frontier = np.zeros(n, dtype=bool)
@@ -74,9 +96,17 @@ def _verify_parts(stage1: Stage1Result, check: str) -> Tuple[List[Any], int]:
             break
         depth[new] = level
         frontier = new
+    tallest = np.zeros(n, dtype=np.int64)
+    np.maximum.at(tallest, part_of, depth)
+    rounds = tallest[roots] + 1 + TreeCostModel().neighbor_exchange()
 
-    model = TreeCostModel()
-    max_rounds = (int(depth.max()) + 1) + model.neighbor_exchange()
+    if prop in ("planar", "outerplanar"):
+        rounds += np.bincount(part_of, minlength=n)[roots]
+        parts = extract_part_subgraphs(graph, state)
+        if prop == "outerplanar":
+            parts = {pid: _with_apex(part) for pid, part in parts.items()}
+        rejecting = [pid for pid, part in parts.items() if lr_embedding(part) is None]
+        return rejecting, int(rounds.max())
 
     # BFS parent per non-root node: minimum intra-part neighbor one
     # level up (min dense index == min id_key).
@@ -88,34 +118,51 @@ def _verify_parts(stage1: Stage1Result, check: str) -> Tuple[List[Any], int]:
     down = du == dv + 1
     np.minimum.at(parent, ieu[down], iev[down])
 
-    nontree = (parent[iev] != ieu) & (parent[ieu] != iev)
-    if check == "cycle":
-        bad = nontree
-    else:
-        bad = nontree & (du % 2 == dv % 2)
+    bad = (parent[iev] != ieu) & (parent[ieu] != iev)
+    if prop == "bipartite":
+        bad &= du % 2 == dv % 2
     rejecting_roots = np.unique(part_of[ieu[bad]])
-    return [ids[r] for r in rejecting_roots.tolist()], max_rounds
+    return [ids[r] for r in rejecting_roots.tolist()], int(rounds.max())
 
 
-def _run_application(
+def test_hereditary_property(
     graph: nx.Graph,
-    epsilon: float,
-    check: str,
-    alpha: int,
-    method: str,
-    delta: float,
-    seed: Optional[int],
+    prop: str,
+    epsilon: float = 0.1,
+    alpha: int = 3,
+    method: str = "deterministic",
+    delta: float = 0.1,
+    seed: Optional[int] = None,
 ) -> ApplicationTestResult:
+    """Test the hereditary property *prop* on a minor-free graph.
+
+    Args:
+        graph: the input graph (minor-free promise with arboricity
+            <= alpha for the partition quality guarantee).
+        prop: one of :data:`PROPERTIES` (``"cycle-free"``,
+            ``"bipartite"``, ``"planar"``, ``"outerplanar"``).
+        epsilon: distance parameter; the partition targets a cut of
+            ``epsilon * m / 2`` edges.
+        alpha: the arboricity bound of the promise.
+        method: ``"deterministic"`` (Theorem 3: ``O(poly(1/eps) log n)``
+            rounds, never errs on promise-satisfying inputs) or
+            ``"randomized"`` (Theorem 4: ``O(poly(1/eps) (log 1/delta +
+            log* n))`` rounds, success probability >= 1 - delta).
+        delta / seed: the randomized partition's failure bound and seed.
+    """
+    if prop not in PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}; choose from {PROPERTIES}")
     require_simple(graph)
     target_cut = epsilon * edge_count(graph) / 2  # Corollary 16
     stage1 = partition_by_method(graph, epsilon, method, target_cut, delta, alpha, seed)
-    rejecting, verify_rounds = _verify_parts(stage1, check)
+    rejecting, verify_rounds = _verify_parts(graph, stage1.partition, prop)
     return ApplicationTestResult(
         accepted=not rejecting,
         rejecting_parts=tuple(sorted(rejecting, key=repr)),
         partition_result=stage1,
         partition_rounds=stage1.rounds,
         verification_rounds=verify_rounds,
+        property_name=prop,
     )
 
 
@@ -127,13 +174,10 @@ def test_cycle_freeness(
     delta: float = 0.1,
     seed: Optional[int] = None,
 ) -> ApplicationTestResult:
-    """Corollary 16 cycle-freeness tester (minor-free promise).
-
-    Deterministic method: ``O(poly(1/eps) log n)`` rounds, never errs on
-    promise-satisfying inputs.  Randomized method: ``O(poly(1/eps)
-    (log 1/delta + log* n))`` rounds, success probability >= 1 - delta.
-    """
-    return _run_application(graph, epsilon, "cycle", alpha, method, delta, seed)
+    """Corollary 16 cycle-freeness tester (minor-free promise)."""
+    return test_hereditary_property(
+        graph, "cycle-free", epsilon, alpha, method, delta, seed
+    )
 
 
 def test_bipartiteness(
@@ -145,4 +189,6 @@ def test_bipartiteness(
     seed: Optional[int] = None,
 ) -> ApplicationTestResult:
     """Corollary 16 bipartiteness tester (minor-free promise)."""
-    return _run_application(graph, epsilon, "bipartite", alpha, method, delta, seed)
+    return test_hereditary_property(
+        graph, "bipartite", epsilon, alpha, method, delta, seed
+    )

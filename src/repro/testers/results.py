@@ -84,13 +84,16 @@ class PlanarityTestResult:
 
 @dataclass
 class ApplicationTestResult:
-    """Outcome of the Corollary 16 testers (cycle-freeness/bipartiteness)."""
+    """Outcome of a Corollary 16 tester; ``property_name`` is the tested
+    property (``"cycle-free"``, ``"bipartite"``, ``"planar"`` or
+    ``"outerplanar"``)."""
 
     accepted: bool
     rejecting_parts: Tuple[Any, ...]
     partition_result: Stage1Result
     partition_rounds: int
     verification_rounds: int
+    property_name: str
 
     @property
     def rounds(self) -> int:

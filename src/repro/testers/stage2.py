@@ -90,8 +90,8 @@ def extract_part_subgraphs(graph: nx.Graph, state) -> dict:
     ``columns`` slots (the parent's ``_adj`` order) whose endpoints share
     a part, and one gather maps them to part-local indices, so each row
     is a slice of one flat list.  Node order is what the part's
-    ``graph.subgraph(nodes)`` view yields (``nodes`` as
-    ``state.node_sets()`` builds it): networkx's filter atlas walks
+    ``graph.subgraph(nodes)`` view yields, ``nodes`` a frozenset built in
+    ascending dense-index order: networkx's filter atlas walks
     ``set(iter(nodes))`` when ``2 |P| < n``, else the graph's own node
     order filtered to the part.  So every order-sensitive step (the LR
     embedding, whose rotation drives the corner labels and so the

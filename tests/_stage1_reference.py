@@ -21,7 +21,8 @@ reachable from ``src/``:
   sub-steps 1 and 4 on :class:`Partition` objects;
 * :func:`cole_vishkin_emulated` and :func:`randomized_coloring_emulated`
   -- sub-step 2a and Remark 1's randomized coloring on dict
-  pseudoforests (the oracles of :func:`~repro.partition.dense.color_roots`
+  pseudoforests (the oracles of
+  :func:`~repro.partition.dense.cole_vishkin_dense`
   and :func:`~repro.partition.dense.randomized_coloring_dense`);
 * :func:`mark_and_choose` -- CHW marking and parity choice on dict
   pseudoforests, abstainers included (the oracle of
@@ -34,6 +35,10 @@ reachable from ``src/``:
 * :func:`reference_build_spanner`, :func:`reference_measure_stretch` and
   :func:`reference_application` -- the Corollary 16/17 consumers walking
   the partition's ``Part`` objects through networkx views;
+  :func:`part_verdict` is the per-part check of the four Corollary 16
+  properties and its rounds rule, the oracle of
+  :func:`repro.testers.applications.test_hereditary_property`;
+* :func:`node_sets` -- a dense state's per-part node sets;
 * :func:`reference_stage1` -- patches the tester onto the reference
   partition, handed to Stage II through :func:`dense_of`, for the
   duration of a ``with`` block.
@@ -80,6 +85,7 @@ from repro.partition.weighted_selection import (
     RandomizedPartitionResult,
     default_trials,
 )
+from repro.planarity.lr_planarity import check_planarity
 from repro.testers.results import ApplicationTestResult
 
 # -- label types ---------------------------------------------------------------
@@ -323,6 +329,17 @@ def to_partition(state: DensePartitionState, graph: nx.Graph) -> Partition:
             )
         )
     return Partition(graph, parts)
+
+
+def node_sets(state: DensePartitionState) -> Dict[Any, FrozenSet[Any]]:
+    """Each part's node set by root id, roots ascending; each set is
+    built in ascending dense-index order, as :func:`to_partition` builds
+    it."""
+    ids = state.topology.nodes
+    members: Dict[int, List[Any]] = {root: [] for root in state.heights}
+    for idx, root in enumerate(state.part_of.tolist()):
+        members[root].append(ids[idx])
+    return {ids[root]: frozenset(group) for root, group in members.items()}
 
 
 def dense_of(partition: Partition) -> DensePartitionState:
@@ -607,6 +624,14 @@ class ReferenceMarking:
     tree_heights: Dict[Any, int]
     marked_weight: int
     contracted_weight: int
+
+
+def marked_pairs(
+    result: MarkingResult, out_edge: Dict[int, Optional[int]]
+) -> List[Tuple[int, int]]:
+    """The engine's marked edges as ``(child, parent)`` int pairs of the
+    dict pseudoforest *out_edge* it ran on."""
+    return [(v, out_edge[v]) for v in result.marked_idx.tolist()]
 
 
 def contract_pairs(result: MarkingResult) -> List[Tuple[int, int]]:
@@ -1319,47 +1344,64 @@ def reference_measure_stretch(
     return worst
 
 
+def part_verdict(sub: nx.Graph, root: Any, prop: str) -> Tuple[bool, int]:
+    """The per-part check of *prop* on the networkx view *sub*: ``(ok, rounds)``.
+
+    Rounds are a BFS from *root* plus one (depth, parent) exchange,
+    ``max depth + 2``; planarity and outerplanarity add a convergecast
+    of the part's ``n_j`` edge words to the root.  Bipartiteness rejects
+    an edge whose ends share a BFS depth (an odd cycle); outerplanarity
+    is planarity with one universal apex node added.
+    """
+    depths = labels_by_id(sub, root).depths
+    rounds = max(depths.values(), default=0) + 2
+    if prop == "cycle-free":
+        return sub.number_of_edges() == sub.number_of_nodes() - 1, rounds
+    if prop == "bipartite":
+        return all(depths[u] != depths[v] for u, v in sub.edges()), rounds
+    rounds += sub.number_of_nodes()
+    if prop == "outerplanar":
+        apex = object()  # a fresh node id
+        sub = nx.Graph(sub)
+        sub.add_edges_from([(apex, v) for v in sub])
+    return check_planarity(sub).is_planar, rounds
+
+
 def verify_parts(
-    graph: nx.Graph, stage1: Stage1Result, check: str
+    graph: nx.Graph, stage1: Stage1Result, prop: str
 ) -> Tuple[List[Any], int]:
-    """BFS verification in every part; returns (rejecting pids, max rounds)."""
-    model = TreeCostModel()
+    """:func:`part_verdict` in every part; returns (rejecting pids, max rounds)."""
     rejecting: List[Any] = []
     max_rounds = 0
     for pid, part in stage1.partition.parts.items():
-        sub = graph.subgraph(part.nodes)
-        bfs = labels_by_id(sub, part.root)
-        parents, depths = bfs.parents, bfs.depths
-        depth = max(depths.values(), default=0)
-        max_rounds = max(max_rounds, (depth + 1) + model.neighbor_exchange())
-        for u, v in sub.edges():
-            if parents.get(u) == v or parents.get(v) == u:
-                continue
-            if check == "cycle" or depths[u] % 2 == depths[v] % 2:
-                rejecting.append(pid)
-                break
+        ok, rounds = part_verdict(graph.subgraph(part.nodes), part.root, prop)
+        max_rounds = max(max_rounds, rounds)
+        if not ok:
+            rejecting.append(pid)
     return rejecting, max_rounds
 
 
 def reference_application(
     graph: nx.Graph,
-    check: str,
+    prop: str,
     epsilon: float = 0.1,
     alpha: int = 3,
     method: str = "deterministic",
     delta: float = 0.1,
     seed: Optional[int] = None,
 ) -> ApplicationTestResult:
-    """A Corollary 16 tester (``check`` = ``cycle`` or ``bipartite``)."""
+    """The Corollary 16 tester of *prop* (``cycle-free``, ``bipartite``,
+    ``planar`` or ``outerplanar``) over the reference partition."""
     stage1 = _reference_partition(
         graph, epsilon, alpha, method, delta, seed,
         target=epsilon * graph.number_of_edges() / 2,
     )
-    rejecting, verify_rounds = verify_parts(graph, stage1, check)
+    rejecting, verify_rounds = verify_parts(graph, stage1, prop)
     return ApplicationTestResult(
         accepted=not rejecting,
         rejecting_parts=tuple(sorted(rejecting, key=repr)),
         partition_result=stage1,
         partition_rounds=stage1.rounds,
         verification_rounds=verify_rounds,
+        property_name=prop,
     )

@@ -5,17 +5,21 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from _stage1_reference import label_cases, relabeled
+from _stage1_reference import label_cases, node_sets, relabeled
 from repro.applications import build_spanner, measure_stretch
 from repro.graphs import (
+    FAR_FAMILIES,
     cycle_freeness_farness,
     grid_graph,
+    make_far,
     make_planar,
+    random_outerplanar,
     random_tree,
     triangulated_grid,
 )
 from repro.testers import test_bipartiteness as run_bipartiteness
 from repro.testers import test_cycle_freeness as run_cycle_freeness
+from repro.testers import test_hereditary_property as run_hereditary
 
 
 class TestCycleFreeness:
@@ -93,32 +97,114 @@ class TestBipartiteness:
             assert run_bipartiteness(graph, epsilon=0.1, seed=seed).accepted
 
 
+def is_outerplanar(graph):
+    """Outerplanar iff planar with one universal apex node added."""
+    apex = object()
+    augmented = nx.Graph(graph)
+    augmented.add_edges_from([(apex, v) for v in graph])
+    return nx.check_planarity(augmented)[0]
+
+
+NETWORKX_CHECKS = {
+    "cycle-free": nx.is_forest,
+    "bipartite": nx.is_bipartite,
+    "planar": lambda graph: nx.check_planarity(graph)[0],
+    "outerplanar": is_outerplanar,
+}
+
+
 class TestPartVerdictsMatchNetworkx:
-    """The vectorized per-part BFS check is exact: a part is rejected
-    iff networkx finds the part itself is not a forest (cycle-freeness)
-    or not bipartite (bipartiteness), on every label type."""
+    """The per-part checks are exact: a part is rejected iff networkx
+    finds the part itself is not a forest, not bipartite, not planar or
+    not outerplanar, on every label type and both partition methods."""
 
     @pytest.mark.parametrize(
         "family,relabeling",
-        label_cases(["tree", "grid", "tri-grid", "delaunay"]),
+        label_cases(["tree", "grid", "tri-grid", "delaunay", "planted-k5"]),
     )
-    @pytest.mark.parametrize(
-        "tester,holds",
-        [(run_cycle_freeness, nx.is_forest), (run_bipartiteness, nx.is_bipartite)],
-        ids=["cycle-free", "bipartite"],
-    )
+    @pytest.mark.parametrize("method", ["deterministic", "randomized"])
+    @pytest.mark.parametrize("prop", sorted(NETWORKX_CHECKS))
     def test_rejecting_parts_are_violating_parts(
-        self, family, relabeling, tester, holds
+        self, family, relabeling, method, prop
     ):
-        graph = relabeled(make_planar(family, 120, seed=0), relabeling)
-        result = tester(graph, epsilon=0.2)
-        node_sets = result.partition_result.partition.node_sets()
+        if family in FAR_FAMILIES:
+            graph, _farness = make_far(family, 120, seed=0)
+        else:
+            graph = make_planar(family, 120, seed=0)
+        graph = relabeled(graph, relabeling)
+        result = run_hereditary(graph, prop, epsilon=0.2, method=method, seed=0)
+        holds = NETWORKX_CHECKS[prop]
         violating = {
-            pid for pid, nodes in node_sets.items()
+            pid
+            for pid, nodes in node_sets(result.partition_result.partition).items()
             if not holds(graph.subgraph(nodes))
         }
         assert set(result.rejecting_parts) == violating
         assert result.accepted == (not violating)
+        assert result.property_name == prop
+
+
+class TestHereditaryProperty:
+    @pytest.mark.parametrize(
+        "graph,prop,holds",
+        [
+            (random_tree(30, seed=0), "cycle-free", True),
+            (nx.cycle_graph(6), "cycle-free", False),
+            (nx.cycle_graph(6), "bipartite", True),
+            (nx.cycle_graph(5), "bipartite", False),
+            (nx.wheel_graph(8), "planar", True),
+            (nx.complete_graph(5), "planar", False),
+            (random_outerplanar(30, seed=1), "outerplanar", True),
+            (nx.complete_graph(4), "outerplanar", False),  # planar, not outer
+        ],
+        ids=[
+            "tree", "C6-cycle", "C6-bipartite", "C5", "wheel", "K5",
+            "outerplanar", "K4",
+        ],
+    )
+    def test_one_part_graphs(self, graph, prop, holds):
+        """A cut target below one edge keeps a small connected graph in
+        one part, so the verdict is the property itself."""
+        result = run_hereditary(graph, prop, epsilon=0.01)
+        assert result.partition_result.partition.size == 1
+        assert result.accepted == holds
+        assert len(result.rejecting_parts) == (0 if holds else 1)
+
+    def test_outerplanar_accepted(self):
+        graph = random_outerplanar(200, seed=1)
+        for method in ("deterministic", "randomized"):
+            result = run_hereditary(
+                graph, "outerplanar", epsilon=0.3, method=method, seed=1
+            )
+            assert result.accepted, method
+
+    def test_tri_grid_planar_not_outerplanar(self):
+        graph = triangulated_grid(12, 12)
+        assert run_hereditary(graph, "planar", epsilon=0.3).accepted
+        result = run_hereditary(graph, "outerplanar", epsilon=0.3)
+        assert not result.accepted
+        assert result.rejecting_parts
+
+    def test_rounds_accounting(self):
+        """The LR properties charge each part's BFS depth + 2 plus its
+        size; the BFS properties the depth + 2 alone."""
+        graph = make_planar("delaunay", 150, seed=3)
+        planar = run_hereditary(graph, "planar", epsilon=0.3)
+        bipartite = run_hereditary(graph, "bipartite", epsilon=0.3)
+        assert planar.rounds == planar.partition_rounds + planar.verification_rounds
+        assert planar.verification_rounds > bipartite.verification_rounds > 0
+
+    def test_unknown_property(self, small_grid):
+        with pytest.raises(ValueError, match="unknown property"):
+            run_hereditary(small_grid, "chromatic")
+
+    def test_unknown_method(self, small_grid):
+        with pytest.raises(ValueError):
+            run_hereditary(small_grid, "planar", method="psychic")
+
+    def test_invalid_epsilon(self, small_grid):
+        with pytest.raises(ValueError):
+            run_hereditary(small_grid, "planar", epsilon=0)
 
 
 class TestSpanner:

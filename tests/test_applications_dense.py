@@ -4,9 +4,10 @@ The contract is *bit identity* with the walk over ``Part`` objects kept
 in ``tests/_stage1_reference.py``: ``build_spanner`` must produce the
 same ``SpannerResult`` (tree and connector counts, guaranteed stretch,
 edge set, size, rounds), ``measure_stretch`` the same worst-ratio float
-(same RNG sample), and the Corollary 16 application testers the same
-verdicts (accepted, rejecting parts, round counts) -- across every
-bundled planar and far-from-planar generator, under every label type of
+(same RNG sample), and the Corollary 16 tester the same verdicts
+(accepted, rejecting parts, round counts) for each of its four
+properties at two distances -- across every bundled planar and
+far-from-planar generator, under every label type of
 :data:`_stage1_reference.RELABELINGS`, for both the deterministic and
 the seeded randomized partition method.
 """
@@ -28,10 +29,12 @@ from repro.applications import DenseSpanner, build_spanner, measure_stretch
 from repro.errors import GraphInputError
 from repro.graphs.far_from_planar import FAR_FAMILIES, make_far
 from repro.graphs.generators import PLANAR_FAMILIES, make_planar
-from repro.testers.applications import (
+from repro.testers import (
     test_bipartiteness as run_bipartiteness,
     test_cycle_freeness as run_cycle_freeness,
+    test_hereditary_property as run_hereditary,
 )
+from repro.testers.applications import PROPERTIES
 
 N = 36
 
@@ -99,19 +102,35 @@ def test_stretch_bit_identical(family, relabeling, method, zoo):
     )
 
 
-@pytest.mark.parametrize("check", ("cycle", "bipartite"))
+WRAPPERS = {"cycle-free": run_cycle_freeness, "bipartite": run_bipartiteness}
+
+
+def verdict(result):
+    return (
+        result.accepted,
+        result.rejecting_parts,
+        result.partition_rounds,
+        result.verification_rounds,
+    )
+
+
+@pytest.mark.parametrize("epsilon", (0.1, 0.3))
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("family, relabeling", label_cases(FAMILIES))
-def test_application_verdicts_identical(family, relabeling, method, check, zoo):
+def test_application_verdicts_identical(family, relabeling, method, epsilon, zoo):
+    """Every Corollary 16 property, and the cycle-freeness and
+    bipartiteness entry points, give the per-part reference's verdicts
+    and round counts."""
     graph = relabeled(zoo[family], relabeling)
-    runner = run_cycle_freeness if check == "cycle" else run_bipartiteness
-    reference = reference_application(graph, check, method=method, seed=11)
-    dense = runner(graph, method=method, seed=11)
-    assert dense.accepted == reference.accepted
-    assert dense.rejecting_parts == reference.rejecting_parts
-    assert dense.partition_rounds == reference.partition_rounds
-    assert dense.verification_rounds == reference.verification_rounds
-    assert dense.rounds == reference.rounds
+    for prop in PROPERTIES:
+        want = verdict(
+            reference_application(graph, prop, epsilon, method=method, seed=11)
+        )
+        dense = run_hereditary(graph, prop, epsilon, method=method, seed=11)
+        assert verdict(dense) == want, prop
+        if prop in WRAPPERS:
+            wrapped = WRAPPERS[prop](graph, epsilon, method=method, seed=11)
+            assert verdict(wrapped) == want, prop
 
 
 def test_bfs_fallback_matches_scipy_path():

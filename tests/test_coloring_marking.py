@@ -15,12 +15,17 @@ from _stage1_reference import (
     contract_pairs,
     dense_marking,
     mark_and_choose,
+    marked_pairs,
     randomized_coloring_emulated,
 )
 from repro.congest.ledger import RoundLedger
 from repro.congest.programs import cole_vishkin_coloring
 from repro.errors import PartitionError
-from repro.partition.dense import RootSeeds, color_roots, randomized_coloring_dense
+from repro.partition.dense import (
+    RootSeeds,
+    cole_vishkin_dense,
+    randomized_coloring_dense,
+)
 
 
 def random_pseudoforest(n, seed):
@@ -52,12 +57,12 @@ def compact(parents):
 
 
 def color_by_ids(parents):
-    """``color_roots`` seeded with the node ids, as a dict."""
-    colors, rounds = color_roots(compact(parents), list(range(len(parents))))
+    """``cole_vishkin_dense`` seeded with the node ids, as a dict."""
+    colors, rounds = cole_vishkin_dense(compact(parents), list(range(len(parents))))
     return dict(enumerate(colors.tolist())), rounds
 
 
-class TestColorRoots:
+class TestColeVishkinDense:
     def test_path(self):
         parents = {i: i - 1 if i > 0 else None for i in range(50)}
         colors, rounds = color_by_ids(parents)
@@ -76,7 +81,7 @@ class TestColorRoots:
     def test_non_int_ids_fall_back_to_ranks(self):
         seeds = RootSeeds(["c", "a", "b"])(np.arange(3))
         assert seeds == [2, 0, 1]
-        colors, _ = color_roots(np.array([-1, 0, 1], dtype=np.int64), seeds)
+        colors, _ = cole_vishkin_dense(np.array([-1, 0, 1], dtype=np.int64), seeds)
         assert set(colors.tolist()) <= {0, 1, 2}
         assert colors[1] != colors[0] and colors[2] != colors[1]
 
@@ -118,8 +123,9 @@ class TestColeVishkinOracle:
             )
 
 
-class TestColorRootsDifferential:
-    """``color_roots`` against the dict oracle, seeds on both sides of 2**62."""
+class TestColeVishkinDenseDifferential:
+    """``cole_vishkin_dense`` against the dict oracle, seeds on both sides
+    of 2**62."""
 
     @pytest.mark.parametrize(
         "offset",
@@ -133,7 +139,7 @@ class TestColorRootsDifferential:
             # distinct seeds; at 2**62 - k some fall below 2**62, some above
             seeds = [offset + s for s in rng.sample(range(60), len(out_edge))]
             ledger, oracle_ledger = RoundLedger(), RoundLedger()
-            colors, rounds = color_roots(
+            colors, rounds = cole_vishkin_dense(
                 compact(out_edge), seeds, ledger, height=3, category="c.cv"
             )
             oracle, oracle_rounds = cole_vishkin_emulated(
@@ -209,7 +215,7 @@ class TestMarking:
         out_edge = {0: 1, 1: None}
         weights = {(0, 1): 5}
         result = self.run_marking(out_edge, weights)
-        assert result.marked_edges == [(0, 1)]
+        assert result.marked_idx.tolist() == [0]
         assert contract_pairs(result) == [(0, 1)]
         assert result.contracted_weight == 5
 
@@ -269,10 +275,11 @@ class TestMarking:
     def test_edge_lists_in_ascending_child_order(self, seed):
         out_edge, weights = random_pseudoforest(60, seed)
         result = self.run_marking(out_edge, weights)
-        for edges in (result.marked_edges, contract_pairs(result)):
-            children = [child for child, _parent in edges]
-            assert children == sorted(set(children))
-            assert all(type(v) is int for edge in edges for v in edge)
+        children = result.marked_idx.tolist()
+        assert children == sorted(set(children))
+        contracted = [child for child, _center in contract_pairs(result)]
+        assert contracted == sorted(set(contracted))
+        assert result.marked_idx.dtype == np.int64
         assert result.contract_children.dtype == np.int64
         assert result.contract_centers.dtype == np.int64
 
@@ -292,7 +299,7 @@ class TestMarking:
         out_edge, weights = random_pseudoforest(n, seed)
         colors, _ = cole_vishkin_emulated(out_edge)
         result = dense_marking(out_edge, weights, colors)
-        marked = set(result.marked_edges)
+        marked = set(marked_pairs(result, out_edge))
         assert set(contract_pairs(result)) <= marked
         assert all(e in weights for e in marked)
         total = sum(weights.values())
@@ -341,7 +348,7 @@ class TestMarkingDifferential:
         out_edge, weights, colors = selected_pseudoforest(n, seed, abstain)
         oracle = mark_and_choose(out_edge, weights, colors)
         dense = dense_marking(out_edge, weights, colors)
-        assert set(dense.marked_edges) == set(oracle.marked_edges)
+        assert marked_pairs(dense, out_edge) == sorted(oracle.marked_edges)
         assert contract_pairs(dense) == sorted(oracle.contract_edges)
         assert dense.tree_heights == oracle.tree_heights
         assert dense.marked_weight == oracle.marked_weight

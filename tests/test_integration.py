@@ -6,7 +6,7 @@ from __future__ import annotations
 import networkx as nx
 
 from _reference_paths import labels_by_id
-from _stage1_reference import AuxiliaryGraph, to_partition
+from _stage1_reference import AuxiliaryGraph, node_sets, to_partition
 from repro.congest.programs import bfs_tree
 from repro.graphs import make_far, make_planar
 from repro.partition import partition_stage1
@@ -28,7 +28,7 @@ class TestClaim3Chain:
         # part must be non-planar
         nonplanar_parts = [
             pid
-            for pid, nodes in result.partition.node_sets().items()
+            for pid, nodes in node_sets(result.partition).items()
             if not check_planarity(graph.subgraph(nodes)).is_planar
         ]
         assert nonplanar_parts
@@ -60,7 +60,7 @@ class TestEmbeddingChain:
     def test_part_embeddings_verify(self):
         graph = make_planar("apollonian", 250, seed=4)
         result = partition_stage1(graph, epsilon=0.2)
-        for nodes in result.partition.node_sets().values():
+        for nodes in node_sets(result.partition).values():
             sub = nx.Graph(graph.subgraph(nodes))
             lr = check_planarity(sub)
             assert lr.is_planar

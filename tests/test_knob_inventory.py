@@ -2,9 +2,9 @@
 
 Scans ``src/`` for ``REPRO_*`` names and pins the set to the table under
 "Environment knobs" in ARCHITECTURE.md, so adding (or removing) a knob
-fails here until the documentation follows.  Retired knobs, exports and
-modules must stay gone, and every top-level definition under ``src/``
-must be named somewhere other than ``tests/``.
+fails here until the documentation follows.  Retired knobs, exports,
+class members and modules must stay gone, and every top-level
+definition under ``src/`` must be named somewhere other than ``tests/``.
 """
 
 from __future__ import annotations
@@ -81,6 +81,17 @@ RETIRED_EXPORTS = (
     "planarity_ground_truth",
     "cycle_freeness_ground_truth",
     "bipartiteness_ground_truth",
+    "PartChecker",
+    "BUILTIN_CHECKERS",
+    "HereditaryTestResult",
+    "cycle_freeness_checker",
+    "bipartiteness_checker",
+    "planarity_checker",
+    "outerplanarity_checker",
+    "_bfs_rounds",
+    "color_roots",
+    "_run_cycle_freeness",
+    "_run_bipartiteness",
 )
 """Names that left ``src/``; the first four live on as test oracles."""
 
@@ -89,7 +100,16 @@ RETIRED_MODULES = {
     "repro.graphs.structures",
     "repro.congest.programs.part_checks",
     "repro.baselines.centralized",
+    "repro.testers.hereditary",
 }
+
+RETIRED_MEMBERS = {
+    "repro.partition.dense.DensePartitionState": ("node_sets",),
+    "repro.partition.dense.MarkingResult": ("marked_edges",),
+    "repro.runtime.sweeps.ShardedSweep": ("run_shard", "merge"),
+}
+"""Methods and fields that left ``src/`` classes (test helpers replace
+``node_sets`` and ``marked_edges``)."""
 
 
 @pytest.mark.parametrize(
@@ -103,11 +123,25 @@ RETIRED_MODULES = {
         "repro.planarity",
         "repro.analysis",
         "repro.baselines",
+        "repro.partition.dense",
+        "repro.runtime.jobs",
     ],
 )
 def test_retired_exports_are_gone(module):
     package = importlib.import_module(module)
     assert [name for name in RETIRED_EXPORTS if hasattr(package, name)] == []
+
+
+@pytest.mark.parametrize("owner", sorted(RETIRED_MEMBERS))
+def test_retired_members_are_gone(owner):
+    module, name = owner.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    fields = getattr(cls, "__dataclass_fields__", {})
+    assert [
+        member
+        for member in RETIRED_MEMBERS[owner]
+        if hasattr(cls, member) or member in fields
+    ] == []
 
 
 def imported_modules(path):

@@ -26,6 +26,7 @@ from _stage1_reference import (
     AuxiliaryGraph,
     Partition,
     label_cases,
+    node_sets,
     reference_partition_randomized,
     reference_partition_stage1,
     relabeled,
@@ -178,7 +179,7 @@ class TestLemma6:
             assert state.size == partition.size
             assert state.cut_size() == partition.cut_size()
             assert state.max_height() == partition.max_height()
-            assert state.node_sets() == {
+            assert node_sets(state) == {
                 pid: part.nodes for pid, part in partition.parts.items()
             }
 
@@ -214,7 +215,7 @@ class TestMaxDiameter:
         state = partition_stage1(graph, epsilon=0.1).partition
         oracle = to_partition(state, graph)
         assert state.max_diameter(graph) == oracle.max_diameter() == 26
-        (nodes,) = [s for s in state.node_sets().values() if len(s) > 1200]
+        (nodes,) = [s for s in node_sets(state).values() if len(s) > 1200]
         assert len(nodes) == 1738
         assert _exact_diameter(graph, nodes) == 29
 
@@ -435,6 +436,17 @@ COUNTED = ("lexsort", "unique", "intersect1d")
 
 
 @pytest.mark.parametrize(
+    "partition",
+    (
+        partition_stage1,
+        lambda graph, epsilon: partition_randomized(graph, epsilon, seed=0),
+        lambda graph, epsilon: partition_randomized(
+            graph, epsilon, seed=0, coloring="randomized"
+        ),
+    ),
+    ids=("stage1", "randomized-cv", "randomized-remark1"),
+)
+@pytest.mark.parametrize(
     "graph_of",
     (
         lambda: make_planar("delaunay", 2000, seed=0),
@@ -442,9 +454,10 @@ COUNTED = ("lexsort", "unique", "intersect1d")
     ),
     ids=("delaunay", "planted-k5"),
 )
-def test_stage1_calls_no_sort_based_set_routine(graph_of):
-    """Stage I runs on scatters, sorted runs and masks: numpy's
-    ``lexsort``, ``unique`` and ``intersect1d`` stay out of every phase."""
+def test_stage1_calls_no_sort_based_set_routine(graph_of, partition):
+    """Both partitions run on scatters, sorted runs and masks: numpy's
+    ``lexsort``, ``unique`` and ``intersect1d`` stay out of every phase,
+    under either coloring of Theorem 4's."""
     graph = graph_of()
     calls = dict.fromkeys(COUNTED, 0)
 
@@ -458,7 +471,7 @@ def test_stage1_calls_no_sort_based_set_routine(graph_of):
         return counted
 
     with mock.patch.multiple(np, **{name: counting(name) for name in COUNTED}):
-        result = partition_stage1(graph, epsilon=0.1)
+        result = partition(graph, epsilon=0.1)
         assert calls == dict.fromkeys(COUNTED, 0)
         np.unique(np.arange(3))  # the counters do count
     assert calls["unique"] == 1

@@ -143,13 +143,19 @@ class TestCostBalancedSweeps:
             self._sweep().expand(), key=lambda s: s.canonical()
         )
 
-    def test_cost_merge_restores_expansion_order(self):
+    def test_cost_shards_reassemble_the_grid(self):
         model = CostModel(samples={"test_planarity": {36: 0.1}})
         sharded = ShardedSweep(self._sweep(), 2, balance="cost",
                                cost_model=model)
-        results = [sharded.run_shard(i) for i in range(2)]
-        merged = sharded.merge(results)
-        assert merged.records == run_sweep(self._sweep()).records
+        full = run_sweep(self._sweep()).records
+        for index in range(2):
+            leg = run_sweep(self._sweep(), shard=(index, 2), balance="cost",
+                            cost_model=model)
+            assert leg.records == [
+                record
+                for record, shard in zip(full, sharded.assignments())
+                if shard == index
+            ]
 
     def test_invalid_balance_rejected(self):
         with pytest.raises(ValueError, match="balance"):

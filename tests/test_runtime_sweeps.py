@@ -107,51 +107,33 @@ class TestShardedSweep:
         with pytest.raises(ValueError):
             job_shard(spec, 0)
 
-    def test_merge_restores_expansion_order(self):
+    def test_shard_runs_reassemble_the_grid(self):
+        """Each ``run_sweep(shard=(i, k))`` leg holds exactly the records
+        of the full run that ``shard_specs(i)`` assigns it, in expansion
+        order, so the legs together reassemble the grid."""
         sweep = _small_sweep()
         sharded = ShardedSweep(sweep, 2)
-        results = [sharded.run_shard(i) for i in range(2)]
-        merged = sharded.merge(results)
-        full = run_sweep(sweep)
-        assert merged.records == full.records
-        assert merged.batch.executed == sweep.size
+        full = run_sweep(sweep).records
+        assignments = sharded.assignments()
+        for index in range(2):
+            leg = run_sweep(sweep, shard=(index, 2))
+            assert leg.records == [
+                record
+                for record, shard in zip(full, assignments)
+                if shard == index
+            ]
+            assert leg.batch.executed == len(sharded.shard_specs(index))
 
     def test_shards_share_one_store(self, tmp_path):
         """Shard runs against one store, then a full resume run is a
         100% hit -- the CLI's --shard/--resume workflow."""
         sweep = _small_sweep()
-        sharded = ShardedSweep(sweep, 2)
         store = tmp_path / "store"
         for index in range(2):
-            sharded.run_shard(index, store=ShardedStore(store))
+            run_sweep(sweep, store=ShardedStore(store), shard=(index, 2))
         final = run_sweep(sweep, store=ShardedStore(store), resume=True)
         assert final.batch.executed == 0
         assert final.records == run_sweep(sweep).records
-
-    def test_run_sweep_shard_argument(self, tmp_path):
-        sweep = _small_sweep()
-        direct = run_sweep(sweep, shard=(0, 2))
-        via_class = ShardedSweep(sweep, 2).run_shard(0)
-        assert direct.records == via_class.records
-
-    def test_merge_rejects_wrong_shard_count(self):
-        sharded = ShardedSweep(_small_sweep(), 2)
-        with pytest.raises(ValueError, match="expected 2 shard results"):
-            sharded.merge([sharded.run_shard(0)])
-
-    def test_merge_rejects_extra_records(self):
-        """Shard results of a larger grid do not silently truncate
-        into a smaller one: the leftover records raise."""
-        def grid(seeds):
-            return SweepSpec.make(
-                "partition_stage1", families=["grid"], ns=[16],
-                seeds=seeds, epsilon=[0.5],
-            )
-
-        big = ShardedSweep(grid(range(6)), 2)
-        results = [big.run_shard(i) for i in range(2)]
-        with pytest.raises(ValueError, match="left over"):
-            ShardedSweep(grid([0, 1]), 2).merge(results)
 
 
 class TestResume:
@@ -167,9 +149,7 @@ class TestResume:
         sweep = _small_sweep()
         store = tmp_path / "store"
         # Run one shard, abandoning the rest of the grid.
-        partial = ShardedSweep(sweep, 2).run_shard(
-            0, store=ShardedStore(store)
-        )
+        partial = run_sweep(sweep, store=ShardedStore(store), shard=(0, 2))
         done = len(partial.records)
         assert 0 < done < sweep.size
 

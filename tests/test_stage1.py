@@ -8,7 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from _stage1_reference import to_partition
+from _stage1_reference import node_sets, to_partition
 from repro.errors import PartitionError
 from repro.graphs import make_far, make_planar
 from repro.partition import (
@@ -56,7 +56,7 @@ class TestStage1OnPlanar:
         graph = make_planar("delaunay", 200, seed=4)
         r1 = partition_stage1(graph, epsilon=0.2)
         r2 = partition_stage1(graph, epsilon=0.2)
-        assert r1.partition.node_sets() == r2.partition.node_sets()
+        assert node_sets(r1.partition) == node_sets(r2.partition)
         assert r1.rounds == r2.rounds
 
     def test_rounds_positive_and_ledgered(self, small_grid):
@@ -98,7 +98,7 @@ class TestStage1OnPlanar:
         assert result.success
         to_partition(result.partition, graph).validate()
         # parts never span components
-        for nodes in result.partition.node_sets().values():
+        for nodes in node_sets(result.partition).values():
             assert len({v // 10 for v in nodes}) == 1
 
 
@@ -173,7 +173,7 @@ class TestRandomizedPartition:
         graph = make_planar("delaunay", 150, seed=2)
         a = partition_randomized(graph, epsilon=0.2, seed=42)
         b = partition_randomized(graph, epsilon=0.2, seed=42)
-        assert a.partition.node_sets() == b.partition.node_sets()
+        assert node_sets(a.partition) == node_sets(b.partition)
 
     def test_claim14_decay(self):
         """Claim 14 decay bound 1 - 1/(64 alpha), with delta slack."""

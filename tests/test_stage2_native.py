@@ -29,6 +29,7 @@ from _reference_paths import (
 from _stage1_reference import (
     RELABELINGS,
     label_cases,
+    node_sets,
     reference_stage1,
     relabeled,
     to_partition,
@@ -196,10 +197,10 @@ class TestExtraction:
             for v in part - {root}:
                 parent[index[v]] = index[root]
         state = DensePartitionState.from_forest(topology, parent)
-        assert state.node_sets() == {0: big, 30: small}
+        assert node_sets(state) == {0: big, 30: small}
         subs = extract_part_subgraphs(graph, state)
         assert subs[30].nodes != [v for v in graph if v in small]
-        for pid, nodes in state.node_sets().items():
+        for pid, nodes in node_sets(state).items():
             reference = LocalGraph.from_graph(graph.subgraph(nodes))
             assert subs[pid].nodes == reference.nodes
             assert subs[pid].rows == reference.rows
