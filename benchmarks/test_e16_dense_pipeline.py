@@ -16,12 +16,16 @@ single output.  Gated (and run in CI's bench-smoke job):
   per-part verdicts (the full differential suite lives in
   ``tests/test_partition_dense.py`` / ``tests/test_stage2_native.py``).
 
-Three ungated figures ride along in ``BENCH_e16.json``: the wall time of
+Four ungated figures ride along in ``BENCH_e16.json``: the wall time of
 one fresh ``CompiledTopology`` build (the ``compile`` row); the wall
 time of a Stage I reject (the ``reject`` row, ``reject_s``): the tester
 on n=2000 with 300 planted K5s (perfbench's ``tester-far`` input),
 rejected after one phase, on a fresh copy per run so every run
-compiles; and the number of full
+compiles; the mean wall time of one Stage I phase on the small jobs the
+service benchmark runs (the ``stage1 phase n=64`` row, ``phase_n64_s``,
+with its phase count): ``partition_stage1`` at eps=0.25 on n=64 graphs
+of the grid, delaunay and outerplanar families, topologies compiled
+beforehand; and the number of full
 (generation-2) collections per tester op, counted with ``gc.callbacks``
 over ops on fresh copies of a pool of graphs -- the collector pauses
 that set the tester's tail latency.
@@ -55,6 +59,10 @@ REPEATS = 2 if quick_mode() else 4
 GC_POOL = 8 if quick_mode() else 16
 GC_OPS = 16 if quick_mode() else 32
 PLANTED_K5 = 300
+PHASE_FAMILIES = ("grid", "delaunay", "outerplanar")
+PHASE_N = 64
+PHASE_EPSILON = 0.25
+PHASE_SEEDS = range(4 if quick_mode() else 10)
 
 PARTITION_GATE = 3.0
 TESTER_GATE = 1.5
@@ -73,6 +81,26 @@ def _best(fn):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _phase_seconds():
+    """Mean wall seconds per Stage I phase at n=64, and the phase count."""
+    graphs = [
+        make_planar(family, PHASE_N, seed=seed)
+        for family in PHASE_FAMILIES
+        for seed in PHASE_SEEDS
+    ]
+    phases = sum(  # the first run also compiles each topology
+        len(partition_stage1(graph, epsilon=PHASE_EPSILON).phases)
+        for graph in graphs
+    )
+
+    def run_all():
+        for graph in graphs:
+            partition_stage1(graph, epsilon=PHASE_EPSILON)
+
+    seconds, _ = _best(run_all)
+    return seconds / phases, phases
 
 
 def _full_collections(config):
@@ -128,6 +156,7 @@ def pipeline_table():
     reject_time, reject = _best(
         lambda: run_planarity(fresh.pop(), seed=0, config=native_config)
     )
+    phase_s, phase_count = _phase_seconds()
     gen2_per_op, gen2_pause_ms = _full_collections(native_config)
 
     assert dense.partition.size == legacy.partition.size
@@ -169,6 +198,14 @@ def pipeline_table():
     table.add_row(
         f"reject ({PLANTED_K5} K5)", "dense", round(reject_time, 4), "-", "-", "-"
     )
+    table.add_row(
+        f"stage1 phase n={PHASE_N}",
+        f"dense ({phase_count} phases)",
+        f"{phase_s:.2e}",  # per phase; 3 decimals would read 0.000
+        "-",
+        "-",
+        "-",
+    )
     save_table(
         table,
         "e16_dense_pipeline.md",
@@ -187,6 +224,10 @@ def pipeline_table():
             "compile_s": round(compile_time, 6),
             "compile_share_of_tester": round(compile_time / native_tester_time, 4),
             "reject_s": round(reject_time, 6),
+            "phase_n64_s": round(phase_s, 7),
+            "phase_n64_phases": phase_count,
+            "phase_n64_families": list(PHASE_FAMILIES),
+            "phase_n64_epsilon": PHASE_EPSILON,
             "gc_pool": GC_POOL,
             "gc_ops": GC_OPS,
             "gc_gen2_per_op": round(gen2_per_op, 4),

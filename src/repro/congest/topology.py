@@ -68,6 +68,7 @@ class CompiledTopology:
         n: number of nodes.
         m: number of edges (half the CSR slots).
         nodes: node ids in ``id_key`` order; position = dense index.
+        dense_labels: whether the ids are ``0..n-1`` (each its own index).
         index: mapping from node id to dense index.
         indptr: CSR row pointers (length ``n + 1``); the neighbors of
             dense index ``i`` are ``indices[indptr[i]:indptr[i + 1]]``.
@@ -91,6 +92,7 @@ class CompiledTopology:
         "n",
         "m",
         "nodes",
+        "dense_labels",
         "index",
         "indptr",
         "indices",
@@ -123,6 +125,7 @@ class CompiledTopology:
             nodes = tuple(sorted(adj, key=id_key))
             dense_labels = False
         self.nodes = nodes
+        self.dense_labels = dense_labels
         index: Dict[Any, int] = dict(zip(nodes, range(n)))
         self.index = index
 

@@ -20,6 +20,15 @@ Theorem 4's randomized partition shares) runs on the
   pseudoforest that :func:`cole_vishkin_dense` colors and
   :func:`mark_and_choose_dense` marks.
 
+At small n a phase is priced by its count of array operations, so rules
+over small values are gathers from tables built at import.  After the
+first Cole-Vishkin step every color is below 128: each later step reads
+a 128 x 128 table.  Each ``elim`` step follows a ``shift``, after which
+a node's children all hold its pre-shift color, so the step reads (own,
+parent's, pre-shift or none) from a 7 x 7 x 7 table.  A phase runs three
+pointer-jumping sweeps (the marked forest, the paths to reverse, the
+merged forest), each testing convergence by one count per doubling.
+
 Labels: dense indices are assigned in ``id_key`` order, so every
 tie-break by index is the tie-break by ``id_key``; Cole-Vishkin seeds
 from the original labels (:class:`RootSeeds`), and RNG streams are
@@ -35,7 +44,8 @@ large-int and tuple labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -46,6 +56,50 @@ from ..congest.topology import CompiledTopology
 from ..errors import PartitionError
 
 _MAX_ID = 2**62  # int64 headroom for the vectorized CV bit tricks
+_PALETTE = 128  # one CV step maps colors below 2**62 to at most 2 * 61 + 1
+
+
+def _cv_bits(own: "np.ndarray", effective: "np.ndarray") -> "np.ndarray":
+    """One Cole-Vishkin step on integer colors below ``2**62``: twice the
+    index of the lowest bit where *own* and *effective* differ, plus
+    *own*'s value there (:func:`cv_step_value`, vectorized)."""
+    diff = own ^ effective
+    low = diff & -diff
+    # low is a single set bit, exactly representable in float64,
+    # so log2 recovers the bit index without rounding.
+    index = np.log2(low.astype(np.float64)).astype(own.dtype)
+    return 2 * index + ((own >> index) & 1)
+
+
+def _lookup_tables():
+    """Flat tables: ``cv[own * 128 + parent]`` (``parent == own``: a root);
+    ``elim[t][(own * 7 + parent) * 7 + child]``, for color *t* the least
+    of {0, 1, 2} no neighbor has (6: none); sub-step 2b's rules by
+    ``((own + 1) * 5 + parent + 1) * 4 + 2 * heavy + heavy3`` (4: none)."""
+    # Built on int16, which keeps the temporaries (and peak RSS) small.
+    own, parent = np.divmod(np.arange(_PALETTE**2, dtype=np.int16), _PALETTE)
+    cv = _cv_bits(own, np.where(own == parent, own ^ 1, parent)).astype(np.int64)
+    own, parent, child = (axis.ravel() for axis in np.indices((7, 7, 7)))
+    free = [(parent != c) & (child != c) for c in (0, 1)]
+    choice = np.where(free[0], 0, np.where(free[1], 1, 2))
+    elim = {t: np.where(own == t, choice, own) for t in (3, 4, 5)}
+    own, parent, heavy, heavy3 = (axis.ravel() for axis in np.indices((4, 5, 2, 2)))
+    own, parent = own - 1, np.where(parent == 4, -2, parent - 1)
+    up = ((own == 0) & (parent >= 0) & (heavy == 1)) | (
+        (own == 1) & (parent == 2) & (heavy3 == 1)
+    )
+    down = ((own >= 0) & (parent == 0)) | ((own == 2) & (parent == 1))
+    return cv, elim, up, down
+
+
+_CV_TABLE, _ELIM_TABLES, _MARK_UP, _MARK_DOWN = _lookup_tables()
+# Row offsets are gathered too (cheaper than Python-int arithmetic on a
+# few dozen nodes).  _SHIFT[c + 8] is a root's shift: 0 -> 1, else -> 0.
+_CV_ROW = np.arange(_PALETTE, dtype=np.int64) * _PALETTE
+_BY_49, _BY_7 = np.arange(7, dtype=np.int64) * 49, np.arange(7, dtype=np.int64) * 7
+_BY_20, _BY_4 = np.arange(4, dtype=np.int64) * 20, np.arange(5, dtype=np.int64) * 4
+_SHIFT = np.concatenate((np.arange(8), np.arange(8) == 0)).astype(np.int64)
+_COUNTED, _IS3 = np.array([0, 1, 1, 1]), np.array([0, 0, 0, 1])  # by color + 1
 
 
 class DenseAuxiliaryGraph:
@@ -93,28 +147,30 @@ class DenseAuxiliaryGraph:
         # come in (owner, neighbor) order -- the connector order.
         po = part_of[owner]
         pn = part_of[neighbor]
-        cut = np.flatnonzero(po < pn)
+        cut = (po < pn).nonzero()[0]
         self.cut = len(cut)
         pair_key = (po * n + pn)[cut]
         # Stable, so each pair's run opens with its smallest connector
         # (the seed's min-id tie-break); the run length is its weight.
-        order = np.argsort(pair_key, kind="stable")
+        order = pair_key.argsort(kind="stable")
         pair_sorted = pair_key[order]
-        run_start = np.empty(len(order), dtype=bool)
-        run_start[:1] = True
-        np.not_equal(pair_sorted[1:], pair_sorted[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
+        # Run boundaries: every run start, then the end.
+        bounds = np.empty(len(order) + 1, dtype=bool)
+        bounds[0] = bounds[-1] = True
+        np.not_equal(pair_sorted[1:], pair_sorted[:-1], out=bounds[1:-1])
+        bounds = bounds.nonzero()[0]
+        starts = bounds[:-1]
         first = cut[order[starts]]
 
         k = len(roots)
-        compact_of = np.full(n, -1, dtype=np.int64)
+        compact_of = np.empty(n, dtype=np.int64)  # read at part roots only
         compact_of[roots] = np.arange(k, dtype=np.int64)
         self.pids = roots
         self._n = n
         self._pair_keys = pair_sorted[starts]
         self.ea = compact_of[po[first]]
         self.eb = compact_of[pn[first]]
-        self.weights = np.diff(starts, append=len(order))
+        self.weights = bounds[1:] - starts
         self.conn_u = owner[first]
         self.conn_v = neighbor[first]
         degrees = np.bincount(self.ea, minlength=k)
@@ -138,7 +194,7 @@ class DenseAuxiliaryGraph:
         pb = np.asarray(pb, dtype=np.int64)
         flip = pa > pb
         keys = np.minimum(pa, pb) * self._n + np.maximum(pa, pb)
-        pos = np.searchsorted(self._pair_keys, keys)
+        pos = self._pair_keys.searchsorted(keys)
         cu = self.conn_u[pos]
         cv = self.conn_v[pos]
         return np.where(flip, cv, cu), np.where(flip, cu, cv)
@@ -179,24 +235,22 @@ def forest_decomposition_dense(
         budget = barenboim_elkin_round_budget(n_graph)
     threshold = 3 * alpha
     k = aux.compact_count
-    ea, eb = aux.ea, aux.eb
-    degrees = aux.degrees.copy()
+    # Both orientations of every aux edge; inactive nodes' degrees go
+    # stale, as nothing reads them again.
+    src = np.concatenate((aux.ea, aux.eb))
+    dst = np.concatenate((aux.eb, aux.ea))
+    degrees = aux.degrees
     active = np.ones(k, dtype=bool)
     inactive_round = np.zeros(k, dtype=np.int64)
     for super_round in range(1, budget + 1):
-        if not active.any():
-            break
         deactivating = active & (degrees <= threshold)
-        if not deactivating.any():
-            # No node can ever deactivate again: the active subgraph has
-            # min degree > 3*alpha, certifying arboricity > alpha.
+        if not np.count_nonzero(deactivating):
+            # Done, or the active subgraph has min degree > 3*alpha,
+            # certifying arboricity > alpha.
             break
         inactive_round[deactivating] = super_round
-        active &= ~deactivating
-        da = deactivating[ea]
-        db = deactivating[eb]
-        np.add.at(degrees, eb[da & active[eb]], -1)
-        np.add.at(degrees, ea[db & active[ea]], -1)
+        active ^= deactivating
+        degrees = degrees - np.bincount(src[deactivating[dst]], minlength=k)
 
     if ledger is not None:
         model = cost_model or TreeCostModel()
@@ -207,7 +261,7 @@ def forest_decomposition_dense(
             f"{budget} super-rounds x {per_super_round} rounds "
             f"(height {height}, alpha {alpha})",
         )
-    return (not bool(active.any()), active, inactive_round, budget)
+    return (not np.count_nonzero(active), active, inactive_round, budget)
 
 
 def orient_dense(
@@ -222,19 +276,18 @@ def orient_dense(
     Out-degrees are at most ``3 * alpha`` and the orientation is acyclic.
     """
     ea, eb, w = aux.ea, aux.eb, aux.weights
-    ra = inactive_round[ea]
-    rb = inactive_round[eb]
-    none_a = ra == 0
-    none_b = rb == 0
-    keep = ~(none_a & none_b)
-    a_wins = keep & (
-        none_b | (~none_a & ((ra < rb) | ((ra == rb) & (ea < eb))))
-    )
-    b_wins = keep & ~a_wins
-    src = np.concatenate((ea[a_wins], eb[b_wins]))
-    dst = np.concatenate((eb[a_wins], ea[b_wins]))
-    ww = np.concatenate((w[a_wins], w[b_wins]))
-    return src, dst, ww
+    # Rounds minus one, unsigned: round 0 (never deactivated) wraps to
+    # the largest rank.  ea < eb settles ties.
+    rank = (inactive_round - 1).view(np.uint64)
+    ra = rank[ea]
+    rb = rank[eb]
+    a_wins = ra <= rb
+    src = np.where(a_wins, ea, eb)
+    dst = np.where(a_wins, eb, ea)
+    if np.count_nonzero(inactive_round) < len(inactive_round):
+        keep = (inactive_round[ea] > 0) | (inactive_round[eb] > 0)
+        return src[keep], dst[keep], w[keep]
+    return src, dst, w
 
 
 def orient_and_select_dense(
@@ -371,18 +424,21 @@ class RootSeeds:
     otherwise, so any hashable labels give distinct non-negative seeds.
     Called with the current roots' dense indices (an int64 array), this
     returns the seeds as Python ints; the per-node label test runs once,
-    here.
+    here, and not at all for *dense_labels* (ids ``0..n-1``), whose
+    seeds are *pids* itself.
     """
 
-    def __init__(self, ids: Sequence):
+    def __init__(self, ids: Sequence, dense_labels: bool = False):
         self.ids = ids
-        self.labelled = np.fromiter(
+        self.labelled = None if dense_labels else np.fromiter(
             (isinstance(v, int) and v >= 0 for v in ids), dtype=bool, count=len(ids)
         )
         self._repr_rank = None
 
-    def __call__(self, pids: "np.ndarray") -> List[int]:
+    def __call__(self, pids: "np.ndarray") -> Sequence[int]:
         ids = self.ids
+        if self.labelled is None:
+            return pids
         if self.labelled[pids].all():
             return [ids[p] for p in pids.tolist()]
         if self._repr_rank is None:
@@ -407,24 +463,26 @@ def cole_vishkin_dense(
     pseudoforest, charged to *ledger* under *category*.
 
     *parent* holds compact parent indices (-1 at roots) and
-    *init_colors* distinct non-negative ints of any size, one per node
-    (Stage I passes the roots' :class:`RootSeeds`).
+    *init_colors* distinct non-negative ints of any size, one per node, in
+    a sequence or int64 array (Stage I passes the roots' :class:`RootSeeds`).
     Every phase of :func:`cv_schedule` applies the update rules of the
     simulated protocol (:mod:`repro.congest.programs.cole_vishkin`).
-    int64 bit tricks need colors below ``2**62``; larger seeds run the
-    schedule's first ``cv`` phase on Python ints with
-    :func:`cv_step_value`, which leaves every color below twice the
-    largest seed's bit length, and the rest on int64.  The ledger is
-    charged ``len(schedule)`` super-rounds of
+    The schedule's first ``cv`` phase leaves every color below 128: it
+    is a table lookup when the seeds are too, the int64 bit trick for
+    seeds below ``2**62``, and :func:`cv_step_value` on Python ints for
+    larger ones.  Every later phase is a table lookup (module doc).  The
+    ledger is charged ``len(schedule)`` super-rounds of
     ``aux_message_relay(height)`` rounds each.
     """
     k = len(parent)
     roots = parent < 0
-    safe_parent = np.where(roots, np.arange(k, dtype=np.int64), parent)
-    nonroot = ~roots
-    one = np.int64(1)
-
-    top = int(max(init_colors, default=1))
+    # A root reads its own color as its parent's (the tables' root rule).
+    up = np.where(roots, np.arange(k, dtype=np.int64), parent)
+    has_children = np.bincount(parent + 1, minlength=k + 1)[1:] > 0
+    if isinstance(init_colors, np.ndarray):
+        top = int(init_colors.max(initial=1))
+    else:
+        top = int(max(init_colors, default=1))
     schedule = cv_schedule(top)
     if top >= _MAX_ID:
         seeds = [int(c) for c in init_colors]
@@ -435,38 +493,29 @@ def cole_vishkin_dense(
             ],
             dtype=np.int64,
         )
-        phases = schedule[1:]  # every schedule opens with a "cv" phase
     else:
-        colors = np.array(init_colors, dtype=np.int64)
-        phases = schedule
-    for phase in phases:
-        pc = colors[safe_parent]
+        colors = np.asarray(init_colors, dtype=np.int64)
+        if top >= _PALETTE:
+            colors = _cv_bits(colors, np.where(roots, colors ^ 1, colors[up]))
+        else:
+            colors = _CV_TABLE[_CV_ROW[colors] + colors[up]]
+    root_shift = np.where(roots, 8, 0)
+    for phase in schedule[1:]:
         if phase == "cv":
-            own = colors
-            effective = np.where(roots, own ^ 1, pc)
-            diff = own ^ effective
-            low = diff & -diff
-            # low is a single set bit, exactly representable in float64,
-            # so log2 recovers the bit index without rounding.
-            index = np.log2(low.astype(np.float64)).astype(np.int64)
-            colors = 2 * index + ((own >> index) & 1)
+            colors = _CV_TABLE[_CV_ROW[colors] + colors[up]]
         elif phase == "shift":
-            colors = np.where(roots, np.where(colors != 0, 0, 1), pc)
+            # Every child now holds this node's pre-shift color.
+            children_color = np.where(has_children, colors, 6)
+            colors = _SHIFT[colors[up] + root_shift]
         else:  # elim{target}
-            target = int(phase[4:])
-            forbidden = np.zeros(k, dtype=np.int64)
-            np.bitwise_or.at(
-                forbidden, parent[nonroot], one << colors[nonroot]
-            )
-            forbidden |= np.where(nonroot, one << pc, 0)
-            choice = np.where(
-                forbidden & 1 == 0, 0, np.where(forbidden & 2 == 0, 1, 2)
-            )
-            colors = np.where(colors == target, choice, colors)
+            # A root reads its own color, the target (>= 3) wherever the
+            # step applies: no candidate.
+            table = _ELIM_TABLES[int(phase[4:])]
+            colors = table[_BY_49[colors] + _BY_7[colors[up]] + children_color]
 
-    if bool((nonroot & (colors == colors[safe_parent])).any()):
+    if np.count_nonzero((colors == colors[up]) & ~roots):
         raise PartitionError("CV produced an improper coloring")
-    if bool(((colors < 0) | (colors > 2)).any()):
+    if np.count_nonzero((colors < 0) | (colors > 2)):
         raise PartitionError("CV left colors outside {0,1,2}")
     if ledger is not None:
         model = cost_model or TreeCostModel()
@@ -584,7 +633,7 @@ def mark_and_choose_dense(
     properly colored subgraph, so Claim 15 applies unchanged.
     Cole-Vishkin never abstains.
 
-    Every step is a scatter or a mask over the compact range.  Edges
+    Every step is a scatter, a gather or a mask over the compact range.  Edges
     come back in ascending child order: the marked ones as their
     children, the contracted ones as the two index arrays that
     :meth:`DensePartitionState.merge` takes.
@@ -593,25 +642,24 @@ def mark_and_choose_dense(
     has_parent = parent >= 0
     safe_parent = np.where(has_parent, parent, 0)
     edge_weight = np.where(has_parent, weight, 0)
-    parent_color = colors[safe_parent]
-    # Children that take part in their parent's decision.
-    counted = has_parent & (colors >= 0)
 
-    # Incoming weight sums (participating / color-3 children only).
-    w_in = np.zeros(k, dtype=np.int64)
-    np.add.at(w_in, parent[counted], edge_weight[counted])
-    child_is3 = has_parent & (colors == 2)
-    w_in3 = np.zeros(k, dtype=np.int64)
-    np.add.at(w_in3, parent[child_is3], edge_weight[child_is3])
+    own = colors + 1  # -1 (abstains) .. 2 as 0..3; 4 is "no parent"
+    parent_code = np.where(has_parent, own[safe_parent], 4)
 
-    # Per-node "mark my out-edge" decisions (sub-step 2b).
-    up1 = (colors == 0) & has_parent & (parent_color >= 0) & (edge_weight >= w_in)
-    up2 = has_parent & (colors == 1) & (parent_color == 2) & (edge_weight >= w_in3)
-    down1 = counted & (parent_color == 0) & ~up1[safe_parent]
-    down2 = child_is3 & (parent_color == 1) & ~up2[safe_parent]
-    marked = up1 | up2 | down1 | down2
+    # Incoming weights (participating / color-3 children); exact floats.
+    w_in = np.bincount(safe_parent, edge_weight * _COUNTED[own], k)
+    w_in3 = np.bincount(safe_parent, edge_weight * _IS3[own], k)
 
-    marked_idx = np.nonzero(marked)[0]
+    # Sub-step 2b by (own color, parent color, two weight tests): a rule
+    # ``down`` node marks unless its parent marks by rule ``up`` (which a
+    # parent of color 0 or 1 can by one case of it only).
+    case = _BY_20[own] + _BY_4[parent_code]
+    case += 2 * (edge_weight >= w_in)
+    case += edge_weight >= w_in3
+    up = _MARK_UP[case]
+    marked = up | (_MARK_DOWN[case] & ~up[safe_parent])
+
+    marked_idx = marked.nonzero()[0]
     heads = parent[marked_idx]
     marked_weights = edge_weight[marked_idx]
 
@@ -619,7 +667,7 @@ def mark_and_choose_dense(
     # root (its first unmarked ancestor) and level below that root.
     root, level = pointer_jump(np.where(marked, parent, -1))
     tree_root = root[marked_idx]
-    if marked[tree_root].any():
+    if np.count_nonzero(marked[tree_root]):
         # Some marked chain never reaches an unmarked node.
         raise PartitionError("marked subgraph contains a cycle (Claim 15)")
     tree_level = level[marked_idx]
@@ -627,22 +675,22 @@ def mark_and_choose_dense(
     np.maximum.at(tallest, tree_root, tree_level)
     # Marked nodes sit at level >= 1, so exactly the tree roots have a
     # positive height.
-    roots = np.flatnonzero(tallest)
+    roots = tallest.nonzero()[0]
     tree_heights = dict(zip(roots.tolist(), tallest[roots].tolist()))
 
-    parity = tree_level % 2
-    parity_weight = np.zeros((k, 2), dtype=np.int64)
-    np.add.at(parity_weight, (tree_root, parity), marked_weights)
+    parity = tree_level & 1
+    # Per tree root r, bin 2r sums the even levels' weights, 2r+1 the odd.
+    parity_weight = np.bincount(2 * tree_root + parity, marked_weights, 2 * k)
     # Each tree keeps its heavier class; ties go to the even levels.
-    odd_heavier = parity_weight[:, 1] > parity_weight[:, 0]
+    odd_heavier = parity_weight[1::2] > parity_weight[::2]
     chosen = parity == odd_heavier[tree_root]
     children = marked_idx[chosen]
     centers = heads[chosen]
 
     is_child = np.zeros(k, dtype=bool)
     is_child[children] = True
-    chained = np.flatnonzero(is_child & (np.bincount(centers, minlength=k) > 0))
-    if len(chained):
+    if np.count_nonzero(is_child[centers]):
+        chained = np.flatnonzero(is_child & (np.bincount(centers, minlength=k) > 0))
         raise PartitionError(
             "contraction edges do not form stars; chained nodes: "
             f"{set(chained.tolist())!r}"
@@ -671,6 +719,7 @@ class DensePartitionState:
         parent: int64 vector, spanning-tree parent per dense index (-1
             at roots).
         roots: int64 vector of the part roots, ascending.
+        depth: int64 vector, spanning-tree depth per dense index.
         heights: root index -> spanning-tree height (ascending roots).
         sizes: root index -> part size (ascending roots).
     """
@@ -682,20 +731,32 @@ class DensePartitionState:
         self.part_of = np.arange(n, dtype=np.int64)
         self.parent = np.full(n, -1, dtype=np.int64)
         self.roots = np.arange(n, dtype=np.int64)
-        self.heights: Dict[int, int] = dict.fromkeys(range(n), 0)
-        self.sizes: Dict[int, int] = dict.fromkeys(range(n), 1)
+        self.depth = np.zeros(n, dtype=np.int64)
+        self._height = 0
 
     @property
     def size(self) -> int:
         """Number of parts."""
-        return len(self.heights)
+        return len(self.roots)
 
     def max_height(self) -> int:
-        return max(self.heights.values(), default=0)
+        return self._height
+
+    # Built when read: the phase loop needs only size and max_height().
+    @cached_property
+    def heights(self) -> Dict[int, int]:
+        tallest = np.zeros(self.topology.n, dtype=np.int64)
+        np.maximum.at(tallest, self.part_of, self.depth)
+        return dict(zip(self.roots.tolist(), tallest[self.roots].tolist()))
+
+    @cached_property
+    def sizes(self) -> Dict[int, int]:
+        counts = np.bincount(self.part_of, minlength=self.topology.n)
+        return dict(zip(self.roots.tolist(), counts[self.roots].tolist()))
 
     def cut_size(self) -> int:
         part_of = self.part_of
-        return int((part_of[self.eu] != part_of[self.ev]).sum())
+        return int(np.count_nonzero(part_of[self.eu] != part_of[self.ev]))
 
     def build_aux(self) -> DenseAuxiliaryGraph:
         csr = self.topology.batch_arrays()
@@ -752,29 +813,25 @@ class DensePartitionState:
         for _ in range(n.bit_length() + 1):
             on_path[ancestor[on_path]] = True
             above = ancestor[ancestor]
-            if np.array_equal(above, ancestor):
+            if not np.count_nonzero(above != ancestor):
                 break
             ancestor = above
         else:
             raise PartitionError("spanning forest contains a cycle")
-        below = np.flatnonzero(on_path & (parent >= 0))
+        below = (on_path & (parent >= 0)).nonzero()[0]
         self.parent = parent = parent.copy()
         parent[parent[below]] = below
         parent[conn_u] = conn_v
 
-        depth = forest_depths(self.parent, part_of)
+        depth = forest_depths(parent, part_of)
         self._measure(depth, self.roots[~absorbed[self.roots]])
 
     def _measure(self, depth: "np.ndarray", roots: "np.ndarray") -> None:
-        """Set ``roots``, ``heights`` and ``sizes`` from the parts rooted
-        at *roots* (ascending)."""
-        n = self.topology.n
-        self.roots = roots
-        tallest = np.zeros(n, dtype=np.int64)
-        np.maximum.at(tallest, self.part_of, depth)
-        counts = np.bincount(self.part_of, minlength=n)
-        self.heights = dict(zip(roots.tolist(), tallest[roots].tolist()))
-        self.sizes = dict(zip(roots.tolist(), counts[roots].tolist()))
+        """Set ``roots`` (ascending) and ``depth``; drop the part tables."""
+        self.roots, self.depth = roots, depth
+        self._height = int(depth.max())
+        self.__dict__.pop("heights", None)
+        self.__dict__.pop("sizes", None)
 
     def max_diameter(self, graph: nx.Graph) -> int:
         """Largest part diameter in *graph*, the graph this partition was
@@ -830,12 +887,12 @@ def pointer_jump(parent: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
     still has a parent.
     """
     n = len(parent)
-    is_root = parent < 0
-    ancestor = np.where(is_root, np.arange(n, dtype=np.int64), parent)
-    depth = (~is_root).astype(np.int64)
+    linked = parent >= 0
+    ancestor = np.where(linked, parent, np.arange(n, dtype=np.int64))
+    depth = linked.astype(np.int64)
     for _ in range(n.bit_length() + 1):
         above = ancestor[ancestor]
-        if np.array_equal(above, ancestor):
+        if not np.count_nonzero(above != ancestor):
             break
         depth += depth[ancestor]
         ancestor = above
@@ -850,10 +907,10 @@ def forest_depths(parent: "np.ndarray", part_of: "np.ndarray") -> "np.ndarray":
     spanning tree does not reach it).
     """
     ancestor, depth = pointer_jump(parent)
-    if (parent[ancestor] >= 0).any():
+    if np.count_nonzero(parent[ancestor] >= 0):
         raise PartitionError("spanning forest contains a cycle")
     stray = ancestor != part_of
-    if stray.any():
+    if np.count_nonzero(stray):
         part = int(part_of[np.argmax(stray)])
         missing = int((stray & (part_of == part)).sum())
         raise PartitionError(
