@@ -21,13 +21,13 @@ Theorem 4's randomized partition shares) runs on the
   :func:`mark_and_choose_dense` marks.
 
 At small n a phase is priced by its count of array operations, so rules
-over small values are gathers from tables built at import.  After the
-first Cole-Vishkin step every color is below 128: each later step reads
-a 128 x 128 table.  Each ``elim`` step follows a ``shift``, after which
-a node's children all hold its pre-shift color, so the step reads (own,
+over small values are gathers from tables built at import: Cole-Vishkin
+steps on colors below 128 (after one step, two for seeds >= 2**62) read
+a 128 x 128 table; an ``elim`` step follows a ``shift``, after which a
+node's children all hold its pre-shift color, so it reads (own,
 parent's, pre-shift or none) from a 7 x 7 x 7 table.  A phase runs three
-pointer-jumping sweeps (the marked forest, the paths to reverse, the
-merged forest), each testing convergence by one count per doubling.
+pointer-jumping sweeps (marked forest, paths to reverse, merged forest),
+each testing convergence by one count per doubling.
 
 Labels: dense indices are assigned in ``id_key`` order, so every
 tie-break by index is the tie-break by ``id_key``; Cole-Vishkin seeds
@@ -85,9 +85,8 @@ def _lookup_tables():
     elim = {t: np.where(own == t, choice, own) for t in (3, 4, 5)}
     own, parent, heavy, heavy3 = (axis.ravel() for axis in np.indices((4, 5, 2, 2)))
     own, parent = own - 1, np.where(parent == 4, -2, parent - 1)
-    up = ((own == 0) & (parent >= 0) & (heavy == 1)) | (
-        (own == 1) & (parent == 2) & (heavy3 == 1)
-    )
+    up = (own == 0) & (parent >= 0) & (heavy == 1)
+    up |= (own == 1) & (parent == 2) & (heavy3 == 1)
     down = ((own >= 0) & (parent == 0)) | ((own == 2) & (parent == 1))
     return cv, elim, up, down
 
@@ -424,13 +423,13 @@ class RootSeeds:
     otherwise, so any hashable labels give distinct non-negative seeds.
     Called with the current roots' dense indices (an int64 array), this
     returns the seeds as Python ints; the per-node label test runs once,
-    here, and not at all for *dense_labels* (ids ``0..n-1``), whose
-    seeds are *pids* itself.
+    here, and not at all when the topology's labels are ``0..n-1``
+    (``dense_labels``), whose seeds are *pids* itself.
     """
 
-    def __init__(self, ids: Sequence, dense_labels: bool = False):
-        self.ids = ids
-        self.labelled = None if dense_labels else np.fromiter(
+    def __init__(self, topology: CompiledTopology):
+        ids = self.ids = topology.nodes
+        self.labelled = None if topology.dense_labels else np.fromiter(
             (isinstance(v, int) and v >= 0 for v in ids), dtype=bool, count=len(ids)
         )
         self._repr_rank = None
@@ -467,10 +466,10 @@ def cole_vishkin_dense(
     a sequence or int64 array (Stage I passes the roots' :class:`RootSeeds`).
     Every phase of :func:`cv_schedule` applies the update rules of the
     simulated protocol (:mod:`repro.congest.programs.cole_vishkin`).
-    The schedule's first ``cv`` phase leaves every color below 128: it
-    is a table lookup when the seeds are too, the int64 bit trick for
-    seeds below ``2**62``, and :func:`cv_step_value` on Python ints for
-    larger ones.  Every later phase is a table lookup (module doc).  The
+    The schedule's first ``cv`` phase is a table lookup when the seeds
+    are below 128, the int64 bit trick below ``2**62``, and
+    :func:`cv_step_value` on Python ints above, where the second phase
+    is the bit trick too.  Every other phase is a table lookup.  The
     ledger is charged ``len(schedule)`` super-rounds of
     ``aux_message_relay(height)`` rounds each.
     """
@@ -479,10 +478,8 @@ def cole_vishkin_dense(
     # A root reads its own color as its parent's (the tables' root rule).
     up = np.where(roots, np.arange(k, dtype=np.int64), parent)
     has_children = np.bincount(parent + 1, minlength=k + 1)[1:] > 0
-    if isinstance(init_colors, np.ndarray):
-        top = int(init_colors.max(initial=1))
-    else:
-        top = int(max(init_colors, default=1))
+    ints = not isinstance(init_colors, np.ndarray)
+    top = int(max(init_colors, default=1) if ints else init_colors.max(initial=1))
     schedule = cv_schedule(top)
     if top >= _MAX_ID:
         seeds = [int(c) for c in init_colors]
@@ -499,17 +496,20 @@ def cole_vishkin_dense(
             colors = _cv_bits(colors, np.where(roots, colors ^ 1, colors[up]))
         else:
             colors = _CV_TABLE[_CV_ROW[colors] + colors[up]]
+    wide = top >= _MAX_ID  # the Python-int step can leave colors >= 128
     root_shift = np.where(roots, 8, 0)
     for phase in schedule[1:]:
-        if phase == "cv":
+        if phase == "cv" and wide:
+            colors = _cv_bits(colors, np.where(roots, colors ^ 1, colors[up]))
+            wide = False
+        elif phase == "cv":
             colors = _CV_TABLE[_CV_ROW[colors] + colors[up]]
         elif phase == "shift":
             # Every child now holds this node's pre-shift color.
             children_color = np.where(has_children, colors, 6)
             colors = _SHIFT[colors[up] + root_shift]
         else:  # elim{target}
-            # A root reads its own color, the target (>= 3) wherever the
-            # step applies: no candidate.
+            # A root reads its own color: the target (>= 3), no candidate.
             table = _ELIM_TABLES[int(phase[4:])]
             colors = table[_BY_49[colors] + _BY_7[colors[up]] + children_color]
 

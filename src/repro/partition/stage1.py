@@ -188,7 +188,7 @@ def run_phases(
     topology = congest_topology.compile_topology(graph)
     ids = topology.nodes
     state = dense.DensePartitionState(topology)
-    root_seeds = dense.RootSeeds(ids, topology.dense_labels)
+    root_seeds = dense.RootSeeds(topology)
     rejecting: Tuple[Any, ...] = ()
     cut = topology.m
     tracer = get_tracer()

@@ -20,6 +20,7 @@ from _stage1_reference import (
 )
 from repro.congest.ledger import RoundLedger
 from repro.congest.programs import cole_vishkin_coloring
+from repro.congest.topology import compile_topology
 from repro.errors import PartitionError
 from repro.partition.dense import (
     RootSeeds,
@@ -79,7 +80,8 @@ class TestColeVishkinDense:
             assert colors[child] != colors[parent]
 
     def test_non_int_ids_fall_back_to_ranks(self):
-        seeds = RootSeeds(["c", "a", "b"])(np.arange(3))
+        topology = compile_topology(nx.path_graph(["c", "a", "b"]))
+        seeds = RootSeeds(topology)(np.array([2, 0, 1]))  # ids c, a, b
         assert seeds == [2, 0, 1]
         colors, _ = cole_vishkin_dense(np.array([-1, 0, 1], dtype=np.int64), seeds)
         assert set(colors.tolist()) <= {0, 1, 2}
@@ -125,19 +127,22 @@ class TestColeVishkinOracle:
 
 class TestColeVishkinDenseDifferential:
     """``cole_vishkin_dense`` against the dict oracle, seeds on both sides
-    of 2**62."""
+    of 2**62.  Multiples of a large power of two first differ in a high
+    bit, so the first step leaves colors of 128 or more."""
 
     @pytest.mark.parametrize(
-        "offset",
-        [0, 2**62 - 30, 2**62, 2**64, 2**200],
-        ids=["0", "2**62-k", "2**62", "2**64", "2**200"],
+        "offset, scale",
+        [(0, 1), (2**62 - 30, 1), (2**62, 1), (2**64, 1), (2**200, 1)]
+        + [(0, 2**62), (0, 2**64), (0, 2**200)],
+        ids=["0", "2**62-k", "2**62", "2**64", "2**200"]
+        + ["x2**62", "x2**64", "x2**200"],
     )
-    def test_matches_dict_oracle(self, offset):
+    def test_matches_dict_oracle(self, offset, scale):
         for seed in range(60):
             rng = random.Random(seed)
             out_edge, _w = random_pseudoforest(rng.randint(2, 60), seed)
             # distinct seeds; at 2**62 - k some fall below 2**62, some above
-            seeds = [offset + s for s in rng.sample(range(60), len(out_edge))]
+            seeds = [offset + scale * s for s in rng.sample(range(60), len(out_edge))]
             ledger, oracle_ledger = RoundLedger(), RoundLedger()
             colors, rounds = cole_vishkin_dense(
                 compact(out_edge), seeds, ledger, height=3, category="c.cv"

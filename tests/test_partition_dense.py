@@ -142,6 +142,20 @@ class TestStage1Differential:
             reference_partition_stage1(graph, epsilon=0.1)
         )
 
+    @pytest.mark.parametrize("scale", [2**64, 2**200], ids=["2**64", "2**200"])
+    def test_labels_equal_in_low_64_bits(self, scale):
+        """Labels ``v * scale`` first differ above bit 63, so Cole-Vishkin's
+        first step leaves colors of 128 or more (both theorems)."""
+        graph = nx.relabel_nodes(
+            make_planar("delaunay", N, seed=0), lambda v: v * scale
+        )
+        assert _canonical(partition_stage1(graph, epsilon=0.1)) == _canonical(
+            reference_partition_stage1(graph, epsilon=0.1)
+        )
+        assert _canonical(
+            partition_randomized(graph, epsilon=0.1, seed=0)
+        ) == _canonical(reference_partition_randomized(graph, epsilon=0.1, seed=0))
+
     def test_empty_graph(self):
         for run in (partition_stage1, partition_randomized):
             result = run(nx.Graph(), 0.1)
@@ -499,11 +513,17 @@ def test_stage1_numpy_call_budget_per_phase():
     ``partition_stage1`` on four graphs of each family the service
     benchmark runs (n=64, eps=0.25), each compiled by a first run.
     Numpy functions that go through array-function dispatch
-    (``np.where``, ``np.bincount``, ...) fire no ``c_call`` on the numpy
-    2 releases Python 3.9-3.12 install, and calls numpy makes internally
-    are not counted, so the count is the same on each.  The phase engine
-    before table-driven Cole-Vishkin and scatter-free marking made 70.1
-    such calls per phase (3856 over 55 phases); it now makes 38.7 (2126).
+    (``np.where``, ``np.bincount``, ...) fire no ``c_call``, and calls
+    numpy makes internally are not counted.  What is counted --
+    ``ndarray`` and ufunc methods plus the builtins ``np.empty``,
+    ``np.zeros``, ``np.arange`` and ``np.asarray`` -- is C code on every
+    numpy 2 release, and CPython 3.9.18, 3.11.7 and 3.12.1 (PEP 669's
+    ``setprofile``) report the same ``c_call`` events for builtin
+    functions, method descriptors, keyword and ``**`` calls, and none for
+    other C callables.  The count itself was measured on CPython 3.11.7
+    with numpy 2.4.6 only.  The phase engine before table-driven
+    Cole-Vishkin and scatter-free marking made 70.1 such calls per phase
+    (3856 over 55 phases); it now makes 38.7 (2126).
     """
     graphs = [
         make_planar(family, 64, seed=seed)
