@@ -142,6 +142,23 @@ def save_table(table: Table, filename: str, metrics=None) -> None:
     table.print()
 
 
+def paired_best(timers, repeats: int) -> dict:
+    """Best of *repeats* per side, the sides taking turns.
+
+    *timers* maps a side's name to a callable that takes the repeat
+    number and returns seconds.  Each repeat times every side back to
+    back, in alternating order, so a slow stretch on a shared host lands
+    on both sides of a ratio instead of on whichever side happened to
+    run then (or always ran first).
+    """
+    best = {name: float("inf") for name in timers}
+    order = list(timers)
+    for rep in range(repeats):
+        for name in order if rep % 2 == 0 else order[::-1]:
+            best[name] = min(best[name], timers[name](rep))
+    return best
+
+
 def quick_mode() -> bool:
     """Smaller sweeps when REPRO_BENCH_QUICK=1 (CI-friendly)."""
     return os.environ.get("REPRO_BENCH_QUICK", "0") == "1"

@@ -19,7 +19,7 @@ import time
 
 import networkx as nx
 
-from _harness import quick_mode, save_table
+from _harness import paired_best, quick_mode, save_table
 from _reference_paths import faithful_profile
 from repro.analysis.tables import Table
 from repro.congest import (
@@ -177,13 +177,14 @@ def _storm_hooked(network: CongestNetwork, sink: list):
 def test_disabled_telemetry_overhead_gate(throughput_table):
     """The telemetry seams must be free when telemetry is off.
 
-    A/B-interleaved best-of-{REPEATS+3}: the production disabled path
-    (``round_hook=None`` -- one predicted branch per round) against the
-    same storm with a live per-round hook, on one network.  The
-    disabled side must run within :data:`TELEMETRY_GATE` of the hooked
-    side (small absolute slack absorbs timer noise at quick-mode
-    sizes); in a sane world it is strictly faster, so the gate catches
-    any accidental always-on instrumentation in the delivery loop.
+    Paired best-of-{REPEATS+3}, the side that runs first alternating per
+    repeat: the production disabled path (``round_hook=None`` -- one
+    predicted branch per round) against the same storm with a live
+    per-round hook, on one network.  The disabled side must run within
+    :data:`TELEMETRY_GATE` of the hooked side (small absolute slack
+    absorbs timer noise at quick-mode sizes); in a sane world it is
+    strictly faster, so the gate catches any accidental always-on
+    instrumentation in the delivery loop.
     """
     from repro.telemetry import telemetry_enabled
 
@@ -195,17 +196,25 @@ def test_disabled_telemetry_overhead_gate(throughput_table):
     graph = nx.gnp_random_graph(N, EDGE_PROB, seed=0)
     network = CongestNetwork(graph, seed=0)
     _storm(network)  # warm the topology/plane caches
-    disabled_s = float("inf")
-    hooked_s = float("inf")
     rows: list = []
-    for _ in range(REPEATS + 3):
+    hooked = None
+
+    def time_disabled(_rep):
         start = time.perf_counter()
         _storm(network)
-        disabled_s = min(disabled_s, time.perf_counter() - start)
+        return time.perf_counter() - start
+
+    def time_hooked(_rep):
+        nonlocal hooked
         rows.clear()
         start = time.perf_counter()
         hooked = _storm_hooked(network, rows)
-        hooked_s = min(hooked_s, time.perf_counter() - start)
+        return time.perf_counter() - start
+
+    best = paired_best(
+        {"disabled": time_disabled, "hooked": time_hooked}, REPEATS + 3
+    )
+    disabled_s, hooked_s = best["disabled"], best["hooked"]
     assert hooked.halted
     assert len(rows) == hooked.rounds  # the hook fired once per round
     overhead = disabled_s / hooked_s

@@ -34,7 +34,7 @@ import time
 
 import pytest
 
-from _harness import quick_mode, save_table
+from _harness import paired_best, quick_mode, save_table
 from _jsonl_control import JsonlControl
 from repro.analysis.tables import Table
 from repro.runtime import ShardedStore
@@ -123,21 +123,6 @@ def _time_gc(fmt, root, tmp_path, rep: int) -> float:
     return elapsed
 
 
-def _paired_best(timers) -> dict:
-    """Best of ``REPEATS`` per format, the formats taking turns.
-
-    Each repeat times every format back to back (in alternating
-    order), so a slow stretch on a shared host lands on both sides of
-    the ratio instead of on whichever format happened to run then.
-    """
-    best = {fmt: float("inf") for fmt in timers}
-    order = list(timers)
-    for rep in range(REPEATS):
-        for fmt in order if rep % 2 == 0 else order[::-1]:
-            best[fmt] = min(best[fmt], timers[fmt](rep))
-    return best
-
-
 def _wire_bytes_binary(records) -> int:
     sent = set()
     total = 0
@@ -190,17 +175,19 @@ def store_wire_table(tmp_path_factory):
         for i in range(ENTRIES):
             store.put(_key(i), _record(i))
         roots[fmt] = root
-    resume_s = _paired_best(
+    resume_s = paired_best(
         {
             fmt: lambda _rep, f=fmt, r=root: _time_resume(f, r)
             for fmt, root in roots.items()
-        }
+        },
+        REPEATS,
     )
-    gc_s = _paired_best(
+    gc_s = paired_best(
         {
             fmt: lambda rep, f=fmt, r=root: _time_gc(f, r, tmp_path, rep)
             for fmt, root in roots.items()
-        }
+        },
+        REPEATS,
     )
     shard_bytes = {}
     for fmt, root in roots.items():

@@ -30,7 +30,7 @@ import time
 import networkx as nx
 import pytest
 
-from _harness import quick_mode, save_table
+from _harness import paired_best, quick_mode, save_table
 from _stage1_reference import reference_build_spanner, reference_measure_stretch
 from repro.analysis.tables import Table
 from repro.applications import build_spanner, measure_stretch
@@ -87,15 +87,21 @@ def _paired_best(reference, fast):
     the ratio instead of on whichever side happened to run then.
     Returns ``(reference_s, reference_result, fast_s, fast_result)``.
     """
-    best = [float("inf"), float("inf")]
-    results = [None, None]
-    fns = (reference, fast)
-    for rep in range(REPEATS):
-        for side in (0, 1) if rep % 2 == 0 else (1, 0):
+    results = {}
+
+    def timer(side, fn):
+        def timed(_rep):
             start = time.perf_counter()
-            results[side] = fns[side]()
-            best[side] = min(best[side], time.perf_counter() - start)
-    return best[0], results[0], best[1], results[1]
+            results[side] = fn()
+            return time.perf_counter() - start
+
+        return timed
+
+    best = paired_best(
+        {"reference": timer("reference", reference), "fast": timer("fast", fast)},
+        REPEATS,
+    )
+    return best["reference"], results["reference"], best["fast"], results["fast"]
 
 
 def _scalar_kernel(program, network):

@@ -24,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import networkx as nx
 
-from .jobs import JobSpec, spec_needs_graph
+from .jobs import JobSpec
 
 
 def coordinate_fingerprint(spec: JobSpec) -> str:
@@ -126,28 +126,69 @@ class CacheStats:
         )
 
 
-class KeyDeriver:
-    """Computes cache keys for specs, memoizing coordinate fingerprints.
+def _split_json(payload: Dict[str, Any], hole: str) -> Tuple[str, str]:
+    """The canonical JSON of *payload* split around the int field *hole*.
 
-    The fingerprint comes from :func:`coordinate_fingerprint`, memoized
-    per ``graph_coordinates`` so a sweep over epsilon hashes each graph's
-    coordinates once.  **No graph is built** while deriving keys -- a
-    fully-cached batch never touches the generators; misses build their
-    graph lazily in the backend.
+    The field is dumped as ``0`` and cut out; the text before and after
+    it is what every payload differing only in that int shares.  The
+    last match is the field itself: a quote inside a string value is
+    escaped, so ``"hole":0`` cannot occur in one.
+    """
+    text = json.dumps(
+        {**payload, hole: 0}, sort_keys=True, separators=(",", ":")
+    )
+    head, _, tail = text.rpartition(f'"{hole}":0')
+    return f'{head}"{hole}":', tail
+
+
+class KeyDeriver:
+    """Computes cache keys for specs from memoized JSON templates.
+
+    A key is byte-identical to ``cache_key(spec,
+    coordinate_fingerprint(spec))``, but the canonical JSON of both
+    digests is spliced together from text memoized per ``(kind,
+    config)`` and ``(far, family, n)``, so a key costs three SHA-256
+    calls and no ``json.dumps``.  A spec whose seeds or ``n`` are not
+    exact ints, or whose kind, family or far are not exact strs, takes
+    the reference path.  **No graph is built** while
+    deriving keys -- a fully-cached batch never touches the generators;
+    misses build their graph lazily in the backend.
     """
 
     def __init__(self):
-        self._fingerprints: Dict[Any, str] = {}
+        self._configs: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        self._coordinates: Dict[Tuple[Any, str, int], Tuple[str, str]] = {}
 
     def key_for(self, spec: JobSpec) -> str:
-        if not spec_needs_graph(spec):
-            # Graphless kinds (audit jobs that build their own
-            # instances): the coordinate hash is cheap enough not to
-            # memoize.
+        kind, far, family, n, seed = (
+            spec.kind, spec.far, spec.family, spec.n, spec.seed
+        )
+        graph_seed = seed if spec.graph_seed is None else spec.graph_seed
+        if not (
+            type(seed) is type(graph_seed) is type(n) is int
+            and type(kind) is type(family) is str
+            and (far is None or type(far) is str)
+        ):
             return cache_key(spec, coordinate_fingerprint(spec))
-        graph_id = spec.graph_coordinates
-        fingerprint = self._fingerprints.get(graph_id)
-        if fingerprint is None:
-            fingerprint = coordinate_fingerprint(spec)
-            self._fingerprints[graph_id] = fingerprint
-        return cache_key(spec, fingerprint)
+        # repr, not the tuple, keys the config: 1, 1.0 and True are
+        # equal dict keys but digest differently.
+        config_id = (kind, repr(spec.config))
+        config = self._configs.get(config_id)
+        if config is None:
+            config = self._configs[config_id] = _split_json(
+                {"kind": kind, "config": [[k, repr(v)] for k, v in spec.config]},
+                "seed",
+            )
+        coordinates = self._coordinates.get((far, family, n))
+        if coordinates is None:
+            coordinates = self._coordinates[far, family, n] = _split_json(
+                {"far": far, "family": family, "n": n}, "graph_seed"
+            )
+        digest = hashlib.sha256(f"{config[0]}{seed}{config[1]}".encode())
+        fingerprint = hashlib.sha256(
+            f"{coordinates[0]}{graph_seed}{coordinates[1]}".encode()
+        )
+        return hashlib.sha256(
+            f"{kind}\x00coord:{fingerprint.hexdigest()}\x00"
+            f"{digest.hexdigest()}".encode()
+        ).hexdigest()

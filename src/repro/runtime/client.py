@@ -64,6 +64,10 @@ _SENTINEL = object()
 
 _PROGRESS_FIELDS = ("done", "total", "queued", "inflight", "workers")
 
+HANDOFF_CAP = 64
+"""Most records one queue item carries from the receive loop to the
+consumer (see :class:`_Handoff`)."""
+
 
 class ServiceError(RuntimeError):
     """The service rejected, aborted, or truncated a submission."""
@@ -242,14 +246,15 @@ class Client:
                 if kind == "verdict":
                     verdict = item[1]
                     continue
-                index = item[1]
-                if not 0 <= index < total or seen[index]:
-                    raise ServiceError(
-                        f"service sent record index {index} twice or "
-                        f"outside 0..{total - 1}"
-                    )
-                seen[index] = 1
-                yield item[1:]
+                for entry in item[1]:
+                    index = entry[0]
+                    if not 0 <= index < total or seen[index]:
+                        raise ServiceError(
+                            f"service sent record index {index} twice or "
+                            f"outside 0..{total - 1}"
+                        )
+                    seen[index] = 1
+                    yield entry
             completed = True
             if verdict is not None and not verdict.get("ok"):
                 raise ServiceError(
@@ -292,7 +297,8 @@ class Client:
         :func:`_route`; a frame already buffered is read without a
         trip through the event loop.
         """
-        ctrl["loop"] = asyncio.get_running_loop()
+        loop = ctrl["loop"] = asyncio.get_running_loop()
+        handoff = _Handoff(out, loop)
         cancel = asyncio.Event()
         ctrl["cancel"] = cancel
         try:
@@ -314,13 +320,14 @@ class Client:
                 **body,
             }))
             await writer.drain()
-            while _route(await read_bframe(reader), out):
+            while _route(await read_bframe(reader), handoff):
                 pass
         except asyncio.CancelledError:
             if not cancel.is_set():
                 raise
             await self._send_cancel(reader, writer)
         finally:
+            handoff.flush()
             watcher.cancel()
             writer.close()
 
@@ -338,7 +345,47 @@ class Client:
             pass
 
 
-def _route(frame: Optional[dict], out: "queue.Queue") -> bool:
+class _Handoff:
+    """The receive loop's end of the queue bridge to the consumer.
+
+    The first record goes to the consumer alone.  Later records gather
+    into one ``("records", [...])`` item per batch, flushed by a
+    ``call_soon`` callback -- which runs only once the read loop would
+    block -- or at :data:`HANDOFF_CAP` records, so a burst of buffered
+    frames costs the consumer one wake-up, not one per record.  Any
+    other item flushes the batch first: the consumer sees wire order.
+    """
+
+    __slots__ = ("out", "loop", "batch")
+
+    def __init__(self, out: "queue.Queue", loop: asyncio.AbstractEventLoop):
+        self.out = out
+        self.loop = loop
+        self.batch: Optional[list] = None  # None until the first record
+
+    def record(self, entry: Tuple[int, Record, Optional[float]]) -> None:
+        batch = self.batch
+        if batch is None:
+            self.batch = []
+            self.out.put(("records", [entry]))
+            return
+        if not batch:
+            self.loop.call_soon(self.flush)
+        batch.append(entry)
+        if len(batch) >= HANDOFF_CAP:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.batch:
+            self.out.put(("records", self.batch))
+            self.batch = []
+
+    def put(self, item: tuple) -> None:
+        self.flush()
+        self.out.put(item)
+
+
+def _route(frame: Optional[dict], handoff: _Handoff) -> bool:
     """Hand one frame to the consumer; ``False`` once the submission ends.
 
     A verdict ends it cleanly; EOF (``None``) and ``reject`` end it with
@@ -350,13 +397,13 @@ def _route(frame: Optional[dict], out: "queue.Queue") -> bool:
         for block in frame.get("shapes") or ():
             GLOBAL_SHAPES.register_block(block)
         record = decode_record(bytes(frame["record_pkd"]))
-        out.put(("record", int(frame["index"]), record, frame.get("seconds")))
+        handoff.record((int(frame["index"]), record, frame.get("seconds")))
         return True
     if op == "progress":
-        out.put(("progress", {k: frame.get(k) for k in _PROGRESS_FIELDS}))
+        handoff.put(("progress", {k: frame.get(k) for k in _PROGRESS_FIELDS}))
         return True
     if op == "verdict":
-        out.put(("verdict", frame))
+        handoff.put(("verdict", frame))
         return False
     if frame is None:
         error = "service closed the connection before the verdict"
@@ -364,7 +411,7 @@ def _route(frame: Optional[dict], out: "queue.Queue") -> bool:
         error = f"service rejected submission: {frame.get('reason')}"
     else:
         return True
-    out.put(("error", ServiceError(error)))
+    handoff.put(("error", ServiceError(error)))
     return False
 
 

@@ -160,7 +160,6 @@ class _Shard:
         "scanned_bin",
         "bin_end",
         "shapes_written",
-        "bin_absent",
         "appends",
         "_mmap",
     )
@@ -176,10 +175,6 @@ class _Shard:
         # definitions (duplicates are harmless, missing ones are not).
         self.bin_end = 0
         self.shapes_written: set = set()
-        # Missing-file stat cache: once a rescan-from-zero observes
-        # the data file absent, skip re-statting it on every refresh
-        # until the next reset (or until this process creates it).
-        self.bin_absent = False
         # Appends since the last rewrite: the auto-compaction trigger.
         self.appends = 0
         self._mmap: Optional[mmap.mmap] = None
@@ -188,18 +183,16 @@ class _Shard:
         """Forget everything scanned; the next refresh starts over."""
         self.index.clear()
         self.scanned_bin = 0
-        self.bin_absent = False
         self.close_mmap()
 
     # -- file plumbing ----------------------------------------------
 
     def stat_bin(self) -> int:
-        if self.bin_absent:
-            return 0
+        # A missing file is statted again next time: another process
+        # may create it.
         try:
             return os.stat(self.bin_path).st_size
         except OSError:
-            self.bin_absent = True
             return 0
 
     def close_mmap(self) -> None:
@@ -466,24 +459,34 @@ class ShardedStore:
         """Return the newest record stored under *key*, or ``None``."""
         return self._get(key, raw=False)
 
-    def get_raw(self, key: str) -> Optional[bytes]:
+    def get_raw(self, key: str, refresh: bool = True) -> Optional[bytes]:
         """The stored binary payload for *key*, or ``None``.
 
         The service uses this to send cache hits over the wire without
-        a decode/encode cycle.
+        a decode/encode cycle.  ``refresh=False`` skips the shard's
+        ``stat`` and answers from the index as of the last
+        :meth:`refresh` plus this handle's own appends (the service
+        refreshes once per submission).
         """
-        return self._get(key, raw=True)
+        return self._get(key, raw=True, refresh=refresh)
 
-    def _get(self, key: str, raw: bool) -> Optional[object]:
+    def refresh(self) -> None:
+        """Fold every data shard's new entries into the index."""
+        for shard in self._shards:
+            shard.refresh()
+
+    def _get(
+        self, key: str, raw: bool, refresh: bool = True
+    ) -> Optional[object]:
         self.stats.lookups += 1
         shard = self._shards[shard_of_key(key, self.shards)]
-        found = self._lookup(shard, key, raw)
+        found = self._lookup(shard, key, raw, refresh)
         if found is not None:
             self.stats.hits += 1
         return found
 
     def _lookup(
-        self, shard: _Shard, key: str, raw: bool = False
+        self, shard: _Shard, key: str, raw: bool = False, refresh: bool = True
     ) -> Optional[object]:
         """Read *key* from *shard*: the lookup path of every getter.
 
@@ -491,7 +494,8 @@ class ShardedStore:
         shrinking it below our scan pointer) rebuilds the index from
         scratch and retries once.
         """
-        shard.refresh()
+        if refresh:
+            shard.refresh()
         for attempt in (0, 1):
             offset = shard.index.get(key)
             if offset is None:
@@ -596,7 +600,6 @@ class ShardedStore:
                 handle.write(prefix + entry)
                 shard.bin_end = offset + len(prefix) + len(entry)
         shard.shapes_written.add(shape.shape_id)
-        shard.bin_absent = False
         shard.index[key] = shard.bin_end - len(entry)
         # Our scan pointer advances past our own entry only when no
         # other writer interleaved; otherwise the next refresh re-reads
@@ -632,11 +635,8 @@ class ShardedStore:
         shard.scanned_bin = start + scanned
 
     def __len__(self) -> int:
-        total = 0
-        for shard in self._shards:
-            shard.refresh()
-            total += len(shard.index)
-        return total
+        self.refresh()
+        return sum(len(shard.index) for shard in self._shards)
 
     def keys(self) -> Iterator[str]:
         for shard in self._shards:
@@ -872,7 +872,6 @@ class ShardedStore:
         shard.close_mmap()
         shard.index = new_index
         shard.scanned_bin = offset_out
-        shard.bin_absent = False
         shard.bin_end = offset_out
         shard.shapes_written = shapes_written
         shard.appends = len(new_index)

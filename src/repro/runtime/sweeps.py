@@ -145,6 +145,8 @@ class SweepSpec:
         seeds for one configuration are adjacent, which keeps chunked
         process-pool dispatch cache-friendly.
         """
+        if not self.seeds:
+            return []
         graph_axis: List[Tuple[Optional[str], Optional[str]]]
         if self.fars:
             graph_axis = [(None, far) for far in self.fars]
@@ -155,18 +157,29 @@ class SweepSpec:
         specs: List[JobSpec] = []
         for (family, far), n in itertools.product(graph_axis, self.ns):
             for combo in itertools.product(*param_values):
-                config = dict(zip(param_keys, combo))
-                for seed in self.seeds:
-                    specs.append(
-                        JobSpec.make(
-                            self.kind,
-                            family=family or "delaunay",
-                            far=far,
-                            n=n,
-                            seed=seed,
-                            **config,
-                        )
+                # make() validates the kind and freezes the config once
+                # per combination (a ``graph_seed`` param lands in its
+                # own field); the other seeds share the frozen config.
+                first = JobSpec.make(
+                    self.kind,
+                    family=family or "delaunay",
+                    far=far,
+                    n=n,
+                    seed=self.seeds[0],
+                    **dict(zip(param_keys, combo)),
+                )
+                specs.extend(
+                    JobSpec(
+                        first.kind,
+                        first.family,
+                        first.far,
+                        first.n,
+                        seed,
+                        first.config,
+                        first.graph_seed,
                     )
+                    for seed in self.seeds
+                )
         return specs
 
 

@@ -47,8 +47,12 @@ from .store import ShardedStore
 
 # Only the service's enqueue probe calls this; perfbench/tracing.py wraps it here.
 def _store_payload(store: ShardedStore, key: str) -> Optional[bytes]:
-    """The stored payload bytes for *key* (zero decode), or ``None``."""
-    payload = store.get_raw(key)
+    """The stored payload bytes for *key* (zero decode), or ``None``.
+
+    Reads the index as of the caller's last ``store.refresh()``: the
+    service refreshes once per submission, not once per key.
+    """
+    payload = store.get_raw(key, refresh=False)
     return None if payload is None else bytes(payload)
 
 

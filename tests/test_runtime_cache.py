@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import JobSpec, ShardedStore, run_jobs
 from repro.runtime.cache import (
     KeyDeriver,
     cache_key,
     config_digest,
+    coordinate_fingerprint,
     graph_fingerprint,
 )
 
@@ -187,3 +190,75 @@ class TestCoordinateKeys:
         assert repeat.batch.executed == 0
         assert repeat.batch.cache_stats.hits == sweep.size
         assert calls == {"planar": 0, "far": 0}  # zero graph generations
+
+
+_SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -1, 2**63 - 1, 2**63, 2**64 + 1, -(2**63) - 1]),
+)
+_CONFIG_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.integers(-3, 3),
+    st.text(alphabet=st.sampled_from(list("aé\"'\\ ü☃\x00{}:,")), max_size=6),
+)
+# JobSpec.make's own parameters cannot be config keys.
+_CONFIG_KEYS = st.text(max_size=6).filter(
+    lambda k: k not in {"kind", "family", "far", "n", "seed", "graph_seed"}
+)
+_DERIVER = KeyDeriver()
+"""Shared by every example, so the memoized templates meet many specs."""
+
+
+@st.composite
+def _specs(draw):
+    from repro.graphs import FAR_FAMILIES, PLANAR_FAMILIES
+    from repro.runtime.jobs import job_kinds
+
+    far = draw(st.none() | st.sampled_from(sorted(FAR_FAMILIES)))
+    return JobSpec.make(
+        draw(st.sampled_from(job_kinds())),
+        family=draw(st.sampled_from(sorted(PLANAR_FAMILIES))),
+        far=far,
+        n=draw(st.integers(1, 5000)),
+        seed=draw(_SEEDS),
+        graph_seed=draw(st.none() | _SEEDS),
+        **draw(st.dictionaries(_CONFIG_KEYS, _CONFIG_VALUES, max_size=4)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs())
+def test_template_keys_match_the_reference(spec):
+    """A drift here would turn every stored record into a miss."""
+    expected = cache_key(spec, coordinate_fingerprint(spec))
+    assert _DERIVER.key_for(spec) == expected
+    assert KeyDeriver().key_for(spec) == expected
+
+
+def test_equal_but_differently_typed_values_key_apart():
+    """1, 1.0 and True are equal but print apart, so they key apart."""
+    deriver = KeyDeriver()
+    configs = [
+        JobSpec.make("test_planarity", family="grid", n=36, epsilon=value)
+        for value in (1, 1.0, True, 0.0, -0.0)
+    ]
+    coordinates = [
+        JobSpec.make("test_planarity", family="grid", n=n, seed=seed,
+                     graph_seed=graph_seed)
+        for n, seed, graph_seed in ((36, 1, 2), (36.0, 1, 2), (36, True, 2),
+                                    (36, 1, True), (36, 1, 2.0))
+    ]
+    for specs in (configs, coordinates):
+        keys = [deriver.key_for(spec) for spec in specs]
+        assert keys == [cache_key(s, coordinate_fingerprint(s)) for s in specs]
+        assert len(set(keys)) == len(specs)
+
+
+def test_golden_key():
+    """Pinned literal: stores written by earlier versions keep hitting."""
+    spec = JobSpec.make("test_planarity", family="grid", n=64, seed=7, epsilon=0.25)
+    assert KeyDeriver().key_for(spec) == (
+        "de5a45f8b85cb903897a413755e20d651d595c66aa2817a6e76ada82e06a7882"
+    )

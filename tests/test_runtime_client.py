@@ -9,6 +9,8 @@ prefilled store for the cancel and per-submission task-count checks.
 from __future__ import annotations
 
 import asyncio
+import json
+import queue
 import socket
 import threading
 import time
@@ -16,8 +18,17 @@ import time
 import pytest
 
 from repro.runtime import Client, ServiceError, SweepService, SweepSpec
-from repro.runtime.client import _in_order
-from repro.runtime.codec import encode_record, encode_wire_frame, read_wire_frame
+from repro.runtime.client import HANDOFF_CAP, _Handoff, _in_order
+from repro.runtime.codec import (
+    FRAME_HEADER_SIZE,
+    decode_wire_body,
+    encode_record,
+    encode_wire_frame,
+    parse_frame_header,
+    read_wire_frame,
+)
+from repro.runtime.remote import PROTOCOL_VERSION
+from repro.runtime.service import HIT_CHUNK
 from test_runtime_service import wait_until
 
 
@@ -81,9 +92,9 @@ class ScriptedService:
         self.thread.join(timeout=15.0)
         assert not self.thread.is_alive()
 
-    def run(self):
+    def run(self, total=3):
         try:
-            return Client(endpoint=self.endpoint).run(hit_sweep(range(3)))
+            return Client(endpoint=self.endpoint).run(hit_sweep(range(total)))
         finally:
             self.join()
 
@@ -103,6 +114,15 @@ class TestScriptedReceive:
         frames = [record_frame(i) for i in indices] + [VERDICT_OK]
         with pytest.raises(ServiceError, match=rf"record index {bad} twice or"):
             ScriptedService(frames).run()
+
+    @pytest.mark.parametrize("bad", [5, 40])
+    def test_bad_index_inside_a_batch_raises(self, bad):
+        """Frames sent back to back reach the consumer batched; every
+        record of a batch is still checked."""
+        indices = list(range(20)) + [bad]
+        frames = [record_frame(i, total=20) for i in indices] + [VERDICT_OK]
+        with pytest.raises(ServiceError, match=rf"record index {bad} twice or"):
+            ScriptedService(frames).run(total=20)
 
     def test_eof_before_verdict(self):
         with pytest.raises(ServiceError, match="before the verdict"):
@@ -202,3 +222,124 @@ class TestStoreHits:
                 assert records == reference[:size]
         small, large = counts
         assert large == small < 30
+
+
+class TestHandoff:
+    """The receive loop hands the first record over alone, later ones in
+    batches flushed once the loop is idle or at the cap."""
+
+    def test_first_alone_then_one_batch_per_idle_loop(self):
+        out = queue.Queue()
+        loop = asyncio.new_event_loop()
+        try:
+            handoff = _Handoff(out, loop)
+            for index in range(5):
+                handoff.record((index, {}, None))
+            assert out.get_nowait() == ("records", [(0, {}, None)])
+            assert out.empty()  # the batch waits for the loop to go idle
+            loop.call_soon(loop.stop)
+            loop.run_forever()
+            assert out.get_nowait() == ("records", [(i, {}, None) for i in range(1, 5)])
+            handoff.record((5, {}, None))
+            handoff.put(("verdict", {}))  # flushes the batch ahead of itself
+            assert out.get_nowait() == ("records", [(5, {}, None)])
+            assert out.get_nowait() == ("verdict", {})
+        finally:
+            loop.close()
+
+    def test_cap_flushes_without_the_loop(self):
+        out = queue.Queue()
+        loop = asyncio.new_event_loop()
+        try:
+            handoff = _Handoff(out, loop)
+            for index in range(1 + HANDOFF_CAP):
+                handoff.record((index, {}, None))
+            assert len(out.get_nowait()[1]) == 1
+            assert len(out.get_nowait()[1]) == HANDOFF_CAP
+        finally:
+            loop.close()
+
+
+class RecordingWriter:
+    """Wraps a session's stream writer, logging each ``write``."""
+
+    def __init__(self, writer, events):
+        self._writer = writer
+        self._events = events
+
+    def write(self, data):
+        self._events.append(("write", bytes(data)))
+        self._writer.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._writer, name)
+
+
+def split_frames(data):
+    frames = []
+    while data:
+        size = FRAME_HEADER_SIZE + parse_frame_header(data[:FRAME_HEADER_SIZE])
+        frames.append(decode_wire_body(data[FRAME_HEADER_SIZE:size]))
+        data = data[size:]
+    return frames
+
+
+class TestHitWireShape:
+    def test_first_record_alone_then_chunked_writes(self, hit_store, monkeypatch):
+        import repro.runtime.service as service_mod
+        from repro.runtime.cache import KeyDeriver
+
+        store, reference = hit_store
+        events = []
+        init = service_mod._ClientSession.__init__
+
+        def recording_init(self, uid, name, reader, writer):
+            init(self, uid, name, reader, RecordingWriter(writer, events))
+
+        key_for = KeyDeriver.key_for
+
+        def logged_key_for(self, spec):
+            events.append(("key", None))
+            return key_for(self, spec)
+
+        monkeypatch.setattr(service_mod._ClientSession, "__init__", recording_init)
+        monkeypatch.setattr(KeyDeriver, "key_for", logged_key_for)
+        with SweepService(store_dir=store, heartbeat=2.0) as svc:
+            records = Client(endpoint=svc.endpoint).run(hit_sweep(range(300)))
+        assert records == reference
+        writes = [split_frames(data) for kind, data in events if kind == "write"]
+        # The first record frame is written alone, before the second
+        # key is derived.
+        first_write = next(i for i, e in enumerate(events) if e[0] == "write")
+        assert [e[0] for e in events[:first_write]] == ["key"]
+        assert [f["op"] for f in writes[0]] == ["record"]
+        frames = [frame for write in writes for frame in write]
+        assert [f["index"] for f in frames if f["op"] == "record"] == list(range(300))
+        assert [f["op"] for f in frames[-2:]] == ["progress", "verdict"]
+        assert len(writes) <= -(-299 // HIT_CHUNK) + 3
+
+    def test_cancel_mid_sweep_gets_its_verdict(self, hit_store):
+        """300 hits and 10 misses with no worker: a cancel sent after the
+        first record is answered with a cancelled verdict."""
+        store, _reference = hit_store
+        with SweepService(store_dir=store, heartbeat=2.0) as svc:
+            sock = socket.create_connection(
+                ("127.0.0.1", svc.bound_port), timeout=15.0
+            )
+            with sock:
+                sock.sendall(encode_wire_frame({
+                    "op": "submit",
+                    "protocol": PROTOCOL_VERSION,
+                    "sweep_json": json.dumps(hit_sweep(range(310)).to_payload()),
+                }))
+                reader = sock.makefile("rb")
+                assert read_wire_frame(reader)["op"] == "record"
+                sock.sendall(encode_wire_frame({"op": "cancel"}))
+                frame = read_wire_frame(reader)
+                records = 1
+                while frame["op"] != "verdict":
+                    records += frame["op"] == "record"
+                    frame = read_wire_frame(reader)
+            assert frame["cancelled"] is True and frame["ok"] is False
+            assert frame["hits"] == records == 300
+            wait_until(lambda: svc.active_clients == 0, what="session end")

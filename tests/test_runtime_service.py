@@ -434,3 +434,124 @@ class TestWorkerReconnect:
         # instead of redialing a server that is going away on purpose.
         worker.join(timeout=15.0)
         assert not worker.is_alive()
+
+
+def raw_run(service, sweep):
+    """Submit *sweep* over a bare socket; returns (record frames, verdict)."""
+    sock = raw_submit(service, sweep, "raw")
+    with sock:
+        reader = sock.makefile("rb")
+        records = []
+        frame = read_wire_frame(reader)
+        while frame is not None and frame.get("op") != "verdict":
+            if frame.get("op") == "record":
+                records.append(frame)
+            frame = read_wire_frame(reader)
+    return records, frame
+
+
+def serial_keys(sweep, store_dir):
+    """Run *sweep* serially into the store at *store_dir*; its keys."""
+    from repro.runtime.cache import KeyDeriver
+    from repro.runtime.executor import run_jobs
+
+    specs = sweep.expand()
+    run_jobs(specs, store=ShardedStore(store_dir))
+    deriver = KeyDeriver()
+    return [deriver.key_for(spec) for spec in specs]
+
+
+def shard_sizes(store_dir):
+    return {p.name: p.stat().st_size for p in store_dir.glob("shard-*.rbin")}
+
+
+class TestStoreVisibility:
+    """The service refreshes its store once per submission: a submission
+    sees the store as of its start, plus the service's own appends."""
+
+    def test_append_by_another_handle_before_submit_is_a_hit(self, tmp_path):
+        store_dir = tmp_path / "store"
+        first, later = small_sweep(seeds=(0, 1)), small_sweep(seeds=(2, 3))
+        serial_keys(first, store_dir)
+        with SweepService(store_dir=store_dir, heartbeat=2.0) as svc:
+            # The service's handle indexes the store as it is now...
+            _records, verdict = raw_run(svc, first)
+            assert verdict["executed"] == 0 and verdict["hits"] == 2
+            # ...then a second handle appends, with no worker connected.
+            serial_keys(later, store_dir)
+            records, verdict = raw_run(svc, later)
+        assert verdict["ok"] and verdict["executed"] == 0
+        assert verdict["hits"] == 2
+        assert [f["index"] for f in records] == [0, 1]
+
+    def test_append_during_a_submit_is_served_by_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runtime.service as service_mod
+
+        store_dir = tmp_path / "store"
+        current, next_sweep = small_sweep(seeds=(0, 1)), small_sweep(seeds=(2,))
+        serial_keys(current, store_dir)
+        probe = service_mod._store_payload
+        appended = []
+
+        def appending_probe(store, key):
+            if not appended:  # mid-submit: another handle appends
+                appended.extend(serial_keys(next_sweep, store_dir))
+            return probe(store, key)
+
+        monkeypatch.setattr(service_mod, "_store_payload", appending_probe)
+        with SweepService(store_dir=store_dir, heartbeat=2.0) as svc:
+            _records, verdict = raw_run(svc, current)
+            assert appended and verdict["executed"] == 0
+            records, verdict = raw_run(svc, next_sweep)
+        assert verdict["ok"] and verdict["executed"] == 0
+        assert verdict["hits"] == len(records) == 1
+
+    @pytest.mark.parametrize("regrow", [False, True])
+    def test_compaction_between_submits_never_serves_a_wrong_record(
+        self, tmp_path, monkeypatch, regrow
+    ):
+        """Another handle compacts the store under the service's index.
+
+        The first submission indexes the store but reads no record from
+        it (its one job is a miss), so the service holds no map of the
+        old files.  *regrow*: the other handle then appends until no
+        shard is smaller than the service scanned it, so the refresh
+        keeps the stale index and the reads must rebuild it."""
+        import repro.runtime.store as store_mod
+
+        store_dir = tmp_path / "store"
+        sweep = small_sweep(ns=(36, 64), seeds=(0, 1, 2))
+        fresh = small_sweep(seeds=(7,))
+        reference = Client().run(sweep)
+        keys = serial_keys(sweep, store_dir)
+        other = ShardedStore(store_dir)
+        for key in keys:  # dead duplicates: compaction moves every entry
+            other.put_raw(key, other.get_raw(key))
+        resets = []
+        reset = store_mod._Shard.reset
+
+        def counting_reset(shard):
+            resets.append(shard.name)
+            reset(shard)
+
+        monkeypatch.setattr(store_mod._Shard, "reset", counting_reset)
+        with SweepService(store_dir=store_dir, heartbeat=2.0) as svc:
+            start_worker(svc)
+            assert Client(endpoint=svc.endpoint).run(fresh) == Client().run(fresh)
+            scanned = shard_sizes(store_dir)
+            other.compact()
+            filler = 0
+            while regrow and any(
+                shard_sizes(store_dir).get(name, 0) < size
+                for name, size in scanned.items()
+            ):
+                other.put(f"filler-{filler}", {"filler": filler, "pad": "x" * 40})
+                filler += 1
+            resets.clear()
+            records, verdict = raw_run(svc, sweep)
+            assert Client(endpoint=svc.endpoint).run(sweep) == reference
+        assert verdict["ok"] and verdict["executed"] == 0
+        assert len(records) == sweep.size
+        assert resets  # the stale index was noticed and rebuilt

@@ -47,6 +47,19 @@ def test_incremental_refresh_sees_other_writers(tmp_path):
     writer.put("b", {"v": 2})  # appended after the reader's first scan
     assert reader.get("b") == {"v": 2}
 
+def test_refresh_sees_a_shard_another_writer_creates(tmp_path):
+    """A miss on a shard with no file yet must not hide that shard from
+    later lookups: another process may create it."""
+    reader = ShardedStore(tmp_path / "s")
+    assert reader.get("k") is None
+    reader.refresh()
+    ShardedStore(tmp_path / "s").put("k", {"v": 1})
+    assert reader.get_raw("k", refresh=False) is None  # not refreshed yet
+    reader.refresh()
+    assert reader.get("k") == {"v": 1}
+    assert reader.get_raw("k", refresh=False) is not None
+
+
 def test_clear_reports_entries_and_bytes(tmp_path):
     store = ShardedStore(tmp_path / "s")
     for index in range(6):

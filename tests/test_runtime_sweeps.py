@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import (
+    JobSpec,
     ProcessPoolBackend,
     SerialBackend,
     ShardedStore,
@@ -48,6 +49,25 @@ def test_scalar_params_promoted():
     sweep = SweepSpec.make("test_planarity", ns=[36], epsilon=0.5)
     assert sweep.size == 1
     assert sweep.expand()[0].params["epsilon"] == 0.5
+
+
+def test_expand_matches_make_per_spec():
+    """Seeds share one frozen config, and a ``graph_seed`` param still
+    lands in its own field on every spec, as make() would put it."""
+    sweep = SweepSpec.make(
+        "partition_randomized", families=["grid", "tree"], ns=[36],
+        seeds=[1, 2, 3], epsilon=[0.5, 0.25], graph_seed=[0, 5],
+    )
+    expected = [
+        JobSpec.make("partition_randomized", family=family, n=36, seed=seed,
+                     epsilon=epsilon, graph_seed=graph_seed)
+        for family in ("grid", "tree")
+        for epsilon in (0.5, 0.25)
+        for graph_seed in (0, 5)
+        for seed in (1, 2, 3)
+    ]
+    assert sweep.expand() == expected
+    assert {s.graph_seed for s in sweep.expand()} == {0, 5}
 
 
 def test_far_axis_overrides_families():
