@@ -26,6 +26,12 @@ Subcommands:
   ``sweep --trace DIR``: ``view`` (span tree), ``top`` (slowest span
   groups), ``export --chrome`` (Chrome ``trace_event`` JSON)
 
+The five one-shot commands (``test`` .. ``lower-bound``) run their job
+kinds (:data:`ONE_SHOTS`) as one-cell sweeps on the serial backend, the
+path ``sweep`` takes, and print the records as its tables do; ``test``
+exits 1 on a reject and ``partition`` on ``success=False``.  Every
+``--epsilon`` / ``--epsilons`` value must lie in ``(0, 1]``.
+
 The ``sweep`` subcommand takes comma-separated axis lists and executes
 their cartesian product; repeated invocations with ``--cache-dir`` are
 served from the sharded on-disk store instead of re-running the
@@ -70,11 +76,9 @@ import sys
 from typing import List, Optional
 
 from .analysis.tables import Table
-from .applications.spanner import build_spanner, measure_stretch
-from .graphs.far_from_planar import FAR_FAMILIES, make_far
-from .graphs.generators import PLANAR_FAMILIES, make_planar
-from .graphs.lower_bound import lower_bound_instance
-from .partition.weighted_selection import METHODS, partition_by_method
+from .graphs.far_from_planar import FAR_FAMILIES
+from .graphs.generators import PLANAR_FAMILIES
+from .partition.weighted_selection import METHODS
 from .runtime import (
     Client,
     RunConfig,
@@ -86,8 +90,6 @@ from .runtime import (
 from .runtime.config import parse_batch
 from .runtime.remote import parse_endpoint
 from .runtime.worker import add_worker_arguments, run_worker
-from .testers.applications import test_bipartiteness, test_cycle_freeness
-from .testers.planarity import PlanarityTestConfig, test_planarity
 
 SWEEP_KINDS = {
     "test": "test_planarity",
@@ -99,143 +101,53 @@ SWEEP_KINDS = {
     "simulate": "simulate_program",
 }
 
-
-def _build_graph(args):
-    if getattr(args, "far", None):
-        graph, farness = make_far(args.far, args.n, seed=args.seed)
-        return graph, f"far:{args.far} (certified farness >= {farness:.3f})"
-    graph = make_planar(args.family, args.n, seed=args.seed)
-    return graph, f"planar:{args.family}"
-
-
-def _cmd_test(args) -> int:
-    graph, label = _build_graph(args)
-    config = PlanarityTestConfig(
-        epsilon=args.epsilon,
-        collect_exact_violations=args.analyze,
-    )
-    result = test_planarity(graph, seed=args.seed, config=config)
-    table = Table(
-        f"Planarity test on {label}",
-        [
-            "n", "m", "epsilon", "verdict", "stage", "rounds",
-            "stage1", "stage2", "parts",
-        ],
-    )
-    table.add_row(
-        graph.number_of_nodes(),
-        graph.number_of_edges(),
-        args.epsilon,
-        "accept" if result.accepted else "REJECT",
-        result.rejected_stage or "-",
-        result.rounds,
-        result.stage1_rounds,
-        result.stage2_rounds,
-        result.stage1.partition.size,
-    )
-    table.print()
-    if args.analyze and result.total_violating_exact is not None:
-        print(f"exact violating edges across parts: {result.total_violating_exact}")
-    return 0 if result.accepted else 1
+# One-shot command -> (table title, the record field whose False exits
+# 1, its flags -> the (job kind, params) cells it runs).  Each cell is a
+# one-cell sweep over the command's graph, --n, --seed and --epsilon;
+# ``{graph}`` and the flags fill the title.
+ONE_SHOTS = {
+    "test": ("Planarity test on {graph}", "accepted", lambda a: [
+        ("test_planarity", {"collect_exact_violations": a.analyze})]),
+    "partition": ("{method} partition of {graph}", "success", lambda a: [
+        ("partition_randomized", {"delta": a.delta}) if a.method == "randomized"
+        else ("partition_stage1", {"target_cut": "eps*n"})]),
+    "spanner": ("Corollary 17 spanner on {graph}", None, lambda a: [
+        ("spanner", {"method": a.method})]),
+    "applications": (
+        "Corollary 16 testers (cycle-freeness, bipartiteness) on {graph}", None,
+        lambda a: [("cycle_freeness", {}), ("bipartiteness", {})]),
+    "lower-bound": ("Theorem 2 lower-bound instance", None, lambda a: [
+        ("lower_bound_audit", {})]),
+}
 
 
-def _cmd_partition(args) -> int:
-    graph, label = _build_graph(args)
-    n = graph.number_of_nodes()
-    result = partition_by_method(
-        graph, args.epsilon, args.method, args.epsilon * n, args.delta, seed=args.seed
-    )
-    table = Table(
-        f"{args.method} partition of {label}",
-        ["n", "m", "parts", "cut", "target", "max height", "phases", "rounds"],
-    )
-    table.add_row(
-        n,
-        graph.number_of_edges(),
-        result.partition.size,
-        result.partition.cut_size(),
-        result.target_cut,
-        result.partition.max_height(),
-        len(result.phases),
-        result.rounds,
-    )
-    table.print()
-    return 0 if result.success else 1
-
-
-def _cmd_spanner(args) -> int:
-    graph, label = _build_graph(args)
-    result = build_spanner(
-        graph, epsilon=args.epsilon, method=args.method, seed=args.seed
-    )
-    stretch = measure_stretch(graph, result.dense, sample_nodes=8, seed=args.seed)
-    n = graph.number_of_nodes()
-    table = Table(
-        f"Corollary 17 spanner on {label}",
-        [
-            "n", "m", "spanner edges", "size/n", "measured stretch",
-            "guaranteed", "rounds",
-        ],
-    )
-    table.add_row(
-        n,
-        graph.number_of_edges(),
-        result.size,
-        result.size / n,
-        stretch,
-        result.guaranteed_stretch,
-        result.rounds,
-    )
-    table.print()
-    return 0
-
-
-def _cmd_applications(args) -> int:
-    graph, label = _build_graph(args)
-    cycle = test_cycle_freeness(graph, epsilon=args.epsilon, seed=args.seed)
-    bipartite = test_bipartiteness(graph, epsilon=args.epsilon, seed=args.seed)
-    table = Table(
-        f"Corollary 16 testers on {label}",
-        ["property", "verdict", "rejecting parts", "rounds"],
-    )
-    table.add_row(
-        "cycle-freeness",
-        "accept" if cycle.accepted else "REJECT",
-        len(cycle.rejecting_parts),
-        cycle.rounds,
-    )
-    table.add_row(
-        "bipartiteness",
-        "accept" if bipartite.accepted else "REJECT",
-        len(bipartite.rejecting_parts),
-        bipartite.rounds,
-    )
-    table.print()
-    return 0
-
-
-def _cmd_lower_bound(args) -> int:
-    instance = lower_bound_instance(args.n, seed=args.seed)
-    table = Table(
-        "Theorem 2 lower-bound instance",
-        ["n", "m", "girth", "target girth", "removed", "farness lb", "blind radius"],
-    )
-    graph = instance.graph
-    table.add_row(
-        graph.number_of_nodes(),
-        graph.number_of_edges(),
-        instance.girth,
-        instance.target_girth,
-        instance.removed_edges,
-        instance.farness_lower_bound,
-        instance.indistinguishability_radius,
-    )
-    table.print()
-    print(
-        "Any one-sided tester running fewer rounds than the blind radius "
-        "must accept this epsilon-far graph (every local view is a tree)."
-    )
-    return 0
+def _cmd_one_shot(args) -> int:
+    """Run a one-shot command's cells as sweeps and print their records."""
+    title, verdict, cells = ONE_SHOTS[args.command]
+    flags = vars(args)
+    axes = {"ns": [args.n], "seeds": [args.seed]}
+    if flags.get("far"):
+        axes["fars"] = [args.far]
+    elif "family" in flags:
+        axes["families"] = [args.family]
+    if "epsilon" in flags:
+        axes["epsilon"] = args.epsilon
+    result, *others = [
+        run_sweep(SweepSpec.make(kind, **axes, **params))
+        for kind, params in cells(args)
+    ]
+    for other in others:
+        result.records += other.records
+    failed = verdict and not all(record[verdict] for record in result.records)
+    for record in result.records:
+        if "accepted" in record:
+            record["accepted"] = "accept" if record["accepted"] else "REJECT"
+    # The title names the graph; a graphless kind's record carries the
+    # default family, which it never built.
+    columns = [key for key in result.records[0] if key not in ("graph", "family")]
+    title = title.format(graph=result.records[0]["graph"], **flags)
+    result.to_table(title, columns).print()
+    return 1 if failed else 0
 
 
 def _parse_axis(raw: str, convert):
@@ -283,6 +195,22 @@ def _bounded(kind, positive: bool):
     return parse
 
 
+def _epsilon(raw: str) -> float:
+    """An argparse type: a distance parameter in ``(0, 1]`` (NaN is not)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"epsilon must be in (0, 1], got {raw}")
+    return value
+
+
+def _epsilons(raw: str) -> List[float]:
+    """An argparse type: a comma-separated list of :func:`_epsilon` values."""
+    return _parse_axis(raw, _epsilon)
+
+
 def _non_negative(kind):
     return _bounded(kind, positive=False)
 
@@ -298,7 +226,7 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         # Simulator sweeps iterate over protocols, not epsilons.
         params = {"program": _parse_axis(args.programs, str)}
     else:
-        params = {"epsilon": _parse_axis(args.epsilons, float)}
+        params = {"epsilon": args.epsilons}
     if args.deltas:
         params["delta"] = _parse_axis(args.deltas, float)
     if args.methods:
@@ -312,11 +240,6 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         seeds=_parse_axis(args.seeds, int),
         **params,
     )
-
-
-def _run_config_from_args(args) -> RunConfig:
-    """The batch knob as a :class:`RunConfig` (CLI flag beats env)."""
-    return RunConfig(sim_batch=args.batch)
 
 
 def _cmd_sweep(args) -> int:
@@ -364,7 +287,7 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(
         sweep, backend=backend, store=store, shard=shard, resume=args.resume,
         balance=args.balance, progress=progress,
-        config=_run_config_from_args(args),
+        config=RunConfig(sim_batch=args.batch),
     )
     shard_label = f" [shard {shard[0]}/{shard[1]}]" if shard else ""
     # Sorted columns, as in ``submit``: records decoded from the store
@@ -394,8 +317,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import json
-
     from .telemetry import chrome_trace, read_events, render_tree, top_spans
 
     events = read_events(args.trace_dir)
@@ -488,7 +409,7 @@ def _cmd_submit(args) -> int:
         endpoint=args.connect,
         backend=args.backend,
         cache_dir=args.cache_dir,
-        config=_run_config_from_args(args),
+        config=RunConfig(sim_batch=args.batch),
         name=args.name,
     )
 
@@ -607,7 +528,7 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=500, help="number of nodes")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
-        "--epsilon", type=float, default=0.1, help="distance parameter"
+        "--epsilon", type=_epsilon, default=0.1, help="distance parameter in (0, 1]"
     )
 
 
@@ -631,7 +552,10 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--ns", default="256,512", help="comma-separated sizes")
     parser.add_argument(
-        "--epsilons", default="0.5,0.1", help="comma-separated epsilons"
+        "--epsilons",
+        type=_epsilons,
+        default="0.5,0.1",
+        help="comma-separated epsilons, each in (0, 1]",
     )
     parser.add_argument("--seeds", default="0", help="comma-separated seeds")
     parser.add_argument(
@@ -673,31 +597,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--analyze", action="store_true", help="collect exact violating counts"
     )
-    p_test.set_defaults(func=_cmd_test)
+    p_test.set_defaults(func=_cmd_one_shot)
 
     p_part = sub.add_parser("partition", help="run the Theorem 3/4 partition")
     _add_graph_arguments(p_part)
     p_part.add_argument("--method", default="deterministic", choices=METHODS)
     p_part.add_argument("--delta", type=float, default=0.1)
-    p_part.set_defaults(func=_cmd_partition)
+    p_part.set_defaults(func=_cmd_one_shot)
 
     p_span = sub.add_parser("spanner", help="build the Corollary 17 spanner")
     _add_graph_arguments(p_span)
     p_span.add_argument("--method", default="deterministic", choices=METHODS)
-    p_span.set_defaults(func=_cmd_spanner)
+    p_span.set_defaults(func=_cmd_one_shot)
 
     p_app = sub.add_parser(
         "applications", help="run the Corollary 16 property testers"
     )
     _add_graph_arguments(p_app)
-    p_app.set_defaults(func=_cmd_applications)
+    p_app.set_defaults(func=_cmd_one_shot)
 
     p_lb = sub.add_parser(
         "lower-bound", help="sample the Theorem 2 hard instance"
     )
     p_lb.add_argument("--n", type=int, default=2000)
     p_lb.add_argument("--seed", type=int, default=0)
-    p_lb.set_defaults(func=_cmd_lower_bound)
+    p_lb.set_defaults(func=_cmd_one_shot)
 
     p_fam = sub.add_parser("families", help="list graph families")
     p_fam.set_defaults(func=_cmd_families)

@@ -81,9 +81,10 @@ class ProcessPoolBackend:
     Args:
         max_workers: pool size; defaults to ``os.cpu_count()`` capped at
             the number of jobs.
-        chunksize: jobs handed to a worker per dispatch; ``None`` picks
-            ``ceil(len(jobs) / (4 * workers))`` so each worker sees a few
-            chunks (amortizing pickling) while keeping the tail balanced.
+
+    Each dispatch hands a worker ``ceil(len(jobs) / (4 * workers))``
+    jobs, so each worker sees a few chunks (amortizing pickling) while
+    the tail stays balanced.
     """
 
     name = "process"
@@ -91,21 +92,13 @@ class ProcessPoolBackend:
     # would be wasted work, so run_jobs skips the hint for this backend.
     wants_graph_hints = False
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
-    ):
+    def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = max_workers
-        self.chunksize = chunksize
 
     def _plan(self, specs: Sequence[JobSpec]) -> Tuple[int, int]:
         workers = self.max_workers or min(len(specs), os.cpu_count() or 1)
         workers = max(1, min(workers, len(specs)))
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = max(1, -(-len(specs) // (4 * workers)))
-        return workers, chunksize
+        return workers, max(1, -(-len(specs) // (4 * workers)))
 
     def run_stream(
         self,

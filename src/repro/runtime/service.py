@@ -96,6 +96,10 @@ process, longer chunks let the service thread hold the GIL longer
 between writes, and the client's first record waits for it (8 frames
 cost about 1 ms more than 4 at the median, 64 frames about 11 ms)."""
 
+SPECULATION_INTERVAL = 1.0
+"""Seconds between the service's straggler scans (with a speculation
+policy set)."""
+
 _QUEUED = "queued"
 _RUNNING = "running"
 _DONE = "done"
@@ -242,13 +246,12 @@ class SweepService:
             sessions; a submit that would exceed it is rejected.
         speculation: a :class:`~repro.runtime.scheduler.SpeculationPolicy`
             enabling straggler re-dispatch (``None`` disables it).
-        speculation_interval: seconds between straggler scans.
 
     Raises:
-        ValueError: *heartbeat* or *speculation_interval* is not
-            positive (a zero heartbeat pings idle workers in a busy
-            loop), or *max_clients* / *max_pending* is below 1 (the
-            service would reject every submit).
+        ValueError: *heartbeat* is not positive (a zero heartbeat pings
+            idle workers in a busy loop), or *max_clients* /
+            *max_pending* is below 1 (the service would reject every
+            submit).
 
     Use as a context manager (``with SweepService(...) as svc:``) or
     via :meth:`start` / :meth:`stop`; :meth:`serve_forever` blocks for
@@ -265,13 +268,9 @@ class SweepService:
         max_clients: int = 16,
         max_pending: int = 100_000,
         speculation: Optional[SpeculationPolicy] = None,
-        speculation_interval: float = 1.0,
     ):
-        if not (heartbeat > 0 and speculation_interval > 0):
-            raise ValueError(
-                "heartbeat and speculation_interval must be > 0, got "
-                f"{heartbeat} and {speculation_interval}"
-            )
+        if not heartbeat > 0:
+            raise ValueError(f"heartbeat must be > 0, got {heartbeat}")
         if not (max_clients >= 1 and max_pending >= 1):
             raise ValueError(
                 "max_clients and max_pending must be >= 1, got "
@@ -284,7 +283,6 @@ class SweepService:
         self.max_clients = max_clients
         self.max_pending = max_pending
         self.speculation = speculation
-        self.speculation_interval = speculation_interval
         self.bound_port: Optional[int] = None
         # Test/introspection hooks: primary dispatches as (client name,
         # sweep index) in dispatch order, and twin dispatches likewise.
@@ -943,7 +941,7 @@ class SweepService:
         """Periodically flag stragglers for re-dispatch."""
         policy = self.speculation
         while True:
-            await asyncio.sleep(self.speculation_interval)
+            await asyncio.sleep(SPECULATION_INTERVAL)
             now = time.monotonic()
             flagged = False
             for job in list(self._pending_keys.values()):

@@ -199,6 +199,38 @@ class TestSweepCLI:
         assert exc.value.code == 2
         assert "batch limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["0", "-0.1", "1.5", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--family", "grid", "--n", "36", "--epsilon"],
+            ["sweep", "--kind", "test", "--families", "grid", "--ns", "36",
+             "--epsilons"],
+            ["submit", "--kind", "test", "--families", "grid", "--ns", "36",
+             "--epsilons"],
+        ],
+        ids=["test", "sweep", "submit"],
+    )
+    def test_epsilon_outside_unit_interval_is_a_usage_error(
+        self, capsys, monkeypatch, argv, raw
+    ):
+        """``--epsilon`` and every ``--epsilons`` value must lie in
+        ``(0, 1]``: anything else exits 2 at parse time, before a sweep
+        runs, instead of a traceback from the partition."""
+        import repro.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a sweep ran on a bad epsilon")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        monkeypatch.setattr(cli, "Client", never)
+        value = raw if argv[0] == "test" else f"0.5,{raw}"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].endswith(f"epsilon must be in (0, 1], got {raw}")
+
     def test_sweep_shard_argument_validation(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--shard", "2/2"])

@@ -91,7 +91,7 @@ def test_iter_jobs_is_lazy():
 def test_process_stream_matches_serial_records():
     from repro.runtime import ProcessPoolBackend
 
-    backend = ProcessPoolBackend(max_workers=2, chunksize=1)
+    backend = ProcessPoolBackend(max_workers=2)
     streamed = {}
     for index, record, seconds in backend.run_stream(SPECS):
         streamed[index] = record

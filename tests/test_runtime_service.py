@@ -255,6 +255,9 @@ class TestSpeculation:
         self, tmp_path, monkeypatch
     ):
         puts = count_put_raw(monkeypatch)
+        import repro.runtime.service as service_mod
+
+        monkeypatch.setattr(service_mod, "SPECULATION_INTERVAL", 0.02)
         policy = SpeculationPolicy(
             factor=3.0, min_seconds=0.05, no_history_seconds=0.15,
             max_copies=2,
@@ -263,7 +266,6 @@ class TestSpeculation:
             store_dir=tmp_path / "store",
             heartbeat=2.0,
             speculation=policy,
-            speculation_interval=0.02,
         )
         with service as svc:
             slow = ScriptedWorker(svc, delay=1.2)
@@ -295,7 +297,6 @@ class TestAdmissionAndErrors:
             {"heartbeat": 0},  # asyncio.wait(timeout=0): a ping busy loop
             {"heartbeat": -1.0},
             {"heartbeat": float("nan")},
-            {"speculation_interval": 0},
             {"max_clients": 0},  # would reject every submit
             {"max_pending": 0},
         ],
