@@ -95,10 +95,10 @@ def throughput_table():
             "simulate_program",
             family="delaunay",
             n=256,
-            seed=0,
+            seed=trial,
+            graph_seed=0,
             program="storm",
             storm_rounds=STORM_ROUNDS,
-            trial=trial,
         )
         for trial in range(4)
     ]

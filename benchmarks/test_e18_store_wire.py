@@ -170,7 +170,7 @@ def store_wire_table(tmp_path_factory):
             store.put(_key(i), _record(i))
         # Every key again, newer: the GC leg then runs against a
         # half-dead file, which is the state that actually triggers
-        # a compaction (compact_factor fires when appends reach
+        # a compaction (COMPACT_FACTOR fires when appends reach
         # ~2x the live count).
         for i in range(ENTRIES):
             store.put(_key(i), _record(i))

@@ -93,7 +93,7 @@ def main() -> None:
         it_b = Client(endpoint=service.endpoint, name="bob").submit(sweep_b)
         records_a, records_b = list(it_a), list(it_b)
         print(f"alice got {len(records_a)}, bob got {len(records_b)}")
-        order = [name for name, _idx in service.dispatch_log[before:]]
+        order = [name for name, _idx in list(service.dispatch_log)[before:]]
         print(f"dispatch order: {order}")
 
     print("service stopped; reconnect workers received their exit frames")

@@ -30,7 +30,10 @@ The five one-shot commands (``test`` .. ``lower-bound``) run their job
 kinds (:data:`ONE_SHOTS`) as one-cell sweeps on the serial backend, the
 path ``sweep`` takes, and print the records as its tables do; ``test``
 exits 1 on a reject and ``partition`` on ``success=False``.  Every
-``--epsilon`` / ``--epsilons`` value must lie in ``(0, 1]``.
+``--epsilon`` / ``--epsilons`` value must lie in ``(0, 1]``, every
+``--delta`` / ``--deltas`` value in ``(0, 1)``, and a swept grid may
+name only parameters its kind takes (``--methods`` on ``--kind test``
+is a usage error).
 
 The ``sweep`` subcommand takes comma-separated axis lists and executes
 their cartesian product; repeated invocations with ``--cache-dir`` are
@@ -180,43 +183,40 @@ def _batch_argument(raw: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _bounded(kind, positive: bool):
-    """An argparse type: *kind* (``int``/``float``) that is ``> 0``
-    when *positive*, else ``>= 0`` (NaN is neither)."""
-    rule = "> 0" if positive else ">= 0"
+def _checked(convert, holds, rule: str):
+    """An argparse type: a *convert* value for which *holds* is true (NaN
+    never is); any other value is a usage error quoting *rule*."""
 
     def parse(raw: str):
-        value = kind(raw)
-        if not (value > 0 if positive else value >= 0):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw}")
+        value = convert(raw)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {raw}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse names the type in errors
+    parse.__name__ = convert.__name__  # argparse names the type in errors
     return parse
 
 
-def _epsilon(raw: str) -> float:
-    """An argparse type: a distance parameter in ``(0, 1]`` (NaN is not)."""
-    try:
-        value = float(raw)
-    except ValueError:
-        value = float("nan")
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"epsilon must be in (0, 1], got {raw}")
-    return value
+_epsilon = _checked(float, lambda value: 0 < value <= 1, "epsilon must be in (0, 1]")
+_delta = _checked(float, lambda value: 0 < value < 1, "delta must be in (0, 1)")
 
 
-def _epsilons(raw: str) -> List[float]:
-    """An argparse type: a comma-separated list of :func:`_epsilon` values."""
-    return _parse_axis(raw, _epsilon)
+def _axis_of(convert):
+    """An argparse type: a comma-separated list of *convert* values."""
+
+    def parse(raw: str):
+        return _parse_axis(raw, convert)
+
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
 
 
 def _non_negative(kind):
-    return _bounded(kind, positive=False)
+    return _checked(kind, lambda value: value >= 0, "must be >= 0")
 
 
 def _positive(kind):
-    return _bounded(kind, positive=True)
+    return _checked(kind, lambda value: value > 0, "must be > 0")
 
 
 def _sweep_spec_from_args(args) -> SweepSpec:
@@ -228,11 +228,11 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     else:
         params = {"epsilon": args.epsilons}
     if args.deltas:
-        params["delta"] = _parse_axis(args.deltas, float)
+        params["delta"] = args.deltas
     if args.methods:
         params["method"] = _parse_axis(args.methods, str)
     fars = _parse_axis(args.far_families, str) if args.far_families else ()
-    return SweepSpec.make(
+    sweep = SweepSpec.make(
         kind,
         families=_parse_axis(args.families, str),
         fars=fars,
@@ -240,9 +240,15 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         seeds=_parse_axis(args.seeds, int),
         **params,
     )
+    try:
+        sweep.expand()  # each JobSpec.make refuses an undeclared parameter
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from None
+    return sweep
 
 
 def _cmd_sweep(args) -> int:
+    sweep = _sweep_spec_from_args(args)
     if args.trace:
         # Enable tracing for this process and everything it spawns
         # (pool forks, remote welcome frames).
@@ -254,7 +260,6 @@ def _cmd_sweep(args) -> int:
         from .telemetry.dashboard import SweepProgress
 
         progress = SweepProgress()
-    sweep = _sweep_spec_from_args(args)
     if args.backend == "process":
         backend = make_backend("process", max_workers=args.workers)
     elif args.backend == "remote":
@@ -553,13 +558,16 @@ def _add_sweep_axis_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ns", default="256,512", help="comma-separated sizes")
     parser.add_argument(
         "--epsilons",
-        type=_epsilons,
+        type=_axis_of(_epsilon),
         default="0.5,0.1",
         help="comma-separated epsilons, each in (0, 1]",
     )
     parser.add_argument("--seeds", default="0", help="comma-separated seeds")
     parser.add_argument(
-        "--deltas", default=None, help="comma-separated deltas (randomized kinds)"
+        "--deltas",
+        type=_axis_of(_delta),
+        default=None,
+        help="comma-separated deltas, each in (0, 1) (randomized kinds)",
     )
     parser.add_argument(
         "--methods", default=None, help="comma-separated methods (spanner/apps)"
@@ -602,7 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_part = sub.add_parser("partition", help="run the Theorem 3/4 partition")
     _add_graph_arguments(p_part)
     p_part.add_argument("--method", default="deterministic", choices=METHODS)
-    p_part.add_argument("--delta", type=float, default=0.1)
+    p_part.add_argument(
+        "--delta", type=_delta, default=0.1, help="failure probability in (0, 1)"
+    )
     p_part.set_defaults(func=_cmd_one_shot)
 
     p_span = sub.add_parser("spanner", help="build the Corollary 17 spanner")
@@ -896,7 +906,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -320,10 +320,10 @@ def run_batched(
     :class:`BatchTopology`); returns one scalar-shaped
     :class:`~repro.congest.network.SimulationResult` per trial, in
     input order, each bit-identical to a scalar dense-plane run.
-    *params* carries the program knobs the
-    scalar entry points take (``alpha`` for the forest decomposition,
-    ``storm_rounds`` for the storm; roots default to each trial's
-    minimum node id exactly like ``simulate_program`` jobs).
+    *params* carries the program knobs the scalar entry points take,
+    resolved (``alpha`` for the forest decomposition, ``storm_rounds``
+    for the storm; kernels restate no default); roots default to each
+    trial's minimum node id exactly like ``simulate_program`` jobs.
     """
     from . import programs  # noqa: F401 -- importing registers kernels
 

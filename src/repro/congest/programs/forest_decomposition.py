@@ -130,7 +130,7 @@ class ForestBatchKernel(BatchKernel):
 
     def __init__(self, batch, params):  # noqa: D107
         super().__init__(batch, params)
-        self.alpha = int(params.get("alpha", 3))
+        self.alpha = int(params["alpha"])
         self.budget = np.array(
             [barenboim_elkin_round_budget(int(n)) for n in batch.n],
             dtype=np.int64,

@@ -75,7 +75,7 @@ class StormBatchKernel(BatchKernel):
 
     def __init__(self, batch, params):  # noqa: D107
         super().__init__(batch, params)
-        self.storm_rounds = int(params.get("storm_rounds", 8))
+        self.storm_rounds = int(params["storm_rounds"])
         self.received = batch.node_zeros()
         base = np.zeros((batch.B, batch.n_pad + 1), dtype=np.int64)
         memo = {}

@@ -27,12 +27,12 @@ CSR first:
 reference (a strong one would keep every memo key alive forever), so an
 entry drops as soon as the last outside reference to its graph goes;
 :class:`~repro.congest.network.CongestNetwork` keeps its own strong
-reference for as long as it runs.  The memo is the hook
-the runtime layer relies on: :func:`repro.runtime.run_jobs` hands the
-same graph object to every trial of a sweep via its ``graphs`` hint, so
-the topology is compiled exactly once per process no matter how many
-jobs replay it.  :func:`topology_stats` exposes compile/reuse counters
-so tests (and benchmarks) can assert that reuse actually happens.
+reference for as long as it runs.  The memo is the hook the runtime
+layer relies on: its serial backend hands the same graph object to
+every trial of a batch that replays it, so the topology is compiled
+exactly once per process no matter how many jobs replay it.
+:func:`topology_stats` exposes compile/reuse counters so tests (and
+benchmarks) can assert that reuse actually happens.
 """
 
 from __future__ import annotations

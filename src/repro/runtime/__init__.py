@@ -23,7 +23,7 @@ backend, or a live ``repro-planarity serve`` endpoint::
     from repro.runtime import Client, RunConfig, SweepSpec
 
     sweep = SweepSpec.make(
-        "test", families=["grid"], ns=[128, 256],
+        "test_planarity", families=["grid"], ns=[128, 256],
         epsilon=[0.5, 0.25], seeds=[0, 1],
     )
     client = Client(backend="serial", cache_dir="/tmp/repro-cache",
@@ -96,7 +96,6 @@ from .jobs import (
     JobSpec,
     Record,
     job_kinds,
-    kind_needs_graph,
     register_kind,
     run_job,
     run_job_timed,
@@ -172,7 +171,6 @@ _INTERNAL_API = [
     "expand_batch_record",
     "job_kinds",
     "job_shard",
-    "kind_needs_graph",
     "make_backend",
     "make_batch_spec",
     "decode_record",

@@ -37,22 +37,17 @@ ABLATION_GUARANTEE = "O(log n / beta)"
 # -- E08: Claim 4 diameter-growth audit --------------------------------------
 
 
-def _run_partition_phase_audit(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_partition_phase_audit(spec, graph, *, epsilon=0.1, alpha=3) -> Record:
     """Stage I partition with the full per-phase trajectory attached."""
     from ..partition.stage1 import partition_stage1
 
-    params = spec.params
-    result = partition_stage1(
-        graph,
-        epsilon=params.get("epsilon", 0.1),
-        alpha=params.get("alpha", 3),
-    )
+    result = partition_stage1(graph, epsilon=epsilon, alpha=alpha)
     phases = [
         [stats.phase, stats.max_height_after, stats.parts_after]
         for stats in result.phases
     ]
     return {
-        "epsilon": params.get("epsilon", 0.1),
+        "epsilon": epsilon,
         "success": result.success,
         "parts": result.partition.size,
         "cut": result.partition.cut_size(),
@@ -64,7 +59,9 @@ def _run_partition_phase_audit(spec: JobSpec, graph: nx.Graph) -> Record:
 # -- E09: Corollary 16 application testers with measured farness -------------
 
 
-def _run_application_audit(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_application_audit(
+    spec: JobSpec, graph: nx.Graph, *, property="cycle", method="deterministic"
+) -> Record:
     """Cycle-freeness / bipartiteness tester at a farness-derived epsilon.
 
     Replicates the E09 protocol: measure the graph's certified farness
@@ -75,21 +72,18 @@ def _run_application_audit(spec: JobSpec, graph: nx.Graph) -> Record:
     from ..graphs import bipartiteness_farness_bounds, cycle_freeness_farness
     from ..testers import test_bipartiteness, test_cycle_freeness
 
-    params = spec.params
-    prop = params.get("property", "cycle")
-    method = params.get("method", "deterministic")
-    if prop == "cycle":
+    if property == "cycle":
         farness = cycle_freeness_farness(graph)
         runner = test_cycle_freeness
-    elif prop == "bipartite":
+    elif property == "bipartite":
         farness = bipartiteness_farness_bounds(graph)[0]
         runner = test_bipartiteness
     else:
-        raise ValueError(f"unknown property {prop!r}")
+        raise ValueError(f"unknown property {property!r}")
     epsilon = max(0.05, min(0.4, farness * 0.8)) if farness > 0 else 0.3
     result = runner(graph, epsilon=epsilon, method=method, seed=spec.seed)
     return {
-        "property": prop,
+        "property": property,
         "method": method,
         "farness": farness,
         "epsilon": epsilon,
@@ -102,7 +96,9 @@ def _run_application_audit(spec: JobSpec, graph: nx.Graph) -> Record:
 # -- E10: spanner baselines (MPX cluster / greedy) ---------------------------
 
 
-def _run_spanner_baseline(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_spanner_baseline(
+    spec, graph, *, method="mpx", sample_nodes=8, beta=0.3, stretch=5
+) -> Record:
     """One baseline spanner trial (MPX cluster or sequential greedy).
 
     The graph's compiled topology (memoized per graph object, so one
@@ -113,15 +109,11 @@ def _run_spanner_baseline(spec: JobSpec, graph: nx.Graph) -> Record:
     from ..applications.spanner import measure_stretch
     from ..congest.topology import compile_topology
 
-    params = spec.params
-    method = params.get("method", "mpx")
-    sample_nodes = params.get("sample_nodes", 8)
     n = graph.number_of_nodes()
     topology = compile_topology(graph)
     if method == "mpx":
         from ..baselines import cluster_spanner
 
-        beta = params.get("beta", 0.3)
         spanner, mpx = cluster_spanner(
             graph, beta=beta, seed=spec.seed, topology=topology
         )
@@ -131,16 +123,13 @@ def _run_spanner_baseline(spec: JobSpec, graph: nx.Graph) -> Record:
     elif method == "greedy":
         from ..baselines import greedy_spanner
 
-        stretch_bound = params.get("stretch", 5)
-        spanner = greedy_spanner(
-            graph, stretch=stretch_bound, topology=topology
-        )
-        guarantee = stretch_bound
+        spanner = greedy_spanner(graph, stretch=stretch, topology=topology)
+        guarantee = stretch
         rounds = "(sequential)"
         parameter = "-"
     else:
         raise ValueError(f"unknown baseline method {method!r}")
-    stretch = measure_stretch(
+    measured = measure_stretch(
         graph, spanner, sample_nodes=sample_nodes, seed=spec.seed
     )
     edges = spanner.edge_count
@@ -149,7 +138,7 @@ def _run_spanner_baseline(spec: JobSpec, graph: nx.Graph) -> Record:
         "parameter": parameter,
         "spanner_edges": edges,
         "size_per_n": edges / max(n, 1),
-        "measured_stretch": stretch,
+        "measured_stretch": measured,
         "guaranteed_stretch": guarantee,
         "rounds": rounds,
     }
@@ -179,14 +168,12 @@ def _run_lower_bound_audit(spec: JobSpec, _graph) -> Record:
 # -- E12: MPX-partition ablation inside the tester ---------------------------
 
 
-def _run_mpx_ablation(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_mpx_ablation(spec: JobSpec, graph: nx.Graph, *, epsilon=0.1) -> Record:
     """Tester rounds when Stage I is replaced by the MPX partition."""
     from ..baselines import mpx_partition
     from ..testers.planarity import stage2_over_partition
     from ..testers.stage2 import Stage2Config
 
-    params = spec.params
-    epsilon = params.get("epsilon", 0.1)
     mpx = mpx_partition(graph, beta=epsilon / 2, seed=spec.seed)
     _verdicts, rejecting, stage2_rounds = stage2_over_partition(
         graph, mpx.partition, Stage2Config(epsilon=epsilon), seed=spec.seed
@@ -260,7 +247,7 @@ def _run_violation_audit(spec: JobSpec, _graph) -> Record:
 # -- E14: substrate validation kinds -----------------------------------------
 
 
-def _run_lr_oracle_trial(spec: JobSpec, _graph) -> Record:
+def _run_lr_oracle_trial(spec, _graph, *, trial=0, gnp_n=8, gnp_p=0.5) -> Record:
     """One LR-vs-networkx-oracle trial on a G(n, p) instance.
 
     The ``(gnp_n, gnp_p)`` coordinates come from the benchmark's shared
@@ -269,11 +256,7 @@ def _run_lr_oracle_trial(spec: JobSpec, _graph) -> Record:
     """
     from ..planarity import check_planarity, verify_planar_embedding
 
-    params = spec.params
-    trial = params.get("trial", 0)
-    graph = nx.gnp_random_graph(
-        params.get("gnp_n", 8), params.get("gnp_p", 0.5), seed=trial
-    )
+    graph = nx.gnp_random_graph(gnp_n, gnp_p, seed=trial)
     mine = check_planarity(graph)
     oracle, _cert = nx.check_planarity(graph)
     verified = False
@@ -289,7 +272,7 @@ def _run_lr_oracle_trial(spec: JobSpec, _graph) -> Record:
     }
 
 
-def _run_forest_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_forest_agreement(spec: JobSpec, graph: nx.Graph, *, alpha=3) -> Record:
     """Message-passing vs Stage I Barenboim-Elkin forest decomposition.
 
     Stage I's first phase runs :func:`forest_decomposition_dense` on the
@@ -305,7 +288,6 @@ def _run_forest_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
         orient_dense,
     )
 
-    alpha = spec.params.get("alpha", 3)
     sim = run_forest_decomposition_simulated(graph, alpha=alpha, seed=spec.seed)
     topology = compile_topology(graph)
     aux = DensePartitionState(topology).build_aux()
@@ -324,14 +306,13 @@ def _run_forest_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
     return {"agree": agree}
 
 
-def _run_cv_agreement(spec: JobSpec, _graph) -> Record:
+def _run_cv_agreement(spec: JobSpec, _graph, *, length=120) -> Record:
     """Simulated Cole-Vishkin vs Stage I's ``cole_vishkin_dense`` on a rooted path."""
     import numpy as np
 
     from ..congest.programs import cole_vishkin_coloring
     from ..partition.dense import cole_vishkin_dense
 
-    length = spec.params.get("length", 120)
     graph = nx.path_graph(length)
     parents = {i: i - 1 if i > 0 else None for i in graph.nodes()}
     sim_colors, sim_rounds = cole_vishkin_coloring(
@@ -348,17 +329,16 @@ def _run_cv_agreement(spec: JobSpec, _graph) -> Record:
     }
 
 
-def _run_congest_bandwidth(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_congest_bandwidth(spec: JobSpec, graph: nx.Graph, *, root=0) -> Record:
     """BFS protocol bandwidth audit on the simulator."""
     from ..congest import CongestNetwork
     from ..congest.programs import BFSTreeProgram
 
-    params = spec.params
     network = CongestNetwork(graph, seed=spec.seed)
     result = network.run(
         BFSTreeProgram,
         max_rounds=graph.number_of_nodes(),
-        config={"root": params.get("root", 0)},
+        config={"root": root},
         strict_bandwidth=True,
     )
     return {
@@ -369,13 +349,12 @@ def _run_congest_bandwidth(spec: JobSpec, graph: nx.Graph) -> Record:
     }
 
 
-def _run_stage2_agreement(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_stage2_agreement(spec: JobSpec, graph: nx.Graph, *, epsilon=0.2) -> Record:
     """Distributed Stage II protocol vs the emulated Euler-tour walk."""
     from ..congest.programs import run_stage2_verification_simulated
     from ..planarity.lr_planarity import LocalGraph, check_planarity
     from ..testers.labels import deterministic_bfs_tree, euler_tour_positions
 
-    epsilon = spec.params.get("epsilon", 0.2)
     local = LocalGraph.from_graph(graph)
     lr = check_planarity(local)
     distributed = run_stage2_verification_simulated(

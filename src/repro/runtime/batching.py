@@ -72,7 +72,7 @@ def batchable(spec: JobSpec) -> bool:
     """
     if spec.kind != "simulate_program":
         return False
-    if spec.params.get("program", "bfs") not in BATCHABLE_PROGRAMS:
+    if spec.arguments["program"] not in BATCHABLE_PROGRAMS:
         return False
     from ..telemetry.spans import telemetry_enabled
 

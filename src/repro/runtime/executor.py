@@ -52,20 +52,28 @@ class SerialBackend:
     """Runs every job in the calling process, one at a time."""
 
     name = "serial"
-    # In-process execution profits from prebuilt graph objects: every
-    # job on the same graph then shares one instance -- and therefore
-    # one compiled simulator topology (see repro.congest.topology).
-    wants_graph_hints = True
 
     def run_stream(
-        self,
-        specs: Sequence[JobSpec],
-        graphs: Optional[Sequence] = None,
+        self, specs: Sequence[JobSpec]
     ) -> Iterator[Tuple[int, Record, float]]:
-        """Yield ``(index, record, seconds)`` as each job finishes."""
-        if graphs is None:
-            graphs = [None] * len(specs)
-        for index, (spec, graph) in enumerate(zip(specs, graphs)):
+        """Yield ``(index, record, seconds)`` as each job finishes.
+
+        Specs with equal ``graph_coordinates`` share one graph -- and so
+        one compiled simulator topology (see :mod:`repro.congest.topology`),
+        built when the first of them runs and dropped after the last.
+        """
+        needs = [spec_needs_graph(spec) for spec in specs]
+        last = {spec.graph_coordinates: i for i, spec in enumerate(specs) if needs[i]}
+        graphs: Dict[Tuple[str, int, int], object] = {}
+        for index, spec in enumerate(specs):
+            graph = None
+            if needs[index]:
+                coordinates = spec.graph_coordinates
+                if coordinates not in graphs:
+                    graphs[coordinates] = spec.build_graph()
+                graph = graphs[coordinates]
+                if last[coordinates] == index:
+                    del graphs[coordinates]
             record, seconds = run_job_timed(spec, graph)
             yield index, record, seconds
 
@@ -88,9 +96,6 @@ class ProcessPoolBackend:
     """
 
     name = "process"
-    # Workers regenerate graphs from specs; prebuilding in the parent
-    # would be wasted work, so run_jobs skips the hint for this backend.
-    wants_graph_hints = False
 
     def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = max_workers
@@ -101,9 +106,7 @@ class ProcessPoolBackend:
         return workers, max(1, -(-len(specs) // (4 * workers)))
 
     def run_stream(
-        self,
-        specs: Sequence[JobSpec],
-        graphs: Optional[Sequence] = None,
+        self, specs: Sequence[JobSpec]
     ) -> Iterator[Tuple[int, Record, float]]:
         """Yield ``(index, record, seconds)`` per chunk, as chunks land."""
         if not specs:
@@ -113,7 +116,7 @@ class ProcessPoolBackend:
         specs = list(specs)
         workers, chunksize = self._plan(specs)
         if workers == 1:
-            yield from SerialBackend().run_stream(specs, graphs)
+            yield from SerialBackend().run_stream(specs)
             return
         chunks = [
             list(range(start, min(start + chunksize, len(specs))))
@@ -156,29 +159,6 @@ def _as_backend(backend):
     if isinstance(backend, str):
         return make_backend(backend)
     return backend
-
-
-def _graph_hints(specs: Sequence[JobSpec]) -> List:
-    """Build each distinct input graph once and map it onto *specs*.
-
-    Specs that share graph coordinates (family/far, n, effective graph
-    seed) receive the *same* graph object, so downstream consumers --
-    most importantly the simulator's per-graph compiled-topology memo --
-    only pay the derivation once per distinct topology.  Graphless
-    kinds (audit jobs) receive ``None``.
-    """
-    built: Dict = {}
-    hints = []
-    for spec in specs:
-        if not spec_needs_graph(spec):
-            hints.append(None)
-            continue
-        key = spec.graph_coordinates
-        graph = built.get(key)
-        if graph is None:
-            graph = built[key] = spec.build_graph()
-        hints.append(graph)
-    return hints
 
 
 @dataclass
@@ -279,11 +259,6 @@ def iter_jobs(
     if limit == "auto":
         limit = auto_batch_size(CostModel.from_store(store), miss_specs)
     dispatch, sources = coalesce(miss_specs, limit)
-    dispatch_graphs = (
-        _graph_hints(dispatch)
-        if getattr(backend, "wants_graph_hints", False)
-        else None
-    )
     # A remote backend whose service writes to this very store has
     # already put each record by the time it streams back; a second put
     # would double every line.  Coalesced trials are the exception: the
@@ -295,9 +270,7 @@ def iter_jobs(
         and backend_store is not None
         and Path(backend_store).resolve() == store.root.resolve()
     )
-    for position, record, seconds in backend.run_stream(
-        dispatch, graphs=dispatch_graphs
-    ):
+    for position, record, seconds in backend.run_stream(dispatch):
         members = sources[position]
         if dispatch[position].kind == "simulate_batch":
             per_trial = seconds / len(members) if seconds is not None else None

@@ -15,14 +15,17 @@ serial and process-pool backends produce byte-identical aggregates.
 New job kinds register with :func:`register_kind`; the registry maps the
 kind name to a module-level runner (module-level so it pickles), making
 the runtime extensible from application code without touching this file.
+A runner's keyword-only parameters declare its kind's parameters,
+names and defaults alike; :meth:`JobSpec.make` refuses any other name.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import networkx as nx
 
@@ -30,16 +33,21 @@ from ..graphs.far_from_planar import make_far
 from ..graphs.generators import make_planar
 from ..telemetry.metrics import get_metrics
 from ..telemetry.spans import get_tracer, telemetry_enabled
+from ..testers.planarity import PlanarityTestConfig, test_planarity
 
 Record = Dict[str, Any]
-Runner = Callable[["JobSpec", nx.Graph], Record]
+Runner = Callable[..., Record]
 
 _RUNNERS: Dict[str, Runner] = {}
+_DECLARED: Dict[str, Dict[str, Any]] = {}
 _GRAPHLESS: set = set()
 
 
 def register_kind(kind: str, runner: Runner, needs_graph: bool = True) -> None:
     """Register *runner* for *kind*; overwrites a previous registration.
+
+    *runner* runs as ``runner(spec, graph, **spec.params)``: its
+    keyword-only parameters are the kind's, defaults included.
 
     Args:
         needs_graph: ``False`` for kinds that build their own input
@@ -49,20 +57,20 @@ def register_kind(kind: str, runner: Runner, needs_graph: bool = True) -> None:
             Such specs are always cache-keyed by coordinates.
     """
     _RUNNERS[kind] = runner
+    _DECLARED[kind] = {
+        name: param.default
+        for name, param in inspect.signature(runner).parameters.items()
+        if param.kind is param.KEYWORD_ONLY
+    }
     if needs_graph:
         _GRAPHLESS.discard(kind)
     else:
         _GRAPHLESS.add(kind)
 
 
-def kind_needs_graph(kind: str) -> bool:
-    """Whether *kind*'s runner consumes a generated input graph."""
-    return kind not in _GRAPHLESS
-
-
 def spec_needs_graph(spec: "JobSpec") -> bool:
     """Whether *spec* requires its input graph to be generated."""
-    return kind_needs_graph(spec.kind)
+    return spec.kind not in _GRAPHLESS
 
 
 def job_kinds() -> Tuple[str, ...]:
@@ -96,9 +104,9 @@ class JobSpec:
             instead of ``seed`` -- so repeated trials (varying ``seed``)
             can replay the *same* graph, sharing its fingerprint, its
             built instance, and its compiled simulator topology.
-        config: frozen ``(key, value)`` tuple of kind-specific knobs
-            (e.g. ``epsilon``, ``method``, ``delta``); build it with
-            :meth:`make`.
+        config: frozen ``(key, value)`` tuple of the parameters the
+            kind's runner declares (e.g. ``epsilon``, ``method``,
+            ``delta``); build it with :meth:`make`.
     """
 
     kind: str
@@ -120,10 +128,19 @@ class JobSpec:
         graph_seed: Optional[int] = None,
         **config: Any,
     ) -> "JobSpec":
-        """Build a spec with *config* canonically frozen and sorted."""
+        """Build a spec with *config* canonically frozen and sorted;
+        a ``ValueError`` refuses an unregistered *kind* and any *config*
+        name its runner does not declare."""
         if kind not in _RUNNERS:
             raise ValueError(
                 f"unknown job kind {kind!r}; registered: {job_kinds()}"
+            )
+        declared = _DECLARED[kind]
+        unknown = config.keys() - declared.keys()
+        if unknown:
+            raise ValueError(
+                f"job kind {kind!r} takes no parameter {', '.join(sorted(unknown))}"
+                f"; it accepts: {', '.join(sorted(declared)) or '(none)'}"
             )
         return cls(
             kind=kind,
@@ -141,6 +158,14 @@ class JobSpec:
         return {k: v for k, v in self.config}
 
     @property
+    def arguments(self) -> Dict[str, Any]:
+        """:attr:`params` over the defaults its kind's runner declares."""
+        declared = _DECLARED[self.kind].items()
+        arguments = {k: v for k, v in declared if v is not inspect.Parameter.empty}
+        arguments.update(self.config)
+        return arguments
+
+    @property
     def graph_label(self) -> str:
         """Human label for the generated graph."""
         if self.far:
@@ -156,10 +181,9 @@ class JobSpec:
     def graph_coordinates(self) -> Tuple[str, int, int]:
         """The triple that identifies this spec's input graph.
 
-        Shared by the cache layer's per-batch graph memo and the
-        executor's cache-less graph hints, so both paths agree on which
-        specs replay the same graph (and therefore share one built
-        instance and one compiled simulator topology).
+        The serial backend and the ``simulate_batch`` runner build one
+        graph per distinct triple, so specs that replay the same graph
+        share one built instance and one compiled simulator topology.
         """
         return (
             self.far or f"planar/{self.family}",
@@ -215,7 +239,8 @@ class JobSpec:
 
         Config values arrive as JSON types; ``_freeze`` restores the
         canonical tuple form, so hashing and cache keys match the
-        original spec exactly.
+        original spec exactly.  Built through :meth:`make`, so a
+        parameter the kind does not declare raises ``ValueError``.
         """
         return cls.make(
             payload["kind"],
@@ -233,10 +258,10 @@ def run_job(spec: JobSpec, graph: Optional[nx.Graph] = None) -> Record:
 
     Module-level (and therefore picklable) so process-pool workers can
     receive specs directly.  *graph* lets callers that already built the
-    input (e.g. the cache layer, which fingerprints it) avoid a second
-    generation.  Graphless kinds (``register_kind(...,
-    needs_graph=False)``) skip generation entirely; their runners own
-    the ``n``/``m`` record fields.
+    input (the serial backend, which shares one graph among the specs
+    that replay it) avoid a second generation.  Graphless kinds
+    (``register_kind(..., needs_graph=False)``) skip generation
+    entirely; their runners own the ``n``/``m`` record fields.
     """
     try:
         runner = _RUNNERS[spec.kind]
@@ -252,7 +277,7 @@ def run_job(spec: JobSpec, graph: Optional[nx.Graph] = None) -> Record:
             graph = spec.build_graph()
         n, m = graph.number_of_nodes(), graph.number_of_edges()
     record = _record_header(spec, n, m)
-    record.update(runner(spec, graph))
+    record.update(runner(spec, graph, **spec.params))
     return record
 
 
@@ -328,20 +353,25 @@ def _decay_stats(phases) -> Record:
     }
 
 
-def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
-    from ..testers.planarity import PlanarityTestConfig, test_planarity
+def _declares(params: Iterable[inspect.Parameter]):
+    """Decorator: *params*, made keyword-only, become the declared
+    parameters of a ``(spec, graph, **config)`` runner."""
 
-    params = spec.params
-    config = PlanarityTestConfig(
-        epsilon=params.get("epsilon", 0.1),
-        alpha=params.get("alpha", 3),
-        sample_constant=params.get("sample_constant", 2.0),
-        early_stop=params.get("early_stop", True),
-        reject_on_embedding_failure=params.get(
-            "reject_on_embedding_failure", False
-        ),
-        collect_exact_violations=params.get("collect_exact_violations", False),
-    )
+    def declare(runner: Runner) -> Runner:
+        spec, graph, *_ = inspect.signature(runner).parameters.values()
+        runner.__signature__ = inspect.Signature(
+            [spec, graph, *(p.replace(kind=p.KEYWORD_ONLY) for p in params)]
+        )
+        return runner
+
+    return declare
+
+
+@_declares(inspect.signature(PlanarityTestConfig).parameters.values())
+def _run_test_planarity(spec: JobSpec, graph: nx.Graph, **config) -> Record:
+    """The Theorem 1 tester; its parameters are the fields of
+    :class:`PlanarityTestConfig`, defaults included."""
+    config = PlanarityTestConfig(**config)
     result = test_planarity(graph, seed=spec.seed, config=config)
     state = result.stage1.partition
     return {
@@ -360,12 +390,11 @@ def _run_test_planarity(spec: JobSpec, graph: nx.Graph) -> Record:
     }
 
 
-def _run_partition_stage1(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_partition_stage1(
+    spec, graph, *, epsilon=0.1, alpha=3, target_cut=None, early_stop=True
+) -> Record:
     from ..partition.stage1 import partition_stage1
 
-    params = spec.params
-    epsilon = params.get("epsilon", 0.1)
-    target_cut = params.get("target_cut")
     if target_cut == "eps*n":
         # Resolved against the *actual* generated size (families round),
         # which a sweep cannot know at spec-construction time.
@@ -373,9 +402,9 @@ def _run_partition_stage1(spec: JobSpec, graph: nx.Graph) -> Record:
     result = partition_stage1(
         graph,
         epsilon=epsilon,
-        alpha=params.get("alpha", 3),
+        alpha=alpha,
         target_cut=target_cut,
-        early_stop=params.get("early_stop", True),
+        early_stop=early_stop,
     )
     record = {
         "epsilon": epsilon,
@@ -392,23 +421,25 @@ def _run_partition_stage1(spec: JobSpec, graph: nx.Graph) -> Record:
     return record
 
 
-def _run_partition_randomized(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_partition_randomized(
+    spec, graph, *, epsilon=0.1, delta=0.1, alpha=3, target_cut=None,
+    trials=None, early_stop=True, coloring="cole-vishkin",
+) -> Record:
     from ..partition.weighted_selection import partition_randomized
 
-    params = spec.params
     result = partition_randomized(
         graph,
-        epsilon=params.get("epsilon", 0.1),
-        delta=params.get("delta", 0.1),
-        alpha=params.get("alpha", 3),
-        target_cut=params.get("target_cut"),
-        trials=params.get("trials"),
-        early_stop=params.get("early_stop", True),
+        epsilon=epsilon,
+        delta=delta,
+        alpha=alpha,
+        target_cut=target_cut,
+        trials=trials,
+        early_stop=early_stop,
         seed=spec.seed,
-        coloring=params.get("coloring", "cole-vishkin"),
+        coloring=coloring,
     )
     record = {
-        "epsilon": params.get("epsilon", 0.1),
+        "epsilon": epsilon,
         "delta": result.delta,
         "success": result.success,
         "met_target": result.met_target,
@@ -424,28 +455,27 @@ def _run_partition_randomized(spec: JobSpec, graph: nx.Graph) -> Record:
     return record
 
 
-def _run_spanner(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_spanner(
+    spec, graph, *, epsilon=0.1, method="deterministic", delta=0.1, alpha=3,
+    sample_nodes=8,
+) -> Record:
     from ..applications.spanner import build_spanner, measure_stretch
 
-    params = spec.params
     result = build_spanner(
         graph,
-        epsilon=params.get("epsilon", 0.1),
-        method=params.get("method", "deterministic"),
-        delta=params.get("delta", 0.1),
-        alpha=params.get("alpha", 3),
+        epsilon=epsilon,
+        method=method,
+        delta=delta,
+        alpha=alpha,
         seed=spec.seed,
     )
     stretch = measure_stretch(
-        graph,
-        result.dense,
-        sample_nodes=params.get("sample_nodes", 8),
-        seed=spec.seed,
+        graph, result.dense, sample_nodes=sample_nodes, seed=spec.seed
     )
     n = graph.number_of_nodes()
     return {
-        "epsilon": params.get("epsilon", 0.1),
-        "method": params.get("method", "deterministic"),
+        "epsilon": epsilon,
+        "method": method,
         "spanner_edges": result.size,
         "size_per_n": result.size / max(n, 1),
         "tree_edges": result.tree_edges,
@@ -460,19 +490,19 @@ _APPLICATION_PROPERTIES = {"cycle_freeness": "cycle-free", "bipartiteness": "bip
 """Job kind -> the Corollary 16 property its runner tests."""
 
 
-def _run_application(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_application(
+    spec, graph, *, epsilon=0.1, alpha=3, method="deterministic", delta=0.1
+) -> Record:
     """A Corollary 16 tester: ``cycle_freeness`` or ``bipartiteness``."""
     from ..testers.applications import test_hereditary_property
 
-    params = spec.params
-    epsilon = params.get("epsilon", 0.1)
     result = test_hereditary_property(
         graph,
         _APPLICATION_PROPERTIES[spec.kind],
         epsilon=epsilon,
-        alpha=params.get("alpha", 3),
-        method=params.get("method", "deterministic"),
-        delta=params.get("delta", 0.1),
+        alpha=alpha,
+        method=method,
+        delta=delta,
         seed=spec.seed,
     )
     return {
@@ -485,19 +515,21 @@ def _run_application(spec: JobSpec, graph: nx.Graph) -> Record:
     }
 
 
-def _run_simulate_program(spec: JobSpec, graph: nx.Graph) -> Record:
+def _run_simulate_program(
+    spec: JobSpec, graph: nx.Graph, *, program="bfs", alpha=3, storm_rounds=8
+) -> Record:
     """Run one bundled CONGEST protocol on the simulator.
 
     This is the runtime's door into the simulator layer: the graph the
-    executor hands over (the same object for every trial of a sweep,
-    thanks to the ``graphs`` hint) reaches ``CongestNetwork`` directly,
+    serial backend hands over (the same object for every trial of a
+    sweep that replays one graph) reaches ``CongestNetwork`` directly,
     so its :class:`~repro.congest.topology.CompiledTopology` is compiled
     exactly once per process and reused across all trials.
 
-    Config knobs: ``program`` (``bfs`` | ``flood`` | ``forest`` |
-    ``cv`` | ``storm``), plus per-program parameters (``alpha`` for
-    forest, ``storm_rounds`` for storm; ``cv`` colors the canonical
-    min-smaller-neighbor forest).
+    Parameters: ``program`` (``bfs`` | ``flood`` | ``forest`` | ``cv``
+    | ``storm``), ``alpha`` (forest) and ``storm_rounds`` (storm);
+    ``cv`` colors the canonical min-smaller-neighbor forest.
+    ``simulate_batch`` declares the same ones, defaults included.
 
     When telemetry is on, the network's per-round hook collects
     ``(round, active nodes, messages, bits)`` deltas and the record
@@ -518,14 +550,12 @@ def _run_simulate_program(spec: JobSpec, graph: nx.Graph) -> Record:
         barenboim_elkin_round_budget,
     )
 
-    params = spec.params
-    program = params.get("program", "bfs")
     network = CongestNetwork(graph, seed=spec.seed)
     root = min(graph.nodes())
 
     def forest():
         budget = barenboim_elkin_round_budget(network.n)
-        config = {"alpha": params.get("alpha", 3), "budget": budget}
+        config = {"alpha": alpha, "budget": budget}
         return BarenboimElkinProgram, budget + 3, config, True
 
     def cv():
@@ -534,7 +564,7 @@ def _run_simulate_program(spec: JobSpec, graph: nx.Graph) -> Record:
         return ColeVishkinProgram, len(schedule) + 3, config, True
 
     def storm():
-        rounds = int(params.get("storm_rounds", 8))
+        rounds = int(storm_rounds)
         return BroadcastStormProgram, rounds + 2, {"storm_rounds": rounds}, False
 
     # program -> () -> (factory, max_rounds, config, strict_bandwidth)
@@ -598,12 +628,18 @@ def _simulation_fields(program: str, result) -> Record:
     }
 
 
-def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
+@_declares(
+    [inspect.Parameter("seeds", inspect.Parameter.KEYWORD_ONLY)]
+    + list(inspect.signature(_run_simulate_program).parameters.values())[2:]
+)
+def _run_simulate_batch(
+    spec: JobSpec, graph: Optional[nx.Graph], *, seeds, **knobs
+) -> Record:
     """Run a coalesced group of simulator trials as one array program.
 
-    The spec carries the member trial seeds in its ``seeds`` config
-    knob (everything else -- program, graph coordinates --
-    is shared by construction, see
+    The spec carries the member trial seeds in its ``seeds`` parameter
+    and otherwise declares ``simulate_program``'s parameters (everything
+    else -- program, graph coordinates -- is shared by construction, see
     :func:`repro.runtime.batching.make_batch_spec`).  Graphs are built
     here, once per distinct ``graph_coordinates`` (a graph-seed-pinned
     sweep shares a single compiled topology across the whole batch; an
@@ -623,11 +659,11 @@ def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
     from ..congest.batch import pad_groups, run_batched
     from ..congest.topology import compile_topology
 
-    params = dict(spec.params)
-    seeds = params.pop("seeds", None)
     if not seeds:
         raise ValueError("simulate_batch spec carries no member seeds")
-    program = params.get("program", "bfs")
+    params = spec.arguments  # program, alpha and storm_rounds, resolved
+    del params["seeds"]
+    program = params["program"]
     trial_specs = [
         JobSpec.make(
             "simulate_program",
@@ -636,7 +672,7 @@ def _run_simulate_batch(spec: JobSpec, graph: Optional[nx.Graph]) -> Record:
             n=spec.n,
             seed=int(trial_seed),
             graph_seed=spec.graph_seed,
-            **params,
+            **knobs,
         )
         for trial_seed in seeds
     ]

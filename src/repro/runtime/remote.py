@@ -159,7 +159,6 @@ class RemoteBackend:
         store_dir: the service's sharded-store directory.  The service
             answers hits from it and appends every executed job's
             record bytes to it exactly once; workers never touch it.
-        heartbeat: idle-worker ping interval in seconds.
 
     :meth:`bind` creates a :class:`~repro.runtime.service.SweepService`
     and binds its socket, so workers may dial before the batch starts.
@@ -171,19 +170,16 @@ class RemoteBackend:
     """
 
     name = "remote"
-    wants_graph_hints = False
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         store_dir: Optional[str] = None,
-        heartbeat: float = 10.0,
     ):
         self.host = host
         self.port = port
         self.store_dir = str(store_dir) if store_dir else None
-        self.heartbeat = heartbeat
         self.service = None
 
     @property
@@ -200,15 +196,11 @@ class RemoteBackend:
         if self.service is None:
             from .service import SweepService
 
-            self.service = SweepService(
-                self.host, self.port, self.store_dir, heartbeat=self.heartbeat
-            )
+            self.service = SweepService(self.host, self.port, self.store_dir)
         return self.service.bind()
 
     def run_stream(
-        self,
-        specs: Sequence[JobSpec],
-        graphs: Optional[Sequence] = None,
+        self, specs: Sequence[JobSpec]
     ) -> Iterator[Tuple[int, Record, Optional[float]]]:
         """Yield ``(index, record, seconds)`` in completion order.
 

@@ -100,6 +100,10 @@ SPECULATION_INTERVAL = 1.0
 """Seconds between the service's straggler scans (with a speculation
 policy set)."""
 
+DISPATCH_LOG_WINDOW = 4096
+"""Most recent dispatches each of :attr:`SweepService.dispatch_log` and
+``speculation_log`` keeps, so a long-lived service's logs stay bounded."""
+
 _QUEUED = "queued"
 _RUNNING = "running"
 _DONE = "done"
@@ -284,10 +288,10 @@ class SweepService:
         self.max_pending = max_pending
         self.speculation = speculation
         self.bound_port: Optional[int] = None
-        # Test/introspection hooks: primary dispatches as (client name,
-        # sweep index) in dispatch order, and twin dispatches likewise.
-        self.dispatch_log: List[Tuple[str, int]] = []
-        self.speculation_log: List[Tuple[str, int]] = []
+        # Test/introspection hooks: the latest primary dispatches as
+        # (client name, sweep index), and twin dispatches likewise.
+        self.dispatch_log = deque(maxlen=DISPATCH_LOG_WINDOW)
+        self.speculation_log = deque(maxlen=DISPATCH_LOG_WINDOW)
         self._socket: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()

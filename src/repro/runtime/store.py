@@ -85,6 +85,11 @@ LiveRef = Tuple[int, int, float, int]
 
 DEFAULT_SHARDS = 8
 
+COMPACT_FACTOR = 4.0
+"""A shard compacts automatically once its appends since the last
+rewrite reach this many times its live entries (the file is mostly dead
+newest-wins duplicates) and twice the store's shard count."""
+
 META_SHARD = "meta-00"
 """Basename of the metadata shard (cost tables, operational records)."""
 
@@ -352,10 +357,6 @@ class ShardedStore:
         root: store directory; created on first write.
         shards: number of shard files (fixed at creation; persisted in
             ``store.json`` so every opener agrees).
-        compact_factor: a shard compacts automatically when its file
-            holds more than ``compact_factor`` times its live entries
-            (dead newest-wins duplicates) and at least ``shards``
-            entries.
 
     Raises:
         ValueError: ``store.json`` declares a record format other
@@ -364,7 +365,6 @@ class ShardedStore:
 
     root: Path
     shards: int = DEFAULT_SHARDS
-    compact_factor: float = 4.0
     stats: StoreStats = field(default_factory=StoreStats)
     _shards: List[_Shard] = field(default_factory=list, repr=False)
     _meta: _Shard = field(init=False, repr=False)
@@ -566,7 +566,7 @@ class ShardedStore:
         # rewrite: compact when the file is mostly dead.
         shard.appends += 1
         if (
-            shard.appends >= max(1, len(shard.index)) * self.compact_factor
+            shard.appends >= max(1, len(shard.index)) * COMPACT_FACTOR
             and shard.appends >= 2 * self.shards
         ):
             self.compact(shard_id)

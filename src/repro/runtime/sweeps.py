@@ -157,9 +157,10 @@ class SweepSpec:
         specs: List[JobSpec] = []
         for (family, far), n in itertools.product(graph_axis, self.ns):
             for combo in itertools.product(*param_values):
-                # make() validates the kind and freezes the config once
-                # per combination (a ``graph_seed`` param lands in its
-                # own field); the other seeds share the frozen config.
+                # make() validates the kind and its parameter names and
+                # freezes the config once per combination (a
+                # ``graph_seed`` param lands in its own field); the other
+                # seeds share the frozen config.
                 first = JobSpec.make(
                     self.kind,
                     family=family or "delaunay",

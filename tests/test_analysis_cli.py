@@ -231,6 +231,67 @@ class TestSweepCLI:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].endswith(f"epsilon must be in (0, 1], got {raw}")
 
+    @pytest.mark.parametrize("raw", ["0", "1", "-0.1", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "--family", "grid", "--n", "36", "--method",
+             "randomized", "--delta"],
+            ["sweep", "--kind", "partition-randomized", "--families", "grid",
+             "--ns", "36", "--deltas"],
+            ["submit", "--kind", "partition-randomized", "--families", "grid",
+             "--ns", "36", "--deltas"],
+        ],
+        ids=["partition", "sweep", "submit"],
+    )
+    def test_delta_outside_open_unit_interval_is_a_usage_error(
+        self, capsys, monkeypatch, argv, raw
+    ):
+        """``--delta`` and every ``--deltas`` value must lie in
+        ``(0, 1)``: anything else exits 2 at parse time instead of a
+        traceback from the randomized partition."""
+        import repro.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a sweep ran on a bad delta")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        monkeypatch.setattr(cli, "Client", never)
+        value = raw if argv[0] == "partition" else f"0.5,{raw}"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].endswith(f"delta must be in (0, 1), got {raw}")
+
+    @pytest.mark.parametrize("command", ["sweep", "submit"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--kind", "test", "--methods", "deterministic"],
+            ["--kind", "test", "--methods", "deterministic,randomized"],
+            ["--kind", "partition", "--deltas", "0.1"],
+        ],
+        ids=["methods", "two-methods", "deltas"],
+    )
+    def test_parameter_the_kind_does_not_take_is_a_usage_error(
+        self, capsys, monkeypatch, command, extra
+    ):
+        """A grid axis the kind declares no parameter for exits 2 before
+        any job runs, instead of running one job per ignored value."""
+        import repro.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a sweep ran with an undeclared parameter")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        monkeypatch.setattr(cli, "Client", never)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--families", "grid", "--ns", "36"] + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "takes no parameter" in err and "it accepts:" in err
+
     def test_sweep_shard_argument_validation(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--shard", "2/2"])

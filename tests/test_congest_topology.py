@@ -288,16 +288,16 @@ class TestCompileMemo:
 
 class TestRuntimeTopologyReuse:
     def _trial_specs(self, trials):
-        # Same graph coordinates across all trials; distinct configs so
-        # nothing deduplicates away.
+        # Same graph coordinates across all trials (graph_seed pins the
+        # graph); distinct seeds so nothing deduplicates away.
         return [
             JobSpec.make(
                 "simulate_program",
                 family="grid",
                 n=25,
-                seed=0,
+                seed=trial,
+                graph_seed=0,
                 program="bfs",
-                trial=trial,
             )
             for trial in range(trials)
         ]

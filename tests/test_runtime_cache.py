@@ -207,6 +207,10 @@ _CONFIG_VALUES = st.one_of(
 _CONFIG_KEYS = st.text(max_size=6).filter(
     lambda k: k not in {"kind", "family", "far", "n", "seed", "graph_seed"}
 )
+_CONFIGS = st.dictionaries(_CONFIG_KEYS, _CONFIG_VALUES, max_size=4).map(
+    lambda config: tuple(sorted(config.items()))
+)
+"""Frozen configs, sorted by key as ``JobSpec.make`` freezes them."""
 _DERIVER = KeyDeriver()
 """Shared by every example, so the memoized templates meet many specs."""
 
@@ -217,14 +221,16 @@ def _specs(draw):
     from repro.runtime.jobs import job_kinds
 
     far = draw(st.none() | st.sampled_from(sorted(FAR_FAMILIES)))
-    return JobSpec.make(
+    # The plain constructor, not make(): keys must match for any config
+    # names, including ones no kind declares (make() would refuse them).
+    return JobSpec(
         draw(st.sampled_from(job_kinds())),
         family=draw(st.sampled_from(sorted(PLANAR_FAMILIES))),
         far=far,
         n=draw(st.integers(1, 5000)),
         seed=draw(_SEEDS),
         graph_seed=draw(st.none() | _SEEDS),
-        **draw(st.dictionaries(_CONFIG_KEYS, _CONFIG_VALUES, max_size=4)),
+        config=draw(_CONFIGS),
     )
 
 

@@ -125,6 +125,38 @@ def test_cached_serial_path_builds_each_graph_once(monkeypatch, tmp_path):
     assert calls["count"] == 1  # one shared graph, built exactly once
 
 
+def test_serial_backend_builds_each_graph_when_first_needed(monkeypatch):
+    """The first record streams after one graph build, not after every
+    graph of the batch; specs replaying a graph share one instance,
+    which is released after the last of them."""
+    import gc
+    import weakref
+
+    import repro.runtime.jobs as jobs_mod
+
+    built = []
+    real_make_planar = jobs_mod.make_planar
+
+    def recording(*args, **kwargs):
+        graph = real_make_planar(*args, **kwargs)
+        built.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(jobs_mod, "make_planar", recording)
+    specs = [
+        JobSpec.make("test_planarity", family="grid", n=n, epsilon=epsilon)
+        for n in (36, 64)
+        for epsilon in (0.5, 0.25)
+    ]
+    builds_at = []
+    for index, _record, _seconds in SerialBackend().run_stream(specs):
+        builds_at.append(len(built))
+        if index == 2:
+            gc.collect()
+            assert built[0]() is None  # the n=36 graph is gone
+    assert builds_at == [1, 1, 2, 2]
+
+
 def test_empty_batch():
     batch = run_jobs([], backend=ProcessPoolBackend())
     assert batch.records == []

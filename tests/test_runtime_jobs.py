@@ -127,3 +127,83 @@ def test_partition_record_diameter_matches_oracle():
     state = partition_stage1(graph, 0.1, target_cut=0.1 * len(graph)).partition
     assert record["max_diameter"] == to_partition(state, graph).max_diameter()
     assert record["max_diameter"] == state.max_diameter(graph)
+
+
+# -- declared parameters -----------------------------------------------------
+
+SAMPLE_VALUES = {"target_cut": "eps*n", "seeds": (0, 1)}
+"""Values for declared names whose default is ``None`` or absent."""
+
+
+@pytest.mark.parametrize("kind", job_kinds())
+def test_every_declared_parameter_is_accepted(kind):
+    from repro.runtime.jobs import _DECLARED
+
+    declared = _DECLARED[kind]
+    for name, default in declared.items():
+        value = SAMPLE_VALUES.get(name, default)
+        assert JobSpec.make(kind, **{name: value}).params == {name: value}
+    everything = {
+        name: SAMPLE_VALUES.get(name, default) for name, default in declared.items()
+    }
+    assert JobSpec.make(kind, **everything).arguments == everything
+
+
+@pytest.mark.parametrize("kind", job_kinds())
+def test_an_undeclared_parameter_is_refused(kind):
+    from repro.runtime.jobs import _DECLARED
+
+    with pytest.raises(ValueError) as exc:
+        JobSpec.make(kind, epsilom=0.5)
+    message = str(exc.value)
+    assert f"job kind {kind!r} takes no parameter epsilom" in message
+    for name in _DECLARED[kind]:
+        assert name in message.split("it accepts:", 1)[1]
+
+
+def test_misspelled_epsilon_is_refused_naming_the_accepted_parameters():
+    with pytest.raises(ValueError, match="takes no parameter epsilom") as exc:
+        JobSpec.make("test_planarity", family="grid", n=36, epsilom=0.5)
+    assert str(exc.value).endswith(
+        "it accepts: alpha, collect_exact_violations, early_stop, epsilon, "
+        "reject_on_embedding_failure, sample_constant"
+    )
+
+
+def test_tester_parameters_are_the_config_fields():
+    """test_planarity declares PlanarityTestConfig's fields, defaults
+    included, and resolves a spec's arguments against them."""
+    import dataclasses
+
+    from repro.testers.planarity import PlanarityTestConfig
+
+    spec = JobSpec.make("test_planarity", epsilon=0.5)
+    assert spec.arguments == dataclasses.asdict(PlanarityTestConfig(epsilon=0.5))
+
+
+def test_sweep_expansion_and_payloads_refuse_undeclared_parameters():
+    from repro.runtime import SweepSpec
+
+    sweep = SweepSpec.make(
+        "test_planarity", families=["grid"], ns=[36], method=["deterministic"]
+    )
+    with pytest.raises(ValueError, match="takes no parameter method"):
+        sweep.expand()
+    bad = JobSpec("test_planarity", family="grid", n=36, config=(("epsilom", 0.5),))
+    with pytest.raises(ValueError, match="takes no parameter epsilom"):
+        JobSpec.from_payload(bad.to_payload())
+
+
+def test_worker_refuses_an_undeclared_parameter():
+    """The worker rebuilds specs through ``from_payload``: a spec naming
+    an undeclared parameter comes back as an error, never a record."""
+    from repro.runtime.codec import encode_record
+    from repro.runtime.worker import handle_request
+
+    bad = JobSpec("test_planarity", family="grid", n=36, config=(("epsilom", 0.5),))
+    payload, _shape = encode_record(bad.to_payload())
+    response = handle_request({"spec_pkd": payload})
+    assert "record_pkd" not in response
+    assert response["error"].startswith(
+        "ValueError: job kind 'test_planarity' takes no parameter epsilom"
+    )

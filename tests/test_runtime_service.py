@@ -280,7 +280,7 @@ class TestSpeculation:
             assert len(records) == 1
             assert records[0] == Client().run(small_sweep())[0]
             # The twin went to the other worker and won the race.
-            assert svc.speculation_log == [("c", 0)]
+            assert list(svc.speculation_log) == [("c", 0)]
             assert fast.jobs == 1
             # Let the slow copy finish and get dropped before counting.
             wait_until(lambda: slow.jobs == 1, what="slow copy completes")
@@ -350,6 +350,50 @@ class TestAdmissionAndErrors:
             # Deterministic job failures do not take the service down.
             records = Client(endpoint=svc.endpoint).run(small_sweep())
             assert len(records) == 1
+
+    def test_submit_naming_an_undeclared_parameter_is_rejected(self, tmp_path):
+        """Both submit forms build their specs through ``JobSpec.make``,
+        which refuses a name the kind does not declare: the client gets a
+        ``reject`` naming it, and nothing is queued."""
+        bad_sweep = SweepSpec.make(
+            "test_planarity", families=["grid"], ns=[36], epsilom=[0.5]
+        )
+        bad_spec = {"kind": "test_planarity", "n": 36, "config": [["epsilom", 0.5]]}
+        with SweepService(store_dir=tmp_path / "store", heartbeat=2.0) as svc:
+            sock = raw_submit(svc, bad_sweep, "typo")
+            reply = read_wire_frame(sock.makefile("rb"))
+            sock.close()
+            assert reply["op"] == "reject"
+            assert "takes no parameter epsilom" in reply["reason"]
+            sock = socket.create_connection(
+                (svc.host, svc.bound_port), timeout=15.0
+            )
+            sock.settimeout(15.0)
+            sock.sendall(encode_wire_frame({
+                "op": "submit", "protocol": PROTOCOL_VERSION,
+                "specs_json": json.dumps([bad_spec]),
+            }))
+            reply = read_wire_frame(sock.makefile("rb"))
+            sock.close()
+            assert reply["op"] == "reject"
+            assert "takes no parameter epsilom" in reply["reason"]
+            with pytest.raises(ServiceError, match="takes no parameter"):
+                Client(endpoint=svc.endpoint).run(bad_sweep)
+            assert list(svc.dispatch_log) == []
+
+    def test_dispatch_logs_keep_a_bounded_window(self, tmp_path, monkeypatch):
+        import repro.runtime.service as service_mod
+
+        monkeypatch.setattr(service_mod, "DISPATCH_LOG_WINDOW", 2)
+        with SweepService(store_dir=tmp_path / "store", heartbeat=2.0) as svc:
+            start_worker(svc)
+            wait_until(lambda: svc.active_workers == 1, what="worker join")
+            records = Client(endpoint=svc.endpoint, name="c").run(
+                small_sweep(ns=(36, 64, 100))
+            )
+            assert len(records) == 3
+            assert list(svc.dispatch_log) == [("c", 1), ("c", 2)]
+            assert svc.speculation_log.maxlen == 2
 
     @pytest.mark.parametrize("protocol", [2, 999])
     def test_protocol_mismatch_rejected(self, tmp_path, protocol):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import repro.runtime.store as store_mod
 from repro.cli import main
 from repro.runtime import JobSpec, ShardedStore, run_jobs
 from repro.runtime.store import count_record_entries, shard_of_key
@@ -138,8 +139,6 @@ def test_shard_placement_is_stable():
 
 class TestGC:
     def _clocked_store(self, tmp_path, monkeypatch, shards=1):
-        import repro.runtime.store as store_mod
-
         clock = {"t": 1000.0}
         monkeypatch.setattr(store_mod, "_now", lambda: clock["t"])
         return ShardedStore(tmp_path / "s", shards=shards), clock
@@ -290,9 +289,10 @@ class TestGC:
         assert store.get_meta("cost:k:10") == {"count": 19}
         assert list(store.meta_keys()) == ["cost:k:10"]
 
-    def test_usage_reports_live_and_reclaimable(self, tmp_path):
-        # compact_factor high enough that the duplicates stay on disk.
-        store = ShardedStore(tmp_path / "s", shards=1, compact_factor=100.0)
+    def test_usage_reports_live_and_reclaimable(self, tmp_path, monkeypatch):
+        # COMPACT_FACTOR high enough that the duplicates stay on disk.
+        monkeypatch.setattr(store_mod, "COMPACT_FACTOR", 100.0)
+        store = ShardedStore(tmp_path / "s", shards=1)
         for version in range(4):
             store.put("dup", {"v": version})
         usage = store.usage()
@@ -304,8 +304,9 @@ class TestGC:
         assert usage["reclaimable_bytes"] == 3 * length
         assert usage["newest_t"] >= usage["oldest_t"] > 0
 
-    def test_reclaimable_is_what_compaction_reclaims(self, tmp_path):
-        store = ShardedStore(tmp_path / "s", shards=2, compact_factor=100.0)
+    def test_reclaimable_is_what_compaction_reclaims(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_mod, "COMPACT_FACTOR", 100.0)
+        store = ShardedStore(tmp_path / "s", shards=2)
         for index in range(12):
             store.put(f"k{index}", {"v": index, "tag": "a" * (index % 3)})
         store.put("k0", {"v": -1, "tag": ""})
@@ -340,8 +341,6 @@ class TestMetaShard:
         assert second.get_meta("cell") == {"count": 2}
 
     def test_meta_survives_gc(self, tmp_path, monkeypatch):
-        import repro.runtime.store as store_mod
-
         monkeypatch.setattr(store_mod, "_now", lambda: 100.0)
         store = ShardedStore(tmp_path / "s")
         store.put("data", {"v": 1})

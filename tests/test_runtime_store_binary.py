@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.runtime.store as store_mod
 from repro.runtime import ShardedStore
 from repro.runtime.codec import (
     ShapeRegistry,
@@ -92,9 +93,10 @@ def _fill(store, count=30):
     return expected
 
 
-def test_compaction_preserves_records_and_stamps(tmp_path):
+def test_compaction_preserves_records_and_stamps(tmp_path, monkeypatch):
     """A bound-less GC is the one rewrite: newest-wins, stamps kept."""
-    store = ShardedStore(tmp_path / "s", shards=2, compact_factor=100.0)
+    monkeypatch.setattr(store_mod, "COMPACT_FACTOR", 100.0)
+    store = ShardedStore(tmp_path / "s", shards=2)
     expected = _fill(store)
     store.put("key-0", expected["key-0"])  # a dead duplicate to drop
     stamps = {key: stamp for key, stamp, _r in store.dump()}

@@ -158,8 +158,8 @@ def test_trace_top_ranks_slowest_kind_first(trace_dir, tmp_path, capsys):
     run_sweep(SWEEP, backend="serial")
     run_sweep(
         SweepSpec.make(
-            "simulate_program", families=["delaunay"], ns=[256], seeds=[0],
-            program="storm", storm_rounds=6, trial=[0, 1],
+            "simulate_program", families=["delaunay"], ns=[256], seeds=[0, 1],
+            program="storm", storm_rounds=6, graph_seed=0,
         ),
         backend="serial",
     )
