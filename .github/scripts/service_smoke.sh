@@ -3,7 +3,9 @@
 # `worker --reconnect` processes, two *concurrent* `submit` clients.
 # One worker is kill -9'd mid-run.  Requirements: both clients finish
 # with record tables byte-identical to their serial legs, the store
-# holds one row per key (72 record entries), and a
+# holds one row per key (72 record entries), both sweeps resubmitted at
+# once through one Client are pure store hits (executed == 0, same
+# tables, still 72 entries), and a
 # SIGTERM shuts the service down cleanly (rc 0) releasing the
 # reconnect worker (rc 0 -- it got its exit frame instead of
 # redialing).
@@ -77,10 +79,61 @@ echo "record entries: $ROWS (grid: 72)"
 test "$ROWS" -eq 72
 echo "one row per key: OK"
 
-echo "== resubmit must be a pure store-hit run (both sweeps, no fleet)"
-"${CLI[@]}" submit "${GRID_A[@]}" --connect "$EP" \
-  --markdown "$WORK/resubmit_a.md" > /dev/null
+echo "== resubmit both sweeps at once through one Client: pure store hits"
+# Both `submit` commands run in one process on two threads and share one
+# Client, so their submissions travel on one session; a tap on the
+# client's frame reader keeps the two verdicts.
+python - "$EP" "$WORK" "${GRID_A[*]}" "${GRID_B[*]}" > /dev/null <<'PY'
+import sys
+import threading
+
+import repro.cli as cli
+import repro.runtime.client as client_mod
+from repro.runtime import Client
+
+endpoint, work, grid_a, grid_b = sys.argv[1:]
+shared = Client(endpoint=endpoint, name="resubmit")
+cli.Client = lambda **_options: shared
+verdicts, errors = [], []
+read_bframe = client_mod.read_bframe
+
+
+async def tapped(reader):
+    frame = await read_bframe(reader)
+    if frame is not None and frame.get("op") == "verdict":
+        verdicts.append(frame)
+    return frame
+
+
+client_mod.read_bframe = tapped
+
+
+def submit(grid, tag):
+    try:
+        cli.main(["submit", *grid.split(), "--connect", endpoint,
+                  "--markdown", f"{work}/resubmit_{tag}.md"])
+    except BaseException as exc:
+        errors.append(exc)
+
+
+threads = [threading.Thread(target=submit, args=(grid, tag))
+           for grid, tag in ((grid_a, "a"), (grid_b, "b"))]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+shared.close()
+assert not errors, errors
+assert len(verdicts) == 2, verdicts
+for verdict in verdicts:
+    assert verdict["ok"] and verdict["executed"] == 0, verdict
+PY
 cmp "$WORK/serial_a.md" "$WORK/resubmit_a.md"
+cmp "$WORK/serial_b.md" "$WORK/resubmit_b.md"
+echo "both verdicts: executed=0; tables byte-identical"
+ROWS=$(python -c 'import sys; from repro.runtime.store import count_record_entries; print(count_record_entries(sys.argv[1]))' "$WORK/store")
+echo "record entries: $ROWS (grid: 72)"
+test "$ROWS" -eq 72
 echo "store-hit resubmit: OK"
 
 echo "== SIGTERM stops the service and releases the reconnect worker"

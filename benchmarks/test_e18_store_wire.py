@@ -168,10 +168,10 @@ def store_wire_table(tmp_path_factory):
         store = OPENERS[fmt](root, shards=SHARDS)
         for i in range(ENTRIES):
             store.put(_key(i), _record(i))
-        # Every key again, newer: the GC leg then runs against a
-        # half-dead file, which is the state that actually triggers
-        # a compaction (COMPACT_FACTOR fires when appends reach
-        # ~2x the live count).
+        # Every key again, newer: the GC leg then times one newest-wins
+        # rewrite of a half-dead file.  Two appends per live key stay
+        # below the automatic compaction trigger (COMPACT_FACTOR: appends
+        # reaching 4x the live count), so these puts never compact.
         for i in range(ENTRIES):
             store.put(_key(i), _record(i))
         roots[fmt] = root

@@ -18,14 +18,13 @@ randomness), so code written against the facade is deployment-
 agnostic: develop against ``backend="serial"``, point the same call
 at a service endpoint in production.
 
-The remote path is a sync wrapper over an async core: ``submit``
-eagerly sends the ``submit`` frame from a background thread running
-:meth:`Client._drive_submission`, and the returned iterator
-drains a queue bridge -- so the server starts scheduling the sweep
-the moment ``submit`` returns, not on the first ``next()``.  The
-``--backend remote`` adapter (:class:`~repro.runtime.remote.RemoteBackend`)
-drives the same machinery with an explicit spec list (a ``specs_json``
-submit body) and consumes records in completion order.
+The remote path is a sync wrapper over an async core: a session (one
+connection, one daemon I/O thread's event loop) that a ``Client`` dials
+on its first remote ``submit`` and keeps until :meth:`Client.close`.
+``submit`` has that loop send a ``submit`` frame under a fresh
+submission id at once, and the connection's one reader hands every
+frame to its submission's queue, which the returned iterator drains.
+The next ``submit`` after the service dropped the session redials.
 
 Typical use::
 
@@ -41,10 +40,11 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import queue
 import threading
-from contextlib import closing
+from contextlib import closing, suppress
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .codec import (
@@ -61,6 +61,9 @@ from .store import ShardedStore
 from .sweeps import SweepSpec
 
 _SENTINEL = object()
+
+_Progress = Optional[Callable[[Dict], None]]  # an ``on_progress`` callback
+_Stream = Iterator[Tuple[int, Record, Optional[float]]]  # completion order
 
 _PROGRESS_FIELDS = ("done", "total", "queued", "inflight", "workers")
 
@@ -106,11 +109,18 @@ class Client:
         self.cache_dir = cache_dir
         self.config = config
         self.name = name
+        # The remote session, started on the first remote submit: an I/O
+        # thread running an event loop, and the live connection as
+        # (writer, {submission id: its _Handoff}).
+        self._lock = threading.Lock()
+        self._thread: Optional[threading.Thread] = None
+        self._conn: Optional[tuple] = None
+        self._sids = itertools.count(1)
 
     def submit(
         self,
         sweep: SweepSpec,
-        on_progress: Optional[Callable[[Dict], None]] = None,
+        on_progress: _Progress = None,
     ) -> Iterator[Record]:
         """Execute *sweep*, yielding records in canonical expansion order.
 
@@ -131,8 +141,24 @@ class Client:
         """``submit`` drained into a list (canonical expansion order)."""
         return list(self.submit(sweep))
 
+    def submit_specs(self, specs: Sequence[JobSpec]) -> _Stream:
+        """Submit an explicit spec list to the service at *endpoint*;
+        yield ``(index, record, seconds)`` in completion order."""
+        if not self.endpoint:
+            raise ValueError("submit_specs needs a service endpoint")
+        payloads = [spec.to_payload() for spec in specs]
+        body = {"specs_json": json.dumps(payloads, separators=(",", ":"))}
+        return self._open_submission(body, len(specs), None)
+
     def close(self) -> None:
-        """Release resources (connections are per-submit; no-op today)."""
+        """End the service session, if open, and join its I/O thread:
+        submissions in flight raise :class:`ServiceError`."""
+        with self._lock:
+            thread, self._thread = self._thread, None
+            if thread is not None:
+                self._loop.call_soon_threadsafe(self._stopped.set_result, None)
+        if thread is not None:
+            thread.join()
 
     def __enter__(self) -> "Client":
         return self
@@ -143,9 +169,7 @@ class Client:
     # -- local path -----------------------------------------------------------
 
     def _submit_local(
-        self,
-        sweep: SweepSpec,
-        on_progress: Optional[Callable[[Dict], None]],
+        self, sweep: SweepSpec, on_progress: _Progress
     ) -> Iterator[Record]:
         specs = sweep.expand()
         store = ShardedStore(self.cache_dir) if self.cache_dir else None
@@ -170,83 +194,56 @@ class Client:
     # -- remote path ----------------------------------------------------------
 
     def _submit_remote(
-        self,
-        sweep: SweepSpec,
-        on_progress: Optional[Callable[[Dict], None]],
+        self, sweep: SweepSpec, on_progress: _Progress
     ) -> Iterator[Record]:
-        body = {
-            "sweep_json": json.dumps(
-                sweep.to_payload(), sort_keys=True, separators=(",", ":")
-            )
-        }
+        payload = json.dumps(sweep.to_payload(), sort_keys=True, separators=(",", ":"))
+        body = {"sweep_json": payload}
         return _in_order(self._open_submission(body, sweep.size, on_progress))
 
-    def _submit_specs(
-        self, specs: Sequence[JobSpec]
-    ) -> Iterator[Tuple[int, Record, Optional[float]]]:
-        """Submit an explicit spec list; yield ``(index, record,
-        seconds)`` in completion order (the remote backend's stream)."""
-        body = {
-            "specs_json": json.dumps(
-                [spec.to_payload() for spec in specs], separators=(",", ":")
-            )
-        }
-        return self._open_submission(body, len(specs), None)
-
     def _open_submission(
-        self,
-        body: Dict,
-        total: int,
-        on_progress: Optional[Callable[[Dict], None]],
-    ) -> Iterator[Tuple[int, Record, Optional[float]]]:
+        self, body: Dict, total: int, on_progress: _Progress
+    ) -> _Stream:
+        with self._lock:
+            if self._thread is None:
+                ready = threading.Event()
+                self._thread = threading.Thread(
+                    target=lambda: asyncio.run(self._serve(ready)),
+                    name="repro-client-session",
+                    daemon=True,
+                )
+                self._thread.start()
+                ready.wait()
+            if self._conn is None:  # first submit, or the service dropped it
+                asyncio.run_coroutine_threadsafe(self._dial(), self._loop).result()
+            conn = self._conn
         out: "queue.Queue" = queue.Queue()
-        ctrl: Dict = {"loop": None, "cancel": None, "started": threading.Event()}
-
-        def pump():
-            try:
-                asyncio.run(self._drive_submission(body, out, ctrl))
-            except BaseException as exc:  # surfaced by the iterator
-                out.put(("error", exc))
-            finally:
-                out.put(_SENTINEL)
-
-        thread = threading.Thread(
-            target=pump, name="repro-client-submit", daemon=True
+        sid = next(self._sids)
+        # Eager: the session's loop writes the submit frame now, so
+        # concurrent clients contend for the fleet at once, not on the
+        # first next().
+        asyncio.run_coroutine_threadsafe(
+            self._drive_submission(conn, sid, body, out), self._loop
         )
-        # Eager: the submit frame is on the wire (or the dial has
-        # failed) by the time submit() returns, so concurrent clients
-        # contend for the fleet immediately, not on first next().
-        thread.start()
-        ctrl["started"].wait()
-        return self._drain(out, thread, ctrl, total, on_progress)
+        return self._drain(out, sid, total, on_progress)
 
     def _drain(
-        self,
-        out: "queue.Queue",
-        thread: threading.Thread,
-        ctrl: Dict,
-        total: int,
-        on_progress: Optional[Callable[[Dict], None]],
-    ) -> Iterator[Tuple[int, Record, Optional[float]]]:
+        self, out: "queue.Queue", sid: int, total: int, on_progress: _Progress
+    ) -> _Stream:
         seen = bytearray(total)
-        verdict: Optional[dict] = None
         completed = False
         try:
             while True:
                 item = out.get()
                 if item is _SENTINEL:
                     break
-                kind = item[0]
+                kind, value = item
                 if kind == "error":
-                    raise item[1]
+                    raise value
                 if kind == "progress":
                     if on_progress is not None:
-                        on_progress(item[1])
+                        on_progress(value)
                     continue
-                if kind == "verdict":
-                    verdict = item[1]
-                    continue
-                for entry in item[1]:
+                for entry in value:
                     index = entry[0]
                     if not 0 <= index < total or seen[index]:
                         raise ServiceError(
@@ -255,94 +252,87 @@ class Client:
                         )
                     seen[index] = 1
                     yield entry
-            completed = True
-            if verdict is not None and not verdict.get("ok"):
-                raise ServiceError(
-                    verdict.get("error")
-                    or "submission cancelled by the service"
-                )
-            if verdict is None:
-                raise ServiceError(
-                    "service closed the connection before the verdict"
-                )
+            completed = True  # an ok verdict; every other end raised
             if sum(seen) != total:
                 raise ServiceError(
                     f"service delivered {sum(seen)} of {total} records"
                 )
         finally:
+            # Abandoned mid-sweep (or an error unwound it): cancel our
+            # queued jobs, unless the session is closed.
             if not completed:
-                # The consumer abandoned the iterator mid-sweep (or an
-                # error unwound it): tell the service to cancel our
-                # queued jobs instead of leaving them to run blind.
-                self._request_cancel(ctrl)
-            thread.join()
-
-    @staticmethod
-    def _request_cancel(ctrl: Dict) -> None:
-        loop, cancel = ctrl.get("loop"), ctrl.get("cancel")
-        if loop is None or cancel is None or loop.is_closed():
-            return
-        try:
-            loop.call_soon_threadsafe(cancel.set)
-        except RuntimeError:
-            pass  # loop already gone: the connection is closed anyway
+                with suppress(RuntimeError):
+                    self._loop.call_soon_threadsafe(self._cancel, sid)
 
     async def _drive_submission(
-        self, body: Dict, out: "queue.Queue", ctrl: Dict
+        self, conn: tuple, sid: int, body: Dict, out: "queue.Queue"
     ) -> None:
-        """The async core: one connection, one submission, one verdict.
-
-        *body* is the submit frame's payload field: ``sweep_json`` or
-        ``specs_json``.  One loop reads every frame and hands it to
-        :func:`_route`; a frame already buffered is read without a
-        trip through the event loop.
-        """
-        loop = ctrl["loop"] = asyncio.get_running_loop()
-        handoff = _Handoff(out, loop)
-        cancel = asyncio.Event()
-        ctrl["cancel"] = cancel
+        """One submission, from its ``submit`` frame (*body* carries
+        ``sweep_json`` or ``specs_json``) until the reader ends it."""
+        handoff = _Handoff(out, asyncio.get_running_loop())
+        writer, routes = conn
         try:
-            host, port = parse_endpoint(self.endpoint)
-            reader, writer = await asyncio.open_connection(host, port)
-        finally:
-            ctrl["started"].set()
-        # One watcher per submission: the consumer's cancel (set from
-        # its thread) completes it, and it cancels this task out of the
-        # read loop; cancelled in ``finally``, it interrupts nothing.
-        driver = asyncio.current_task()
-        watcher = asyncio.ensure_future(cancel.wait())
-        watcher.add_done_callback(lambda w: w.cancelled() or driver.cancel())
-        try:
+            if writer.is_closing():
+                return  # dropped since the dial: ``finally`` ends it
+            routes[sid] = handoff
             writer.write(encode_wire_frame({
                 "op": "submit",
+                "sub": sid,
                 "protocol": PROTOCOL_VERSION,
                 "client": self.name,
                 **body,
             }))
-            await writer.drain()
-            while _route(await read_bframe(reader), handoff):
-                pass
-        except asyncio.CancelledError:
-            if not cancel.is_set():
-                raise
-            await self._send_cancel(reader, writer)
+            await handoff.ended
         finally:
-            handoff.flush()
-            watcher.cancel()
-            writer.close()
+            if not handoff.ended.done():
+                _route(None, handoff)
 
-    @staticmethod
-    async def _send_cancel(reader, writer) -> None:
-        """Best-effort cancel: ask, then wait briefly for the verdict."""
+    # -- the session's I/O thread ---------------------------------------------
+
+    async def _serve(self, ready: threading.Event) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stopped = self._loop.create_future()
+        ready.set()
+        await self._stopped
+        if self._conn is not None:
+            self._drop(self._conn)
+
+    async def _dial(self) -> None:
+        reader, writer = await asyncio.open_connection(*parse_endpoint(self.endpoint))
+        self._conn = (writer, {})
+        self._reading = asyncio.ensure_future(self._read(reader, self._conn))
+
+    async def _read(self, reader, conn: tuple) -> None:
+        """Route every frame to its submission until the connection ends;
+        a frame already buffered is read without an event-loop turn."""
+        routes = conn[1]
         try:
-            writer.write(encode_wire_frame({"op": "cancel"}))
-            await writer.drain()
             while True:
-                frame = await asyncio.wait_for(read_bframe(reader), timeout=5.0)
-                if frame is None or frame.get("op") == "verdict":
-                    return
-        except (asyncio.TimeoutError, WireProtocolError, OSError):
+                frame = await read_bframe(reader)
+                if frame is None:
+                    break
+                handoff = routes.get(frame.get("sub"))
+                if handoff is not None and not _route(frame, handoff):
+                    del routes[frame["sub"]]
+        except (WireProtocolError, OSError):
             pass
+        finally:
+            self._drop(conn)
+
+    def _drop(self, conn: tuple) -> None:
+        """Close *conn* and end every submission still open on it."""
+        writer, routes = conn
+        if self._conn is conn:
+            self._conn = None
+        writer.close()
+        for handoff in routes.values():
+            _route(None, handoff)
+        routes.clear()
+
+    def _cancel(self, sid: int) -> None:
+        """Ask the service to cancel submission *sid*, if it is open."""
+        if self._conn is not None and sid in self._conn[1]:
+            self._conn[0].write(encode_wire_frame({"op": "cancel", "sub": sid}))
 
 
 class _Handoff:
@@ -356,12 +346,13 @@ class _Handoff:
     other item flushes the batch first: the consumer sees wire order.
     """
 
-    __slots__ = ("out", "loop", "batch")
+    __slots__ = ("out", "loop", "batch", "ended")
 
     def __init__(self, out: "queue.Queue", loop: asyncio.AbstractEventLoop):
         self.out = out
         self.loop = loop
         self.batch: Optional[list] = None  # None until the first record
+        self.ended = loop.create_future()
 
     def record(self, entry: Tuple[int, Record, Optional[float]]) -> None:
         batch = self.batch
@@ -384,13 +375,20 @@ class _Handoff:
         self.flush()
         self.out.put(item)
 
+    def end(self) -> None:
+        """End the consumer's stream and release the submission's task."""
+        if not self.ended.done():
+            self.flush()
+            self.out.put(_SENTINEL)
+            self.ended.set_result(None)
+
 
 def _route(frame: Optional[dict], handoff: _Handoff) -> bool:
     """Hand one frame to the consumer; ``False`` once the submission ends.
 
-    A verdict ends it cleanly; EOF (``None``) and ``reject`` end it with
-    an error.  Unknown ops are ignored (forward-compatible with new
-    server-side frame types).
+    A verdict ends it, with an error unless ``ok``; EOF (``None``) and
+    ``reject`` end it with an error.  Unknown ops are ignored
+    (forward-compatible with new server-side frame types).
     """
     op = None if frame is None else frame.get("op")
     if op == "record":
@@ -403,21 +401,22 @@ def _route(frame: Optional[dict], handoff: _Handoff) -> bool:
         handoff.put(("progress", {k: frame.get(k) for k in _PROGRESS_FIELDS}))
         return True
     if op == "verdict":
-        handoff.put(("verdict", frame))
-        return False
-    if frame is None:
-        error = "service closed the connection before the verdict"
+        if frame.get("ok"):
+            handoff.end()
+            return False
+        error = frame.get("error") or "submission cancelled by the service"
     elif op == "reject":
         error = f"service rejected submission: {frame.get('reason')}"
+    elif frame is None:
+        error = "service closed the connection before the verdict"
     else:
         return True
     handoff.put(("error", ServiceError(error)))
+    handoff.end()
     return False
 
 
-def _in_order(
-    stream: Iterator[Tuple[int, Record, Optional[float]]],
-) -> Iterator[Record]:
+def _in_order(stream: _Stream) -> Iterator[Record]:
     """Reorder a completion-order record stream into index order."""
     buffer: Dict[int, Record] = {}
     next_index = 0

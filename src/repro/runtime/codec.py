@@ -755,27 +755,141 @@ MAX_FRAME_BODY = 64 * 1024 * 1024
 """Sanity bound on one frame body; anything larger is a protocol error."""
 
 
+RECORD_FRAME_KEYS = (
+    "op", "sub", "index", "record_pkd", "shapes", "hit", "seconds", "done", "total"
+)
+"""The ``record`` frame's field order, which its fixed layout assumes."""
+
+# The layout's constant bytes, as the generic codec writes them: each
+# key as a length byte plus ASCII, and, where the value's type is fixed,
+# the key followed by that value's tag.
+_REC = {key: bytes((len(key),)) + key.encode() for key in RECORD_FRAME_KEYS}
+_REC_HEAD = (
+    bytes((T_DICT, len(RECORD_FRAME_KEYS))) + _REC["op"]
+    + bytes((T_STR, 6)) + b"record" + _REC["sub"] + bytes((T_INT,))
+)
+_REC_INDEX = _REC["index"] + bytes((T_INT,))
+_REC_PKD = _REC["record_pkd"] + bytes((T_BYTES,))
+_REC_DONE = _REC["done"] + bytes((T_INT,))
+_REC_TOTAL = _REC["total"] + bytes((T_INT,))
+# op's type and value, then the types of sub, index, record_pkd, done, total.
+_REC_TYPES = (str, "record", int, int, bytes, int, int)
+
+
+def _record_frame(frame: Dict[str, object]) -> Optional[bytearray]:
+    """A ``record`` frame in the record layout: room for the frame
+    header, then the generic codec's body, spliced from constant key
+    bytes, varints and the raw payload (``shapes``, ``hit`` and
+    ``seconds`` go through :func:`encode_value`).  ``None`` for any
+    other frame."""
+    if type(frame) is not dict or tuple(frame) != RECORD_FRAME_KEYS:
+        return None
+    op, sub, index, pkd, shapes, hit, seconds, done, total = frame.values()
+    types = (type(op), op, type(sub), type(index), type(pkd), type(done), type(total))
+    if types != _REC_TYPES:
+        return None
+    out = bytearray(FRAME_HEADER_SIZE)
+    out += _REC_HEAD
+    write_uvarint(out, _zigzag(sub))
+    out += _REC_INDEX
+    write_uvarint(out, _zigzag(index))
+    out += _REC_PKD
+    write_uvarint(out, len(pkd))
+    out += pkd
+    out += _REC["shapes"]
+    encode_value(shapes, out)
+    out += _REC["hit"]
+    encode_value(hit, out)
+    out += _REC["seconds"]
+    encode_value(seconds, out)
+    out += _REC_DONE
+    write_uvarint(out, _zigzag(done))
+    out += _REC_TOTAL
+    write_uvarint(out, _zigzag(total))
+    return out
+
+
+_VARINT = rb"([\x80-\xff]{0,9}[\x00-\x7f])"  # as read_uvarint reads one
+_REC_LEAD = re.compile(
+    re.escape(_REC_HEAD) + _VARINT + re.escape(_REC_INDEX) + _VARINT
+    + re.escape(_REC_PKD) + _VARINT,
+    re.S,
+)
+_REC_TAIL = re.compile(
+    re.escape(_REC["shapes"] + bytes((T_LIST, 0)) + _REC["hit"]) + rb"([\x01\x02])"
+    + re.escape(_REC["seconds"]) + rb"(\x00|\x04.{8})"
+    + re.escape(_REC_DONE) + _VARINT + re.escape(_REC_TOTAL) + _VARINT,
+    re.S,
+)
+
+
+def _varint(raw: bytes) -> int:
+    """The zigzag-decoded value of one whole varint's bytes."""
+    return _unzigzag(raw[0] if len(raw) == 1 else read_uvarint(raw, 0)[0])
+
+
+def _decode_record_body(body: bytes) -> Optional[Dict[str, object]]:
+    """Parse a ``record`` frame body in the record layout with no shape
+    block; ``None`` for any other body (the generic decoder takes it)."""
+    lead = _REC_LEAD.match(body)
+    if lead is None:
+        return None
+    sub, index, length = lead.groups()
+    start = lead.end()
+    end = start + (length[0] if len(length) == 1 else read_uvarint(length, 0)[0])
+    tail = _REC_TAIL.fullmatch(body, end) if end <= len(body) else None
+    if tail is None:
+        return None
+    hit, seconds, done, total = tail.groups()
+    return {
+        "op": "record",
+        "sub": _varint(sub),
+        "index": _varint(index),
+        "record_pkd": bytes(body[start:end]),
+        "shapes": [],
+        "hit": hit[0] == T_TRUE,
+        "seconds": _F64.unpack_from(seconds, 1)[0] if len(seconds) > 1 else None,
+        "done": _varint(done),
+        "total": _varint(total),
+    }
+
+
 def encode_wire_frame(frame: Dict[str, object]) -> bytes:
-    """Frame one message dict as ``magic + u32 length + body``."""
-    body = bytearray()
-    encode_value(frame, body)
+    """Frame one message dict as ``magic + u32 length + body``.
+
+    A ``record`` frame in the record layout (:data:`RECORD_FRAME_KEYS`
+    in that order, int ids and counts, bytes payload) is spliced from
+    constant bytes; its bytes equal the generic encoding's.
+    """
+    out = _record_frame(frame)
+    if out is None:
+        out = bytearray(FRAME_HEADER_SIZE)
+        encode_value(frame, out)
+    size = len(out)
+    _FRAME_HEADER.pack_into(out, 0, FRAME_MAGIC, size - FRAME_HEADER_SIZE)
     STATS.encoded_frames += 1
-    STATS.encoded_frame_bytes += FRAME_HEADER_SIZE + len(body)
+    STATS.encoded_frame_bytes += size
     if telemetry_enabled():
         metrics = get_metrics()
         metrics.inc("wire.frames_out")
-        metrics.inc("wire.bytes_out", FRAME_HEADER_SIZE + len(body))
-    return _FRAME_HEADER.pack(FRAME_MAGIC, len(body)) + bytes(body)
+        metrics.inc("wire.bytes_out", size)
+    return bytes(out)
 
 
 def decode_wire_body(body: bytes) -> Dict[str, object]:
-    """Decode one frame body back into its message dict."""
-    try:
-        frame, pos = decode_value(body, 0)
-    except (CorruptEntry, TruncatedEntry) as exc:
-        raise WireProtocolError(f"bad frame body: {exc}") from exc
-    if not isinstance(frame, dict) or pos != len(body):
-        raise WireProtocolError("frame body is not a single dict")
+    """Decode one frame body back into its message dict.
+
+    A body in the record layout is parsed field by field; any other
+    body takes the generic decoder, which raises on malformed bytes.
+    """
+    frame = _decode_record_body(body)
+    if frame is None:
+        try:
+            frame, pos = decode_value(body, 0)
+        except (CorruptEntry, TruncatedEntry) as exc:
+            raise WireProtocolError(f"bad frame body: {exc}") from exc
+        if not isinstance(frame, dict) or pos != len(body):
+            raise WireProtocolError("frame body is not a single dict")
     STATS.decoded_frames += 1
     STATS.decoded_frame_bytes += FRAME_HEADER_SIZE + len(body)
     if telemetry_enabled():

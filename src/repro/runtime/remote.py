@@ -10,7 +10,7 @@ batch on an ephemeral service.  The service's worker loop is the only
 fleet dispatcher: dispatch, requeue-on-disconnect, heartbeats, store
 appends and cost accounting all live there.
 
-Wire protocol v3: **length-prefixed binary frames** (see
+Wire protocol v4: **length-prefixed binary frames** (see
 :mod:`repro.runtime.codec` -- 2-byte magic + u32 body length + one
 codec-encoded message dict).  Specs and records travel as
 *shape-packed codec payloads* (``spec_pkd`` / ``record_pkd`` bytes
@@ -40,9 +40,9 @@ frame          fields
 ``exit``       server -> worker: service stopping, disconnect
 =============  =========================================================
 
-A hello with the wrong ``protocol`` number (a v2 worker, which still
-probed and appended to a store of its own) or a malformed ``kinds``
-is rejected.  A peer that opens with anything but a frame magic (a
+A hello with the wrong ``protocol`` number (a v3 worker, or a v2 one,
+which still probed and appended to a store of its own) or a malformed
+``kinds`` is rejected.  A peer that opens with anything but a frame magic (a
 protocol-1 JSON-lines worker sends ``{``) fails the header check and
 is closed without a reply.  Workers are admitted whatever job kinds
 they registered; the service filters dispatch per connection instead.
@@ -64,7 +64,7 @@ from .codec import (
 )
 from .jobs import JobSpec, Record
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 async def read_bframe(reader) -> Optional[dict]:
@@ -164,8 +164,9 @@ class RemoteBackend:
     and binds its socket, so workers may dial before the batch starts.
     :meth:`run_stream` starts the service, submits the specs through a
     loopback :class:`~repro.runtime.client.Client` as one ``specs_json``
-    submission, yields records as they land, and stops the service --
-    which sends connected workers ``exit``.  A deterministic job
+    submission (:meth:`~repro.runtime.client.Client.submit_specs`),
+    yields records as they land, closes the client and stops the
+    service -- which sends connected workers ``exit``.  A deterministic job
     failure raises :class:`~repro.runtime.client.ServiceError`.
     """
 
@@ -218,7 +219,7 @@ class RemoteBackend:
         try:
             # Closed before the service stops: an abandoned batch
             # cancels its queued jobs over the live connection.
-            with closing(client._submit_specs(specs)) as stream:
+            with closing(client.submit_specs(specs)) as stream:
                 for index, record, seconds in stream:
                     # A service with a store observes every job (and
                     # each requeued partial) into its own cost book,
@@ -228,6 +229,7 @@ class RemoteBackend:
                         seconds = None
                     yield index, record, seconds
         finally:
+            client.close()
             service.stop()
             self.service = None
 

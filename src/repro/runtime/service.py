@@ -11,13 +11,16 @@ Workers open with a ``hello`` frame (handshake in
 ``ping``/``pong`` frames after that); clients open with a ``submit``
 frame, which is how the server tells the two peer types apart from the
 first frame.  The service is the fleet's only store reader and writer
-(wire protocol v3): it answers store hits at enqueue, and workers are
+(wire protocol v4): it answers store hits at enqueue, and workers are
 storeless, so every result a worker returns is an executed job.
 
-Client-side ops (layered next to the worker ops):
+Client ops.  A client connection is a *session* that carries any
+number of submissions; every client frame carries the submission id
+(``sub``, an int new to the session) that its ``submit`` chose, and a
+dropped session cancels all of its submissions.
 
 =============  =========================================================
-frame          fields
+frame          fields besides ``sub``
 =============  =========================================================
 ``submit``     client -> server: ``protocol``, ``client`` (display
                name), and one body: ``sweep_json`` (JSON of
@@ -25,25 +28,26 @@ frame          fields
                list of :meth:`JobSpec.to_payload`, the remote
                backend's explicit batch)
 ``progress``   server -> client: ``done``, ``total``, ``queued``,
-               ``inflight``, ``workers`` -- sent on acceptance and
-               whenever the fleet changes shape
+               ``inflight``, ``workers`` -- sent on acceptance
 ``record``     server -> client: ``index`` (position in the sweep's
                canonical expansion), ``record_pkd``, ``shapes``,
                ``hit``, ``seconds``, plus running ``done``/``total``
 ``verdict``    server -> client, once, last: ``ok``, ``jobs``,
                ``executed``, ``hits``, ``speculated``, ``cancelled``,
                optional ``error``
-``cancel``     client -> server: drop my queued jobs (in-flight jobs
-               finish into the store); answered with a ``verdict``
-``reject``     server -> client: admission or protocol failure
+``cancel``     client -> server: drop the submission's queued jobs
+               (in-flight jobs finish into the store); answered with
+               its ``verdict``
+``reject``     server -> client: ``reason`` (admission or protocol)
 =============  =========================================================
 
-Scheduling: one round-robin pointer walks the connected clients'
-queues, so two clients fair-share the fleet no matter how unequal
-their sweeps are; a worker only receives jobs whose kind it
-registered at handshake.  Admission control bounds the server
-(``max_clients`` sessions, ``max_pending`` queued jobs across all of
-them); overload is an explicit ``reject``, never an unbounded queue.
+Scheduling: one round-robin pointer walks the open submissions'
+queues, so two submissions fair-share the fleet no matter how unequal
+their sweeps are or whether they share a session; a worker only
+receives jobs whose kind it registered at handshake.  Admission
+control bounds the server (``max_clients`` sessions, ``max_pending``
+queued jobs across all submissions); overload is an explicit
+``reject``, never an unbounded queue.
 
 Stragglers: jobs carry a :class:`~repro.runtime.scheduler.CostModel`
 prediction from the store's cost history, and a periodic scan
@@ -54,9 +58,9 @@ is dropped on arrival.  The service persists the winning copy's bytes
 exactly once, keeping the store one row per job no matter how many
 twins raced.
 
-Identical jobs submitted by different clients coalesce: the second
-client becomes a *waiter* on the first client's in-flight job instead
-of queueing a duplicate, and both receive the one record.
+Identical jobs in different submissions coalesce: the second becomes
+a *waiter* on the first one's in-flight job instead of queueing a
+duplicate, and both receive the one record.
 """
 
 from __future__ import annotations
@@ -150,9 +154,9 @@ class _Job:
         self.spec = spec
         self.key = key
         self.state = _QUEUED
-        # (session, index) pairs to notify on completion; the first
-        # waiter's session owns the queue slot (fairness accounting).
-        self.waiters: List[Tuple["_ClientSession", int]] = []
+        # (submission, index) pairs to notify on completion; the first
+        # waiter's submission owns the queue slot (fairness accounting).
+        self.waiters: List[Tuple["_Submission", int]] = []
         self.copies = 0  # dispatches so far (1 = primary only)
         self.inflight = 0  # dispatches not yet resolved
         self.dispatched_at: Optional[float] = None  # first dispatch
@@ -162,32 +166,21 @@ class _Job:
 
 
 class _ClientSession:
-    """Server-side state for one connected submit client."""
+    """Server-side state for one client connection: its writer and its
+    open submissions, keyed by submission id."""
 
-    __slots__ = (
-        "uid", "name", "reader", "writer", "lock", "sent_shapes",
-        "queue", "total", "remaining", "hits", "executed", "speculated",
-        "cancelled", "failed", "finished", "dead",
-    )
+    __slots__ = ("uid", "name", "writer", "lock", "sent_shapes",
+                 "submissions", "dead")
 
-    def __init__(self, uid: int, name: str, reader, writer):
+    def __init__(self, uid: int, name: str, writer):
         self.uid = uid
         self.name = name
-        self.reader = reader
         self.writer = writer
         # Record/progress/verdict frames interleave from worker loops
-        # and the client loop; one lock per session keeps them whole.
+        # and the session loop; one lock per connection keeps them whole.
         self.lock = asyncio.Lock()
         self.sent_shapes: set = set()
-        self.queue: Deque[_Job] = deque()
-        self.total = 0
-        self.remaining = 0
-        self.hits = 0
-        self.executed = 0
-        self.speculated = 0
-        self.cancelled = False
-        self.failed: Optional[str] = None
-        self.finished = asyncio.Event()
+        self.submissions: Dict[int, _Submission] = {}
         self.dead = False  # write failed: stop talking to it
 
     async def send(self, frame: dict) -> bool:
@@ -199,9 +192,10 @@ class _ClientSession:
         marks the session unreachable.
 
         A record frame carries only the shape definitions no earlier
-        frame did, so frames must go out in the order they were
-        encoded: callers encode and call this with no await in
-        between, and the lock admits writers first come, first served.
+        frame on this connection did, so frames must go out in the
+        order they were encoded: callers encode and call this with no
+        await in between, and the lock admits writers first come,
+        first served.
         """
         if self.dead:
             return False
@@ -214,6 +208,29 @@ class _ClientSession:
                 self.dead = True
                 return False
 
+
+class _Submission:
+    """One submitted sweep: its fairness queue, counts and verdict."""
+
+    __slots__ = (
+        "sid", "session", "name", "queue", "total", "remaining", "hits",
+        "executed", "speculated", "cancelled", "failed", "finished",
+    )
+
+    def __init__(self, sid: int, session: _ClientSession):
+        self.sid = sid
+        self.session = session
+        self.name = session.name
+        self.queue: Deque[_Job] = deque()
+        self.total = 0
+        self.remaining = 0
+        self.hits = 0
+        self.executed = 0
+        self.speculated = 0
+        self.cancelled = False
+        self.failed: Optional[str] = None
+        self.finished = False
+
     def record_frame(
         self,
         index: int,
@@ -221,12 +238,14 @@ class _ClientSession:
         hit: bool,
         seconds: Optional[float],
     ) -> bytes:
-        """One encoded ``record`` frame for *payload*."""
+        """One encoded ``record`` frame for *payload*, in the codec's
+        record layout."""
         return encode_wire_frame({
             "op": "record",
+            "sub": self.sid,
             "index": index,
             "record_pkd": payload,
-            "shapes": frame_shapes(iter((payload,)), self.sent_shapes),
+            "shapes": frame_shapes(iter((payload,)), self.session.sent_shapes),
             "hit": hit,
             "seconds": seconds,
             "done": self.total - self.remaining,
@@ -245,9 +264,10 @@ class SweepService:
             without dispatch), and every executed job's record bytes
             are appended exactly once.
         heartbeat: idle-worker ping interval in seconds.
-        max_clients: admission bound on concurrent client sessions.
+        max_clients: admission bound on concurrent client sessions
+            (connections).
         max_pending: admission bound on queued jobs across all
-            sessions; a submit that would exceed it is rejected.
+            submissions; a submit that would exceed it is rejected.
         speculation: a :class:`~repro.runtime.scheduler.SpeculationPolicy`
             enabling straggler re-dispatch (``None`` disables it).
 
@@ -302,7 +322,8 @@ class SweepService:
         self._dispatch: Optional[asyncio.Event] = None
         self._store: Optional[ShardedStore] = None
         self._cost_book: Optional[CostBook] = None
-        self._sessions: List[_ClientSession] = []
+        self._clients: List[_ClientSession] = []
+        self._submissions: List[_Submission] = []
         self._workers: Set[_Connection] = set()
         self._pending_keys: Dict[str, _Job] = {}
         self._spec_queue: Deque[_Job] = deque()
@@ -323,7 +344,12 @@ class SweepService:
 
     @property
     def active_clients(self) -> int:
-        return len(self._sessions)
+        """Open client sessions (connections)."""
+        return len(self._clients)
+
+    @property
+    def active_submissions(self) -> int:
+        return len(self._submissions)
 
     def bind(self) -> int:
         """Bind the listen socket now; returns the bound port."""
@@ -416,6 +442,9 @@ class SweepService:
             if scan_task is not None:
                 scan_task.cancel()
             server.close()
+            # Idle client sessions would keep their connections open.
+            for session in self._clients:
+                session.writer.close()
             for conn in list(self._workers):
                 try:
                     conn.writer.write(encode_wire_frame({"op": "exit"}))
@@ -435,6 +464,11 @@ class SweepService:
     async def _handle(self, reader, writer) -> None:
         """Route a fresh connection: worker (``hello``) or client
         (``submit``), told apart by the opening frame."""
+        # asyncio sets no TCP_NODELAY on sockets accepted with proto 0;
+        # without it a frame written behind an unacknowledged one waits
+        # out the peer's delayed ACK (about 40 ms) on a long session.
+        sock = writer.get_extra_info("socket")
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             try:
                 first = await asyncio.wait_for(
@@ -458,70 +492,95 @@ class SweepService:
 
     # -- client sessions ------------------------------------------------------
 
-    async def _client_loop(self, submit: dict, reader, writer) -> None:
-        if submit.get("protocol") != PROTOCOL_VERSION:
-            await reject_peer(
-                writer,
-                f"protocol mismatch: server speaks {PROTOCOL_VERSION}, "
-                f"client speaks {submit.get('protocol')!r}",
-            )
-            return
-        if len(self._sessions) >= self.max_clients:
-            await reject_peer(
-                writer,
-                f"admission: {self.max_clients} clients already connected",
-            )
-            return
-        try:
-            if "specs_json" in submit:
-                specs = [
-                    JobSpec.from_payload(payload)
-                    for payload in json.loads(submit["specs_json"])
-                ]
-            else:
-                sweep = SweepSpec.from_payload(json.loads(submit["sweep_json"]))
-                specs = sweep.expand()
-        except (KeyError, TypeError, ValueError) as exc:
-            await reject_peer(writer, f"bad submit frame: {exc}")
-            return
-        queued_total = sum(len(s.queue) for s in self._sessions)
-        if queued_total + len(specs) > self.max_pending:
-            await reject_peer(
-                writer,
-                f"admission: {queued_total} jobs queued, submitting "
-                f"{len(specs)} would exceed max_pending={self.max_pending}",
-            )
-            return
+    async def _client_loop(self, frame: dict, reader, writer) -> None:
+        """One client session: its submits and cancels, read by one loop
+        until the client hangs up, which cancels its open submissions."""
         self._session_seq += 1
-        name = str(submit.get("client") or f"client-{self._session_seq}")
-        session = _ClientSession(self._session_seq, name, reader, writer)
-        await self._enqueue_sweep(session, specs)
-        self._sessions.append(session)
-        self._note_session_gauges(session)
-        get_tracer().event(
-            "service.submit", client=name, jobs=session.total,
-            hits=session.hits,
-        )
-        await session.send(self._progress_frame(session))
-        if session.remaining == 0:
-            await self._finish_session(session)
-        else:
-            self._pulse()
+        name = str(frame.get("client") or f"client-{self._session_seq}")
+        session = _ClientSession(self._session_seq, name, writer)
+        if len(self._clients) >= self.max_clients:
+            await session.send({
+                "op": "reject", "sub": frame.get("sub"),
+                "reason": f"admission: {self.max_clients} clients already connected",
+            })
+            writer.close()
+            return
+        self._clients.append(session)
         try:
-            await self._client_read_loop(session)
+            while frame is not None:
+                op = frame.get("op")
+                if op == "submit":
+                    await self._submit(session, frame)
+                elif op == "cancel":
+                    sub = session.submissions.get(frame.get("sub"))
+                    if sub is not None:
+                        await self._cancel_submission(sub)
+                try:
+                    frame = await read_bframe(reader)
+                except (WireProtocolError, OSError):
+                    frame = None
         finally:
-            if session in self._sessions:
-                self._sessions.remove(session)
-            if not session.finished.is_set():
+            self._clients.remove(session)
+            for sub in list(session.submissions.values()):
                 # Client vanished mid-sweep: drop its queued jobs; any
                 # in-flight jobs finish into the store for next time.
-                self._drop_queued(session)
-            self._note_session_gauges(session, depth=0)
+                self._drop_queued(sub)
+                self._retire(sub)
             get_tracer().event("service.disconnect", client=name)
             writer.close()
 
+    async def _submit(self, session: _ClientSession, frame: dict) -> None:
+        """Admit one ``submit`` frame, or reject it by its submission id."""
+        sid = frame.get("sub")
+        try:
+            specs = self._admitted_specs(session, sid, frame)
+        except ValueError as exc:
+            get_tracer().event("remote.reject", reason=str(exc))
+            await session.send({"op": "reject", "sub": sid, "reason": str(exc)})
+            return
+        sub = session.submissions[sid] = _Submission(sid, session)
+        await self._enqueue_sweep(sub, specs)
+        self._submissions.append(sub)
+        self._note_session_gauges(sub)
+        get_tracer().event(
+            "service.submit", client=sub.name, jobs=sub.total, hits=sub.hits
+        )
+        await session.send(self._progress_frame(sub))
+        if sub.remaining == 0:
+            await self._finish_session(sub)
+        else:
+            self._pulse()
+
+    def _admitted_specs(
+        self, session: _ClientSession, sid, frame: dict
+    ) -> List[JobSpec]:
+        """The job specs of an admissible ``submit`` frame; a
+        ``ValueError`` says why the frame is not admissible."""
+        if frame.get("protocol") != PROTOCOL_VERSION:
+            raise ValueError(
+                f"protocol mismatch: server speaks {PROTOCOL_VERSION}, "
+                f"client speaks {frame.get('protocol')!r}"
+            )
+        if type(sid) is not int or sid in session.submissions:
+            raise ValueError(f"bad submit frame: sub {sid!r} is not a new int")
+        try:
+            if "specs_json" in frame:
+                payloads = json.loads(frame["specs_json"])
+                specs = [JobSpec.from_payload(payload) for payload in payloads]
+            else:
+                specs = SweepSpec.from_payload(json.loads(frame["sweep_json"])).expand()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad submit frame: {exc}") from None
+        queued = sum(len(s.queue) for s in self._submissions)
+        if queued + len(specs) > self.max_pending:
+            raise ValueError(
+                f"admission: {queued} jobs queued, submitting "
+                f"{len(specs)} would exceed max_pending={self.max_pending}"
+            )
+        return specs
+
     async def _enqueue_sweep(
-        self, session: _ClientSession, specs: List[JobSpec]
+        self, sub: _Submission, specs: List[JobSpec]
     ) -> None:
         """Answer store hits immediately; queue or adopt the misses.
 
@@ -535,8 +594,9 @@ class SweepService:
         model = CostModel.from_store(store)
         if store is not None:
             store.refresh()
-        session.total = len(specs)
-        session.remaining = len(specs)
+        sub.total = len(specs)
+        sub.remaining = len(specs)
+        write = sub.session.write
         unsent: List[bytes] = []
         for index, spec in enumerate(specs):
             key = deriver.key_for(spec)
@@ -544,118 +604,104 @@ class SweepService:
             if payload is not None:
                 # Store reads registered the payload's shapes already,
                 # so the bytes forward without a decode.
-                session.hits += 1
-                session.remaining -= 1
-                unsent.append(session.record_frame(index, payload, True, None))
-                if session.hits == 1 or len(unsent) == HIT_CHUNK:
-                    await session.write(b"".join(unsent))
+                sub.hits += 1
+                sub.remaining -= 1
+                unsent.append(sub.record_frame(index, payload, True, None))
+                if sub.hits == 1 or len(unsent) == HIT_CHUNK:
+                    await write(b"".join(unsent))
                     unsent.clear()
                 continue
             job = self._pending_keys.get(key)
             if job is not None and job.state in (_QUEUED, _RUNNING):
                 # Another client already wants this exact job: wait on
                 # it instead of queueing (and executing) a duplicate.
-                job.waiters.append((session, index))
+                job.waiters.append((sub, index))
                 continue
             self._job_seq += 1
             job = _Job(self._job_seq, spec, key)
-            job.waiters.append((session, index))
+            job.waiters.append((sub, index))
             job.predicted = model.predict(spec.kind, spec.n)
             self._pending_keys[key] = job
-            session.queue.append(job)
+            sub.queue.append(job)
         if unsent:
-            await session.write(b"".join(unsent))
+            await write(b"".join(unsent))
 
-    async def _client_read_loop(self, session: _ClientSession) -> None:
-        """Service cancel frames and disconnects until the verdict."""
-        while True:
-            frame_task = asyncio.ensure_future(read_bframe(session.reader))
-            fin_task = asyncio.ensure_future(session.finished.wait())
-            done, _ = await asyncio.wait(
-                {frame_task, fin_task},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            fin_task.cancel()
-            if frame_task not in done:
-                frame_task.cancel()
-                return  # verdict sent; session complete
-            try:
-                frame = frame_task.result()
-            except (WireProtocolError, OSError):
-                frame = None
-            if frame is None:
-                return  # EOF: caller drops queued jobs
-            if frame.get("op") == "cancel":
-                await self._cancel_session(session)
-                return
-
-    def _drop_queued(self, session: _ClientSession) -> None:
-        """Remove *session* from its queued jobs; re-home shared ones."""
-        for job in list(session.queue):
-            job.waiters = [(s, i) for s, i in job.waiters if s is not session]
+    def _drop_queued(self, sub: _Submission) -> None:
+        """Remove *sub* from its queued jobs; re-home shared ones."""
+        for job in list(sub.queue):
+            job.waiters = [(s, i) for s, i in job.waiters if s is not sub]
             if not job.waiters:
                 job.state = _CANCELLED
                 self._pending_keys.pop(job.key, None)
             else:
-                # Another client still waits on this job: move it to
-                # that client's queue so it keeps a fairness slot.
+                # Another submission still waits on this job: move it
+                # to that one's queue so it keeps a fairness slot.
                 job.waiters[0][0].queue.append(job)
-        session.queue.clear()
-        session.cancelled = True
+        sub.queue.clear()
+        sub.cancelled = True
 
-    async def _cancel_session(self, session: _ClientSession) -> None:
+    def _retire(self, sub: _Submission) -> None:
+        """Forget a submission that got its verdict or lost its client."""
+        sub.session.submissions.pop(sub.sid, None)
+        if sub in self._submissions:
+            self._submissions.remove(sub)
+        self._note_session_gauges(sub, depth=0)
+
+    async def _cancel_submission(self, sub: _Submission) -> None:
         """Client-requested cancel: drop queued jobs, send the verdict."""
-        dropped = len(session.queue)
-        self._drop_queued(session)
-        session.remaining = 0
-        get_tracer().event(
-            "service.cancel", client=session.name, dropped=dropped
-        )
-        await self._finish_session(session)
+        dropped = len(sub.queue)
+        self._drop_queued(sub)
+        sub.remaining = 0
+        get_tracer().event("service.cancel", client=sub.name, dropped=dropped)
+        await self._finish_session(sub)
 
-    async def _finish_session(self, session: _ClientSession) -> None:
-        if session.finished.is_set():
+    async def _finish_session(self, sub: _Submission) -> None:
+        """Send a submission's verdict, once, and retire it."""
+        if sub.finished:
             return
+        sub.finished = True
+        self._retire(sub)
         verdict = {
             "op": "verdict",
-            "ok": session.failed is None and not session.cancelled,
-            "jobs": session.total,
-            "executed": session.executed,
-            "hits": session.hits,
-            "speculated": session.speculated,
-            "cancelled": session.cancelled,
+            "sub": sub.sid,
+            "ok": sub.failed is None and not sub.cancelled,
+            "jobs": sub.total,
+            "executed": sub.executed,
+            "hits": sub.hits,
+            "speculated": sub.speculated,
+            "cancelled": sub.cancelled,
         }
-        if session.failed is not None:
-            verdict["error"] = session.failed
-        await session.send(verdict)
-        session.finished.set()
+        if sub.failed is not None:
+            verdict["error"] = sub.failed
+        await sub.session.send(verdict)
 
-    def _progress_frame(self, session: _ClientSession) -> dict:
+    def _progress_frame(self, sub: _Submission) -> dict:
         inflight = sum(
             1
             for job in self._pending_keys.values()
             if job.state == _RUNNING
-            and any(s is session for s, _i in job.waiters)
+            and any(s is sub for s, _i in job.waiters)
         )
         return {
             "op": "progress",
-            "done": session.total - session.remaining,
-            "total": session.total,
-            "queued": len(session.queue),
+            "sub": sub.sid,
+            "done": sub.total - sub.remaining,
+            "total": sub.total,
+            "queued": len(sub.queue),
             "inflight": inflight,
             "workers": len(self._workers),
         }
 
     def _note_session_gauges(
-        self, session: _ClientSession, depth: Optional[int] = None
+        self, sub: _Submission, depth: Optional[int] = None
     ) -> None:
         if not telemetry_enabled():
             return
         metrics = get_metrics()
-        metrics.gauge("service.clients", len(self._sessions))
+        metrics.gauge("service.clients", len(self._clients))
         metrics.gauge(
-            f"service.client.{session.name}.queue_depth",
-            len(session.queue) if depth is None else depth,
+            f"service.client.{sub.name}.queue_depth",
+            len(sub.queue) if depth is None else depth,
         )
 
     # -- worker loops ---------------------------------------------------------
@@ -741,21 +787,21 @@ class SweepService:
     def _next_job_for(
         self, conn: _Connection
     ) -> Optional[Tuple[_Job, bool]]:
-        """Round-robin pick over client queues; twins only when idle."""
-        sessions = self._sessions
-        if sessions:
-            n = len(sessions)
+        """Round-robin pick over submission queues; twins only when idle."""
+        subs = self._submissions
+        if subs:
+            n = len(subs)
             start = self._rr % n
             for offset in range(n):
-                session = sessions[(start + offset) % n]
-                for i, job in enumerate(session.queue):
+                sub = subs[(start + offset) % n]
+                for i, job in enumerate(sub.queue):
                     if job.state != _QUEUED:
                         continue  # stale entry (cancelled elsewhere)
                     if job.spec.kind not in conn.kinds:
                         continue
-                    del session.queue[i]
+                    del sub.queue[i]
                     self._rr = (start + offset + 1) % n
-                    self._note_session_gauges(session)
+                    self._note_session_gauges(sub)
                     return job, False
         # No primary work anywhere: consider speculative twins.
         picked: Optional[_Job] = None
@@ -869,22 +915,22 @@ class SweepService:
         conn.jobs_done += 1
         if isinstance(seconds, (int, float)) and self._cost_book is not None:
             self._cost_book.observe(job.spec.kind, job.spec.n, seconds)
-        for session, index in job.waiters:
-            if session.cancelled or session.dead:
+        for sub, index in job.waiters:
+            if sub.cancelled or sub.session.dead:
                 continue
-            session.executed += 1
-            session.remaining -= 1
-            await session.write(
-                session.record_frame(index, payload, False, seconds)
+            sub.executed += 1
+            sub.remaining -= 1
+            await sub.session.write(
+                sub.record_frame(index, payload, False, seconds)
             )
-            if session.remaining == 0:
-                await self._finish_session(session)
+            if sub.remaining == 0:
+                await self._finish_session(sub)
         return True
 
     async def _job_errored(
         self, job: _Job, frame: dict, conn: _Connection
     ) -> None:
-        """Deterministic job failure: fail every waiting session's sweep.
+        """Deterministic job failure: fail every waiting submission.
 
         Retrying elsewhere would fail again (specs carry all their
         randomness), so the sweep aborts: its client raises
@@ -899,15 +945,13 @@ class SweepService:
             kind=job.spec.kind,
             error=str(frame.get("error")),
         )
-        for session, _index in job.waiters:
-            if session.cancelled or session.dead or session.finished.is_set():
+        for sub, _index in job.waiters:
+            if sub.cancelled or sub.session.dead or sub.finished:
                 continue
-            session.failed = (
-                f"job {job.spec.kind!r} failed on {conn.name}: {detail}"
-            )
-            self._drop_queued(session)
-            session.cancelled = False  # failed, not client-cancelled
-            await self._finish_session(session)
+            sub.failed = f"job {job.spec.kind!r} failed on {conn.name}: {detail}"
+            self._drop_queued(sub)
+            sub.cancelled = False  # failed, not client-cancelled
+            await self._finish_session(sub)
 
     def _dispatch_failed(
         self,

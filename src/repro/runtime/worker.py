@@ -15,7 +15,7 @@ store persists, so the service appends a worker's result bytes
 verbatim.  Shape definitions travel at most once per connection,
 tracked by a per-connection sent-set on both ends.
 
-Workers are storeless (wire protocol v3): the service answers store
+Workers are storeless (wire protocol v4): the service answers store
 hits before it dispatches and appends every executed record itself,
 exactly once.  Everything a record needs to be reproducible travels
 in the spec (``seed`` drives all randomness), so killing and

@@ -3,7 +3,8 @@
 A scripted raw-socket server sends fixed frame sequences (duplicate or
 out-of-range indices, EOF before the verdict, short verdicts, unknown
 ops, rejects); a real ``SweepService`` answers a 300-hit sweep from a
-prefilled store for the cancel and per-submission task-count checks.
+prefilled store for the cancel, per-submission task-count and session
+checks.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import queue
+import shutil
 import socket
 import threading
 import time
@@ -29,7 +31,8 @@ from repro.runtime.codec import (
 )
 from repro.runtime.remote import PROTOCOL_VERSION
 from repro.runtime.service import HIT_CHUNK
-from test_runtime_service import wait_until
+from repro.runtime.store import count_record_entries
+from test_runtime_service import start_worker, wait_until
 
 
 def hit_sweep(seeds):
@@ -57,10 +60,10 @@ READ = object()
 
 
 class ScriptedService:
-    """Accepts one client, reads its submit frame, sends *frames* (a
-    ``READ`` entry waits for one client frame instead), shuts its side
-    down, then reads until the client hangs up (so no unread bytes turn
-    the close into a reset)."""
+    """Accepts one client, reads its submit frame, sends *frames* under
+    that submission's id (a ``READ`` entry waits for one client frame
+    instead), shuts its side down, then reads until the client hangs up
+    (so no unread bytes turn the close into a reset)."""
 
     def __init__(self, frames):
         self.frames = frames
@@ -76,10 +79,13 @@ class ScriptedService:
             conn.settimeout(15.0)
             reader = conn.makefile("rb")
             self.received.append(read_wire_frame(reader))
+            sub = self.received[0]["sub"]
             for frame in self.frames:
                 if frame is READ:
                     self.received.append(read_wire_frame(reader))
                 else:
+                    # "op" first, then "sub": a record keeps its layout.
+                    frame = {"op": None, "sub": sub, **frame}
                     conn.sendall(encode_wire_frame(frame))
             try:
                 conn.shutdown(socket.SHUT_WR)
@@ -182,46 +188,182 @@ def hit_store(tmp_path_factory):
 class TestStoreHits:
     def test_close_after_first_record(self, hit_store):
         store, reference = hit_store
-        with SweepService(store_dir=store, heartbeat=2.0) as svc:
-            iterator = Client(endpoint=svc.endpoint, name="leaver").submit(
-                hit_sweep(range(300))
-            )
+        with SweepService(store_dir=store, heartbeat=2.0) as svc, Client(
+            endpoint=svc.endpoint, name="leaver"
+        ) as client:
+            iterator = client.submit(hit_sweep(range(300)))
             assert next(iterator) == reference[0]
             start = time.monotonic()
             iterator.close()
             # Well under the 5 s the cancel path waits for a verdict.
             assert time.monotonic() - start < 4.0
-            wait_until(lambda: svc.active_clients == 0, what="session end")
-            again = Client(endpoint=svc.endpoint).run(hit_sweep(range(30)))
-            assert again == reference[:30]
+            wait_until(lambda: svc.active_submissions == 0, what="cancel")
+            # The session outlives the cancelled submission.
+            assert svc.active_clients == 1
+            assert client.run(hit_sweep(range(30))) == reference[:30]
 
     def test_tasks_per_submission_do_not_grow(self, hit_store, monkeypatch):
-        """The receive loop creates a fixed number of tasks per submission,
-        however many record frames it reads."""
+        """The session's loop creates a fixed number of tasks per
+        submission, however many record frames its reader routes."""
         store, reference = hit_store
+        created = []
         counts = []
         original = Client._drive_submission
 
-        async def counting(self, body, out, ctrl):
-            created = []
+        def factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
 
-            def factory(loop, coro, **kwargs):
-                created.append(coro)
-                return asyncio.Task(coro, loop=loop, **kwargs)
-
+        async def counting(self, *args):
             asyncio.get_running_loop().set_task_factory(factory)
+            before = len(created)
             try:
-                await original(self, body, out, ctrl)
+                await original(self, *args)
             finally:
-                counts.append(len(created))
+                counts.append(len(created) - before)
 
         monkeypatch.setattr(Client, "_drive_submission", counting)
-        with SweepService(store_dir=store, heartbeat=2.0) as svc:
-            for size in (30, 300):
-                records = Client(endpoint=svc.endpoint).run(hit_sweep(range(size)))
-                assert records == reference[:size]
-        small, large = counts
+        with SweepService(store_dir=store, heartbeat=2.0) as svc, Client(
+            endpoint=svc.endpoint
+        ) as client:
+            # The first submission dials (a connect task and the reader).
+            for size in (1, 30, 300):
+                assert client.run(hit_sweep(range(size))) == reference[:size]
+        _dial, small, large = counts
         assert large == small < 30
+
+
+def run_threads(*calls):
+    """Run each ``(fn, *args)`` on its own thread; their results."""
+    results = [None] * len(calls)
+    errors = []
+
+    def run(slot, fn, *args):
+        try:
+            results[slot] = fn(*args)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(slot, *call))
+        for slot, call in enumerate(calls)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    if errors:
+        raise errors[0]
+    return results
+
+
+class TestSession:
+    """One ``Client`` keeps one session: concurrent submissions share
+    its connection, and it redials once the service dropped it."""
+
+    def test_concurrent_submissions_match_serial(self, tmp_path):
+        store = tmp_path / "store"
+        sweep_a, sweep_b = hit_sweep(range(0, 6)), hit_sweep(range(6, 12))
+        with SweepService(store_dir=store, heartbeat=2.0) as svc, Client(
+            endpoint=svc.endpoint, name="both"
+        ) as client:
+            start_worker(svc)
+            records_a, records_b = run_threads(
+                (client.run, sweep_a), (client.run, sweep_b)
+            )
+            assert svc.active_clients == 1
+        assert records_a == Client().run(sweep_a)
+        assert records_b == Client().run(sweep_b)
+        assert count_record_entries(store) == sweep_a.size + sweep_b.size
+
+    def test_cancelling_one_leaves_the_other_ok(self, hit_store, tmp_path):
+        store = shutil.copytree(hit_store[0], tmp_path / "store")
+        leaver = hit_sweep(range(290, 310))  # 10 hits, then 10 misses
+        stayer = hit_sweep(range(400, 403))
+        with SweepService(store_dir=store, heartbeat=2.0) as svc, Client(
+            endpoint=svc.endpoint
+        ) as client:
+            left = client.submit(leaver)
+            kept = client.submit(stayer)
+            assert next(left) == hit_store[1][290]
+            left.close()
+            wait_until(lambda: svc.active_submissions == 1, what="cancel")
+            start_worker(svc)
+            assert list(kept) == Client().run(stayer)
+        # The cancelled submission's queued misses never ran.
+        assert sorted(index for _name, index in svc.dispatch_log) == [0, 1, 2]
+
+    def test_dropped_connection_cancels_every_submission(
+        self, hit_store, tmp_path
+    ):
+        store = shutil.copytree(hit_store[0], tmp_path / "store")
+        with SweepService(store_dir=store, heartbeat=2.0) as svc, Client(
+            endpoint=svc.endpoint
+        ) as client:
+            first = client.submit(hit_sweep([0, 500, 501]))
+            second = client.submit(hit_sweep([1, 502, 503]))
+            assert next(first)["seed"] == 0 and next(second)["seed"] == 1
+            writer, _routes = client._conn
+            client._loop.call_soon_threadsafe(writer.transport.abort)
+            for iterator in (first, second):
+                with pytest.raises(ServiceError, match="before the verdict"):
+                    list(iterator)
+            wait_until(lambda: svc.active_clients == 0, what="session drop")
+            assert svc.active_submissions == 0
+            start_worker(svc)
+            wait_until(lambda: svc.active_workers == 1, what="worker join")
+            # The next submit redials, and a job the drop dequeued runs
+            # afresh for it instead of waiting on the dropped submission.
+            again = hit_sweep([2, 500])
+            done = []
+            thread = threading.Thread(
+                target=lambda: done.append(client.run(again)), daemon=True
+            )
+            thread.start()
+            thread.join(timeout=30.0)
+            assert done and done[0] == Client().run(again)
+        # Only that job ran; the other dropped ones never did.
+        assert [index for _name, index in svc.dispatch_log] == [1]
+
+    def test_stop_does_not_wait_for_an_idle_session(self, hit_store):
+        svc = SweepService(store_dir=hit_store[0], heartbeat=2.0).start()
+        with Client(endpoint=svc.endpoint) as client:
+            assert client.run(hit_sweep(range(3))) == hit_store[1][:3]
+            start = time.monotonic()
+            svc.stop()
+            assert time.monotonic() - start < 3.0
+
+    def test_redials_after_a_restart_on_the_same_port(self, hit_store):
+        store, reference = hit_store
+        svc = SweepService(store_dir=store, heartbeat=2.0).start()
+        with Client(endpoint=svc.endpoint) as client:
+            assert client.run(hit_sweep(range(30))) == reference[:30]
+            port = svc.bound_port
+            svc.stop()
+            # Wait until the session has seen the service go, so the next
+            # submit redials instead of going out on the dead connection.
+            wait_until(lambda: client._conn is None, what="drop seen")
+            with SweepService(store_dir=store, port=port, heartbeat=2.0) as svc:
+                # No worker: every record comes from the store.
+                assert client.run(hit_sweep(range(30, 60))) == reference[30:60]
+                assert svc.active_clients == 1
+
+    def test_two_submissions_on_one_session_alternate(self, tmp_path):
+        sweep_a = hit_sweep([10, 11, 12])
+        sweep_b = hit_sweep([20, 21, 22])
+        with SweepService(store_dir=tmp_path / "store", heartbeat=2.0) as svc, \
+                Client(endpoint=svc.endpoint, name="s") as client:
+            it_a = client.submit(sweep_a)
+            wait_until(lambda: svc.active_submissions == 1, what="submission a")
+            it_b = client.submit(sweep_b)
+            wait_until(lambda: svc.active_submissions == 2, what="submission b")
+            start_worker(svc)
+            assert list(it_a) == Client().run(sweep_a)
+            assert list(it_b) == Client().run(sweep_b)
+        # One worker, two equal queues on one session: strict alternation.
+        assert list(svc.dispatch_log) == [
+            ("s", 0), ("s", 0), ("s", 1), ("s", 1), ("s", 2), ("s", 2)
+        ]
 
 
 class TestHandoff:
@@ -293,8 +435,8 @@ class TestHitWireShape:
         events = []
         init = service_mod._ClientSession.__init__
 
-        def recording_init(self, uid, name, reader, writer):
-            init(self, uid, name, reader, RecordingWriter(writer, events))
+        def recording_init(self, uid, name, writer):
+            init(self, uid, name, RecordingWriter(writer, events))
 
         key_for = KeyDeriver.key_for
 
@@ -304,8 +446,10 @@ class TestHitWireShape:
 
         monkeypatch.setattr(service_mod._ClientSession, "__init__", recording_init)
         monkeypatch.setattr(KeyDeriver, "key_for", logged_key_for)
-        with SweepService(store_dir=store, heartbeat=2.0) as svc:
-            records = Client(endpoint=svc.endpoint).run(hit_sweep(range(300)))
+        with SweepService(store_dir=store, heartbeat=2.0) as svc, Client(
+            endpoint=svc.endpoint
+        ) as client:
+            records = client.run(hit_sweep(range(300)))
         assert records == reference
         writes = [split_frames(data) for kind, data in events if kind == "write"]
         # The first record frame is written alone, before the second
@@ -326,15 +470,17 @@ class TestHitWireShape:
             sock = socket.create_connection(
                 ("127.0.0.1", svc.bound_port), timeout=15.0
             )
-            with sock:
+            # The session stays open after the verdict until the client
+            # hangs up: closing the socket needs its file closed too.
+            with sock, sock.makefile("rb") as reader:
                 sock.sendall(encode_wire_frame({
                     "op": "submit",
+                    "sub": 7,
                     "protocol": PROTOCOL_VERSION,
                     "sweep_json": json.dumps(hit_sweep(range(310)).to_payload()),
                 }))
-                reader = sock.makefile("rb")
                 assert read_wire_frame(reader)["op"] == "record"
-                sock.sendall(encode_wire_frame({"op": "cancel"}))
+                sock.sendall(encode_wire_frame({"op": "cancel", "sub": 7}))
                 frame = read_wire_frame(reader)
                 records = 1
                 while frame["op"] != "verdict":

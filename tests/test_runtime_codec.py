@@ -11,6 +11,7 @@ torn tails, and concatenation.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import struct
 
@@ -18,9 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import codec
 from repro.runtime.codec import (
     ENTRY_HEADER_SIZE,
     FRAME_HEADER_SIZE,
+    FRAME_MAGIC,
+    RECORD_FRAME_KEYS,
+    STATS,
     CodecError,
     CorruptEntry,
     ShapeRegistry,
@@ -29,6 +34,7 @@ from repro.runtime.codec import (
     WireProtocolError,
     decode_record,
     decode_value,
+    decode_wire_body,
     encode_record,
     encode_value,
     encode_wire_frame,
@@ -380,6 +386,141 @@ def test_frames_carry_arbitrary_records(record):
     stream = io.BytesIO(encode_wire_frame({"record": record}))
     decoded = read_wire_frame(stream)
     assert _canon(decoded["record"]) == _canon(record)
+
+
+# -- the record frame layout --------------------------------------------------
+
+
+def _generic_frame(frame):
+    """``encode_wire_frame`` as the generic codec alone writes it."""
+    body = bytearray()
+    encode_value(frame, body)
+    return struct.pack("<2sI", FRAME_MAGIC, len(body)) + bytes(body)
+
+
+def _generic_decode(body):
+    """``decode_wire_body`` as the generic codec alone reads it."""
+    try:
+        frame, pos = decode_value(body, 0)
+    except (CorruptEntry, TruncatedEntry) as exc:
+        raise WireProtocolError(f"bad frame body: {exc}") from exc
+    if not isinstance(frame, dict) or pos != len(body):
+        raise WireProtocolError("frame body is not a single dict")
+    return frame
+
+
+def _typed(value):
+    """Exact identity: type names, key order, floats by bit pattern."""
+    if isinstance(value, dict):
+        return ("dict", [(key, _typed(item)) for key, item in value.items()])
+    if isinstance(value, list):
+        return ("list", [_typed(item) for item in value])
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def _outcome(decode, body):
+    try:
+        return ("returns", _typed(decode(body)))
+    except Exception as exc:  # the exact exception is the contract
+        return ("raises", type(exc), str(exc))
+
+
+_ints = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0, -1, 63, 64, -65, 2**63, 2**64, -(2**63) - 1]),
+)
+
+
+@st.composite
+def _record_frames(draw):
+    """Record frames in the layout, and with one deviation from it."""
+    frame = {
+        "op": "record",
+        "sub": draw(_ints),
+        "index": draw(_ints),
+        "record_pkd": draw(st.one_of(
+            st.just(b""), st.binary(max_size=40),
+            st.binary(min_size=300, max_size=600),
+        )),
+        "shapes": draw(st.lists(st.binary(max_size=40), max_size=3)),
+        "hit": draw(st.booleans()),
+        "seconds": draw(st.one_of(
+            st.sampled_from([None, 0.0, -0.0, float("inf"), float("nan")]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )),
+        "done": draw(_ints),
+        "total": draw(_ints),
+    }
+    assert tuple(frame) == RECORD_FRAME_KEYS
+    change = draw(st.sampled_from(["none", "drop", "swap", "add", "bool"]))
+    keys = list(frame)
+    if change == "drop":
+        del frame[draw(st.sampled_from(keys))]
+    elif change == "swap":
+        at = draw(st.integers(min_value=0, max_value=len(keys) - 2))
+        keys[at], keys[at + 1] = keys[at + 1], keys[at]
+        frame = {key: frame[key] for key in keys}
+    elif change == "add":
+        frame[draw(st.sampled_from(["extra", "op2"]))] = draw(_ints)
+    elif change == "bool":
+        key = draw(st.sampled_from(["sub", "index", "done", "total"]))
+        frame[key] = draw(st.booleans())
+    return frame
+
+
+@given(_record_frames(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_record_layout_matches_the_generic_codec(frame, data):
+    """Byte-identical frames, and the same return or the same exception
+    as the generic decoder for the body, every proper prefix of it, and
+    the body with one flipped byte."""
+    encoded = encode_wire_frame(frame)
+    assert encoded == _generic_frame(frame)
+    body = encoded[FRAME_HEADER_SIZE:]
+    assert _outcome(decode_wire_body, body) == ("returns", _typed(frame))
+    for cut in range(len(body)):
+        prefix = body[:cut]
+        assert _outcome(decode_wire_body, prefix) == _outcome(
+            _generic_decode, prefix
+        )
+    flipped = bytearray(body)
+    at = data.draw(st.integers(min_value=0, max_value=len(body) - 1))
+    flipped[at] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+    flipped = bytes(flipped)
+    assert _outcome(decode_wire_body, flipped) == _outcome(
+        _generic_decode, flipped
+    )
+
+
+def test_record_frames_skip_the_generic_codec(monkeypatch):
+    """The service's record frames (no shape block after the first) take
+    the layout path: the generic codec never sees the frame dict on the
+    way out, nor any byte of the body on the way in.  The frame counters
+    move as for any frame."""
+    frame = {
+        "op": "record", "sub": 3, "index": 299, "record_pkd": b"\x01" * 90,
+        "shapes": [], "hit": True, "seconds": None, "done": 12, "total": 300,
+    }
+    encode_one = codec.encode_value
+
+    def encode_no_dict(value, out):
+        assert not isinstance(value, dict), "frame took the generic encoder"
+        encode_one(value, out)
+
+    def refuse(*_args):
+        raise AssertionError("body took the generic decoder")
+
+    monkeypatch.setattr(codec, "encode_value", encode_no_dict)
+    monkeypatch.setattr(codec, "decode_value", refuse)
+    before = dataclasses.replace(STATS)
+    encoded = encode_wire_frame(frame)
+    assert decode_wire_body(encoded[FRAME_HEADER_SIZE:]) == frame
+    assert STATS.encoded_frames == before.encoded_frames + 1
+    assert STATS.encoded_frame_bytes == before.encoded_frame_bytes + len(encoded)
+    assert STATS.decoded_frames == before.decoded_frames + 1
+    assert STATS.decoded_frame_bytes == before.decoded_frame_bytes + len(encoded)
 
 
 def test_entry_header_size_constant_matches_struct():

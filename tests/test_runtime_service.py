@@ -91,13 +91,15 @@ class ScriptedWorker:
 
 
 def raw_submit(service, sweep, name):
-    """Open a bare client socket with one submit frame on the wire."""
+    """Open a bare client socket with one submit frame (submission id 1)
+    on the wire."""
     sock = socket.create_connection(
         (service.host, service.bound_port), timeout=15.0
     )
     sock.settimeout(15.0)
     sock.sendall(encode_wire_frame({
         "op": "submit",
+        "sub": 1,
         "protocol": PROTOCOL_VERSION,
         "client": name,
         "sweep_json": json.dumps(sweep.to_payload(), sort_keys=True),
@@ -224,13 +226,15 @@ class TestCancellation:
             first = read_wire_frame(reader)
             assert first["op"] == "progress"
             assert first["total"] == 2
-            sock.sendall(encode_wire_frame({"op": "cancel"}))
+            sock.sendall(encode_wire_frame({"op": "cancel", "sub": 1}))
             frame = read_wire_frame(reader)
             while frame is not None and frame.get("op") != "verdict":
                 frame = read_wire_frame(reader)
             assert frame is not None
             assert frame["ok"] is False
             assert frame["cancelled"] is True
+            assert svc.active_submissions == 0
+            reader.close()
             sock.close()
             wait_until(lambda: svc.active_clients == 0, what="session end")
             # The service survives the cancel and serves the next client.
@@ -247,7 +251,7 @@ class TestCancellation:
             )
             next(iterator)
             iterator.close()  # the generator's finally sends cancel
-            wait_until(lambda: svc.active_clients == 0, what="session end")
+            wait_until(lambda: svc.active_submissions == 0, what="cancel")
 
 
 class TestSpeculation:
@@ -370,7 +374,7 @@ class TestAdmissionAndErrors:
             )
             sock.settimeout(15.0)
             sock.sendall(encode_wire_frame({
-                "op": "submit", "protocol": PROTOCOL_VERSION,
+                "op": "submit", "sub": 1, "protocol": PROTOCOL_VERSION,
                 "specs_json": json.dumps([bad_spec]),
             }))
             reply = read_wire_frame(sock.makefile("rb"))
